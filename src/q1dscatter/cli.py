@@ -639,6 +639,14 @@ def _write_resonances(config: RunConfig, out: Path, report) -> None:
                "converged": report.converged})
 
 
+def _kernel_diagnostics(source, prefix: str = "") -> dict[str, object]:
+    """Solver internals of a two-body kernel (or of the report computed
+    from one): manifest only, never the CSV or the config hash."""
+    return {prefix + key: getattr(source, key)
+            for key in ("collision_sites", "numerical_rank",
+                        "min_abs_denominator")}
+
+
 def run_twobody(config: RunConfig, out: Path):
     want_report = bool(config.get("resonances")) or bool(
         config.get("converge"))
@@ -664,7 +672,8 @@ def run_twobody(config: RunConfig, out: Path):
                    "r-entrance": kernel.r_entrance})
         outputs.append(out)
         diagnostics.update({"n_channels": kernel.n_channels,
-                            "r_entrance": kernel.r_entrance})
+                            "r_entrance": kernel.r_entrance,
+                            **_kernel_diagnostics(kernel)})
     if want_report:
         report = _resonance_report(config, _resonance_window(config,
                                                              clamp=True))
@@ -677,7 +686,8 @@ def run_twobody(config: RunConfig, out: Path):
             "visible": len(report.visible_resonances),
             "zero_crossings": list(report.zero_crossings),
             "report_n_states": report.n_states,
-            "converged": report.converged})
+            "converged": report.converged,
+            **_kernel_diagnostics(report, prefix="report_")})
     return outputs, diagnostics
 
 
@@ -700,7 +710,8 @@ def run_spa_fit(config: RunConfig, out: Path):
                "spread", "relative_residual", "r_entrance", "n_points",
                "u_from", "u_to"], [row], {})
     return [out], {"estimate_c1": fit.estimate_c1,
-                   "estimate_c2": fit.estimate_c2}
+                   "estimate_c2": fit.estimate_c2,
+                   **_kernel_diagnostics(kernel)}
 
 
 def run_resonances(config: RunConfig, out: Path):
@@ -711,7 +722,8 @@ def run_resonances(config: RunConfig, out: Path):
                    "visible": len(report.visible_resonances),
                    "zero_crossings": list(report.zero_crossings),
                    "n_states": report.n_states,
-                   "converged": report.converged}
+                   "converged": report.converged,
+                   **_kernel_diagnostics(report)}
 
 
 def run_oracle(config: RunConfig, out: Path):

@@ -9,32 +9,45 @@ pair hops collectively with rate ``J_K = 2 J cos(K/2)`` and the closed
 pair channel ``(n1, n2)`` decays along the relative coordinate with
 factor ``alpha_{n1,n2}`` fixed by the channel gap.
 
-Everything is driven by the overlap kernel
+The contact coupling acts only on the collision diagonal
+``y1 = y2 = y``.  Channel ``b`` enters through its symmetrized pair
+function on that diagonal, the row ``S[b, y]`` (``psi_n(y)^2`` for
+equal indices, ``sqrt(2) psi_{n1} psi_{n2}`` for distinct ones — the
+orthonormal two-boson convention).  In channel space the amplitudes
+solve
 
-    R(a; b) = sum_y s_a(y) s_b(y),
+    I = v + U M I,      M[a, b] = R[a, b] / D_b,      R = S S^T,
 
-where ``s_b(y)`` is the symmetrized transverse pair function of channel
-``b`` evaluated on the collision diagonal ``y1 = y2 = y``
-(``psi_n(y)^2`` for equal indices, ``sqrt(2) psi_{n1} psi_{n2}`` for
-distinct ones — the orthonormal two-boson convention).  The channel
-amplitudes solve the linear system
+with ``v = S psi_0^2`` the entrance column and
+``D_b = E + 2 J_K alpha_b - E_b < 0`` the closed-channel denominators,
+and the entrance amplitude is
 
-    I = v + U M I,      M[a, b] = R[a, b] / D_b,
+    I00(U) = R(00;00) + U sum_b (v_b / D_b) I_b.
 
-with ``v`` the entrance column ``R(a; 0,0)`` and
-``D_b = E + 2 J_K alpha_b - E_b < 0`` the closed-channel denominators.
-The entrance amplitude
+``R`` has rank at most ``n_y``, the number of transverse sites, while
+the channel count grows as ``n_cut^2 / 4``.  Every channel vector in
+the system lies in the range of ``S``, ``I = S phi``, which turns it
+into the ``n_y``-sized problem
 
-    I00(U) = R(00;00) + U sum_b (v_b / D_b) I_b
+    (1 + U H) phi = psi_0^2,     H = S^T |D|^{-1} S,
 
-gives the effective 1D coupling ``U1D = U * I00`` and the scattering
-length ``a = -2 J_K / U1D``.  Because ``U`` enters linearly, ``I00`` is
-a rational function of ``U`` with poles at the confinement-induced
-resonances: diagonalizing the symmetric form
-``A = |D|^{-1/2} R |D|^{-1/2}`` (eigenpairs ``mu_j, w_j``; projections
-``c_j = w_j . |D|^{-1/2} v``) yields the exact partial-fraction form
+with ``H`` the closed-channel pair Green's function on the collision
+diagonal (symmetric positive semi-definite).  All algebra runs on
+``H``: the direct solve writes ``phi = psi_0^2 + U g`` with
+``(1 + U H) g = -H psi_0^2``, so that
+
+    I00(U) = R(00;00) + U psi_0^2 . g,      I = S (psi_0^2 + U g),
+
+and the Born series has terms ``U^m psi_0^2 . (-H)^m psi_0^2``.  The
+effective 1D coupling is ``U1D = U * I00`` and the scattering length
+``a = -2 J_K / U1D``.  Because ``U`` enters linearly, ``I00`` is a
+rational function of ``U`` with poles at the confinement-induced
+resonances: the eigenpairs ``mu_j, v_j`` of ``H`` (whose nonzero
+spectrum equals that of the channel form ``|D|^{-1/2} R |D|^{-1/2}``)
+give the exact partial-fraction form
 
     I00(U) = R(00;00) - U sum_j c_j^2 / (1 + U mu_j),
+    c_j^2 = mu_j (v_j . psi_0^2)^2,
 
 so resonances sit at ``U_j = -1/mu_j`` with ``U1D`` residue
 ``U_j^3 c_j^2``; the dimensionless strength ``c_j^2 |U_j| / R(00;00)``
@@ -54,8 +67,7 @@ from scipy.optimize import brentq
 from .errors import (ConfigError, Diverging, NoConvergence, OpenChannel,
                      SignConventionViolation, SingularSystem,
                      UnphysicalAmplitude)
-from .traps import (J, TransverseSpectrum, TrapSpec, alpha_closed,
-                    solve_transverse)
+from .traps import J, TransverseSpectrum, TrapSpec, solve_transverse
 
 #: Resonances with normalized pole strength below this are reported as
 #: invisible (they do not register at any realistic plot resolution).
@@ -68,6 +80,7 @@ _FIXED_POINT_DAMPING = 0.5
 _NEWTON_AFTER = 50
 _MAX_ITERATIONS = 10_000
 _FIXED_POINT_TOL = 1e-10
+_PARITY_SIGN = {"even": 1, "odd": -1, "none": 0}
 
 
 def pair_hopping(total_momentum: float = 0.0) -> float:
@@ -102,17 +115,30 @@ class PairChannel:
 
 @dataclass(frozen=True)
 class OverlapKernel:
-    """Channel set plus overlap data of the two-body problem at one
-    ``(K, E)`` point.
+    """The two-body problem at one ``(K, E)`` point, held on the
+    collision diagonal.
 
-    ``r_matrix[a, b]`` are the channel-channel overlaps,
-    ``entrance_column[b] = R(b; 0,0)`` and
+    Stored: ``pairs[b] = (n1, n2)`` of each kept channel (row-major,
+    ``n1 <= n2``) and its energy ``channel_energies[b]``, the pair rows
+    ``pair_rows[b, y] = S[b, y]``, the entrance row ``psi_0(y)^2``, and
+    the per-channel decay factors ``alphas`` and denominators
+    ``denominators`` at `energy`;
     ``r_entrance = R(0,0; 0,0) = sum_y psi_0(y)^4``.
+
+    Derived lazily: the ``n_y x n_y`` pair Green's function
+    :attr:`green` ``H = S^T |D|^{-1} S`` and its spectral form, on which
+    every solver runs; and the channel-space views :attr:`channels`,
+    :attr:`r_matrix` ``R = S S^T`` and :attr:`entrance_column`
+    ``R(b; 0,0)``, which no solver needs (``R`` alone is
+    ``8 n_channels^2`` bytes).
     """
 
-    channels: tuple[PairChannel, ...]
-    r_matrix: np.ndarray
-    entrance_column: np.ndarray
+    pairs: np.ndarray
+    channel_energies: np.ndarray
+    pair_rows: np.ndarray
+    entrance_row: np.ndarray
+    alphas: np.ndarray
+    denominators: np.ndarray
     r_entrance: float
     j_k: float
     total_momentum: float
@@ -122,23 +148,56 @@ class OverlapKernel:
 
     @property
     def n_channels(self) -> int:
-        return len(self.channels)
+        return len(self.pairs)
 
     @property
-    def denominators(self) -> np.ndarray:
-        return np.array([c.denominator for c in self.channels])
+    def collision_sites(self) -> int:
+        """``n_y``: the size of every matrix the solvers factor."""
+        return len(self.entrance_row)
+
+    @cached_property
+    def channels(self) -> tuple[PairChannel, ...]:
+        sign = [_PARITY_SIGN[p] for p in self.spectrum.parities]
+        return tuple(
+            PairChannel(n1=int(n1), n2=int(n2), energy=float(e),
+                        alpha=float(a), denominator=float(d),
+                        parity_weight=sign[n1] * sign[n2])
+            for (n1, n2), e, a, d in zip(self.pairs, self.channel_energies,
+                                         self.alphas, self.denominators))
+
+    @cached_property
+    def r_matrix(self) -> np.ndarray:
+        return self.pair_rows @ self.pair_rows.T
+
+    @cached_property
+    def entrance_column(self) -> np.ndarray:
+        return self.pair_rows @ self.entrance_row
+
+    @cached_property
+    def green(self) -> np.ndarray:
+        """``H = S^T |D|^{-1} S``, exactly symmetric."""
+        scaled = self.pair_rows * (1.0 / np.sqrt(-self.denominators))[:, None]
+        return scaled.T @ scaled
 
     @cached_property
     def _spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues ``mu_j`` of the symmetrized closed-channel form
-        and entrance projections ``c_j`` (see module docstring)."""
-        if self.n_channels == 0:
-            return np.empty(0), np.empty(0)
-        scale = 1.0 / np.sqrt(-self.denominators)
-        sym = self.r_matrix * scale[:, None] * scale[None, :]
-        mu, w = np.linalg.eigh(sym)
-        c = w.T @ (scale * self.entrance_column)
-        return mu, c
+        """Eigenvalues ``mu_j`` of :attr:`green` and pole weights
+        ``c_j^2`` (see module docstring)."""
+        mu, v = np.linalg.eigh(self.green)
+        proj = v.T @ self.entrance_row
+        return mu, mu * proj * proj
+
+    @property
+    def numerical_rank(self) -> int:
+        """Eigenvalues of :attr:`green` above ``n_y eps max(mu)``."""
+        mu, _ = self._spectral
+        tol = mu.max(initial=0.0) * mu.size * np.finfo(float).eps
+        return int(np.count_nonzero(mu > tol))
+
+    @property
+    def min_abs_denominator(self) -> float:
+        """Smallest ``|D_b|``: the closest any channel comes to opening."""
+        return float(-self.denominators.max(initial=-math.inf))
 
     def entrance_amplitude(self, u) -> np.ndarray | float:
         """``I00(U)`` from the partial-fraction form; vectorized in `u`.
@@ -146,30 +205,22 @@ class OverlapKernel:
         Algebraically identical to the direct linear solve of
         :func:`solve_scattering_length`; infinities mark resonances.
         """
-        mu, c = self._spectral
+        mu, c2 = self._spectral
         u_arr = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             shifted = 1.0 + np.multiply.outer(u_arr, mu)
-            i00 = self.r_entrance - u_arr * (c * c / shifted).sum(axis=-1)
+            i00 = self.r_entrance - u_arr * (c2 / shifted).sum(axis=-1)
         return i00 if u_arr.shape else float(i00)
 
     def at_energy(self, energy: float) -> "OverlapKernel":
-        """Same channel set and overlaps, re-evaluated at a different
+        """Same channel set and pair rows, re-evaluated at a different
         scattering energy (new decay factors and denominators)."""
         if energy == self.energy:
             return self
-        channels = []
-        for ch in self.channels:
-            av = alpha_closed(ch.energy, energy, j_eff=self.j_k)
-            channels.append(replace(ch, alpha=av.alpha,
-                                    denominator=av.denominator))
-        _check_denominators(channels)
-        return OverlapKernel(
-            channels=tuple(channels), r_matrix=self.r_matrix,
-            entrance_column=self.entrance_column,
-            r_entrance=self.r_entrance, j_k=self.j_k,
-            total_momentum=self.total_momentum, energy=energy,
-            spectrum=self.spectrum, n_cut=self.n_cut)
+        alphas, denominators = _closed_channels(
+            self.pairs, self.channel_energies, energy, self.j_k)
+        return replace(self, alphas=alphas, denominators=denominators,
+                       energy=energy)
 
 
 @dataclass(frozen=True)
@@ -227,13 +278,21 @@ class Resonance:
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    """All resonances and zero crossings in a coupling window."""
+    """All resonances and zero crossings in a coupling window.
+
+    ``collision_sites``, ``numerical_rank`` and ``min_abs_denominator``
+    describe the kernel the report was computed from (see
+    :class:`OverlapKernel`).
+    """
 
     resonances: tuple[Resonance, ...]
     zero_crossings: tuple[float, ...]
     window: tuple[float, float]
     n_states: int
     n_channels: int
+    collision_sites: int
+    numerical_rank: int
+    min_abs_denominator: float
     converged: bool | None = None
 
     @property
@@ -241,20 +300,43 @@ class ResonanceReport:
         return tuple(r for r in self.resonances if r.visible)
 
 
-def _check_denominators(channels) -> None:
-    bad = [c for c in channels if not c.denominator < 0.0]
-    if bad:
-        c = bad[0]
+def _closed_channels(pairs: np.ndarray, channel_energies: np.ndarray,
+                     energy: float, j_k: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Decay factors and denominators of all pair channels at `energy`,
+    with the arithmetic of :func:`~q1dscatter.traps.alpha_closed`.
+
+    Raises
+    ------
+    OpenChannel
+        If a channel is open (or marginal) at `energy`.
+    SignConventionViolation
+        If a closed-channel denominator fails to be negative.
+    """
+    g = (channel_energies - energy) / j_k
+    open_ = np.flatnonzero(~(g > 2.0))
+    if open_.size:
+        b = open_[0]
+        raise OpenChannel(
+            f"channel at energy {channel_energies[b]:.6g} is open at "
+            f"target energy {energy:.6g}: gap ratio g = {g[b]:.6g} <= 2")
+    alphas = 2.0 / (g + np.sqrt(g * g - 4.0))
+    denominators = energy + 2.0 * j_k * alphas - channel_energies
+    bad = np.flatnonzero(~(denominators < 0.0))
+    if bad.size:
+        b = bad[0]
+        n1, n2 = pairs[b]
         raise SignConventionViolation(
-            f"closed-channel denominator of ({c.n1},{c.n2}) is "
-            f"{c.denominator:.6g} >= 0; the channel reduction is only "
+            f"closed-channel denominator of ({n1},{n2}) is "
+            f"{denominators[b]:.6g} >= 0; the channel reduction is only "
             f"valid with negative denominators")
+    return alphas, denominators
 
 
 def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
                  energy: float | None = None,
                  n_cut: int | None = None) -> OverlapKernel:
-    """Assemble the two-body overlap kernel.
+    """Assemble the two-body kernel on the collision diagonal.
 
     Parameters
     ----------
@@ -287,49 +369,30 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
     if energy is None:
         energy = -2.0 * j_k + 2.0 * e0
 
-    parity_sign = {"even": 1, "odd": -1, "none": 0}
-    channels: list[PairChannel] = []
-    rows: list[np.ndarray] = []
-    psi = spectrum.wavefunctions
-    entrance_row = psi[0] * psi[0]
-    for n1 in range(n_cut):
-        for n2 in range(n1, n_cut):
-            if n1 == 0 and n2 == 0:
-                continue
-            p1 = parity_sign[spectrum.parities[n1]]
-            p2 = parity_sign[spectrum.parities[n2]]
-            weight = p1 * p2
-            if spectrum.symmetric and weight == -1:
-                continue  # odd pair: exactly decoupled from the entrance
-            e_ch = float(spectrum.energies[n1] + spectrum.energies[n2])
-            av = alpha_closed(e_ch, energy, j_eff=j_k)
-            channels.append(PairChannel(
-                n1=n1, n2=n2, energy=e_ch, alpha=av.alpha,
-                denominator=av.denominator, parity_weight=weight))
-            row = psi[n1] * psi[n2]
-            if n1 != n2:
-                row = math.sqrt(2.0) * row
-            rows.append(row)
-    _check_denominators(channels)
+    n1, n2 = np.triu_indices(n_cut)
+    keep = n2 > 0  # every pair but the entrance (0, 0)
+    if spectrum.symmetric:
+        # odd pairs are exactly decoupled from the entrance
+        sign = np.array([_PARITY_SIGN[p]
+                         for p in spectrum.parities[:n_cut]])
+        keep &= sign[n1] * sign[n2] != -1
+    pairs = np.column_stack((n1[keep], n2[keep]))
+    channel_energies = (spectrum.energies[pairs[:, 0]]
+                        + spectrum.energies[pairs[:, 1]])
+    alphas, denominators = _closed_channels(pairs, channel_energies, energy,
+                                            j_k)
 
-    if rows:
-        s = np.array(rows)
-        r_matrix = s @ s.T
-        r_matrix = 0.5 * (r_matrix + r_matrix.T)
-        entrance_column = s @ entrance_row
-    else:
-        r_matrix = np.empty((0, 0))
-        entrance_column = np.empty(0)
+    psi = spectrum.wavefunctions
+    pair_rows = psi[pairs[:, 0]] * psi[pairs[:, 1]]
+    pair_rows[pairs[:, 0] != pairs[:, 1]] *= math.sqrt(2.0)
+    entrance_row = psi[0] * psi[0]
     return OverlapKernel(
-        channels=tuple(channels), r_matrix=r_matrix,
-        entrance_column=entrance_column,
+        pairs=pairs, channel_energies=channel_energies,
+        pair_rows=pair_rows, entrance_row=entrance_row,
+        alphas=alphas, denominators=denominators,
         r_entrance=float(entrance_row @ entrance_row), j_k=j_k,
         total_momentum=total_momentum, energy=energy, spectrum=spectrum,
         n_cut=n_cut)
-
-
-def _system_matrix(kernel: OverlapKernel) -> np.ndarray:
-    return kernel.r_matrix / kernel.denominators[None, :]
 
 
 def _check_not_singular(kernel: OverlapKernel, u: float) -> None:
@@ -343,26 +406,24 @@ def _check_not_singular(kernel: OverlapKernel, u: float) -> None:
 
 
 def _solve_linear(kernel: OverlapKernel, u: float) -> tuple[np.ndarray, float]:
-    """Direct dense solve of ``(1 - U M) I = v``; returns ``(I, I00)``."""
+    """Direct solve of ``(1 + U H) g = -H psi_0^2`` on the collision
+    diagonal; returns the channel amplitudes and ``I00``."""
     _check_not_singular(kernel, u)
-    if kernel.n_channels == 0:
-        return np.empty(0), kernel.r_entrance
-    m = _system_matrix(kernel)
-    lhs = np.eye(kernel.n_channels) - u * m
+    h = kernel.green
+    psi0_sq = kernel.entrance_row
     try:
-        i_vec = np.linalg.solve(lhs, kernel.entrance_column)
+        g = np.linalg.solve(np.eye(len(h)) + u * h, -(h @ psi0_sq))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"linear system singular at U={u:g} (resonance pole)") from exc
-    i00 = kernel.r_entrance + u * float(
-        (kernel.entrance_column / kernel.denominators) @ i_vec)
-    return i_vec, i00
+    i00 = kernel.r_entrance + u * float(psi0_sq @ g)
+    return kernel.pair_rows @ (psi0_sq + u * g), i00
 
 
 def solve_scattering_length(kernel: OverlapKernel, u: float) -> TwoBodyResult:
     """Zero-momentum two-body scattering at coupling `u`.
 
-    Solves the channel system by a direct dense linear solve and
+    Solves the ``n_y``-sized collision-diagonal system directly and
     returns ``U1D = U * I00`` and ``a = -2 J_K / U1D``.
 
     Raises
@@ -390,8 +451,8 @@ def u1d_curve(kernel: OverlapKernel, u_values) -> np.ndarray:
 def born_series(kernel: OverlapKernel, u: float, order: int) -> BornResult:
     """Born series of the entrance amplitude, truncated at `order`.
 
-    Order 1 is the bare overlap ``R(00;00)``; order ``m`` adds channel
-    round trips up to ``U^{m-1}``.
+    Order 1 is the bare overlap ``R(00;00)``; order ``m + 1`` adds the
+    term ``U^m psi_0^2 . (-H)^m psi_0^2`` (``m`` channel round trips).
 
     Raises
     ------
@@ -401,47 +462,43 @@ def born_series(kernel: OverlapKernel, u: float, order: int) -> BornResult:
     """
     if order < 1:
         raise ConfigError(f"Born order must be >= 1, got {order}")
-    partials = [kernel.r_entrance]
+    h = kernel.green
+    psi0_sq = kernel.entrance_row
+    y = psi0_sq
+    total = kernel.r_entrance
+    partials = [total]
+    prev_mag = None
+    growing = 0
+    u_pow = 1.0
+    for _ in range(1, order):
+        u_pow *= u
+        y = -(h @ y)
+        term = u_pow * float(psi0_sq @ y)
+        total += term
+        partials.append(total)
+        mag = abs(term)
+        if prev_mag is not None:
+            if mag > prev_mag:
+                growing += 1
+                if growing >= 5:
+                    raise Diverging(
+                        f"Born terms grew for {growing} consecutive "
+                        f"orders at U={u:g}: |U| exceeds the first "
+                        f"resonance coupling")
+            else:
+                growing = 0
+        prev_mag = mag
     converged = True
-    if kernel.n_channels and u != 0.0:
-        weight = kernel.entrance_column / kernel.denominators
-        y = kernel.entrance_column.copy()
-        m = _system_matrix(kernel)
-        total = kernel.r_entrance
-        prev_mag = None
-        growing = 0
-        u_pow = 1.0
-        for _ in range(1, order):
-            u_pow *= u
-            term = u_pow * float(weight @ y)
-            total += term
-            partials.append(total)
-            mag = abs(term)
-            if prev_mag is not None:
-                if mag > prev_mag:
-                    growing += 1
-                    if growing >= 5:
-                        raise Diverging(
-                            f"Born terms grew for {growing} consecutive "
-                            f"orders at U={u:g}: |U| exceeds the first "
-                            f"resonance coupling")
-                else:
-                    growing = 0
-            prev_mag = mag
-            y = m @ y
-        if len(partials) >= 2:
-            last = abs(partials[-1] - partials[-2])
-            before = abs(partials[-2] - partials[-3]) if len(partials) >= 3 \
-                else math.inf
-            converged = last < before or last == 0.0
-    else:
-        partials.extend([kernel.r_entrance] * (order - 1))
+    if len(partials) >= 2:
+        last = abs(partials[-1] - partials[-2])
+        before = abs(partials[-2] - partials[-3]) if len(partials) >= 3 \
+            else math.inf
+        converged = last < before or last == 0.0
     i00 = partials[-1]
     u1d = u * i00
     a = math.inf if u1d == 0.0 else -2.0 * kernel.j_k / u1d
     return BornResult(u=u, order=order, i00=i00, u1d=u1d, a=a,
                       partial_sums=tuple(partials), converged=converged)
-
 
 def solve_finite_k(kernel: OverlapKernel, u: float, k: float) -> TwoBodyResult:
     """Finite-momentum two-body scattering: phase shift at relative
@@ -525,7 +582,7 @@ def locate_resonances(kernel: OverlapKernel,
                       ) -> ResonanceReport:
     """All poles and zero crossings of ``U1D(U)`` in a coupling window.
 
-    Poles are exact reciprocal eigenvalues of the channel operator (no
+    Poles are exact reciprocal eigenvalues of the pair Green's function (no
     scanning); each carries its ``U1D`` residue and normalized strength,
     classified broad/sharp against :data:`BROAD_THRESHOLD` and flagged
     visible above :data:`VISIBILITY_FLOOR`.  Zero crossings of ``U1D``
@@ -535,18 +592,18 @@ def locate_resonances(kernel: OverlapKernel,
     u_lo, u_hi = u_window
     if not u_lo < u_hi:
         raise ConfigError(f"empty coupling window {u_window}")
-    mu, c = kernel._spectral
+    mu, c2 = kernel._spectral
     resonances = []
     boundaries = [u_lo, u_hi]
-    for mu_j, c_j in zip(mu, c):
+    for mu_j, c2_j in zip(mu, c2):
         if mu_j == 0.0:
             continue
         u_pole = -1.0 / float(mu_j)
         if not u_lo <= u_pole <= u_hi:
             continue
         boundaries.append(u_pole)
-        width = float(c_j) ** 2 * abs(u_pole) / kernel.r_entrance
-        residue = u_pole ** 3 * float(c_j) ** 2
+        width = float(c2_j) * abs(u_pole) / kernel.r_entrance
+        residue = u_pole ** 3 * float(c2_j)
         kind = "broad" if width >= BROAD_THRESHOLD else "sharp"
         resonances.append(Resonance(u=u_pole, width=width, residue=residue,
                                     kind=kind,
@@ -587,7 +644,10 @@ def locate_resonances(kernel: OverlapKernel,
     return ResonanceReport(
         resonances=tuple(resonances), zero_crossings=tuple(crossings),
         window=(u_lo, u_hi), n_states=kernel.n_cut,
-        n_channels=kernel.n_channels, converged=None)
+        n_channels=kernel.n_channels,
+        collision_sites=kernel.collision_sites,
+        numerical_rank=kernel.numerical_rank,
+        min_abs_denominator=kernel.min_abs_denominator, converged=None)
 
 
 def _complete_basis(spectrum: TransverseSpectrum) -> bool:

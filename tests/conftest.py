@@ -7,6 +7,17 @@ import pytest
 
 import q1dscatter as q
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, no example database on disk, and
+    # no per-example deadline (a fresh spectrum takes a variable time)
+    settings.register_profile("q1dscatter", derandomize=True,
+                              database=None, deadline=None)
+    settings.load_profile("q1dscatter")
+
 
 @pytest.fixture(scope="session")
 def two_site_spectrum():

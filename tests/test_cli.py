@@ -4,8 +4,10 @@ manifest output, reproducibility, exit codes, figure recipes."""
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +183,42 @@ def test_manifest_round_trip(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_kernel_diagnostics_in_manifest_only(tmp_path, capsys):
+    out = tmp_path / "tb.csv"
+    code, _, _ = run_cli(["twobody", "--trap", "two-site", "--v", "1.0",
+                          "--u-from", "-6", "--u-to", "4", "--points", "5",
+                          "--resonances", "--output", str(out)], capsys)
+    assert code == 0
+    diag = json.loads(
+        (tmp_path / "tb.csv.manifest.json").read_text())["diagnostics"]
+    for prefix in ("", "report_"):
+        assert diag[prefix + "collision_sites"] == 2
+        assert diag[prefix + "numerical_rank"] == 2
+        assert diag[prefix + "min_abs_denominator"] == pytest.approx(
+            5.534204278662789, rel=1e-12)
+    # solver internals stay out of the CSV, so a replay is byte-identical
+    meta, _ = read_csv(out)
+    assert not {"collision-sites", "numerical-rank"} & set(meta)
+    replay = tmp_path / "replay.csv"
+    code, _, _ = run_cli(["twobody", "--config",
+                          str(tmp_path / "tb.csv.manifest.json"),
+                          "--output", str(replay)], capsys)
+    assert code == 0
+    assert out.read_bytes() == replay.read_bytes()
+
+    spa = tmp_path / "spa.csv"
+    code, _, _ = run_cli(["spa-fit", "--trap", "harmonic", "--omega", "0.1",
+                          "--n-states", "21", "--u-from", "-1000",
+                          "--u-to", "-900", "--points", "50",
+                          "--output", str(spa)], capsys)
+    assert code == 0
+    diag = json.loads(
+        (tmp_path / "spa.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["collision_sites"] == 81
+    assert 0 < diag["numerical_rank"] <= 81
+    assert diag["min_abs_denominator"] > 0.0
+
+
 def test_manifest_subcommand_mismatch(tmp_path, capsys):
     out = tmp_path / "first.csv"
     run_cli(["single", "--trap", "two-site", "--v", "1.0", "--u-from", "-2",
@@ -291,9 +329,14 @@ def test_figure_fig1_end_to_end(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "e.csv"
+    # the child interpreter imports the package these tests import, also
+    # when pytest found it through its own `pythonpath` setting
+    package_root = str(Path(q.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "q1dscatter.cli", "transverse", "--trap",
          "two-site", "--v", "1.0", "--output", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert out.exists()

@@ -42,10 +42,12 @@ def test_channel_selection_rules(harm_mod_kernel):
         assert c.denominator < 0.0
 
 
+ASYMMETRIC_TABLE = q.Tabulated.from_mapping(
+    {-2: 0.0, -1: 0.3, 0: 0.0, 1: 0.9, 2: 0.1}, None)
+
+
 def test_asymmetric_trap_keeps_all_pairs():
-    asym = q.solve_transverse(q.Tabulated.from_mapping(
-        {-2: 0.0, -1: 0.3, 0: 0.0, 1: 0.9, 2: 0.1}, None))
-    ker = q.build_kernel(asym)
+    ker = q.build_kernel(q.solve_transverse(ASYMMETRIC_TABLE))
     assert any((c.n1 + c.n2) % 2 == 1 for c in ker.channels)
     r = np.asarray(ker.r_matrix)
     assert np.max(np.abs(r - r.T)) < 1e-12
@@ -172,3 +174,58 @@ def test_convergence_ladder_moderate_trap(harm_mod_kernel):
     assert len(rep.visible_resonances) == len(base.visible_resonances)
     for a, b in zip(rep.visible_resonances, base.visible_resonances):
         assert a.u == pytest.approx(b.u, rel=1e-6)
+
+
+# --------------------------------------------- channel-space witness
+
+
+def _dense_channel_solve(ker, u):
+    """The channel-space solve the collision-diagonal form replaced:
+    ``(1 - U R D^-1) I = v`` at size ``n_channels``."""
+    d, v = ker.denominators, ker.entrance_column
+    lhs = np.eye(ker.n_channels) - u * ker.r_matrix / d[None, :]
+    i_vec = np.linalg.solve(lhs, v)
+    return i_vec, ker.r_entrance + u * float((v / d) @ i_vec)
+
+
+def _dense_visible_poles(ker, window):
+    """Visible poles from ``eigh`` of ``|D|^-1/2 R |D|^-1/2``."""
+    scale = 1.0 / np.sqrt(-ker.denominators)
+    mu, w = np.linalg.eigh(ker.r_matrix * np.outer(scale, scale))
+    c2 = (w.T @ (scale * ker.entrance_column)) ** 2
+    poles = -1.0 / mu[mu != 0.0]
+    width = c2[mu != 0.0] * np.abs(poles) / ker.r_entrance
+    keep = ((window[0] <= poles) & (poles <= window[1])
+            & (width > q.two_body.VISIBILITY_FLOOR))
+    return np.sort(poles[keep])
+
+
+_WITNESS_KERNELS = {
+    "two-site": lambda fixture: fixture("two_site_kernel"),
+    "harmonic-0.1": lambda fixture: fixture("harm_mod_kernel"),
+    "asymmetric-table": lambda fixture: q.build_kernel(
+        q.solve_transverse(ASYMMETRIC_TABLE)),
+    "table-9-site-K-pi/3": lambda fixture: q.build_kernel(
+        q.solve_transverse(q.Tabulated.from_mapping(
+            {y: 0.1 * y * y for y in range(-4, 5)}, None)),
+        total_momentum=math.pi / 3),
+    "harmonic-1e-3-n41": lambda fixture: q.build_kernel(
+        fixture("micro_spectrum"), n_cut=41),
+}
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_KERNELS))
+def test_collision_diagonal_matches_channel_space(name, request):
+    ker = _WITNESS_KERNELS[name](request.getfixturevalue)
+    for u in (-2.5, -1.0, 0.5, 4.0):
+        i_dense, i00_dense = _dense_channel_solve(ker, u)
+        r = q.solve_scattering_length(ker, u)
+        assert abs(r.i00 - i00_dense) <= 1e-12 * abs(i00_dense)
+        assert np.max(np.abs(r.i_vector - i_dense)) \
+            <= 1e-12 * np.max(np.abs(i_dense))
+    window = (-30.0, 0.0)
+    poles = [res.u for res in
+             q.locate_resonances(ker, window).visible_resonances]
+    dense = _dense_visible_poles(ker, window)
+    assert len(poles) == len(dense) > 0
+    assert np.all(np.abs(np.array(poles) - dense) <= 1e-12 * np.abs(dense))
