@@ -34,15 +34,15 @@ from .errors import (AtResonance, BranchCollision, ConfigError,
 from .oracle import (OracleResult, StripProblem, pair_hamiltonian,
                      pair_scattering_length, strip_hamiltonian,
                      strip_scattering_length)
-from .ring import (RingCrossing, RingSolution, asymptotic_momentum,
-                   ring_branch_roots, ring_channel_sum, ring_cir_crossings,
-                   ring_momentum)
+from .ring import (BranchScan, RingCrossing, RingSolution,
+                   asymptotic_momentum, ring_branch_roots, ring_channel_sum,
+                   ring_cir_crossings, ring_momentum)
 from .single_particle import (CirValue, ScatteringResult, effective_u1d,
                               entrance_energy, u_cir)
 from .spa import SpaFit, spa_curve, spa_fit
 from .traps import (AlphaValue, DeltaWell, Harmonic, Tabulated,
                     TransverseSpectrum, TrapSpec, TwoSite, alpha_closed,
-                    potential_on_grid, solve_transverse, J)
+                    closed_channels, potential_on_grid, solve_transverse, J)
 from .two_body import (BornResult, OverlapKernel, PairChannel, Resonance,
                        ResonanceReport, TwoBodyResult, born_series,
                        build_kernel, converged_resonances, locate_resonances,
@@ -56,7 +56,7 @@ __all__ = [
     # traps
     "Harmonic", "DeltaWell", "TwoSite", "Tabulated", "TrapSpec",
     "TransverseSpectrum", "AlphaValue", "solve_transverse", "alpha_closed",
-    "potential_on_grid",
+    "closed_channels", "potential_on_grid",
     # single particle
     "CirValue", "ScatteringResult", "entrance_energy", "u_cir",
     "effective_u1d",
@@ -64,7 +64,8 @@ __all__ = [
     "ContinuumState", "ContinuumSum", "scattering_state",
     "density_of_states", "continuum_sum", "u_cir_with_continuum",
     # ring
-    "RingSolution", "RingCrossing", "ring_momentum", "ring_branch_roots",
+    "RingSolution", "RingCrossing", "BranchScan", "ring_momentum",
+    "ring_branch_roots",
     "ring_channel_sum", "ring_cir_crossings", "asymptotic_momentum",
     # two body
     "PairChannel", "OverlapKernel", "TwoBodyResult", "BornResult",

@@ -21,11 +21,8 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +31,7 @@ from .errors import ConfigError, NoRootInBranch, Q1DError, TailTooLarge, \
 from .continuum import continuum_sum, u_cir_with_continuum
 from .oracle import StripProblem, pair_scattering_length, \
     strip_scattering_length
-from .ring import ring_branch_roots, ring_cir_crossings
+from .ring import BranchScan, ring_branch_roots, ring_cir_crossings
 from .single_particle import J, effective_u1d, u_cir
 from .spa import spa_fit
 from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, solve_transverse
@@ -157,8 +154,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    "or a manifest JSON from a previous run")
     p.add_argument("--output", type=str, help="CSV output path")
     p.add_argument("--threads", type=int,
-                   help="parallel workers for sweep points (default 1; "
-                   "0 means all cores); ordering is deterministic")
+                   help="accepted for old configs and manifests; has no "
+                   "effect (every sweep runs in one process)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,9 +337,7 @@ def resolve(subcommand: str, cli_options: dict[str, object]) -> RunConfig:
             raise ConfigError(f"unknown option {key!r} for {subcommand}")
         options[key] = value
     threads = options.get("threads") or 0
-    if threads == 0:
-        options["threads"] = os.cpu_count() or 1
-    elif not isinstance(threads, int) or threads < 0:
+    if not isinstance(threads, int) or threads < 0:
         raise ConfigError(f"threads must be a non-negative integer, "
                           f"got {threads!r}")
     return RunConfig(subcommand=subcommand, options=options)
@@ -453,24 +448,13 @@ def write_manifest(path: Path, config: RunConfig, outputs: list[Path],
                                default=repr) + "\n")
 
 
-def _map_points(func, payload, items: list, threads: int) -> list:
-    """Apply ``func(payload, item)`` over items, preserving order."""
-    workers = min(threads, len(items))
-    if workers <= 1:
-        return [func(payload, item) for item in items]
-    chunk = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(func, payload), items,
-                             chunksize=chunk))
-
-
 # --------------------------------------------------------------------
-# sweep point workers (module level so process pools can pickle them)
+# sweep points
 
 
 def _single_point(payload, u: float):
-    spectrum, k, n_cut, tail_tol = payload
-    r = effective_u1d(spectrum, u, k=k, n_cut=n_cut, tail_tol=tail_tol)
+    spectrum, k, cir = payload
+    r = effective_u1d(spectrum, u, k=k, cir=cir)
     return (u, r.u1d, r.a, r.delta_k, math.atan(r.u1d / J))
 
 
@@ -482,20 +466,19 @@ def _continuum_point(payload, v0: float):
     return (v0, s.value, cir.inverse, cir.u_cir)
 
 
-def _ring_point(payload, u: float):
-    spectrum, lengths, branches = payload
-    rows, skipped = [], 0
-    for length in lengths:
-        for branch in range(branches):
-            try:
-                solutions = ring_branch_roots(spectrum, u, length, branch)
-            except NoRootInBranch:
-                skipped += 1  # empty branch at this coupling: not an error
-                continue
-            for sol in solutions:
-                rows.append((length, u, branch, sol.k, sol.energy,
-                             sol.residual))
-    return rows, skipped
+def _sweep_branch(spectrum, grid: list[float], length: int,
+                  branch: int) -> list:
+    """The roots at every coupling of a ring sweep on one (length,
+    branch), sharing one scan; ``None`` marks an empty branch."""
+    scan = BranchScan(spectrum, length, branch)
+    found = []
+    for u in grid:
+        try:
+            found.append(ring_branch_roots(spectrum, u, length, branch,
+                                           scan=scan))
+        except NoRootInBranch:
+            found.append(None)  # empty branch at this coupling: not an error
+    return found
 
 
 def _twobody_point(payload, u: float):
@@ -546,8 +529,7 @@ def run_single(config: RunConfig, out: Path):
                 build_trap(config),
                 n_states=min(2 * spectrum.n_states, _MAX_AUTO_STATES))
     grid = _sweep_grid(config, "u")
-    rows = _map_points(_single_point, (spectrum, k, n_cut, tail_tol),
-                       grid, int(config.get("threads")))
+    rows = [_single_point((spectrum, k, cir), u) for u in grid]
     write_csv(out, config, ["u", "u1d", "a", "delta_k", "atan_u1d"], rows,
               {"u-cir": cir.u_cir, "n-used": cir.n_used,
                "tail-bound": cir.tail_bound, "k": k,
@@ -561,8 +543,7 @@ def run_continuum(config: RunConfig, out: Path):
     grid = _sweep_grid(config, "v0")
     payload = (float(config.get("k")), float(config.get("quad_tol")),
                str(config.get("method")))
-    rows = _map_points(_continuum_point, payload, grid,
-                       int(config.get("threads")))
+    rows = [_continuum_point(payload, v0) for v0 in grid]
     write_csv(out, config, ["v0", "s_k", "inverse_u_cir", "u_cir"], rows,
               {"k": payload[0], "method": payload[2]})
     return [out], {"points": len(rows)}
@@ -578,10 +559,15 @@ def run_ring(config: RunConfig, out: Path):
     if branches < 1:
         raise ConfigError("--branches must be >= 1")
     grid = _sweep_grid(config, "u")
-    results = _map_points(_ring_point, (spectrum, lengths, branches), grid,
-                          int(config.get("threads")))
-    rows = [row for point_rows, _ in results for row in point_rows]
-    skipped = sum(s for _, s in results)
+    keys = [(length, branch) for length in lengths
+            for branch in range(branches)]
+    found = [_sweep_branch(spectrum, grid, length, branch)
+             for length, branch in keys]
+    rows = [(length, u, branch, sol.k, sol.energy, sol.residual)
+            for i, u in enumerate(grid)
+            for (length, branch), sols in zip(keys, found)
+            for sol in sols[i] or ()]
+    skipped = sum(sols.count(None) for sols in found)
     write_csv(out, config,
               ["length", "u", "branch", "k", "energy", "residual"], rows,
               {"empty-branch-points": skipped})
@@ -663,8 +649,10 @@ def run_twobody(config: RunConfig, out: Path):
             n_cut=None if config.options.get("n_cut") is None
             else int(config.options["n_cut"]))
         grid = _sweep_grid(config, "u")
-        rows = _map_points(_twobody_point, (kernel, float(config.get("k"))),
-                           grid, int(config.get("threads")))
+        k = float(config.get("k"))
+        # a finite-k sweep evaluates the kernel at E(k) once: one H
+        sweep_kernel = kernel if k == 0.0 else kernel.at_relative_momentum(k)
+        rows = [_twobody_point((sweep_kernel, k), u) for u in grid]
         write_csv(out, config,
                   ["u", "u1d", "a", "i00", "delta_k", "atan_u1d"], rows,
                   {"total-momentum": kernel.total_momentum,

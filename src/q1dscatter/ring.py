@@ -35,14 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (BranchCollision, ConfigError, NoConvergence,
-                     NoRootInBranch, OpenChannel)
-from .single_particle import effective_u1d, entrance_energy
-from .traps import J, TransverseSpectrum, alpha_closed
+                     NoRootInBranch)
+from .single_particle import effective_u1d
+from .traps import J, TransverseSpectrum, closed_channels
 
 _EDGE_PAD_HALF_ANGLE = 1e-8  # keep |kL/2 - (pi/2 + m pi)| above this
 _SCAN_POINTS = 400
@@ -79,28 +80,47 @@ class RingCrossing:
     u: float
 
 
+def _coupled_channels(spectrum: TransverseSpectrum
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``psi_n(0)^2`` and ``E_n`` of the excited states that touch the
+    impurity site."""
+    amp2 = spectrum.origin_amplitudes[1:] ** 2
+    coupled = amp2 != 0.0
+    return amp2[coupled], spectrum.energies[1:][coupled]
+
+
+def _entrance_energies(spectrum: TransverseSpectrum, k):
+    """``E(k) = -2 J cos k + E_0`` at every momentum of `k`."""
+    return -2.0 * J * np.cos(k) + float(spectrum.energies[0])
+
+
+def _ring_sums(spectrum: TransverseSpectrum, k, L: int) -> np.ndarray:
+    """``Sigma_L`` at every momentum of `k` (a float or an array): one
+    (k x n) array pass over the states that touch the impurity site.
+
+    States with ``psi_n(0) = 0`` never enter, open or not; an open one
+    that does raises :class:`OpenChannel` for the first (k, n) in
+    row-major order.
+    """
+    if L < 4:
+        raise ConfigError(f"ring length must be at least 4 sites, got L={L}")
+    amp2, channels = _coupled_channels(spectrum)
+    energy = np.asarray(_entrance_energies(spectrum, k))[..., None]
+    alpha, _ = closed_channels(channels, energy)
+    a_l = alpha ** L
+    num = amp2 * (1.0 + a_l)
+    den = (channels - energy) * (1.0 + a_l) \
+        - 2.0 * J * (alpha + alpha ** (L - 1))
+    return (num / den).sum(axis=-1)
+
+
 def ring_channel_sum(spectrum: TransverseSpectrum, k: float, L: int) -> float:
     """Ring-corrected closed-channel sum ``Sigma_L(k)`` (positive).
 
     Uses every excited state present in `spectrum`; solve the trap with
     more states to tighten the channel cutoff.
     """
-    if L < 4:
-        raise ConfigError(f"ring length must be at least 4 sites, got L={L}")
-    energy = entrance_energy(spectrum, k)
-    total = 0.0
-    amps = spectrum.origin_amplitudes
-    for n in range(1, spectrum.n_states):
-        amp2 = float(amps[n]) ** 2
-        if amp2 == 0.0:
-            continue
-        a = alpha_closed(float(spectrum.energies[n]), energy).alpha
-        a_l = a ** L
-        num = amp2 * (1.0 + a_l)
-        den = (float(spectrum.energies[n]) - energy) * (1.0 + a_l) \
-            - 2.0 * J * (a + a ** (L - 1))
-        total += num / den
-    return total
+    return float(_ring_sums(spectrum, k, L))
 
 
 def _branch_interval(L: int, branch: int) -> tuple[float, float]:
@@ -142,11 +162,53 @@ def _relative_residual(spectrum: TransverseSpectrum, u: float, L: int,
     return abs(lhs - rhs) / scale
 
 
+@dataclass(frozen=True, eq=False)
+class BranchScan:
+    """The coupling-independent part of one branch's root scan.
+
+    ``G(k) = s(k) (1 + U Sigma_L(k)) - U psi_0(0)^2 c(k)`` with
+    ``s = 2 J sin k sin(kL/2)`` and ``c = cos(kL/2)``: on the branch's
+    fixed scan grid, `s`, `c` and ``Sigma_L`` are evaluated once, on
+    first use, and every coupling of a sweep reuses them.
+    """
+
+    spectrum: TransverseSpectrum
+    L: int
+    branch: int
+
+    @cached_property
+    def interval(self) -> tuple[float, float]:
+        return _branch_interval(self.L, self.branch)
+
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        ks = np.linspace(*self.interval, _SCAN_POINTS)
+        half = 0.5 * ks * self.L
+        return (ks, 2.0 * J * np.sin(ks) * np.sin(half), np.cos(half),
+                _ring_sums(self.spectrum, ks, self.L))
+
+    def mismatch(self, u: float) -> tuple[np.ndarray, np.ndarray]:
+        """The scan grid and :func:`_pole_free_mismatch` on it."""
+        ks, s, c, sig = self._grid
+        psi0 = float(self.spectrum.origin_amplitudes[0])
+        return ks, s * (1.0 + u * sig) - u * psi0 * psi0 * c
+
+
 def ring_branch_roots(spectrum: TransverseSpectrum, u: float, L: int,
-                      branch: int) -> list[RingSolution]:
+                      branch: int, scan: BranchScan | None = None
+                      ) -> list[RingSolution]:
     """All allowed momenta of one branch (usually one; two while the
-    coupling pole of the momentum equation transits the branch)."""
-    lo, hi = _branch_interval(L, branch)
+    coupling pole of the momentum equation transits the branch).
+
+    A sweep over couplings passes one `scan` of the branch to every
+    call; without it each call scans afresh.
+    """
+    if scan is None:
+        scan = BranchScan(spectrum, L, branch)
+    if scan.spectrum is not spectrum or (scan.L, scan.branch) != (L, branch):
+        raise ConfigError(f"scan of branch {scan.branch} at L={scan.L} "
+                          f"passed for branch {branch} at L={L}")
+    lo, hi = scan.interval
     free_k = 2.0 * math.pi * branch / L
 
     if u == 0.0:
@@ -161,20 +223,13 @@ def ring_branch_roots(spectrum: TransverseSpectrum, u: float, L: int,
     def g(k: float) -> float:
         return _pole_free_mismatch(spectrum, u, L, k)
 
-    ks = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = np.array([g(float(k)) for k in ks])
-    roots: list[float] = []
-    for i in range(len(ks) - 1):
-        a, b = float(vals[i]), float(vals[i + 1])
-        if a == 0.0:
-            roots.append(float(ks[i]))
-        elif a * b < 0.0:
-            roots.append(float(brentq(g, float(ks[i]), float(ks[i + 1]),
-                                      xtol=1e-15, rtol=8.9e-16)))
-    if vals[-1] == 0.0:
-        roots.append(float(ks[-1]))
+    ks, vals = scan.mismatch(u)
+    found = set(ks[vals == 0.0].tolist())
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        found.add(float(brentq(g, float(ks[i]), float(ks[i + 1]),
+                               xtol=1e-15, rtol=8.9e-16)))
 
-    roots = sorted(set(roots))
+    roots = sorted(found)
     for r1, r2 in zip(roots, roots[1:]):
         if r2 - r1 < _ROOT_SEPARATION:
             raise BranchCollision(
@@ -241,22 +296,26 @@ def ring_cir_crossings(spectrum: TransverseSpectrum, L: int,
     u_lo, u_hi = u_window
     if u_lo > u_hi:
         raise ConfigError(f"empty coupling window {u_window}")
-    n_max = (L - 1) // 2 if max_level is None else max_level
-    out: list[RingCrossing] = []
-    for n in range(n_max + 1):
-        k_n = (2 * n + 1) * math.pi / L
-        if not k_n < math.pi:
-            break
-        try:
-            sig = ring_channel_sum(spectrum, k_n, L)
-        except OpenChannel:
-            break  # higher levels sit at higher energy: all open too
-        if sig <= 0.0:  # impossible by construction; guards NaN traps
-            continue
-        u = -1.0 / sig
-        if u_lo <= u <= u_hi:
-            out.append(RingCrossing(level=n, k=k_n, u=u))
-    return out
+    n_max = (L - 1) // 2  # every higher level has k_n > pi
+    if max_level is not None:
+        n_max = min(n_max, max_level)
+    levels = np.arange(n_max + 1)
+    ks = (2 * levels + 1) * math.pi / L
+    below_pi = ks < math.pi
+    levels, ks = levels[below_pi], ks[below_pi]
+    # the first level that opens a coupled channel ends the list: higher
+    # levels sit at higher energy, so theirs are open too
+    _, channels = _coupled_channels(spectrum)
+    if channels.size:
+        energy = _entrance_energies(spectrum, ks)
+        opened = np.flatnonzero(~((channels.min() - energy) / J > 2.0))
+        if opened.size:
+            levels, ks = levels[:opened[0]], ks[:opened[0]]
+    sig = _ring_sums(spectrum, ks, L)
+    keep = sig > 0.0  # Sigma_L > 0 by construction; guards NaN traps
+    levels, ks, us = levels[keep], ks[keep], -1.0 / sig[keep]
+    return [RingCrossing(level=int(n), k=float(k), u=float(u))
+            for n, k, u in zip(levels, ks, us) if u_lo <= u <= u_hi]
 
 
 def asymptotic_momentum(spectrum: TransverseSpectrum, u: float, L: int,

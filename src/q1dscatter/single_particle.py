@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtResonance, ConfigError, TailTooLarge
-from .traps import J, TransverseSpectrum, alpha_closed
+from .traps import J, TransverseSpectrum, closed_channels
 
 #: relative size below which the next even-parity channel term counts as spent
 CHANNEL_REL_TOL = 1e-12
@@ -69,10 +69,7 @@ class ScatteringResult:
 def _closed_denominators(spectrum: TransverseSpectrum, energy: float,
                          limit: int) -> np.ndarray:
     """Green's-function denominators of channels 1..limit at `energy`."""
-    return np.array([
-        alpha_closed(float(spectrum.energies[n]), energy).denominator
-        for n in range(1, limit + 1)
-    ])
+    return closed_channels(spectrum.energies[1:limit + 1], energy)[1]
 
 
 def _geometric_tail(terms: list[float]) -> float:
@@ -167,7 +164,8 @@ def u_cir(spectrum: TransverseSpectrum, k: float = 0.0,
 
 def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
                   n_cut: int | None = None,
-                  tail_tol: float = DEFAULT_TAIL_TOL) -> ScatteringResult:
+                  tail_tol: float = DEFAULT_TAIL_TOL,
+                  cir: CirValue | None = None) -> ScatteringResult:
     """Effective 1D coupling, scattering length, and phase shift.
 
     Parameters
@@ -180,6 +178,10 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
         where the scattering length is defined.
     n_cut, tail_tol :
         Channel-sum controls, forwarded to :func:`u_cir`.
+    cir : CirValue, optional
+        ``u_cir(spectrum, k, n_cut, tail_tol)``, which does not depend
+        on `u`: a sweep over couplings computes it once and passes it
+        to every point (`n_cut` and `tail_tol` are then unused).
 
     Returns
     -------
@@ -191,7 +193,10 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
         If ``|1 - U/U_CIR(k)| < 1e-12``: the pole is reported as such,
         never as an infinite float.
     """
-    cir = u_cir(spectrum, k=k, n_cut=n_cut, tail_tol=tail_tol)
+    if cir is None:
+        cir = u_cir(spectrum, k=k, n_cut=n_cut, tail_tol=tail_tol)
+    elif cir.k != k:
+        raise ConfigError(f"u_cir was evaluated at k={cir.k}, not k={k}")
     pole_factor = 1.0 - u * cir.inverse
     if abs(pole_factor) < 1e-12:
         raise AtResonance(

@@ -576,14 +576,49 @@ def alpha_closed(channel_energy: float, target_energy: float,
         If ``g <= 2``: the channel is open (or marginal) at the target
         energy and the quasi-1D ansatz breaks down.
     """
-    if not j_eff > 0.0:
-        raise ConfigError(f"j_eff must be positive, got {j_eff}")
+    _check_hopping(j_eff)
     g = (channel_energy - target_energy) / j_eff
     if g <= 2.0:
-        raise OpenChannel(
-            f"channel at energy {channel_energy:.6g} is open at target "
-            f"energy {target_energy:.6g}: gap ratio g = {g:.6g} <= 2"
-        )
+        raise _open_channel(channel_energy, target_energy, g)
     alpha = 2.0 / (g + math.sqrt(g * g - 4.0))
     denominator = target_energy + 2.0 * j_eff * alpha - channel_energy
     return AlphaValue(alpha=alpha, denominator=denominator)
+
+
+def closed_channels(channel_energies, energy, j_eff: float = J
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`alpha_closed` over arrays: the decay factors and
+    denominators of many closed channels in one pass, elementwise
+    bit-identical to the scalar form.
+
+    `channel_energies` and `energy` broadcast against each other; a
+    column of energies against a row of channels gives one row per
+    energy.
+
+    Raises
+    ------
+    OpenChannel
+        For the first open (or marginal) entry in row-major order, with
+        the message :func:`alpha_closed` gives for that entry.
+    """
+    _check_hopping(j_eff)
+    g = (channel_energies - energy) / j_eff
+    open_ = np.flatnonzero(~(g > 2.0))
+    if open_.size:
+        first = np.unravel_index(open_[0], g.shape)
+        raise _open_channel(np.broadcast_to(channel_energies, g.shape)[first],
+                            np.broadcast_to(energy, g.shape)[first], g[first])
+    alphas = 2.0 / (g + np.sqrt(g * g - 4.0))
+    return alphas, energy + 2.0 * j_eff * alphas - channel_energies
+
+
+def _check_hopping(j_eff: float) -> None:
+    if not j_eff > 0.0:
+        raise ConfigError(f"j_eff must be positive, got {j_eff}")
+
+
+def _open_channel(channel_energy: float, target_energy: float,
+                  g: float) -> OpenChannel:
+    return OpenChannel(
+        f"channel at energy {channel_energy:.6g} is open at target "
+        f"energy {target_energy:.6g}: gap ratio g = {g:.6g} <= 2")

@@ -64,10 +64,11 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (ConfigError, Diverging, NoConvergence, OpenChannel,
+from .errors import (ConfigError, Diverging, NoConvergence,
                      SignConventionViolation, SingularSystem,
                      UnphysicalAmplitude)
-from .traps import J, TransverseSpectrum, TrapSpec, solve_transverse
+from .traps import (J, TransverseSpectrum, TrapSpec, closed_channels,
+                    solve_transverse)
 
 #: Resonances with normalized pole strength below this are reported as
 #: invisible (they do not register at any realistic plot resolution).
@@ -205,12 +206,7 @@ class OverlapKernel:
         Algebraically identical to the direct linear solve of
         :func:`solve_scattering_length`; infinities mark resonances.
         """
-        mu, c2 = self._spectral
-        u_arr = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shifted = 1.0 + np.multiply.outer(u_arr, mu)
-            i00 = self.r_entrance - u_arr * (c2 / shifted).sum(axis=-1)
-        return i00 if u_arr.shape else float(i00)
+        return _partial_fractions(u, *self._spectral, self.r_entrance)
 
     def at_energy(self, energy: float) -> "OverlapKernel":
         """Same channel set and pair rows, re-evaluated at a different
@@ -221,6 +217,26 @@ class OverlapKernel:
             self.pairs, self.channel_energies, energy, self.j_k)
         return replace(self, alphas=alphas, denominators=denominators,
                        energy=energy)
+
+    def at_relative_momentum(self, k: float) -> "OverlapKernel":
+        """:meth:`at_energy` at the pair scattering energy
+        ``-2 J_K cos k + 2 E_0`` of relative quasi-momentum `k` in
+        ``(0, pi)``; a kernel already there is returned as is, with its
+        cached ``H``."""
+        if not 0.0 < k < math.pi:
+            raise ConfigError(f"quasi-momentum must lie in (0, pi), got {k}")
+        e0 = float(self.spectrum.energies[0])
+        return self.at_energy(-2.0 * self.j_k * math.cos(k) + 2.0 * e0)
+
+
+def _partial_fractions(u, mu: np.ndarray, c2: np.ndarray,
+                       r_entrance: float) -> np.ndarray | float:
+    """``I00(U) = R(00;00) - U sum_j c_j^2 / (1 + U mu_j)``."""
+    u_arr = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = 1.0 + np.multiply.outer(u_arr, mu)
+        i00 = r_entrance - u_arr * (c2 / shifted).sum(axis=-1)
+    return i00 if u_arr.shape else float(i00)
 
 
 @dataclass(frozen=True)
@@ -303,8 +319,8 @@ class ResonanceReport:
 def _closed_channels(pairs: np.ndarray, channel_energies: np.ndarray,
                      energy: float, j_k: float
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Decay factors and denominators of all pair channels at `energy`,
-    with the arithmetic of :func:`~q1dscatter.traps.alpha_closed`.
+    """Decay factors and denominators of all pair channels at `energy`
+    (:func:`~q1dscatter.traps.closed_channels`).
 
     Raises
     ------
@@ -313,15 +329,7 @@ def _closed_channels(pairs: np.ndarray, channel_energies: np.ndarray,
     SignConventionViolation
         If a closed-channel denominator fails to be negative.
     """
-    g = (channel_energies - energy) / j_k
-    open_ = np.flatnonzero(~(g > 2.0))
-    if open_.size:
-        b = open_[0]
-        raise OpenChannel(
-            f"channel at energy {channel_energies[b]:.6g} is open at "
-            f"target energy {energy:.6g}: gap ratio g = {g[b]:.6g} <= 2")
-    alphas = 2.0 / (g + np.sqrt(g * g - 4.0))
-    denominators = energy + 2.0 * j_k * alphas - channel_energies
+    alphas, denominators = closed_channels(channel_energies, energy, j_k)
     bad = np.flatnonzero(~(denominators < 0.0))
     if bad.size:
         b = bad[0]
@@ -509,7 +517,9 @@ def solve_finite_k(kernel: OverlapKernel, u: float, k: float) -> TwoBodyResult:
     system nonlinear; it is solved by a damped scalar fixed point
     seeded from the linear solution, with a safeguarded Newton fallback.
     The phase shift follows from ``sin(delta) = -U I00 / (2 J_K sin k)``
-    (continuously 0 at ``U = 0``).
+    (continuously 0 at ``U = 0``).  A sweep over couplings at one `k`
+    should pass ``kernel.at_relative_momentum(k)``, so that every point
+    reuses one ``H`` and its eigendecomposition.
 
     Raises
     ------
@@ -518,11 +528,7 @@ def solve_finite_k(kernel: OverlapKernel, u: float, k: float) -> TwoBodyResult:
     UnphysicalAmplitude
         If the converged amplitude violates the sine bound.
     """
-    if not 0.0 < k < math.pi:
-        raise ConfigError(f"quasi-momentum must lie in (0, pi), got {k}")
-    e0 = float(kernel.spectrum.energies[0])
-    energy = -2.0 * kernel.j_k * math.cos(k) + 2.0 * e0
-    kernel_k = kernel.at_energy(energy)
+    kernel_k = kernel.at_relative_momentum(k)
     i_lin, i00_lin = _solve_linear(kernel_k, u)
     s = 2.0 * kernel.j_k * math.sin(k)
 
@@ -635,9 +641,11 @@ def locate_resonances(kernel: OverlapKernel,
             if v1 == 0.0:
                 crossings.append(float(us[i]))
             elif v1 * v2 < 0.0:
+                # the callback must not hold the kernel: scipy keeps it
+                # in a reference cycle until the cyclic collector runs
                 crossings.append(float(brentq(
-                    lambda x: float(kernel.entrance_amplitude(x)),
-                    float(us[i]), float(us[i + 1]),
+                    _partial_fractions, float(us[i]), float(us[i + 1]),
+                    args=(mu, c2, kernel.r_entrance),
                     xtol=1e-14, rtol=8.9e-16)))
     crossings = sorted(set(c for c in crossings if c != 0.0))
 

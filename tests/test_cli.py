@@ -86,6 +86,23 @@ def test_ring_with_crossings(tmp_path, capsys):
     assert all(float(c["u"]) < 0.0 for c in crossings)
 
 
+def test_ring_zero_coupling_never_scans(tmp_path, capsys):
+    # branch 2 of a 10-site ring opens an excited channel: every nonzero
+    # coupling fails there, but U = 0 has the free momentum and no scan
+    args = ["ring", "--trap", "harmonic", "--omega", "0.1", "--n-states",
+            "21", "--length", "10", "--branches", "3",
+            "--output", str(tmp_path / "r.csv")]
+    code, _, _ = run_cli(args + ["--u-from", "0", "--u-to", "0",
+                                 "--points", "1"], capsys)
+    assert code == 0
+    meta, rows = read_csv(tmp_path / "r.csv")
+    assert [(row["branch"], float(row["k"])) for row in rows] == [
+        ("1", 2.0 * math.pi / 10), ("2", 4.0 * math.pi / 10)]
+    assert meta["empty-branch-points"] == "1"
+    expect_error(args + ["--u-from", "0", "--u-to", "-1", "--points", "2"],
+                 capsys, 4, "OpenChannel")
+
+
 def test_twobody_resonance_report(tmp_path, capsys):
     out = tmp_path / "tb.csv"
     code, _, _ = run_cli(["twobody", "--trap", "two-site", "--v", "1.0",

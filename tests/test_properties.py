@@ -58,3 +58,27 @@ def test_collision_diagonal_invariants(trap, u, radius_fraction):
     assert born.converged
     assert born.i00 == pytest.approx(
         q.solve_scattering_length(ker, u_born).i00, rel=1e-10)
+
+
+@given(channels=st.lists(st.floats(2.0, 40.0), min_size=1, max_size=20),
+       energies=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+       j_eff=st.floats(0.05, 2.0))
+def test_closed_channels_match_scalar(channels, energies, j_eff):
+    """The array helper is alpha_closed entry by entry, bit for bit, and
+    names the first open (energy, channel) pair in row-major order."""
+    try:
+        scalar = [[q.alpha_closed(e_n, e, j_eff) for e_n in channels]
+                  for e in energies]
+    except q.OpenChannel as exc:
+        with pytest.raises(q.OpenChannel) as vec:
+            q.closed_channels(np.array(channels),
+                              np.array(energies)[:, None], j_eff)
+        assert str(vec.value) == str(exc)
+        return
+    alphas, denominators = q.closed_channels(
+        np.array(channels), np.array(energies)[:, None], j_eff)
+    for got, want in ((alphas, [[v.alpha for v in row] for row in scalar]),
+                      (denominators,
+                       [[v.denominator for v in row] for row in scalar])):
+        assert np.array_equal(got.view(np.int64),
+                              np.array(want).view(np.int64))

@@ -3,7 +3,9 @@ crossings, and the approach to the infinite-system limit."""
 
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import q1dscatter as q
 
@@ -93,3 +95,109 @@ def test_length_validation(harm_mod_spectrum):
         q.ring_channel_sum(harm_mod_spectrum, 0.3, 3)
     with pytest.raises(q.ConfigError):
         q.ring_momentum(harm_mod_spectrum, 1.0, 50, branch=-1)
+
+
+# ------------------------------------------ witness: the per-k scalar scan
+
+
+def _scalar_channel_sum(spectrum, k, L):
+    """Sigma_L(k) one state at a time through the scalar alpha_closed."""
+    energy = q.entrance_energy(spectrum, k)
+    total = 0.0
+    for n in range(1, spectrum.n_states):
+        amp2 = float(spectrum.origin_amplitudes[n]) ** 2
+        if amp2 == 0.0:
+            continue
+        e_n = float(spectrum.energies[n])
+        a = q.alpha_closed(e_n, energy).alpha
+        a_l = a ** L
+        total += amp2 * (1.0 + a_l) / (
+            (e_n - energy) * (1.0 + a_l) - 2.0 * q.J * (a + a ** (L - 1)))
+    return total
+
+
+def _scalar_branch_roots(spectrum, u, L, branch):
+    """The branch scan evaluated point by point: 400 momenta between the
+    tan poles, each bracketed sign change polished by brentq."""
+    pad = 2e-8 / L
+    lo = max((2 * branch - 1) * math.pi / L, 0.0) + pad
+    hi = min((2 * branch + 1) * math.pi / L, math.pi) - pad
+    psi0 = float(spectrum.origin_amplitudes[0])
+
+    def g(k):
+        half = 0.5 * k * L
+        return (2.0 * q.J * math.sin(k) * math.sin(half)
+                * (1.0 + u * _scalar_channel_sum(spectrum, k, L))
+                - u * psi0 * psi0 * math.cos(half))
+
+    ks = np.linspace(lo, hi, 400)
+    vals = [g(float(k)) for k in ks]
+    roots = {float(k) for k, v in zip(ks, vals) if v == 0.0}
+    for i in range(len(ks) - 1):
+        if vals[i] * vals[i + 1] < 0.0:
+            roots.add(brentq(g, float(ks[i]), float(ks[i + 1]), xtol=1e-15,
+                             rtol=8.9e-16))
+    if not roots:
+        raise q.NoRootInBranch(f"branch {branch} empty at U={u}")
+    return sorted(roots)
+
+
+def _scalar_crossings(spectrum, L):
+    out = []
+    for n in range((L - 1) // 2 + 1):
+        k_n = (2 * n + 1) * math.pi / L
+        if not k_n < math.pi:
+            break
+        try:
+            sig = _scalar_channel_sum(spectrum, k_n, L)
+        except q.OpenChannel:
+            break
+        if sig > 0.0:
+            out.append((n, k_n, -1.0 / sig))
+    return out
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except (q.NoRootInBranch, q.OpenChannel) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("L", [10, 50, 1000])
+def test_branch_scan_matches_scalar_scan(harm_mod_spectrum, micro_spectrum,
+                                         L):
+    # couplings on both sides of the CIR (omega=0.1: -5.4; 1e-3: -2.8)
+    cases = [(harm_mod_spectrum, u) for u in (-20.0, -6.0, -5.0, -1.0, 3.0)]
+    cases += [(micro_spectrum, u) for u in (-10.0, -2.0, 4.0)]
+    errors = set()
+    for spectrum, u in cases:
+        for branch in range(3):
+            scan = q.BranchScan(spectrum, L, branch)
+            new = _outcome(lambda: [s.k for s in q.ring_branch_roots(
+                spectrum, u, L, branch, scan=scan)])
+            ref = _outcome(lambda: _scalar_branch_roots(spectrum, u, L,
+                                                        branch))
+            assert type(new) is type(ref), (u, branch, new, ref)
+            if isinstance(ref, q.OpenChannel):
+                # the same first open (k, n) as the scalar loop
+                assert str(new) == str(ref)
+            if isinstance(ref, Exception):
+                errors.add(type(ref))
+                continue
+            assert new == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert errors == ({q.NoRootInBranch, q.OpenChannel} if L == 10
+                      else {q.NoRootInBranch})
+
+    for spectrum in (harm_mod_spectrum, micro_spectrum):
+        new = q.ring_cir_crossings(spectrum, L)
+        ref = _scalar_crossings(spectrum, L)
+        assert [(c.level, c.k) for c in new] == [(n, k) for n, k, _ in ref]
+        assert [c.u for c in new] == pytest.approx([u for *_, u in ref],
+                                                   rel=1e-14, abs=0.0)
+
+
+def test_scan_belongs_to_its_branch(harm_mod_spectrum):
+    scan = q.BranchScan(harm_mod_spectrum, 50, 1)
+    with pytest.raises(q.ConfigError):
+        q.ring_branch_roots(harm_mod_spectrum, -5.0, 50, 2, scan=scan)
