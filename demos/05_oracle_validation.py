@@ -6,9 +6,10 @@ that machinery: put the full problem on a finite strip (open direction
 x hard-walled at +-Lx, transverse trap in y), diagonalize the sparse
 Hamiltonian, read the scattering length off the node of the lowest
 even scattering state, and extrapolate k -> 0 with a pooled polynomial
-fit over two strip sizes.
+fit over two strip sizes.  Each strip is solved in the symmetry sector
+that holds the even scattering states, with one sparse factorization.
 
-Run:  python3 demos/05_oracle_validation.py   (takes ~15 s)
+Run:  python3 demos/05_oracle_validation.py   (takes ~3 s)
 """
 
 import math

@@ -462,7 +462,7 @@ def _continuum_point(payload, v0: float):
     k, quad_tol, method = payload
     spec = DeltaWell(v0=v0)
     s = continuum_sum(spec, k=k, quad_tol=quad_tol, method=method)
-    cir = u_cir_with_continuum(spec, k=k, quad_tol=quad_tol, method=method)
+    cir = u_cir_with_continuum(spec, k=k, continuum=s)
     return (v0, s.value, cir.inverse, cir.u_cir)
 
 
@@ -716,7 +716,7 @@ def run_resonances(config: RunConfig, out: Path):
 
 def run_oracle(config: RunConfig, out: Path):
     if not config.get("validate"):
-        raise ConfigError("the oracle is a slow validation harness; "
+        raise ConfigError("the oracle is a validation harness; "
                           "pass --validate to run it")
     if config.options.get("u") is None:
         raise ConfigError("oracle needs --u")
@@ -738,7 +738,9 @@ def run_oracle(config: RunConfig, out: Path):
               ["mode", "u", "lx", "a", "diverged", "a_coarse", "a_fine",
                "k_coarse", "k_fine", "entrance_weight", "fit_residual",
                "contamination"], [row], {})
-    return [out], {"a": res.a, "diverged": res.diverged}
+    return [out], {"a": res.a, "diverged": res.diverged,
+                   "eigen_residual": res.eigen_residual,
+                   "unknowns": res.unknowns}
 
 
 # --------------------------------------------------------------------

@@ -71,12 +71,14 @@ class ContinuumSum:
 
     ``sharp_resonance_part`` holds the separately-added contribution of a
     quasi-bound transverse state (zero when none is detected);
-    ``quadrature_error`` is the integration error estimate.
+    ``quadrature_error`` is the integration error estimate and ``k`` the
+    longitudinal quasi-momentum it was evaluated at.
     """
 
     value: float
     sharp_resonance_part: float
     quadrature_error: float
+    k: float
 
 
 ContinuumSpec = DeltaWell | Tabulated
@@ -283,7 +285,7 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
                 f"{quad_tol:g}")
         return ContinuumSum(value=val / math.pi + sharp_part,
                             sharp_resonance_part=sharp_part,
-                            quadrature_error=err / math.pi)
+                            quadrature_error=err / math.pi, k=k)
     if method == "grid":
         if grid_points < 16:
             raise ConfigError("grid quadrature needs at least 16 points")
@@ -294,21 +296,35 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
         err = abs(val - coarse) / 3.0
         return ContinuumSum(value=val / math.pi + sharp_part,
                             sharp_resonance_part=sharp_part,
-                            quadrature_error=err / math.pi)
+                            quadrature_error=err / math.pi, k=k)
     raise ConfigError(f"unknown quadrature method {method!r}")
 
 
 def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,
                          spectrum: TransverseSpectrum | None = None,
                          quad_tol: float = DEFAULT_QUAD_TOL,
-                         method: str = "adaptive") -> CirValue:
+                         method: str = "adaptive",
+                         continuum: ContinuumSum | None = None) -> CirValue:
     """Resonance coupling of a continuum-supporting well,
     ``1/U_CIR(k) = sum over excited bound channels + S(k)``.
 
     For the zero-range well the bound sum is empty and
     ``1/U_CIR = S(0)`` holds exactly.  Pass `spectrum` to reuse a
-    previously solved bound sector.
+    previously solved bound sector, and `continuum` to reuse
+    ``continuum_sum(spec, k, quad_tol, method)`` already computed for
+    this well (`quad_tol` and `method` are then unused).
+
+    Raises
+    ------
+    ConfigError
+        If `continuum` was evaluated at another ``k``.
     """
+    if continuum is None:
+        continuum = continuum_sum(spec, k=k, quad_tol=quad_tol,
+                                  method=method)
+    elif continuum.k != k:
+        raise ConfigError(f"continuum_sum was evaluated at "
+                          f"k={continuum.k}, not k={k}")
     if spectrum is None:
         e0, spectrum = _bound_reference(spec)
     else:
@@ -321,8 +337,7 @@ def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,
         for n in range(1, n_bound):
             den = alpha_closed(float(spectrum.energies[n]), e_k).denominator
             bound_part += float(spectrum.origin_amplitudes[n]) ** 2 / den
-    s = continuum_sum(spec, k=k, quad_tol=quad_tol, method=method)
-    inverse = bound_part + s.value
+    inverse = bound_part + continuum.value
     value = math.inf if inverse == 0.0 else 1.0 / inverse
     return CirValue(u_cir=value, inverse=inverse, k=k,
-                    n_used=n_bound - 1, tail_bound=s.quadrature_error)
+                    n_used=n_bound - 1, tail_bound=continuum.quadrature_error)

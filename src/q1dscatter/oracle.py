@@ -16,12 +16,25 @@ away from both the impurity and the boundary:
     tan(delta) = -B2/B1  from  w(x) ~ B1 cos(kx) + B2 sin(kx),
     a(k) = 1 / (sin(k) tan(delta)),       k from the eigenvalue.
 
-Each candidate eigenpair is polished by inverse iteration before the
-fit (Lanczos eigenvector residuals of ~1e-7 would otherwise leak into
-``a`` amplified by 1/k^2 at small momenta).  Several states per strip
-size are extracted and ``a(k)`` is extrapolated to ``k = 0`` with a
-least-squares polynomial in ``k^2`` pooled over two strip sizes (the
-finite-momentum error of ``a(k)`` is even in ``k``).
+Only states even under ``x -> -x`` (and, for a pair, symmetric under
+``y1 <-> y2``) can be entrance-dominated scattering states, and both
+symmetries commute with the Hamiltonian for any trap.  Each strip is
+therefore solved in that sector: a sparse isometry ``P`` with columns
+``(|x> + |-x>)/sqrt 2`` (times ``(|y1 y2> + |y2 y1>)/sqrt 2`` for a pair)
+gives ``H_s = P^T H P``, whose shift-invert Lanczos eigenpairs reuse one
+LU factorization of ``H_s - sigma`` per strip (ARPACK mode 3; Lehoucq,
+Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  The sector is also
+what makes the shift well-posed: ``sigma = e_free - 2 J_eff cos(pi/(Lx+1))``
+is exactly the energy of an x-odd free level, which has a node at the
+impurity and never shifts, so ``H - sigma`` is numerically singular in the
+full space (its Lanczos residuals came out at 1e-9 to 1e-6, leaking into
+``a`` amplified by 1/k^2), while ``H_s - sigma`` is not.  Ritz vectors are
+mapped back with ``P``, so the entrance projection and the fit act on
+full-space vectors, and every accepted state must have a sector residual
+``|H_s phi - rho phi| <= 1e-10``.  Several states per strip size are
+extracted and ``a(k)`` is extrapolated to ``k = 0`` with a least-squares
+polynomial in ``k^2`` pooled over two strip sizes (the finite-momentum
+error of ``a(k)`` is even in ``k``).
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import (ConfigError, ContaminatedChannel, FitWindowTooSmall,
                      NoConvergence)
@@ -42,9 +55,8 @@ from .two_body import pair_hopping
 _N_EIGENPAIRS = 18
 _MAX_ACCEPTED = 9
 _K_MAX_FIT = 0.15  # beyond this the quartic k**2 model degrades
-_REFINE_STEPS = 2
 _ENTRANCE_WEIGHT_MIN = 0.9
-_EVENNESS_MIN = 0.5
+_EIGEN_RESIDUAL_MAX = 1e-10
 _FIT_RESIDUAL_MAX = 1e-6
 _MIN_WINDOW_POINTS = 8
 _CONTAMINATION_MAX = 1e-8
@@ -82,7 +94,10 @@ class OracleResult:
     ``a_coarse``/``a_fine`` are the per-size extrapolations and
     ``k_coarse``/``k_fine`` the smallest momenta entering each.
     ``diverged`` marks an ``|a| -> infinity`` reading (e.g. ``U = 0``).
-    The quality fields report the worst value over all states used.
+    The quality fields report the worst value over all states used;
+    ``eigen_residual`` is the largest sector residual
+    ``|H_s phi - rho phi|`` among them and ``unknowns`` the sector size
+    of the finer strip.
     """
 
     a: float
@@ -94,6 +109,8 @@ class OracleResult:
     entrance_weight: float
     fit_residual: float
     contamination: float
+    eigen_residual: float
+    unknowns: int
 
 
 def _effective_trap(problem: StripProblem) -> TrapSpec:
@@ -116,12 +133,21 @@ def _transverse_ground(problem: StripProblem):
 
 
 def _hop_matrix(n: int, amplitude: float, periodic: bool) -> sp.csr_matrix:
-    off = -amplitude * np.ones(n - 1)
-    t = sp.diags([off, off], [-1, 1], format="lil")
+    rows = np.arange(n - 1)
+    cols = rows + 1
     if periodic and n > 2:
-        t[0, n - 1] = -amplitude
-        t[n - 1, 0] = -amplitude
-    return t.tocsr()
+        rows = np.append(rows, 0)
+        cols = np.append(cols, n - 1)
+    values = np.full(2 * rows.size, -amplitude)
+    return sp.csr_matrix((values, (np.concatenate([rows, cols]),
+                                   np.concatenate([cols, rows]))),
+                         shape=(n, n))
+
+
+def _impurity(n: int, sites: np.ndarray, u: float) -> sp.csr_matrix:
+    """Diagonal contact term ``u`` on the given state indices."""
+    return sp.csr_matrix((np.full(sites.size, u), (sites, sites)),
+                         shape=(n, n))
 
 
 def strip_hamiltonian(problem: StripProblem) -> tuple[sp.csr_matrix,
@@ -134,11 +160,9 @@ def strip_hamiltonian(problem: StripProblem) -> tuple[sp.csr_matrix,
     tx = _hop_matrix(nx, J, problem.boundary == "periodic")
     hy = sp.diags([v, -J * np.ones(ny - 1), -J * np.ones(ny - 1)],
                   [0, -1, 1], format="csr")
-    h = (sp.kron(tx, sp.identity(ny))
-         + sp.kron(sp.identity(nx), hy)).tolil()
-    ix0 = problem.lx
-    iy0 = int(np.searchsorted(y_grid, 0))
-    h[ix0 * ny + iy0, ix0 * ny + iy0] += problem.u
+    h = sp.kron(tx, sp.identity(ny)) + sp.kron(sp.identity(nx), hy)
+    site = problem.lx * ny + np.searchsorted(y_grid, 0)
+    h = h + _impurity(nx * ny, np.array([site]), problem.u)
     x_grid = np.arange(-problem.lx, problem.lx + 1)
     return h.tocsr(), x_grid, y_grid
 
@@ -157,13 +181,57 @@ def pair_hamiltonian(problem: StripProblem, total_momentum: float = 0.0
     h = (sp.kron(tx, sp.identity(ny * ny))
          + sp.kron(sp.identity(nx),
                    sp.kron(hy, sp.identity(ny))
-                   + sp.kron(sp.identity(ny), hy))).tolil()
-    ix0 = problem.lx
-    for iy in range(ny):
-        idx = (ix0 * ny + iy) * ny + iy
-        h[idx, idx] += problem.u
+                   + sp.kron(sp.identity(ny), hy)))
+    sites = (problem.lx * ny + np.arange(ny)) * ny + np.arange(ny)
+    h = h + _impurity(nx * ny * ny, sites, problem.u)
     x_grid = np.arange(-problem.lx, problem.lx + 1)
     return h.tocsr(), x_grid, y_grid
+
+
+def _orbits(image: np.ndarray) -> sp.csr_matrix:
+    """Orbit indicators of the index involution `image`: one 0/1 column
+    per orbit ``{i, image[i]}``, in the order of ``i <= image[i]``."""
+    first = np.flatnonzero(np.arange(image.size) <= image)
+    partner = image[first]
+    paired = partner != first
+    cols = np.arange(first.size)
+    rows = np.concatenate([first, partner[paired]])
+    return sp.csr_matrix(
+        (np.ones(rows.size), (rows, np.concatenate([cols, cols[paired]]))),
+        shape=(image.size, first.size))
+
+
+def _x_orbits(lx: int) -> sp.csr_matrix:
+    """Orbits of ``x -> -x`` on the sites ``x = -lx..lx``."""
+    return _orbits(np.arange(2 * lx + 1)[::-1])
+
+
+def _strip_orbits(lx: int, ny: int) -> sp.csr_matrix:
+    """Orbits spanning the x-even sector of the single-particle strip."""
+    return sp.kron(_x_orbits(lx), sp.identity(ny), format="csr")
+
+
+def _pair_orbits(lx: int, ny: int) -> sp.csr_matrix:
+    """Orbits spanning the x-even, ``y1 <-> y2`` symmetric sector of the
+    pair strip."""
+    exchange = np.arange(ny * ny).reshape(ny, ny).T.reshape(-1)
+    return sp.kron(_x_orbits(lx), _orbits(exchange), format="csr")
+
+
+def _sector_problem(h: sp.csr_matrix, orbits: sp.csr_matrix
+                    ) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """The sector Hamiltonian ``H_s = P^T H P`` and the isometry ``P``
+    whose columns are the normalized `orbits`.
+
+    ``H_s`` is summed over the unit orbit vectors and then scaled by
+    ``1/sqrt(|orbit_i| |orbit_j|)``, so a rounded ``1/sqrt 2`` never
+    enters twice: ``(1/sqrt 2)**2`` rounds to ``0.5 (1 + 2**-52)``, which
+    would scale the sector energies by ``1 + 2**-52``.
+    """
+    size = np.asarray(orbits.sum(axis=0)).ravel()
+    h_s = (orbits.T @ h @ orbits).tocoo()
+    h_s.data /= np.sqrt(size[h_s.row] * size[h_s.col])
+    return h_s.tocsc(), orbits @ sp.diags(1.0 / np.sqrt(size))
 
 
 def _check_correlation_length(problem: StripProblem, gap: float,
@@ -196,37 +264,49 @@ class _Extraction:
     entrance_weight: float
     fit_residual: float
     contamination: float
+    eigen_residual: float
     diverged: bool
 
 
-def _refine_eigenpair(h_csc: sp.csc_matrix, eye: sp.csc_matrix,
-                      value: float, vector: np.ndarray
-                      ) -> tuple[float, np.ndarray]:
-    """Polish a Lanczos eigenpair by inverse iteration at its Rayleigh
-    quotient; the fallback offset keeps a singular factorization usable."""
-    rho = float(value)
-    psi = vector
-    for _ in range(_REFINE_STEPS):
-        try:
-            lu = splu((h_csc - rho * eye).tocsc())
-            step = lu.solve(psi)
-        except RuntimeError:
-            offset = 1e-9 * (1.0 + abs(rho))
-            lu = splu((h_csc - (rho + offset) * eye).tocsc())
-            step = lu.solve(psi)
-        norm = float(np.linalg.norm(step))
-        if not math.isfinite(norm) or norm == 0.0:
-            break
-        psi = step / norm
-        rho = float(psi @ (h_csc @ psi))
-    return rho, psi
+def _sector_eigenpairs(h: sp.csr_matrix, orbits: sp.csr_matrix,
+                       sigma: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shift-invert Lanczos eigenpairs of the sector Hamiltonian ``H_s``
+    of `orbits` nearest `sigma`, from one LU factorization of
+    ``H_s - sigma``.
+
+    Returns the sector Rayleigh quotients ``rho`` in ascending order, the
+    full-space vectors ``P phi`` (unit columns) and the sector residuals
+    ``|H_s phi - rho phi|``.  ``rho`` is evaluated as the Ritz value
+    plus ``phi.r / phi.phi`` with ``r = H_s phi - theta phi``: summing
+    ``phi.H_s phi`` directly loses ~sqrt(n) ulps, and ``k`` follows from
+    ``rho`` with a ``1/k^2`` amplification.
+    """
+    h_s, sector = _sector_problem(h, orbits)
+    n = h_s.shape[0]
+    eye = sp.identity(n, format="csc")
+    try:
+        lu = splu(h_s - sigma * eye)
+    except RuntimeError:  # exactly singular: step off the level
+        sigma += 1e-9 * (1.0 + abs(sigma))
+        lu = splu(h_s - sigma * eye)
+    solve = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    theta, phi = eigsh(h_s, k=min(_N_EIGENPAIRS, n - 2), sigma=sigma,
+                       OPinv=solve, v0=np.ones(n))
+    h_phi = h_s @ phi
+    rho = theta + (np.einsum("ij,ij->j", phi, h_phi - phi * theta)
+                   / np.einsum("ij,ij->j", phi, phi))
+    residual = np.linalg.norm(h_phi - phi * rho, axis=0)
+    order = np.argsort(rho)
+    return rho[order], sector @ phi[:, order], residual[order]
 
 
-def _extract_states(h: sp.csr_matrix, x_grid: np.ndarray, project, reflect,
-                    e_free: float, j_eff: float, lx: int
-                    ) -> list[_Extraction]:
-    """Collect even entrance-dominated scattering states of ``h`` with
-    their fitted asymptotic cosines, lowest momenta first."""
+def _extract_states(h: sp.csr_matrix, orbits: sp.csr_matrix,
+                    x_grid: np.ndarray, project, e_free: float,
+                    j_eff: float, lx: int) -> list[_Extraction]:
+    """Collect entrance-dominated scattering states of ``h`` in the
+    symmetry sector spanned by `orbits`, with their fitted asymptotic
+    cosines, lowest momenta first."""
     lo = (lx + 3) // 4
     hi = lx // 2
     window = np.arange(lo, hi + 1)
@@ -238,37 +318,26 @@ def _extract_states(h: sp.csr_matrix, x_grid: np.ndarray, project, reflect,
 
     k_target = math.pi / (lx + 1)
     sigma = e_free - 2.0 * j_eff * math.cos(k_target)
-    n_eig = min(_N_EIGENPAIRS, h.shape[0] - 2)
-    vals, vecs = eigsh(h, k=n_eig, sigma=sigma,
-                       v0=np.ones(h.shape[0]))
-    order = np.argsort(vals)
-    h_csc = h.tocsc()
-    eye = sp.identity(h.shape[0], format="csc")
+    energies, vectors, residuals = _sector_eigenpairs(h, orbits, sigma)
 
     accepted: list[_Extraction] = []
-    used_energies: list[float] = []
     best_reject = None
-    for idx in order:
+    for rho, psi, eigen_residual in zip(energies, vectors.T, residuals):
         if len(accepted) >= _MAX_ACCEPTED:
             break
-        cos_k = (e_free - float(vals[idx])) / (2.0 * j_eff)
+        cos_k = (e_free - float(rho)) / (2.0 * j_eff)
         if not -1.0 + 1e-12 < cos_k < 1.0 - 1e-12:
             continue  # outside the entrance band (e.g. impurity bound state)
-        if math.acos(cos_k) > _K_MAX_FIT:
-            break  # states are energy-ordered; the rest sit higher still
-        psi = vecs[:, idx]
-        if float(psi @ reflect(psi)) < _EVENNESS_MIN:
-            continue
-        rho, psi = _refine_eigenpair(h_csc, eye, float(vals[idx]), psi)
-        cos_k = (e_free - rho) / (2.0 * j_eff)
-        if not -1.0 + 1e-12 < cos_k < 1.0 - 1e-12:
-            continue
-        if any(abs(rho - e) < 1e-10 * (1.0 + abs(rho)) for e in used_energies):
-            continue  # refinement collapsed onto an already-used state
         k = math.acos(cos_k)
+        if k > _K_MAX_FIT:
+            break  # states are energy-ordered; the rest sit higher still
         w = project(psi)
         weight = float(w @ w) / float(psi @ psi)
         if weight < _ENTRANCE_WEIGHT_MIN:
+            continue
+        if eigen_residual > _EIGEN_RESIDUAL_MAX:
+            best_reject = (f"eigenpair residual {eigen_residual:.3g} "
+                           f"at k={k:.4g}")
             continue
         w_win = w[win_idx]
         design = np.column_stack([np.cos(k * window), np.sin(k * window)])
@@ -291,11 +360,10 @@ def _extract_states(h: sp.csr_matrix, x_grid: np.ndarray, project, reflect,
         tan_delta = -b2 / b1 if b1 != 0.0 else math.inf
         diverged = abs(tan_delta) < _DIVERGENCE_TAN
         a = math.inf if diverged else 1.0 / (math.sin(k) * tan_delta)
-        used_energies.append(rho)
         accepted.append(_Extraction(
             a=a, k=k, tan_delta=tan_delta, entrance_weight=weight,
             fit_residual=resid, contamination=contamination,
-            diverged=diverged))
+            eigen_residual=float(eigen_residual), diverged=diverged))
 
     if accepted:
         accepted.sort(key=lambda e: e.k)
@@ -323,8 +391,8 @@ def _zero_momentum_fit(states: list[_Extraction]) -> float:
     return float(coeff[0])
 
 
-def _extrapolate(coarse: list[_Extraction],
-                 fine: list[_Extraction]) -> OracleResult:
+def _extrapolate(coarse: list[_Extraction], fine: list[_Extraction],
+                 unknowns: int) -> OracleResult:
     """Pool the per-size extractions into the ``k -> 0`` limit."""
     live_coarse = [e for e in coarse if not e.diverged]
     live_fine = [e for e in fine if not e.diverged]
@@ -341,7 +409,9 @@ def _extrapolate(coarse: list[_Extraction],
         k_coarse=coarse[0].k, k_fine=fine[0].k,
         entrance_weight=min(e.entrance_weight for e in used),
         fit_residual=max(e.fit_residual for e in used),
-        contamination=max(e.contamination for e in used))
+        contamination=max(e.contamination for e in used),
+        eigen_residual=max(e.eigen_residual for e in used),
+        unknowns=unknowns)
 
 
 def strip_scattering_length(problem: StripProblem) -> OracleResult:
@@ -365,16 +435,14 @@ def strip_scattering_length(problem: StripProblem) -> OracleResult:
         h, x_grid, y_grid = strip_hamiltonian(p)
         _, _, psi0, e0 = _transverse_ground(p)
         ny = len(y_grid)
+        orbits = _strip_orbits(lx, ny)
 
         def project(psi, ny=ny, psi0=psi0):
             return psi.reshape(-1, ny) @ psi0
 
-        def reflect(psi, ny=ny):
-            return psi.reshape(-1, ny)[::-1].reshape(-1)
-
-        results.append(_extract_states(h, x_grid, project, reflect,
+        results.append(_extract_states(h, orbits, x_grid, project,
                                        e_free=e0, j_eff=J, lx=lx))
-    return _extrapolate(*results)
+    return _extrapolate(*results, unknowns=orbits.shape[1])
 
 
 def pair_scattering_length(problem: StripProblem,
@@ -397,15 +465,12 @@ def pair_scattering_length(problem: StripProblem,
         h, x_grid, y_grid = pair_hamiltonian(p, total_momentum)
         _, _, psi0, e0 = _transverse_ground(p)
         ny = len(y_grid)
+        orbits = _pair_orbits(lx, ny)
         pair_projector = np.outer(psi0, psi0).reshape(-1)
 
         def project(psi, ny=ny, proj=pair_projector):
             return psi.reshape(-1, ny * ny) @ proj
 
-        def reflect(psi, ny=ny):
-            nx = psi.size // (ny * ny)
-            return psi.reshape(nx, ny, ny)[::-1].transpose(0, 2, 1).reshape(-1)
-
-        results.append(_extract_states(h, x_grid, project, reflect,
+        results.append(_extract_states(h, orbits, x_grid, project,
                                        e_free=2.0 * e0, j_eff=j_k, lx=lx))
-    return _extrapolate(*results)
+    return _extrapolate(*results, unknowns=orbits.shape[1])

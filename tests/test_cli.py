@@ -130,6 +130,27 @@ def test_oracle_gated_and_correct(tmp_path, capsys, two_site_spectrum):
     assert float(rows[0]["a"]) == pytest.approx(theory, abs=1e-6)
 
 
+def test_oracle_diagnostics_in_manifest_only(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code, _, _ = run_cli(["oracle", "--trap", "two-site", "--v", "1.0",
+                          "--mode", "pair", "--u", "-5", "--lx", "100",
+                          "--validate", "--output", str(out)], capsys)
+    assert code == 0
+    diag = json.loads(
+        (tmp_path / "o.csv.manifest.json").read_text())["diagnostics"]
+    assert 0.0 < diag["eigen_residual"] <= 1e-10
+    assert diag["unknowns"] == 101 * 3  # x >= 0 times y1 <= y2
+    meta, rows = read_csv(out)
+    assert not {"eigen_residual", "unknowns"} & set(rows[0])
+    assert not {"eigen-residual", "unknowns"} & set(meta)
+    replay = tmp_path / "replay.csv"
+    code, _, _ = run_cli(["oracle", "--config",
+                          str(tmp_path / "o.csv.manifest.json"),
+                          "--output", str(replay)], capsys)
+    assert code == 0
+    assert out.read_bytes() == replay.read_bytes()
+
+
 def test_tabulated_trap_flags(tmp_path, capsys):
     out = tmp_path / "tab.csv"
     # --values=... (equals form) keeps argparse from reading the leading

@@ -70,6 +70,17 @@ def test_cir_decreases_with_well_depth():
     assert all(b < a for a, b in zip(cirs, cirs[1:]))
 
 
+def test_precomputed_continuum_sum_is_reused():
+    spec = q.DeltaWell(v0=1.0)
+    for k in (0.0, 0.3):
+        s = q.continuum_sum(spec, k=k)
+        assert s.k == k
+        assert q.u_cir_with_continuum(spec, k=k, continuum=s) \
+            == q.u_cir_with_continuum(spec, k=k)
+    with pytest.raises(q.ConfigError):
+        q.u_cir_with_continuum(spec, k=0.3, continuum=q.continuum_sum(spec))
+
+
 def test_cir_frozen_value():
     cir = q.u_cir_with_continuum(q.DeltaWell(v0=1.0))
     assert cir.u_cir == pytest.approx(-5.45116707558226, rel=1e-10)

@@ -1,9 +1,19 @@
 """Brute-force strip exact diagonalization as an independent check of
 the channel-expansion results."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh, splu
 
 import q1dscatter as q
+from q1dscatter import oracle
 
 
 def test_zero_coupling_flagged_divergent():
@@ -58,3 +68,192 @@ def test_strip_size_validation():
     with pytest.raises(q.ConfigError):
         q.strip_scattering_length(
             q.StripProblem(trap=q.TwoSite(v=1.0), u=-2.0, lx=16))
+
+
+# ------------------------------------------- sparse assembly and sectors
+
+
+def _lil_hamiltonian(problem, total_momentum=None):
+    """The strip (``total_momentum=None``) or pair Hamiltonian built the
+    way it was first written: through LIL updates of the impurity and
+    the periodic corners."""
+    y_grid, v, _, _ = oracle._transverse_ground(problem)
+    nx, ny = 2 * problem.lx + 1, len(y_grid)
+    amplitude = q.J if total_momentum is None \
+        else q.pair_hopping(total_momentum)
+    off = -amplitude * np.ones(nx - 1)
+    tx = sp.diags([off, off], [-1, 1], format="lil")
+    if problem.boundary == "periodic":
+        tx[0, nx - 1] = -amplitude
+        tx[nx - 1, 0] = -amplitude
+    tx = tx.tocsr()
+    hy = sp.diags([v, -q.J * np.ones(ny - 1), -q.J * np.ones(ny - 1)],
+                  [0, -1, 1], format="csr")
+    if total_momentum is None:
+        h = (sp.kron(tx, sp.identity(ny))
+             + sp.kron(sp.identity(nx), hy)).tolil()
+        iy0 = int(np.searchsorted(y_grid, 0))
+        h[problem.lx * ny + iy0, problem.lx * ny + iy0] += problem.u
+        return h.tocsr()
+    h = (sp.kron(tx, sp.identity(ny * ny))
+         + sp.kron(sp.identity(nx), sp.kron(hy, sp.identity(ny))
+                   + sp.kron(sp.identity(ny), hy))).tolil()
+    for iy in range(ny):
+        idx = (problem.lx * ny + iy) * ny + iy
+        h[idx, idx] += problem.u
+    return h.tocsr()
+
+
+ASYMMETRIC_TABLE = q.Tabulated.from_mapping(
+    {-2: 0.7, -1: 0.2, 0: 0.0, 1: 0.4, 2: 1.3, 3: 2.1}, None)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("trap", [q.TwoSite(v=1.0), q.Harmonic(omega=0.1),
+                                  ASYMMETRIC_TABLE],
+                         ids=["two-site", "harmonic", "asymmetric"])
+def test_hamiltonians_match_lil_assembly(trap, boundary):
+    for u in (-2.5, 0.0):
+        problem = q.StripProblem(trap=trap, u=u, lx=16, boundary=boundary)
+        h, _, _ = q.strip_hamiltonian(problem)
+        ref = _lil_hamiltonian(problem)
+        assert h.shape == ref.shape and (h != ref).nnz == 0
+        if isinstance(trap, q.Harmonic):
+            continue  # 81**2 transverse pair states: the table covers it
+        h, _, _ = q.pair_hamiltonian(problem, math.pi / 3)
+        ref = _lil_hamiltonian(problem, math.pi / 3)
+        assert h.shape == ref.shape and (h != ref).nnz == 0
+
+
+def _full_space_eigenpairs(reflect, e_free, j_eff):
+    """The full-space solve the sector solve replaced, for comparison:
+    shift-invert Lanczos on all of ``H``, and for each even candidate in
+    the fitted momentum range two inverse-iteration steps at its
+    Rayleigh quotient, each with its own LU factorization."""
+    def solve(h, orbits, sigma):
+        vals, vecs = eigsh(h, k=oracle._N_EIGENPAIRS, sigma=sigma,
+                           v0=np.ones(h.shape[0]))
+        h_csc = h.tocsc()
+        eye = sp.identity(h.shape[0], format="csc")
+        energies, vectors, residuals = [], [], []
+        for idx in np.argsort(vals):
+            cos_k = (e_free - float(vals[idx])) / (2.0 * j_eff)
+            if not -1.0 + 1e-12 < cos_k < 1.0 - 1e-12:
+                continue
+            if math.acos(cos_k) > oracle._K_MAX_FIT:
+                break
+            psi = vecs[:, idx]
+            if float(psi @ reflect(psi)) < 0.5:
+                continue
+            rho = float(vals[idx])
+            for _ in range(2):
+                step = splu((h_csc - rho * eye).tocsc()).solve(psi)
+                psi = step / np.linalg.norm(step)
+                rho = float(psi @ (h_csc @ psi))
+            if any(abs(rho - e) < 1e-10 * (1.0 + abs(rho))
+                   for e in energies):
+                continue  # collapsed onto an earlier candidate
+            energies.append(rho)
+            vectors.append(psi)
+            residuals.append(float(np.linalg.norm(h_csc @ psi - rho * psi)))
+        return (np.array(energies), np.column_stack(vectors),
+                np.array(residuals))
+    return solve
+
+
+_TABLE9 = q.Tabulated.from_mapping({y: 0.1 * y * y for y in range(-4, 5)},
+                                   None)
+_SECTOR_CASES = {
+    "single-harmonic": (q.Harmonic(omega=0.1), -2.0, None),
+    "pair-two-site": (q.TwoSite(v=1.0), -5.0, 0.0),
+    "pair-table-moving": (_TABLE9, -5.0, math.pi / 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_SECTOR_CASES))
+def test_sector_solve_matches_full_space(name, monkeypatch):
+    trap, u, momentum = _SECTOR_CASES[name]
+    problem = q.StripProblem(trap=trap, u=u, lx=100)
+    y_grid, _, _, e0 = oracle._transverse_ground(problem)
+    ny = len(y_grid)
+    if momentum is None:
+        def run():
+            return q.strip_scattering_length(problem)
+
+        def reflect(psi):
+            return psi.reshape(-1, ny)[::-1].reshape(-1)
+        e_free, j_eff = e0, q.J
+    else:
+        def run():
+            return q.pair_scattering_length(problem, momentum)
+
+        def reflect(psi):
+            nx = psi.size // (ny * ny)
+            return psi.reshape(nx, ny, ny)[::-1].transpose(0, 2, 1) \
+                .reshape(-1)
+        e_free, j_eff = 2.0 * e0, q.pair_hopping(momentum)
+
+    extrapolate = oracle._extrapolate
+    strips = []
+
+    def spy(coarse, fine, unknowns):
+        strips.append((coarse, fine))
+        return extrapolate(coarse, fine, unknowns)
+
+    monkeypatch.setattr(oracle, "_extrapolate", spy)
+    sector = run()
+    monkeypatch.setattr(oracle, "_sector_eigenpairs",
+                        _full_space_eigenpairs(reflect, e_free, j_eff))
+    full = run()
+
+    for ours, theirs in zip(*strips):
+        # the same states, with energies E = e_free - 2 J_eff cos k to
+        # 1e-12; k = acos(...) amplifies an ulp of E by 1/k^2, and the
+        # reference's own dot products move it by up to ~2e-12 relative
+        assert len(ours) == len(theirs) > 0
+        k = np.array([e.k for e in ours])
+        k_ref = np.array([e.k for e in theirs])
+        assert np.all(np.abs(k - k_ref) <= 1e-11 * k_ref)
+        assert np.all(2.0 * j_eff * np.abs(np.cos(k) - np.cos(k_ref))
+                      <= 1e-12)
+        assert max(e.eigen_residual for e in ours) <= 1e-10
+    for field in ("a", "a_coarse", "a_fine"):
+        assert abs(getattr(sector, field) - getattr(full, field)) <= 1e-9
+    assert sector.unknowns == 101 * (ny if momentum is None
+                                     else ny * (ny + 1) // 2)
+
+
+def test_singular_shift_retried_once(monkeypatch):
+    problem = q.StripProblem(trap=q.TwoSite(v=1.0), u=-2.0, lx=100)
+    plain = q.strip_scattering_length(problem)
+    factorize = oracle.splu
+    shifts = []
+
+    def first_attempt_singular(matrix):
+        shifts.append(matrix.diagonal()[0])
+        if len(shifts) % 2:
+            raise RuntimeError("Factor is exactly singular")
+        return factorize(matrix)
+
+    monkeypatch.setattr(oracle, "splu", first_attempt_singular)
+    retried = q.strip_scattering_length(problem)
+    assert len(shifts) == 4  # one failed and one good factorization per strip
+    e0 = oracle._transverse_ground(problem)[3]
+    for lx, (failed, good) in zip((50, 100), (shifts[:2], shifts[2:])):
+        sigma = e0 - 2.0 * q.J * math.cos(math.pi / (lx + 1))
+        assert failed - good == pytest.approx(1e-9 * (1.0 + abs(sigma)),
+                                              rel=1e-6)
+    assert abs(retried.a - plain.a) <= 1e-9
+    assert retried.k_fine == pytest.approx(plain.k_fine, rel=1e-12)
+    assert retried.eigen_residual <= 1e-10
+
+
+def test_oracle_demo_runs():
+    demo = Path(__file__).resolve().parents[1] / "demos" \
+        / "05_oracle_validation.py"
+    package_root = str(Path(q.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

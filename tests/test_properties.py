@@ -1,5 +1,6 @@
-"""Structural invariants of the collision-diagonal two-body form on
-random hard-walled tabulated traps (property tests)."""
+"""Structural invariants of the collision-diagonal two-body form and of
+the oracle's symmetry sectors on random hard-walled tabulated traps
+(property tests)."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
 import q1dscatter as q  # noqa: E402
+from q1dscatter import oracle  # noqa: E402
 
 
 @st.composite
-def tabulated_traps(draw):
-    """Symmetric or asymmetric hard-walled traps of 5-15 sites."""
-    n_sites = draw(st.integers(5, 15))
+def tabulated_traps(draw, min_sites=5, max_sites=15):
+    """Symmetric or asymmetric hard-walled traps of
+    `min_sites`-`max_sites` sites."""
+    n_sites = draw(st.integers(min_sites, max_sites))
     depth = st.floats(0.0, 3.0)
     if draw(st.booleans()):
         half = n_sites // 2
@@ -82,3 +85,32 @@ def test_closed_channels_match_scalar(channels, energies, j_eff):
                        [[v.denominator for v in row] for row in scalar])):
         assert np.array_equal(got.view(np.int64),
                               np.array(want).view(np.int64))
+
+
+@given(trap=tabulated_traps(3, 7), lx=st.integers(16, 20),
+       u=st.floats(-5.0, 5.0), momentum=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_oracle_sectors_are_invariant_isometries(trap, lx, u, momentum,
+                                                 seed):
+    """P^T P = I, H P = P H_s, and every sector vector P phi is exactly
+    even in x and (for a pair) symmetric in y1 <-> y2."""
+    problem = q.StripProblem(trap=trap, u=u, lx=lx)
+    ny = len(q.solve_transverse(trap).grid)
+    nx = 2 * lx + 1
+    rng = np.random.default_rng(seed)
+    for h, orbits, shape in (
+            (q.strip_hamiltonian(problem)[0], oracle._strip_orbits(lx, ny),
+             (nx, ny)),
+            (q.pair_hamiltonian(problem, momentum)[0],
+             oracle._pair_orbits(lx, ny), (nx, ny, ny))):
+        h_s, p = oracle._sector_problem(h, orbits)
+        n = p.shape[1]
+        assert np.max(np.abs((p.T @ p - np.identity(n)))) <= 1e-15
+        assert abs(h @ p - p @ h_s).max() <= 1e-14
+        psi = (p @ rng.standard_normal(n)).reshape(shape)
+        assert np.array_equal(psi[::-1], psi)
+        if len(shape) == 3:
+            assert np.array_equal(psi.transpose(0, 2, 1), psi)
+            assert n == (lx + 1) * ny * (ny + 1) // 2
+        else:
+            assert n == (lx + 1) * ny
