@@ -22,8 +22,10 @@ import hashlib
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_origin
 
 from . import __version__
 from .errors import ConfigError, NoRootInBranch, Q1DError, TailTooLarge, \
@@ -38,76 +40,89 @@ from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, solve_transverse
 from .two_body import build_kernel, converged_resonances, locate_resonances, \
     solve_finite_k, solve_scattering_length
 
-SUBCOMMANDS = ("transverse", "single", "continuum", "ring", "twobody",
-               "spa-fit", "resonances", "oracle", "figure")
+SUBCOMMANDS = {
+    "transverse": "transverse trap spectrum",
+    "single": "single-particle effective 1D coupling sweep",
+    "continuum": "zero-range well with transverse continuum",
+    "ring": "finite-ring allowed momenta",
+    "twobody": "two-particle effective coupling sweep",
+    "spa-fit": "single-pole fit of a strong-coupling window",
+    "resonances": "two-body resonance report",
+    "oracle": "exact-diagonalization validation harness",
+    "figure": "run a canned figure recipe",
+}
 
 # Keys that steer execution but not the physics; they are excluded from
 # the config hash so the CSV bytes do not depend on them.
 _HASH_EXCLUDE = {"threads", "output", "output_dir", "config"}
 
-_TRAP_KEYS = ("trap", "omega", "v0", "v", "values", "asymptote",
-              "y_max", "n_states")
+# Each trap's parameter; the keys are the --trap choices.
+_TRAP_PARAMETER = {"harmonic": "omega", "delta-well": "v0", "two-site": "v",
+                   "tabulated": "values"}
+
+_RUNS = tuple(SUBCOMMANDS)[:-1]  # every subcommand but figure
+_TRAPPED = tuple(s for s in _RUNS if s != "continuum")
+_U_RANGE = ("single", "ring", "twobody", "spa-fit", "resonances")
+
+# The option table: the only place an option's key, type, default and
+# help are written; DEFAULTS, the flags and config-file parsing follow
+# it.  `kind` is the value type (``bool`` makes a switch, ``list[int]``
+# a repeatable flag, comma-separated in files) or a tuple of allowed
+# strings.  `default` is one value, or a mapping from subcommand to
+# value (``None`` for a subcommand the mapping leaves out).
+_Option = namedtuple("_Option", "key kind default subcommands help")
+_OPTIONS = {row[0]: _Option(*row) for row in (
+    ("trap", tuple(_TRAP_PARAMETER), None, _TRAPPED, "transverse trap"),
+    ("omega", float, None, _TRAPPED, "harmonic curvature"),
+    ("v0", float, None, _TRAPPED, "off-center well height"),
+    ("v", float, None, _TRAPPED, "two-site offset"),
+    ("values", str, None, _TRAPPED, "tabulated potential as y:V,y:V,..."),
+    ("asymptote", float, None, _TRAPPED,
+     "tabulated potential value outside the table"),
+    ("y_max", int, None, _TRAPPED, "transverse half-width"),
+    ("n_states", int, None, _TRAPPED, "transverse states kept"),
+    ("u_from", float, {"resonances": -30.0}, _U_RANGE, "first coupling U"),
+    ("u_to", float, {"resonances": 0.0}, _U_RANGE, "last coupling U"),
+    ("points", int, None, ("single", "continuum", "ring", "twobody",
+                           "spa-fit"), "sweep points"),
+    ("k", float, 0.0, ("single", "continuum", "twobody"),
+     "longitudinal momentum (twobody: relative momentum)"),
+    ("n_cut", int, None, ("single", "twobody"), "closed-channel cutoff"),
+    ("tail_tol", float, 1e-10, ("single",), "channel-sum tail tolerance"),
+    ("v0_from", float, None, ("continuum",), "first well height"),
+    ("v0_to", float, None, ("continuum",), "last well height"),
+    ("quad_tol", float, 1e-10, ("continuum",), "quadrature tolerance"),
+    ("method", ("adaptive", "grid"), "adaptive", ("continuum",),
+     "continuum quadrature"),
+    ("length", list[int], None, ("ring",), "ring length (repeatable)"),
+    ("branches", int, 1, ("ring",), "momentum branches per length"),
+    ("crossings", bool, False, ("ring",),
+     "also list fermionized-level crossings"),
+    ("total_momentum", float, 0.0, ("twobody", "spa-fit", "resonances",
+                                    "oracle"), "pair momentum K"),
+    ("resonances", bool, False, ("twobody",), "emit the resonance report"),
+    ("converge", bool, False, ("twobody", "resonances"),
+     "enlarge the channel basis until the report is cutoff-stable"),
+    ("n_start", int, None, ("twobody", "resonances"), "first basis size"),
+    ("validate", bool, False, ("oracle",), "required: acknowledge this is "
+     "the slow brute-force validator"),
+    ("mode", ("single", "pair"), "single", ("oracle",),
+     "one particle or a pair"),
+    ("u", float, None, ("oracle",), "coupling U"),
+    ("lx", int, 400, ("oracle",), "strip length"),
+    ("name", str, None, ("figure",), "figure to run (fig1..fig5)"),
+    ("output", str, {s: f"{s.replace('-', '_')}.csv" for s in _RUNS},
+     _RUNS, "CSV output path"),
+    ("output_dir", str, ".", ("figure",), "directory for the figure CSVs"),
+    ("threads", int, 0, tuple(SUBCOMMANDS), "accepted for old configs and "
+     "manifests; has no effect (every sweep runs in one process)"),
+)}
 
 DEFAULTS: dict[str, dict[str, object]] = {
-    "transverse": {
-        "trap": None, "omega": None, "v0": None, "v": None, "values": None,
-        "asymptote": None, "y_max": None, "n_states": None,
-        "output": "transverse.csv", "threads": 0,
-    },
-    "single": {
-        "trap": None, "omega": None, "v0": None, "v": None, "values": None,
-        "asymptote": None, "y_max": None, "n_states": None,
-        "u_from": None, "u_to": None, "points": None, "k": 0.0,
-        "n_cut": None, "tail_tol": 1e-10,
-        "output": "single.csv", "threads": 0,
-    },
-    "continuum": {
-        "v0_from": None, "v0_to": None, "points": None, "k": 0.0,
-        "quad_tol": 1e-10, "method": "adaptive",
-        "output": "continuum.csv", "threads": 0,
-    },
-    "ring": {
-        "trap": None, "omega": None, "v0": None, "v": None, "values": None,
-        "asymptote": None, "y_max": None, "n_states": None,
-        "length": None, "branches": 1, "crossings": False,
-        "u_from": None, "u_to": None, "points": None,
-        "output": "ring.csv", "threads": 0,
-    },
-    "twobody": {
-        "trap": None, "omega": None, "v0": None, "v": None, "values": None,
-        "asymptote": None, "y_max": None, "n_states": None,
-        "total_momentum": 0.0, "k": 0.0,
-        "u_from": None, "u_to": None, "points": None,
-        "resonances": False, "converge": False, "n_start": None,
-        "n_cut": None,
-        "output": "twobody.csv", "threads": 0,
-    },
-    "spa-fit": {
-        "trap": None, "omega": None, "v0": None, "v": None, "values": None,
-        "asymptote": None, "y_max": None, "n_states": None,
-        "total_momentum": 0.0,
-        "u_from": None, "u_to": None, "points": None,
-        "output": "spa_fit.csv", "threads": 0,
-    },
-    "resonances": {
-        "trap": None, "omega": None, "v0": None, "v": None, "values": None,
-        "asymptote": None, "y_max": None, "n_states": None,
-        "total_momentum": 0.0,
-        "u_from": -30.0, "u_to": 0.0,
-        "converge": False, "n_start": None,
-        "output": "resonances.csv", "threads": 0,
-    },
-    "oracle": {
-        "trap": None, "omega": None, "v0": None, "v": None, "values": None,
-        "asymptote": None, "y_max": None, "n_states": None,
-        "validate": False, "mode": "single", "u": None, "lx": 400,
-        "total_momentum": 0.0,
-        "output": "oracle.csv", "threads": 0,
-    },
-    "figure": {
-        "name": None, "output_dir": ".", "threads": 0,
-    },
-}
+    sub: {opt.key: opt.default.get(sub) if isinstance(opt.default, dict)
+          else opt.default
+          for opt in _OPTIONS.values() if sub in opt.subcommands}
+    for sub in SUBCOMMANDS}
 
 
 @dataclass(frozen=True)
@@ -135,27 +150,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_trap_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trap", choices=["harmonic", "delta-well", "two-site",
-                                      "tabulated"])
-    p.add_argument("--omega", type=float, help="harmonic curvature")
-    p.add_argument("--v0", type=float, help="off-center well height")
-    p.add_argument("--v", type=float, help="two-site offset")
-    p.add_argument("--values", type=str,
-                   help="tabulated potential as y:V,y:V,...")
-    p.add_argument("--asymptote", type=float,
-                   help="tabulated potential value outside the table")
-    p.add_argument("--y-max", type=int, help="transverse half-width")
-    p.add_argument("--n-states", type=int, help="transverse states kept")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, help="flat key=value config file "
-                   "or a manifest JSON from a previous run")
-    p.add_argument("--output", type=str, help="CSV output path")
-    p.add_argument("--threads", type=int,
-                   help="accepted for old configs and manifests; has no "
-                   "effect (every sweep runs in one process)")
+def _argparse_spec(opt: _Option) -> tuple[list[str], dict[str, object]]:
+    """The argparse flags and keywords of one option row."""
+    if opt.key == "name":  # figure's positional
+        return [opt.key], {"nargs": "?"}
+    flags = ["--" + opt.key.replace("_", "-")]
+    if opt.kind is bool:
+        return flags, {"action": "store_true"}
+    if isinstance(opt.kind, tuple):
+        return flags, {"choices": opt.kind}
+    if get_origin(opt.kind) is list:
+        return flags, {"type": get_args(opt.kind)[0], "action": "append"}
+    return flags, {"type": opt.kind}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,88 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"q1dscatter {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def sub(name: str, **kw) -> argparse.ArgumentParser:
-        p = subs.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
-        _add_common_flags(p)
-        return p
-
-    p = sub("transverse", help="transverse trap spectrum")
-    _add_trap_flags(p)
-
-    p = sub("single", help="single-particle effective 1D coupling sweep")
-    _add_trap_flags(p)
-    p.add_argument("--u-from", type=float)
-    p.add_argument("--u-to", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--k", type=float, help="longitudinal momentum")
-    p.add_argument("--n-cut", type=int, help="closed-channel cutoff")
-    p.add_argument("--tail-tol", type=float)
-
-    p = sub("continuum", help="zero-range well with transverse continuum")
-    p.add_argument("--v0-from", type=float)
-    p.add_argument("--v0-to", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--k", type=float)
-    p.add_argument("--quad-tol", type=float)
-    p.add_argument("--method", choices=["adaptive", "grid"])
-
-    p = sub("ring", help="finite-ring allowed momenta")
-    _add_trap_flags(p)
-    p.add_argument("--length", type=int, action="append",
-                   help="ring length (repeatable)")
-    p.add_argument("--branches", type=int)
-    p.add_argument("--crossings", action="store_true",
-                   help="also list fermionized-level crossings")
-    p.add_argument("--u-from", type=float)
-    p.add_argument("--u-to", type=float)
-    p.add_argument("--points", type=int)
-
-    p = sub("twobody", help="two-particle effective coupling sweep")
-    _add_trap_flags(p)
-    p.add_argument("--total-momentum", type=float, help="pair momentum K")
-    p.add_argument("--k", type=float, help="relative momentum")
-    p.add_argument("--u-from", type=float)
-    p.add_argument("--u-to", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--resonances", action="store_true",
-                   help="emit the resonance report")
-    p.add_argument("--converge", action="store_true",
-                   help="enlarge the channel basis until the report is "
-                   "cutoff-stable")
-    p.add_argument("--n-start", type=int)
-    p.add_argument("--n-cut", type=int)
-
-    p = sub("spa-fit", help="single-pole fit of a strong-coupling window")
-    _add_trap_flags(p)
-    p.add_argument("--total-momentum", type=float)
-    p.add_argument("--u-from", type=float)
-    p.add_argument("--u-to", type=float)
-    p.add_argument("--points", type=int)
-
-    p = sub("resonances", help="two-body resonance report")
-    _add_trap_flags(p)
-    p.add_argument("--total-momentum", type=float)
-    p.add_argument("--u-from", type=float)
-    p.add_argument("--u-to", type=float)
-    p.add_argument("--converge", action="store_true")
-    p.add_argument("--n-start", type=int)
-
-    p = sub("oracle", help="exact-diagonalization validation harness")
-    _add_trap_flags(p)
-    validate = p.add_argument_group("validation (required)")
-    validate.add_argument("--validate", action="store_true",
-                          help="acknowledge this is the slow brute-force "
-                          "validator")
-    p.add_argument("--mode", choices=["single", "pair"])
-    p.add_argument("--u", type=float)
-    p.add_argument("--lx", type=int)
-    p.add_argument("--total-momentum", type=float)
-
-    p = sub("figure", help="run a canned figure recipe")
-    p.add_argument("name", nargs="?")
-    p.add_argument("--output-dir", type=str)
-
+    for sub, help_text in SUBCOMMANDS.items():
+        # no abbreviations: figure's --output-dir would take --output
+        p = subs.add_parser(sub, help=help_text, allow_abbrev=False,
+                            argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", type=str, help="flat key=value config "
+                       "file or a manifest JSON from a previous run")
+        for opt in _OPTIONS.values():
+            if sub in opt.subcommands:
+                flags, spec = _argparse_spec(opt)
+                p.add_argument(*flags, help=opt.help, **spec)
     return parser
 
 
@@ -253,60 +187,43 @@ def build_parser() -> argparse.ArgumentParser:
 # configuration resolution
 
 
-def _coerce(key: str, raw: str, template: object):
-    """Parse a config-file string against the type of the default."""
+def _coerce(key: str, raw: str):
+    """Parse a config-file string as the option's declared type."""
+    kind = _OPTIONS[key].kind
     text = raw.strip()
-    if isinstance(template, bool):
+    if kind is bool:
         if text.lower() in ("true", "1", "yes", "on"):
             return True
         if text.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"config key {key}: expected a boolean, "
                           f"got {raw!r}")
+    if isinstance(kind, tuple):
+        return text  # resolve checks it against the choices
     try:
-        if key == "length":  # repeatable flag: comma-separated in files
-            return [int(part) for part in text.split(",")]
-        if isinstance(template, int) and not isinstance(template, bool):
-            return int(text)
-        if isinstance(template, float):
-            return float(text)
+        if get_origin(kind) is list:  # comma-separated in files
+            return [get_args(kind)[0](part) for part in text.split(",")]
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"config key {key}: {exc}") from None
-    if template is None:
-        # untyped default: best-effort numeric, else string
-        for cast in (int, float):
-            try:
-                return cast(text)
-            except ValueError:
-                pass
-        if text.lower() in ("true", "false"):
-            return text.lower() == "true"
-    return text
 
 
 def load_config_file(path: str, subcommand: str) -> dict[str, object]:
-    """Read a flat ``key = value`` file or a previous run's manifest."""
+    """Read a flat ``key = value`` file or a previous run's manifest
+    (`resolve` checks the manifest's keys and values)."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     text = p.read_text()
-    defaults = DEFAULTS[subcommand]
     if p.suffix == ".json" or text.lstrip().startswith("{"):
         payload = json.loads(text)
-        stored = payload.get("config", payload)
         if "subcommand" in payload and payload["subcommand"] != subcommand:
             raise ConfigError(
                 f"manifest is for subcommand {payload['subcommand']!r}, "
                 f"not {subcommand!r}")
-        out = {}
-        for key, value in stored.items():
-            if key == "subcommand":
-                continue
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r} for "
-                                  f"{subcommand}")
-            out[key] = value
-        return out
+        stored = dict(payload.get("config", payload))
+        stored.pop("subcommand", None)
+        return stored
 
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -318,9 +235,9 @@ def load_config_file(path: str, subcommand: str) -> dict[str, object]:
                               f"got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in defaults:
+        if key not in DEFAULTS[subcommand]:
             raise ConfigError(f"unknown config key {key!r} for {subcommand}")
-        out[key] = _coerce(key, value, defaults[key])
+        out[key] = _coerce(key, value)
     return out
 
 
@@ -330,11 +247,15 @@ def resolve(subcommand: str, cli_options: dict[str, object]) -> RunConfig:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     options = dict(DEFAULTS[subcommand])
     config_path = cli_options.pop("config", None)
-    if config_path is not None:
-        options.update(load_config_file(str(config_path), subcommand))
-    for key, value in cli_options.items():
+    given = {} if config_path is None else \
+        load_config_file(str(config_path), subcommand)
+    for key, value in [*given.items(), *cli_options.items()]:
         if key not in options:
             raise ConfigError(f"unknown option {key!r} for {subcommand}")
+        choices = _OPTIONS[key].kind
+        if isinstance(choices, tuple) and value not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, "
+                              f"got {value!r}")
         options[key] = value
     threads = options.get("threads") or 0
     if not isinstance(threads, int) or threads < 0:
@@ -349,26 +270,19 @@ def build_trap(config: RunConfig):
     name = opts.get("trap")
     if name is None:
         raise ConfigError("no trap selected (--trap)")
-    given = {k for k in ("omega", "v0", "v", "values", "asymptote")
-             if opts.get(k) is not None}
-    need = {"harmonic": {"omega"}, "delta-well": {"v0"},
-            "two-site": {"v"}, "tabulated": {"values"}}[name]
-    allowed = need | ({"asymptote"} if name == "tabulated" else set())
-    if not need <= given:
-        raise ConfigError(f"trap {name} needs --{'/--'.join(sorted(need))}")
-    extra = given - allowed
+    need = _TRAP_PARAMETER[name]
+    if opts.get(need) is None:
+        raise ConfigError(f"trap {name} needs --{need}")
+    allowed = {need, "asymptote"} if name == "tabulated" else {need}
+    extra = sorted(k for k in (*_TRAP_PARAMETER.values(), "asymptote")
+                   if opts.get(k) is not None and k not in allowed)
     if extra:
-        raise ConfigError(f"trap {name} does not take "
-                          f"--{'/--'.join(sorted(extra))}")
+        raise ConfigError(f"trap {name} does not take --{'/--'.join(extra)}")
+    size = {} if opts.get("y_max") is None else {"y_max": int(opts["y_max"])}
     if name == "harmonic":
-        if opts.get("y_max") is not None:
-            return Harmonic(omega=float(opts["omega"]),
-                            y_max=int(opts["y_max"]))
-        return Harmonic(omega=float(opts["omega"]))
+        return Harmonic(omega=float(opts["omega"]), **size)
     if name == "delta-well":
-        if opts.get("y_max") is not None:
-            return DeltaWell(v0=float(opts["v0"]), y_max=int(opts["y_max"]))
-        return DeltaWell(v0=float(opts["v0"]))
+        return DeltaWell(v0=float(opts["v0"]), **size)
     if name == "two-site":
         return TwoSite(v=float(opts["v"]))
     table = {}
@@ -452,20 +366,6 @@ def write_manifest(path: Path, config: RunConfig, outputs: list[Path],
 # sweep points
 
 
-def _single_point(payload, u: float):
-    spectrum, k, cir = payload
-    r = effective_u1d(spectrum, u, k=k, cir=cir)
-    return (u, r.u1d, r.a, r.delta_k, math.atan(r.u1d / J))
-
-
-def _continuum_point(payload, v0: float):
-    k, quad_tol, method = payload
-    spec = DeltaWell(v0=v0)
-    s = continuum_sum(spec, k=k, quad_tol=quad_tol, method=method)
-    cir = u_cir_with_continuum(spec, k=k, continuum=s)
-    return (v0, s.value, cir.inverse, cir.u_cir)
-
-
 def _sweep_branch(spectrum, grid: list[float], length: int,
                   branch: int) -> list:
     """The roots at every coupling of a ring sweep on one (length,
@@ -479,15 +379,6 @@ def _sweep_branch(spectrum, grid: list[float], length: int,
         except NoRootInBranch:
             found.append(None)  # empty branch at this coupling: not an error
     return found
-
-
-def _twobody_point(payload, u: float):
-    kernel, k = payload
-    if k == 0.0:
-        r = solve_scattering_length(kernel, u)
-    else:
-        r = solve_finite_k(kernel, u, k)
-    return (u, r.u1d, r.a, r.i00, r.delta_k, math.atan(r.u1d / J))
 
 
 # --------------------------------------------------------------------
@@ -529,7 +420,10 @@ def run_single(config: RunConfig, out: Path):
                 build_trap(config),
                 n_states=min(2 * spectrum.n_states, _MAX_AUTO_STATES))
     grid = _sweep_grid(config, "u")
-    rows = [_single_point((spectrum, k, cir), u) for u in grid]
+    rows = []
+    for u in grid:
+        r = effective_u1d(spectrum, u, k=k, cir=cir)
+        rows.append((u, r.u1d, r.a, r.delta_k, math.atan(r.u1d / J)))
     write_csv(out, config, ["u", "u1d", "a", "delta_k", "atan_u1d"], rows,
               {"u-cir": cir.u_cir, "n-used": cir.n_used,
                "tail-bound": cir.tail_bound, "k": k,
@@ -541,11 +435,17 @@ def run_single(config: RunConfig, out: Path):
 
 def run_continuum(config: RunConfig, out: Path):
     grid = _sweep_grid(config, "v0")
-    payload = (float(config.get("k")), float(config.get("quad_tol")),
-               str(config.get("method")))
-    rows = [_continuum_point(payload, v0) for v0 in grid]
+    k, quad_tol, method = (float(config.get("k")),
+                           float(config.get("quad_tol")),
+                           str(config.get("method")))
+    rows = []
+    for v0 in grid:
+        spec = DeltaWell(v0=v0)
+        s = continuum_sum(spec, k=k, quad_tol=quad_tol, method=method)
+        cir = u_cir_with_continuum(spec, k=k, continuum=s)
+        rows.append((v0, s.value, cir.inverse, cir.u_cir))
     write_csv(out, config, ["v0", "s_k", "inverse_u_cir", "u_cir"], rows,
-              {"k": payload[0], "method": payload[2]})
+              {"k": k, "method": method})
     return [out], {"points": len(rows)}
 
 
@@ -588,10 +488,9 @@ def run_ring(config: RunConfig, out: Path):
 
 
 def _resonance_window(config: RunConfig, clamp: bool) -> tuple[float, float]:
-    lo = config.options.get("u_from")
-    hi = config.options.get("u_to")
-    lo = -30.0 if lo is None else float(lo)
-    hi = 0.0 if hi is None else float(hi)
+    window = DEFAULTS["resonances"]  # twobody leaves the ends unset
+    lo, hi = (float(window[key] if config.options[key] is None
+                    else config.options[key]) for key in ("u_from", "u_to"))
     if clamp:
         hi = min(hi, 0.0)  # resonances live on the attractive side
     return (lo, hi)
@@ -652,7 +551,12 @@ def run_twobody(config: RunConfig, out: Path):
         k = float(config.get("k"))
         # a finite-k sweep evaluates the kernel at E(k) once: one H
         sweep_kernel = kernel if k == 0.0 else kernel.at_relative_momentum(k)
-        rows = [_twobody_point((sweep_kernel, k), u) for u in grid]
+        rows = []
+        for u in grid:
+            r = solve_scattering_length(sweep_kernel, u) if k == 0.0 \
+                else solve_finite_k(sweep_kernel, u, k)
+            rows.append((u, r.u1d, r.a, r.i00, r.delta_k,
+                         math.atan(r.u1d / J)))
         write_csv(out, config,
                   ["u", "u1d", "a", "i00", "delta_k", "atan_u1d"], rows,
                   {"total-momentum": kernel.total_momentum,

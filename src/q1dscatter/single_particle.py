@@ -66,6 +66,12 @@ class ScatteringResult:
     u_cir: CirValue
 
 
+def scattering_length(u1d: float, j: float = J) -> float:
+    """``a = -2 j / U1D``: ``+inf`` at ``U1D = 0``, and the signed
+    infinity, with no numpy overflow warning, where the quotient overflows."""
+    return math.inf if u1d == 0.0 else -2.0 * float(j) / float(u1d)
+
+
 def _closed_denominators(spectrum: TransverseSpectrum, energy: float,
                          limit: int) -> np.ndarray:
     """Green's-function denominators of channels 1..limit at `energy`."""
@@ -209,7 +215,7 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
     a = None
     delta_k = None
     if k == 0.0:
-        a = math.inf if u1d == 0.0 else -2.0 * J / u1d
+        a = scattering_length(u1d)
     else:
         delta_k = math.atan(-u1d / (2.0 * J * math.sin(k)))
 

@@ -67,6 +67,7 @@ from scipy.optimize import brentq
 from .errors import (ConfigError, Diverging, NoConvergence,
                      SignConventionViolation, SingularSystem,
                      UnphysicalAmplitude)
+from .single_particle import scattering_length
 from .traps import (J, TransverseSpectrum, TrapSpec, closed_channels,
                     solve_transverse)
 
@@ -441,7 +442,7 @@ def solve_scattering_length(kernel: OverlapKernel, u: float) -> TwoBodyResult:
     """
     i_vec, i00 = _solve_linear(kernel, u)
     u1d = u * i00
-    a = math.inf if u1d == 0.0 else -2.0 * kernel.j_k / u1d
+    a = scattering_length(u1d, kernel.j_k)
     return TwoBodyResult(u=u, k=None, u1d=u1d, a=a, delta_k=None,
                          i00=i00, i_vector=i_vec, method="direct-solve")
 
@@ -504,7 +505,7 @@ def born_series(kernel: OverlapKernel, u: float, order: int) -> BornResult:
         converged = last < before or last == 0.0
     i00 = partials[-1]
     u1d = u * i00
-    a = math.inf if u1d == 0.0 else -2.0 * kernel.j_k / u1d
+    a = scattering_length(u1d, kernel.j_k)
     return BornResult(u=u, order=order, i00=i00, u1d=u1d, a=a,
                       partial_sums=tuple(partials), converged=converged)
 

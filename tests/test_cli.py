@@ -1,6 +1,7 @@
 """Command-line front end: flag parsing, config precedence, CSV and
 manifest output, reproducibility, exit codes, figure recipes."""
 
+import argparse
 import csv
 import json
 import math
@@ -257,6 +258,24 @@ def test_kernel_diagnostics_in_manifest_only(tmp_path, capsys):
     assert diag["min_abs_denominator"] > 0.0
 
 
+def test_config_file_values_take_the_declared_type(tmp_path, capsys):
+    # integer literals for float options hash as the flags do
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trap = two-site\nv = 1\nu_from = -4\nu_to = 4\n"
+                   "points = 5\n")
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    run_cli(["single", "--config", str(cfg), "--output", str(from_file)],
+            capsys)
+    run_cli(["single", "--trap", "two-site", "--v", "1", "--u-from", "-4",
+             "--u-to", "4", "--points", "5", "--output", str(from_flags)],
+            capsys)
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    config = json.loads(
+        (tmp_path / "file.csv.manifest.json").read_text())["config"]
+    assert [type(config[key]) for key in ("v", "u_from", "points")] == [
+        float, float, int]
+
+
 def test_manifest_subcommand_mismatch(tmp_path, capsys):
     out = tmp_path / "first.csv"
     run_cli(["single", "--trap", "two-site", "--v", "1.0", "--u-from", "-2",
@@ -304,6 +323,55 @@ def test_unknown_config_key(tmp_path, capsys):
     expect_error(["single", "--config", str(cfg)], capsys, 2)
 
 
+def test_bad_trap_choice_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("trap = foo\nv = 1.0\n")
+    record = expect_error(["transverse", "--config", str(cfg),
+                           "--output", str(tmp_path / "x.csv")],
+                          capsys, 2, "ConfigError")
+    assert "foo" in record["message"]
+
+
+def test_bad_mode_choice_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("trap = two-site\nv = 1.0\nmode = sigle\nu = -2\n"
+                   "lx = 100\nvalidate = true\n")
+    expect_error(["oracle", "--config", str(cfg),
+                  "--output", str(tmp_path / "x.csv")], capsys, 2,
+                 "ConfigError")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_bad_choice_in_manifest(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    run_cli(["continuum", "--v0-from", "1", "--v0-to", "2", "--points", "2",
+             "--output", str(out)], capsys)
+    manifest = tmp_path / "c.csv.manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["config"]["method"] = "gird"
+    manifest.write_text(json.dumps(payload))
+    expect_error(["continuum", "--config", str(manifest)], capsys, 2,
+                 "ConfigError")
+
+
+def test_parser_takes_exactly_the_subcommand_options():
+    parser = cli.build_parser()
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(cli.DEFAULTS)
+    for name, sub in subparsers.choices.items():
+        dests = {action.dest for action in sub._actions} - {"help"}
+        assert dests == set(cli.DEFAULTS[name]) | {"config"}, name
+
+
+def test_figure_rejects_output(tmp_path, capsys):
+    # not even as an abbreviation of --output-dir
+    out = tmp_path / "x.csv"
+    expect_error(["figure", "fig2", "--output", str(out)], capsys, 2,
+                 "ConfigError")
+    assert not out.exists()
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     # pinned basis too small for the channel tail tolerance
     expect_error(["single", "--trap", "harmonic", "--omega", "1e-3",
@@ -338,6 +406,29 @@ def test_figure_recipes_resolve():
         assert len(recipe.config_hash()) == 12
     with pytest.raises(q.UnknownFigure):
         cli.figure_recipe("fig0")
+
+
+# Config hashes before the option table replaced the hand-written
+# defaults: every key, default value and value type must stay in place.
+_RECIPE_HASHES = {"fig1": "ae12419c3f8e", "fig2": "e6c07d7c0436",
+                  "fig3": "871d66dc541b", "fig4": "08977c97c48f",
+                  "fig5": "222c29be1dd8"}
+_DEFAULT_HASHES = {
+    "transverse": "f0c6ffd20748", "single": "3b675edec33f",
+    "continuum": "05e319678546", "ring": "2d1df7730d1e",
+    "twobody": "c42bfb0a7acb", "spa-fit": "831fef652b64",
+    "resonances": "30c2ef44a6f2", "oracle": "195b56eafc6e",
+    "figure": "88b79525d0f0",
+}
+
+
+def test_config_hashes_pinned():
+    for name, expected in _RECIPE_HASHES.items():
+        assert cli.figure_recipe(name).config_hash() == expected, name
+    assert set(_DEFAULT_HASHES) == set(cli.SUBCOMMANDS)
+    for sub, expected in _DEFAULT_HASHES.items():
+        config = cli.RunConfig(sub, cli.DEFAULTS[sub])
+        assert config.config_hash() == expected, sub
 
 
 def test_figure_fig5_end_to_end(tmp_path, capsys):

@@ -2,11 +2,13 @@
 kernel, effective coupling, Born series, resonance report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import q1dscatter as q
+from q1dscatter.single_particle import scattering_length
 
 
 # ------------------------------------------------------------------- kernel
@@ -229,3 +231,22 @@ def test_collision_diagonal_matches_channel_space(name, request):
     dense = _dense_visible_poles(ker, window)
     assert len(poles) == len(dense) > 0
     assert np.all(np.abs(np.array(poles) - dense) <= 1e-12 * np.abs(dense))
+
+
+@pytest.mark.parametrize("u", [np.float64(5e-324), np.float64(-1e-322)])
+def test_subnormal_coupling_gives_infinite_a_quietly(u, two_site_kernel,
+                                                     two_site_spectrum):
+    """a = -2J/U1D overflows for a subnormal U1D: every site returns the
+    signed infinity (+inf at U1D = 0) and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [q.solve_scattering_length(two_site_kernel, u),
+                   q.born_series(two_site_kernel, u, 3),
+                   q.effective_u1d(two_site_spectrum, u)]
+        assert scattering_length(-2.0) == q.J
+        assert scattering_length(0.0) == math.inf
+    for r in results:
+        expected = math.inf if r.u1d == 0.0 \
+            else -math.copysign(math.inf, r.u1d)
+        assert r.a == expected
+    assert any(r.u1d != 0.0 for r in results)
