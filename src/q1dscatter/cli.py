@@ -34,11 +34,11 @@ from .continuum import continuum_sum, u_cir_with_continuum
 from .oracle import StripProblem, pair_scattering_length, \
     strip_scattering_length
 from .ring import BranchScan, ring_branch_roots, ring_cir_crossings
-from .single_particle import J, effective_u1d, u_cir
+from .single_particle import J, effective_u1d, scattering_length, u_cir
 from .spa import spa_fit
 from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, solve_transverse
 from .two_body import build_kernel, converged_resonances, locate_resonances, \
-    solve_finite_k, solve_scattering_length
+    solve_finite_k, u1d_curve
 
 SUBCOMMANDS = {
     "transverse": "transverse trap spectrum",
@@ -208,6 +208,19 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"config key {key}: {exc}") from None
 
 
+def _has_type(value, kind) -> bool:
+    """Whether `value` is one of an option's choices or of its declared
+    type (an int passes for a float)."""
+    if isinstance(kind, tuple):
+        return value in kind
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(
+            _has_type(item, get_args(kind)[0]) for item in value)
+    allowed = {bool: bool, int: int, float: (int, float)}.get(kind, str)
+    return isinstance(value, allowed) and (
+        kind is bool or not isinstance(value, bool))
+
+
 def load_config_file(path: str, subcommand: str) -> dict[str, object]:
     """Read a flat ``key = value`` file or a previous run's manifest
     (`resolve` checks the manifest's keys and values)."""
@@ -252,15 +265,17 @@ def resolve(subcommand: str, cli_options: dict[str, object]) -> RunConfig:
     for key, value in [*given.items(), *cli_options.items()]:
         if key not in options:
             raise ConfigError(f"unknown option {key!r} for {subcommand}")
-        choices = _OPTIONS[key].kind
-        if isinstance(choices, tuple) and value not in choices:
-            raise ConfigError(f"{key} must be one of {', '.join(choices)}, "
-                              f"got {value!r}")
+        # checked, not converted, so a manifest replays to its own hash
+        kind = _OPTIONS[key].kind
+        if not (_has_type(value, kind) or value is None
+                and DEFAULTS[subcommand][key] is None):
+            expected = "one of " + ", ".join(kind) if isinstance(kind, tuple) \
+                else f"of type {getattr(kind, '__name__', kind)}"
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
         options[key] = value
-    threads = options.get("threads") or 0
-    if not isinstance(threads, int) or threads < 0:
+    if options["threads"] < 0:
         raise ConfigError(f"threads must be a non-negative integer, "
-                          f"got {threads!r}")
+                          f"got {options['threads']!r}")
     return RunConfig(subcommand=subcommand, options=options)
 
 
@@ -278,7 +293,7 @@ def build_trap(config: RunConfig):
                    if opts.get(k) is not None and k not in allowed)
     if extra:
         raise ConfigError(f"trap {name} does not take --{'/--'.join(extra)}")
-    size = {} if opts.get("y_max") is None else {"y_max": int(opts["y_max"])}
+    size = {} if opts.get("y_max") is None else {"y_max": opts["y_max"]}
     if name == "harmonic":
         return Harmonic(omega=float(opts["omega"]), **size)
     if name == "delta-well":
@@ -286,7 +301,7 @@ def build_trap(config: RunConfig):
     if name == "two-site":
         return TwoSite(v=float(opts["v"]))
     table = {}
-    for pair in str(opts["values"]).split(","):
+    for pair in opts["values"].split(","):
         site, _, value = pair.partition(":")
         try:
             table[int(site)] = float(value)
@@ -300,9 +315,7 @@ def build_trap(config: RunConfig):
 
 def _solve_spectrum(config: RunConfig):
     trap = build_trap(config)
-    n_states = config.options.get("n_states")
-    return solve_transverse(trap, n_states=None if n_states is None
-                            else int(n_states))
+    return solve_transverse(trap, n_states=config.options.get("n_states"))
 
 
 def _sweep_grid(config: RunConfig, prefix: str = "u") -> list[float]:
@@ -312,7 +325,6 @@ def _sweep_grid(config: RunConfig, prefix: str = "u") -> list[float]:
     if lo is None or hi is None or points is None:
         raise ConfigError(f"sweep needs --{prefix}-from, --{prefix}-to "
                           f"and --points")
-    points = int(points)
     if points < 1:
         raise ConfigError(f"sweep needs at least one point, got {points}")
     if points == 1:
@@ -404,7 +416,6 @@ def run_single(config: RunConfig, out: Path):
     spectrum = _solve_spectrum(config)
     k = float(config.get("k"))
     n_cut = config.options.get("n_cut")
-    n_cut = None if n_cut is None else int(n_cut)
     tail_tol = float(config.get("tail_tol"))
     pinned = config.options.get("n_states") is not None
     while True:
@@ -436,8 +447,7 @@ def run_single(config: RunConfig, out: Path):
 def run_continuum(config: RunConfig, out: Path):
     grid = _sweep_grid(config, "v0")
     k, quad_tol, method = (float(config.get("k")),
-                           float(config.get("quad_tol")),
-                           str(config.get("method")))
+                           float(config.get("quad_tol")), config.get("method"))
     rows = []
     for v0 in grid:
         spec = DeltaWell(v0=v0)
@@ -454,8 +464,7 @@ def run_ring(config: RunConfig, out: Path):
     lengths = config.options.get("length")
     if not lengths:
         raise ConfigError("ring needs at least one --length")
-    lengths = [int(x) for x in lengths]
-    branches = int(config.get("branches"))
+    branches = config.get("branches")
     if branches < 1:
         raise ConfigError("--branches must be >= 1")
     grid = _sweep_grid(config, "u")
@@ -503,7 +512,7 @@ def _resonance_report(config: RunConfig, window: tuple[float, float]):
         if n_start is None:
             raise ConfigError("--converge needs --n-start")
         trap = build_trap(config)
-        return converged_resonances(trap, int(n_start),
+        return converged_resonances(trap, n_start,
                                     total_momentum=momentum,
                                     u_window=window)
     spectrum = _solve_spectrum(config)
@@ -533,8 +542,7 @@ def _kernel_diagnostics(source, prefix: str = "") -> dict[str, object]:
 
 
 def run_twobody(config: RunConfig, out: Path):
-    want_report = bool(config.get("resonances")) or bool(
-        config.get("converge"))
+    want_report = config.get("resonances") or config.get("converge")
     has_sweep = config.options.get("points") is not None
     if not (want_report or has_sweep):
         raise ConfigError("twobody needs a sweep grid (--u-from/--u-to/"
@@ -545,18 +553,23 @@ def run_twobody(config: RunConfig, out: Path):
         spectrum = _solve_spectrum(config)
         kernel = build_kernel(
             spectrum, total_momentum=float(config.get("total_momentum")),
-            n_cut=None if config.options.get("n_cut") is None
-            else int(config.options["n_cut"]))
+            n_cut=config.options.get("n_cut"))
         grid = _sweep_grid(config, "u")
         k = float(config.get("k"))
         # a finite-k sweep evaluates the kernel at E(k) once: one H
         sweep_kernel = kernel if k == 0.0 else kernel.at_relative_momentum(k)
+        proximity = sweep_kernel.pole_proximity(grid)
         rows = []
-        for u in grid:
-            r = solve_scattering_length(sweep_kernel, u) if k == 0.0 \
-                else solve_finite_k(sweep_kernel, u, k)
-            rows.append((u, r.u1d, r.a, r.i00, r.delta_k,
-                         math.atan(r.u1d / J)))
+        if k == 0.0:  # partial fractions over the grid, as Python floats
+            for u, i00 in zip(grid, kernel.entrance_amplitude(grid).tolist()):
+                u1d = u * i00
+                rows.append((u, u1d, scattering_length(u1d, kernel.j_k),
+                             i00, None, math.atan(u1d / J)))
+        else:
+            for u in grid:
+                r = solve_finite_k(sweep_kernel, u, k)
+                rows.append((u, r.u1d, r.a, r.i00, r.delta_k,
+                             math.atan(r.u1d / J)))
         write_csv(out, config,
                   ["u", "u1d", "a", "i00", "delta_k", "atan_u1d"], rows,
                   {"total-momentum": kernel.total_momentum,
@@ -565,6 +578,7 @@ def run_twobody(config: RunConfig, out: Path):
         outputs.append(out)
         diagnostics.update({"n_channels": kernel.n_channels,
                             "r_entrance": kernel.r_entrance,
+                            "min_pole_proximity": proximity,
                             **_kernel_diagnostics(kernel)})
     if want_report:
         report = _resonance_report(config, _resonance_window(config,
@@ -584,7 +598,6 @@ def run_twobody(config: RunConfig, out: Path):
 
 
 def run_spa_fit(config: RunConfig, out: Path):
-    from .two_body import u1d_curve
     spectrum = _solve_spectrum(config)
     kernel = build_kernel(spectrum,
                           total_momentum=float(config.get("total_momentum")))
@@ -626,10 +639,8 @@ def run_oracle(config: RunConfig, out: Path):
         raise ConfigError("oracle needs --u")
     problem = StripProblem(
         trap=build_trap(config), u=float(config.get("u")),
-        lx=int(config.get("lx")),
-        y_max=None if config.options.get("y_max") is None
-        else int(config.options["y_max"]))
-    mode = str(config.get("mode"))
+        lx=config.get("lx"), y_max=config.options.get("y_max"))
+    mode = config.get("mode")
     if mode == "single":
         res = strip_scattering_length(problem)
     else:

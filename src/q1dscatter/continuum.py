@@ -35,7 +35,7 @@ from scipy.optimize import curve_fit
 from .errors import (ConfigError, QuadratureFail, SharpResonanceUnresolved)
 from .single_particle import CirValue
 from .traps import (DeltaWell, J, Tabulated, TransverseSpectrum, alpha_closed,
-                    potential_on_grid, solve_transverse)
+                    solve_transverse)
 
 #: |d(theta)/dq| above which a sharp transverse resonance is suspected
 SHARP_DERIVATIVE_THRESHOLD = 1e3

@@ -32,9 +32,8 @@ into the ``n_y``-sized problem
     (1 + U H) phi = psi_0^2,     H = S^T |D|^{-1} S,
 
 with ``H`` the closed-channel pair Green's function on the collision
-diagonal (symmetric positive semi-definite).  All algebra runs on
-``H``: the direct solve writes ``phi = psi_0^2 + U g`` with
-``(1 + U H) g = -H psi_0^2``, so that
+diagonal (symmetric positive semi-definite).  Writing
+``phi = psi_0^2 + U g`` with ``(1 + U H) g = -H psi_0^2`` gives
 
     I00(U) = R(00;00) + U psi_0^2 . g,      I = S (psi_0^2 + U g),
 
@@ -42,12 +41,13 @@ and the Born series has terms ``U^m psi_0^2 . (-H)^m psi_0^2``.  The
 effective 1D coupling is ``U1D = U * I00`` and the scattering length
 ``a = -2 J_K / U1D``.  Because ``U`` enters linearly, ``I00`` is a
 rational function of ``U`` with poles at the confinement-induced
-resonances: the eigenpairs ``mu_j, v_j`` of ``H`` (whose nonzero
-spectrum equals that of the channel form ``|D|^{-1/2} R |D|^{-1/2}``)
-give the exact partial-fraction form
+resonances.  One eigendecomposition ``H = V diag(mu) V^T`` per kernel
+(whose nonzero spectrum equals that of the channel form
+``|D|^{-1/2} R |D|^{-1/2}``) serves every solve at every coupling:
+with ``p = V^T psi_0^2``,
 
-    I00(U) = R(00;00) - U sum_j c_j^2 / (1 + U mu_j),
-    c_j^2 = mu_j (v_j . psi_0^2)^2,
+    g = -V (mu p / (1 + U mu)),
+    I00(U) = R(00;00) - U sum_j c_j^2 / (1 + U mu_j),   c_j^2 = mu_j p_j^2,
 
 so resonances sit at ``U_j = -1/mu_j`` with ``U1D`` residue
 ``U_j^3 c_j^2``; the dimensionless strength ``c_j^2 |U_j| / R(00;00)``
@@ -182,17 +182,18 @@ class OverlapKernel:
         return scaled.T @ scaled
 
     @cached_property
-    def _spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues ``mu_j`` of :attr:`green` and pole weights
-        ``c_j^2`` (see module docstring)."""
+    def _spectral(self) -> tuple[np.ndarray, ...]:
+        """Eigenvalues ``mu_j`` of :attr:`green`, pole weights ``c_j^2``,
+        eigenvectors ``V`` and entrance projections ``p = V^T psi_0^2``
+        (see module docstring)."""
         mu, v = np.linalg.eigh(self.green)
         proj = v.T @ self.entrance_row
-        return mu, mu * proj * proj
+        return mu, mu * proj * proj, v, proj
 
     @property
     def numerical_rank(self) -> int:
         """Eigenvalues of :attr:`green` above ``n_y eps max(mu)``."""
-        mu, _ = self._spectral
+        mu = self._spectral[0]
         tol = mu.max(initial=0.0) * mu.size * np.finfo(float).eps
         return int(np.count_nonzero(mu > tol))
 
@@ -202,12 +203,28 @@ class OverlapKernel:
         return float(-self.denominators.max(initial=-math.inf))
 
     def entrance_amplitude(self, u) -> np.ndarray | float:
-        """``I00(U)`` from the partial-fraction form; vectorized in `u`.
+        """``I00(U)`` from the partial-fraction form; vectorized in `u`;
+        infinities mark resonances."""
+        return _partial_fractions(u, *self._spectral[:2], self.r_entrance)
 
-        Algebraically identical to the direct linear solve of
-        :func:`solve_scattering_length`; infinities mark resonances.
+    def pole_proximity(self, u_values) -> float:
+        """Smallest ``|1 + U mu_j|`` over the couplings `u_values` (a
+        scalar or a sequence): how close they come to a pole, 0 on one.
+
+        Raises
+        ------
+        SingularSystem
+            At the first coupling that sits numerically on a pole.
         """
-        return _partial_fractions(u, *self._spectral, self.r_entrance)
+        u_arr = np.atleast_1d(np.asarray(u_values, dtype=float))
+        prox = np.abs(1.0 + np.multiply.outer(u_arr, self._spectral[0])
+                      ).min(axis=-1)
+        bad = np.flatnonzero(prox < _SINGULAR_PROXIMITY)
+        if bad.size:
+            raise SingularSystem(
+                f"coupling U={u_arr[bad[0]]:g} sits on a confinement-"
+                f"induced resonance pole (|1 + U mu| = {prox[bad[0]]:.3g})")
+        return float(prox.min())
 
     def at_energy(self, energy: float) -> "OverlapKernel":
         """Same channel set and pair rows, re-evaluated at a different
@@ -235,8 +252,10 @@ def _partial_fractions(u, mu: np.ndarray, c2: np.ndarray,
     """``I00(U) = R(00;00) - U sum_j c_j^2 / (1 + U mu_j)``."""
     u_arr = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = 1.0 + np.multiply.outer(u_arr, mu)
-        i00 = r_entrance - u_arr * (c2 / shifted).sum(axis=-1)
+        terms = np.multiply.outer(u_arr, mu)  # in place: one temporary
+        terms += 1.0
+        np.divide(c2, terms, out=terms)
+        i00 = r_entrance - u_arr * terms.sum(axis=-1)
     return i00 if u_arr.shape else float(i00)
 
 
@@ -404,54 +423,35 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
         n_cut=n_cut)
 
 
-def _check_not_singular(kernel: OverlapKernel, u: float) -> None:
-    mu, _ = kernel._spectral
-    if mu.size and u != 0.0:
-        prox = float(np.min(np.abs(1.0 + u * mu)))
-        if prox < _SINGULAR_PROXIMITY:
-            raise SingularSystem(
-                f"coupling U={u:g} sits on a confinement-induced "
-                f"resonance pole (|1 + U mu| = {prox:.3g})")
-
-
-def _solve_linear(kernel: OverlapKernel, u: float) -> tuple[np.ndarray, float]:
-    """Direct solve of ``(1 + U H) g = -H psi_0^2`` on the collision
-    diagonal; returns the channel amplitudes and ``I00``."""
-    _check_not_singular(kernel, u)
-    h = kernel.green
-    psi0_sq = kernel.entrance_row
-    try:
-        g = np.linalg.solve(np.eye(len(h)) + u * h, -(h @ psi0_sq))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            f"linear system singular at U={u:g} (resonance pole)") from exc
-    i00 = kernel.r_entrance + u * float(psi0_sq @ g)
-    return kernel.pair_rows @ (psi0_sq + u * g), i00
-
-
 def solve_scattering_length(kernel: OverlapKernel, u: float) -> TwoBodyResult:
     """Zero-momentum two-body scattering at coupling `u`.
 
-    Solves the ``n_y``-sized collision-diagonal system directly and
-    returns ``U1D = U * I00`` and ``a = -2 J_K / U1D``.
+    Evaluates the kernel's eigendecomposition of ``H`` at `u`:
+    ``I = S (psi_0^2 + U g)`` with ``g = -V (mu p / (1 + U mu))``,
+    ``I00`` from the partial-fraction form, ``U1D = U * I00`` and
+    ``a = -2 J_K / U1D``.
 
     Raises
     ------
     SingularSystem
         If `u` sits numerically on a resonance pole.
     """
-    i_vec, i00 = _solve_linear(kernel, u)
+    kernel.pole_proximity(u)
+    mu, _, v, proj = kernel._spectral
+    g = -(v @ (mu * proj / (1.0 + u * mu)))
+    i_vec = kernel.pair_rows @ (kernel.entrance_row + u * g)
+    i00 = kernel.entrance_amplitude(u)
     u1d = u * i00
     a = scattering_length(u1d, kernel.j_k)
     return TwoBodyResult(u=u, k=None, u1d=u1d, a=a, delta_k=None,
-                         i00=i00, i_vector=i_vec, method="direct-solve")
+                         i00=i00, i_vector=i_vec, method="spectral")
 
 
 def u1d_curve(kernel: OverlapKernel, u_values) -> np.ndarray:
     """Effective coupling ``U1D(U)`` on an array of couplings.
 
     Uses the partial-fraction form (one eigendecomposition, then O(n)
-    per coupling); identical to :func:`solve_scattering_length` values.
+    per coupling), as :func:`solve_scattering_length` does.
     """
     u_arr = np.asarray(u_values, dtype=float)
     return u_arr * kernel.entrance_amplitude(u_arr)
@@ -529,8 +529,9 @@ def solve_finite_k(kernel: OverlapKernel, u: float, k: float) -> TwoBodyResult:
     UnphysicalAmplitude
         If the converged amplitude violates the sine bound.
     """
-    kernel_k = kernel.at_relative_momentum(k)
-    i_lin, i00_lin = _solve_linear(kernel_k, u)
+    # the linear system at E(k) is the zero-momentum one of that kernel
+    linear = solve_scattering_length(kernel.at_relative_momentum(k), u)
+    i_lin, i00_lin = linear.i_vector, linear.i00
     s = 2.0 * kernel.j_k * math.sin(k)
 
     if u == 0.0:
@@ -599,7 +600,7 @@ def locate_resonances(kernel: OverlapKernel,
     u_lo, u_hi = u_window
     if not u_lo < u_hi:
         raise ConfigError(f"empty coupling window {u_window}")
-    mu, c2 = kernel._spectral
+    mu, c2 = kernel._spectral[:2]
     resonances = []
     boundaries = [u_lo, u_hi]
     for mu_j, c2_j in zip(mu, c2):
@@ -634,20 +635,18 @@ def locate_resonances(kernel: OverlapKernel,
             continue
         us = np.linspace(a, b, 512)
         vals = np.asarray(kernel.entrance_amplitude(us))
-        finite = np.isfinite(vals)
-        for i in range(len(us) - 1):
-            if not (finite[i] and finite[i + 1]):
-                continue
-            v1, v2 = float(vals[i]), float(vals[i + 1])
-            if v1 == 0.0:
-                crossings.append(float(us[i]))
-            elif v1 * v2 < 0.0:
-                # the callback must not hold the kernel: scipy keeps it
-                # in a reference cycle until the cyclic collector runs
-                crossings.append(float(brentq(
-                    _partial_fractions, float(us[i]), float(us[i + 1]),
-                    args=(mu, c2, kernel.r_entrance),
-                    xtol=1e-14, rtol=8.9e-16)))
+        left, right = vals[:-1], vals[1:]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            scan = np.isfinite(left) & np.isfinite(right)
+            changes = scan & (left != 0.0) & (left * right < 0.0)
+        crossings += us[:-1][scan & (left == 0.0)].tolist()
+        for i in np.flatnonzero(changes).tolist():
+            # the callback must not hold the kernel: scipy keeps it in a
+            # reference cycle until the cyclic collector runs
+            crossings.append(float(brentq(
+                _partial_fractions, float(us[i]), float(us[i + 1]),
+                args=(mu, c2, kernel.r_entrance),
+                xtol=1e-14, rtol=8.9e-16)))
     crossings = sorted(set(c for c in crossings if c != 0.0))
 
     return ResonanceReport(

@@ -3,6 +3,7 @@ several test modules reuse.  All are deterministic, so session scope is
 safe and keeps the expensive diagonalizations to one run each.
 """
 
+import numpy as np
 import pytest
 
 import q1dscatter as q
@@ -61,3 +62,19 @@ def micro_spectrum():
 @pytest.fixture(scope="session")
 def micro_kernel(micro_spectrum):
     return q.build_kernel(micro_spectrum)
+
+
+def _dense_collision_solve(ker, u):
+    """Reference for the spectral two-body solve: the direct
+    ``n_y``-sized solve of ``(1 + U H) g = -H psi_0^2``.  Returns the
+    channel amplitudes ``S (psi_0^2 + U g)`` and
+    ``I00 = R(00;00) + U psi_0^2 . g``."""
+    h, psi0_sq = ker.green, ker.entrance_row
+    g = np.linalg.solve(np.eye(len(h)) + u * h, -(h @ psi0_sq))
+    return (ker.pair_rows @ (psi0_sq + u * g),
+            ker.r_entrance + u * float(psi0_sq @ g))
+
+
+@pytest.fixture(scope="session")
+def dense_collision_solve():
+    return _dense_collision_solve

@@ -6,10 +6,12 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import q1dscatter as q
@@ -118,6 +120,64 @@ def test_twobody_resonance_report(tmp_path, capsys):
     assert meta["zero-crossings"].startswith("-7.34862960967")
 
 
+def _assert_sweep_matches_dense(path, kernel, dense_collision_solve):
+    _, rows = read_csv(path)
+    assert rows
+    for row in rows:
+        u = float(row["u"])
+        _, i00 = dense_collision_solve(kernel, u)
+        want = {"i00": i00, "u1d": u * i00,
+                "a": -2.0 * kernel.j_k / (u * i00)}
+        for key, value in want.items():
+            assert abs(float(row[key]) - value) <= 1e-12 * abs(value), \
+                (key, u)
+
+
+def test_twobody_sweep_matches_dense_solve(tmp_path, capsys, two_site_kernel,
+                                           dense_collision_solve):
+    out = tmp_path / "tb.csv"
+    code, _, _ = run_cli(["twobody", "--trap", "two-site", "--v", "1.0",
+                          "--u-from", "-40", "--u-to", "20", "--points",
+                          "60", "--output", str(out)], capsys)
+    assert code == 0
+    _assert_sweep_matches_dense(out, two_site_kernel, dense_collision_solve)
+
+    code, _, _ = run_cli(["figure", "fig5", "--output-dir", str(tmp_path)],
+                         capsys)
+    assert code == 0
+    recipe = cli.figure_recipe("fig5").options
+    fig5_kernel = q.build_kernel(q.solve_transverse(
+        q.Harmonic(omega=recipe["omega"]), n_states=recipe["n_states"]))
+    _assert_sweep_matches_dense(tmp_path / "fig5.csv", fig5_kernel,
+                                dense_collision_solve)
+
+
+def test_twobody_sweep_refuses_a_pole_point(tmp_path, capsys,
+                                            two_site_kernel):
+    mu = np.linalg.eigvalsh(two_site_kernel.green)
+    pole = -1.0 / float(mu[-1])  # the sharp two-site resonance
+    out = tmp_path / "tb.csv"
+    record = expect_error(
+        ["twobody", "--trap", "two-site", "--v", "1.0", "--u-from",
+         repr(pole - 2.0), "--u-to", repr(pole + 2.0), "--points", "5",
+         "--output", str(out)], capsys, 4, "SingularSystem")
+    assert re.fullmatch(
+        rf"coupling U={pole:g} sits on a confinement-induced resonance "
+        rf"pole \(\|1 \+ U mu\| = [-+.e0-9]+\)", record["message"])
+    assert not out.exists()
+
+
+def test_twobody_cells_are_python_floats(tmp_path, capsys):
+    base = ["twobody", "--trap", "two-site", "--v", "1.0", "--u-from", "-6",
+            "--u-to", "4", "--points", "5"]
+    for extra in (["--resonances"], ["--k", "0.3"]):
+        out = tmp_path / "tb.csv"
+        code, _, _ = run_cli(base + extra + ["--output", str(out)], capsys)
+        assert code == 0
+        for path in tmp_path.glob("tb*.csv"):
+            assert "np.float64(" not in path.read_text(), path.name
+
+
 def test_oracle_gated_and_correct(tmp_path, capsys, two_site_spectrum):
     out = tmp_path / "o.csv"
     base = ["oracle", "--trap", "two-site", "--v", "1.0", "--mode", "single",
@@ -222,7 +282,8 @@ def test_manifest_round_trip(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_kernel_diagnostics_in_manifest_only(tmp_path, capsys):
+def test_kernel_diagnostics_in_manifest_only(tmp_path, capsys,
+                                            two_site_kernel):
     out = tmp_path / "tb.csv"
     code, _, _ = run_cli(["twobody", "--trap", "two-site", "--v", "1.0",
                           "--u-from", "-6", "--u-to", "4", "--points", "5",
@@ -235,9 +296,14 @@ def test_kernel_diagnostics_in_manifest_only(tmp_path, capsys):
         assert diag[prefix + "numerical_rank"] == 2
         assert diag[prefix + "min_abs_denominator"] == pytest.approx(
             5.534204278662789, rel=1e-12)
+    mu = np.linalg.eigvalsh(two_site_kernel.green)
+    assert diag["min_pole_proximity"] == pytest.approx(min(
+        float(np.min(np.abs(1.0 + u * mu))) for u in (-6, -3.5, -1, 1.5, 4)),
+        rel=1e-12)
     # solver internals stay out of the CSV, so a replay is byte-identical
     meta, _ = read_csv(out)
-    assert not {"collision-sites", "numerical-rank"} & set(meta)
+    assert not {"collision-sites", "numerical-rank",
+                "min-pole-proximity"} & set(meta)
     replay = tmp_path / "replay.csv"
     code, _, _ = run_cli(["twobody", "--config",
                           str(tmp_path / "tb.csv.manifest.json"),
@@ -274,6 +340,20 @@ def test_config_file_values_take_the_declared_type(tmp_path, capsys):
         (tmp_path / "file.csv.manifest.json").read_text())["config"]
     assert [type(config[key]) for key in ("v", "u_from", "points")] == [
         float, float, int]
+
+
+def test_manifest_value_of_the_wrong_type(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    run_cli(["single", "--trap", "two-site", "--v", "1.0", "--u-from", "-9",
+             "--u-to", "3", "--points", "7", "--output", str(out)], capsys)
+    manifest = tmp_path / "s.csv.manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["config"]["u_from"] = "x"
+    manifest.write_text(json.dumps(payload))
+    record = expect_error(["single", "--config", str(manifest), "--output",
+                           str(tmp_path / "x.csv")], capsys, 2, "ConfigError")
+    assert "u_from" in record["message"]
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_manifest_subcommand_mismatch(tmp_path, capsys):

@@ -78,18 +78,20 @@ def test_effective_coupling_frozen_values(two_site_kernel):
         assert r.i00 == pytest.approx(r.u1d / u, rel=1e-13)
 
 
-def test_entrance_amplitude_matches_direct_solve(two_site_kernel):
-    direct = q.solve_scattering_length(two_site_kernel, -5.0)
+def test_entrance_amplitude_matches_direct_solve(two_site_kernel,
+                                                 dense_collision_solve):
+    _, i00 = dense_collision_solve(two_site_kernel, -5.0)
     assert two_site_kernel.entrance_amplitude(-5.0) == pytest.approx(
-        direct.i00, abs=1e-12)
+        i00, abs=1e-12)
 
 
-def test_curve_helper_matches_pointwise(two_site_kernel):
+def test_curve_helper_matches_pointwise(two_site_kernel,
+                                        dense_collision_solve):
     grid = np.linspace(-20.0, -12.0, 7)
     curve = q.u1d_curve(two_site_kernel, grid)
     for u, val in zip(grid, curve):
-        r = q.solve_scattering_length(two_site_kernel, float(u))
-        assert val == pytest.approx(r.u1d, rel=1e-13)
+        _, i00 = dense_collision_solve(two_site_kernel, float(u))
+        assert val == pytest.approx(float(u) * i00, rel=1e-13)
 
 
 # ------------------------------------------------------------------- born
