@@ -29,8 +29,7 @@ from .errors import (AtResonance, BranchCollision, ConfigError,
                      NoRootInBranch, OpenChannel, PoleInWindow, Q1DError,
                      QuadratureFail, SharpResonanceUnresolved,
                      SignConventionViolation, SingularSystem, TailTooLarge,
-                     UnknownFigure, UnorderedSpectrum,
-                     UnphysicalAmplitude)
+                     UnknownFigure, UnorderedSpectrum)
 from .oracle import (OracleResult, StripProblem, pair_hamiltonian,
                      pair_scattering_length, strip_hamiltonian,
                      strip_scattering_length)
@@ -83,6 +82,5 @@ __all__ = [
     "QuadratureFail", "SharpResonanceUnresolved", "NoRootInBranch",
     "BranchCollision",
     "NoConvergence", "Diverging", "FitWindowTooSmall", "ContaminatedChannel",
-    "OpenChannel", "AtResonance", "SingularSystem", "UnphysicalAmplitude",
-    "SignConventionViolation",
+    "OpenChannel", "AtResonance", "SingularSystem", "SignConventionViolation",
 ]

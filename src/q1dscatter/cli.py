@@ -34,11 +34,12 @@ from .continuum import continuum_sum, u_cir_with_continuum
 from .oracle import StripProblem, pair_scattering_length, \
     strip_scattering_length
 from .ring import BranchScan, ring_branch_roots, ring_cir_crossings
-from .single_particle import J, effective_u1d, scattering_length, u_cir
+from .single_particle import J, effective_u1d, phase_shift, \
+    scattering_length, u_cir
 from .spa import spa_fit
 from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, solve_transverse
 from .two_body import build_kernel, converged_resonances, locate_resonances, \
-    solve_finite_k, u1d_curve
+    u1d_curve
 
 SUBCOMMANDS = {
     "transverse": "transverse trap spectrum",
@@ -541,6 +542,19 @@ def _kernel_diagnostics(source, prefix: str = "") -> dict[str, object]:
                         "min_abs_denominator")}
 
 
+def _twobody_row(u: float, i00: float, j_k: float, k: float) -> tuple:
+    """One sweep row from the linear amplitude ``I00`` at ``E(k)``: the
+    scattering length at ``k = 0``, else the closed finite-k form of
+    :func:`~q1dscatter.two_body.solve_finite_k`."""
+    u1d = u * i00
+    if k == 0.0:
+        a, delta = scattering_length(u1d, j_k), None
+    else:
+        a, delta = None, phase_shift(u1d, k, j_k)
+        i00 *= math.cos(delta)
+    return (u, u1d, a, i00, delta, math.atan(u1d / J))
+
+
 def run_twobody(config: RunConfig, out: Path):
     want_report = config.get("resonances") or config.get("converge")
     has_sweep = config.options.get("points") is not None
@@ -559,17 +573,9 @@ def run_twobody(config: RunConfig, out: Path):
         # a finite-k sweep evaluates the kernel at E(k) once: one H
         sweep_kernel = kernel if k == 0.0 else kernel.at_relative_momentum(k)
         proximity = sweep_kernel.pole_proximity(grid)
-        rows = []
-        if k == 0.0:  # partial fractions over the grid, as Python floats
-            for u, i00 in zip(grid, kernel.entrance_amplitude(grid).tolist()):
-                u1d = u * i00
-                rows.append((u, u1d, scattering_length(u1d, kernel.j_k),
-                             i00, None, math.atan(u1d / J)))
-        else:
-            for u in grid:
-                r = solve_finite_k(sweep_kernel, u, k)
-                rows.append((u, r.u1d, r.a, r.i00, r.delta_k,
-                             math.atan(r.u1d / J)))
+        # partial fractions over the grid, as Python floats
+        rows = [_twobody_row(u, i00, kernel.j_k, k) for u, i00 in zip(
+            grid, sweep_kernel.entrance_amplitude(grid).tolist())]
         write_csv(out, config,
                   ["u", "u1d", "a", "i00", "delta_k", "atan_u1d"], rows,
                   {"total-momentum": kernel.total_momentum,
@@ -603,10 +609,8 @@ def run_spa_fit(config: RunConfig, out: Path):
                           total_momentum=float(config.get("total_momentum")))
     grid = _sweep_grid(config, "u")
     values = u1d_curve(kernel, grid)
-    known = [r.u for r in
-             locate_resonances(kernel, (-1e6, 0.0)).resonances]
     fit = spa_fit(list(zip(grid, values)), kernel.r_entrance,
-                  known_resonances=known)
+                  known_resonances=kernel.poles((-1e6, 0.0))[0].tolist())
     row = (fit.c1, fit.c2, fit.estimate_c1, fit.estimate_c2, fit.midpoint,
            fit.spread, fit.relative_residual, fit.r_entrance, fit.n_points,
            fit.window[0], fit.window[1])

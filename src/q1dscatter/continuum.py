@@ -35,7 +35,7 @@ from scipy.optimize import curve_fit
 from .errors import (ConfigError, QuadratureFail, SharpResonanceUnresolved)
 from .single_particle import CirValue
 from .traps import (DeltaWell, J, Tabulated, TransverseSpectrum, alpha_closed,
-                    solve_transverse)
+                    closed_channels, solve_transverse)
 
 #: |d(theta)/dq| above which a sharp transverse resonance is suspected
 SHARP_DERIVATIVE_THRESHOLD = 1e3
@@ -247,7 +247,8 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
     k : float
         Longitudinal quasi-momentum; ``S`` is even in `k`.
     quad_tol : float
-        Absolute error demanded of the adaptive quadrature.
+        Absolute error demanded of the adaptive quadrature; an error
+        estimate up to ``10 * quad_tol`` is accepted.
     method : {'adaptive', 'grid'}
         'adaptive' uses adaptive Gauss-Kronrod panels; 'grid' a fixed
         composite trapezoid with `grid_points` points (the two paths
@@ -258,7 +259,7 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
     Raises
     ------
     QuadratureFail
-        If the adaptive error estimate exceeds `quad_tol`.
+        If the adaptive error estimate exceeds ``10 * quad_tol``.
     SharpResonanceUnresolved
         If a quasi-bound state is detected but cannot be fitted.
     """
@@ -282,7 +283,7 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
         if err > quad_tol * 10.0:
             raise QuadratureFail(
                 f"adaptive quadrature error estimate {err:.3g} exceeds "
-                f"{quad_tol:g}")
+                f"10 x quad_tol = {quad_tol * 10.0:g}")
         return ContinuumSum(value=val / math.pi + sharp_part,
                             sharp_resonance_part=sharp_part,
                             quadrature_error=err / math.pi, k=k)
@@ -334,9 +335,8 @@ def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,
     n_bound = 1
     if spectrum is not None:
         n_bound = spectrum.n_states
-        for n in range(1, n_bound):
-            den = alpha_closed(float(spectrum.energies[n]), e_k).denominator
-            bound_part += float(spectrum.origin_amplitudes[n]) ** 2 / den
+        den = closed_channels(spectrum.energies[1:], e_k)[1]
+        bound_part = float(np.sum(spectrum.origin_amplitudes[1:] ** 2 / den))
     inverse = bound_part + continuum.value
     value = math.inf if inverse == 0.0 else 1.0 / inverse
     return CirValue(u_cir=value, inverse=inverse, k=k,

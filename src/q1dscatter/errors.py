@@ -116,13 +116,6 @@ class SingularSystem(Q1DError):
     exit_code = EXIT_REGIME
 
 
-class UnphysicalAmplitude(Q1DError):
-    """Finite-momentum solution violates the unitarity bound
-    ``|U * I00| <= |2 J_K sin k|``."""
-
-    exit_code = EXIT_REGIME
-
-
 class SignConventionViolation(Q1DError):
     """A closed-channel Green's-function denominator came out non-negative."""
 

@@ -72,6 +72,12 @@ def scattering_length(u1d: float, j: float = J) -> float:
     return math.inf if u1d == 0.0 else -2.0 * float(j) / float(u1d)
 
 
+def phase_shift(u1d: float, k: float, j: float = J) -> float:
+    """``delta_k = atan(-U1D / (2 j sin k))``, ``+0.0`` (not ``-0.0``)
+    at ``U1D = 0``."""
+    return math.atan(-u1d / (2.0 * j * math.sin(k))) + 0.0
+
+
 def _closed_denominators(spectrum: TransverseSpectrum, energy: float,
                          limit: int) -> np.ndarray:
     """Green's-function denominators of channels 1..limit at `energy`."""
@@ -217,7 +223,7 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
     if k == 0.0:
         a = scattering_length(u1d)
     else:
-        delta_k = math.atan(-u1d / (2.0 * J * math.sin(k)))
+        delta_k = phase_shift(u1d, k)
 
     energy = entrance_energy(spectrum, k)
     if u == 0.0:

@@ -53,6 +53,19 @@ so resonances sit at ``U_j = -1/mu_j`` with ``U1D`` residue
 ``U_j^3 c_j^2``; the dimensionless strength ``c_j^2 |U_j| / R(00;00)``
 is 1 for an ideal isolated pole and is used to separate physically
 visible resonances from the dense background of negligible ones.
+
+At relative quasi-momentum ``k`` the pair scatters at
+``E_k = -2 J_K cos k + 2 E_0`` and the entrance term carries the factor
+``sqrt(1 - (U x / s)^2)``, ``s = 2 J_K sin k``: the entrance amplitude
+``x`` solves ``x = sqrt(1 - (U x / s)^2) I00(E_k)`` with ``I00(E_k)``
+the linear amplitude above, evaluated at ``E_k``.  In ``t = U x / s``
+this reads ``t = t0 sqrt(1 - t^2)``, ``t0 = U I00(E_k) / s``, whose one
+root ``t = t0 / sqrt(1 + t0^2)`` gives
+
+    U1D = U I00(E_k),   tan(delta_k) = -U1D / s,   x = cos(delta_k) I00(E_k),
+
+with ``|sin(delta_k)| = |t| < 1`` always.  A finite-``k`` sweep is thus
+the same partial-fraction pass as a zero-momentum one.
 """
 
 from __future__ import annotations
@@ -65,9 +78,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (ConfigError, Diverging, NoConvergence,
-                     SignConventionViolation, SingularSystem,
-                     UnphysicalAmplitude)
-from .single_particle import scattering_length
+                     SignConventionViolation, SingularSystem)
+from .single_particle import phase_shift, scattering_length
 from .traps import (J, TransverseSpectrum, TrapSpec, closed_channels,
                     solve_transverse)
 
@@ -78,10 +90,6 @@ VISIBILITY_FLOOR = 1e-5
 BROAD_THRESHOLD = 0.05
 
 _SINGULAR_PROXIMITY = 1e-12
-_FIXED_POINT_DAMPING = 0.5
-_NEWTON_AFTER = 50
-_MAX_ITERATIONS = 10_000
-_FIXED_POINT_TOL = 1e-10
 _PARITY_SIGN = {"even": 1, "odd": -1, "none": 0}
 
 
@@ -207,6 +215,22 @@ class OverlapKernel:
         infinities mark resonances."""
         return _partial_fractions(u, *self._spectral[:2], self.r_entrance)
 
+    def poles(self, u_window: tuple[float, float]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The resonance couplings ``U_j = -1/mu_j`` inside the closed
+        `u_window`, ascending (ties in eigenvalue order), and each
+        pole's weight ``c_j^2``."""
+        u_lo, u_hi = u_window
+        if not u_lo < u_hi:
+            raise ConfigError(f"empty coupling window {u_window}")
+        mu, c2 = self._spectral[:2]
+        with np.errstate(divide="ignore"):
+            u_poles = -1.0 / mu
+        inside = np.flatnonzero((mu != 0.0) & (u_lo <= u_poles)
+                                & (u_poles <= u_hi))
+        inside = inside[np.argsort(u_poles[inside], kind="stable")]
+        return u_poles[inside], c2[inside]
+
     def pole_proximity(self, u_values) -> float:
         """Smallest ``|1 + U mu_j|`` over the couplings `u_values` (a
         scalar or a sequence): how close they come to a pole, 0 on one.
@@ -265,8 +289,9 @@ class TwoBodyResult:
 
     ``a`` is set for zero-momentum solves, ``delta_k`` for finite-``k``
     ones; ``i_vector`` holds the closed-channel amplitudes in kernel
-    channel order.  The entrance amplitude satisfies
-    ``i00 = U1D / U`` and, at zero momentum, ``a = -2 J_K / U1D``.
+    channel order.  At zero momentum the entrance amplitude satisfies
+    ``i00 = U1D / U`` and ``a = -2 J_K / U1D``; at finite ``k`` it
+    carries the amplitude factor, ``i00 = cos(delta_k) U1D / U``.
     """
 
     u: float
@@ -276,7 +301,6 @@ class TwoBodyResult:
     delta_k: float | None
     i00: float
     i_vector: np.ndarray
-    method: str
 
 
 @dataclass(frozen=True)
@@ -444,7 +468,7 @@ def solve_scattering_length(kernel: OverlapKernel, u: float) -> TwoBodyResult:
     u1d = u * i00
     a = scattering_length(u1d, kernel.j_k)
     return TwoBodyResult(u=u, k=None, u1d=u1d, a=a, delta_k=None,
-                         i00=i00, i_vector=i_vec, method="spectral")
+                         i00=i00, i_vector=i_vec)
 
 
 def u1d_curve(kernel: OverlapKernel, u_values) -> np.ndarray:
@@ -509,80 +533,30 @@ def born_series(kernel: OverlapKernel, u: float, order: int) -> BornResult:
     return BornResult(u=u, order=order, i00=i00, u1d=u1d, a=a,
                       partial_sums=tuple(partials), converged=converged)
 
-def solve_finite_k(kernel: OverlapKernel, u: float, k: float) -> TwoBodyResult:
-    """Finite-momentum two-body scattering: phase shift at relative
-    quasi-momentum `k`.
 
-    The entrance term of the channel system carries the amplitude
-    factor ``X = sqrt(1 - (U I00 / (2 J_K sin k))^2)``, making the
-    system nonlinear; it is solved by a damped scalar fixed point
-    seeded from the linear solution, with a safeguarded Newton fallback.
-    The phase shift follows from ``sin(delta) = -U I00 / (2 J_K sin k)``
-    (continuously 0 at ``U = 0``).  A sweep over couplings at one `k`
-    should pass ``kernel.at_relative_momentum(k)``, so that every point
-    reuses one ``H`` and its eigendecomposition.
+def solve_finite_k(kernel: OverlapKernel, u: float, k: float) -> TwoBodyResult:
+    """Finite-momentum two-body scattering at relative quasi-momentum
+    `k`, in closed form (see the module docstring):
+
+        U1D = U I00(E_k),    delta_k = atan(-U1D / (2 J_K sin k)),
+        i00 = cos(delta_k) I00(E_k),    I = cos(delta_k) I_lin,
+
+    with ``I00(E_k)`` and ``I_lin`` the linear solution of
+    ``kernel.at_relative_momentum(k)``.  A sweep over couplings at one
+    `k` should pass that kernel, so that every point reuses one ``H``
+    and its eigendecomposition.
 
     Raises
     ------
-    NoConvergence
-        If the iteration cannot reach the residual tolerance.
-    UnphysicalAmplitude
-        If the converged amplitude violates the sine bound.
+    SingularSystem
+        If `u` sits numerically on a resonance pole at ``E_k``.
     """
-    # the linear system at E(k) is the zero-momentum one of that kernel
     linear = solve_scattering_length(kernel.at_relative_momentum(k), u)
-    i_lin, i00_lin = linear.i_vector, linear.i00
-    s = 2.0 * kernel.j_k * math.sin(k)
-
-    if u == 0.0:
-        return TwoBodyResult(u=u, k=k, u1d=0.0, a=None, delta_k=0.0,
-                             i00=i00_lin, i_vector=i_lin,
-                             method="fixed-point")
-
-    def amplitude_factor(i00: float) -> float:
-        arg = 1.0 - (u * i00 / s) ** 2
-        return math.sqrt(arg) if arg > 0.0 else 0.0
-
-    scale = max(1.0, abs(i00_lin))
-    x = i00_lin
-    solved = False
-    for it in range(_MAX_ITERATIONS):
-        target = amplitude_factor(x) * i00_lin
-        if abs(x - target) <= _FIXED_POINT_TOL * scale:
-            solved = True
-            break
-        if it < _NEWTON_AFTER:
-            x = (1.0 - _FIXED_POINT_DAMPING) * x \
-                + _FIXED_POINT_DAMPING * target
-        else:
-            # safeguarded Newton on the bounded variable t = U I00 / s
-            t_goal = u * i00_lin / s
-
-            def mismatch(t: float) -> float:
-                return t - t_goal * math.sqrt(max(0.0, 1.0 - t * t))
-
-            t = float(brentq(mismatch, -1.0, 1.0, xtol=1e-16,
-                             rtol=8.9e-16))
-            x = t * s / u
-            solved = abs(x - amplitude_factor(x) * i00_lin) \
-                <= _FIXED_POINT_TOL * scale
-            break
-    if not solved:
-        raise NoConvergence(
-            f"finite-k fixed point stalled at U={u:g}, k={k:g} "
-            f"(residual {abs(x - amplitude_factor(x) * i00_lin):.3g})")
-
-    sine = -u * x / s
-    if abs(sine) > 1.0 + 1e-12:
-        raise UnphysicalAmplitude(
-            f"converged amplitude violates |U I00| <= |2 J_K sin k| "
-            f"(ratio {abs(sine):.6g})")
-    delta = math.asin(max(-1.0, min(1.0, sine)))
-    factor = amplitude_factor(x)
-    u1d = -s * math.tan(delta)
-    return TwoBodyResult(u=u, k=k, u1d=u1d, a=None, delta_k=delta,
-                         i00=x, i_vector=factor * i_lin,
-                         method="fixed-point")
+    delta = phase_shift(linear.u1d, k, kernel.j_k)
+    factor = math.cos(delta)
+    return TwoBodyResult(u=u, k=k, u1d=linear.u1d, a=None, delta_k=delta,
+                         i00=factor * linear.i00,
+                         i_vector=factor * linear.i_vector)
 
 
 def locate_resonances(kernel: OverlapKernel,
@@ -597,29 +571,19 @@ def locate_resonances(kernel: OverlapKernel,
     (the effective interaction changing sign between poles) are located
     by bracketed root finding on the partial-fraction form.
     """
+    poles, weights = (v.tolist() for v in kernel.poles(u_window))
     u_lo, u_hi = u_window
-    if not u_lo < u_hi:
-        raise ConfigError(f"empty coupling window {u_window}")
     mu, c2 = kernel._spectral[:2]
     resonances = []
-    boundaries = [u_lo, u_hi]
-    for mu_j, c2_j in zip(mu, c2):
-        if mu_j == 0.0:
-            continue
-        u_pole = -1.0 / float(mu_j)
-        if not u_lo <= u_pole <= u_hi:
-            continue
-        boundaries.append(u_pole)
-        width = float(c2_j) * abs(u_pole) / kernel.r_entrance
-        residue = u_pole ** 3 * float(c2_j)
+    for u_pole, c2_j in zip(poles, weights):
+        width = c2_j * abs(u_pole) / kernel.r_entrance
         kind = "broad" if width >= BROAD_THRESHOLD else "sharp"
-        resonances.append(Resonance(u=u_pole, width=width, residue=residue,
-                                    kind=kind,
+        resonances.append(Resonance(u=u_pole, width=width,
+                                    residue=u_pole ** 3 * c2_j, kind=kind,
                                     visible=width > VISIBILITY_FLOOR))
-    resonances.sort(key=lambda r: r.u)
 
     crossings: list[float] = []
-    bounds = sorted(set(boundaries))
+    bounds = sorted({u_lo, u_hi, *poles})
     pad = 1e-9
     for lo, hi in zip(bounds, bounds[1:]):
         span = hi - lo

@@ -120,14 +120,25 @@ def test_twobody_resonance_report(tmp_path, capsys):
     assert meta["zero-crossings"].startswith("-7.34862960967")
 
 
-def _assert_sweep_matches_dense(path, kernel, dense_collision_solve):
+def _assert_sweep_matches_dense(path, kernel, dense_collision_solve,
+                                k=0.0):
+    """Every row of a twobody sweep at relative momentum `k` against the
+    direct solve at E(k): the scattering length at k = 0, else the
+    finite-k phase shift and the entrance amplitude cos(delta_k) I00."""
     _, rows = read_csv(path)
     assert rows
+    if k:
+        kernel = kernel.at_relative_momentum(k)
     for row in rows:
         u = float(row["u"])
         _, i00 = dense_collision_solve(kernel, u)
-        want = {"i00": i00, "u1d": u * i00,
-                "a": -2.0 * kernel.j_k / (u * i00)}
+        u1d = u * i00
+        if k:
+            delta = math.atan(-u1d / (2.0 * kernel.j_k * math.sin(k)))
+            want = {"i00": math.cos(delta) * i00, "u1d": u1d,
+                    "delta_k": delta}
+        else:
+            want = {"i00": i00, "u1d": u1d, "a": -2.0 * kernel.j_k / u1d}
         for key, value in want.items():
             assert abs(float(row[key]) - value) <= 1e-12 * abs(value), \
                 (key, u)
@@ -136,11 +147,14 @@ def _assert_sweep_matches_dense(path, kernel, dense_collision_solve):
 def test_twobody_sweep_matches_dense_solve(tmp_path, capsys, two_site_kernel,
                                            dense_collision_solve):
     out = tmp_path / "tb.csv"
-    code, _, _ = run_cli(["twobody", "--trap", "two-site", "--v", "1.0",
-                          "--u-from", "-40", "--u-to", "20", "--points",
-                          "60", "--output", str(out)], capsys)
-    assert code == 0
-    _assert_sweep_matches_dense(out, two_site_kernel, dense_collision_solve)
+    for k in (0.0, 0.3):
+        code, _, _ = run_cli(["twobody", "--trap", "two-site", "--v", "1.0",
+                              "--k", repr(k), "--u-from", "-40", "--u-to",
+                              "20", "--points", "60", "--output", str(out)],
+                             capsys)
+        assert code == 0
+        _assert_sweep_matches_dense(out, two_site_kernel,
+                                    dense_collision_solve, k)
 
     code, _, _ = run_cli(["figure", "fig5", "--output-dir", str(tmp_path)],
                          capsys)
@@ -150,6 +164,18 @@ def test_twobody_sweep_matches_dense_solve(tmp_path, capsys, two_site_kernel,
         q.Harmonic(omega=recipe["omega"]), n_states=recipe["n_states"]))
     _assert_sweep_matches_dense(tmp_path / "fig5.csv", fig5_kernel,
                                 dense_collision_solve)
+
+
+def test_twobody_finite_k_phase_is_positive_zero_at_zero_coupling(
+        tmp_path, capsys):
+    out = tmp_path / "tb.csv"
+    code, _, _ = run_cli(["twobody", "--trap", "two-site", "--v", "1.0",
+                          "--k", "0.3", "--u-from", "-1", "--u-to", "1",
+                          "--points", "3", "--output", str(out)], capsys)
+    assert code == 0
+    _, rows = read_csv(out)
+    zero = rows[1]  # atan(-0.0 / s) alone would print -0.0
+    assert (zero["u"], zero["u1d"], zero["delta_k"]) == ("0.0", "0.0", "0.0")
 
 
 def test_twobody_sweep_refuses_a_pole_point(tmp_path, capsys,

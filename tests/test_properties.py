@@ -64,6 +64,35 @@ def test_collision_diagonal_invariants(trap, u, radius_fraction,
         dense_collision_solve(ker, u_born)[1], rel=1e-10)
 
 
+@given(trap=tabulated_traps(), u=st.floats(-20.0, 20.0),
+       k=st.floats(1e-3, 1.0))
+def test_finite_k_closed_form_solves_the_entrance_equation(trap, u, k):
+    """The closed finite-k solution satisfies
+    x = sqrt(1 - (U x / s)^2) I00(E_k) and sin(delta_k) = -U x / s,
+    s = 2 J_K sin k, to round-off.  Where |U x / s| nears 1, cos(delta_k)
+    carries a relative error eps / cos(delta_k), which the residuals
+    amplify: by 1 / cos(delta_k) for the sine and by 1 / cos^2(delta_k)
+    for the square root of 1 - (U x / s)^2 = cos^2(delta_k)."""
+    ker = q.build_kernel(q.solve_transverse(trap))
+    try:
+        at_k = ker.at_relative_momentum(k)
+    except q.OpenChannel:
+        assume(False)  # the trap's gap is too small for this k
+    assume(at_k.pole_proximity(u) > 1e-3)
+    fk = q.solve_finite_k(ker, u, k)
+    i00_lin = at_k.entrance_amplitude(u)
+    s = 2.0 * ker.j_k * np.sin(k)
+    x, cos_delta = fk.i00, np.cos(fk.delta_k)
+    eps = np.finfo(float).eps
+    assert abs(x - np.sqrt(1.0 - (u * x / s) ** 2) * i00_lin) <= \
+        16 * eps * abs(i00_lin) / cos_delta ** 2
+    assert abs(np.sin(fk.delta_k) + u * x / s) <= 16 * eps / cos_delta
+    assert fk.u1d == u * i00_lin
+    assert np.allclose(fk.i_vector,
+                       cos_delta * q.solve_scattering_length(at_k, u).i_vector,
+                       rtol=0.0, atol=0.0)
+
+
 @given(channels=st.lists(st.floats(2.0, 40.0), min_size=1, max_size=20),
        energies=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
        j_eff=st.floats(0.05, 2.0))
