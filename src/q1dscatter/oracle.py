@@ -2,7 +2,7 @@
 problem, with the scattering length read off the eigenvectors.
 
 No channel expansion is used anywhere here.  A single particle lives on
-a finite strip ``x in [-Lx, Lx]`` (open or periodic) with the trap in
+a finite strip ``x in [-Lx, Lx]`` (open ends) with the trap in
 ``y``; a particle pair at conserved total quasi-momentum ``K`` reduces
 to relative coordinates ``(x = x1 - x2, y1, y2)`` with collective
 hopping ``J_K = 2 J cos(K/2)`` and bosonic exchange symmetry
@@ -76,14 +76,10 @@ class StripProblem:
     u: float
     lx: int
     y_max: int | None = None
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.lx < 16:
             raise ConfigError(f"strip half-extent must be >= 16, got {self.lx}")
-        if self.boundary not in ("open", "periodic"):
-            raise ConfigError(f"boundary must be open or periodic, "
-                              f"got {self.boundary!r}")
 
 
 @dataclass(frozen=True)
@@ -132,12 +128,9 @@ def _transverse_ground(problem: StripProblem):
     return grid, v, spectrum.wavefunctions[0], float(spectrum.energies[0])
 
 
-def _hop_matrix(n: int, amplitude: float, periodic: bool) -> sp.csr_matrix:
+def _hop_matrix(n: int, amplitude: float) -> sp.csr_matrix:
     rows = np.arange(n - 1)
     cols = rows + 1
-    if periodic and n > 2:
-        rows = np.append(rows, 0)
-        cols = np.append(cols, n - 1)
     values = np.full(2 * rows.size, -amplitude)
     return sp.csr_matrix((values, (np.concatenate([rows, cols]),
                                    np.concatenate([cols, rows]))),
@@ -157,7 +150,7 @@ def strip_hamiltonian(problem: StripProblem) -> tuple[sp.csr_matrix,
     y_grid, v, _, _ = _transverse_ground(problem)
     nx = 2 * problem.lx + 1
     ny = len(y_grid)
-    tx = _hop_matrix(nx, J, problem.boundary == "periodic")
+    tx = _hop_matrix(nx, J)
     hy = sp.diags([v, -J * np.ones(ny - 1), -J * np.ones(ny - 1)],
                   [0, -1, 1], format="csr")
     h = sp.kron(tx, sp.identity(ny)) + sp.kron(sp.identity(nx), hy)
@@ -175,7 +168,7 @@ def pair_hamiltonian(problem: StripProblem, total_momentum: float = 0.0
     j_k = pair_hopping(total_momentum)
     nx = 2 * problem.lx + 1
     ny = len(y_grid)
-    tx = _hop_matrix(nx, j_k, problem.boundary == "periodic")
+    tx = _hop_matrix(nx, j_k)
     hy = sp.diags([v, -J * np.ones(ny - 1), -J * np.ones(ny - 1)],
                   [0, -1, 1], format="csr")
     h = (sp.kron(tx, sp.identity(ny * ny))
@@ -425,8 +418,6 @@ def strip_scattering_length(problem: StripProblem) -> OracleResult:
     FitWindowTooSmall, ContaminatedChannel, NoConvergence
         When no clean asymptotic window exists.
     """
-    if problem.boundary != "open":
-        raise ConfigError("scattering extraction needs open boundaries")
     _check_correlation_length(problem, _first_coupled_gap(problem), J)
 
     results = []
@@ -454,8 +445,6 @@ def pair_scattering_length(problem: StripProblem,
     collective hopping ``J_K`` and the entrance projector
     ``psi_0(y1) psi_0(y2)``.
     """
-    if problem.boundary != "open":
-        raise ConfigError("scattering extraction needs open boundaries")
     j_k = pair_hopping(total_momentum)
     _check_correlation_length(problem, _first_coupled_gap(problem), j_k)
 

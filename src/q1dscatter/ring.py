@@ -137,6 +137,17 @@ def _branch_interval(L: int, branch: int) -> tuple[float, float]:
     return lo + pad, hi - pad
 
 
+def _momentum_sides(spectrum: TransverseSpectrum, u: float, L: int,
+                    k: float) -> tuple[float, float]:
+    """The two sides ``2 J sin k sin(kL/2) (1 + U Sigma_L)`` and
+    ``U psi_0(0)^2 cos(kL/2)`` of the pole-free momentum equation."""
+    half = 0.5 * k * L
+    sig = ring_channel_sum(spectrum, k, L)
+    psi0 = float(spectrum.origin_amplitudes[0])
+    return (2.0 * J * math.sin(k) * math.sin(half) * (1.0 + u * sig),
+            u * psi0 * psi0 * math.cos(half))
+
+
 def _pole_free_mismatch(spectrum: TransverseSpectrum, u: float, L: int,
                         k: float) -> float:
     """The momentum equation with both tan poles and coupling poles
@@ -144,20 +155,13 @@ def _pole_free_mismatch(spectrum: TransverseSpectrum, u: float, L: int,
 
     ``G(k) = 2 J sin k sin(kL/2) (1 + U Sigma_L) - U psi_0(0)^2 cos(kL/2)``.
     """
-    half = 0.5 * k * L
-    sig = ring_channel_sum(spectrum, k, L)
-    psi0 = float(spectrum.origin_amplitudes[0])
-    return (2.0 * J * math.sin(k) * math.sin(half) * (1.0 + u * sig)
-            - u * psi0 * psi0 * math.cos(half))
+    lhs, rhs = _momentum_sides(spectrum, u, L, k)
+    return lhs - rhs
 
 
 def _relative_residual(spectrum: TransverseSpectrum, u: float, L: int,
                        k: float) -> float:
-    half = 0.5 * k * L
-    sig = ring_channel_sum(spectrum, k, L)
-    psi0 = float(spectrum.origin_amplitudes[0])
-    lhs = 2.0 * J * math.sin(k) * math.sin(half) * (1.0 + u * sig)
-    rhs = u * psi0 * psi0 * math.cos(half)
+    lhs, rhs = _momentum_sides(spectrum, u, L, k)
     scale = max(abs(lhs), abs(rhs), 2.0 * J * abs(math.sin(k)))
     return abs(lhs - rhs) / scale
 

@@ -84,16 +84,15 @@ def _closed_denominators(spectrum: TransverseSpectrum, energy: float,
     return closed_channels(spectrum.energies[1:limit + 1], energy)[1]
 
 
-def _geometric_tail(terms: list[float]) -> float:
+def _geometric_tail(last: float, prev: float) -> float:
     """Geometric extrapolation bound on the dropped part of a channel sum.
 
-    Uses the last two nonzero term magnitudes; returns ``inf`` when the
-    sequence is not (yet) decaying.
+    Uses the last two nonzero term magnitudes, `prev` then `last` (0
+    where the sum has fewer); returns ``inf`` when the sequence is not
+    (yet) decaying.
     """
-    mags = [abs(t) for t in terms if t != 0.0]
-    if len(mags) < 2:
+    if prev == 0.0:
         return math.inf
-    last, prev = mags[-1], mags[-2]
     ratio = last / prev
     if ratio >= 1.0:
         return math.inf
@@ -142,23 +141,25 @@ def u_cir(spectrum: TransverseSpectrum, k: float = 0.0,
     denoms = _closed_denominators(spectrum, energy, limit)
 
     total = 0.0
-    terms: list[float] = []
+    last = prev = 0.0  # magnitudes of the last two nonzero terms
     n_used = 0
     for n in range(1, limit + 1):
         term = float(psi0_sq[n]) / float(denoms[n - 1])
         total += term
-        terms.append(term)
         n_used = n
-        if n_cut is None and term != 0.0 and len([t for t in terms if t]) >= 2:
-            scale = max(abs(total), 1e-300)
-            tail = _geometric_tail(terms)
-            if abs(term) < CHANNEL_REL_TOL * scale and tail < tail_tol * scale:
-                break
+        if term != 0.0:
+            prev, last = last, abs(term)
+            if n_cut is None and prev != 0.0:
+                scale = max(abs(total), 1e-300)
+                tail = _geometric_tail(last, prev)
+                if abs(term) < CHANNEL_REL_TOL * scale \
+                        and tail < tail_tol * scale:
+                    break
 
-    tail_bound = _geometric_tail(terms)
+    tail_bound = _geometric_tail(last, prev)
     if complete and n_used == n_avail:
         tail_bound = 0.0
-    if not any(t != 0.0 for t in terms):
+    if last == 0.0:
         # no channel couples to the impurity within this spectrum: the
         # bound-state sum is exactly zero
         tail_bound = 0.0

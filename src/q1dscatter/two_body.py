@@ -54,6 +54,17 @@ so resonances sit at ``U_j = -1/mu_j`` with ``U1D`` residue
 is 1 for an ideal isolated pole and is used to separate physically
 visible resonances from the dense background of negligible ones.
 
+Zero crossings are eigenvalues too.  In ``v = -1/U`` the entrance
+amplitude reads ``I00 = R(00;00) + sum_j c_j^2 / (v - mu_j)``, a
+rank-one secular equation (Golub, SIAM Rev. 15, 318 (1973)) whose roots
+are the eigenvalues ``lambda`` of ``Q H Q``, with
+``Q = 1 - psi_0^2 psi_0^2^T / R(00;00)`` projecting out the entrance
+row: ``U1D`` changes sign at ``U = -1/lambda``, at most once between
+consecutive poles.  An eigenvector of ``H`` that does not overlap the
+entrance row (``p_j = 0``) is left unchanged by ``Q`` and puts a zero
+on its own pole, where the two cancel; such a zero, within
+``_ZERO_POLE_CANCELLATION`` of a pole, is not reported.
+
 At relative quasi-momentum ``k`` the pair scatters at
 ``E_k = -2 J_K cos k + 2 E_0`` and the entrance term carries the factor
 ``sqrt(1 - (U x / s)^2)``, ``s = 2 J_K sin k``: the entrance amplitude
@@ -75,7 +86,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (ConfigError, Diverging, NoConvergence,
                      SignConventionViolation, SingularSystem)
@@ -90,6 +100,11 @@ VISIBILITY_FLOOR = 1e-5
 BROAD_THRESHOLD = 0.05
 
 _SINGULAR_PROXIMITY = 1e-12
+#: A zero of ``I00`` within ``_ZERO_POLE_CANCELLATION * max(1, |U_j|)`` of
+#: a pole ``U_j`` in the window cancels against it and is not reported:
+#: an eigenvector of ``H`` with no entrance overlap keeps its eigenvalue
+#: in ``Q H Q`` up to round-off (``eps max(mu) / mu_j`` relative).
+_ZERO_POLE_CANCELLATION = 1e-9
 _PARITY_SIGN = {"even": 1, "odd": -1, "none": 0}
 
 
@@ -211,9 +226,17 @@ class OverlapKernel:
         return float(-self.denominators.max(initial=-math.inf))
 
     def entrance_amplitude(self, u) -> np.ndarray | float:
-        """``I00(U)`` from the partial-fraction form; vectorized in `u`;
-        infinities mark resonances."""
-        return _partial_fractions(u, *self._spectral[:2], self.r_entrance)
+        """``I00(U) = R(00;00) - U sum_j c_j^2 / (1 + U mu_j)``, the
+        partial-fraction form; vectorized in `u`; infinities mark
+        resonances."""
+        mu, c2 = self._spectral[:2]
+        u_arr = np.asarray(u, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.multiply.outer(u_arr, mu)  # in place: one temporary
+            terms += 1.0
+            np.divide(c2, terms, out=terms)
+            i00 = self.r_entrance - u_arr * terms.sum(axis=-1)
+        return i00 if u_arr.shape else float(i00)
 
     def poles(self, u_window: tuple[float, float]
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,18 +292,6 @@ class OverlapKernel:
             raise ConfigError(f"quasi-momentum must lie in (0, pi), got {k}")
         e0 = float(self.spectrum.energies[0])
         return self.at_energy(-2.0 * self.j_k * math.cos(k) + 2.0 * e0)
-
-
-def _partial_fractions(u, mu: np.ndarray, c2: np.ndarray,
-                       r_entrance: float) -> np.ndarray | float:
-    """``I00(U) = R(00;00) - U sum_j c_j^2 / (1 + U mu_j)``."""
-    u_arr = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.multiply.outer(u_arr, mu)  # in place: one temporary
-        terms += 1.0
-        np.divide(c2, terms, out=terms)
-        i00 = r_entrance - u_arr * terms.sum(axis=-1)
-    return i00 if u_arr.shape else float(i00)
 
 
 @dataclass(frozen=True)
@@ -568,53 +579,35 @@ def locate_resonances(kernel: OverlapKernel,
     scanning); each carries its ``U1D`` residue and normalized strength,
     classified broad/sharp against :data:`BROAD_THRESHOLD` and flagged
     visible above :data:`VISIBILITY_FLOOR`.  Zero crossings of ``U1D``
-    (the effective interaction changing sign between poles) are located
-    by bracketed root finding on the partial-fraction form.
+    (the effective interaction changing sign between poles) are the
+    couplings ``-1/lambda`` for the positive eigenvalues ``lambda`` of
+    ``Q H Q``, ``Q`` projecting out the entrance row (see the module
+    docstring).  A zero within ``1e-9 max(1, |U_j|)`` of a pole ``U_j``
+    in the window cancels against it and is not reported.
     """
-    poles, weights = (v.tolist() for v in kernel.poles(u_window))
+    poles, weights = kernel.poles(u_window)
     u_lo, u_hi = u_window
-    mu, c2 = kernel._spectral[:2]
     resonances = []
-    for u_pole, c2_j in zip(poles, weights):
+    for u_pole, c2_j in zip(poles.tolist(), weights.tolist()):
         width = c2_j * abs(u_pole) / kernel.r_entrance
         kind = "broad" if width >= BROAD_THRESHOLD else "sharp"
         resonances.append(Resonance(u=u_pole, width=width,
                                     residue=u_pole ** 3 * c2_j, kind=kind,
                                     visible=width > VISIBILITY_FLOOR))
 
-    crossings: list[float] = []
-    bounds = sorted({u_lo, u_hi, *poles})
-    pad = 1e-9
-    for lo, hi in zip(bounds, bounds[1:]):
-        span = hi - lo
-        if span <= 4 * pad * max(1.0, abs(lo), abs(hi)):
-            continue
-        a = lo + pad * max(1.0, abs(lo)) if lo != u_lo else lo
-        b = hi - pad * max(1.0, abs(hi)) if hi != u_hi else hi
-        if a == 0.0:
-            a += pad
-        if b == 0.0:
-            b -= pad
-        if not a < b:
-            continue
-        us = np.linspace(a, b, 512)
-        vals = np.asarray(kernel.entrance_amplitude(us))
-        left, right = vals[:-1], vals[1:]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            scan = np.isfinite(left) & np.isfinite(right)
-            changes = scan & (left != 0.0) & (left * right < 0.0)
-        crossings += us[:-1][scan & (left == 0.0)].tolist()
-        for i in np.flatnonzero(changes).tolist():
-            # the callback must not hold the kernel: scipy keeps it in a
-            # reference cycle until the cyclic collector runs
-            crossings.append(float(brentq(
-                _partial_fractions, float(us[i]), float(us[i + 1]),
-                args=(mu, c2, kernel.r_entrance),
-                xtol=1e-14, rtol=8.9e-16)))
-    crossings = sorted(set(c for c in crossings if c != 0.0))
+    psi0_sq = kernel.entrance_row
+    q = np.identity(kernel.collision_sites) \
+        - np.outer(psi0_sq, psi0_sq) / kernel.r_entrance
+    lam = np.linalg.eigvalsh(q @ kernel.green @ q)
+    zeros = -1.0 / lam[lam > 0.0]
+    zeros = zeros[(u_lo <= zeros) & (zeros <= u_hi)]
+    cancelled = (np.abs(np.subtract.outer(zeros, poles))
+                 <= _ZERO_POLE_CANCELLATION * np.maximum(1.0, np.abs(poles))
+                 ).any(axis=1)
+    crossings = np.sort(zeros[~cancelled])
 
     return ResonanceReport(
-        resonances=tuple(resonances), zero_crossings=tuple(crossings),
+        resonances=tuple(resonances), zero_crossings=tuple(crossings.tolist()),
         window=(u_lo, u_hi), n_states=kernel.n_cut,
         n_channels=kernel.n_channels,
         collision_sites=kernel.collision_sites,

@@ -64,6 +64,30 @@ def test_collision_diagonal_invariants(trap, u, radius_fraction,
         dense_collision_solve(ker, u_born)[1], rel=1e-10)
 
 
+@given(trap=tabulated_traps(), total_momentum=st.floats(0.0, 2.0))
+def test_zero_crossings_are_sign_changes_between_poles(trap,
+                                                       total_momentum):
+    """Each reported zero crossing is a sign change of I00, at most one
+    lies between consecutive poles of the window, and none lies within
+    the cancellation distance of a pole."""
+    ker = q.build_kernel(q.solve_transverse(trap),
+                         total_momentum=total_momentum)
+    rep = q.locate_resonances(ker, (-1e3, 0.0))
+    poles = np.array([r.u for r in rep.resonances])
+    crossings = np.array(rep.zero_crossings)
+    assert np.all(np.diff(crossings) > 0.0)
+    assert np.all(np.diff(np.searchsorted(poles, crossings)) > 0)
+    reach = q.two_body._ZERO_POLE_CANCELLATION * np.maximum(1.0,
+                                                            np.abs(poles))
+    assert np.all(np.abs(np.subtract.outer(crossings, poles)) > reach)
+    # I00 is monotone between poles: step half way to the nearest one
+    every_pole = ker.poles((-np.inf, 0.0))[0]
+    for c in crossings:
+        h = 0.5 * np.min(np.abs(every_pole - c), initial=abs(c))
+        assert ker.entrance_amplitude(c - h) * ker.entrance_amplitude(c + h) \
+            < 0.0
+
+
 @given(trap=tabulated_traps(), u=st.floats(-20.0, 20.0),
        k=st.floats(1e-3, 1.0))
 def test_finite_k_closed_form_solves_the_entrance_equation(trap, u, k):
