@@ -27,9 +27,9 @@ from .errors import (AtResonance, BranchCollision, ConfigError,
                      ContaminatedChannel, Diverging, EdgeLeak,
                      FitWindowTooSmall, NoConvergence, NonSymmetric,
                      NoRootInBranch, OpenChannel, PoleInWindow, Q1DError,
-                     QuadratureFail, SharpResonanceUnresolved,
-                     SignConventionViolation, SingularSystem, TailTooLarge,
-                     UnknownFigure, UnorderedSpectrum)
+                     QuadratureFail, SignConventionViolation,
+                     SingularSystem, TailTooLarge, UnknownFigure,
+                     UnorderedSpectrum)
 from .oracle import (OracleResult, StripProblem, pair_hamiltonian,
                      pair_scattering_length, strip_hamiltonian,
                      strip_scattering_length)
@@ -79,8 +79,7 @@ __all__ = [
     # errors
     "Q1DError", "ConfigError", "UnknownFigure", "NonSymmetric",
     "PoleInWindow", "UnorderedSpectrum", "EdgeLeak", "TailTooLarge",
-    "QuadratureFail", "SharpResonanceUnresolved", "NoRootInBranch",
-    "BranchCollision",
+    "QuadratureFail", "NoRootInBranch", "BranchCollision",
     "NoConvergence", "Diverging", "FitWindowTooSmall", "ContaminatedChannel",
     "OpenChannel", "AtResonance", "SingularSystem", "SignConventionViolation",
 ]

@@ -18,9 +18,19 @@ continuum becomes the integral
 with ``E(q) = -2 J cos q + E_0`` and ``alpha_q`` the decay factor of the
 continuum channel; the denominator is smooth and bounded away from zero
 (it never exceeds ``-v_inf`` for the zero-range well), so ``S(k)`` is
-finite for every positive well depth.  The resonance position follows
-from ``1/U_CIR(k) = sum_bound + S(k)``; for the zero-range well the
-bound sum is empty and ``1/U_CIR = S(0)`` exactly.
+finite for every positive well depth.  ``S(k)`` is this one quadrature
+of one integrand; a quasi-bound transverse state needs no separate
+term, since the adaptive panels resolve its peak in ``phi_q(0)^2``.  The
+resonance position follows from ``1/U_CIR(k) = sum_bound + S(k)``; for
+the zero-range well the bound sum is empty and ``1/U_CIR = S(0)``
+exactly.  The tests check ``1/U_CIR`` against an independent witness,
+the channel sum over every excited state of the well in a finite
+hard-wall box, which converges to the same value.
+
+The bound sum holds only the well's states below the band bottom
+``v_inf - 2 J``.  A well with a site above ``v_inf + 2 J`` can also
+bind states above the band; those are omitted, and ``1/U_CIR`` misses
+their (small, negative) contribution.
 """
 
 from __future__ import annotations
@@ -30,15 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import curve_fit
 
-from .errors import (ConfigError, QuadratureFail, SharpResonanceUnresolved)
+from .errors import ConfigError, QuadratureFail
 from .single_particle import CirValue
 from .traps import (DeltaWell, J, Tabulated, TransverseSpectrum, alpha_closed,
                     closed_channels, solve_transverse)
 
-#: |d(theta)/dq| above which a sharp transverse resonance is suspected
-SHARP_DERIVATIVE_THRESHOLD = 1e3
 DEFAULT_QUAD_TOL = 1e-10
 _FD_STEP = 1e-6
 
@@ -69,14 +76,11 @@ class ContinuumState:
 class ContinuumSum:
     """The continuum channel integral ``S(k)``.
 
-    ``sharp_resonance_part`` holds the separately-added contribution of a
-    quasi-bound transverse state (zero when none is detected);
     ``quadrature_error`` is the integration error estimate and ``k`` the
     longitudinal quasi-momentum it was evaluated at.
     """
 
     value: float
-    sharp_resonance_part: float
     quadrature_error: float
     k: float
 
@@ -105,33 +109,39 @@ def scattering_state(spec: ContinuumSpec, q: float) -> ContinuumState:
     ``tan(theta_q) = v0 / (2 J sin q)`` with
     ``|phi_q(0)|^2 = cos^2(theta_q)``; tabulated wells are matched by an
     outward site recursion onto ``cos(q|y| + theta)`` beyond the well
-    range, with the derivative taken by centered finite differences.
+    range, with the derivative taken by centered finite differences
+    whose points stay inside ``(0, pi)``.
     """
     v_inf = _check_continuum_spec(spec)
     if not 0.0 < abs(q) < math.pi:
         raise ConfigError(f"transverse quasi-momentum must lie in (0, pi), got {q}")
     s = abs(q)
+    theta, phi0 = _phase(spec, s)
 
     if isinstance(spec, DeltaWell):
         sq = 2.0 * J * math.sin(s)
-        theta = math.atan2(v_inf, sq)
-        phi0 = math.cos(theta)
         dtheta = -2.0 * J * v_inf * math.cos(s) / (sq * sq + v_inf * v_inf)
-        return ContinuumState(q=q, theta=theta, phi0=phi0, dtheta_dq=dtheta)
-
-    theta, phi0 = _matched_phase(spec, s)
-    tp = _matched_phase(spec, s + _FD_STEP)[0]
-    tm = _matched_phase(spec, s - _FD_STEP)[0]
-    # unwrap the mod-pi branch across the difference
-    dp = (tp - theta + math.pi / 2) % math.pi - math.pi / 2
-    dm = (theta - tm + math.pi / 2) % math.pi - math.pi / 2
-    dtheta = (dp + dm) / (2.0 * _FD_STEP)
+    else:
+        step = min(_FD_STEP, s / 2.0, (math.pi - s) / 2.0)
+        tp = _phase(spec, s + step)[0]
+        tm = _phase(spec, s - step)[0]
+        # unwrap the mod-pi branch across the difference
+        dp = (tp - theta + math.pi / 2) % math.pi - math.pi / 2
+        dm = (theta - tm + math.pi / 2) % math.pi - math.pi / 2
+        dtheta = (dp + dm) / (2.0 * step)
     return ContinuumState(q=q, theta=theta, phi0=phi0, dtheta_dq=dtheta)
 
 
-def _matched_phase(spec: Tabulated, q: float) -> tuple[float, float]:
-    """Outward recursion through the tabulated well, matched to
-    ``cos(q y + theta)`` at the well edge; returns ``(theta, phi_q(0))``."""
+def _phase(spec: ContinuumSpec, q: float) -> tuple[float, float]:
+    """``(theta_q, phi_q(0))`` of the symmetric state at ``0 < q < pi``,
+    ``phi_q(0)`` relative to unit outer amplitude.
+
+    Tabulated wells: outward recursion through the well, matched to
+    ``cos(q y + theta)`` at the well edge.
+    """
+    if isinstance(spec, DeltaWell):
+        theta = math.atan2(spec.v0, 2.0 * J * math.sin(q))
+        return theta, math.cos(theta)
     v_inf = float(spec.asymptote)
     grid = spec.grid
     r = int(grid[-1])
@@ -149,7 +159,9 @@ def _matched_phase(spec: Tabulated, q: float) -> tuple[float, float]:
         rho = psi[r + 1] / psi[r]
         u = math.atan2(math.cos(q) - rho, math.sin(q))
     theta = math.remainder(u - q * r, math.pi)
-    c_outer = psi[r] / math.cos(q * r + theta) if abs(math.cos(q * r + theta)) > 1e-300 else psi[r + 1] / math.cos(q * (r + 1) + theta)
+    # divide at whichever matching site lies farther from a node
+    cos_r, cos_r1 = math.cos(q * r + theta), math.cos(q * (r + 1) + theta)
+    c_outer = psi[r] / cos_r if abs(cos_r) >= abs(cos_r1) else psi[r + 1] / cos_r1
     phi0 = psi[0] / c_outer
     return theta, phi0
 
@@ -167,72 +179,6 @@ def _bound_reference(spec: ContinuumSpec) -> tuple[float, TransverseSpectrum | N
         return spec.bound_energy, None
     spectrum = solve_transverse(spec)
     return float(spectrum.energies[0]), spectrum
-
-
-def _integrand_factory(spec: ContinuumSpec, k: float, e0: float):
-    v_inf = _check_continuum_spec(spec)
-    e_k = -2.0 * J * math.cos(k) + e0
-
-    def integrand(q: float) -> float:
-        if q == 0.0 or abs(q) >= math.pi:
-            return _integrand_limit(spec, q, e_k, v_inf)
-        st = scattering_state(spec, q)
-        channel = v_inf - 2.0 * J * math.cos(q)
-        den = alpha_closed(channel, e_k).denominator
-        return st.phi0 ** 2 / den
-
-    return integrand
-
-
-def _integrand_limit(spec: ContinuumSpec, q: float, e_k: float,
-                     v_inf: float) -> float:
-    """Band-edge values of the integrand (finite one-sided limits)."""
-    channel = v_inf - 2.0 * J * math.cos(q)
-    den = alpha_closed(channel, e_k).denominator
-    if isinstance(spec, DeltaWell):
-        return 0.0 if q == 0.0 else (2.0 * J * math.sin(q)) ** 2 / (
-            (2.0 * J * math.sin(q)) ** 2 + v_inf ** 2) / den
-    return 0.0  # tabulated wells: cos^2 matching vanishes at band edges
-
-
-def _sharp_scan(spec: ContinuumSpec, n_scan: int = 2001):
-    """Scan |d(theta)/dq| for quasi-bound transverse states.
-
-    Returns ``None`` or the fitted ``(q0, width, weight)`` of the peak.
-    """
-    if isinstance(spec, DeltaWell):
-        return None  # d(theta)/dq is bounded by 2J/v0: no sharp structure
-    qs = np.linspace(1e-6, math.pi - 1e-6, n_scan)
-    der = np.array([scattering_state(spec, float(q)).dtheta_dq for q in qs])
-    peak = int(np.argmax(np.abs(der)))
-    if abs(der[peak]) < SHARP_DERIVATIVE_THRESHOLD:
-        return None
-    if peak in (0, len(qs) - 1):
-        raise SharpResonanceUnresolved(
-            "phase-derivative peak sits at the scan boundary")
-    # Lorentzian d(theta)/dq = w0*(G/2)/((q-q0)^2+(G/2)^2): area pi*w0
-    half = max(3, int(round(0.02 * n_scan)))
-    lo, hi = max(0, peak - half), min(len(qs), peak + half + 1)
-
-    def lorentz(q, q0, gamma, amp):
-        return amp * (gamma / 2.0) ** 2 / ((q - q0) ** 2 + (gamma / 2.0) ** 2)
-
-    try:
-        width0 = max(qs[1] - qs[0], 1.0 / abs(der[peak]))
-        popt, _ = curve_fit(lorentz, qs[lo:hi], der[lo:hi],
-                            p0=(qs[peak], width0, der[peak]), maxfev=10_000)
-    except Exception as exc:  # fit failure surfaces as a domain error
-        raise SharpResonanceUnresolved(f"Lorentzian fit failed: {exc}") from exc
-    q0, gamma, amp = float(popt[0]), abs(float(popt[1])), float(popt[2])
-    if not (qs[lo] < q0 < qs[hi - 1]) or not math.isfinite(amp):
-        raise SharpResonanceUnresolved("Lorentzian fit left the scan window")
-    model = lorentz(qs[lo:hi], *popt)
-    rel = float(np.max(np.abs(model - der[lo:hi]))) / abs(der[peak])
-    if rel > 0.2:
-        raise SharpResonanceUnresolved(
-            f"phase-derivative peak is not Lorentzian (misfit {rel:.2f})")
-    weight = amp * gamma / 2.0  # area / pi
-    return q0, gamma, weight
 
 
 def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
@@ -260,22 +206,15 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
     ------
     QuadratureFail
         If the adaptive error estimate exceeds ``10 * quad_tol``.
-    SharpResonanceUnresolved
-        If a quasi-bound state is detected but cannot be fitted.
     """
-    e0, _ = _bound_reference(spec)
-    integrand = _integrand_factory(spec, k, e0)
+    v_inf = _check_continuum_spec(spec)
+    e_k = -2.0 * J * math.cos(k) + _bound_reference(spec)[0]
 
-    sharp = _sharp_scan(spec)
-    sharp_part = 0.0
-    if sharp is not None:
-        q0, _gamma, weight = sharp
-        v_inf = _check_continuum_spec(spec)
-        e_k = -2.0 * J * math.cos(k) + e0
-        channel = v_inf - 2.0 * J * math.cos(q0)
-        den = alpha_closed(channel, e_k).denominator
-        phi0 = scattering_state(spec, q0).phi0
-        sharp_part = weight * phi0 ** 2 / den
+    def integrand(q: float) -> float:
+        if not 0.0 < q < math.pi:
+            return 0.0  # phi_q(0) vanishes at the band edges
+        den = alpha_closed(v_inf - 2.0 * J * math.cos(q), e_k).denominator
+        return _phase(spec, q)[1] ** 2 / den
 
     if method == "adaptive":
         val, err = quad(integrand, 0.0, math.pi,
@@ -284,10 +223,7 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
             raise QuadratureFail(
                 f"adaptive quadrature error estimate {err:.3g} exceeds "
                 f"10 x quad_tol = {quad_tol * 10.0:g}")
-        return ContinuumSum(value=val / math.pi + sharp_part,
-                            sharp_resonance_part=sharp_part,
-                            quadrature_error=err / math.pi, k=k)
-    if method == "grid":
+    elif method == "grid":
         if grid_points < 16:
             raise ConfigError("grid quadrature needs at least 16 points")
         qs = np.linspace(0.0, math.pi, grid_points)
@@ -295,10 +231,10 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
         val = float(np.trapezoid(vals, qs))
         coarse = float(np.trapezoid(vals[::2], qs[::2]))
         err = abs(val - coarse) / 3.0
-        return ContinuumSum(value=val / math.pi + sharp_part,
-                            sharp_resonance_part=sharp_part,
-                            quadrature_error=err / math.pi, k=k)
-    raise ConfigError(f"unknown quadrature method {method!r}")
+    else:
+        raise ConfigError(f"unknown quadrature method {method!r}")
+    return ContinuumSum(value=val / math.pi, quadrature_error=err / math.pi,
+                        k=k)
 
 
 def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,

@@ -66,11 +66,6 @@ class QuadratureFail(Q1DError):
     """Quadrature error estimate exceeds the requested tolerance."""
 
 
-class SharpResonanceUnresolved(Q1DError):
-    """A near-singular phase-shift derivative was detected but the
-    resonance peak could not be localized and fitted."""
-
-
 class NoRootInBranch(Q1DError):
     """The ring momentum equation has no root in the requested branch."""
 

@@ -78,6 +78,11 @@ class StripProblem:
     y_max: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.trap, DeltaWell):
+            raise ConfigError(
+                "the exact-diagonalization oracle does not take the delta "
+                "well: its closed channels form a transverse continuum; "
+                "use the continuum module")
         if self.lx < 16:
             raise ConfigError(f"strip half-extent must be >= 16, got {self.lx}")
 
@@ -112,7 +117,7 @@ class OracleResult:
 def _effective_trap(problem: StripProblem) -> TrapSpec:
     if problem.y_max is None:
         return problem.trap
-    if isinstance(problem.trap, (Harmonic, DeltaWell)):
+    if isinstance(problem.trap, Harmonic):
         return replace(problem.trap, y_max=problem.y_max)
     raise ConfigError(
         "y_max override applies only to traps on an auto-sized grid")
@@ -122,7 +127,7 @@ def _transverse_ground(problem: StripProblem):
     """Transverse grid, potential, and ground state used by the strip."""
     trap = _effective_trap(problem)
     spectrum = solve_transverse(trap, n_states=1) \
-        if isinstance(trap, (Harmonic, DeltaWell)) else solve_transverse(trap)
+        if isinstance(trap, Harmonic) else solve_transverse(trap)
     grid = spectrum.grid
     _, v = potential_on_grid(trap, int(grid[-1]))
     return grid, v, spectrum.wavefunctions[0], float(spectrum.energies[0])
@@ -240,9 +245,8 @@ def _check_correlation_length(problem: StripProblem, gap: float,
 
 def _first_coupled_gap(problem: StripProblem) -> float:
     trap = _effective_trap(problem)
-    spectrum = solve_transverse(trap) \
-        if not isinstance(trap, (Harmonic, DeltaWell)) \
-        else solve_transverse(trap, n_states=3)
+    spectrum = solve_transverse(trap, n_states=3) \
+        if isinstance(trap, Harmonic) else solve_transverse(trap)
     if spectrum.n_states < 2:
         return math.inf
     n = 2 if (spectrum.symmetric and spectrum.n_states > 2) else 1

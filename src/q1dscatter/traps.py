@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import (ConfigError, EdgeLeak, NonSymmetric, OpenChannel,
                      UnorderedSpectrum)
@@ -438,7 +438,8 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None,
     Raises
     ------
     EdgeLeak
-        If an explicit grid cannot hold the requested states.
+        If an explicit grid cannot hold the requested states, or a
+        continuum-supporting well binds fewer than requested.
     NonSymmetric
         If `require_symmetric` is set and the trap is asymmetric.
     """
@@ -521,11 +522,11 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None,
         band_bottom = spec.asymptote - 2.0 * J
         range_max = int(max(abs(spec.grid[0]), abs(spec.grid[-1])))
         y_max = max(range_max + 20, 40)
+        previous = None
         while y_max <= _MAX_AUTO_Y:
             grid, v = potential_on_grid(spec, y_max)
             full = _grid_eigensolve(grid, v, None, edge_tol, symmetric=symmetric)
-            bound = full.energies < band_bottom - 1e-12
-            n_bound = int(np.sum(bound))
+            n_bound = int(np.sum(full.energies < band_bottom - 1e-12))
             if n_bound > 0 and (n_states is None or n_bound >= n_states):
                 sel = slice(0, n_states if n_states is not None else n_bound)
                 return TransverseSpectrum(
@@ -533,8 +534,19 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None,
                     wavefunctions=full.wavefunctions[:n_bound][sel],
                     parities=full.parities[:n_bound][sel],
                     grid=grid, symmetric=symmetric)
+            # a finite-range well binds finitely many states: once a
+            # doubling added none below the band and every one decays at
+            # the edges, no larger box holds more
+            n_below = len(eigvalsh_tridiagonal(
+                v, -J * np.ones(len(v) - 1), select="v",
+                select_range=(-np.inf, band_bottom - 1e-12)))
+            if n_bound == n_below == previous:
+                break
+            previous = n_bound
             y_max *= 2
-        raise EdgeLeak("no bound state found below the transverse band bottom")
+        raise EdgeLeak(
+            f"the well holds {previous} bound states below the transverse "
+            f"band bottom; {n_states or 1} requested")
 
     raise ConfigError(f"unknown trap spec {type(spec).__name__}")
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import q1dscatter as q
 
@@ -98,3 +99,58 @@ def test_tabulated_asymptote_reproduces_delta_well():
     s_t = q.continuum_sum(tab)
     s_d = q.continuum_sum(q.DeltaWell(v0=1.0))
     assert s_t.value == pytest.approx(s_d.value, rel=1e-8)
+
+
+def _cavity(barrier):
+    """A dip inside a cavity walled by two sites of height `barrier`."""
+    inner = {-3: 0.8, -2: 0.8, -1: 0.8, 0: -1.5, 1: 0.8, 2: 0.8, 3: 0.8}
+    return q.Tabulated.from_mapping({-4: barrier, **inner, 4: barrier}, 1.0)
+
+
+def _box_channel_sum(well, k, half_width=1000):
+    """Independent witness of ``1/U_CIR``: the closed-channel sum over
+    every excited state of the well on a hard-wall box of
+    ``2 half_width + 1`` sites, ``sum_n psi_n(0)^2 / D_n`` with the
+    closed form ``D_n = -sqrt((E_n - E)^2 - 4 J^2)``."""
+    v = np.full(2 * half_width + 1, well.asymptote)
+    for y, value in well.values:
+        v[y + half_width] = value
+    energies, vectors = scipy.linalg.eigh_tridiagonal(
+        v, -np.ones(2 * half_width))
+    gaps = energies[1:] - (energies[0] - 2.0 * math.cos(k))
+    assert np.all(gaps > 2.0)  # every channel closed
+    return float(np.sum(vectors[half_width, 1:] ** 2
+                        / -np.sqrt(gaps ** 2 - 4.0)))
+
+
+@pytest.mark.parametrize("k", [0.0, 0.3])
+@pytest.mark.parametrize("well", [
+    q.Tabulated.from_mapping({0: 0.0}, 1.0),
+    q.Tabulated.from_mapping({-1: 0.5, 0: -0.9, 1: 0.5}, 1.0),
+    _cavity(16.0),
+], ids=["zero-range", "dip", "cavity"])
+def test_continuum_matches_finite_box_channel_sum(well, k):
+    # bound sum plus S(k) is the box sum in the infinite-box limit; the
+    # cavity's two bound states above the band add -2.5e-11 to the box
+    inverse = q.u_cir_with_continuum(well, k=k).inverse
+    assert abs(inverse - _box_channel_sum(well, k)) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="bound states above the band (here "
+                   "two at E = 4.59) are left out of the bound sum")
+def test_bound_states_above_the_band_enter_the_channel_sum():
+    well = _cavity(4.0)
+    inverse = q.u_cir_with_continuum(well).inverse
+    assert abs(inverse - _box_channel_sum(well, 0.0)) < 1e-9
+
+
+@pytest.mark.parametrize("qq", [1e-6, 1e-9])
+def test_scattering_state_next_to_the_band_bottom(qq):
+    # the zero-energy solution beyond this well is 1 - |y|, with a node
+    # on the matching site y = 1: theta_q = pi/2 - q + O(q^3), and
+    # psi(2) = -1 = -sin(q) / phi_q(0)
+    well = q.Tabulated.from_mapping({-1: 0.5, 0: -1.0, 1: 0.5}, 1.0)
+    st = q.scattering_state(well, qq)
+    assert st.dtheta_dq == pytest.approx(-1.0, abs=1e-6)
+    assert st.phi0 == pytest.approx(math.sin(qq), rel=1e-6)
+    assert math.isfinite(q.continuum_sum(well).value)

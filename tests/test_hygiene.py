@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a package
 module imports is used in that module (``__init__.py`` imports to
-re-export, so it is exempt)."""
+re-export, so it is exempt), and every error class is exported and
+named by some module other than ``errors.py``."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,14 @@ def test_module_uses_every_import(path):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def test_every_error_class_is_exported_and_raised_somewhere():
+    errors = next(p for p in MODULES if p.name == "errors.py")
+    classes = [node.name for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    assert set(classes) <= set(q1dscatter.__all__)
+    used = set().union(*(_used_names(ast.parse(p.read_text()))
+                         for p in MODULES if p != errors))
+    assert not set(classes) - used, \
+        f"error classes no other module names: {set(classes) - used}"

@@ -174,6 +174,38 @@ def test_edge_leak_guard():
         q.solve_transverse(q.Harmonic(omega=1e-3, y_max=10.0), n_states=40)
 
 
+@pytest.mark.parametrize("values, n_states", [
+    ({0: 0.0}, 2),                    # one bound state, two requested
+    ({-1: 1.5, 0: 1.2, 1: 1.5}, None),  # barrier: no bound state at all
+])
+def test_continuum_well_short_of_bound_states_fails_fast(
+        monkeypatch, values, n_states):
+    # a finite-range well gains no bound state as its box grows, so the
+    # auto-sized grid stops doubling instead of running out of memory
+    solves = []
+    solve = traps._grid_eigensolve
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(traps, "_grid_eigensolve", counted)
+    with pytest.raises(q.EdgeLeak):
+        q.solve_transverse(q.Tabulated.from_mapping(values, 1.0),
+                           n_states=n_states)
+    assert len(solves) <= 3
+
+
+def test_continuum_well_grid_grows_to_hold_a_shallow_state():
+    # V = 0.9 at the origin under asymptote 1.0 is the zero-range well of
+    # depth 0.1, whose bound state decays as 0.951**|y|: it needs a
+    # half-width of several hundred sites to clear the edge tolerance
+    spec = q.solve_transverse(q.Tabulated.from_mapping({0: 0.9}, 1.0))
+    assert spec.n_states == 1
+    assert spec.energies[0] == pytest.approx(
+        0.9 + q.DeltaWell(v0=0.1).bound_energy, abs=1e-12)
+
+
 def test_half_width_must_be_integral():
     # the grid -y_max..y_max must hold the impurity row y = 0
     for y_max in (0, 10.5):
