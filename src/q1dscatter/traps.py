@@ -522,31 +522,33 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None,
         band_bottom = spec.asymptote - 2.0 * J
         range_max = int(max(abs(spec.grid[0]), abs(spec.grid[-1])))
         y_max = max(range_max + 20, 40)
-        previous = None
-        while y_max <= _MAX_AUTO_Y:
+        n_wanted = n_max = n_states if n_states is not None else 1
+        while n_max >= n_wanted and y_max <= _MAX_AUTO_Y:
             grid, v = potential_on_grid(spec, y_max)
-            full = _grid_eigensolve(grid, v, None, edge_tol, symmetric=symmetric)
-            n_bound = int(np.sum(full.energies < band_bottom - 1e-12))
-            if n_bound > 0 and (n_states is None or n_bound >= n_states):
-                sel = slice(0, n_states if n_states is not None else n_bound)
-                return TransverseSpectrum(
-                    energies=full.energies[:n_bound][sel],
-                    wavefunctions=full.wavefunctions[:n_bound][sel],
-                    parities=full.parities[:n_bound][sel],
-                    grid=grid, symmetric=symmetric)
-            # a finite-range well binds finitely many states: once a
-            # doubling added none below the band and every one decays at
-            # the edges, no larger box holds more
-            n_below = len(eigvalsh_tridiagonal(
-                v, -J * np.ones(len(v) - 1), select="v",
+            # levels below the band of the hard-wall box bound the well's
+            # from above; cutting the end bonds and lowering the end sites
+            # by J bounds H from below by a box whose count below the band
+            # caps the bound states (the cut-off half-chains start at it)
+            n_box, n_max = (len(eigvalsh_tridiagonal(
+                d, -J * np.ones(len(v) - 1), select="v",
                 select_range=(-np.inf, band_bottom - 1e-12)))
-            if n_bound == n_below == previous:
-                break
-            previous = n_bound
+                for d in (v, v - J * (np.abs(grid) == y_max)))
+            if n_box >= n_wanted:
+                full = _grid_eigensolve(grid, v, None, edge_tol,
+                                        symmetric=symmetric)
+                n_bound = int(np.sum(full.energies < band_bottom - 1e-12))
+                if n_bound >= n_wanted:
+                    sel = slice(0, n_states if n_states is not None else n_bound)
+                    return TransverseSpectrum(
+                        energies=full.energies[:n_bound][sel],
+                        wavefunctions=full.wavefunctions[:n_bound][sel],
+                        parities=full.parities[:n_bound][sel],
+                        grid=grid, symmetric=symmetric)
             y_max *= 2
         raise EdgeLeak(
-            f"the well holds {previous} bound states below the transverse "
-            f"band bottom; {n_states or 1} requested")
+            f"{n_wanted} bound states requested below the transverse band "
+            f"bottom; the well holds at most {n_max}, and fewer decay at "
+            f"the edges up to half-width {y_max // 2}")
 
     raise ConfigError(f"unknown trap spec {type(spec).__name__}")
 

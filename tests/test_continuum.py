@@ -128,10 +128,13 @@ def _box_channel_sum(well, k, half_width=1000):
     q.Tabulated.from_mapping({0: 0.0}, 1.0),
     q.Tabulated.from_mapping({-1: 0.5, 0: -0.9, 1: 0.5}, 1.0),
     _cavity(16.0),
-], ids=["zero-range", "dip", "cavity"])
+    _cavity(64.0),
+], ids=["zero-range", "dip", "cavity", "narrow-cavity"])
 def test_continuum_matches_finite_box_channel_sum(well, k):
     # bound sum plus S(k) is the box sum in the infinite-box limit; the
-    # cavity's two bound states above the band add -2.5e-11 to the box
+    # cavity's two bound states above the band add -2.5e-11 to the box,
+    # and walls of 64 narrow its quasi-bound peak to a half-width of
+    # 2.3e-5 in q, which the adaptive panels must still find
     inverse = q.u_cir_with_continuum(well, k=k).inverse
     assert abs(inverse - _box_channel_sum(well, k)) < 1e-9
 

@@ -70,11 +70,11 @@ def test_strip_size_validation():
             q.StripProblem(trap=q.TwoSite(v=1.0), u=-2.0, lx=16))
 
 
-
 def test_delta_well_refused_up_front():
     with pytest.raises(q.ConfigError,
                        match="oracle does not take the delta well"):
         q.StripProblem(trap=q.DeltaWell(v0=1.0), u=-2.0, lx=100)
+
 
 # ------------------------------------------- sparse assembly and sectors
 
