@@ -21,11 +21,15 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_origin
+
+import numpy
+import scipy
 
 from . import __version__
 from .errors import ConfigError, NoRootInBranch, Q1DError, TailTooLarge, \
@@ -360,6 +364,25 @@ def write_csv(path: Path, config: RunConfig, header: list[str],
             writer.writerow([_fmt(cell) for cell in row])
 
 
+def _environment() -> dict[str, object]:
+    """Interpreter, library and CPU facts of this run: manifest only,
+    never the CSV or the config hash."""
+    def blas(package) -> dict[str, object]:
+        info = package.show_config(mode="dicts").get(
+            "Build Dependencies", {}).get("blas", {})
+        return {"name": info.get("name"), "version": info.get("version")}
+
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"numpy": blas(numpy), "scipy": blas(scipy)},
+        # CPUs this process may run on (affinity is Linux-only)
+        "cpus": (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count()),
+    }
+
+
 def write_manifest(path: Path, config: RunConfig, outputs: list[Path],
                    diagnostics: dict[str, object]) -> None:
     payload = {
@@ -370,6 +393,7 @@ def write_manifest(path: Path, config: RunConfig, outputs: list[Path],
         "config_hash": config.config_hash(),
         "outputs": [str(p) for p in outputs],
         "diagnostics": diagnostics,
+        "environment": _environment(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                default=repr) + "\n")

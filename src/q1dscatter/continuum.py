@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, QuadratureFail
 from .single_particle import CirValue
@@ -51,6 +50,13 @@ from .traps import (DeltaWell, J, Tabulated, TransverseSpectrum, alpha_closed,
 
 DEFAULT_QUAD_TOL = 1e-10
 _FD_STEP = 1e-6
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first call: the import costs
+    ~0.4 s and only the continuum path needs it."""
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -175,18 +181,25 @@ def density_of_states(state: ContinuumState, box_half_width: float) -> float:
     return box_half_width / math.pi + state.dtheta_dq / math.pi
 
 
-def _bound_reference(spec: ContinuumSpec) -> tuple[float, TransverseSpectrum | None]:
-    """Ground (entrance-channel) energy of the well's bound sector."""
-    if isinstance(spec, DeltaWell):
-        return spec.bound_energy, None
-    spectrum = solve_transverse(spec)
+def _bound_reference(spec: ContinuumSpec,
+                     spectrum: TransverseSpectrum | None = None
+                     ) -> tuple[float, TransverseSpectrum | None]:
+    """Ground (entrance-channel) energy of the well's bound sector, and
+    that sector (`spectrum` if given, solved otherwise; None for the
+    zero-range well)."""
+    if spectrum is None:
+        if isinstance(spec, DeltaWell):
+            return spec.bound_energy, None
+        spectrum = solve_transverse(spec)
     return float(spectrum.energies[0]), spectrum
 
 
 def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
                   quad_tol: float = DEFAULT_QUAD_TOL,
                   method: str = "adaptive",
-                  grid_points: int = 10_000) -> ContinuumSum:
+                  grid_points: int = 10_000,
+                  spectrum: TransverseSpectrum | None = None
+                  ) -> ContinuumSum:
     """Continuum channel integral ``S(k)``.
 
     Parameters
@@ -203,6 +216,9 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
         cross-validate each other).
     grid_points : int
         Node count for ``method='grid'``.
+    spectrum : TransverseSpectrum, optional
+        A previously solved bound sector of `spec` to reuse; its ground
+        energy sets the entrance energy.
 
     Raises
     ------
@@ -210,7 +226,7 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
         If the adaptive error estimate exceeds ``10 * quad_tol``.
     """
     v_inf = _check_continuum_spec(spec)
-    e_k = -2.0 * J * math.cos(k) + _bound_reference(spec)[0]
+    e_k = -2.0 * J * math.cos(k) + _bound_reference(spec, spectrum)[0]
 
     def integrand(q: float) -> float:
         if not 0.0 < q < math.pi:
@@ -258,16 +274,13 @@ def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,
     ConfigError
         If `continuum` was evaluated at another ``k``.
     """
-    if continuum is None:
-        continuum = continuum_sum(spec, k=k, quad_tol=quad_tol,
-                                  method=method)
-    elif continuum.k != k:
+    if continuum is not None and continuum.k != k:
         raise ConfigError(f"continuum_sum was evaluated at "
                           f"k={continuum.k}, not k={k}")
-    if spectrum is None:
-        e0, spectrum = _bound_reference(spec)
-    else:
-        e0 = float(spectrum.energies[0])
+    e0, spectrum = _bound_reference(spec, spectrum)
+    if continuum is None:
+        continuum = continuum_sum(spec, k=k, quad_tol=quad_tol,
+                                  method=method, spectrum=spectrum)
     e_k = -2.0 * J * math.cos(k) + e0
     bound_part = 0.0
     n_bound = 1

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (BranchCollision, ConfigError, NoConvergence,
                      NoRootInBranch)
@@ -49,6 +48,13 @@ _EDGE_PAD_HALF_ANGLE = 1e-8  # keep |kL/2 - (pi/2 + m pi)| above this
 _SCAN_POINTS = 400
 _ROOT_SEPARATION = 1e-8
 _RESIDUAL_TOL = 1e-10
+
+
+def brentq(*args, **kwargs):
+    """``scipy.optimize.brentq``, imported on first call: the import costs
+    ~0.2 s and only the ring solvers need it."""
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)

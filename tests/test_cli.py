@@ -308,6 +308,33 @@ def test_manifest_round_trip(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_environment_in_manifest_only(tmp_path, capsys):
+    out = tmp_path / "first.csv"
+    code, _, _ = run_cli(["single", "--trap", "two-site", "--v", "1.0",
+                          "--u-from", "-3", "--u-to", "-1", "--points", "3",
+                          "--output", str(out)], capsys)
+    assert code == 0
+    first = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    env = first["environment"]
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"numpy", "scipy"}
+    assert all(set(b) == {"name", "version"} for b in env["blas"].values())
+    assert env["cpus"] >= 1
+    assert "environment" not in first["config"]
+    meta, _ = read_csv(out)
+    assert not {"python", "numpy", "scipy", "blas", "cpus"} & set(meta)
+    replay = tmp_path / "replay.csv"
+    code, _, _ = run_cli(["single", "--config",
+                          str(tmp_path / "first.csv.manifest.json"),
+                          "--output", str(replay)], capsys)
+    assert code == 0
+    assert out.read_bytes() == replay.read_bytes()
+    second = json.loads((tmp_path / "replay.csv.manifest.json").read_text())
+    assert second["config_hash"] == first["config_hash"]
+    assert second["environment"] == env
+
+
 def test_kernel_diagnostics_in_manifest_only(tmp_path, capsys,
                                             two_site_kernel):
     out = tmp_path / "tb.csv"
@@ -562,16 +589,38 @@ def test_figure_fig1_end_to_end(tmp_path, capsys):
                                                  rel=1e-12)
 
 
-def test_console_script_entry_point(tmp_path):
-    out = tmp_path / "e.csv"
+def _package_env():
     # the child interpreter imports the package these tests import, also
     # when pytest found it through its own `pythonpath` setting
     package_root = str(Path(q.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def test_cold_start_defers_integrate_and_optimize(tmp_path):
+    # scipy.integrate and scipy.optimize cost most of a fresh import;
+    # only the continuum and ring paths load them, at their first call
+    script = f"""
+import json, sys
+from q1dscatter import cli
+lazy = ("scipy.integrate", "scipy.optimize")
+after_import = [m for m in lazy if m in sys.modules]
+code = cli.main(["twobody", "--trap", "two-site", "--v", "1.0",
+                 "--u-from", "-2", "--u-to", "-1", "--points", "5",
+                 "--output", {str(tmp_path / "t.csv")!r}])
+print(json.dumps([after_import, code, [m for m in lazy if m in sys.modules]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
+
+
+def test_console_script_entry_point(tmp_path):
+    out = tmp_path / "e.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "q1dscatter.cli", "transverse", "--trap",
          "two-site", "--v", "1.0", "--output", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_package_env())
     assert proc.returncode == 0
     assert out.exists()

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import q1dscatter as q
+from q1dscatter import continuum
 
 
 def test_delta_well_phase_identity():
@@ -137,6 +138,25 @@ def test_continuum_matches_finite_box_channel_sum(well, k):
     # 2.3e-5 in q, which the adaptive panels must still find
     inverse = q.u_cir_with_continuum(well, k=k).inverse
     assert abs(inverse - _box_channel_sum(well, k)) < 1e-9
+
+
+def test_tabulated_well_is_solved_once(monkeypatch):
+    well = _cavity(16.0)
+    # the bound sector solved separately for S(k) and for the bound sum
+    two_solves = q.u_cir_with_continuum(well, continuum=q.continuum_sum(well))
+    solve = continuum.solve_transverse
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuum, "solve_transverse", counted)
+    cir = q.u_cir_with_continuum(well)
+    assert len(calls) == 1
+    assert cir.u_cir == two_solves.u_cir == -17.91064853518658
+    assert cir.inverse == two_solves.inverse
+    assert cir.tail_bound == two_solves.tail_bound
 
 
 @pytest.mark.xfail(strict=True, reason="bound states above the band (here "

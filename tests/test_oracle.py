@@ -229,11 +229,11 @@ def test_singular_shift_retried_once(monkeypatch):
     factorize = oracle.splu
     shifts = []
 
-    def first_attempt_singular(matrix):
+    def first_attempt_singular(matrix, **kwargs):
         shifts.append(matrix.diagonal()[0])
         if len(shifts) % 2:
             raise RuntimeError("Factor is exactly singular")
-        return factorize(matrix)
+        return factorize(matrix, **kwargs)
 
     monkeypatch.setattr(oracle, "splu", first_attempt_singular)
     retried = q.strip_scattering_length(problem)

@@ -6,7 +6,7 @@ name; a hook whose target was renamed or removed makes
 from pathlib import Path
 
 import q1dscatter as q
-from q1dscatter import ring
+from q1dscatter import continuum, ring
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,3 +27,23 @@ def test_tracer_finds_every_hook(monkeypatch):
     metrics = tracer.metrics()
     assert metrics["two_body.build_kernel.calls"] == 1
     assert metrics["two_body.channels.max"] == 2
+
+
+def test_tracer_counts_the_deferred_solvers(monkeypatch):
+    # ring.brentq and continuum.quad import scipy on first call; they
+    # must stay module-level names the tracer can wrap and count
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    original = continuum.quad
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert continuum.quad is not original
+        q.continuum_sum(q.DeltaWell(v0=1.0))
+    finally:
+        tracer.uninstall()
+    assert continuum.quad is original
+    metrics = tracer.metrics()
+    assert metrics["linalg.quad.calls"] == 1
+    assert metrics["continuum.continuum_sum.calls"] == 1
