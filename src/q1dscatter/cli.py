@@ -683,7 +683,7 @@ def run_oracle(config: RunConfig, out: Path):
                "contamination"], [row], {})
     return [out], {"a": res.a, "diverged": res.diverged,
                    "eigen_residual": res.eigen_residual,
-                   "unknowns": res.unknowns}
+                   "unknowns": res.unknowns, "spread": res.spread}
 
 
 # --------------------------------------------------------------------

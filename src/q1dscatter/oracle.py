@@ -19,31 +19,52 @@ away from both the impurity and the boundary:
 Only states even under ``x -> -x`` (and, for a pair, symmetric under
 ``y1 <-> y2``) can be entrance-dominated scattering states, and both
 symmetries commute with the Hamiltonian for any trap.  Each strip is
-therefore solved in that sector: a sparse isometry ``P`` with columns
-``(|x> + |-x>)/sqrt 2`` (times ``(|y1 y2> + |y2 y1>)/sqrt 2`` for a pair)
-gives ``H_s = P^T H P``, whose shift-invert Lanczos eigenpairs reuse one
-LU factorization of ``H_s - sigma`` per strip (ARPACK mode 3; Lehoucq,
-Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998).  ``H_s`` is
-symmetric, so SuperLU orders it by minimum degree on ``A + A^T``
-(``MMD_AT_PLUS_A``), which fills the factors about half as much as the
-default column ordering.  The sector is also
+therefore solved in that sector, spanned by the normalized orbits
+``(|x> + |-x>)/sqrt 2`` (times ``(|y1 y2> + |y2 y1>)/sqrt 2`` for a
+pair), where it factors as
+
+    H_s = T_x (x) I + I (x) h_Y + |x=0><x=0| (x) C,
+
+``T_x`` the x-even chain, ``h_Y`` the ``m x m`` slice Hamiltonian
+(``m = ny`` for one particle, ``ny (ny + 1)/2`` for the pair) and ``C``
+the diagonal contact term.  ``H_s`` is assembled straight from these
+factors, never from the full-space ``H``.  In the eigenbasis of the
+slice, ``h_Y = R E R^T`` (dense ``eigh``), it becomes
+
+    H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R:
+
+``m`` independent tridiagonal x-chains joined only by one dense
+``m x m`` contact block at ``x = 0``.  Its shift-invert Lanczos
+eigenpairs (ARPACK mode 3; Lehoucq, Sorensen & Yang, *ARPACK Users'
+Guide*, SIAM 1998) reuse one LU factorization of ``H_rot - sigma`` per
+strip.  ``H_rot`` is symmetric, so SuperLU orders it by minimum degree
+on ``A + A^T`` (``MMD_AT_PLUS_A``); the chains then factor without
+fill and the factors hold about ``4 n + m^2`` entries for ``n``
+unknowns, against 40-90 per unknown for ``H_s`` itself.  The dense
+block costs ``O(m^3)`` to factor, which is what keeps a pair on a wide
+grid out of reach (``omega = 0.1``: ``m = 3321``).  The sector is also
 what makes the shift well-posed: ``sigma = e_free - 2 J_eff cos(pi/(Lx+1))``
 is exactly the energy of an x-odd free level, which has a node at the
 impurity and never shifts, so ``H - sigma`` is numerically singular in the
 full space (its Lanczos residuals came out at 1e-9 to 1e-6, leaking into
 ``a`` amplified by 1/k^2), while ``H_s - sigma`` is not.  Ritz vectors are
-mapped back with ``P``, so the entrance projection and the fit act on
-full-space vectors, and every accepted state must have a sector residual
-``|H_s phi - rho phi| <= 1e-10``.  Several states per strip size are
-extracted and ``a(k)`` is extrapolated to ``k = 0`` with a least-squares
-polynomial in ``k^2`` pooled over two strip sizes (the finite-momentum
-error of ``a(k)`` is even in ``k``).
+rotated back with ``R`` and mapped to the full space, so the entrance
+projection and the fit act on full-space vectors.  The Rayleigh
+quotients and the acceptance check ``|H_s phi - rho phi| <= 1e-10`` use
+the real-space ``H_s``, not ``H_rot``: the check then tests the
+eigen-equation of the lattice problem itself, and a wrong rotation or
+a mis-ordered factor fails it (by ~1) instead of passing unseen.
+Several states per strip size are extracted and ``a(k)`` is
+extrapolated to ``k = 0`` with a least-squares polynomial in ``k^2``
+pooled over two strip sizes (the finite-momentum error of ``a(k)`` is
+even in ``k``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,7 +123,9 @@ class OracleResult:
     The quality fields report the worst value over all states used;
     ``eigen_residual`` is the largest sector residual
     ``|H_s phi - rho phi|`` among them and ``unknowns`` the sector size
-    of the finer strip.
+    of the finer strip.  ``spread`` is ``|a_coarse - a_fine|`` (0 for a
+    diverged reading) and ``states`` the ``(k, tan delta)`` of every
+    accepted state, coarse strip first, each ordered by ``k``.
     """
 
     a: float
@@ -116,6 +139,8 @@ class OracleResult:
     contamination: float
     eigen_residual: float
     unknowns: int
+    spread: float
+    states: tuple[tuple[float, float], ...]
 
 
 def _effective_trap(problem: StripProblem) -> TrapSpec:
@@ -152,6 +177,19 @@ def _impurity(n: int, sites: np.ndarray, u: float) -> sp.csr_matrix:
                          shape=(n, n))
 
 
+def _slice_hamiltonian(v: np.ndarray) -> sp.csr_matrix:
+    """Transverse Hamiltonian of one particle on one x-slice."""
+    off = -J * np.ones(v.size - 1)
+    return sp.diags([v, off, off], [0, -1, 1], format="csr")
+
+
+def _pair_slice_hamiltonian(v: np.ndarray) -> sp.csr_matrix:
+    """Transverse Hamiltonian of a pair on one x-slice, index
+    ``iy1 * ny + iy2``."""
+    hy, eye = _slice_hamiltonian(v), sp.identity(v.size)
+    return sp.kron(hy, eye) + sp.kron(eye, hy)
+
+
 def strip_hamiltonian(problem: StripProblem) -> tuple[sp.csr_matrix,
                                                       np.ndarray, np.ndarray]:
     """Sparse single-particle Hamiltonian of the strip; returns
@@ -159,10 +197,8 @@ def strip_hamiltonian(problem: StripProblem) -> tuple[sp.csr_matrix,
     y_grid, v, _, _ = _transverse_ground(problem)
     nx = 2 * problem.lx + 1
     ny = len(y_grid)
-    tx = _hop_matrix(nx, J)
-    hy = sp.diags([v, -J * np.ones(ny - 1), -J * np.ones(ny - 1)],
-                  [0, -1, 1], format="csr")
-    h = sp.kron(tx, sp.identity(ny)) + sp.kron(sp.identity(nx), hy)
+    h = (sp.kron(_hop_matrix(nx, J), sp.identity(ny))
+         + sp.kron(sp.identity(nx), _slice_hamiltonian(v)))
     site = problem.lx * ny + np.searchsorted(y_grid, 0)
     h = h + _impurity(nx * ny, np.array([site]), problem.u)
     x_grid = np.arange(-problem.lx, problem.lx + 1)
@@ -177,13 +213,8 @@ def pair_hamiltonian(problem: StripProblem, total_momentum: float = 0.0
     j_k = pair_hopping(total_momentum)
     nx = 2 * problem.lx + 1
     ny = len(y_grid)
-    tx = _hop_matrix(nx, j_k)
-    hy = sp.diags([v, -J * np.ones(ny - 1), -J * np.ones(ny - 1)],
-                  [0, -1, 1], format="csr")
-    h = (sp.kron(tx, sp.identity(ny * ny))
-         + sp.kron(sp.identity(nx),
-                   sp.kron(hy, sp.identity(ny))
-                   + sp.kron(sp.identity(ny), hy)))
+    h = (sp.kron(_hop_matrix(nx, j_k), sp.identity(ny * ny))
+         + sp.kron(sp.identity(nx), _pair_slice_hamiltonian(v)))
     sites = (problem.lx * ny + np.arange(ny)) * ny + np.arange(ny)
     h = h + _impurity(nx * ny * ny, sites, problem.u)
     x_grid = np.arange(-problem.lx, problem.lx + 1)
@@ -203,27 +234,10 @@ def _orbits(image: np.ndarray) -> sp.csr_matrix:
         shape=(image.size, first.size))
 
 
-def _x_orbits(lx: int) -> sp.csr_matrix:
-    """Orbits of ``x -> -x`` on the sites ``x = -lx..lx``."""
-    return _orbits(np.arange(2 * lx + 1)[::-1])
-
-
-def _strip_orbits(lx: int, ny: int) -> sp.csr_matrix:
-    """Orbits spanning the x-even sector of the single-particle strip."""
-    return sp.kron(_x_orbits(lx), sp.identity(ny), format="csr")
-
-
-def _pair_orbits(lx: int, ny: int) -> sp.csr_matrix:
-    """Orbits spanning the x-even, ``y1 <-> y2`` symmetric sector of the
-    pair strip."""
-    exchange = np.arange(ny * ny).reshape(ny, ny).T.reshape(-1)
-    return sp.kron(_x_orbits(lx), _orbits(exchange), format="csr")
-
-
 def _sector_problem(h: sp.csr_matrix, orbits: sp.csr_matrix
-                    ) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """The sector Hamiltonian ``H_s = P^T H P`` and the isometry ``P``
-    whose columns are the normalized `orbits`.
+                    ) -> sp.csc_matrix:
+    """The sector Hamiltonian ``H_s = P^T H P`` of the isometry ``P``
+    whose columns are the normalized `orbits` (`_isometry`).
 
     ``H_s`` is summed over the unit orbit vectors and then scaled by
     ``1/sqrt(|orbit_i| |orbit_j|)``, so a rounded ``1/sqrt 2`` never
@@ -233,7 +247,73 @@ def _sector_problem(h: sp.csr_matrix, orbits: sp.csr_matrix
     size = np.asarray(orbits.sum(axis=0)).ravel()
     h_s = (orbits.T @ h @ orbits).tocoo()
     h_s.data /= np.sqrt(size[h_s.row] * size[h_s.col])
-    return h_s.tocsc(), orbits @ sp.diags(1.0 / np.sqrt(size))
+    return h_s.tocsc()
+
+
+def _isometry(orbits: sp.csr_matrix) -> sp.csr_matrix:
+    """``P``: the `orbits` columns, each scaled to unit norm."""
+    size = np.asarray(orbits.sum(axis=0)).ravel()
+    return orbits @ sp.diags(1.0 / np.sqrt(size))
+
+
+class _Sector(NamedTuple):
+    """The x-even (pair: and ``y1 <-> y2`` symmetric) sector of one strip
+    in factored form, ``H_s = T_x (x) I + I (x) h_Y + |x=0><x=0| (x) C``.
+
+    ``t_x`` acts on the orbits of ``x -> -x`` (``x = 0`` last), ``h_y``
+    and the diagonal ``contact`` on the ``m`` transverse orbits;
+    ``orbits`` are the 0/1 orbit columns of the full space, x-major.
+    """
+
+    t_x: sp.csc_matrix
+    h_y: sp.csc_matrix
+    contact: sp.csc_matrix
+    orbits: sp.csr_matrix
+
+
+def _sector(problem: StripProblem,
+            total_momentum: float | None = None) -> _Sector:
+    """The sector factors of the single-particle strip
+    (``total_momentum=None``) or of the pair strip at total
+    quasi-momentum ``K``, each the sector of its own factor of the
+    full-space Hamiltonian."""
+    y_grid, v, _, _ = _transverse_ground(problem)
+    ny = len(y_grid)
+    if total_momentum is None:
+        j_eff, h_y = J, _slice_hamiltonian(v)
+        sites = np.searchsorted(y_grid, [0])
+        y_orbits = sp.identity(ny, format="csr")
+    else:
+        j_eff, h_y = pair_hopping(total_momentum), _pair_slice_hamiltonian(v)
+        sites = np.arange(ny) * (ny + 1)  # y1 = y2
+        y_orbits = _orbits(np.arange(ny * ny).reshape(ny, ny).T.reshape(-1))
+    x_orbits = _orbits(np.arange(2 * problem.lx + 1)[::-1])
+    t_x = _sector_problem(_hop_matrix(x_orbits.shape[0], j_eff), x_orbits)
+    h_y = _sector_problem(h_y, y_orbits)
+    contact = _sector_problem(
+        _impurity(y_orbits.shape[0], sites, problem.u), y_orbits)
+    return _Sector(t_x, h_y, contact,
+                   sp.kron(x_orbits, y_orbits, format="csr"))
+
+
+def _kron_sum(t_x: sp.spmatrix, h_y: sp.spmatrix,
+              contact: sp.spmatrix) -> sp.csc_matrix:
+    """``T_x (x) I + I (x) h_y + |x=0><x=0| (x) contact``, x-major, with
+    ``x = 0`` the last x-orbit.  Of a `_Sector`'s own factors it is the
+    real-space ``H_s``, entry for entry ``_sector_problem(H, orbits)``."""
+    nx, m = t_x.shape[0], h_y.shape[0]
+    at_impurity = _impurity(nx, np.array([nx - 1]), 1.0)
+    return (sp.kron(t_x, sp.identity(m)) + sp.kron(sp.identity(nx), h_y)
+            + sp.kron(at_impurity, contact)).tocsc()
+
+
+def _rotated(sector: _Sector) -> tuple[sp.csc_matrix, np.ndarray]:
+    """``H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R`` and the
+    slice eigenbasis ``R`` (``h_Y = R E R^T``), so that
+    ``H_s (I (x) R) = (I (x) R) H_rot``."""
+    energies, rotation = np.linalg.eigh(sector.h_y.toarray())
+    return _kron_sum(sector.t_x, sp.diags(energies), sp.csr_matrix(
+        rotation.T @ (sector.contact @ rotation))), rotation
 
 
 def _check_correlation_length(problem: StripProblem, gap: float,
@@ -269,45 +349,47 @@ class _Extraction:
     diverged: bool
 
 
-def _sector_eigenpairs(h: sp.csr_matrix, orbits: sp.csr_matrix,
-                       sigma: float
+def _sector_eigenpairs(sector: _Sector, sigma: float
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shift-invert Lanczos eigenpairs of the sector Hamiltonian ``H_s``
-    of `orbits` nearest `sigma`, from one LU factorization of
-    ``H_s - sigma``.
+    nearest `sigma`, solved as ``H_rot`` in the slice eigenbasis from one
+    LU factorization of ``H_rot - sigma`` (see the module docstring).
 
-    Returns the sector Rayleigh quotients ``rho`` in ascending order, the
-    full-space vectors ``P phi`` (unit columns) and the sector residuals
-    ``|H_s phi - rho phi|``.  ``rho`` is evaluated as the Ritz value
-    plus ``phi.r / phi.phi`` with ``r = H_s phi - theta phi``: summing
-    ``phi.H_s phi`` directly loses ~sqrt(n) ulps, and ``k`` follows from
-    ``rho`` with a ``1/k^2`` amplification.
+    Returns the Rayleigh quotients ``rho`` of ``H_s`` in ascending order,
+    the full-space vectors ``P phi`` (unit columns) and the real-space
+    sector residuals ``|H_s phi - rho phi|``.  ``rho`` is evaluated as
+    the Ritz value plus ``phi.r / phi.phi`` with ``r = H_s phi - theta
+    phi``: summing ``phi.H_s phi`` directly loses ~sqrt(n) ulps, and
+    ``k`` follows from ``rho`` with a ``1/k^2`` amplification.
     """
-    h_s, sector = _sector_problem(h, orbits)
-    n = h_s.shape[0]
+    nx, m = sector.t_x.shape[0], sector.h_y.shape[0]
+    n = nx * m
+    h_rot, rotation = _rotated(sector)
     eye = sp.identity(n, format="csc")
     try:
-        lu = splu(h_s - sigma * eye, permc_spec=_ORDERING)
+        lu = splu(h_rot - sigma * eye, permc_spec=_ORDERING)
     except RuntimeError:  # exactly singular: step off the level
         sigma += 1e-9 * (1.0 + abs(sigma))
-        lu = splu(h_s - sigma * eye, permc_spec=_ORDERING)
+        lu = splu(h_rot - sigma * eye, permc_spec=_ORDERING)
     solve = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    theta, phi = eigsh(h_s, k=min(_N_EIGENPAIRS, n - 2), sigma=sigma,
+    theta, phi = eigsh(h_rot, k=min(_N_EIGENPAIRS, n - 2), sigma=sigma,
                        OPinv=solve, v0=np.ones(n))
-    h_phi = h_s @ phi
+    phi = (rotation @ phi.reshape(nx, m, -1)).reshape(n, -1)
+    h_phi = _kron_sum(sector.t_x, sector.h_y, sector.contact) @ phi
     rho = theta + (np.einsum("ij,ij->j", phi, h_phi - phi * theta)
                    / np.einsum("ij,ij->j", phi, phi))
     residual = np.linalg.norm(h_phi - phi * rho, axis=0)
     order = np.argsort(rho)
-    return rho[order], sector @ phi[:, order], residual[order]
+    return rho[order], _isometry(sector.orbits) @ phi[:, order], \
+        residual[order]
 
 
-def _extract_states(h: sp.csr_matrix, orbits: sp.csr_matrix,
-                    x_grid: np.ndarray, project, e_free: float,
+def _extract_states(sector: _Sector, entrance: np.ndarray, e_free: float,
                     j_eff: float, lx: int) -> list[_Extraction]:
-    """Collect entrance-dominated scattering states of ``h`` in the
-    symmetry sector spanned by `orbits`, with their fitted asymptotic
-    cosines, lowest momenta first."""
+    """Collect entrance-dominated scattering states of the strip's
+    symmetry `sector`, with their fitted asymptotic cosines, lowest
+    momenta first.  `entrance` is the transverse entrance state on one
+    x-slice of the full space."""
     lo = (lx + 3) // 4
     hi = lx // 2
     window = np.arange(lo, hi + 1)
@@ -319,7 +401,7 @@ def _extract_states(h: sp.csr_matrix, orbits: sp.csr_matrix,
 
     k_target = math.pi / (lx + 1)
     sigma = e_free - 2.0 * j_eff * math.cos(k_target)
-    energies, vectors, residuals = _sector_eigenpairs(h, orbits, sigma)
+    energies, vectors, residuals = _sector_eigenpairs(sector, sigma)
 
     accepted: list[_Extraction] = []
     best_reject = None
@@ -332,7 +414,7 @@ def _extract_states(h: sp.csr_matrix, orbits: sp.csr_matrix,
         k = math.acos(cos_k)
         if k > _K_MAX_FIT:
             break  # states are energy-ordered; the rest sit higher still
-        w = project(psi)
+        w = psi.reshape(-1, entrance.size) @ entrance
         weight = float(w @ w) / float(psi @ psi)
         if weight < _ENTRANCE_WEIGHT_MIN:
             continue
@@ -346,7 +428,7 @@ def _extract_states(h: sp.csr_matrix, orbits: sp.csr_matrix,
         norm = float(np.linalg.norm(w_win))
         resid = float(np.linalg.norm(design @ coeff - w_win)) / norm \
             if norm > 0.0 else math.inf
-        full = psi.reshape(len(x_grid), -1)
+        full = psi.reshape(2 * lx + 1, -1)
         win_total = float(np.sum(full[win_idx] ** 2))
         contamination = max(0.0, win_total - float(w_win @ w_win)) / win_total \
             if win_total > 0.0 else math.inf
@@ -412,7 +494,30 @@ def _extrapolate(coarse: list[_Extraction], fine: list[_Extraction],
         fit_residual=max(e.fit_residual for e in used),
         contamination=max(e.contamination for e in used),
         eigen_residual=max(e.eigen_residual for e in used),
-        unknowns=unknowns)
+        unknowns=unknowns,
+        spread=0.0 if diverged else abs(a_coarse - a_fine),
+        states=tuple((e.k, e.tan_delta) for e in coarse + fine))
+
+
+def _scattering_length(problem: StripProblem,
+                       total_momentum: float | None) -> OracleResult:
+    """Solve the strip at half-extents ``lx//2`` and ``lx`` and
+    extrapolate the pooled ``a(k)`` readings to ``k = 0``; a single
+    particle for ``total_momentum=None``, else a pair at ``K``."""
+    j_eff = J if total_momentum is None else pair_hopping(total_momentum)
+    _check_correlation_length(problem, _first_coupled_gap(problem), j_eff)
+    _, _, psi0, e0 = _transverse_ground(problem)
+    if total_momentum is None:
+        entrance, e_free = psi0, e0
+    else:
+        entrance, e_free = np.outer(psi0, psi0).reshape(-1), 2.0 * e0
+
+    results = []
+    for lx in (problem.lx // 2, problem.lx):
+        sector = _sector(replace(problem, lx=lx), total_momentum)
+        results.append(_extract_states(sector, entrance, e_free=e_free,
+                                       j_eff=j_eff, lx=lx))
+    return _extrapolate(*results, unknowns=sector.orbits.shape[1])
 
 
 def strip_scattering_length(problem: StripProblem) -> OracleResult:
@@ -426,22 +531,7 @@ def strip_scattering_length(problem: StripProblem) -> OracleResult:
     FitWindowTooSmall, ContaminatedChannel, NoConvergence
         When no clean asymptotic window exists.
     """
-    _check_correlation_length(problem, _first_coupled_gap(problem), J)
-
-    results = []
-    for lx in (problem.lx // 2, problem.lx):
-        p = replace(problem, lx=lx)
-        h, x_grid, y_grid = strip_hamiltonian(p)
-        _, _, psi0, e0 = _transverse_ground(p)
-        ny = len(y_grid)
-        orbits = _strip_orbits(lx, ny)
-
-        def project(psi, ny=ny, psi0=psi0):
-            return psi.reshape(-1, ny) @ psi0
-
-        results.append(_extract_states(h, orbits, x_grid, project,
-                                       e_free=e0, j_eff=J, lx=lx))
-    return _extrapolate(*results, unknowns=orbits.shape[1])
+    return _scattering_length(problem, None)
 
 
 def pair_scattering_length(problem: StripProblem,
@@ -453,21 +543,4 @@ def pair_scattering_length(problem: StripProblem,
     collective hopping ``J_K`` and the entrance projector
     ``psi_0(y1) psi_0(y2)``.
     """
-    j_k = pair_hopping(total_momentum)
-    _check_correlation_length(problem, _first_coupled_gap(problem), j_k)
-
-    results = []
-    for lx in (problem.lx // 2, problem.lx):
-        p = replace(problem, lx=lx)
-        h, x_grid, y_grid = pair_hamiltonian(p, total_momentum)
-        _, _, psi0, e0 = _transverse_ground(p)
-        ny = len(y_grid)
-        orbits = _pair_orbits(lx, ny)
-        pair_projector = np.outer(psi0, psi0).reshape(-1)
-
-        def project(psi, ny=ny, proj=pair_projector):
-            return psi.reshape(-1, ny * ny) @ proj
-
-        results.append(_extract_states(h, orbits, x_grid, project,
-                                       e_free=2.0 * e0, j_eff=j_k, lx=lx))
-    return _extrapolate(*results, unknowns=orbits.shape[1])
+    return _scattering_length(problem, total_momentum)

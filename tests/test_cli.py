@@ -228,8 +228,10 @@ def test_oracle_diagnostics_in_manifest_only(tmp_path, capsys):
     assert 0.0 < diag["eigen_residual"] <= 1e-10
     assert diag["unknowns"] == 101 * 3  # x >= 0 times y1 <= y2
     meta, rows = read_csv(out)
-    assert not {"eigen_residual", "unknowns"} & set(rows[0])
-    assert not {"eigen-residual", "unknowns"} & set(meta)
+    assert diag["spread"] == abs(float(rows[0]["a_coarse"])
+                                 - float(rows[0]["a_fine"]))
+    assert not {"eigen_residual", "unknowns", "spread"} & set(rows[0])
+    assert not {"eigen-residual", "unknowns", "spread"} & set(meta)
     replay = tmp_path / "replay.csv"
     code, _, _ = run_cli(["oracle", "--config",
                           str(tmp_path / "o.csv.manifest.json"),

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,12 +126,19 @@ def test_hamiltonians_match_lil_assembly(trap):
         assert h.shape == ref.shape and (h != ref).nnz == 0
 
 
-def _full_space_eigenpairs(reflect, e_free, j_eff):
+def _full_space_eigenpairs(problem, momentum, reflect, e_free, j_eff,
+                           calls):
     """The full-space solve the sector solve replaced, for comparison:
-    shift-invert Lanczos on all of ``H``, and for each even candidate in
-    the fitted momentum range two inverse-iteration steps at its
-    Rayleigh quotient, each with its own LU factorization."""
-    def solve(h, orbits, sigma):
+    ``H`` from `strip_hamiltonian` (``momentum=None``) or
+    `pair_hamiltonian`, shift-invert Lanczos on all of it, and for each
+    even candidate in the fitted momentum range two inverse-iteration
+    steps at its Rayleigh quotient, each with its own LU factorization.
+    Every call is recorded in `calls`."""
+    def solve(sector, sigma):
+        calls.append(sigma)
+        strip = replace(problem, lx=sector.t_x.shape[0] - 1)
+        h = (q.strip_hamiltonian(strip) if momentum is None
+             else q.pair_hamiltonian(strip, momentum))[0]
         vals, vecs = eigsh(h, k=oracle._N_EIGENPAIRS, sigma=sigma,
                            v0=np.ones(h.shape[0]))
         h_csc = h.tocsc()
@@ -202,9 +210,11 @@ def test_sector_solve_matches_full_space(name, monkeypatch):
 
     monkeypatch.setattr(oracle, "_extrapolate", spy)
     sector = run()
-    monkeypatch.setattr(oracle, "_sector_eigenpairs",
-                        _full_space_eigenpairs(reflect, e_free, j_eff))
+    calls = []
+    monkeypatch.setattr(oracle, "_sector_eigenpairs", _full_space_eigenpairs(
+        problem, momentum, reflect, e_free, j_eff, calls))
     full = run()
+    assert len(calls) == 2  # the reference, not the sector solve, ran
 
     for ours, theirs in zip(*strips):
         # the same states, with energies E = e_free - 2 J_eff cos k to
@@ -221,6 +231,58 @@ def test_sector_solve_matches_full_space(name, monkeypatch):
         assert abs(getattr(sector, field) - getattr(full, field)) <= 1e-9
     assert sector.unknowns == 101 * (ny if momentum is None
                                      else ny * (ny + 1) // 2)
+
+
+_TABLE13 = q.Tabulated.from_mapping(
+    {y: 0.1 * y * y for y in range(-6, 7)}, None)
+
+
+@pytest.mark.parametrize("momentum, u", [(0.0, -7.5527), (0.0, -8.0),
+                                         (math.pi / 3, -6.0739)],
+                         ids=["K0-pole-side", "K0", "K-pi/3-pole-side"])
+def test_every_accepted_state_matches_finite_k(momentum, u):
+    """Each state the oracle accepts, near a sharp pole or away from
+    one, carries the phase shift of the closed-form finite-k channel
+    solve at its own k."""
+    res = q.pair_scattering_length(
+        q.StripProblem(trap=_TABLE13, u=u, lx=200), momentum)
+    kernel = q.build_kernel(q.solve_transverse(_TABLE13), momentum)
+    assert len(res.states) == 4 + 9
+    for k, tan_delta in res.states:
+        delta = q.solve_finite_k(kernel, u, k).delta_k
+        gap = (math.atan(tan_delta) - delta + math.pi / 2) % math.pi \
+            - math.pi / 2
+        assert abs(gap) <= 1e-10, (k, gap)
+
+
+@pytest.mark.parametrize("trap, u, momentum", [
+    (q.Harmonic(omega=0.1), -2.0, None),
+    (q.TwoSite(v=1.0), -5.0, 0.0),
+    (_TABLE9, -5.0, math.pi / 3),
+    (_TABLE13, -5.0, math.pi / 3),
+], ids=["single-harmonic", "pair-two-site", "pair-table9", "pair-table13"])
+def test_sector_factor_fill(trap, u, momentum, monkeypatch):
+    """The rotated sector factors with about 4 entries per unknown plus
+    the dense m x m contact block at x = 0."""
+    problem = q.StripProblem(trap=trap, u=u, lx=200)
+    ny = len(oracle._transverse_ground(problem)[0])
+    m = ny if momentum is None else ny * (ny + 1) // 2
+    factorize = oracle.splu
+    fills = []
+
+    def spy(matrix, **kwargs):
+        lu = factorize(matrix, **kwargs)
+        fills.append((matrix.shape[0], lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(oracle, "splu", spy)
+    if momentum is None:
+        q.strip_scattering_length(problem)
+    else:
+        q.pair_scattering_length(problem, momentum)
+    assert [n for n, _ in fills] == [101 * m, 201 * m]
+    for n, fill in fills:
+        assert fill <= 5 * n + m * m, (n, fill)
 
 
 def test_singular_shift_retried_once(monkeypatch):

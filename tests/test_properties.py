@@ -153,11 +153,12 @@ def test_oracle_sectors_are_invariant_isometries(trap, lx, u, momentum,
     nx = 2 * lx + 1
     rng = np.random.default_rng(seed)
     for h, orbits, shape in (
-            (q.strip_hamiltonian(problem)[0], oracle._strip_orbits(lx, ny),
+            (q.strip_hamiltonian(problem)[0], oracle._sector(problem).orbits,
              (nx, ny)),
             (q.pair_hamiltonian(problem, momentum)[0],
-             oracle._pair_orbits(lx, ny), (nx, ny, ny))):
-        h_s, p = oracle._sector_problem(h, orbits)
+             oracle._sector(problem, momentum).orbits, (nx, ny, ny))):
+        h_s = oracle._sector_problem(h, orbits)
+        p = oracle._isometry(orbits)
         n = p.shape[1]
         assert np.max(np.abs((p.T @ p - np.identity(n)))) <= 1e-15
         assert abs(h @ p - p @ h_s).max() <= 1e-14
@@ -168,3 +169,26 @@ def test_oracle_sectors_are_invariant_isometries(trap, lx, u, momentum,
             assert n == (lx + 1) * ny * (ny + 1) // 2
         else:
             assert n == (lx + 1) * ny
+
+
+@given(trap=tabulated_traps(3, 7), lx=st.integers(16, 20),
+       u=st.floats(-5.0, 5.0), momentum=st.floats(0.0, 2.0))
+def test_oracle_sector_factors(trap, lx, u, momentum):
+    """H_s assembled from its x-chain, slice and contact factors is
+    P^T H P of the full-space H entry for entry, and the slice
+    eigenbasis R carries it into the rotated form the oracle factors:
+    H_s (I (x) R) = (I (x) R) H_rot."""
+    problem = q.StripProblem(trap=trap, u=u, lx=lx)
+    for h, sector in (
+            (q.strip_hamiltonian(problem)[0], oracle._sector(problem)),
+            (q.pair_hamiltonian(problem, momentum)[0],
+             oracle._sector(problem, momentum))):
+        h_s = oracle._kron_sum(sector.t_x, sector.h_y,
+                               sector.contact).toarray()
+        reference = oracle._sector_problem(h, sector.orbits).toarray()
+        diff = np.max(np.abs(h_s - reference))
+        assert diff == 0.0, f"max |H_s - P^T H P| = {diff:.3g}"
+        h_rot, rotation = oracle._rotated(sector)
+        lift = np.kron(np.identity(lx + 1), rotation)
+        assert np.linalg.norm(h_s @ lift - lift @ h_rot.toarray()) \
+            <= 1e-13 * np.linalg.norm(h_s)
