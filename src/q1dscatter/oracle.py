@@ -18,17 +18,25 @@ away from both the impurity and the boundary:
 
 Only states even under ``x -> -x`` (and, for a pair, symmetric under
 ``y1 <-> y2``) can be entrance-dominated scattering states, and both
-symmetries commute with the Hamiltonian for any trap.  Each strip is
-therefore solved in that sector, spanned by the normalized orbits
-``(|x> + |-x>)/sqrt 2`` (times ``(|y1 y2> + |y2 y1>)/sqrt 2`` for a
-pair), where it factors as
+symmetries commute with the Hamiltonian for any trap.  When the
+transverse grid and potential are mirror images bit for bit, so does
+the mirror ``y -> -y`` (pair: ``(y1, y2) -> (-y1, -y2)``): the contact
+at ``y = 0`` (pair: on ``y1 = y2``) maps onto itself and the entrance
+state ``psi_0`` (pair: ``psi_0 psi_0``) is even, so the
+entrance-dominated states are mirror-even as well.  Each strip is
+therefore solved in the x-even, mirror-even (symmetric trap) and
+swap-symmetric (pair) sector, spanned by the normalized orbit sums of
+these commuting involutions, such as ``(|x> + |-x>)/sqrt 2``; on one
+slice an orbit holds 1, 2 or 4 states.  There it factors as
 
     H_s = T_x (x) I + I (x) h_Y + |x=0><x=0| (x) C,
 
-``T_x`` the x-even chain, ``h_Y`` the ``m x m`` slice Hamiltonian
-(``m = ny`` for one particle, ``ny (ny + 1)/2`` for the pair) and ``C``
-the diagonal contact term.  ``H_s`` is assembled straight from these
-factors, never from the full-space ``H``.  In the eigenbasis of the
+``T_x`` the x-even chain, ``h_Y`` the ``m x m`` slice Hamiltonian and
+``C`` the diagonal contact term.  On an asymmetric grid of ``ny`` sites
+``m = ny`` for one particle and ``ny (ny + 1)/2`` for the pair; on a
+mirror-symmetric (odd) grid ``m = (ny + 1)/2`` and ``((ny + 1)/2)**2``.
+``H_s`` is assembled straight from these factors, never from the
+full-space ``H``.  In the eigenbasis of the
 slice, ``h_Y = R E R^T`` (dense ``eigh``), it becomes
 
     H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R:
@@ -42,18 +50,19 @@ on ``A + A^T`` (``MMD_AT_PLUS_A``); the chains then factor without
 fill and the factors hold about ``4 n + m^2`` entries for ``n``
 unknowns, against 40-90 per unknown for ``H_s`` itself.  The dense
 block costs ``O(m^3)`` to factor, which is what keeps a pair on a wide
-grid out of reach (``omega = 0.1``: ``m = 3321``).  The sector is also
-what makes the shift well-posed: ``sigma = e_free - 2 J_eff cos(pi/(Lx+1))``
-is exactly the energy of an x-odd free level, which has a node at the
-impurity and never shifts, so ``H - sigma`` is numerically singular in the
-full space (its Lanczos residuals came out at 1e-9 to 1e-6, leaking into
-``a`` amplified by 1/k^2), while ``H_s - sigma`` is not.  Ritz vectors are
-rotated back with ``R`` and mapped to the full space, so the entrance
-projection and the fit act on full-space vectors.  The Rayleigh
-quotients and the acceptance check ``|H_s phi - rho phi| <= 1e-10`` use
-the real-space ``H_s``, not ``H_rot``: the check then tests the
-eigen-equation of the lattice problem itself, and a wrong rotation or
-a mis-ordered factor fails it (by ~1) instead of passing unseen.
+grid out of reach (``omega = 0.1``, ``ny = 81``: ``m = 1681``).  The
+sector is also what makes the shift well-posed:
+``sigma = e_free - 2 J_eff cos(pi/(Lx+1))`` is exactly the energy of an
+x-odd free level, which has a node at the impurity and never shifts, so
+``H - sigma`` is numerically singular in the full space (its Lanczos
+residuals came out at 1e-9 to 1e-6, leaking into ``a`` amplified by
+1/k^2), while ``H_s - sigma`` is not.  Ritz vectors are rotated back
+with ``R`` and mapped to the full space, so the entrance projection and
+the fit act on full-space vectors.  The Rayleigh quotients and the
+acceptance check ``|H_s phi - rho phi| <= 1e-10`` use the real-space
+``H_s``, not ``H_rot``: the check then tests the eigen-equation of the
+lattice problem itself, and a wrong rotation or a mis-ordered factor
+fails it (by ~1) instead of passing unseen.
 Several states per strip size are extracted and ``a(k)`` is
 extrapolated to ``k = 0`` with a least-squares polynomial in ``k^2``
 pooled over two strip sizes (the finite-momentum error of ``a(k)`` is
@@ -123,7 +132,9 @@ class OracleResult:
     The quality fields report the worst value over all states used;
     ``eigen_residual`` is the largest sector residual
     ``|H_s phi - rho phi|`` among them and ``unknowns`` the sector size
-    of the finer strip.  ``spread`` is ``|a_coarse - a_fine|`` (0 for a
+    of the finer strip, ``(lx + 1) m`` for ``m`` transverse orbits (see
+    the module docstring; ``m`` halves or better on a mirror-symmetric
+    trap).  ``spread`` is ``|a_coarse - a_fine|`` (0 for a
     diverged reading) and ``states`` the ``(k, tan delta)`` of every
     accepted state, coarse strip first, each ordered by ``k``.
     """
@@ -187,7 +198,7 @@ def _pair_slice_hamiltonian(v: np.ndarray) -> sp.csr_matrix:
     """Transverse Hamiltonian of a pair on one x-slice, index
     ``iy1 * ny + iy2``."""
     hy, eye = _slice_hamiltonian(v), sp.identity(v.size)
-    return sp.kron(hy, eye) + sp.kron(eye, hy)
+    return sp.kron(hy, eye, format="csr") + sp.kron(eye, hy, format="csr")
 
 
 def strip_hamiltonian(problem: StripProblem) -> tuple[sp.csr_matrix,
@@ -221,31 +232,38 @@ def pair_hamiltonian(problem: StripProblem, total_momentum: float = 0.0
     return h.tocsr(), x_grid, y_grid
 
 
-def _orbits(image: np.ndarray) -> sp.csr_matrix:
-    """Orbit indicators of the index involution `image`: one 0/1 column
-    per orbit ``{i, image[i]}``, in the order of ``i <= image[i]``."""
-    first = np.flatnonzero(np.arange(image.size) <= image)
-    partner = image[first]
-    paired = partner != first
-    cols = np.arange(first.size)
-    rows = np.concatenate([first, partner[paired]])
-    return sp.csr_matrix(
-        (np.ones(rows.size), (rows, np.concatenate([cols, cols[paired]]))),
-        shape=(image.size, first.size))
+def _orbits(n: int, *involutions: np.ndarray) -> sp.csr_matrix:
+    """Orbit indicators of the group generated by the commuting index
+    `involutions` of ``range(n)``: one 0/1 column per orbit (of size 1, 2,
+    4, ...), in the order of the orbits' smallest indices."""
+    images = np.arange(n)[None]
+    for image in involutions:
+        images = np.concatenate([images, image[images]])
+    _, column = np.unique(images.min(axis=0), return_inverse=True)
+    return sp.csr_matrix((np.ones(n), (np.arange(n), column)),
+                         shape=(n, column.max() + 1))
 
 
 def _sector_problem(h: sp.csr_matrix, orbits: sp.csr_matrix
                     ) -> sp.csc_matrix:
     """The sector Hamiltonian ``H_s = P^T H P`` of the isometry ``P``
-    whose columns are the normalized `orbits` (`_isometry`).
+    whose columns are the normalized `orbits` (`_isometry`), for an `h`
+    that commutes with the orbits' symmetry group.
 
-    ``H_s`` is summed over the unit orbit vectors and then scaled by
-    ``1/sqrt(|orbit_i| |orbit_j|)``, so a rounded ``1/sqrt 2`` never
-    enters twice: ``(1/sqrt 2)**2`` rounds to ``0.5 (1 + 2**-52)``, which
-    would scale the sector energies by ``1 + 2**-52``.
+    Every row of an orbit ``I`` then has the same sum over an orbit
+    ``J``, so ``H_s[I, J] = |I| S_IJ / sqrt(|I| |J|)`` with ``S_IJ``
+    summed over ``J`` in the row of ``I``'s smallest index alone.  Orbit
+    sizes are powers of two, so ``|I| S_IJ`` is exact and each entry is
+    rounded once: a rounded ``1/sqrt 2`` never enters twice
+    (``(1/sqrt 2)**2`` rounds to ``0.5 (1 + 2**-52)``, which would scale
+    the sector energies by ``1 + 2**-52``), and no entry depends on the
+    order in which the equal entries of an orbit of four or more are
+    summed.
     """
-    size = np.asarray(orbits.sum(axis=0)).ravel()
-    h_s = (orbits.T @ h @ orbits).tocoo()
+    by_orbit = orbits.tocsc()  # rows sorted within each column
+    size = np.diff(by_orbit.indptr)
+    h_s = (h[by_orbit.indices[by_orbit.indptr[:-1]]] @ orbits).tocoo()
+    h_s.data *= size[h_s.row]
     h_s.data /= np.sqrt(size[h_s.row] * size[h_s.col])
     return h_s.tocsc()
 
@@ -257,8 +275,9 @@ def _isometry(orbits: sp.csr_matrix) -> sp.csr_matrix:
 
 
 class _Sector(NamedTuple):
-    """The x-even (pair: and ``y1 <-> y2`` symmetric) sector of one strip
-    in factored form, ``H_s = T_x (x) I + I (x) h_Y + |x=0><x=0| (x) C``.
+    """The x-even, mirror-even (on an exactly mirror-symmetric trap) and,
+    for a pair, ``y1 <-> y2`` symmetric sector of one strip in factored
+    form, ``H_s = T_x (x) I + I (x) h_Y + |x=0><x=0| (x) C``.
 
     ``t_x`` acts on the orbits of ``x -> -x`` (``x = 0`` last), ``h_y``
     and the diagonal ``contact`` on the ``m`` transverse orbits;
@@ -276,22 +295,32 @@ def _sector(problem: StripProblem,
     """The sector factors of the single-particle strip
     (``total_momentum=None``) or of the pair strip at total
     quasi-momentum ``K``, each the sector of its own factor of the
-    full-space Hamiltonian."""
+    full-space Hamiltonian.
+
+    The transverse mirror ``y -> -y`` (pair: ``(y1, y2) -> (-y1, -y2)``)
+    joins the group only when the grid and potential are mirror images
+    bit for bit: a tolerance would drop a real, if tiny, coupling."""
     y_grid, v, _, _ = _transverse_ground(problem)
     ny = len(y_grid)
     if total_momentum is None:
         j_eff, h_y = J, _slice_hamiltonian(v)
         sites = np.searchsorted(y_grid, [0])
-        y_orbits = sp.identity(ny, format="csr")
+        index = np.arange(ny)
+        involutions = []
     else:
         j_eff, h_y = pair_hopping(total_momentum), _pair_slice_hamiltonian(v)
         sites = np.arange(ny) * (ny + 1)  # y1 = y2
-        y_orbits = _orbits(np.arange(ny * ny).reshape(ny, ny).T.reshape(-1))
-    x_orbits = _orbits(np.arange(2 * problem.lx + 1)[::-1])
-    t_x = _sector_problem(_hop_matrix(x_orbits.shape[0], j_eff), x_orbits)
+        index = np.arange(ny * ny)
+        involutions = [index.reshape(ny, ny).T.reshape(-1)]
+    if np.array_equal(y_grid, -y_grid[::-1]) and np.array_equal(v, v[::-1]):
+        involutions.append(index[::-1])
+    y_orbits = _orbits(index.size, *involutions)
+    nx = 2 * problem.lx + 1
+    x_orbits = _orbits(nx, np.arange(nx)[::-1])
+    t_x = _sector_problem(_hop_matrix(nx, j_eff), x_orbits)
     h_y = _sector_problem(h_y, y_orbits)
-    contact = _sector_problem(
-        _impurity(y_orbits.shape[0], sites, problem.u), y_orbits)
+    contact = _sector_problem(_impurity(index.size, sites, problem.u),
+                              y_orbits)
     return _Sector(t_x, h_y, contact,
                    sp.kron(x_orbits, y_orbits, format="csr"))
 
@@ -327,14 +356,20 @@ def _check_correlation_length(problem: StripProblem, gap: float,
             f"(need lx*(1-alpha) > 10)")
 
 
-def _first_coupled_gap(problem: StripProblem) -> float:
+def _first_coupled_gap(problem: StripProblem, pair: bool) -> float:
+    """Gap from the entrance to the lowest closed channel the contact
+    couples to: ``E2 - E0`` on a symmetric trap, else ``E1 - E0``; a pair
+    on a symmetric trap also couples to ``(1, 1)`` at ``2 (E1 - E0)``."""
     trap = _effective_trap(problem)
     spectrum = solve_transverse(trap, n_states=3) \
         if isinstance(trap, Harmonic) else solve_transverse(trap)
     if spectrum.n_states < 2:
         return math.inf
+    gaps = spectrum.energies - spectrum.energies[0]
     n = 2 if (spectrum.symmetric and spectrum.n_states > 2) else 1
-    return float(spectrum.energies[n] - spectrum.energies[0])
+    if pair and spectrum.symmetric:
+        return min(float(gaps[n]), 2.0 * float(gaps[1]))
+    return float(gaps[n])
 
 
 @dataclass(frozen=True)
@@ -505,7 +540,9 @@ def _scattering_length(problem: StripProblem,
     extrapolate the pooled ``a(k)`` readings to ``k = 0``; a single
     particle for ``total_momentum=None``, else a pair at ``K``."""
     j_eff = J if total_momentum is None else pair_hopping(total_momentum)
-    _check_correlation_length(problem, _first_coupled_gap(problem), j_eff)
+    _check_correlation_length(
+        problem, _first_coupled_gap(problem, total_momentum is not None),
+        j_eff)
     _, _, psi0, e0 = _transverse_ground(problem)
     if total_momentum is None:
         entrance, e_free = psi0, e0

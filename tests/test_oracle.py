@@ -171,16 +171,19 @@ def _full_space_eigenpairs(problem, momentum, reflect, e_free, j_eff,
 
 _TABLE9 = q.Tabulated.from_mapping({y: 0.1 * y * y for y in range(-4, 5)},
                                    None)
+# (trap, u, K or None for one particle, m transverse orbits): ny = 81
+# mirror orbits 41; two-site pair, no mirror: 2 * 3 / 2; 9-site mirror
+# pair: 5**2
 _SECTOR_CASES = {
-    "single-harmonic": (q.Harmonic(omega=0.1), -2.0, None),
-    "pair-two-site": (q.TwoSite(v=1.0), -5.0, 0.0),
-    "pair-table-moving": (_TABLE9, -5.0, math.pi / 3),
+    "single-harmonic": (q.Harmonic(omega=0.1), -2.0, None, 41),
+    "pair-two-site": (q.TwoSite(v=1.0), -5.0, 0.0, 3),
+    "pair-table-moving": (_TABLE9, -5.0, math.pi / 3, 25),
 }
 
 
 @pytest.mark.parametrize("name", list(_SECTOR_CASES))
 def test_sector_solve_matches_full_space(name, monkeypatch):
-    trap, u, momentum = _SECTOR_CASES[name]
+    trap, u, momentum, m = _SECTOR_CASES[name]
     problem = q.StripProblem(trap=trap, u=u, lx=100)
     y_grid, _, _, e0 = oracle._transverse_ground(problem)
     ny = len(y_grid)
@@ -229,25 +232,37 @@ def test_sector_solve_matches_full_space(name, monkeypatch):
         assert max(e.eigen_residual for e in ours) <= 1e-10
     for field in ("a", "a_coarse", "a_fine"):
         assert abs(getattr(sector, field) - getattr(full, field)) <= 1e-9
-    assert sector.unknowns == 101 * (ny if momentum is None
-                                     else ny * (ny + 1) // 2)
+    assert sector.unknowns == 101 * m
 
 
 _TABLE13 = q.Tabulated.from_mapping(
     {y: 0.1 * y * y for y in range(-6, 7)}, None)
 
+# U = pole +- 0.05 at the four visible poles of the 13-site table at
+# K = 0 (-8.2865, -7.6027, -6.4318, -5.6021) and K = pi/3 (-7.8816,
+# -7.2664, -6.1239, -5.3137), with the measured number of accepted states
+_POLE_SIDES = [(0.0, -8.3365, 13), (0.0, -8.2365, 13), (0.0, -7.6527, 13),
+               (0.0, -6.4818, 13), (0.0, -6.3818, 12), (0.0, -5.6521, 13),
+               (0.0, -5.5521, 12), (math.pi / 3, -7.9316, 13),
+               (math.pi / 3, -7.8316, 13), (math.pi / 3, -7.3164, 13),
+               (math.pi / 3, -7.2164, 13), (math.pi / 3, -6.1739, 13),
+               (math.pi / 3, -5.3637, 13), (math.pi / 3, -5.2637, 12)]
 
-@pytest.mark.parametrize("momentum, u", [(0.0, -7.5527), (0.0, -8.0),
-                                         (math.pi / 3, -6.0739)],
-                         ids=["K0-pole-side", "K0", "K-pi/3-pole-side"])
-def test_every_accepted_state_matches_finite_k(momentum, u):
-    """Each state the oracle accepts, near a sharp pole or away from
-    one, carries the phase shift of the closed-form finite-k channel
-    solve at its own k."""
+
+@pytest.mark.parametrize(
+    "momentum, u, n_states",
+    [(0.0, -7.5527, 13), (0.0, -8.0, 13), (math.pi / 3, -6.0739, 13)]
+    + _POLE_SIDES,
+    ids=["K0-pole-side", "K0", "K-pi/3-pole-side"]
+    + [f"K{'0' if m == 0.0 else '-pi/3'}-U{u}" for m, u, _ in _POLE_SIDES])
+def test_every_accepted_state_matches_finite_k(momentum, u, n_states):
+    """Each state the oracle accepts, on either side of every visible
+    pole or away from one, carries the phase shift of the closed-form
+    finite-k channel solve at its own k."""
     res = q.pair_scattering_length(
         q.StripProblem(trap=_TABLE13, u=u, lx=200), momentum)
     kernel = q.build_kernel(q.solve_transverse(_TABLE13), momentum)
-    assert len(res.states) == 4 + 9
+    assert len(res.states) == n_states
     for k, tan_delta in res.states:
         delta = q.solve_finite_k(kernel, u, k).delta_k
         gap = (math.atan(tan_delta) - delta + math.pi / 2) % math.pi \
@@ -255,18 +270,84 @@ def test_every_accepted_state_matches_finite_k(momentum, u):
         assert abs(gap) <= 1e-10, (k, gap)
 
 
-@pytest.mark.parametrize("trap, u, momentum", [
-    (q.Harmonic(omega=0.1), -2.0, None),
-    (q.TwoSite(v=1.0), -5.0, 0.0),
-    (_TABLE9, -5.0, math.pi / 3),
-    (_TABLE13, -5.0, math.pi / 3),
-], ids=["single-harmonic", "pair-two-site", "pair-table9", "pair-table13"])
-def test_sector_factor_fill(trap, u, momentum, monkeypatch):
-    """The rotated sector factors with about 4 entries per unknown plus
-    the dense m x m contact block at x = 0."""
+def _unmirrored_sector(problem, total_momentum=None):
+    """`oracle._sector` without the transverse mirror: x-even and, for a
+    pair, y1 <-> y2 symmetric only."""
+    y_grid, v, _, _ = oracle._transverse_ground(problem)
+    ny, nx = len(y_grid), 2 * problem.lx + 1
+    if total_momentum is None:
+        j_eff, h_y = q.J, oracle._slice_hamiltonian(v)
+        sites = np.searchsorted(y_grid, [0])
+        y_orbits = oracle._orbits(ny)
+    else:
+        j_eff = q.pair_hopping(total_momentum)
+        h_y = oracle._pair_slice_hamiltonian(v)
+        sites = np.arange(ny) * (ny + 1)
+        y_orbits = oracle._orbits(
+            ny * ny, np.arange(ny * ny).reshape(ny, ny).T.reshape(-1))
+    x_orbits = oracle._orbits(nx, np.arange(nx)[::-1])
+    return oracle._Sector(
+        oracle._sector_problem(oracle._hop_matrix(nx, j_eff), x_orbits),
+        oracle._sector_problem(h_y, y_orbits),
+        oracle._sector_problem(
+            oracle._impurity(y_orbits.shape[0], sites, problem.u), y_orbits),
+        sp.kron(x_orbits, y_orbits, format="csr"))
+
+
+# symmetric to the 1e-14 of `Tabulated.is_symmetric`, one ulp off a mirror
+_NEAR_MIRROR_TABLE = q.Tabulated.from_mapping(
+    {-2: 1.2, -1: 0.3, 0: 0.0, 1: np.nextafter(0.3, 1.0), 2: 1.2}, None)
+
+
+@pytest.mark.parametrize("trap, u, momentum, mirrored", [
+    (q.Harmonic(omega=0.1), -2.0, None, True),
+    (_TABLE9, -5.0, math.pi / 3, True),
+    (_TABLE13, -7.5527, 0.0, True),
+    (ASYMMETRIC_TABLE, -2.0, None, False),
+    (ASYMMETRIC_TABLE, -5.0, 0.0, False),
+    (_NEAR_MIRROR_TABLE, -5.0, 0.0, False),
+], ids=["single-harmonic", "pair-table9", "pair-table13",
+        "single-asymmetric", "pair-asymmetric", "pair-near-mirror"])
+def test_mirror_reduction_matches_unreduced_sector(trap, u, momentum,
+                                                   mirrored, monkeypatch):
+    """The mirror-even sector accepts the states the unreduced sector
+    accepts, at the same k and delta; a trap that is not an exact mirror
+    image keeps the unreduced sector and its (lx + 1) m unknowns."""
     problem = q.StripProblem(trap=trap, u=u, lx=200)
+
+    def run():
+        return q.strip_scattering_length(problem) if momentum is None \
+            else q.pair_scattering_length(problem, momentum)
+
+    reduced = run()
+    monkeypatch.setattr(oracle, "_sector", _unmirrored_sector)
+    full = run()
     ny = len(oracle._transverse_ground(problem)[0])
     m = ny if momentum is None else ny * (ny + 1) // 2
+    assert full.unknowns == 201 * m
+    if not mirrored:
+        assert reduced == full
+        return
+    assert reduced.unknowns < full.unknowns
+    assert len(reduced.states) == len(full.states) > 0
+    for (k, tan_delta), (k_ref, tan_ref) in zip(reduced.states, full.states):
+        assert abs(k - k_ref) <= 1e-11 * k_ref
+        gap = (math.atan(tan_delta) - math.atan(tan_ref) + math.pi / 2) \
+            % math.pi - math.pi / 2
+        assert abs(gap) <= 1e-10, (k, gap)
+
+
+@pytest.mark.parametrize("trap, u, momentum, m", [
+    (q.Harmonic(omega=0.1), -2.0, None, 41),
+    (q.TwoSite(v=1.0), -5.0, 0.0, 3),
+    (_TABLE9, -5.0, math.pi / 3, 25),
+    (_TABLE13, -5.0, math.pi / 3, 49),
+], ids=["single-harmonic", "pair-two-site", "pair-table9", "pair-table13"])
+def test_sector_factor_fill(trap, u, momentum, m, monkeypatch):
+    """The rotated sector factors with about 4 entries per unknown plus
+    the dense m x m contact block at x = 0; m counts the transverse
+    orbits (mirror-even on the symmetric traps)."""
+    problem = q.StripProblem(trap=trap, u=u, lx=200)
     factorize = oracle.splu
     fills = []
 
@@ -283,6 +364,15 @@ def test_sector_factor_fill(trap, u, momentum, monkeypatch):
     assert [n for n, _ in fills] == [101 * m, 201 * m]
     for n, fill in fills:
         assert fill <= 5 * n + m * m, (n, fill)
+
+
+def test_pair_strip_checks_the_lowest_coupled_pair_channel():
+    """On a flat 15-site box the pair channel (1, 1) at 2 (E1 - E0) lies
+    below E2 - E0 and needs lx > 35.1 at K = 0; lx = 34 is refused up
+    front instead of failing later in the fit."""
+    box = q.Tabulated.from_mapping({y: 0.0 for y in range(-7, 8)}, None)
+    with pytest.raises(q.ConfigError, match="strip too short"):
+        q.pair_scattering_length(q.StripProblem(trap=box, u=-5.0, lx=34))
 
 
 def test_singular_shift_retried_once(monkeypatch):

@@ -6,10 +6,28 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
 import q1dscatter as q  # noqa: E402
 from q1dscatter import oracle  # noqa: E402
+
+
+_DEPTH = st.floats(0.0, 3.0)
+
+
+def _mirrored(side):
+    """The hard-walled trap V(y) = side[|y|]: an exact mirror image."""
+    half = len(side) - 1
+    return q.Tabulated.from_mapping(
+        {y: side[abs(y)] for y in range(-half, half + 1)}, None)
+
+
+def mirrored_tables(min_sites=5, max_sites=15):
+    """Random half-tables mirrored about y = 0, `min_sites`-`max_sites`
+    sites (odd)."""
+    return st.integers(min_sites // 2, max_sites // 2).flatmap(
+        lambda half: st.lists(_DEPTH, min_size=half + 1,
+                              max_size=half + 1)).map(_mirrored)
 
 
 @st.composite
@@ -17,16 +35,14 @@ def tabulated_traps(draw, min_sites=5, max_sites=15):
     """Symmetric or asymmetric hard-walled traps of
     `min_sites`-`max_sites` sites."""
     n_sites = draw(st.integers(min_sites, max_sites))
-    depth = st.floats(0.0, 3.0)
     if draw(st.booleans()):
         half = n_sites // 2
-        side = draw(st.lists(depth, min_size=half + 1, max_size=half + 1))
-        mapping = {y: side[abs(y)] for y in range(-half, half + 1)}
-    else:
-        first = -draw(st.integers(0, n_sites - 1))
-        values = draw(st.lists(depth, min_size=n_sites, max_size=n_sites))
-        mapping = {first + i: v for i, v in enumerate(values)}
-    return q.Tabulated.from_mapping(mapping, None)
+        return _mirrored(
+            draw(st.lists(_DEPTH, min_size=half + 1, max_size=half + 1)))
+    first = -draw(st.integers(0, n_sites - 1))
+    values = draw(st.lists(_DEPTH, min_size=n_sites, max_size=n_sites))
+    return q.Tabulated.from_mapping(
+        {first + i: v for i, v in enumerate(values)}, None)
 
 
 @given(trap=tabulated_traps(), u=st.floats(-20.0, 20.0),
@@ -141,41 +157,54 @@ def test_closed_channels_match_scalar(channels, energies, j_eff):
                               np.array(want).view(np.int64))
 
 
-@given(trap=tabulated_traps(3, 7), lx=st.integers(16, 20),
+_ORACLE_TRAPS = st.one_of(mirrored_tables(3, 7), tabulated_traps(3, 7))
+
+
+@given(trap=_ORACLE_TRAPS, lx=st.integers(16, 20),
        u=st.floats(-5.0, 5.0), momentum=st.floats(0.0, 2.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_oracle_sectors_are_invariant_isometries(trap, lx, u, momentum,
                                                  seed):
     """P^T P = I, H P = P H_s, and every sector vector P phi is exactly
-    even in x and (for a pair) symmetric in y1 <-> y2."""
+    even in x, (for a pair) symmetric in y1 <-> y2 and, on a trap that is
+    an exact mirror image, even under y -> -y.  The sector holds
+    (lx + 1) m unknowns for m transverse orbits."""
     problem = q.StripProblem(trap=trap, u=u, lx=lx)
     ny = len(q.solve_transverse(trap).grid)
     nx = 2 * lx + 1
+    mirror = np.array_equal(trap.grid, -trap.grid[::-1]) \
+        and np.array_equal(trap.potential, trap.potential[::-1])
+    half = (ny + 1) // 2
     rng = np.random.default_rng(seed)
-    for h, orbits, shape in (
+    for h, orbits, shape, m in (
             (q.strip_hamiltonian(problem)[0], oracle._sector(problem).orbits,
-             (nx, ny)),
+             (nx, ny), half if mirror else ny),
             (q.pair_hamiltonian(problem, momentum)[0],
-             oracle._sector(problem, momentum).orbits, (nx, ny, ny))):
+             oracle._sector(problem, momentum).orbits, (nx, ny, ny),
+             half * half if mirror else ny * (ny + 1) // 2)):
         h_s = oracle._sector_problem(h, orbits)
         p = oracle._isometry(orbits)
         n = p.shape[1]
+        assert n == (lx + 1) * m
         assert np.max(np.abs((p.T @ p - np.identity(n)))) <= 1e-15
         assert abs(h @ p - p @ h_s).max() <= 1e-14
         psi = (p @ rng.standard_normal(n)).reshape(shape)
         assert np.array_equal(psi[::-1], psi)
         if len(shape) == 3:
             assert np.array_equal(psi.transpose(0, 2, 1), psi)
-            assert n == (lx + 1) * ny * (ny + 1) // 2
-        else:
-            assert n == (lx + 1) * ny
+        if mirror:
+            assert np.array_equal(np.flip(psi, axis=tuple(range(1, psi.ndim))),
+                                  psi)
 
 
-@given(trap=tabulated_traps(3, 7), lx=st.integers(16, 20),
+@given(trap=_ORACLE_TRAPS, lx=st.integers(16, 20),
        u=st.floats(-5.0, 5.0), momentum=st.floats(0.0, 2.0))
+@example(trap=q.Tabulated.from_mapping({-1: 1.9233, 0: 0.0, 1: 1.9233}),
+         lx=16, u=-5.0, momentum=0.0)
 def test_oracle_sector_factors(trap, lx, u, momentum):
     """H_s assembled from its x-chain, slice and contact factors is
-    P^T H P of the full-space H entry for entry, and the slice
+    P^T H P of the full-space H entry for entry, also where an orbit of
+    four or eight states sums equal diagonal entries, and the slice
     eigenbasis R carries it into the rotated form the oracle factors:
     H_s (I (x) R) = (I (x) R) H_rot."""
     problem = q.StripProblem(trap=trap, u=u, lx=lx)
