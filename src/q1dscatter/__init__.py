@@ -25,7 +25,7 @@ from .continuum import (ContinuumState, ContinuumSum, continuum_sum,
                         u_cir_with_continuum)
 from .errors import (AtResonance, BranchCollision, ConfigError,
                      ContaminatedChannel, Diverging, EdgeLeak,
-                     FitWindowTooSmall, NoConvergence, NonSymmetric,
+                     NoConvergence, NonSymmetric,
                      NoRootInBranch, OpenChannel, PoleInWindow, Q1DError,
                      QuadratureFail, SignConventionViolation,
                      SingularSystem, TailTooLarge, UnknownFigure,
@@ -80,6 +80,6 @@ __all__ = [
     "Q1DError", "ConfigError", "UnknownFigure", "NonSymmetric",
     "PoleInWindow", "UnorderedSpectrum", "EdgeLeak", "TailTooLarge",
     "QuadratureFail", "NoRootInBranch", "BranchCollision",
-    "NoConvergence", "Diverging", "FitWindowTooSmall", "ContaminatedChannel",
+    "NoConvergence", "Diverging", "ContaminatedChannel",
     "OpenChannel", "AtResonance", "SingularSystem", "SignConventionViolation",
 ]

@@ -683,7 +683,8 @@ def run_oracle(config: RunConfig, out: Path):
                "contamination"], [row], {})
     return [out], {"a": res.a, "diverged": res.diverged,
                    "eigen_residual": res.eigen_residual,
-                   "unknowns": res.unknowns, "spread": res.spread}
+                   "unknowns": res.unknowns, "spread": res.spread,
+                   "eigenpairs": list(res.eigenpairs)}
 
 
 # --------------------------------------------------------------------

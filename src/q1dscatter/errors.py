@@ -82,10 +82,6 @@ class Diverging(Q1DError):
     """Born series terms grew for five consecutive orders."""
 
 
-class FitWindowTooSmall(Q1DError):
-    """Too few usable sites in the asymptotic fit window."""
-
-
 class ContaminatedChannel(Q1DError):
     """No eigenstate passed the entrance-channel purity filters."""
 

@@ -35,14 +35,15 @@ slice an orbit holds 1, 2 or 4 states.  There it factors as
 ``C`` the diagonal contact term.  On an asymmetric grid of ``ny`` sites
 ``m = ny`` for one particle and ``ny (ny + 1)/2`` for the pair; on a
 mirror-symmetric (odd) grid ``m = (ny + 1)/2`` and ``((ny + 1)/2)**2``.
-``H_s`` is assembled straight from these factors, never from the
+The factors are built straight from the lattice, never from the
 full-space ``H``.  In the eigenbasis of the
-slice, ``h_Y = R E R^T`` (dense ``eigh``), it becomes
+slice, ``h_Y = R E R^T`` (dense ``eigh``), ``H_s`` becomes
 
     H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R:
 
 ``m`` independent tridiagonal x-chains joined only by one dense
-``m x m`` contact block at ``x = 0``.  Its shift-invert Lanczos
+``m x m`` contact block at ``x = 0``, assembled in one sparse
+construction from index arrays.  Its shift-invert Lanczos
 eigenpairs (ARPACK mode 3; Lehoucq, Sorensen & Yang, *ARPACK Users'
 Guide*, SIAM 1998) reuse one LU factorization of ``H_rot - sigma`` per
 strip.  ``H_rot`` is symmetric, so SuperLU orders it by minimum degree
@@ -60,9 +61,24 @@ residuals came out at 1e-9 to 1e-6, leaking into ``a`` amplified by
 with ``R`` and mapped to the full space, so the entrance projection and
 the fit act on full-space vectors.  The Rayleigh quotients and the
 acceptance check ``|H_s phi - rho phi| <= 1e-10`` use the real-space
-``H_s``, not ``H_rot``: the check then tests the eigen-equation of the
-lattice problem itself, and a wrong rotation or a mis-ordered factor
-fails it (by ~1) instead of passing unseen.
+``H_s``, applied factor by factor, not ``H_rot``: the check then tests
+the eigen-equation of the lattice problem itself, and a wrong rotation
+or a mis-ordered factor fails it (by ~1) instead of passing unseen.
+
+Lanczos is asked only for the eigenpairs the fit can use.  A strip of
+half-extent ``Lx`` holds ``n_free = floor(k_max (Lx + 1)/pi + 1/2)``
+x-even free levels ``k_j = (j - 1/2) pi/(Lx + 1)`` up to the fit limit
+``k_max = 0.15``, and at most 9 states are accepted, so the first
+request is ``min(n_free, 9) + 2`` pairs (7 at ``Lx = 100``, 11 at
+``Lx = 200``).  Shift-invert Lanczos returns exactly the eigenvalues
+nearest ``sigma``, and the in-band states below ``sigma`` lie within
+``2 J_eff (1 - cos(pi/(Lx + 1)))`` of it, closer than any state past
+the first free level.  The energy-ordered scan over the returned pairs
+is therefore complete whenever it stops on a returned state: one with
+``k > k_max``, or the 9th accepted state.  When it runs off the end
+instead (closed-channel states crowd the window, as near a resonance),
+the same LU factorization serves a request for twice as many pairs, up
+to ``n - 2`` for ``n`` unknowns, and the scan starts again.
 Several states per strip size are extracted and ``a(k)`` is
 extrapolated to ``k = 0`` with a least-squares polynomial in ``k^2``
 pooled over two strip sizes (the finite-momentum error of ``a(k)`` is
@@ -73,19 +89,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .errors import (ConfigError, ContaminatedChannel, FitWindowTooSmall,
-                     NoConvergence)
+from .errors import ConfigError, ContaminatedChannel, NoConvergence
 from .traps import (J, DeltaWell, Harmonic, TrapSpec, alpha_closed,
                     potential_on_grid, solve_transverse)
 from .two_body import pair_hopping
 
-_N_EIGENPAIRS = 18
 _MAX_ACCEPTED = 9
 _K_MAX_FIT = 0.15  # beyond this the quartic k**2 model degrades
 _ENTRANCE_WEIGHT_MIN = 0.9
@@ -137,6 +151,8 @@ class OracleResult:
     trap).  ``spread`` is ``|a_coarse - a_fine|`` (0 for a
     diverged reading) and ``states`` the ``(k, tan delta)`` of every
     accepted state, coarse strip first, each ordered by ``k``.
+    ``eigenpairs`` is the number of Lanczos eigenpairs finally requested
+    on each strip, coarse first.
     """
 
     a: float
@@ -152,6 +168,7 @@ class OracleResult:
     unknowns: int
     spread: float
     states: tuple[tuple[float, float], ...]
+    eigenpairs: tuple[int, int]
 
 
 def _effective_trap(problem: StripProblem) -> TrapSpec:
@@ -325,24 +342,43 @@ def _sector(problem: StripProblem,
                    sp.kron(x_orbits, y_orbits, format="csr"))
 
 
-def _kron_sum(t_x: sp.spmatrix, h_y: sp.spmatrix,
-              contact: sp.spmatrix) -> sp.csc_matrix:
-    """``T_x (x) I + I (x) h_y + |x=0><x=0| (x) contact``, x-major, with
-    ``x = 0`` the last x-orbit.  Of a `_Sector`'s own factors it is the
-    real-space ``H_s``, entry for entry ``_sector_problem(H, orbits)``."""
-    nx, m = t_x.shape[0], h_y.shape[0]
-    at_impurity = _impurity(nx, np.array([nx - 1]), 1.0)
-    return (sp.kron(t_x, sp.identity(m)) + sp.kron(sp.identity(nx), h_y)
-            + sp.kron(at_impurity, contact)).tocsc()
-
-
 def _rotated(sector: _Sector) -> tuple[sp.csc_matrix, np.ndarray]:
     """``H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R`` and the
     slice eigenbasis ``R`` (``h_Y = R E R^T``), so that
-    ``H_s (I (x) R) = (I (x) R) H_rot``."""
+    ``H_s (I (x) R) = (I (x) R) H_rot``; x-major, with ``x = 0`` the
+    last x-orbit.  Assembled in one construction from index arrays;
+    ``T_x`` has no diagonal, so only the diagonal of the ``x = 0`` block
+    sums two terms, ``E + R^T C R``, and every entry is rounded exactly
+    as in the sum of the three Kronecker products."""
     energies, rotation = np.linalg.eigh(sector.h_y.toarray())
-    return _kron_sum(sector.t_x, sp.diags(energies), sp.csr_matrix(
-        rotation.T @ (sector.contact @ rotation))), rotation
+    block = rotation.T @ (sector.contact @ rotation)
+    nx, m = sector.t_x.shape[0], energies.size
+    chain = sector.t_x.tocoo()
+    slices = np.arange(m)
+    diagonal = np.arange(nx * m)
+    b_row, b_col = np.nonzero(block)
+    at_impurity = (nx - 1) * m
+    rows = np.concatenate([(chain.row[:, None] * m + slices).ravel(),
+                           diagonal, at_impurity + b_row])
+    cols = np.concatenate([(chain.col[:, None] * m + slices).ravel(),
+                           diagonal, at_impurity + b_col])
+    data = np.concatenate([np.repeat(chain.data, m), np.tile(energies, nx),
+                           block[b_row, b_col]])
+    return sp.csc_matrix((data, (rows, cols)), shape=(nx * m, nx * m)), \
+        rotation
+
+
+def _sector_product(sector: _Sector, phi: np.ndarray) -> np.ndarray:
+    """``H_s phi`` for x-major columns `phi`, applied factor by factor:
+    ``T_x`` along x, ``h_Y`` on every slice and ``C`` on the ``x = 0``
+    slice (the last), without assembling ``H_s``."""
+    nx, m = sector.t_x.shape[0], sector.h_y.shape[0]
+    v = phi.reshape(nx, m, -1)
+    h_v = (sector.t_x @ v.reshape(nx, -1)).reshape(v.shape)
+    h_v += (sector.h_y @ v.transpose(1, 0, 2).reshape(m, -1)) \
+        .reshape(m, nx, -1).transpose(1, 0, 2)
+    h_v[-1] += sector.contact @ v[-1]
+    return h_v.reshape(phi.shape)
 
 
 def _check_correlation_length(problem: StripProblem, gap: float,
@@ -385,17 +421,20 @@ class _Extraction:
 
 
 def _sector_eigenpairs(sector: _Sector, sigma: float
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shift-invert Lanczos eigenpairs of the sector Hamiltonian ``H_s``
-    nearest `sigma`, solved as ``H_rot`` in the slice eigenbasis from one
-    LU factorization of ``H_rot - sigma`` (see the module docstring).
+                       ) -> Callable[[int], tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray]]:
+    """Shift-invert Lanczos on the sector Hamiltonian ``H_s`` near
+    `sigma`, solved as ``H_rot`` in the slice eigenbasis from one LU
+    factorization of ``H_rot - sigma`` (see the module docstring).
 
-    Returns the Rayleigh quotients ``rho`` of ``H_s`` in ascending order,
-    the full-space vectors ``P phi`` (unit columns) and the real-space
-    sector residuals ``|H_s phi - rho phi|``.  ``rho`` is evaluated as
-    the Ritz value plus ``phi.r / phi.phi`` with ``r = H_s phi - theta
-    phi``: summing ``phi.H_s phi`` directly loses ~sqrt(n) ulps, and
-    ``k`` follows from ``rho`` with a ``1/k^2`` amplification.
+    Returns ``eigenpairs(count)``: the `count` eigenpairs nearest
+    `sigma`, each call a fresh Lanczos run on the same factorization,
+    as the Rayleigh quotients ``rho`` of ``H_s`` in ascending order, the
+    full-space vectors ``P phi`` (unit columns) and the real-space sector
+    residuals ``|H_s phi - rho phi|``.  ``rho`` is evaluated as the Ritz
+    value plus ``phi.r / phi.phi`` with ``r = H_s phi - theta phi``:
+    summing ``phi.H_s phi`` directly loses ~sqrt(n) ulps, and ``k``
+    follows from ``rho`` with a ``1/k^2`` amplification.
     """
     nx, m = sector.t_x.shape[0], sector.h_y.shape[0]
     n = nx * m
@@ -407,48 +446,73 @@ def _sector_eigenpairs(sector: _Sector, sigma: float
         sigma += 1e-9 * (1.0 + abs(sigma))
         lu = splu(h_rot - sigma * eye, permc_spec=_ORDERING)
     solve = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    theta, phi = eigsh(h_rot, k=min(_N_EIGENPAIRS, n - 2), sigma=sigma,
-                       OPinv=solve, v0=np.ones(n))
-    phi = (rotation @ phi.reshape(nx, m, -1)).reshape(n, -1)
-    h_phi = _kron_sum(sector.t_x, sector.h_y, sector.contact) @ phi
-    rho = theta + (np.einsum("ij,ij->j", phi, h_phi - phi * theta)
-                   / np.einsum("ij,ij->j", phi, phi))
-    residual = np.linalg.norm(h_phi - phi * rho, axis=0)
-    order = np.argsort(rho)
-    return rho[order], _isometry(sector.orbits) @ phi[:, order], \
-        residual[order]
+    isometry = _isometry(sector.orbits)
+
+    def eigenpairs(count: int):
+        theta, phi = eigsh(h_rot, k=count, sigma=sigma, OPinv=solve,
+                           v0=np.ones(n))
+        phi = (rotation @ phi.reshape(nx, m, -1)).reshape(n, -1)
+        h_phi = _sector_product(sector, phi)
+        rho = theta + (np.einsum("ij,ij->j", phi, h_phi - phi * theta)
+                       / np.einsum("ij,ij->j", phi, phi))
+        residual = np.linalg.norm(h_phi - phi * rho, axis=0)
+        order = np.argsort(rho)
+        return rho[order], isometry @ phi[:, order], residual[order]
+
+    return eigenpairs
 
 
-def _extract_states(sector: _Sector, entrance: np.ndarray, e_free: float,
-                    j_eff: float, lx: int) -> list[_Extraction]:
-    """Collect entrance-dominated scattering states of the strip's
-    symmetry `sector`, with their fitted asymptotic cosines, lowest
-    momenta first.  `entrance` is the transverse entrance state on one
-    x-slice of the full space."""
-    lo = (lx + 3) // 4
-    hi = lx // 2
-    window = np.arange(lo, hi + 1)
-    if len(window) < _MIN_WINDOW_POINTS:
-        raise FitWindowTooSmall(
-            f"fit window [{lo}, {hi}] holds {len(window)} points "
-            f"(< {_MIN_WINDOW_POINTS}); increase the strip extent")
+def _fit_window(lx: int) -> np.ndarray:
+    """Sites ``x > 0`` of the cosine fit on a strip of half-extent `lx`,
+    clear of the impurity's closed channels and of the open end."""
+    return np.arange((lx + 3) // 4, lx // 2 + 1)
+
+
+def _check_fit_window(lx: int) -> None:
+    """The coarse strip ``lx // 2`` must hold ``_MIN_WINDOW_POINTS``
+    fit-window points; the finer strip ``lx`` then holds more."""
+    points = _fit_window(lx // 2).size
+    if points < _MIN_WINDOW_POINTS:
+        longer = lx + 1
+        while _fit_window(longer // 2).size < _MIN_WINDOW_POINTS:
+            longer += 1
+        raise ConfigError(
+            f"strip too short: the coarse strip at half-extent {lx // 2} "
+            f"holds {points} fit-window points (need "
+            f"{_MIN_WINDOW_POINTS}); the shortest longer strip that holds "
+            f"them has lx = {longer}")
+
+
+def _pairs_requested(lx: int) -> int:
+    """The first Lanczos request on a strip of half-extent `lx`: the
+    x-even free levels ``k_j = (j - 1/2) pi/(lx + 1) <= _K_MAX_FIT`` the
+    fit can use, at most ``_MAX_ACCEPTED``, plus two, so that the scan
+    normally stops on a returned state (see the module docstring)."""
+    n_free = math.floor(_K_MAX_FIT * (lx + 1) / math.pi + 0.5)
+    return min(n_free, _MAX_ACCEPTED) + 2
+
+
+def _scan(energies: np.ndarray, vectors: np.ndarray, residuals: np.ndarray,
+          entrance: np.ndarray, e_free: float, j_eff: float, lx: int
+          ) -> tuple[list[_Extraction], str | None, bool]:
+    """Fit the entrance-dominated scattering states among a strip's
+    eigenpairs, in ascending energy.  Returns the accepted states,
+    the last rejection, and whether the scan stopped on a returned state
+    (past the fit range, or at ``_MAX_ACCEPTED`` states), which makes it
+    complete (see the module docstring)."""
+    window = _fit_window(lx)
     win_idx = lx + window  # positive-x side of the symmetric grid
-
-    k_target = math.pi / (lx + 1)
-    sigma = e_free - 2.0 * j_eff * math.cos(k_target)
-    energies, vectors, residuals = _sector_eigenpairs(sector, sigma)
-
     accepted: list[_Extraction] = []
     best_reject = None
     for rho, psi, eigen_residual in zip(energies, vectors.T, residuals):
         if len(accepted) >= _MAX_ACCEPTED:
-            break
+            return accepted, best_reject, True
         cos_k = (e_free - float(rho)) / (2.0 * j_eff)
         if not -1.0 + 1e-12 < cos_k < 1.0 - 1e-12:
             continue  # outside the entrance band (e.g. impurity bound state)
         k = math.acos(cos_k)
         if k > _K_MAX_FIT:
-            break  # states are energy-ordered; the rest sit higher still
+            return accepted, best_reject, True  # the rest sit higher still
         w = psi.reshape(-1, entrance.size) @ entrance
         weight = float(w @ w) / float(psi @ psi)
         if weight < _ENTRANCE_WEIGHT_MIN:
@@ -482,10 +546,32 @@ def _extract_states(sector: _Sector, entrance: np.ndarray, e_free: float,
             a=a, k=k, tan_delta=tan_delta, entrance_weight=weight,
             fit_residual=resid, contamination=contamination,
             eigen_residual=float(eigen_residual), diverged=diverged))
+    return accepted, best_reject, len(accepted) >= _MAX_ACCEPTED
+
+
+def _extract_states(sector: _Sector, entrance: np.ndarray, e_free: float,
+                    j_eff: float, lx: int
+                    ) -> tuple[list[_Extraction], int]:
+    """Collect entrance-dominated scattering states of the strip's
+    symmetry `sector`, with their fitted asymptotic cosines, lowest
+    momenta first, and the number of eigenpairs finally requested.
+    `entrance` is the transverse entrance state on one x-slice of the
+    full space."""
+    k_target = math.pi / (lx + 1)
+    sigma = e_free - 2.0 * j_eff * math.cos(k_target)
+    eigenpairs = _sector_eigenpairs(sector, sigma)
+    cap = sector.orbits.shape[1] - 2
+    count = min(_pairs_requested(lx), cap)
+    while True:
+        accepted, best_reject, complete = _scan(
+            *eigenpairs(count), entrance, e_free, j_eff, lx)
+        if complete or count == cap:
+            break
+        count = min(2 * count, cap)  # ran off the end: ask for more
 
     if accepted:
         accepted.sort(key=lambda e: e.k)
-        return accepted
+        return accepted, count
     if best_reject is not None:
         raise ContaminatedChannel(
             f"no clean scattering eigenstate found; last rejection: "
@@ -510,7 +596,8 @@ def _zero_momentum_fit(states: list[_Extraction]) -> float:
 
 
 def _extrapolate(coarse: list[_Extraction], fine: list[_Extraction],
-                 unknowns: int) -> OracleResult:
+                 unknowns: int, eigenpairs: tuple[int, int]
+                 ) -> OracleResult:
     """Pool the per-size extractions into the ``k -> 0`` limit."""
     live_coarse = [e for e in coarse if not e.diverged]
     live_fine = [e for e in fine if not e.diverged]
@@ -531,7 +618,8 @@ def _extrapolate(coarse: list[_Extraction], fine: list[_Extraction],
         eigen_residual=max(e.eigen_residual for e in used),
         unknowns=unknowns,
         spread=0.0 if diverged else abs(a_coarse - a_fine),
-        states=tuple((e.k, e.tan_delta) for e in coarse + fine))
+        states=tuple((e.k, e.tan_delta) for e in coarse + fine),
+        eigenpairs=eigenpairs)
 
 
 def _scattering_length(problem: StripProblem,
@@ -543,18 +631,22 @@ def _scattering_length(problem: StripProblem,
     _check_correlation_length(
         problem, _first_coupled_gap(problem, total_momentum is not None),
         j_eff)
+    _check_fit_window(problem.lx)
     _, _, psi0, e0 = _transverse_ground(problem)
     if total_momentum is None:
         entrance, e_free = psi0, e0
     else:
         entrance, e_free = np.outer(psi0, psi0).reshape(-1), 2.0 * e0
 
-    results = []
+    results, requested = [], []
     for lx in (problem.lx // 2, problem.lx):
         sector = _sector(replace(problem, lx=lx), total_momentum)
-        results.append(_extract_states(sector, entrance, e_free=e_free,
-                                       j_eff=j_eff, lx=lx))
-    return _extrapolate(*results, unknowns=sector.orbits.shape[1])
+        states, count = _extract_states(sector, entrance, e_free=e_free,
+                                        j_eff=j_eff, lx=lx)
+        results.append(states)
+        requested.append(count)
+    return _extrapolate(*results, unknowns=sector.orbits.shape[1],
+                        eigenpairs=tuple(requested))
 
 
 def strip_scattering_length(problem: StripProblem) -> OracleResult:
@@ -565,7 +657,10 @@ def strip_scattering_length(problem: StripProblem) -> OracleResult:
 
     Raises
     ------
-    FitWindowTooSmall, ContaminatedChannel, NoConvergence
+    ConfigError
+        When the strip is too short for the slowest closed channel to
+        decay or for the coarse strip to hold a fit window.
+    ContaminatedChannel, NoConvergence
         When no clean asymptotic window exists.
     """
     return _scattering_length(problem, None)

@@ -227,17 +227,31 @@ def test_oracle_diagnostics_in_manifest_only(tmp_path, capsys):
         (tmp_path / "o.csv.manifest.json").read_text())["diagnostics"]
     assert 0.0 < diag["eigen_residual"] <= 1e-10
     assert diag["unknowns"] == 101 * 3  # x >= 0 times y1 <= y2
+    # min(x-even free levels with k <= 0.15, 9) + 2 at lx = 50 and 100
+    assert diag["eigenpairs"] == [4, 7]
     meta, rows = read_csv(out)
     assert diag["spread"] == abs(float(rows[0]["a_coarse"])
                                  - float(rows[0]["a_fine"]))
-    assert not {"eigen_residual", "unknowns", "spread"} & set(rows[0])
-    assert not {"eigen-residual", "unknowns", "spread"} & set(meta)
+    hidden = {"eigen_residual", "unknowns", "spread", "eigenpairs"}
+    assert not hidden & set(rows[0])
+    assert not hidden & {key.replace("-", "_") for key in meta}
     replay = tmp_path / "replay.csv"
     code, _, _ = run_cli(["oracle", "--config",
                           str(tmp_path / "o.csv.manifest.json"),
                           "--output", str(replay)], capsys)
     assert code == 0
     assert out.read_bytes() == replay.read_bytes()
+
+
+def test_oracle_short_strip_exit_code(tmp_path, capsys):
+    """--lx 40 leaves the coarse strip (lx//2 = 20) a 6-point fit window:
+    refused up front as a configuration error, naming lx = 56."""
+    record = expect_error(
+        ["oracle", "--trap", "two-site", "--v", "1.0", "--mode", "pair",
+         "--u", "-5", "--lx", "40", "--validate",
+         "--output", str(tmp_path / "o.csv")], capsys, 2, "ConfigError")
+    assert record["message"].startswith("strip too short")
+    assert record["message"].endswith("lx = 56")
 
 
 def test_tabulated_trap_flags(tmp_path, capsys):

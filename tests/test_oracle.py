@@ -130,17 +130,18 @@ def _full_space_eigenpairs(problem, momentum, reflect, e_free, j_eff,
                            calls):
     """The full-space solve the sector solve replaced, for comparison:
     ``H`` from `strip_hamiltonian` (``momentum=None``) or
-    `pair_hamiltonian`, shift-invert Lanczos on all of it, and for each
-    even candidate in the fitted momentum range two inverse-iteration
-    steps at its Rayleigh quotient, each with its own LU factorization.
-    Every call is recorded in `calls`."""
+    `pair_hamiltonian`, shift-invert Lanczos on all of it for 18
+    eigenpairs, whatever the count asked for, and for each even
+    candidate in the fitted momentum range two inverse-iteration steps
+    at its Rayleigh quotient, each with its own LU factorization; the
+    first candidate past that range ends the list unrefined, so the
+    oracle's scan stops on it.  Every strip is recorded in `calls`."""
     def solve(sector, sigma):
         calls.append(sigma)
         strip = replace(problem, lx=sector.t_x.shape[0] - 1)
         h = (q.strip_hamiltonian(strip) if momentum is None
              else q.pair_hamiltonian(strip, momentum))[0]
-        vals, vecs = eigsh(h, k=oracle._N_EIGENPAIRS, sigma=sigma,
-                           v0=np.ones(h.shape[0]))
+        vals, vecs = eigsh(h, k=18, sigma=sigma, v0=np.ones(h.shape[0]))
         h_csc = h.tocsc()
         eye = sp.identity(h.shape[0], format="csc")
         energies, vectors, residuals = [], [], []
@@ -148,9 +149,12 @@ def _full_space_eigenpairs(problem, momentum, reflect, e_free, j_eff,
             cos_k = (e_free - float(vals[idx])) / (2.0 * j_eff)
             if not -1.0 + 1e-12 < cos_k < 1.0 - 1e-12:
                 continue
-            if math.acos(cos_k) > oracle._K_MAX_FIT:
-                break
             psi = vecs[:, idx]
+            if math.acos(cos_k) > oracle._K_MAX_FIT:
+                energies.append(float(vals[idx]))
+                vectors.append(psi)
+                residuals.append(math.inf)
+                break
             if float(psi @ reflect(psi)) < 0.5:
                 continue
             rho = float(vals[idx])
@@ -164,8 +168,9 @@ def _full_space_eigenpairs(problem, momentum, reflect, e_free, j_eff,
             energies.append(rho)
             vectors.append(psi)
             residuals.append(float(np.linalg.norm(h_csc @ psi - rho * psi)))
-        return (np.array(energies), np.column_stack(vectors),
-                np.array(residuals))
+        pairs = (np.array(energies), np.column_stack(vectors),
+                 np.array(residuals))
+        return lambda count: pairs
     return solve
 
 
@@ -207,9 +212,9 @@ def test_sector_solve_matches_full_space(name, monkeypatch):
     extrapolate = oracle._extrapolate
     strips = []
 
-    def spy(coarse, fine, unknowns):
+    def spy(coarse, fine, **sizes):
         strips.append((coarse, fine))
-        return extrapolate(coarse, fine, unknowns)
+        return extrapolate(coarse, fine, **sizes)
 
     monkeypatch.setattr(oracle, "_extrapolate", spy)
     sector = run()
@@ -373,6 +378,80 @@ def test_pair_strip_checks_the_lowest_coupled_pair_channel():
     box = q.Tabulated.from_mapping({y: 0.0 for y in range(-7, 8)}, None)
     with pytest.raises(q.ConfigError, match="strip too short"):
         q.pair_scattering_length(q.StripProblem(trap=box, u=-5.0, lx=34))
+
+
+@pytest.mark.parametrize("lx, longer", [(36, 56), (58, 60)])
+def test_short_coarse_strip_refused_up_front(lx, longer, monkeypatch):
+    """On the flat 15-site box at K = 0, lx = 36 passes the correlation
+    check (lx > 35.1), but its coarse strip lx//2 = 18 holds a 5-point
+    fit window [5, 9]; lx = 58 gives the 7-point window [8, 14] of
+    lx//2 = 29, the one gap above 56.  Both are refused as configuration
+    errors before any sector is assembled, naming the next usable lx."""
+    box = q.Tabulated.from_mapping({y: 0.0 for y in range(-7, 8)}, None)
+
+    def no_sector(*args):
+        raise AssertionError("sector assembled")
+
+    monkeypatch.setattr(oracle, "_sector", no_sector)
+    with pytest.raises(q.ConfigError,
+                       match=rf"^strip too short: .* lx = {longer}$"):
+        q.pair_scattering_length(q.StripProblem(trap=box, u=-5.0, lx=lx))
+
+
+_BENCHMARK_PROBLEMS = {
+    "single-harmonic": (q.Harmonic(omega=0.1), -2.0, None),
+    "pair-two-site": (q.TwoSite(v=1.0), -5.0, 0.0),
+    "pair-table9-moving": (_TABLE9, -5.0, math.pi / 3),
+}
+
+
+@pytest.mark.parametrize("first", [1, 2])
+@pytest.mark.parametrize("name", list(_BENCHMARK_PROBLEMS))
+def test_short_first_request_doubles_on_one_factorization(name, first,
+                                                          monkeypatch):
+    """A first Lanczos request too short for the scan to stop on a
+    returned state doubles until it does, on the strip's one LU
+    factorization, and accepts the states of the default request."""
+    trap, u, momentum = _BENCHMARK_PROBLEMS[name]
+    problem = q.StripProblem(trap=trap, u=u, lx=200)
+
+    def run():
+        return q.strip_scattering_length(problem) if momentum is None \
+            else q.pair_scattering_length(problem, momentum)
+
+    plain = run()
+    factorize, lanczos = oracle.splu, oracle.eigsh
+    factored, requests = [], []
+
+    def spy(matrix, **kwargs):
+        factored.append(matrix.shape[0])
+        return factorize(matrix, **kwargs)
+
+    def counted(matrix, k, **kwargs):
+        requests.append(k)
+        return lanczos(matrix, k=k, **kwargs)
+
+    monkeypatch.setattr(oracle, "splu", spy)
+    monkeypatch.setattr(oracle, "eigsh", counted)
+    monkeypatch.setattr(oracle, "_pairs_requested", lambda lx: first)
+    doubled = run()
+    assert len(factored) == 2  # one per strip
+    assert plain.eigenpairs == (7, 11)  # min(n_free, 9) + 2, no doubling
+    expected = []
+    for final in doubled.eigenpairs:
+        assert final > first
+        count = first
+        while count < final:
+            expected.append(count)
+            count *= 2
+        expected.append(count)
+    assert requests == expected
+    assert len(doubled.states) == len(plain.states) > 0
+    for (k, _), (k_ref, _) in zip(doubled.states, plain.states):
+        assert abs(k - k_ref) <= 1e-11 * k_ref
+    for field in ("a", "a_coarse", "a_fine"):
+        ref = getattr(plain, field)
+        assert abs(getattr(doubled, field) - ref) <= 1e-10 * abs(ref)
 
 
 def test_singular_shift_retried_once(monkeypatch):

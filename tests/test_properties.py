@@ -4,6 +4,7 @@ the oracle's symmetry sectors on random hard-walled tabulated traps
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, strategies as st  # noqa: E402
@@ -202,22 +203,33 @@ def test_oracle_sectors_are_invariant_isometries(trap, lx, u, momentum,
 @example(trap=q.Tabulated.from_mapping({-1: 1.9233, 0: 0.0, 1: 1.9233}),
          lx=16, u=-5.0, momentum=0.0)
 def test_oracle_sector_factors(trap, lx, u, momentum):
-    """H_s assembled from its x-chain, slice and contact factors is
+    """H_s applied factor by factor (x-chain, slice and contact) is
     P^T H P of the full-space H entry for entry, also where an orbit of
-    four or eight states sums equal diagonal entries, and the slice
-    eigenbasis R carries it into the rotated form the oracle factors:
+    four or eight states sums equal diagonal entries; the directly
+    assembled H_rot is the sum of its three Kronecker products entry for
+    entry; and the slice eigenbasis R carries H_s into it:
     H_s (I (x) R) = (I (x) R) H_rot."""
     problem = q.StripProblem(trap=trap, u=u, lx=lx)
     for h, sector in (
             (q.strip_hamiltonian(problem)[0], oracle._sector(problem)),
             (q.pair_hamiltonian(problem, momentum)[0],
              oracle._sector(problem, momentum))):
-        h_s = oracle._kron_sum(sector.t_x, sector.h_y,
-                               sector.contact).toarray()
+        nx, m = sector.t_x.shape[0], sector.h_y.shape[0]
+        h_s = oracle._sector_product(sector, np.identity(nx * m))
         reference = oracle._sector_problem(h, sector.orbits).toarray()
         diff = np.max(np.abs(h_s - reference))
         assert diff == 0.0, f"max |H_s - P^T H P| = {diff:.3g}"
         h_rot, rotation = oracle._rotated(sector)
-        lift = np.kron(np.identity(lx + 1), rotation)
+        energies, basis = np.linalg.eigh(sector.h_y.toarray())
+        assert np.array_equal(rotation, basis)
+        at_impurity = sp.csr_matrix(([1.0], ([nx - 1], [nx - 1])),
+                                    shape=(nx, nx))
+        kron_sum = (sp.kron(sector.t_x, sp.identity(m))
+                    + sp.kron(sp.identity(nx), sp.diags(energies))
+                    + sp.kron(at_impurity, sp.csr_matrix(
+                        basis.T @ (sector.contact @ basis))))
+        assert h_rot.shape == kron_sum.shape
+        assert (h_rot != kron_sum).nnz == 0
+        lift = np.kron(np.identity(nx), rotation)
         assert np.linalg.norm(h_s @ lift - lift @ h_rot.toarray()) \
             <= 1e-13 * np.linalg.norm(h_s)
