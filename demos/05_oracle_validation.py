@@ -5,11 +5,12 @@ formalism.  This demo validates it against a method that shares none of
 that machinery: put the full problem on a finite strip (open direction
 x hard-walled at +-Lx, transverse trap in y), diagonalize the sparse
 Hamiltonian, read the scattering length off the node of the lowest
-even scattering state, and extrapolate k -> 0 with a pooled polynomial
-fit over two strip sizes.  Each strip is solved in the symmetry sector
-that holds the even scattering states (even in x, even under the
-transverse mirror y -> -y on a mirror-symmetric trap and, for a pair,
-symmetric under y1 <-> y2), with one sparse factorization.
+even scattering state, and extrapolate k -> 0 with a rational
+least-squares fit in k^2 over the strip's states.  The strip is solved
+in the symmetry sector that holds the even scattering states (even in
+x, even under the transverse mirror y -> -y on a mirror-symmetric trap
+and, for a pair, symmetric under y1 <-> y2), with one sparse
+factorization.
 
 Run:  python3 demos/05_oracle_validation.py   (takes ~1 s)
 """

@@ -674,17 +674,15 @@ def run_oracle(config: RunConfig, out: Path):
     else:
         res = pair_scattering_length(
             problem, total_momentum=float(config.get("total_momentum")))
-    row = (mode, problem.u, problem.lx, res.a, res.diverged, res.a_coarse,
-           res.a_fine, res.k_coarse, res.k_fine, res.entrance_weight,
-           res.fit_residual, res.contamination)
+    row = (mode, problem.u, problem.lx, res.a, res.diverged, res.k_min,
+           res.entrance_weight, res.fit_residual, res.contamination)
     write_csv(out, config,
-              ["mode", "u", "lx", "a", "diverged", "a_coarse", "a_fine",
-               "k_coarse", "k_fine", "entrance_weight", "fit_residual",
-               "contamination"], [row], {})
+              ["mode", "u", "lx", "a", "diverged", "k_min", "entrance_weight",
+               "fit_residual", "contamination"], [row], {})
     return [out], {"a": res.a, "diverged": res.diverged,
                    "eigen_residual": res.eigen_residual,
                    "unknowns": res.unknowns, "spread": res.spread,
-                   "eigenpairs": list(res.eigenpairs)}
+                   "eigenpairs": res.eigenpairs}
 
 
 # --------------------------------------------------------------------

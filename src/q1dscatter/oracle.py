@@ -79,10 +79,15 @@ is therefore complete whenever it stops on a returned state: one with
 instead (closed-channel states crowd the window, as near a resonance),
 the same LU factorization serves a request for twice as many pairs, up
 to ``n - 2`` for ``n`` unknowns, and the scan starts again.
-Several states per strip size are extracted and ``a(k)`` is
-extrapolated to ``k = 0`` with a least-squares polynomial in ``k^2``
-pooled over two strip sizes (the finite-momentum error of ``a(k)`` is
-even in ``k``).
+The accepted states of the one strip give ``a(0)`` from a rational
+least-squares fit ``a(s) = P_L(s)/(1 + s Q_{M-1}(s))`` in ``s = k^2``
+(the finite-momentum error of ``a(k)`` is even in ``k``), one ``lstsq``
+of ``P_L(s) - a s Q_{M-1}(s) = a`` (Baker & Graves-Morris, *Pade
+Approximants*, CUP 1996).  Next to a narrow resonance ``a(k)`` has a
+pole or a zero near ``k = 0`` that no polynomial follows; a fitted pole
+inside the fitted range is genuine and kept.  The order is the highest
+of [1/0], [1/1], [2/1], [2/2], [3/2] that the states determine, checked
+against the order below it.
 """
 
 from __future__ import annotations
@@ -96,19 +101,22 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import ConfigError, ContaminatedChannel, NoConvergence
-from .traps import (J, DeltaWell, Harmonic, TrapSpec, alpha_closed,
-                    potential_on_grid, solve_transverse)
+from .traps import (J, DeltaWell, Harmonic, TransverseSpectrum, TrapSpec,
+                    alpha_closed, potential_on_grid, solve_transverse)
 from .two_body import pair_hopping
 
 _MAX_ACCEPTED = 9
-_K_MAX_FIT = 0.15  # beyond this the quartic k**2 model degrades
+_K_MAX_FIT = 0.15  # fitted momenta k <= 0.15: up to 9 states at lx = 200
 _ENTRANCE_WEIGHT_MIN = 0.9
 _EIGEN_RESIDUAL_MAX = 1e-10
 _FIT_RESIDUAL_MAX = 1e-6
 _ORDERING = "MMD_AT_PLUS_A"  # H_s is symmetric; see the module docstring
-_MIN_WINDOW_POINTS = 8
 _CONTAMINATION_MAX = 1e-8
 _DIVERGENCE_TAN = 1e-10
+_ORDERS = ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2))  # [L/M], L + M + 1 unknowns
+_MIN_STATES = 3  # the two lowest orders need 2 and 3 states
+_SPREAD_MAX = 1e-5  # |a_hi - a_lo| relative to max(1, |a|)
+_MIN_LX = 52  # the first lx with _MIN_STATES x-even free k <= _K_MAX_FIT
 
 
 @dataclass(frozen=True)
@@ -139,28 +147,24 @@ class StripProblem:
 class OracleResult:
     """Scattering length extracted from exact diagonalization.
 
-    ``a`` is the ``k -> 0`` extrapolation pooled over both strip sizes;
-    ``a_coarse``/``a_fine`` are the per-size extrapolations and
-    ``k_coarse``/``k_fine`` the smallest momenta entering each.
+    ``a`` is the ``k -> 0`` limit of the rational fit in ``k^2`` of the
+    highest order the accepted states determine (see the module
+    docstring), and ``k_min`` the smallest accepted momentum.
     ``diverged`` marks an ``|a| -> infinity`` reading (e.g. ``U = 0``).
     The quality fields report the worst value over all states used;
     ``eigen_residual`` is the largest sector residual
-    ``|H_s phi - rho phi|`` among them and ``unknowns`` the sector size
-    of the finer strip, ``(lx + 1) m`` for ``m`` transverse orbits (see
-    the module docstring; ``m`` halves or better on a mirror-symmetric
-    trap).  ``spread`` is ``|a_coarse - a_fine|`` (0 for a
-    diverged reading) and ``states`` the ``(k, tan delta)`` of every
-    accepted state, coarse strip first, each ordered by ``k``.
-    ``eigenpairs`` is the number of Lanczos eigenpairs finally requested
-    on each strip, coarse first.
+    ``|H_s phi - rho phi|`` among them and ``unknowns`` the sector size,
+    ``(lx + 1) m`` for ``m`` transverse orbits (see the module
+    docstring; ``m`` halves or better on a mirror-symmetric trap).
+    ``spread`` is ``|a_hi - a_lo|`` between that order and the one below
+    it (0 for a diverged reading) and ``states`` the ``(k, tan delta)``
+    of every accepted state, ordered by ``k``.  ``eigenpairs`` is the
+    number of Lanczos eigenpairs finally requested.
     """
 
     a: float
     diverged: bool
-    a_coarse: float
-    a_fine: float
-    k_coarse: float
-    k_fine: float
+    k_min: float
     entrance_weight: float
     fit_residual: float
     contamination: float
@@ -168,26 +172,24 @@ class OracleResult:
     unknowns: int
     spread: float
     states: tuple[tuple[float, float], ...]
-    eigenpairs: tuple[int, int]
+    eigenpairs: int
 
 
-def _effective_trap(problem: StripProblem) -> TrapSpec:
-    if problem.y_max is None:
-        return problem.trap
-    if isinstance(problem.trap, Harmonic):
-        return replace(problem.trap, y_max=problem.y_max)
-    raise ConfigError(
-        "y_max override applies only to traps on an auto-sized grid")
-
-
-def _transverse_ground(problem: StripProblem):
-    """Transverse grid, potential, and ground state used by the strip."""
-    trap = _effective_trap(problem)
-    spectrum = solve_transverse(trap, n_states=1) \
+def _transverse(problem: StripProblem
+                ) -> tuple[np.ndarray, np.ndarray, TransverseSpectrum]:
+    """Transverse grid, potential and spectrum of the strip, from one
+    solve (for a harmonic trap the three states `_first_coupled_gap`
+    reads)."""
+    trap = problem.trap
+    if problem.y_max is not None:
+        if not isinstance(trap, Harmonic):
+            raise ConfigError(
+                "y_max override applies only to traps on an auto-sized grid")
+        trap = replace(trap, y_max=problem.y_max)
+    spectrum = solve_transverse(trap, n_states=3) \
         if isinstance(trap, Harmonic) else solve_transverse(trap)
-    grid = spectrum.grid
-    _, v = potential_on_grid(trap, int(grid[-1]))
-    return grid, v, spectrum.wavefunctions[0], float(spectrum.energies[0])
+    _, v = potential_on_grid(trap, int(spectrum.grid[-1]))
+    return spectrum.grid, v, spectrum
 
 
 def _hop_matrix(n: int, amplitude: float) -> sp.csr_matrix:
@@ -222,7 +224,7 @@ def strip_hamiltonian(problem: StripProblem) -> tuple[sp.csr_matrix,
                                                       np.ndarray, np.ndarray]:
     """Sparse single-particle Hamiltonian of the strip; returns
     ``(H, x_grid, y_grid)`` with state index ``ix * len(y_grid) + iy``."""
-    y_grid, v, _, _ = _transverse_ground(problem)
+    y_grid, v, _ = _transverse(problem)
     nx = 2 * problem.lx + 1
     ny = len(y_grid)
     h = (sp.kron(_hop_matrix(nx, J), sp.identity(ny))
@@ -237,7 +239,7 @@ def pair_hamiltonian(problem: StripProblem, total_momentum: float = 0.0
                      ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Sparse relative-coordinate pair Hamiltonian at total
     quasi-momentum ``K``; state index ``(ix * ny + iy1) * ny + iy2``."""
-    y_grid, v, _, _ = _transverse_ground(problem)
+    y_grid, v, _ = _transverse(problem)
     j_k = pair_hopping(total_momentum)
     nx = 2 * problem.lx + 1
     ny = len(y_grid)
@@ -307,17 +309,17 @@ class _Sector(NamedTuple):
     orbits: sp.csr_matrix
 
 
-def _sector(problem: StripProblem,
-            total_momentum: float | None = None) -> _Sector:
+def _sector(problem: StripProblem, y_grid: np.ndarray, v: np.ndarray,
+            total_momentum: float | None) -> _Sector:
     """The sector factors of the single-particle strip
     (``total_momentum=None``) or of the pair strip at total
     quasi-momentum ``K``, each the sector of its own factor of the
-    full-space Hamiltonian.
+    full-space Hamiltonian, on the transverse grid `y_grid` with
+    potential `v`.
 
     The transverse mirror ``y -> -y`` (pair: ``(y1, y2) -> (-y1, -y2)``)
     joins the group only when the grid and potential are mirror images
     bit for bit: a tolerance would drop a real, if tiny, coupling."""
-    y_grid, v, _, _ = _transverse_ground(problem)
     ny = len(y_grid)
     if total_momentum is None:
         j_eff, h_y = J, _slice_hamiltonian(v)
@@ -392,13 +394,10 @@ def _check_correlation_length(problem: StripProblem, gap: float,
             f"(need lx*(1-alpha) > 10)")
 
 
-def _first_coupled_gap(problem: StripProblem, pair: bool) -> float:
+def _first_coupled_gap(spectrum: TransverseSpectrum, pair: bool) -> float:
     """Gap from the entrance to the lowest closed channel the contact
     couples to: ``E2 - E0`` on a symmetric trap, else ``E1 - E0``; a pair
     on a symmetric trap also couples to ``(1, 1)`` at ``2 (E1 - E0)``."""
-    trap = _effective_trap(problem)
-    spectrum = solve_transverse(trap, n_states=3) \
-        if isinstance(trap, Harmonic) else solve_transverse(trap)
     if spectrum.n_states < 2:
         return math.inf
     gaps = spectrum.energies - spectrum.energies[0]
@@ -466,21 +465,6 @@ def _fit_window(lx: int) -> np.ndarray:
     """Sites ``x > 0`` of the cosine fit on a strip of half-extent `lx`,
     clear of the impurity's closed channels and of the open end."""
     return np.arange((lx + 3) // 4, lx // 2 + 1)
-
-
-def _check_fit_window(lx: int) -> None:
-    """The coarse strip ``lx // 2`` must hold ``_MIN_WINDOW_POINTS``
-    fit-window points; the finer strip ``lx`` then holds more."""
-    points = _fit_window(lx // 2).size
-    if points < _MIN_WINDOW_POINTS:
-        longer = lx + 1
-        while _fit_window(longer // 2).size < _MIN_WINDOW_POINTS:
-            longer += 1
-        raise ConfigError(
-            f"strip too short: the coarse strip at half-extent {lx // 2} "
-            f"holds {points} fit-window points (need "
-            f"{_MIN_WINDOW_POINTS}); the shortest longer strip that holds "
-            f"them has lx = {longer}")
 
 
 def _pairs_requested(lx: int) -> int:
@@ -580,88 +564,104 @@ def _extract_states(sector: _Sector, entrance: np.ndarray, e_free: float,
         "no even entrance-dominated eigenstate in the scattering window")
 
 
-def _zero_momentum_fit(states: list[_Extraction]) -> float:
-    """Least-squares polynomial-in-``k^2`` intercept of ``a(k)``.
-
-    Cubic when enough points support it (the ``k^6`` term of ``a(k)``
-    is what limits the extrapolation otherwise), lower degree for
-    sparse data."""
-    s = np.array([e.k ** 2 for e in states])
-    a = np.array([e.a for e in states])
-    n = len(states)
-    degree = 0 if n == 1 else min(3, max(1, n - 2))
-    design = np.vander(s / s.max(), degree + 1, increasing=True)
+def _rational_intercept(x: np.ndarray, a: np.ndarray,
+                        order: tuple[int, int]) -> float:
+    """``P_L(0)`` of the least-squares ``a = P_L(x)/(1 + x Q_{M-1}(x))``
+    of ``order = (L, M)``, solved as ``P_L(x) - a x Q_{M-1}(x) = a``."""
+    l, m = order
+    powers = np.vander(x, max(l, m) + 1, increasing=True)
+    design = np.column_stack([powers[:, :l + 1],
+                              -a[:, None] * powers[:, 1:m + 1]])
     coeff, *_ = np.linalg.lstsq(design, a, rcond=None)
     return float(coeff[0])
 
 
-def _extrapolate(coarse: list[_Extraction], fine: list[_Extraction],
-                 unknowns: int, eigenpairs: tuple[int, int]
+def _zero_momentum_limit(s: np.ndarray, a: np.ndarray) -> tuple[float, float]:
+    """``a(0)`` from the readings ``a(s)``, ``s = k^2``, by the highest
+    order in ``_ORDERS`` they determine, and the spread ``|a_hi - a_lo|``
+    from the order below; `NoConvergence` when there are fewer than
+    ``_MIN_STATES`` or the spread exceeds ``_SPREAD_MAX max(1, |a|)``."""
+    if s.size < _MIN_STATES:
+        raise NoConvergence(
+            f"{s.size} scattering states in the fit range, need "
+            f"{_MIN_STATES} to extrapolate a(k) to k = 0")
+    lo, hi = [order for order in _ORDERS if sum(order) < s.size][-2:]
+    x = s / s.max()
+    a_hi, a_lo = _rational_intercept(x, a, hi), _rational_intercept(x, a, lo)
+    spread = abs(a_hi - a_lo)
+    if not spread <= _SPREAD_MAX * max(1.0, abs(a_hi)):
+        raise NoConvergence(
+            f"k -> 0 extrapolation not settled: [{hi[0]}/{hi[1]}] gives "
+            f"a = {a_hi:.10g}, [{lo[0]}/{lo[1]}] gives {a_lo:.10g} "
+            f"(spread {spread:.3g})")
+    return a_hi, spread
+
+
+def _extrapolate(states: list[_Extraction], unknowns: int, eigenpairs: int
                  ) -> OracleResult:
-    """Pool the per-size extractions into the ``k -> 0`` limit."""
-    live_coarse = [e for e in coarse if not e.diverged]
-    live_fine = [e for e in fine if not e.diverged]
-    used = (live_coarse + live_fine) or (coarse + fine)
-    diverged = not (live_coarse or live_fine)
-    if diverged:
-        a = a_coarse = a_fine = math.inf
+    """The ``k -> 0`` limit of the strip's accepted states."""
+    live = [e for e in states if not e.diverged]
+    if live:
+        a, spread = _zero_momentum_limit(np.array([e.k ** 2 for e in live]),
+                                         np.array([e.a for e in live]))
     else:
-        a = _zero_momentum_fit(live_coarse + live_fine)
-        a_coarse = _zero_momentum_fit(live_coarse) if live_coarse else math.inf
-        a_fine = _zero_momentum_fit(live_fine) if live_fine else math.inf
+        a, spread = math.inf, 0.0
+    used = live or states
     return OracleResult(
-        a=a, diverged=diverged, a_coarse=a_coarse, a_fine=a_fine,
-        k_coarse=coarse[0].k, k_fine=fine[0].k,
+        a=a, diverged=not live, k_min=states[0].k,
         entrance_weight=min(e.entrance_weight for e in used),
         fit_residual=max(e.fit_residual for e in used),
         contamination=max(e.contamination for e in used),
         eigen_residual=max(e.eigen_residual for e in used),
-        unknowns=unknowns,
-        spread=0.0 if diverged else abs(a_coarse - a_fine),
-        states=tuple((e.k, e.tan_delta) for e in coarse + fine),
+        unknowns=unknowns, spread=spread,
+        states=tuple((e.k, e.tan_delta) for e in states),
         eigenpairs=eigenpairs)
 
 
 def _scattering_length(problem: StripProblem,
                        total_momentum: float | None) -> OracleResult:
-    """Solve the strip at half-extents ``lx//2`` and ``lx`` and
-    extrapolate the pooled ``a(k)`` readings to ``k = 0``; a single
-    particle for ``total_momentum=None``, else a pair at ``K``."""
+    """Solve the strip and extrapolate its ``a(k)`` readings to
+    ``k = 0``; a single particle for ``total_momentum=None``, else a
+    pair at ``K``."""
     j_eff = J if total_momentum is None else pair_hopping(total_momentum)
+    y_grid, v, spectrum = _transverse(problem)
     _check_correlation_length(
-        problem, _first_coupled_gap(problem, total_momentum is not None),
+        problem, _first_coupled_gap(spectrum, total_momentum is not None),
         j_eff)
-    _check_fit_window(problem.lx)
-    _, _, psi0, e0 = _transverse_ground(problem)
+    if problem.lx < _MIN_LX:  # at lx = 52 the fit window holds 14 points
+        raise ConfigError(
+            f"strip too short: the fit range k <= {_K_MAX_FIT} of "
+            f"half-extent {problem.lx} holds fewer than {_MIN_STATES} "
+            f"x-even free levels; the shortest strip that holds them has "
+            f"lx = {_MIN_LX}")
+    psi0, e0 = spectrum.wavefunctions[0], float(spectrum.energies[0])
     if total_momentum is None:
         entrance, e_free = psi0, e0
     else:
         entrance, e_free = np.outer(psi0, psi0).reshape(-1), 2.0 * e0
-
-    results, requested = [], []
-    for lx in (problem.lx // 2, problem.lx):
-        sector = _sector(replace(problem, lx=lx), total_momentum)
-        states, count = _extract_states(sector, entrance, e_free=e_free,
-                                        j_eff=j_eff, lx=lx)
-        results.append(states)
-        requested.append(count)
-    return _extrapolate(*results, unknowns=sector.orbits.shape[1],
-                        eigenpairs=tuple(requested))
+    sector = _sector(problem, y_grid, v, total_momentum)
+    states, count = _extract_states(sector, entrance, e_free=e_free,
+                                    j_eff=j_eff, lx=problem.lx)
+    return _extrapolate(states, unknowns=sector.orbits.shape[1],
+                        eigenpairs=count)
 
 
 def strip_scattering_length(problem: StripProblem) -> OracleResult:
     """Single-particle scattering length from exact diagonalization.
 
-    Solves the strip at half-extents ``lx//2`` and ``lx`` and
-    extrapolates the pooled ``a(k)`` readings to ``k = 0``.
+    Solves the strip at half-extent ``lx`` and extrapolates its
+    ``a(k)`` readings to ``k = 0`` with a rational fit in ``k^2``.
 
     Raises
     ------
     ConfigError
         When the strip is too short for the slowest closed channel to
-        decay or for the coarse strip to hold a fit window.
+        decay, or shorter than ``lx = 52``, the first to hold three
+        x-even free levels in the fit range.
     ContaminatedChannel, NoConvergence
-        When no clean asymptotic window exists.
+        When no clean asymptotic window exists; `NoConvergence` also
+        when fewer than three states can be fitted or the two highest
+        orders of the fit differ by more than ``1e-5 max(1, |a|)``.
     """
     return _scattering_length(problem, None)
 

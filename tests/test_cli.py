@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import q1dscatter as q
-from q1dscatter import cli
+from q1dscatter import cli, oracle
 
 
 def run_cli(args, capsys):
@@ -227,11 +227,19 @@ def test_oracle_diagnostics_in_manifest_only(tmp_path, capsys):
         (tmp_path / "o.csv.manifest.json").read_text())["diagnostics"]
     assert 0.0 < diag["eigen_residual"] <= 1e-10
     assert diag["unknowns"] == 101 * 3  # x >= 0 times y1 <= y2
-    # min(x-even free levels with k <= 0.15, 9) + 2 at lx = 50 and 100
-    assert diag["eigenpairs"] == [4, 7]
+    # min(x-even free levels with k <= 0.15, 9) + 2 at lx = 100
+    assert diag["eigenpairs"] == 7
     meta, rows = read_csv(out)
-    assert diag["spread"] == abs(float(rows[0]["a_coarse"])
-                                 - float(rows[0]["a_fine"]))
+    # the change of a(0) from the fit order below: [2/1] - [1/1] for the
+    # four states accepted at lx = 100
+    states = q.pair_scattering_length(q.StripProblem(
+        trap=q.TwoSite(v=1.0), u=-5.0, lx=100)).states
+    assert len(states) == 4
+    s = np.array([k ** 2 for k, _ in states])
+    a = np.array([1.0 / (math.sin(k) * tan_delta) for k, tan_delta in states])
+    x = s / s.max()
+    assert diag["spread"] == abs(oracle._rational_intercept(x, a, (2, 1))
+                                 - oracle._rational_intercept(x, a, (1, 1)))
     hidden = {"eigen_residual", "unknowns", "spread", "eigenpairs"}
     assert not hidden & set(rows[0])
     assert not hidden & {key.replace("-", "_") for key in meta}
@@ -244,14 +252,15 @@ def test_oracle_diagnostics_in_manifest_only(tmp_path, capsys):
 
 
 def test_oracle_short_strip_exit_code(tmp_path, capsys):
-    """--lx 40 leaves the coarse strip (lx//2 = 20) a 6-point fit window:
-    refused up front as a configuration error, naming lx = 56."""
+    """--lx 40 holds 2 x-even free levels with k <= 0.15, one too few
+    for the fit: refused up front as a configuration error, naming
+    lx = 52, the first that holds 3."""
     record = expect_error(
         ["oracle", "--trap", "two-site", "--v", "1.0", "--mode", "pair",
          "--u", "-5", "--lx", "40", "--validate",
          "--output", str(tmp_path / "o.csv")], capsys, 2, "ConfigError")
     assert record["message"].startswith("strip too short")
-    assert record["message"].endswith("lx = 56")
+    assert record["message"].endswith("lx = 52")
 
 
 def test_tabulated_trap_flags(tmp_path, capsys):

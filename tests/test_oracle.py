@@ -43,8 +43,7 @@ def test_extracted_momenta_shrink_with_strip_size():
         q.StripProblem(trap=q.TwoSite(v=1.0), u=-2.0, lx=100))
     res_large = q.strip_scattering_length(
         q.StripProblem(trap=q.TwoSite(v=1.0), u=-2.0, lx=400))
-    assert res_large.k_fine < res_small.k_fine
-    assert res_small.k_coarse > res_small.k_fine
+    assert res_large.k_min < res_small.k_min
 
 
 def test_two_site_pair_agreement(two_site_kernel):
@@ -64,8 +63,8 @@ def test_repulsive_pair_agreement(two_site_kernel):
 def test_strip_size_validation():
     with pytest.raises(q.ConfigError):
         q.StripProblem(trap=q.TwoSite(v=1.0), u=-2.0, lx=8)
-    # lx = 16 is allowed to construct, but the coarse companion strip
-    # (half the extent) falls below the minimum
+    # lx = 16 is allowed to construct, but holds too few free levels in
+    # the fit range (lx >= 52 needed)
     with pytest.raises(q.ConfigError):
         q.strip_scattering_length(
             q.StripProblem(trap=q.TwoSite(v=1.0), u=-2.0, lx=16))
@@ -83,7 +82,7 @@ def test_delta_well_refused_up_front():
 def _lil_hamiltonian(problem, total_momentum=None):
     """The strip (``total_momentum=None``) or pair Hamiltonian built the
     way it was first written: through LIL updates of the impurity."""
-    y_grid, v, _, _ = oracle._transverse_ground(problem)
+    y_grid, v, _ = oracle._transverse(problem)
     nx, ny = 2 * problem.lx + 1, len(y_grid)
     amplitude = q.J if total_momentum is None \
         else q.pair_hopping(total_momentum)
@@ -190,8 +189,8 @@ _SECTOR_CASES = {
 def test_sector_solve_matches_full_space(name, monkeypatch):
     trap, u, momentum, m = _SECTOR_CASES[name]
     problem = q.StripProblem(trap=trap, u=u, lx=100)
-    y_grid, _, _, e0 = oracle._transverse_ground(problem)
-    ny = len(y_grid)
+    y_grid, _, spectrum = oracle._transverse(problem)
+    ny, e0 = len(y_grid), spectrum.energies[0]
     if momentum is None:
         def run():
             return q.strip_scattering_length(problem)
@@ -210,11 +209,11 @@ def test_sector_solve_matches_full_space(name, monkeypatch):
         e_free, j_eff = 2.0 * e0, q.pair_hopping(momentum)
 
     extrapolate = oracle._extrapolate
-    strips = []
+    extracted = []
 
-    def spy(coarse, fine, **sizes):
-        strips.append((coarse, fine))
-        return extrapolate(coarse, fine, **sizes)
+    def spy(states, **sizes):
+        extracted.append(states)
+        return extrapolate(states, **sizes)
 
     monkeypatch.setattr(oracle, "_extrapolate", spy)
     sector = run()
@@ -222,21 +221,19 @@ def test_sector_solve_matches_full_space(name, monkeypatch):
     monkeypatch.setattr(oracle, "_sector_eigenpairs", _full_space_eigenpairs(
         problem, momentum, reflect, e_free, j_eff, calls))
     full = run()
-    assert len(calls) == 2  # the reference, not the sector solve, ran
+    assert len(calls) == 1  # the reference, not the sector solve, ran
 
-    for ours, theirs in zip(*strips):
-        # the same states, with energies E = e_free - 2 J_eff cos k to
-        # 1e-12; k = acos(...) amplifies an ulp of E by 1/k^2, and the
-        # reference's own dot products move it by up to ~2e-12 relative
-        assert len(ours) == len(theirs) > 0
-        k = np.array([e.k for e in ours])
-        k_ref = np.array([e.k for e in theirs])
-        assert np.all(np.abs(k - k_ref) <= 1e-11 * k_ref)
-        assert np.all(2.0 * j_eff * np.abs(np.cos(k) - np.cos(k_ref))
-                      <= 1e-12)
-        assert max(e.eigen_residual for e in ours) <= 1e-10
-    for field in ("a", "a_coarse", "a_fine"):
-        assert abs(getattr(sector, field) - getattr(full, field)) <= 1e-9
+    # the same states, with energies E = e_free - 2 J_eff cos k to 1e-12;
+    # k = acos(...) amplifies an ulp of E by 1/k^2, and the reference's
+    # own dot products move it by up to ~2e-12 relative
+    ours, theirs = extracted
+    assert len(ours) == len(theirs) > 0
+    k = np.array([e.k for e in ours])
+    k_ref = np.array([e.k for e in theirs])
+    assert np.all(np.abs(k - k_ref) <= 1e-11 * k_ref)
+    assert np.all(2.0 * j_eff * np.abs(np.cos(k) - np.cos(k_ref)) <= 1e-12)
+    assert max(e.eigen_residual for e in ours) <= 1e-10
+    assert abs(sector.a - full.a) <= 1e-9
     assert sector.unknowns == 101 * m
 
 
@@ -246,24 +243,25 @@ _TABLE13 = q.Tabulated.from_mapping(
 # U = pole +- 0.05 at the four visible poles of the 13-site table at
 # K = 0 (-8.2865, -7.6027, -6.4318, -5.6021) and K = pi/3 (-7.8816,
 # -7.2664, -6.1239, -5.3137), with the measured number of accepted states
-_POLE_SIDES = [(0.0, -8.3365, 13), (0.0, -8.2365, 13), (0.0, -7.6527, 13),
-               (0.0, -6.4818, 13), (0.0, -6.3818, 12), (0.0, -5.6521, 13),
-               (0.0, -5.5521, 12), (math.pi / 3, -7.9316, 13),
-               (math.pi / 3, -7.8316, 13), (math.pi / 3, -7.3164, 13),
-               (math.pi / 3, -7.2164, 13), (math.pi / 3, -6.1739, 13),
-               (math.pi / 3, -5.3637, 13), (math.pi / 3, -5.2637, 12)]
+_POLE_SIDES = [(0.0, -8.3365, 9), (0.0, -8.2365, 9), (0.0, -7.6527, 9),
+               (0.0, -6.4818, 9), (0.0, -6.3818, 8), (0.0, -5.6521, 9),
+               (0.0, -5.5521, 9), (math.pi / 3, -7.9316, 9),
+               (math.pi / 3, -7.8316, 9), (math.pi / 3, -7.3164, 9),
+               (math.pi / 3, -7.2164, 9), (math.pi / 3, -6.1739, 9),
+               (math.pi / 3, -5.3637, 9), (math.pi / 3, -5.2637, 8)]
 
 
 @pytest.mark.parametrize(
     "momentum, u, n_states",
-    [(0.0, -7.5527, 13), (0.0, -8.0, 13), (math.pi / 3, -6.0739, 13)]
+    [(0.0, -7.5527, 9), (0.0, -8.0, 9), (math.pi / 3, -6.0739, 9)]
     + _POLE_SIDES,
     ids=["K0-pole-side", "K0", "K-pi/3-pole-side"]
     + [f"K{'0' if m == 0.0 else '-pi/3'}-U{u}" for m, u, _ in _POLE_SIDES])
 def test_every_accepted_state_matches_finite_k(momentum, u, n_states):
     """Each state the oracle accepts, on either side of every visible
     pole or away from one, carries the phase shift of the closed-form
-    finite-k channel solve at its own k."""
+    finite-k channel solve at its own k, and the rational k**2 fit
+    through them gives the channel solver's scattering length."""
     res = q.pair_scattering_length(
         q.StripProblem(trap=_TABLE13, u=u, lx=200), momentum)
     kernel = q.build_kernel(q.solve_transverse(_TABLE13), momentum)
@@ -273,12 +271,31 @@ def test_every_accepted_state_matches_finite_k(momentum, u, n_states):
         gap = (math.atan(tan_delta) - delta + math.pi / 2) % math.pi \
             - math.pi / 2
         assert abs(gap) <= 1e-10, (k, gap)
+    assert abs(res.a - q.solve_scattering_length(kernel, u).a) <= 1e-8
 
 
-def _unmirrored_sector(problem, total_momentum=None):
+def test_rational_fit_follows_a_pole_inside_the_window():
+    """Readings of a known [2/2] in s = k**2 at the nine lowest free
+    levels of lx = 200, with a pole at k = 0.1 between the sixth and the
+    seventh: [3/2] recovers a(0) and is not refused.  Readings the two
+    highest orders disagree on, or fewer than three, are refused."""
+    k = (np.arange(1, 10) - 0.5) * math.pi / 201
+    s = k ** 2
+    a = (0.7 - 30.0 * s + 900.0 * s ** 2) / ((1.0 - s / 0.01)
+                                             * (1.0 + s / 0.05))
+    assert a[5] > 0.0 > a[6]  # the pole lies inside the fitted range
+    a0, spread = oracle._zero_momentum_limit(s, a)
+    assert abs(a0 - 0.7) <= 1e-10
+    assert spread <= 1e-10
+    with pytest.raises(q.NoConvergence, match=r"\[3/2\] .* \[2/2\]"):
+        oracle._zero_momentum_limit(s, 1.0 + 0.1 * (-1.0) ** np.arange(9))
+    with pytest.raises(q.NoConvergence, match="need 3"):
+        oracle._zero_momentum_limit(s[:2], a[:2])
+
+
+def _unmirrored_sector(problem, y_grid, v, total_momentum):
     """`oracle._sector` without the transverse mirror: x-even and, for a
     pair, y1 <-> y2 symmetric only."""
-    y_grid, v, _, _ = oracle._transverse_ground(problem)
     ny, nx = len(y_grid), 2 * problem.lx + 1
     if total_momentum is None:
         j_eff, h_y = q.J, oracle._slice_hamiltonian(v)
@@ -327,7 +344,7 @@ def test_mirror_reduction_matches_unreduced_sector(trap, u, momentum,
     reduced = run()
     monkeypatch.setattr(oracle, "_sector", _unmirrored_sector)
     full = run()
-    ny = len(oracle._transverse_ground(problem)[0])
+    ny = len(oracle._transverse(problem)[0])
     m = ny if momentum is None else ny * (ny + 1) // 2
     assert full.unknowns == 201 * m
     if not mirrored:
@@ -366,7 +383,7 @@ def test_sector_factor_fill(trap, u, momentum, m, monkeypatch):
         q.strip_scattering_length(problem)
     else:
         q.pair_scattering_length(problem, momentum)
-    assert [n for n, _ in fills] == [101 * m, 201 * m]
+    assert [n for n, _ in fills] == [201 * m]
     for n, fill in fills:
         assert fill <= 5 * n + m * m, (n, fill)
 
@@ -380,13 +397,13 @@ def test_pair_strip_checks_the_lowest_coupled_pair_channel():
         q.pair_scattering_length(q.StripProblem(trap=box, u=-5.0, lx=34))
 
 
-@pytest.mark.parametrize("lx, longer", [(36, 56), (58, 60)])
-def test_short_coarse_strip_refused_up_front(lx, longer, monkeypatch):
-    """On the flat 15-site box at K = 0, lx = 36 passes the correlation
-    check (lx > 35.1), but its coarse strip lx//2 = 18 holds a 5-point
-    fit window [5, 9]; lx = 58 gives the 7-point window [8, 14] of
-    lx//2 = 29, the one gap above 56.  Both are refused as configuration
-    errors before any sector is assembled, naming the next usable lx."""
+@pytest.mark.parametrize("lx", [36, 51])
+def test_short_strip_refused_up_front(lx, monkeypatch):
+    """On the flat 15-site box at K = 0, lx = 36 and 51 pass the
+    correlation check (lx > 35.1), but their fit range k <= 0.15 holds
+    2 x-even free levels, too few for a rational fit.  Both are
+    refused as configuration errors before any sector is assembled,
+    naming lx = 52, the first with 3."""
     box = q.Tabulated.from_mapping({y: 0.0 for y in range(-7, 8)}, None)
 
     def no_sector(*args):
@@ -394,7 +411,7 @@ def test_short_coarse_strip_refused_up_front(lx, longer, monkeypatch):
 
     monkeypatch.setattr(oracle, "_sector", no_sector)
     with pytest.raises(q.ConfigError,
-                       match=rf"^strip too short: .* lx = {longer}$"):
+                       match=r"^strip too short: .* lx = 52$"):
         q.pair_scattering_length(q.StripProblem(trap=box, u=-5.0, lx=lx))
 
 
@@ -410,7 +427,7 @@ _BENCHMARK_PROBLEMS = {
 def test_short_first_request_doubles_on_one_factorization(name, first,
                                                           monkeypatch):
     """A first Lanczos request too short for the scan to stop on a
-    returned state doubles until it does, on the strip's one LU
+    returned state doubles until it does, on the problem's one LU
     factorization, and accepts the states of the default request."""
     trap, u, momentum = _BENCHMARK_PROBLEMS[name]
     problem = q.StripProblem(trap=trap, u=u, lx=200)
@@ -435,23 +452,42 @@ def test_short_first_request_doubles_on_one_factorization(name, first,
     monkeypatch.setattr(oracle, "eigsh", counted)
     monkeypatch.setattr(oracle, "_pairs_requested", lambda lx: first)
     doubled = run()
-    assert len(factored) == 2  # one per strip
-    assert plain.eigenpairs == (7, 11)  # min(n_free, 9) + 2, no doubling
-    expected = []
-    for final in doubled.eigenpairs:
-        assert final > first
-        count = first
-        while count < final:
-            expected.append(count)
-            count *= 2
-        expected.append(count)
+    assert len(factored) == 1
+    assert plain.eigenpairs == 11  # min(n_free, 9) + 2, no doubling
+    assert doubled.eigenpairs > first
+    expected = [first]
+    while expected[-1] < doubled.eigenpairs:
+        expected.append(2 * expected[-1])
     assert requests == expected
     assert len(doubled.states) == len(plain.states) > 0
     for (k, _), (k_ref, _) in zip(doubled.states, plain.states):
         assert abs(k - k_ref) <= 1e-11 * k_ref
-    for field in ("a", "a_coarse", "a_fine"):
-        ref = getattr(plain, field)
-        assert abs(getattr(doubled, field) - ref) <= 1e-10 * abs(ref)
+    assert abs(doubled.a - plain.a) <= 1e-10 * abs(plain.a)
+
+
+@pytest.mark.parametrize("name", list(_BENCHMARK_PROBLEMS))
+def test_one_transverse_solve_and_one_factorization(name, monkeypatch):
+    """Each problem solves its transverse spectrum once and factors its
+    one strip sector once."""
+    trap, u, momentum = _BENCHMARK_PROBLEMS[name]
+    problem = q.StripProblem(trap=trap, u=u, lx=200)
+    calls = {"solve_transverse": 0, "splu": 0}
+
+    def counted(attr):
+        function = getattr(oracle, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for attr in calls:
+        monkeypatch.setattr(oracle, attr, counted(attr))
+    if momentum is None:
+        q.strip_scattering_length(problem)
+    else:
+        q.pair_scattering_length(problem, momentum)
+    assert calls == {"solve_transverse": 1, "splu": 1}
 
 
 def test_singular_shift_retried_once(monkeypatch):
@@ -468,14 +504,12 @@ def test_singular_shift_retried_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "splu", first_attempt_singular)
     retried = q.strip_scattering_length(problem)
-    assert len(shifts) == 4  # one failed and one good factorization per strip
-    e0 = oracle._transverse_ground(problem)[3]
-    for lx, (failed, good) in zip((50, 100), (shifts[:2], shifts[2:])):
-        sigma = e0 - 2.0 * q.J * math.cos(math.pi / (lx + 1))
-        assert failed - good == pytest.approx(1e-9 * (1.0 + abs(sigma)),
-                                              rel=1e-6)
+    failed, good = shifts  # one failed and one good factorization
+    e0 = oracle._transverse(problem)[2].energies[0]
+    sigma = e0 - 2.0 * q.J * math.cos(math.pi / (problem.lx + 1))
+    assert failed - good == pytest.approx(1e-9 * (1.0 + abs(sigma)), rel=1e-6)
     assert abs(retried.a - plain.a) <= 1e-9
-    assert retried.k_fine == pytest.approx(plain.k_fine, rel=1e-12)
+    assert retried.k_min == pytest.approx(plain.k_min, rel=1e-12)
     assert retried.eigen_residual <= 1e-10
 
 

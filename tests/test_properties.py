@@ -177,11 +177,14 @@ def test_oracle_sectors_are_invariant_isometries(trap, lx, u, momentum,
         and np.array_equal(trap.potential, trap.potential[::-1])
     half = (ny + 1) // 2
     rng = np.random.default_rng(seed)
+    y_grid, v, _ = oracle._transverse(problem)
     for h, orbits, shape, m in (
-            (q.strip_hamiltonian(problem)[0], oracle._sector(problem).orbits,
+            (q.strip_hamiltonian(problem)[0],
+             oracle._sector(problem, y_grid, v, None).orbits,
              (nx, ny), half if mirror else ny),
             (q.pair_hamiltonian(problem, momentum)[0],
-             oracle._sector(problem, momentum).orbits, (nx, ny, ny),
+             oracle._sector(problem, y_grid, v, momentum).orbits,
+             (nx, ny, ny),
              half * half if mirror else ny * (ny + 1) // 2)):
         h_s = oracle._sector_problem(h, orbits)
         p = oracle._isometry(orbits)
@@ -210,10 +213,12 @@ def test_oracle_sector_factors(trap, lx, u, momentum):
     entry; and the slice eigenbasis R carries H_s into it:
     H_s (I (x) R) = (I (x) R) H_rot."""
     problem = q.StripProblem(trap=trap, u=u, lx=lx)
+    y_grid, v, _ = oracle._transverse(problem)
     for h, sector in (
-            (q.strip_hamiltonian(problem)[0], oracle._sector(problem)),
+            (q.strip_hamiltonian(problem)[0],
+             oracle._sector(problem, y_grid, v, None)),
             (q.pair_hamiltonian(problem, momentum)[0],
-             oracle._sector(problem, momentum))):
+             oracle._sector(problem, y_grid, v, momentum))):
         nx, m = sector.t_x.shape[0], sector.h_y.shape[0]
         h_s = oracle._sector_product(sector, np.identity(nx * m))
         reference = oracle._sector_problem(h, sector.orbits).toarray()
