@@ -530,16 +530,22 @@ def _resonance_window(config: RunConfig, clamp: bool) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _resonance_report(config: RunConfig, window: tuple[float, float]):
+def _resonance_report(config: RunConfig, window: tuple[float, float],
+                      first_rung=None):
+    """The resonance report of `config`.  A converged ladder starts from
+    `first_rung`, the zero-momentum kernel of a ``twobody`` sweep, when
+    that kernel holds exactly the ``n_start`` states."""
     momentum = float(config.get("total_momentum"))
     if config.get("converge"):
         n_start = config.options.get("n_start")
         if n_start is None:
             raise ConfigError("--converge needs --n-start")
-        trap = build_trap(config)
-        return converged_resonances(trap, n_start,
+        if first_rung is not None and not (
+                n_start == first_rung.n_cut == first_rung.spectrum.n_states):
+            first_rung = None
+        return converged_resonances(build_trap(config), n_start,
                                     total_momentum=momentum,
-                                    u_window=window)
+                                    u_window=window, first_rung=first_rung)
     spectrum = _solve_spectrum(config)
     kernel = build_kernel(spectrum, total_momentum=momentum)
     return locate_resonances(kernel, window)
@@ -566,6 +572,15 @@ def _kernel_diagnostics(source, prefix: str = "") -> dict[str, object]:
                         "min_abs_denominator")}
 
 
+def _ladder_diagnostics(report) -> dict[str, object]:
+    """Each rung of a converged ladder: its basis size and whether its
+    kernel was reused, rebuilt or grown (manifest only)."""
+    if not report.rungs:
+        return {}
+    return {"ladder": [{"n_states": n, "kernel": how}
+                       for n, how in report.rungs]}
+
+
 def _twobody_row(u: float, i00: float, j_k: float, k: float) -> tuple:
     """One sweep row from the linear amplitude ``I00`` at ``E(k)``: the
     scattering length at ``k = 0``, else the closed finite-k form of
@@ -587,6 +602,7 @@ def run_twobody(config: RunConfig, out: Path):
                           "--points) or --resonances")
     outputs: list[Path] = []
     diagnostics: dict[str, object] = {}
+    kernel = None
     if has_sweep:
         spectrum = _solve_spectrum(config)
         kernel = build_kernel(
@@ -611,8 +627,8 @@ def run_twobody(config: RunConfig, out: Path):
                             "min_pole_proximity": proximity,
                             **_kernel_diagnostics(kernel)})
     if want_report:
-        report = _resonance_report(config, _resonance_window(config,
-                                                             clamp=True))
+        report = _resonance_report(
+            config, _resonance_window(config, clamp=True), kernel)
         report_path = out.with_name(out.stem + "_resonances.csv") \
             if has_sweep else out
         _write_resonances(config, report_path, report)
@@ -623,6 +639,7 @@ def run_twobody(config: RunConfig, out: Path):
             "zero_crossings": list(report.zero_crossings),
             "report_n_states": report.n_states,
             "converged": report.converged,
+            **_ladder_diagnostics(report),
             **_kernel_diagnostics(report, prefix="report_")})
     return outputs, diagnostics
 
@@ -656,6 +673,7 @@ def run_resonances(config: RunConfig, out: Path):
                    "zero_crossings": list(report.zero_crossings),
                    "n_states": report.n_states,
                    "converged": report.converged,
+                   **_ladder_diagnostics(report),
                    **_kernel_diagnostics(report)}
 
 

@@ -57,13 +57,15 @@ visible resonances from the dense background of negligible ones.
 Zero crossings are eigenvalues too.  In ``v = -1/U`` the entrance
 amplitude reads ``I00 = R(00;00) + sum_j c_j^2 / (v - mu_j)``, a
 rank-one secular equation (Golub, SIAM Rev. 15, 318 (1973)) whose roots
-are the eigenvalues ``lambda`` of ``Q H Q``, with
-``Q = 1 - psi_0^2 psi_0^2^T / R(00;00)`` projecting out the entrance
-row: ``U1D`` changes sign at ``U = -1/lambda``, at most once between
-consecutive poles.  An eigenvector of ``H`` that does not overlap the
-entrance row (``p_j = 0``) is left unchanged by ``Q`` and puts a zero
-on its own pole, where the two cancel; such a zero, within
-``_ZERO_POLE_CANCELLATION`` of a pole, is not reported.
+are the eigenvalues ``lambda`` of ``Q H Q``, with ``Q = 1 - w w^T``,
+``w = psi_0^2 / sqrt(R(00;00))``, projecting out the entrance row:
+``U1D`` changes sign at ``U = -1/lambda``, at most once between
+consecutive poles.  With ``h = H w``, ``Q H Q`` is the rank-two update
+``H - w h^T - h w^T + (w^T h) w w^T`` of ``H``.  An eigenvector of
+``H`` that does not overlap the entrance row (``p_j = 0``) is left
+unchanged by ``Q`` and puts a zero on its own pole, where the two
+cancel; such a zero, within ``_ZERO_POLE_CANCELLATION`` of a pole, is
+not reported.
 
 At relative quasi-momentum ``k`` the pair scatters at
 ``E_k = -2 J_K cos k + 2 E_0`` and the entrance term carries the factor
@@ -143,19 +145,21 @@ class OverlapKernel:
     """The two-body problem at one ``(K, E)`` point, held on the
     collision diagonal.
 
-    Stored: ``pairs[b] = (n1, n2)`` of each kept channel (row-major,
-    ``n1 <= n2``) and its energy ``channel_energies[b]``, the pair rows
-    ``pair_rows[b, y] = S[b, y]``, the entrance row ``psi_0(y)^2``, and
-    the per-channel decay factors ``alphas`` and denominators
-    ``denominators`` at `energy`;
+    Stored: ``pairs[b] = (n1, n2)`` of each kept channel (``n1 <= n2``;
+    row-major, or row-major per added shell of states in a kernel the
+    resonance ladder grew) and its energy ``channel_energies[b]``, the
+    pair rows ``pair_rows[b, y] = S[b, y]``, the entrance row
+    ``psi_0(y)^2``, and the per-channel decay factors ``alphas`` and
+    denominators ``denominators`` at `energy`;
     ``r_entrance = R(0,0; 0,0) = sum_y psi_0(y)^4``.
 
     Derived lazily: the ``n_y x n_y`` pair Green's function
-    :attr:`green` ``H = S^T |D|^{-1} S`` and its spectral form, on which
-    every solver runs; and the channel-space views :attr:`channels`,
-    :attr:`r_matrix` ``R = S S^T`` and :attr:`entrance_column`
-    ``R(b; 0,0)``, which no solver needs (``R`` alone is
-    ``8 n_channels^2`` bytes).
+    :attr:`green` ``H = S^T |D|^{-1} S`` (set on construction in a grown
+    kernel, as the previous ``H`` plus the new shells' terms) and its
+    spectral form, on which every solver runs; and the channel-space
+    views :attr:`channels`, :attr:`r_matrix` ``R = S S^T`` and
+    :attr:`entrance_column` ``R(b; 0,0)``, which no solver needs (``R``
+    alone is ``8 n_channels^2`` bytes).
     """
 
     pairs: np.ndarray
@@ -201,8 +205,7 @@ class OverlapKernel:
     @cached_property
     def green(self) -> np.ndarray:
         """``H = S^T |D|^{-1} S``, exactly symmetric."""
-        scaled = self.pair_rows * (1.0 / np.sqrt(-self.denominators))[:, None]
-        return scaled.T @ scaled
+        return _green(self.pair_rows, self.denominators)
 
     @cached_property
     def _spectral(self) -> tuple[np.ndarray, ...]:
@@ -353,7 +356,10 @@ class ResonanceReport:
 
     ``collision_sites``, ``numerical_rank`` and ``min_abs_denominator``
     describe the kernel the report was computed from (see
-    :class:`OverlapKernel`).
+    :class:`OverlapKernel`).  ``rungs`` is set by
+    :func:`converged_resonances`: the basis size of each rung it solved
+    and how that rung's kernel was obtained, ``"reused"`` (passed in by
+    the caller), ``"rebuilt"`` or ``"grown"``.
     """
 
     resonances: tuple[Resonance, ...]
@@ -365,6 +371,7 @@ class ResonanceReport:
     numerical_rank: int
     min_abs_denominator: float
     converged: bool | None = None
+    rungs: tuple[tuple[int, str], ...] = ()
 
     @property
     def visible_resonances(self) -> tuple[Resonance, ...]:
@@ -394,6 +401,41 @@ def _closed_channels(pairs: np.ndarray, channel_energies: np.ndarray,
             f"{denominators[b]:.6g} >= 0; the channel reduction is only "
             f"valid with negative denominators")
     return alphas, denominators
+
+
+def _zero_momentum_energy(spectrum: TransverseSpectrum, j_k: float) -> float:
+    """The lowest pair scattering energy ``-2 J_K + 2 E_0``."""
+    return -2.0 * j_k + 2.0 * float(spectrum.energies[0])
+
+
+def _pair_channels(spectrum: TransverseSpectrum, n_lo: int, n_cut: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair channels ``(n1, n2)``, ``n1 <= n2``, whose upper state
+    ``n2`` lies in ``[n_lo, n_cut)``, row-major; ``n_lo >= 1`` leaves
+    out the entrance ``(0, 0)``, and odd pairs of a symmetric trap are
+    left out too.  Returns the pairs, their energies and their pair
+    rows ``S``."""
+    n1, n2 = np.triu_indices(n_cut)
+    keep = n2 >= n_lo
+    if spectrum.symmetric:
+        # odd pairs are exactly decoupled from the entrance
+        sign = np.array([_PARITY_SIGN[p]
+                         for p in spectrum.parities[:n_cut]])
+        keep &= sign[n1] * sign[n2] != -1
+    pairs = np.column_stack((n1[keep], n2[keep]))
+    channel_energies = (spectrum.energies[pairs[:, 0]]
+                        + spectrum.energies[pairs[:, 1]])
+    psi = spectrum.wavefunctions
+    pair_rows = psi[pairs[:, 0]] * psi[pairs[:, 1]]
+    pair_rows *= np.where(pairs[:, 0] != pairs[:, 1], math.sqrt(2.0),
+                          1.0)[:, None]
+    return pairs, channel_energies, pair_rows
+
+
+def _green(pair_rows: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """``S^T |D|^{-1} S`` over the channels of `pair_rows`."""
+    scaled = pair_rows * (1.0 / np.sqrt(-denominators))[:, None]
+    return scaled.T @ scaled
 
 
 def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
@@ -428,26 +470,13 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
         raise ConfigError(
             f"n_cut={n_cut} outside 1..{spectrum.n_states} (states held "
             f"by the spectrum)")
-    e0 = float(spectrum.energies[0])
     if energy is None:
-        energy = -2.0 * j_k + 2.0 * e0
+        energy = _zero_momentum_energy(spectrum, j_k)
 
-    n1, n2 = np.triu_indices(n_cut)
-    keep = n2 > 0  # every pair but the entrance (0, 0)
-    if spectrum.symmetric:
-        # odd pairs are exactly decoupled from the entrance
-        sign = np.array([_PARITY_SIGN[p]
-                         for p in spectrum.parities[:n_cut]])
-        keep &= sign[n1] * sign[n2] != -1
-    pairs = np.column_stack((n1[keep], n2[keep]))
-    channel_energies = (spectrum.energies[pairs[:, 0]]
-                        + spectrum.energies[pairs[:, 1]])
+    pairs, channel_energies, pair_rows = _pair_channels(spectrum, 1, n_cut)
     alphas, denominators = _closed_channels(pairs, channel_energies, energy,
                                             j_k)
-
     psi = spectrum.wavefunctions
-    pair_rows = psi[pairs[:, 0]] * psi[pairs[:, 1]]
-    pair_rows[pairs[:, 0] != pairs[:, 1]] *= math.sqrt(2.0)
     entrance_row = psi[0] * psi[0]
     return OverlapKernel(
         pairs=pairs, channel_energies=channel_energies,
@@ -456,6 +485,42 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
         r_entrance=float(entrance_row @ entrance_row), j_k=j_k,
         total_momentum=total_momentum, energy=energy, spectrum=spectrum,
         n_cut=n_cut)
+
+
+def _extends(spectrum: TransverseSpectrum, base: TransverseSpectrum) -> bool:
+    """Whether `spectrum` holds every state of `base` bit for bit, on
+    the same grid: then a kernel on `base` grows into one on
+    `spectrum`."""
+    n = base.n_states
+    return (spectrum.n_states >= n
+            and np.array_equal(spectrum.grid, base.grid)
+            and np.array_equal(spectrum.energies[:n], base.energies)
+            and np.array_equal(spectrum.wavefunctions[:n],
+                               base.wavefunctions))
+
+
+def _grow(kernel: OverlapKernel, spectrum: TransverseSpectrum
+          ) -> OverlapKernel:
+    """`kernel` with the channels of the states ``kernel.n_cut`` to
+    ``spectrum.n_states - 1`` appended, at the same ``(K, E)``:
+    ``H = H_prev + S_new^T |D_new|^{-1} S_new``.  `spectrum` must
+    extend ``kernel.spectrum`` (:func:`_extends`)."""
+    pairs, channel_energies, pair_rows = _pair_channels(
+        spectrum, kernel.n_cut, spectrum.n_states)
+    alphas, denominators = _closed_channels(pairs, channel_energies,
+                                            kernel.energy, kernel.j_k)
+    green = _green(pair_rows, denominators)
+    green += kernel.green
+    grown = replace(
+        kernel, pairs=np.concatenate((kernel.pairs, pairs)),
+        channel_energies=np.concatenate((kernel.channel_energies,
+                                         channel_energies)),
+        pair_rows=np.concatenate((kernel.pair_rows, pair_rows)),
+        alphas=np.concatenate((kernel.alphas, alphas)),
+        denominators=np.concatenate((kernel.denominators, denominators)),
+        spectrum=spectrum, n_cut=spectrum.n_states)
+    grown.__dict__["green"] = green  # the cached_property's slot
+    return grown
 
 
 def solve_scattering_length(kernel: OverlapKernel, u: float) -> TwoBodyResult:
@@ -570,6 +635,21 @@ def solve_finite_k(kernel: OverlapKernel, u: float, k: float) -> TwoBodyResult:
                          i_vector=factor * linear.i_vector)
 
 
+def _resonances(kernel: OverlapKernel, u_window: tuple[float, float]
+                ) -> tuple[Resonance, ...]:
+    """The poles of ``U1D(U)`` in `u_window`, ascending, each with its
+    residue, strength and class (see :func:`locate_resonances`)."""
+    poles, weights = kernel.poles(u_window)
+    resonances = []
+    for u_pole, c2_j in zip(poles.tolist(), weights.tolist()):
+        width = c2_j * abs(u_pole) / kernel.r_entrance
+        kind = "broad" if width >= BROAD_THRESHOLD else "sharp"
+        resonances.append(Resonance(u=u_pole, width=width,
+                                    residue=u_pole ** 3 * c2_j, kind=kind,
+                                    visible=width > VISIBILITY_FLOOR))
+    return tuple(resonances)
+
+
 def locate_resonances(kernel: OverlapKernel,
                       u_window: tuple[float, float] = (-30.0, 0.0)
                       ) -> ResonanceReport:
@@ -581,24 +661,23 @@ def locate_resonances(kernel: OverlapKernel,
     visible above :data:`VISIBILITY_FLOOR`.  Zero crossings of ``U1D``
     (the effective interaction changing sign between poles) are the
     couplings ``-1/lambda`` for the positive eigenvalues ``lambda`` of
-    ``Q H Q``, ``Q`` projecting out the entrance row (see the module
-    docstring).  A zero within ``1e-9 max(1, |U_j|)`` of a pole ``U_j``
-    in the window cancels against it and is not reported.
+    ``Q H Q``, ``Q = 1 - w w^T`` projecting out the unit entrance row
+    ``w``; ``Q H Q`` is formed as a rank-two update of ``H`` in
+    ``O(n_y^2)`` (see the module docstring).  A zero within
+    ``1e-9 max(1, |U_j|)`` of a pole ``U_j`` in the window cancels
+    against it and is not reported.
     """
-    poles, weights = kernel.poles(u_window)
+    resonances = _resonances(kernel, u_window)
+    poles = np.array([r.u for r in resonances])
     u_lo, u_hi = u_window
-    resonances = []
-    for u_pole, c2_j in zip(poles.tolist(), weights.tolist()):
-        width = c2_j * abs(u_pole) / kernel.r_entrance
-        kind = "broad" if width >= BROAD_THRESHOLD else "sharp"
-        resonances.append(Resonance(u=u_pole, width=width,
-                                    residue=u_pole ** 3 * c2_j, kind=kind,
-                                    visible=width > VISIBILITY_FLOOR))
 
-    psi0_sq = kernel.entrance_row
-    q = np.identity(kernel.collision_sites) \
-        - np.outer(psi0_sq, psi0_sq) / kernel.r_entrance
-    lam = np.linalg.eigvalsh(q @ kernel.green @ q)
+    w = kernel.entrance_row / math.sqrt(kernel.r_entrance)
+    h = kernel.green @ w
+    # Q H Q = H - (w v^T + v w^T) with v = h - (w.h) w / 2; an outer
+    # product plus its transpose keeps the update exactly symmetric
+    v = h - 0.5 * float(w @ h) * w
+    update = np.outer(w, v)
+    lam = np.linalg.eigvalsh(kernel.green - (update + update.T))
     zeros = -1.0 / lam[lam > 0.0]
     zeros = zeros[(u_lo <= zeros) & (zeros <= u_hi)]
     cancelled = (np.abs(np.subtract.outer(zeros, poles))
@@ -607,7 +686,7 @@ def locate_resonances(kernel: OverlapKernel,
     crossings = np.sort(zeros[~cancelled])
 
     return ResonanceReport(
-        resonances=tuple(resonances), zero_crossings=tuple(crossings.tolist()),
+        resonances=resonances, zero_crossings=tuple(crossings.tolist()),
         window=(u_lo, u_hi), n_states=kernel.n_cut,
         n_channels=kernel.n_channels,
         collision_sites=kernel.collision_sites,
@@ -619,54 +698,110 @@ def _complete_basis(spectrum: TransverseSpectrum) -> bool:
     return spectrum.n_states == len(spectrum.grid)
 
 
+def _check_first_rung(kernel: OverlapKernel, n_start: int,
+                      total_momentum: float) -> None:
+    """A kernel passed to :func:`converged_resonances` must be its first
+    rung: all `n_start` states of its spectrum, at `total_momentum` and
+    zero relative momentum."""
+    if not kernel.n_cut == n_start == kernel.spectrum.n_states:
+        raise ConfigError(
+            f"first rung must hold all n_start={n_start} states; the kernel "
+            f"has n_cut={kernel.n_cut} of {kernel.spectrum.n_states}")
+    if kernel.total_momentum != total_momentum:
+        raise ConfigError(
+            f"first rung is at K={kernel.total_momentum}, the ladder at "
+            f"K={total_momentum}")
+    energy = _zero_momentum_energy(kernel.spectrum, kernel.j_k)
+    if kernel.energy != energy:
+        raise ConfigError(
+            f"first rung is at E={kernel.energy!r}, the ladder at the "
+            f"zero-momentum energy {energy!r}")
+
+
 def converged_resonances(trap: TrapSpec, n_start: int,
                          total_momentum: float = 0.0,
                          u_window: tuple[float, float] = (-30.0, 0.0),
                          rel_tol: float = 1e-6, n_step: int = 20,
-                         n_limit: int = 161) -> ResonanceReport:
+                         n_limit: int = 161,
+                         first_rung: OverlapKernel | None = None
+                         ) -> ResonanceReport:
     """Resonance report with the channel cutoff raised until the visible
     pole positions stabilize.
 
     Starts from `n_start` single-particle states and adds `n_step` per
     rung; two consecutive rungs must agree in visible-resonance count
-    and positions (relative `rel_tol`).  A trap whose grid supports no
-    further states (complete finite basis) is exact and returns
-    immediately.
+    and positions (relative `rel_tol`).  A rung that asks for more
+    states than a finite trap holds uses the trap's complete basis; a
+    complete basis is exact and ends the ladder.  A trap that refuses
+    the states without having a complete basis (a delta well binds one
+    state) stops the ladder with that refusal.
+
+    Each rung solves the transverse trap afresh.  When that spectrum
+    extends the previous rung's bit for bit on the same grid (a fixed
+    grid, or an auto grid that did not grow), the rung grows the
+    previous kernel by its new channels (:func:`_grow`); otherwise it
+    rebuilds it from an empty kernel.  Intermediate rungs compute poles
+    only; the zero crossings are computed for the returned rung.
+    ``rungs`` in the report lists each rung's size and how its kernel
+    was obtained.
+
+    `first_rung`, a kernel the caller has already built (and perhaps
+    decomposed) on ``solve_transverse(trap, n_states=n_start)``, serves
+    as the first rung; the ladder trusts it to come from `trap`.
 
     Raises
     ------
+    ConfigError
+        If `first_rung` does not hold exactly `n_start` states with
+        ``n_cut = n_start``, or is at another ``K`` or energy than the
+        ladder; if the trap refuses a rung's states and has no complete
+        basis.
     NoConvergence
         If `n_limit` is reached without two agreeing rungs.
     """
     if n_start < 1:
         raise ConfigError(f"n_start must be positive, got {n_start}")
-    prev: ResonanceReport | None = None
+    if first_rung is not None:
+        _check_first_rung(first_rung, n_start, total_momentum)
+    kernel = first_rung
+    prev: tuple[Resonance, ...] | None = None
+    rungs: list[tuple[int, str]] = []
     nc = n_start
     while nc <= n_limit:
-        try:
-            spectrum = solve_transverse(trap, n_states=nc)
-        except ConfigError:
-            if prev is not None:
-                # the trap ran out of states: the previous rung used the
-                # complete basis and is exact
-                return replace(prev, converged=True)
-            spectrum = solve_transverse(trap)
-        kernel = build_kernel(spectrum, total_momentum=total_momentum)
-        report = locate_resonances(kernel, u_window)
-        if _complete_basis(spectrum):
-            return replace(report, converged=True)
-        if prev is not None and _reports_match(prev, report, rel_tol):
-            return replace(report, converged=True)
-        prev = report
+        if first_rung is not None and not rungs:
+            how = "reused"
+        else:
+            try:
+                spectrum = solve_transverse(trap, n_states=nc)
+            except ConfigError:
+                # a finite trap holds fewer than nc states: its complete
+                # basis is exact; any other basis would pass for
+                # converged when it merely repeats
+                spectrum = solve_transverse(trap)
+                if not _complete_basis(spectrum):
+                    raise
+            how = "grown"
+            if kernel is None or not _extends(spectrum, kernel.spectrum):
+                how = "rebuilt"
+                kernel = build_kernel(spectrum, total_momentum, n_cut=1)
+            kernel = _grow(kernel, spectrum)
+        rungs.append((kernel.n_cut, how))
+        found = _resonances(kernel, u_window)
+        if _complete_basis(kernel.spectrum) or (
+                prev is not None and _positions_match(prev, found, rel_tol)):
+            return replace(locate_resonances(kernel, u_window),
+                           converged=True, rungs=tuple(rungs))
+        prev = found
         nc += n_step
     raise NoConvergence(
         f"visible resonance positions did not stabilize to {rel_tol:g} "
         f"by {n_limit} transverse states")
 
 
-def _reports_match(a: ResonanceReport, b: ResonanceReport,
-                   rel_tol: float) -> bool:
-    ra, rb = a.visible_resonances, b.visible_resonances
+def _positions_match(a: tuple[Resonance, ...], b: tuple[Resonance, ...],
+                     rel_tol: float) -> bool:
+    ra = [r for r in a if r.visible]
+    rb = [r for r in b if r.visible]
     if len(ra) != len(rb):
         return False
     return all(abs(x.u - y.u) <= rel_tol * max(abs(x.u), abs(y.u))

@@ -120,6 +120,70 @@ def test_twobody_resonance_report(tmp_path, capsys):
     assert meta["zero-crossings"].startswith("-7.34862960967")
 
 
+def test_converged_resonances_past_a_finite_basis(tmp_path, capsys):
+    """9-site hard-wall table from 3 states: the second rung asks for 23
+    and takes the complete 9-state basis, so the report is that basis's,
+    not the 3-state rung's (2 poles instead of 4)."""
+    out = tmp_path / "res.csv"
+    values = ",".join(f"{y}:{0.1 * y * y!r}" for y in range(-4, 5))
+    code, _, _ = run_cli(["resonances", "--trap", "tabulated",
+                          f"--values={values}", "--converge",
+                          "--n-start", "3", "--output", str(out)], capsys)
+    assert code == 0
+    meta, rows = read_csv(out)
+    trap = q.Tabulated.from_mapping({y: 0.1 * y * y for y in range(-4, 5)},
+                                    None)
+    exact = q.locate_resonances(q.build_kernel(q.solve_transverse(trap)))
+    assert (meta["n-states"], meta["converged"]) == ("9", "True")
+    assert [(r["kind"], r["visible"]) for r in rows] == [
+        (r.kind, str(r.visible)) for r in exact.resonances]
+    assert len(exact.visible_resonances) == 4
+    assert np.allclose([float(r["u"]) for r in rows],
+                       [r.u for r in exact.resonances], rtol=1e-12, atol=0)
+    crossings = [float(c) for c in meta["zero-crossings"].split(";")]
+    assert np.allclose(crossings, exact.zero_crossings, rtol=1e-12, atol=0)
+
+
+def test_ladder_rungs_in_manifest_only(tmp_path, capsys):
+    """A twobody sweep hands its kernel to the ladder as the first rung;
+    the manifest lists each rung and how its kernel was obtained, and
+    the report is the one a ladder from scratch writes."""
+    trap = ["--trap", "harmonic", "--omega", "0.03", "--n-start", "21",
+            "--converge"]
+    swept = tmp_path / "tb.csv"
+    code, _, _ = run_cli(["twobody", *trap, "--n-states", "21",
+                          "--u-from", "-30", "--u-to", "0", "--points", "5",
+                          "--output", str(swept)], capsys)
+    assert code == 0
+    diag = json.loads(
+        (tmp_path / "tb.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["ladder"] == [{"n_states": 21, "kernel": "reused"},
+                              {"n_states": 41, "kernel": "grown"},
+                              {"n_states": 61, "kernel": "rebuilt"}]
+    alone = tmp_path / "res.csv"
+    code, _, _ = run_cli(["resonances", *trap, "--output", str(alone)],
+                         capsys)
+    assert code == 0
+    diag = json.loads(
+        (tmp_path / "res.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["ladder"][0] == {"n_states": 21, "kernel": "rebuilt"}
+    assert diag["ladder"][1:] == [{"n_states": 41, "kernel": "grown"},
+                                  {"n_states": 61, "kernel": "rebuilt"}]
+    meta_swept, rows_swept = read_csv(tmp_path / "tb_resonances.csv")
+    meta_alone, rows_alone = read_csv(alone)
+    assert rows_swept == rows_alone
+    assert not any("ladder" in key or "rung" in key for key in meta_swept)
+    for key in ("zero-crossings", "n-states", "n-channels", "converged"):
+        assert meta_swept[key] == meta_alone[key]
+    # the rungs stay out of the config hash: a replay is byte-identical
+    replay = tmp_path / "replay.csv"
+    code, _, _ = run_cli(["resonances", "--config",
+                          str(tmp_path / "res.csv.manifest.json"),
+                          "--output", str(replay)], capsys)
+    assert code == 0
+    assert replay.read_bytes() == alone.read_bytes()
+
+
 def _assert_sweep_matches_dense(path, kernel, dense_collision_solve,
                                 k=0.0):
     """Every row of a twobody sweep at relative momentum `k` against the

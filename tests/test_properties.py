@@ -105,6 +105,26 @@ def test_zero_crossings_are_sign_changes_between_poles(trap,
             < 0.0
 
 
+@given(trap=tabulated_traps(), total_momentum=st.floats(0.0, 2.0),
+       data=st.data())
+def test_grown_kernel_is_the_fresh_kernel(trap, total_momentum, data):
+    """A kernel on the first n_lo states grown to the whole spectrum
+    holds the fresh kernel's channels, pair rows and denominators, and
+    its H to the round-off of one sum over the channels."""
+    spectrum = q.solve_transverse(trap)
+    n_lo = data.draw(st.integers(1, spectrum.n_states))
+    grown = q.two_body._grow(
+        q.build_kernel(spectrum, total_momentum, n_cut=n_lo), spectrum)
+    fresh = q.build_kernel(spectrum, total_momentum)
+    order = np.lexsort((grown.pairs[:, 1], grown.pairs[:, 0]))
+    assert np.array_equal(grown.pairs[order], fresh.pairs)
+    assert np.array_equal(grown.pair_rows[order], fresh.pair_rows)
+    assert np.array_equal(grown.denominators[order], fresh.denominators)
+    bound = fresh.n_channels * np.finfo(float).eps \
+        * np.max(np.abs(fresh.green))
+    assert np.max(np.abs(grown.green - fresh.green)) <= bound
+
+
 @given(trap=tabulated_traps(), u=st.floats(-20.0, 20.0),
        k=st.floats(1e-3, 1.0))
 def test_finite_k_closed_form_solves_the_entrance_equation(trap, u, k):

@@ -3,6 +3,7 @@ kernel, effective coupling, Born series, resonance report."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,114 @@ def test_convergence_ladder_moderate_trap(harm_mod_kernel):
         assert a.u == pytest.approx(b.u, rel=1e-6)
 
 
+NINE_SITE_TABLE = q.Tabulated.from_mapping(
+    {y: 0.1 * y * y for y in range(-4, 5)}, None)
+
+
+def _fresh_ladder(trap, n_start, rel_tol=1e-6, n_step=20):
+    """The basis ladder with every rung built from scratch: a fresh
+    kernel and a full report per rung."""
+    prev, nc = None, n_start
+    while True:
+        report = q.locate_resonances(
+            q.build_kernel(q.solve_transverse(trap, n_states=nc)))
+        if prev is not None:
+            a, b = prev.visible_resonances, report.visible_resonances
+            if len(a) == len(b) and all(
+                    abs(x.u - y.u) <= rel_tol * max(abs(x.u), abs(y.u))
+                    for x, y in zip(a, b)):
+                return replace(report, converged=True)
+        prev, nc = report, nc + n_step
+
+
+def test_grown_kernel_matches_fresh_build():
+    """On a fixed grid each rung extends the last bit for bit, so the
+    ladder grows one kernel: the channels of a fresh build, the same
+    pair rows and denominators, and H to rounding."""
+    trap = q.Harmonic(omega=1e-3, y_max=160)
+    kernel = q.build_kernel(q.solve_transverse(trap, n_states=41))
+    for nc in (61, 81, 101, 121):
+        spectrum = q.solve_transverse(trap, n_states=nc)
+        assert q.two_body._extends(spectrum, kernel.spectrum)
+        kernel = q.two_body._grow(kernel, spectrum)
+        fresh = q.build_kernel(spectrum)
+        assert kernel.n_cut == nc
+        # fresh channels are row-major; grown ones come shell by shell
+        order = np.lexsort((kernel.pairs[:, 1], kernel.pairs[:, 0]))
+        assert np.array_equal(kernel.pairs[order], fresh.pairs)
+        assert np.array_equal(kernel.denominators[order], fresh.denominators)
+        assert np.array_equal(kernel.pair_rows[order], fresh.pair_rows)
+        scale = np.max(np.abs(fresh.green))
+        assert np.max(np.abs(kernel.green - fresh.green)) <= 1e-14 * scale
+    rep = q.converged_resonances(trap, 41)
+    assert rep.rungs == ((41, "rebuilt"), (61, "grown"), (81, "grown"),
+                         (101, "grown"), (121, "grown"))
+
+
+def test_ladder_rebuilds_when_the_auto_grid_grows():
+    """omega = 0.03 on an auto grid: 21 and 41 states fit on 81 sites,
+    61 need 161.  The rung on the wider grid starts from an empty
+    kernel, and the report equals the ladder built from scratch."""
+    trap = q.Harmonic(omega=0.03)
+    assert [len(q.solve_transverse(trap, n_states=n).grid)
+            for n in (21, 41, 61)] == [81, 81, 161]
+    rep = q.converged_resonances(trap, 21)
+    assert rep.rungs == ((21, "rebuilt"), (41, "grown"), (61, "rebuilt"))
+    assert replace(rep, rungs=()) == _fresh_ladder(trap, 21)
+
+
+@pytest.mark.parametrize("trap, n_start", [(NINE_SITE_TABLE, 3),
+                                           (q.TwoSite(v=1.0), 1)],
+                         ids=["table-9-site", "two-site"])
+def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start):
+    """A rung asking for more states than the trap holds solves the
+    complete basis, which is exact; the truncated rung before it is not
+    converged (9-site table: it held 2 poles at -19.9 and -11.9 instead
+    of 4; two-site: none instead of 2)."""
+    rep = q.converged_resonances(trap, n_start)
+    exact = q.locate_resonances(q.build_kernel(q.solve_transverse(trap)))
+    assert rep.converged
+    assert rep.rungs == ((n_start, "rebuilt"), (exact.n_states, "grown"))
+    assert (rep.n_states, rep.n_channels) == (exact.n_states,
+                                              exact.n_channels)
+    assert [(r.kind, r.visible) for r in rep.resonances] == [
+        (r.kind, r.visible) for r in exact.resonances]
+    assert len(exact.visible_resonances) >= 2
+    assert np.allclose([r.u for r in rep.resonances],
+                       [r.u for r in exact.resonances], rtol=1e-12, atol=0)
+    assert np.allclose(rep.zero_crossings, exact.zero_crossings, rtol=1e-12,
+                       atol=0)
+
+
+def test_ladder_stops_where_no_complete_basis_exists():
+    """A delta well binds one state and leaves the rest to its
+    continuum: the rung after it cannot fall back on a complete basis,
+    so the ladder raises instead of calling the one-state rung
+    converged."""
+    with pytest.raises(q.ConfigError, match="single bound state"):
+        q.converged_resonances(q.DeltaWell(v0=2.0), 1)
+
+
+def test_first_rung_from_the_caller(harm_mod_kernel):
+    """A kernel the caller already decomposed serves as the first rung
+    and gives the report a fresh first rung gives; one that is not that
+    rung is refused."""
+    trap = q.Harmonic(omega=1e-1)
+    rep = q.converged_resonances(trap, 21, first_rung=harm_mod_kernel)
+    assert rep.rungs == ((21, "reused"), (41, "grown"))
+    assert replace(rep, rungs=()) == replace(
+        q.converged_resonances(trap, 21), rungs=())
+    for kernel, n_start, momentum in [
+            (harm_mod_kernel, 41, 0.0),
+            (q.build_kernel(q.solve_transverse(trap, n_states=41), n_cut=21),
+             21, 0.0),
+            (harm_mod_kernel, 21, 0.5),
+            (harm_mod_kernel.at_relative_momentum(0.1), 21, 0.0)]:
+        with pytest.raises(q.ConfigError, match="first rung"):
+            q.converged_resonances(trap, n_start, total_momentum=momentum,
+                                   first_rung=kernel)
+
+
 # --------------------------------------------- channel-space witness
 
 
@@ -233,6 +342,32 @@ def test_collision_diagonal_matches_channel_space(name, request):
     dense = _dense_visible_poles(ker, window)
     assert len(poles) == len(dense) > 0
     assert np.all(np.abs(np.array(poles) - dense) <= 1e-12 * np.abs(dense))
+
+
+def _dense_zero_crossings(ker, window, poles):
+    """Zero crossings from ``eigvalsh`` of ``Q H Q`` with the dense
+    projector ``Q = 1 - psi_0^2 psi_0^2^T / R(00;00)``."""
+    psi0_sq = ker.entrance_row
+    proj = np.identity(ker.collision_sites) \
+        - np.outer(psi0_sq, psi0_sq) / ker.r_entrance
+    lam = np.linalg.eigvalsh(proj @ ker.green @ proj)
+    zeros = -1.0 / lam[lam > 0.0]
+    zeros = zeros[(window[0] <= zeros) & (zeros <= window[1])]
+    cancelled = (np.abs(np.subtract.outer(zeros, poles))
+                 <= 1e-9 * np.maximum(1.0, np.abs(poles))).any(axis=1)
+    return np.sort(zeros[~cancelled])
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_KERNELS))
+def test_rank_two_projection_matches_dense(name, request):
+    ker = _WITNESS_KERNELS[name](request.getfixturevalue)
+    window = (-30.0, 0.0)
+    rep = q.locate_resonances(ker, window)
+    dense = _dense_zero_crossings(ker, window,
+                                  np.array([r.u for r in rep.resonances]))
+    assert len(rep.zero_crossings) == len(dense) > 0
+    assert np.all(np.abs(np.array(rep.zero_crossings) - dense)
+                  <= 1e-12 * np.abs(dense))
 
 
 @pytest.mark.parametrize("u", [np.float64(5e-324), np.float64(-1e-322)])
