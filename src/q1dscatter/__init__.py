@@ -25,11 +25,10 @@ from .continuum import (ContinuumState, ContinuumSum, continuum_sum,
                         u_cir_with_continuum)
 from .errors import (AtResonance, BranchCollision, ConfigError,
                      ContaminatedChannel, Diverging, EdgeLeak,
-                     NoConvergence, NonSymmetric,
-                     NoRootInBranch, OpenChannel, PoleInWindow, Q1DError,
-                     QuadratureFail, SignConventionViolation,
-                     SingularSystem, TailTooLarge, UnknownFigure,
-                     UnorderedSpectrum)
+                     NoConvergence, NoRootInBranch, OpenChannel,
+                     PoleInWindow, Q1DError, QuadratureFail,
+                     SignConventionViolation, SingularSystem, TailTooLarge,
+                     UnknownFigure, UnorderedSpectrum)
 from .oracle import (OracleResult, StripProblem, pair_hamiltonian,
                      pair_scattering_length, strip_hamiltonian,
                      strip_scattering_length)
@@ -77,8 +76,8 @@ __all__ = [
     "StripProblem", "OracleResult", "strip_hamiltonian", "pair_hamiltonian",
     "strip_scattering_length", "pair_scattering_length",
     # errors
-    "Q1DError", "ConfigError", "UnknownFigure", "NonSymmetric",
-    "PoleInWindow", "UnorderedSpectrum", "EdgeLeak", "TailTooLarge",
+    "Q1DError", "ConfigError", "UnknownFigure", "PoleInWindow",
+    "UnorderedSpectrum", "EdgeLeak", "TailTooLarge",
     "QuadratureFail", "NoRootInBranch", "BranchCollision",
     "NoConvergence", "Diverging", "ContaminatedChannel",
     "OpenChannel", "AtResonance", "SingularSystem", "SignConventionViolation",

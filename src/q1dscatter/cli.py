@@ -531,23 +531,26 @@ def _resonance_window(config: RunConfig, clamp: bool) -> tuple[float, float]:
 
 
 def _resonance_report(config: RunConfig, window: tuple[float, float],
-                      first_rung=None):
-    """The resonance report of `config`.  A converged ladder starts from
-    `first_rung`, the zero-momentum kernel of a ``twobody`` sweep, when
-    that kernel holds exactly the ``n_start`` states."""
+                      kernel=None):
+    """The resonance report of `config`.  `kernel`, the zero-momentum
+    kernel of a ``twobody`` sweep, is the report's kernel (a converged
+    ladder's first rung, if it holds ``n_start`` states) whenever it
+    holds every state of its spectrum."""
+    if kernel is not None and kernel.n_cut != kernel.spectrum.n_states:
+        kernel = None
     momentum = float(config.get("total_momentum"))
     if config.get("converge"):
         n_start = config.options.get("n_start")
         if n_start is None:
             raise ConfigError("--converge needs --n-start")
-        if first_rung is not None and not (
-                n_start == first_rung.n_cut == first_rung.spectrum.n_states):
-            first_rung = None
+        if kernel is not None and kernel.n_cut != n_start:
+            kernel = None
         return converged_resonances(build_trap(config), n_start,
                                     total_momentum=momentum,
-                                    u_window=window, first_rung=first_rung)
-    spectrum = _solve_spectrum(config)
-    kernel = build_kernel(spectrum, total_momentum=momentum)
+                                    u_window=window, first_rung=kernel)
+    if kernel is None:
+        kernel = build_kernel(_solve_spectrum(config),
+                              total_momentum=momentum)
     return locate_resonances(kernel, window)
 
 

@@ -197,7 +197,6 @@ def _bound_reference(spec: ContinuumSpec,
 def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
                   quad_tol: float = DEFAULT_QUAD_TOL,
                   method: str = "adaptive",
-                  grid_points: int = 10_000,
                   spectrum: TransverseSpectrum | None = None
                   ) -> ContinuumSum:
     """Continuum channel integral ``S(k)``.
@@ -212,10 +211,8 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
         estimate up to ``10 * quad_tol`` is accepted.
     method : {'adaptive', 'grid'}
         'adaptive' uses adaptive Gauss-Kronrod panels; 'grid' a fixed
-        composite trapezoid with `grid_points` points (the two paths
+        composite trapezoid on 10,000 points (the two paths
         cross-validate each other).
-    grid_points : int
-        Node count for ``method='grid'``.
     spectrum : TransverseSpectrum, optional
         A previously solved bound sector of `spec` to reuse; its ground
         energy sets the entrance energy.
@@ -242,9 +239,7 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
                 f"adaptive quadrature error estimate {err:.3g} exceeds "
                 f"10 x quad_tol = {quad_tol * 10.0:g}")
     elif method == "grid":
-        if grid_points < 16:
-            raise ConfigError("grid quadrature needs at least 16 points")
-        qs = np.linspace(0.0, math.pi, grid_points)
+        qs = np.linspace(0.0, math.pi, 10_000)
         vals = np.array([integrand(float(q)) for q in qs])
         val = float(np.trapezoid(vals, qs))
         coarse = float(np.trapezoid(vals[::2], qs[::2]))
@@ -256,18 +251,15 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
 
 
 def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,
-                         spectrum: TransverseSpectrum | None = None,
-                         quad_tol: float = DEFAULT_QUAD_TOL,
-                         method: str = "adaptive",
                          continuum: ContinuumSum | None = None) -> CirValue:
     """Resonance coupling of a continuum-supporting well,
     ``1/U_CIR(k) = sum over excited bound channels + S(k)``.
 
     For the zero-range well the bound sum is empty and
-    ``1/U_CIR = S(0)`` holds exactly.  Pass `spectrum` to reuse a
-    previously solved bound sector, and `continuum` to reuse
-    ``continuum_sum(spec, k, quad_tol, method)`` already computed for
-    this well (`quad_tol` and `method` are then unused).
+    ``1/U_CIR = S(0)`` holds exactly.  Pass `continuum` to reuse
+    ``continuum_sum(spec, k, ...)`` already computed for this well; the
+    default is ``continuum_sum(spec, k)`` on the bound sector solved
+    here.
 
     Raises
     ------
@@ -277,10 +269,9 @@ def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,
     if continuum is not None and continuum.k != k:
         raise ConfigError(f"continuum_sum was evaluated at "
                           f"k={continuum.k}, not k={k}")
-    e0, spectrum = _bound_reference(spec, spectrum)
+    e0, spectrum = _bound_reference(spec)
     if continuum is None:
-        continuum = continuum_sum(spec, k=k, quad_tol=quad_tol,
-                                  method=method, spectrum=spectrum)
+        continuum = continuum_sum(spec, k=k, spectrum=spectrum)
     e_k = -2.0 * J * math.cos(k) + e0
     bound_part = 0.0
     n_bound = 1

@@ -31,10 +31,6 @@ class UnknownFigure(ConfigError):
     """Requested figure recipe does not exist."""
 
 
-class NonSymmetric(ConfigError):
-    """Symmetric-channel reduction requested for an asymmetric potential."""
-
-
 class PoleInWindow(ConfigError):
     """A known resonance sits inside the requested fit window."""
 

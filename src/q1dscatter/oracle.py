@@ -102,7 +102,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import ConfigError, ContaminatedChannel, NoConvergence
 from .traps import (J, DeltaWell, Harmonic, TransverseSpectrum, TrapSpec,
-                    alpha_closed, potential_on_grid, solve_transverse)
+                    alpha_closed, mirror_symmetric, potential_on_grid,
+                    solve_transverse)
 from .two_body import pair_hopping
 
 _MAX_ACCEPTED = 9
@@ -319,7 +320,7 @@ def _sector(problem: StripProblem, y_grid: np.ndarray, v: np.ndarray,
 
     The transverse mirror ``y -> -y`` (pair: ``(y1, y2) -> (-y1, -y2)``)
     joins the group only when the grid and potential are mirror images
-    bit for bit: a tolerance would drop a real, if tiny, coupling."""
+    bit for bit (:func:`~q1dscatter.traps.mirror_symmetric`)."""
     ny = len(y_grid)
     if total_momentum is None:
         j_eff, h_y = J, _slice_hamiltonian(v)
@@ -331,7 +332,7 @@ def _sector(problem: StripProblem, y_grid: np.ndarray, v: np.ndarray,
         sites = np.arange(ny) * (ny + 1)  # y1 = y2
         index = np.arange(ny * ny)
         involutions = [index.reshape(ny, ny).T.reshape(-1)]
-    if np.array_equal(y_grid, -y_grid[::-1]) and np.array_equal(v, v[::-1]):
+    if mirror_symmetric(y_grid, v):
         involutions.append(index[::-1])
     y_orbits = _orbits(index.size, *involutions)
     nx = 2 * problem.lx + 1

@@ -281,8 +281,8 @@ def ring_momentum(spectrum: TransverseSpectrum, u: float, L: int,
 
 
 def ring_cir_crossings(spectrum: TransverseSpectrum, L: int,
-                       u_window: tuple[float, float] = (-math.inf, 0.0),
-                       max_level: int | None = None) -> list[RingCrossing]:
+                       u_window: tuple[float, float] = (-math.inf, 0.0)
+                       ) -> list[RingCrossing]:
     """Couplings at which an allowed energy crosses a fermionized level.
 
     The crossing through level ``k_n = (2n+1) pi / L`` happens at
@@ -297,19 +297,13 @@ def ring_cir_crossings(spectrum: TransverseSpectrum, L: int,
         Ring circumference (sites).
     u_window : (float, float)
         Keep only crossings with ``u_lo <= U <= u_hi``.
-    max_level : int, optional
-        Highest fermionized level index to consider; default: all with
-        ``k_n < pi``.
     """
     if L < 4:
         raise ConfigError(f"ring length must be at least 4 sites, got L={L}")
     u_lo, u_hi = u_window
     if u_lo > u_hi:
         raise ConfigError(f"empty coupling window {u_window}")
-    n_max = (L - 1) // 2  # every higher level has k_n > pi
-    if max_level is not None:
-        n_max = min(n_max, max_level)
-    levels = np.arange(n_max + 1)
+    levels = np.arange((L - 1) // 2 + 1)  # every higher level has k_n > pi
     ks = (2 * levels + 1) * math.pi / L
     below_pi = ks < math.pi
     levels, ks = levels[below_pi], ks[below_pi]

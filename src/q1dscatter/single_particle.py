@@ -176,8 +176,6 @@ def u_cir(spectrum: TransverseSpectrum, k: float = 0.0,
 
 
 def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
-                  n_cut: int | None = None,
-                  tail_tol: float = DEFAULT_TAIL_TOL,
                   cir: CirValue | None = None) -> ScatteringResult:
     """Effective 1D coupling, scattering length, and phase shift.
 
@@ -189,12 +187,11 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
     k : float
         Entrance quasi-momentum; ``0`` selects the zero-energy limit
         where the scattering length is defined.
-    n_cut, tail_tol :
-        Channel-sum controls, forwarded to :func:`u_cir`.
     cir : CirValue, optional
-        ``u_cir(spectrum, k, n_cut, tail_tol)``, which does not depend
-        on `u`: a sweep over couplings computes it once and passes it
-        to every point (`n_cut` and `tail_tol` are then unused).
+        ``u_cir(spectrum, k, ...)``, which does not depend on `u`: a
+        sweep over couplings computes it once and passes it to every
+        point.  Default: ``u_cir(spectrum, k)``; pass it to set the
+        channel cutoff or tail tolerance.
 
     Returns
     -------
@@ -207,7 +204,7 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
         never as an infinite float.
     """
     if cir is None:
-        cir = u_cir(spectrum, k=k, n_cut=n_cut, tail_tol=tail_tol)
+        cir = u_cir(spectrum, k=k)
     elif cir.k != k:
         raise ConfigError(f"u_cir was evaluated at k={cir.k}, not k={k}")
     pole_factor = 1.0 - u * cir.inverse

@@ -11,9 +11,10 @@ on a finite grid and computes the decay factor ``alpha`` of an
 energetically closed channel together with the Green's-function
 denominator every scattering module divides by.
 
-A reflection-symmetric grid is diagonalized one parity sector at a
-time: the even sector on sites ``0..Y`` (the ``y = 0 <-> 1`` bond scaled
-by ``sqrt(2)``) and the odd sector on sites ``1..Y``.  Parity labels are
+A reflection-symmetric grid (bit for bit: :func:`mirror_symmetric`) is
+diagonalized one parity sector at a time: the even sector on sites
+``0..Y`` (the ``y = 0 <-> 1`` bond scaled by ``sqrt(2)``) and the odd
+sector on sites ``1..Y``.  Parity labels are
 therefore exact, odd states vanish at the origin exactly, and neither
 depends on how the eigensolver mixes the near-degenerate doublets high
 in the trap.  The odd-sector matrix is the even one with its ``y = 0``
@@ -30,13 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .errors import (ConfigError, EdgeLeak, NonSymmetric, OpenChannel,
-                     UnorderedSpectrum)
+from .errors import ConfigError, EdgeLeak, OpenChannel, UnorderedSpectrum
 
 J = 1.0
 
@@ -158,14 +158,19 @@ class Tabulated:
         return np.array([v for _, v in self.values], dtype=float)
 
     def is_symmetric(self) -> bool:
-        ys = self.grid
-        if ys[0] != -ys[-1]:
-            return False
-        v = self.potential
-        return bool(np.all(np.abs(v - v[::-1]) < 1e-14))
+        return mirror_symmetric(self.grid, self.potential)
 
 
 TrapSpec = Union[Harmonic, DeltaWell, TwoSite, Tabulated]
+
+
+def mirror_symmetric(grid: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the grid and the potential on it are their own mirror
+    images under ``y -> -y``, bit for bit: a tolerance would treat a trap
+    one ulp off a mirror as symmetric and drop its real, if tiny,
+    couplings between even and odd states."""
+    return bool(np.array_equal(grid, -grid[::-1])
+                and np.array_equal(v, v[::-1]))
 
 
 def potential_on_grid(spec: TrapSpec, y_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +218,8 @@ class TransverseSpectrum:
     grid : ndarray of int
         Transverse site coordinates.
     symmetric : bool
-        Whether V(y) = V(-y) on a symmetric grid.
+        Whether grid and V(y) are their own mirror images, bit for bit
+        (:func:`mirror_symmetric`).
     """
 
     energies: np.ndarray
@@ -377,28 +383,37 @@ def _symmetric_eigensolve(v: np.ndarray, keep: int | None,
 
 
 def _grid_eigensolve(grid: np.ndarray, v: np.ndarray, n_states: int | None,
-                     edge_tol: float | None, symmetric: bool) -> TransverseSpectrum:
+                     edge_tol: float | None, ceiling: float = math.inf
+                     ) -> TransverseSpectrum:
+    """The lowest `n_states` eigenpairs of ``H_y`` on `grid` below
+    `ceiling` (all of them for ``None``).  On a truncated grid only the
+    leading run whose edge amplitude is below `edge_tol` counts; too few
+    (or none) is an :class:`EdgeLeak`.  ``edge_tol=None`` declares the
+    grid the trap's whole space: every eigenpair is exact, and too few
+    is a :class:`ConfigError`."""
+    symmetric = mirror_symmetric(grid, v)
     if symmetric:
         energies, vectors = _symmetric_eigensolve(v, n_states, edge_tol)
         parities = tuple("even" if n % 2 == 0 else "odd"
                          for n in range(len(energies)))
     else:
-        off = -J * np.ones(len(grid) - 1)
-        energies, vectors = eigh_tridiagonal(v, off)
+        energies, vectors = eigh_tridiagonal(v, -J * np.ones(len(grid) - 1))
         vectors = vectors.T
         if edge_tol is not None:
             edge = np.maximum(np.abs(vectors[:, 0]), np.abs(vectors[:, -1]))
             n_ok = _decaying_run(edge, edge_tol)
             energies, vectors = energies[:n_ok], vectors[:n_ok]
         parities = ("none",) * len(energies)
-    if n_states is not None:
-        if len(energies) < n_states:
-            raise EdgeLeak(
-                f"only {len(energies)} states decay at the grid edge; "
-                f"{n_states} requested (half-width {int(grid[-1])} too small)"
-            )
-        energies, vectors = energies[:n_states], vectors[:n_states]
-        parities = parities[:n_states]
+    n_held = int(np.count_nonzero(energies < ceiling))
+    n_keep = n_held if n_states is None else n_states
+    if n_held < max(n_keep, 1):
+        if edge_tol is None:
+            raise ConfigError(f"trap holds only {n_held} states")
+        raise EdgeLeak(
+            f"only {n_held} states decay at the grid edge; "
+            f"{n_keep} requested (half-width {int(grid[-1])} too small)"
+        )
+    energies, vectors = energies[:n_keep], vectors[:n_keep]
     drops = np.flatnonzero(np.diff(energies) < 0.0)
     if len(drops):
         n = int(drops[0])
@@ -406,120 +421,39 @@ def _grid_eigensolve(grid: np.ndarray, v: np.ndarray, n_states: int | None,
             f"transverse energy {n + 1} ({energies[n + 1]!r}) lies below "
             f"energy {n} ({energies[n]!r})")
     return TransverseSpectrum(energies=energies, wavefunctions=_fix_gauge(vectors),
-                              parities=parities, grid=grid, symmetric=symmetric)
+                              parities=parities[:n_keep], grid=grid,
+                              symmetric=symmetric)
 
 
-def solve_transverse(spec: TrapSpec, n_states: int | None = None,
-                     edge_tol: float = DEFAULT_EDGE_TOL,
-                     require_symmetric: bool = False) -> TransverseSpectrum:
-    """Diagonalize the transverse trap Hamiltonian.
+def _grid_problems(spec: TrapSpec, n_states: int | None
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, float | None,
+                                       float]]:
+    """The arguments ``(grid, V, edge_tol, ceiling)`` of
+    :func:`_grid_eigensolve` for `spec`, smallest grid first.
 
-    Parameters
-    ----------
-    spec : TrapSpec
-        The trap.  For :class:`DeltaWell` only the single bound state is
-        returned (continuum states are handled in
-        :mod:`q1dscatter.continuum`).
-    n_states : int, optional
-        Number of bound states to return.  For traps on an auto-sized
-        grid the half-width grows until this many states decay at the
-        edges.  ``None`` keeps a trap-dependent default (everything for
-        finite traps).
-    edge_tol : float
-        Edge-decay tolerance for retained states on truncated grids.
-    require_symmetric : bool
-        Raise :class:`~q1dscatter.errors.NonSymmetric` if the trap is
-        not reflection symmetric.
-
-    Returns
-    -------
-    TransverseSpectrum
-
-    Raises
-    ------
-    EdgeLeak
-        If an explicit grid cannot hold the requested states, or a
-        continuum-supporting well binds fewer than requested.
-    NonSymmetric
-        If `require_symmetric` is set and the trap is asymmetric.
+    A finite trap is its own whole grid; a harmonic trap with a set
+    half-width has one grid.  An auto-sized harmonic grid doubles its
+    half-width from 40.  A continuum well doubles it from 20 sites
+    beyond its range, keeps the states below the band, and skips the
+    boxes too small to hold `n_states` (at least one) of them.  Running
+    out of grids raises.
     """
-    if isinstance(spec, TwoSite):
-        if require_symmetric:
-            raise NonSymmetric("the two-site step trap is not reflection symmetric")
-        grid, v = potential_on_grid(spec, 1)
-        h = np.array([[v[0], -J], [-J, v[1]]])
-        energies, vectors = np.linalg.eigh(h)
-        vectors = _fix_gauge(vectors.T)
-        if n_states is not None:
-            if n_states > 2:
-                raise ConfigError("the two-site trap has exactly two states")
-            energies, vectors = energies[:n_states], vectors[:n_states]
-        return TransverseSpectrum(energies=energies, wavefunctions=vectors,
-                                  parities=("none",) * len(energies),
-                                  grid=grid, symmetric=False)
-
-    if isinstance(spec, DeltaWell):
-        if n_states is not None and n_states != 1:
-            raise ConfigError(
-                "the delta well has a single bound state; its continuum is "
-                "handled by the continuum module"
-            )
-        beta = spec.decay
-        y_max = spec.y_max
-        if y_max is None:
-            y_max = max(4, math.ceil(math.log(edge_tol) / math.log(beta)))
-            while beta ** y_max >= edge_tol:
-                y_max += 1
-        if beta ** y_max >= edge_tol:
-            raise EdgeLeak(
-                f"bound state decays as {beta:.4g}**|y|; half-width {y_max} "
-                f"leaves edge weight above {edge_tol:g}"
-            )
-        grid = np.arange(-y_max, y_max + 1)
-        psi = beta ** np.abs(grid).astype(float)
-        psi /= math.sqrt(float(psi @ psi))
-        return TransverseSpectrum(energies=np.array([spec.bound_energy]),
-                                  wavefunctions=psi[None, :],
-                                  parities=("even",), grid=grid, symmetric=True)
-
-    if isinstance(spec, Harmonic):
-        n_req = n_states if n_states is not None else _DEFAULT_N_STATES
-        if spec.y_max is not None:
-            grid, v = potential_on_grid(spec, spec.y_max)
-            return _grid_eigensolve(grid, v, n_req, edge_tol, symmetric=True)
+    if isinstance(spec, TwoSite) or (isinstance(spec, Tabulated)
+                                     and spec.asymptote is None):
+        yield *potential_on_grid(spec, 0), None, math.inf
+    elif isinstance(spec, Harmonic) and spec.y_max is not None:
+        yield *potential_on_grid(spec, spec.y_max), DEFAULT_EDGE_TOL, math.inf
+    elif isinstance(spec, Harmonic):
         y_max = 40
         while y_max <= _MAX_AUTO_Y:
-            grid, v = potential_on_grid(spec, y_max)
-            try:
-                return _grid_eigensolve(grid, v, n_req, edge_tol, symmetric=True)
-            except EdgeLeak:
-                y_max *= 2
+            yield *potential_on_grid(spec, y_max), DEFAULT_EDGE_TOL, math.inf
+            y_max *= 2
         raise ConfigError(
             f"auto grid sizing exceeded half-width {_MAX_AUTO_Y} "
-            f"for {n_req} states"
+            f"for {n_states} states"
         )
-
-    if isinstance(spec, Tabulated):
-        symmetric = spec.is_symmetric()
-        if require_symmetric and not symmetric:
-            raise NonSymmetric("tabulated potential is not reflection symmetric")
-        if spec.asymptote is None:
-            # hard-walled finite model: every eigenpair is exact
-            grid, v = potential_on_grid(spec, 0)
-            out = _grid_eigensolve(grid, v, None, None, symmetric=symmetric)
-            if n_states is not None:
-                if n_states > out.n_states:
-                    raise ConfigError(
-                        f"tabulated trap has only {out.n_states} states"
-                    )
-                out = TransverseSpectrum(
-                    energies=out.energies[:n_states],
-                    wavefunctions=out.wavefunctions[:n_states],
-                    parities=out.parities[:n_states],
-                    grid=out.grid, symmetric=symmetric)
-            return out
-        # continuum-supporting well: keep states below the band bottom
-        band_bottom = spec.asymptote - 2.0 * J
+    elif isinstance(spec, Tabulated):
+        ceiling = spec.asymptote - 2.0 * J - 1e-12  # just below the band
         range_max = int(max(abs(spec.grid[0]), abs(spec.grid[-1])))
         y_max = max(range_max + 20, 40)
         n_wanted = n_max = n_states if n_states is not None else 1
@@ -531,26 +465,83 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None,
             # caps the bound states (the cut-off half-chains start at it)
             n_box, n_max = (len(eigvalsh_tridiagonal(
                 d, -J * np.ones(len(v) - 1), select="v",
-                select_range=(-np.inf, band_bottom - 1e-12)))
+                select_range=(-np.inf, ceiling)))
                 for d in (v, v - J * (np.abs(grid) == y_max)))
             if n_box >= n_wanted:
-                full = _grid_eigensolve(grid, v, None, edge_tol,
-                                        symmetric=symmetric)
-                n_bound = int(np.sum(full.energies < band_bottom - 1e-12))
-                if n_bound >= n_wanted:
-                    sel = slice(0, n_states if n_states is not None else n_bound)
-                    return TransverseSpectrum(
-                        energies=full.energies[:n_bound][sel],
-                        wavefunctions=full.wavefunctions[:n_bound][sel],
-                        parities=full.parities[:n_bound][sel],
-                        grid=grid, symmetric=symmetric)
+                yield grid, v, DEFAULT_EDGE_TOL, ceiling
             y_max *= 2
         raise EdgeLeak(
             f"{n_wanted} bound states requested below the transverse band "
             f"bottom; the well holds at most {n_max}, and fewer decay at "
             f"the edges up to half-width {y_max // 2}")
+    else:
+        raise ConfigError(f"unknown trap spec {type(spec).__name__}")
 
-    raise ConfigError(f"unknown trap spec {type(spec).__name__}")
+
+def solve_transverse(spec: TrapSpec, n_states: int | None = None
+                     ) -> TransverseSpectrum:
+    """Diagonalize the transverse trap Hamiltonian.
+
+    Parameters
+    ----------
+    spec : TrapSpec
+        The trap.  For :class:`DeltaWell` only the single bound state is
+        returned, and for a :class:`Tabulated` well with an asymptote
+        only its states below the band bottom (continuum states are
+        handled in :mod:`q1dscatter.continuum`).
+    n_states : int, optional
+        Number of bound states to return.  For traps on an auto-sized
+        grid the half-width grows until this many states decay at the
+        edges (edge amplitude below ``DEFAULT_EDGE_TOL``).  ``None``
+        keeps a trap-dependent default (everything for finite traps).
+
+    Returns
+    -------
+    TransverseSpectrum
+        ``symmetric`` is :func:`mirror_symmetric` of the solved grid.
+
+    Raises
+    ------
+    ConfigError
+        If a finite trap holds fewer than `n_states` states.
+    EdgeLeak
+        If an explicit grid cannot hold the requested states, or a
+        continuum-supporting well binds fewer than requested.
+    """
+    if isinstance(spec, DeltaWell):
+        if n_states is not None and n_states != 1:
+            raise ConfigError(
+                "the delta well has a single bound state; its continuum is "
+                "handled by the continuum module"
+            )
+        beta = spec.decay
+        y_max = spec.y_max
+        if y_max is None:
+            y_max = max(4, math.ceil(math.log(DEFAULT_EDGE_TOL)
+                                     / math.log(beta)))
+            while beta ** y_max >= DEFAULT_EDGE_TOL:
+                y_max += 1
+        if beta ** y_max >= DEFAULT_EDGE_TOL:
+            raise EdgeLeak(
+                f"bound state decays as {beta:.4g}**|y|; half-width {y_max} "
+                f"leaves edge weight above {DEFAULT_EDGE_TOL:g}"
+            )
+        grid = np.arange(-y_max, y_max + 1)
+        psi = beta ** np.abs(grid).astype(float)
+        psi /= math.sqrt(float(psi @ psi))
+        return TransverseSpectrum(energies=np.array([spec.bound_energy]),
+                                  wavefunctions=psi[None, :],
+                                  parities=("even",), grid=grid, symmetric=True)
+
+    if isinstance(spec, Harmonic) and n_states is None:
+        n_states = _DEFAULT_N_STATES
+    leak = None
+    for grid, v, edge_tol, ceiling in _grid_problems(spec, n_states):
+        try:
+            return _grid_eigensolve(grid, v, n_states, edge_tol, ceiling)
+        except EdgeLeak as err:
+            leak = err  # the next, larger grid may hold the states
+    raise leak  # a single fixed grid; auto grids raise on running out
 
 
 # --------------------------------------------------------------------------

@@ -108,6 +108,7 @@ _SINGULAR_PROXIMITY = 1e-12
 #: in ``Q H Q`` up to round-off (``eps max(mu) / mu_j`` relative).
 _ZERO_POLE_CANCELLATION = 1e-9
 _PARITY_SIGN = {"even": 1, "odd": -1, "none": 0}
+_LADDER_STEP, _LADDER_LIMIT, _LADDER_REL_TOL = 20, 161, 1e-6
 
 
 def pair_hopping(total_momentum: float = 0.0) -> float:
@@ -439,9 +440,10 @@ def _green(pair_rows: np.ndarray, denominators: np.ndarray) -> np.ndarray:
 
 
 def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
-                 energy: float | None = None,
                  n_cut: int | None = None) -> OverlapKernel:
-    """Assemble the two-body kernel on the collision diagonal.
+    """Assemble the two-body kernel on the collision diagonal, at the
+    lowest pair scattering energy ``-2 J_K + 2 E_0`` (zero relative
+    momentum; :meth:`OverlapKernel.at_energy` moves it).
 
     Parameters
     ----------
@@ -450,16 +452,13 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
         pair channels.
     total_momentum : float
         Conserved total quasi-momentum ``K``, ``|K| < pi``.
-    energy : float, optional
-        Scattering energy.  Default: the lowest pair scattering energy
-        ``-2 J_K + 2 E_0`` (zero relative momentum).
     n_cut : int, optional
         Single-particle state cutoff; default: all states in `spectrum`.
 
     Raises
     ------
     OpenChannel
-        If any retained pair channel is open at `energy`.
+        If any retained pair channel is open at that energy.
     SignConventionViolation
         If a closed-channel denominator fails to be negative.
     """
@@ -470,8 +469,7 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
         raise ConfigError(
             f"n_cut={n_cut} outside 1..{spectrum.n_states} (states held "
             f"by the spectrum)")
-    if energy is None:
-        energy = _zero_momentum_energy(spectrum, j_k)
+    energy = _zero_momentum_energy(spectrum, j_k)
 
     pairs, channel_energies, pair_rows = _pair_channels(spectrum, 1, n_cut)
     alphas, denominators = _closed_channels(pairs, channel_energies, energy,
@@ -721,16 +719,14 @@ def _check_first_rung(kernel: OverlapKernel, n_start: int,
 def converged_resonances(trap: TrapSpec, n_start: int,
                          total_momentum: float = 0.0,
                          u_window: tuple[float, float] = (-30.0, 0.0),
-                         rel_tol: float = 1e-6, n_step: int = 20,
-                         n_limit: int = 161,
                          first_rung: OverlapKernel | None = None
                          ) -> ResonanceReport:
     """Resonance report with the channel cutoff raised until the visible
     pole positions stabilize.
 
-    Starts from `n_start` single-particle states and adds `n_step` per
-    rung; two consecutive rungs must agree in visible-resonance count
-    and positions (relative `rel_tol`).  A rung that asks for more
+    Starts from `n_start` single-particle states and adds 20 per rung,
+    up to 161; two consecutive rungs must agree in visible-resonance
+    count and positions (relative 1e-6).  A rung that asks for more
     states than a finite trap holds uses the trap's complete basis; a
     complete basis is exact and ends the ladder.  A trap that refuses
     the states without having a complete basis (a delta well binds one
@@ -757,7 +753,7 @@ def converged_resonances(trap: TrapSpec, n_start: int,
         ladder; if the trap refuses a rung's states and has no complete
         basis.
     NoConvergence
-        If `n_limit` is reached without two agreeing rungs.
+        If 161 states are passed without two agreeing rungs.
     """
     if n_start < 1:
         raise ConfigError(f"n_start must be positive, got {n_start}")
@@ -767,7 +763,7 @@ def converged_resonances(trap: TrapSpec, n_start: int,
     prev: tuple[Resonance, ...] | None = None
     rungs: list[tuple[int, str]] = []
     nc = n_start
-    while nc <= n_limit:
+    while nc <= _LADDER_LIMIT:
         if first_rung is not None and not rungs:
             how = "reused"
         else:
@@ -788,21 +784,21 @@ def converged_resonances(trap: TrapSpec, n_start: int,
         rungs.append((kernel.n_cut, how))
         found = _resonances(kernel, u_window)
         if _complete_basis(kernel.spectrum) or (
-                prev is not None and _positions_match(prev, found, rel_tol)):
+                prev is not None and _positions_match(prev, found)):
             return replace(locate_resonances(kernel, u_window),
                            converged=True, rungs=tuple(rungs))
         prev = found
-        nc += n_step
+        nc += _LADDER_STEP
     raise NoConvergence(
-        f"visible resonance positions did not stabilize to {rel_tol:g} "
-        f"by {n_limit} transverse states")
+        f"visible resonance positions did not stabilize to "
+        f"{_LADDER_REL_TOL:g} by {_LADDER_LIMIT} transverse states")
 
 
-def _positions_match(a: tuple[Resonance, ...], b: tuple[Resonance, ...],
-                     rel_tol: float) -> bool:
+def _positions_match(a: tuple[Resonance, ...], b: tuple[Resonance, ...]
+                     ) -> bool:
     ra = [r for r in a if r.visible]
     rb = [r for r in b if r.visible]
     if len(ra) != len(rb):
         return False
-    return all(abs(x.u - y.u) <= rel_tol * max(abs(x.u), abs(y.u))
+    return all(abs(x.u - y.u) <= _LADDER_REL_TOL * max(abs(x.u), abs(y.u))
                for x, y in zip(ra, rb))

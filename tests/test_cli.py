@@ -230,6 +230,34 @@ def test_twobody_sweep_matches_dense_solve(tmp_path, capsys, two_site_kernel,
                                 dense_collision_solve)
 
 
+def test_twobody_report_reuses_the_sweep_kernel(tmp_path, capsys,
+                                                monkeypatch):
+    # fig5's sweep kernel holds every state of its spectrum, so the
+    # resonance report reads it instead of building the same kernel again
+    calls = []
+    build = cli.build_kernel
+    monkeypatch.setattr(cli, "build_kernel",
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    code, _, _ = run_cli(["figure", "fig5", "--output-dir", str(tmp_path)],
+                         capsys)
+    assert code == 0
+    assert len(calls) == 1
+    # the report a fresh kernel gives (`resonances` builds its own)
+    code, _, _ = run_cli(["resonances", "--trap", "harmonic", "--omega",
+                          "0.1", "--n-states", "21", "--u-from", "-30",
+                          "--u-to", "0", "--output",
+                          str(tmp_path / "fresh.csv")], capsys)
+    assert code == 0
+    assert len(calls) == 2
+
+    def report(path):
+        return [line for line in path.read_text().splitlines()
+                if not line.startswith(("# subcommand", "# config-hash"))]
+
+    assert report(tmp_path / "fig5_resonances.csv") == \
+        report(tmp_path / "fresh.csv")
+
+
 def test_twobody_finite_k_phase_is_positive_zero_at_zero_coupling(
         tmp_path, capsys):
     out = tmp_path / "tb.csv"
@@ -703,6 +731,18 @@ print(json.dumps([after_import, code, [m for m in lazy if m in sys.modules]]))
                           text=True, env=_package_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    # the demos call the library as a user would: a changed signature
+    # breaks them; run in tmp_path, where a demo may save its figure
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=_package_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_entry_point(tmp_path):

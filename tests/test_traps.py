@@ -226,12 +226,20 @@ def test_determinism():
     assert np.array_equal(a.wavefunctions, b.wavefunctions)
 
 
-def test_non_symmetric_guard():
-    asym = q.Tabulated.from_mapping({-1: 0.0, 0: 0.0, 1: 0.9}, None)
-    with pytest.raises(q.NonSymmetric):
-        q.solve_transverse(asym, require_symmetric=True)
-    spec = q.solve_transverse(asym)
-    assert not spec.symmetric
+@pytest.mark.parametrize("values", [
+    {-1: 0.0, 0: 0.0, 1: 0.9},
+    # one ulp off a mirror image: its even-odd couplings are real
+    {-2: 1.2, -1: 0.3, 0: 0.0, 1: float(np.nextafter(0.3, 1.0)), 2: 1.2},
+], ids=["asymmetric", "near-mirror"])
+def test_asymmetric_trap_keeps_every_pair_channel(values):
+    trap = q.Tabulated.from_mapping(values, None)
+    spec = q.solve_transverse(trap)
+    assert spec.symmetric is False
+    assert trap.is_symmetric() is False
+    assert spec.parities == ("none",) * len(values)
+    # no pair is dropped as odd: all n (n + 1) / 2 but the entrance
+    n = len(values)
+    assert q.build_kernel(spec).n_channels == n * (n + 1) // 2 - 1
 
 
 # ------------------------------------------------- closed-channel decay factor
