@@ -32,11 +32,11 @@ from .errors import (AtResonance, BranchCollision, ConfigError,
 from .oracle import (OracleResult, StripProblem, pair_hamiltonian,
                      pair_scattering_length, strip_hamiltonian,
                      strip_scattering_length)
-from .ring import (BranchScan, RingCrossing, RingSolution,
+from .ring import (BranchScan, BranchSweep, RingCrossing, RingSolution,
                    asymptotic_momentum, ring_branch_roots, ring_channel_sum,
-                   ring_cir_crossings, ring_momentum)
+                   ring_cir_crossings, ring_momentum, ring_sweep_roots)
 from .single_particle import (CirValue, ScatteringResult, effective_u1d,
-                              entrance_energy, u_cir)
+                              entrance_energy, u1d_values, u_cir)
 from .spa import SpaFit, spa_curve, spa_fit
 from .traps import (AlphaValue, DeltaWell, Harmonic, Tabulated,
                     TransverseSpectrum, TrapSpec, TwoSite, alpha_closed,
@@ -57,13 +57,13 @@ __all__ = [
     "closed_channels", "potential_on_grid",
     # single particle
     "CirValue", "ScatteringResult", "entrance_energy", "u_cir",
-    "effective_u1d",
+    "effective_u1d", "u1d_values",
     # continuum
     "ContinuumState", "ContinuumSum", "scattering_state",
     "density_of_states", "continuum_sum", "u_cir_with_continuum",
     # ring
-    "RingSolution", "RingCrossing", "BranchScan", "ring_momentum",
-    "ring_branch_roots",
+    "RingSolution", "RingCrossing", "BranchScan", "BranchSweep",
+    "ring_momentum", "ring_branch_roots", "ring_sweep_roots",
     "ring_channel_sum", "ring_cir_crossings", "asymptotic_momentum",
     # two body
     "PairChannel", "OverlapKernel", "TwoBodyResult", "BornResult",

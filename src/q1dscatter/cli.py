@@ -32,14 +32,13 @@ import numpy
 import scipy
 
 from . import __version__
-from .errors import ConfigError, NoRootInBranch, Q1DError, TailTooLarge, \
-    UnknownFigure
+from .errors import ConfigError, Q1DError, TailTooLarge, UnknownFigure
 from .continuum import continuum_sum, u_cir_with_continuum
 from .oracle import StripProblem, pair_scattering_length, \
     strip_scattering_length
-from .ring import BranchScan, ring_branch_roots, ring_cir_crossings
-from .single_particle import J, effective_u1d, phase_shift, \
-    scattering_length, u_cir
+from .ring import ring_cir_crossings, ring_sweep_roots
+from .single_particle import J, phase_shift, scattering_length, u1d_values, \
+    u_cir
 from .spa import spa_fit
 from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, solve_transverse
 from .two_body import build_kernel, converged_resonances, locate_resonances, \
@@ -400,25 +399,6 @@ def write_manifest(path: Path, config: RunConfig, outputs: list[Path],
 
 
 # --------------------------------------------------------------------
-# sweep points
-
-
-def _sweep_branch(spectrum, grid: list[float], length: int,
-                  branch: int) -> list:
-    """The roots at every coupling of a ring sweep on one (length,
-    branch), sharing one scan; ``None`` marks an empty branch."""
-    scan = BranchScan(spectrum, length, branch)
-    found = []
-    for u in grid:
-        try:
-            found.append(ring_branch_roots(spectrum, u, length, branch,
-                                           scan=scan))
-        except NoRootInBranch:
-            found.append(None)  # empty branch at this coupling: not an error
-    return found
-
-
-# --------------------------------------------------------------------
 # subcommand runners
 
 
@@ -457,9 +437,10 @@ def run_single(config: RunConfig, out: Path):
                 n_states=min(2 * spectrum.n_states, _MAX_AUTO_STATES))
     grid = _sweep_grid(config, "u")
     rows = []
-    for u in grid:
-        r = effective_u1d(spectrum, u, k=k, cir=cir)
-        rows.append((u, r.u1d, r.a, r.delta_k, math.atan(r.u1d / J)))
+    for u, u1d in zip(grid, u1d_values(spectrum, grid, cir).tolist()):
+        a, delta = ((scattering_length(u1d), None) if k == 0.0
+                    else (None, phase_shift(u1d, k)))
+        rows.append((u, u1d, a, delta, math.atan(u1d / J)))
     write_csv(out, config, ["u", "u1d", "a", "delta_k", "atan_u1d"], rows,
               {"u-cir": cir.u_cir, "n-used": cir.n_used,
                "tail-bound": cir.tail_bound, "k": k,
@@ -495,19 +476,24 @@ def run_ring(config: RunConfig, out: Path):
     grid = _sweep_grid(config, "u")
     keys = [(length, branch) for length in lengths
             for branch in range(branches)]
-    found = [_sweep_branch(spectrum, grid, length, branch)
-             for length, branch in keys]
+    sweeps = [ring_sweep_roots(spectrum, grid, length, branch)
+              for length, branch in keys]
     rows = [(length, u, branch, sol.k, sol.energy, sol.residual)
             for i, u in enumerate(grid)
-            for (length, branch), sols in zip(keys, found)
-            for sol in sols[i] or ()]
-    skipped = sum(sols.count(None) for sols in found)
+            for (length, branch), sweep in zip(keys, sweeps)
+            for sol in sweep.roots[i] or ()]
+    skipped = sum(sweep.roots.count(None) for sweep in sweeps)
     write_csv(out, config,
               ["length", "u", "branch", "k", "energy", "residual"], rows,
               {"empty-branch-points": skipped})
     outputs = [out]
-    diagnostics: dict[str, object] = {"rows": len(rows),
-                                      "empty_branch_points": skipped}
+    diagnostics: dict[str, object] = {
+        "rows": len(rows), "empty_branch_points": skipped,
+        "polish": [{"length": length, "branch": branch,
+                    "passes": sweep.passes, "roots": sweep.polished}
+                   for (length, branch), sweep in zip(keys, sweeps)],
+        "polished_roots": sum(sweep.polished for sweep in sweeps),
+        "max_residual": max((row[-1] for row in rows), default=0.0)}
     if config.get("crossings"):
         cross_rows = []
         for length in lengths:

@@ -29,6 +29,14 @@ Branches are indexed by the free momentum they contain: branch ``b``
 covers the open interval ``((2b-1) pi / L, (2b+1) pi / L)`` between
 consecutive singularities of ``tan(k L / 2)`` and contains the free
 solution ``k = 2 pi b / L`` at ``U = 0``.
+
+Roots are found on the pole-free form of the equation (both sides
+multiplied through by ``cos(kL/2) (1 + U Sigma_L)``).  A sweep over
+couplings scans each branch on one fixed grid, whose ``Sigma_L`` does
+not depend on the coupling (:class:`BranchScan`), and polishes every
+bracketed root of the sweep together: each bracket is one lane of a
+numpy port of scipy's ``brentq`` loop, so a root is brentq's to the
+last bit, and each iteration evaluates all live lanes in one array pass.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ _EDGE_PAD_HALF_ANGLE = 1e-8  # keep |kL/2 - (pi/2 + m pi)| above this
 _SCAN_POINTS = 400
 _ROOT_SEPARATION = 1e-8
 _RESIDUAL_TOL = 1e-10
+# brentq's stopping rule for every ring root (its default maxiter)
+_XTOL, _RTOL, _MAXITER = 1e-15, 8.9e-16, 100
 
 
 def brentq(*args, **kwargs):
@@ -113,10 +123,13 @@ def _ring_sums(spectrum: TransverseSpectrum, k, L: int) -> np.ndarray:
     amp2, channels = _coupled_channels(spectrum)
     energy = np.asarray(_entrance_energies(spectrum, k))[..., None]
     alpha, _ = closed_channels(channels, energy)
-    a_l = alpha ** L
+    # where alpha^(L-2) <= 2^-64, 1 + alpha^L == 1 and alpha + alpha^(L-1)
+    # == alpha exactly: leave those (often subnormal) powers at zero
+    far = alpha > 2.0 ** (-64.0 / (L - 2))
+    a_l = np.power(alpha, L, out=np.zeros_like(alpha), where=far)
+    a_l1 = np.power(alpha, L - 1, out=np.zeros_like(alpha), where=far)
     num = amp2 * (1.0 + a_l)
-    den = (channels - energy) * (1.0 + a_l) \
-        - 2.0 * J * (alpha + alpha ** (L - 1))
+    den = (channels - energy) * (1.0 + a_l) - 2.0 * J * (alpha + a_l1)
     return (num / den).sum(axis=-1)
 
 
@@ -143,33 +156,108 @@ def _branch_interval(L: int, branch: int) -> tuple[float, float]:
     return lo + pad, hi - pad
 
 
-def _momentum_sides(spectrum: TransverseSpectrum, u: float, L: int,
-                    k: float) -> tuple[float, float]:
-    """The two sides ``2 J sin k sin(kL/2) (1 + U Sigma_L)`` and
-    ``U psi_0(0)^2 cos(kL/2)`` of the pole-free momentum equation."""
-    half = 0.5 * k * L
-    sig = ring_channel_sum(spectrum, k, L)
-    psi0 = float(spectrum.origin_amplitudes[0])
-    return (2.0 * J * math.sin(k) * math.sin(half) * (1.0 + u * sig),
-            u * psi0 * psi0 * math.cos(half))
-
-
-def _pole_free_mismatch(spectrum: TransverseSpectrum, u: float, L: int,
-                        k: float) -> float:
+def _pole_free_mismatch(spectrum: TransverseSpectrum, u, L: int, k
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """The momentum equation with both tan poles and coupling poles
-    cleared: zero exactly at the allowed momenta.
+    cleared, and its relative residual, at every pair of couplings `u`
+    and momenta `k` (arrays of one shape): one :func:`_ring_sums` pass.
 
-    ``G(k) = 2 J sin k sin(kL/2) (1 + U Sigma_L) - U psi_0(0)^2 cos(kL/2)``.
+    ``G(k) = 2 J sin k sin(kL/2) (1 + U Sigma_L) - U psi_0(0)^2 cos(kL/2)``
+    is zero exactly at the allowed momenta; the residual divides
+    ``|G|`` by the larger side or ``2 J |sin k|``.
     """
-    lhs, rhs = _momentum_sides(spectrum, u, L, k)
-    return lhs - rhs
+    half = 0.5 * k * L
+    psi0 = float(spectrum.origin_amplitudes[0])
+    lhs = 2.0 * J * np.sin(k) * np.sin(half) \
+        * (1.0 + u * _ring_sums(spectrum, k, L))
+    rhs = u * psi0 * psi0 * np.cos(half)
+    mismatch = lhs - rhs
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
+                       2.0 * J * np.abs(np.sin(k)))
+    return mismatch, np.abs(mismatch) / scale
 
 
-def _relative_residual(spectrum: TransverseSpectrum, u: float, L: int,
-                       k: float) -> float:
-    lhs, rhs = _momentum_sides(spectrum, u, L, k)
-    scale = max(abs(lhs), abs(rhs), 2.0 * J * abs(math.sin(k)))
-    return abs(lhs - rhs) / scale
+def _brentq_lanes(f, xa: np.ndarray, xb: np.ndarray, xtol: float,
+                  rtol: float, maxiter: int):
+    """``scipy.optimize.brentq`` on many brackets at once: the loop of
+    scipy's ``brentq.c``, step for step, with one lane per bracket
+    ``[xa[i], xb[i]]``, so each root equals brentq's bit for bit.
+
+    ``f(lanes, x)`` evaluates the lanes indexed by `lanes` at `x` and
+    returns ``(f(x), aux)``, two float arrays shaped like `x`.  The
+    bracket ends take one call, and each iteration one more over the
+    lanes still live.
+
+    Returns each lane's root, `aux` at the root, whether the lane
+    converged within `maxiter` iterations (one that did not keeps its
+    last iterate), and the number of calls of `f`.
+
+    Raises
+    ------
+    ValueError
+        If ``f(a)`` and ``f(b)`` of a lane have the same sign.
+    """
+    n = len(xa)
+    if not n:
+        return xa, xa.copy(), np.ones(0, dtype=bool), 0
+    every = np.arange(n)
+    fx, ax = f(np.concatenate((every, every)), np.concatenate((xa, xb)))
+    calls = 1
+    # each point of a lane is one column (x, f(x), aux)
+    pre, cur = np.stack((xa, fx[:n], ax[:n])), np.stack((xb, fx[n:], ax[n:]))
+    at_a = pre[1] == 0.0
+    root, aux = np.where(at_a, pre[0::2], cur[0::2])
+    converged = at_a | (cur[1] == 0.0)
+    if np.any(~converged & (np.signbit(pre[1]) == np.signbit(cur[1]))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    live = np.flatnonzero(~converged)
+    pre, cur = pre[:, live], cur[:, live]
+    blk = np.zeros_like(pre)
+    spre = scur = np.zeros(live.size)
+    while live.size and calls <= maxiter:
+        # a sign change between pre and cur: cur's bracket partner is pre
+        new = (pre[1] != 0.0) & (cur[1] != 0.0) \
+            & (np.signbit(pre[1]) != np.signbit(cur[1]))
+        blk = np.where(new, pre, blk)
+        spre = np.where(new, cur[0] - pre[0], spre)
+        scur = np.where(new, cur[0] - pre[0], scur)
+        # cur becomes the end with the smaller |f|
+        swap = np.abs(blk[1]) < np.abs(cur[1])
+        pre, cur, blk = (np.where(swap, cur, pre), np.where(swap, blk, cur),
+                         np.where(swap, cur, blk))
+        (xpre, fpre, _), (xcur, fcur, _), (xblk, fblk, _) = pre, cur, blk
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        stop = (fcur == 0.0) | (np.abs(sbis) < delta)
+        root[live[stop]], aux[live[stop]] = xcur[stop], cur[2, stop]
+        converged[live[stop]] = True
+
+        # inverse quadratic (or secant) step where it is short enough,
+        # else bisection; the unused branch may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre)
+                / (dblk * dpre * (fblk - fpre)))
+            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) \
+                & (2 * np.abs(stry)
+                   < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        step = np.where(np.abs(scur) > delta, scur,
+                        np.where(sbis > 0, delta, -delta))
+
+        go = ~stop
+        live, blk, spre, scur = live[go], blk[:, go], spre[go], scur[go]
+        pre = cur = cur[:, go]
+        if live.size:
+            x = pre[0] + step[go]
+            cur = np.stack((x, *f(live, x)))
+            calls += 1
+    root[live], aux[live] = cur[0], cur[2]
+    return root, aux, converged, calls
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,21 +285,40 @@ class BranchScan:
         return (ks, 2.0 * J * np.sin(ks) * np.sin(half), np.cos(half),
                 _ring_sums(self.spectrum, ks, self.L))
 
-    def mismatch(self, u: float) -> tuple[np.ndarray, np.ndarray]:
-        """The scan grid and :func:`_pole_free_mismatch` on it."""
+    def mismatch(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The scan grid and ``G`` on it, one row per coupling of `us`
+        (bit for bit :func:`_pole_free_mismatch` there)."""
         ks, s, c, sig = self._grid
         psi0 = float(self.spectrum.origin_amplitudes[0])
-        return ks, s * (1.0 + u * sig) - u * psi0 * psi0 * c
+        us = np.asarray(us)[:, None]
+        return ks, s * (1.0 + us * sig) - us * psi0 * psi0 * c
 
 
-def ring_branch_roots(spectrum: TransverseSpectrum, u: float, L: int,
-                      branch: int, scan: BranchScan | None = None
-                      ) -> list[RingSolution]:
-    """All allowed momenta of one branch (usually one; two while the
-    coupling pole of the momentum equation transits the branch).
+@dataclass(frozen=True)
+class BranchSweep:
+    """One branch's allowed momenta at every coupling of a sweep.
 
-    A sweep over couplings passes one `scan` of the branch to every
-    call; without it each call scans afresh.
+    ``roots[j]`` lists the momenta at the j-th coupling, ``None`` where
+    the branch is empty there; `passes` counts the evaluation passes of
+    the polish and `polished` the bracketed roots it polished.
+    """
+
+    roots: list[list[RingSolution] | None]
+    passes: int
+    polished: int
+
+
+def ring_sweep_roots(spectrum: TransverseSpectrum, us: list[float], L: int,
+                     branch: int, scan: BranchScan | None = None
+                     ) -> BranchSweep:
+    """:func:`ring_branch_roots` at every coupling of `us` at once.
+
+    Each coupling's sign changes on the branch's scan grid bracket its
+    roots; every bracket of the sweep is one lane of
+    :func:`_brentq_lanes`, so the whole sweep costs a few array passes.
+    An error is raised for the first failing coupling in the order of
+    `us`; an empty branch is not an error here.  ``U = 0`` has the free
+    momentum and never scans.
     """
     if scan is None:
         scan = BranchScan(spectrum, L, branch)
@@ -220,45 +327,82 @@ def ring_branch_roots(spectrum: TransverseSpectrum, u: float, L: int,
                           f"passed for branch {branch} at L={L}")
     lo, hi = scan.interval
     free_k = 2.0 * math.pi * branch / L
+    free = None
+    if branch and lo < free_k < hi:
+        free = [RingSolution(L=L, u=0.0, branch=branch, k=free_k,
+                             energy=-2.0 * J * math.cos(free_k),
+                             residual=0.0)]
+    roots: list[list[RingSolution] | None] = [
+        free if u == 0.0 else None for u in us]
+    coupled = [j for j, u in enumerate(us) if u != 0.0]
+    if not coupled:
+        return BranchSweep(roots, passes=0, polished=0)
 
-    if u == 0.0:
-        if branch == 0 or not lo < free_k < hi:
+    lane_us = np.array([us[j] for j in coupled], dtype=float)
+    ks, vals = scan.mismatch(lane_us)
+    # an exact zero on the grid is a root as it stands: a bracket of width 0
+    zero_j, zero_i = np.nonzero(vals == 0.0)
+    cut_j, cut_i = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    lane_j = np.concatenate((zero_j, cut_j))
+    lane_us = lane_us[lane_j]
+    k, res, ok, passes = _brentq_lanes(
+        lambda lanes, x: _pole_free_mismatch(spectrum, lane_us[lanes], L, x),
+        np.concatenate((ks[zero_i], ks[cut_i])),
+        np.concatenate((ks[zero_i], ks[cut_i + 1])), _XTOL, _RTOL, _MAXITER)
+
+    found: list[dict[float, float]] = [{} for _ in coupled]
+    unconverged = set()
+    for j, kj, rj, okj in zip(lane_j.tolist(), k.tolist(), res.tolist(),
+                              ok.tolist()):
+        found[j][kj] = rj
+        if not okj:
+            unconverged.add(j)
+    for j, at in enumerate(found):
+        u = us[coupled[j]]
+        if j in unconverged:
+            raise NoConvergence(
+                f"ring root of branch {branch} at U={u:g}, L={L} not "
+                f"converged after {_MAXITER} iterations")
+        ordered = sorted(at)
+        for r1, r2 in zip(ordered, ordered[1:]):
+            if r2 - r1 < _ROOT_SEPARATION:
+                raise BranchCollision(
+                    f"two roots of branch {branch} within {r2 - r1:.3g} "
+                    f"at U={u:g}, L={L}")
+        for kj in ordered:
+            if at[kj] > _RESIDUAL_TOL:
+                raise NoConvergence(f"ring root at k={kj:.12g} has relative "
+                                    f"residual {at[kj]:.3g}")
+        if ordered:
+            roots[coupled[j]] = [
+                RingSolution(L=L, u=u, branch=branch, k=kj,
+                             energy=-2.0 * J * math.cos(kj), residual=at[kj])
+                for kj in ordered]
+    return BranchSweep(roots, passes=passes, polished=len(cut_j))
+
+
+def ring_branch_roots(spectrum: TransverseSpectrum, u: float, L: int,
+                      branch: int, scan: BranchScan | None = None
+                      ) -> list[RingSolution]:
+    """All allowed momenta of one branch (usually one; two while the
+    coupling pole of the momentum equation transits the branch): the
+    one-coupling case of :func:`ring_sweep_roots`.
+
+    Calls that pass one `scan` of the branch share it; without it each
+    call scans afresh.  A sweep over couplings calls
+    :func:`ring_sweep_roots` once instead.
+    """
+    found = ring_sweep_roots(spectrum, [u], L, branch, scan=scan).roots[0]
+    if found is None:
+        if u == 0.0:
             raise NoRootInBranch(
                 f"branch {branch} holds no free momentum in (0, pi) at U=0"
                 if branch else "k = 0 is not a scattering momentum")
-        return [RingSolution(L=L, u=0.0, branch=branch, k=free_k,
-                             energy=-2.0 * J * math.cos(free_k),
-                             residual=0.0)]
-
-    def g(k: float) -> float:
-        return _pole_free_mismatch(spectrum, u, L, k)
-
-    ks, vals = scan.mismatch(u)
-    found = set(ks[vals == 0.0].tolist())
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        found.add(float(brentq(g, float(ks[i]), float(ks[i + 1]),
-                               xtol=1e-15, rtol=8.9e-16)))
-
-    roots = sorted(found)
-    for r1, r2 in zip(roots, roots[1:]):
-        if r2 - r1 < _ROOT_SEPARATION:
-            raise BranchCollision(
-                f"two roots of branch {branch} within {r2 - r1:.3g} "
-                f"at U={u:g}, L={L}")
-    if not roots:
+        lo, hi = _branch_interval(L, branch)
         raise NoRootInBranch(
             f"no allowed momentum in branch {branch} (interval "
             f"({lo:.6g}, {hi:.6g})) at U={u:g}, L={L}")
-
-    out = []
-    for k in roots:
-        res = _relative_residual(spectrum, u, L, k)
-        if res > _RESIDUAL_TOL:
-            raise NoConvergence(
-                f"ring root at k={k:.12g} has relative residual {res:.3g}")
-        out.append(RingSolution(L=L, u=u, branch=branch, k=k,
-                                energy=-2.0 * J * math.cos(k), residual=res))
-    return out
+    return found
 
 
 def ring_momentum(spectrum: TransverseSpectrum, u: float, L: int,
@@ -343,7 +487,7 @@ def asymptotic_momentum(spectrum: TransverseSpectrum, u: float, L: int,
         raise NoRootInBranch(
             f"no quantization root in branch {branch} at U={u:g} "
             f"(phase shift window misses 2 pi * {branch})")
-    k = float(brentq(quantization, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    k = float(brentq(quantization, lo, hi, xtol=_XTOL, rtol=_RTOL))
     return RingSolution(L=L, u=u, branch=branch, k=k,
                         energy=-2.0 * J * math.cos(k),
                         residual=abs(quantization(k)))

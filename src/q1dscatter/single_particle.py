@@ -175,6 +175,28 @@ def u_cir(spectrum: TransverseSpectrum, k: float = 0.0,
                     n_used=n_used, tail_bound=tail_bound)
 
 
+def u1d_values(spectrum: TransverseSpectrum, us, cir: CirValue
+               ) -> np.ndarray:
+    """Effective 1D coupling ``U1D`` at every coupling of `us`, in one
+    array pass; `cir` is ``u_cir`` at the entrance momentum.
+
+    Raises
+    ------
+    AtResonance
+        For the first coupling of `us` with ``|1 - U/U_CIR| < 1e-12``.
+    """
+    us = np.asarray(us, dtype=float)
+    pole_factor = 1.0 - us * cir.inverse
+    near = np.flatnonzero(np.abs(pole_factor) < 1e-12)
+    if near.size:
+        raise AtResonance(
+            f"coupling U = {us[near[0]]:.12g} sits on the "
+            f"confinement-induced resonance U_CIR({cir.k:g}) = "
+            f"{cir.u_cir:.12g}")
+    psi0 = float(spectrum.origin_amplitudes[0])
+    return us * psi0 ** 2 / pole_factor
+
+
 def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
                   cir: CirValue | None = None) -> ScatteringResult:
     """Effective 1D coupling, scattering length, and phase shift.
@@ -207,14 +229,8 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
         cir = u_cir(spectrum, k=k)
     elif cir.k != k:
         raise ConfigError(f"u_cir was evaluated at k={cir.k}, not k={k}")
-    pole_factor = 1.0 - u * cir.inverse
-    if abs(pole_factor) < 1e-12:
-        raise AtResonance(
-            f"coupling U = {u:.12g} sits on the confinement-induced "
-            f"resonance U_CIR({k:g}) = {cir.u_cir:.12g}"
-        )
+    u1d = float(u1d_values(spectrum, [u], cir)[0])
     psi0 = float(spectrum.origin_amplitudes[0])
-    u1d = u * psi0 ** 2 / pole_factor
 
     a = None
     delta_k = None

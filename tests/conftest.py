@@ -3,10 +3,13 @@ several test modules reuse.  All are deterministic, so session scope is
 safe and keeps the expensive diagonalizations to one run each.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import q1dscatter as q
+from q1dscatter import ring
 
 try:
     from hypothesis import settings
@@ -78,3 +81,26 @@ def _dense_collision_solve(ker, u):
 @pytest.fixture(scope="session")
 def dense_collision_solve():
     return _dense_collision_solve
+
+
+def _plain_power_ring_sums(spectrum, L, points=400):
+    """Reference for ``ring._ring_sums``: ``Sigma_L`` with every power
+    ``alpha^L``, ``alpha^(L-1)`` taken, on `points` momenta in [0, pi)
+    at which every coupled channel is closed.  Returns the momenta and
+    the sums."""
+    amp2, channels = ring._coupled_channels(spectrum)
+    gap = (channels.min() - float(spectrum.energies[0])) / q.J
+    ks = np.linspace(0.0, math.acos(max(1.0 - 0.5 * gap, -1.0)),
+                     points + 1)[:-1]
+    energy = ring._entrance_energies(spectrum, ks)[:, None]
+    alpha, _ = q.closed_channels(channels, energy)
+    a_l = alpha ** L
+    num = amp2 * (1.0 + a_l)
+    den = (channels - energy) * (1.0 + a_l) \
+        - 2.0 * q.J * (alpha + alpha ** (L - 1))
+    return ks, (num / den).sum(axis=-1)
+
+
+@pytest.fixture(scope="session")
+def plain_power_ring_sums():
+    return _plain_power_ring_sums

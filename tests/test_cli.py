@@ -184,6 +184,38 @@ def test_ladder_rungs_in_manifest_only(tmp_path, capsys):
     assert replay.read_bytes() == alone.read_bytes()
 
 
+def test_ring_polish_in_manifest_only(tmp_path, capsys):
+    """The manifest counts each (length, branch) sweep's solver passes
+    and polished roots and gives the largest residual; the CSV and the
+    config hash do not, so a replay is byte-identical."""
+    out = tmp_path / "r.csv"
+    code, _, _ = run_cli(["ring", "--trap", "harmonic", "--omega", "0.1",
+                          "--n-states", "21", "--length", "10", "--length",
+                          "50", "--branches", "2", "--u-from", "-20",
+                          "--u-to", "20", "--points", "8",
+                          "--output", str(out)], capsys)
+    assert code == 0
+    diag = json.loads(
+        (tmp_path / "r.csv.manifest.json").read_text())["diagnostics"]
+    assert [(p["length"], p["branch"]) for p in diag["polish"]] == [
+        (10, 0), (10, 1), (50, 0), (50, 1)]
+    assert all(1 <= p["passes"] <= 10 for p in diag["polish"])
+    meta, rows = read_csv(out)
+    # no coupling of the grid is zero: every row is a polished root
+    assert diag["polished_roots"] == sum(p["roots"] for p in diag["polish"])
+    assert diag["polished_roots"] == len(rows) == diag["rows"]
+    assert diag["max_residual"] == max(float(r["residual"]) for r in rows)
+    assert 0.0 < diag["max_residual"] <= 1e-10
+    assert not any("polish" in key or "pass" in key or "max" in key
+                   for key in meta)
+    replay = tmp_path / "replay.csv"
+    code, _, _ = run_cli(["ring", "--config",
+                          str(tmp_path / "r.csv.manifest.json"),
+                          "--output", str(replay)], capsys)
+    assert code == 0
+    assert replay.read_bytes() == out.read_bytes()
+
+
 def _assert_sweep_matches_dense(path, kernel, dense_collision_solve,
                                 k=0.0):
     """Every row of a twobody sweep at relative momentum `k` against the
@@ -716,21 +748,30 @@ def _package_env():
 
 def test_cold_start_defers_integrate_and_optimize(tmp_path):
     # scipy.integrate and scipy.optimize cost most of a fresh import;
-    # only the continuum and ring paths load them, at their first call
-    script = f"""
+    # only the continuum path and ring.asymptotic_momentum load them, at
+    # their first call
+    twobody = ["twobody", "--trap", "two-site", "--v", "1.0",
+               "--u-from", "-2", "--u-to", "-1", "--points", "5",
+               "--output", str(tmp_path / "t.csv")]
+    # a ring sweep polishes its roots without scipy.optimize
+    ring = ["ring", "--trap", "harmonic", "--omega", "0.1", "--n-states",
+            "21", "--length", "50", "--crossings", "--u-from", "-20",
+            "--u-to", "20", "--points", "6", "--output",
+            str(tmp_path / "r.csv")]
+    for argv in (twobody, ring):
+        script = f"""
 import json, sys
 from q1dscatter import cli
 lazy = ("scipy.integrate", "scipy.optimize")
 after_import = [m for m in lazy if m in sys.modules]
-code = cli.main(["twobody", "--trap", "two-site", "--v", "1.0",
-                 "--u-from", "-2", "--u-to", "-1", "--points", "5",
-                 "--output", {str(tmp_path / "t.csv")!r}])
+code = cli.main({argv!r})
 print(json.dumps([after_import, code, [m for m in lazy if m in sys.modules]]))
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=_package_env())
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=_package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

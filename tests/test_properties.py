@@ -1,16 +1,18 @@
-"""Structural invariants of the collision-diagonal two-body form and of
-the oracle's symmetry sectors on random hard-walled tabulated traps
-(property tests)."""
+"""Structural invariants of the collision-diagonal two-body form, of
+the ring sums and of the oracle's symmetry sectors on random
+hard-walled tabulated traps, and the ring's lane-wise Brent solver
+against scipy's brentq (property tests)."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import brentq
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
 import q1dscatter as q  # noqa: E402
-from q1dscatter import oracle  # noqa: E402
+from q1dscatter import oracle, ring  # noqa: E402
 
 
 _DEPTH = st.floats(0.0, 3.0)
@@ -176,6 +178,62 @@ def test_closed_channels_match_scalar(channels, energies, j_eff):
                        [[v.denominator for v in row] for row in scalar])):
         assert np.array_equal(got.view(np.int64),
                               np.array(want).view(np.int64))
+
+
+@given(trap=mirrored_tables(), L=st.integers(4, 5000))
+def test_ring_sums_skip_only_negligible_powers(trap, L,
+                                               plain_power_ring_sums):
+    """Leaving alpha^L and alpha^(L-1) at zero where they cannot move
+    1 + alpha^L or alpha + alpha^(L-1) keeps Sigma_L bit for bit."""
+    spectrum = q.solve_transverse(trap)
+    assume(spectrum.origin_amplitudes[1:].any())
+    ks, want = plain_power_ring_sums(spectrum, L, points=64)
+    assert ring._ring_sums(spectrum, ks, L).tobytes() == want.tobytes()
+
+
+def _smooth(c, r, m, w, q_, x):
+    """``c (x - r) ((x - m)^2 + w) / (1 + q x^2)``: for w, q >= 0 it
+    changes sign only at r (and touches zero at m if w = 0)."""
+    return c * (x - r) * ((x - m) * (x - m) + w) / (1.0 + q_ * x * x)
+
+
+_UNIT = st.floats(0.0, 1.0)
+_LANE = st.tuples(st.floats(-10.0, 10.0), st.floats(1e-9, 20.0),
+                  st.one_of(st.just(0.0), st.just(1.0), _UNIT),
+                  st.floats(-1e3, 1e3), _UNIT, st.floats(0.0, 2.0),
+                  st.floats(0.0, 5.0))
+
+
+@given(lanes=st.lists(_LANE, min_size=1, max_size=8),
+       xtol=st.sampled_from([1e-15, 2e-12, 1e-6]))
+@example(lanes=[(0.5, 1.0, 0.0, 1.0, 0.5, 0.0, 1.0),
+                (0.5, 1.0, 1.0, -2.0, 0.3, 1.0, 0.0)], xtol=1e-15)
+def test_brent_lanes_are_brentq_bit_for_bit(lanes, xtol):
+    """Every lane ends where scipy's brentq ends on its bracket, with
+    the same convergence flag, including a root at either end."""
+    a = np.array([lane[0] for lane in lanes])
+    b = a + np.array([lane[1] for lane in lanes])
+    # the root at a, at b, or inside; the touching point anywhere
+    r = np.array([a_i if lane[2] == 0.0 else b_i if lane[2] == 1.0
+                  else a_i + lane[2] * (b_i - a_i)
+                  for a_i, b_i, lane in zip(a, b, lanes)])
+    m = a + np.array([lane[4] for lane in lanes]) * (b - a)
+    c, w, q_ = (np.array([lane[i] for lane in lanes]) for i in (3, 5, 6))
+
+    def f(idx, x):
+        fx = _smooth(c[idx], r[idx], m[idx], w[idx], q_[idx], x)
+        return fx, fx
+
+    root, aux, converged, _ = ring._brentq_lanes(f, a, b, xtol, 8.9e-16,
+                                                 100)
+    for i in range(len(lanes)):
+        args = tuple(float(v[i]) for v in (c, r, m, w, q_))
+        want, info = brentq(lambda x: _smooth(*args, x), float(a[i]),
+                            float(b[i]), xtol=xtol, rtol=8.9e-16,
+                            full_output=True, disp=False)
+        assert (float(root[i]).hex(), bool(converged[i])) \
+            == (float(want).hex(), info.converged), i
+        assert float(aux[i]) == _smooth(*args, want)
 
 
 _ORACLE_TRAPS = st.one_of(mirrored_tables(3, 7), tabulated_traps(3, 7))

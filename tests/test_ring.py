@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import q1dscatter as q
+from q1dscatter import ring
 
 
 def test_free_momenta_exact(harm_mod_spectrum):
@@ -201,3 +202,95 @@ def test_scan_belongs_to_its_branch(harm_mod_spectrum):
     scan = q.BranchScan(harm_mod_spectrum, 50, 1)
     with pytest.raises(q.ConfigError):
         q.ring_branch_roots(harm_mod_spectrum, -5.0, 50, 2, scan=scan)
+
+
+# ------------------------- witness: the per-root brentq polish of a sweep
+
+
+def _brentq_polish(spectrum, u, L, branch, scan):
+    """The per-root polish the lane solver replaced: each bracketed sign
+    change of the shared scan polished by scipy's brentq on the scalar
+    momentum equation, the residual from one more scalar evaluation."""
+    psi0 = float(spectrum.origin_amplitudes[0])
+
+    def sides(k):
+        half = 0.5 * k * L
+        sig = q.ring_channel_sum(spectrum, k, L)
+        return (2.0 * q.J * math.sin(k) * math.sin(half) * (1.0 + u * sig),
+                u * psi0 * psi0 * math.cos(half))
+
+    def g(k):
+        lhs, rhs = sides(k)
+        return lhs - rhs
+
+    ks, vals = scan.mismatch([u])
+    vals = vals[0]
+    found = set(ks[vals == 0.0].tolist())
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        found.add(float(brentq(g, float(ks[i]), float(ks[i + 1]),
+                               xtol=1e-15, rtol=8.9e-16)))
+    out = []
+    for k in sorted(found):
+        lhs, rhs = sides(k)
+        scale = max(abs(lhs), abs(rhs), 2.0 * q.J * abs(math.sin(k)))
+        out.append((k, -2.0 * q.J * math.cos(k), abs(lhs - rhs) / scale))
+    return out or None
+
+
+def _bits(rows):
+    return None if rows is None else [tuple(x.hex() for x in row)
+                                      for row in rows]
+
+
+@pytest.mark.parametrize("L", [10, 50, 1000])
+def test_sweep_polish_matches_brentq_bitwise(micro_spectrum,
+                                             harm_mod_spectrum, L):
+    # the fig3 sweep (600 couplings, branch 0), then branches 1-2 of
+    # the moderate trap on a coarser grid
+    cases = [(micro_spectrum, np.linspace(-30.0, 30.0, 600).tolist(), 0)]
+    cases += [(harm_mod_spectrum, np.linspace(-30.0, 30.0, 50).tolist(), b)
+              for b in (1, 2)]
+    for spectrum, grid, branch in cases:
+        scan = q.BranchScan(spectrum, L, branch)
+        try:
+            sweep = q.ring_sweep_roots(spectrum, grid, L, branch, scan=scan)
+        except q.OpenChannel:
+            assert (L, branch) == (10, 2)
+            continue
+        assert sweep.polished == sum(len(r) for r in sweep.roots if r)
+        for u, sols in zip(grid, sweep.roots):
+            got = None if sols is None else [(s.k, s.energy, s.residual)
+                                             for s in sols]
+            assert _bits(got) == _bits(
+                _brentq_polish(spectrum, u, L, branch, scan)), (u, branch)
+
+
+def test_sweep_reports_first_unconverged_coupling(harm_mod_spectrum,
+                                                  monkeypatch):
+    # with one iteration allowed no lane converges: the error names the
+    # first coupling of the sweep, as a coupling-by-coupling loop would
+    monkeypatch.setattr(ring, "_MAXITER", 1)
+    with pytest.raises(q.NoConvergence, match=r"at U=3, L=50 not converged"):
+        q.ring_sweep_roots(harm_mod_spectrum, [0.0, 3.0, -5.0], 50, 1)
+    assert q.ring_sweep_roots(harm_mod_spectrum, [0.0], 50, 1).passes == 0
+
+
+def test_brent_lanes_refuse_a_bracket_without_sign_change():
+    def f(lanes, x):
+        return x * x + 1.0, x
+
+    with pytest.raises(ValueError, match="different signs"):
+        ring._brentq_lanes(f, np.array([-1.0, 0.0]), np.array([1.0, 2.0]),
+                           1e-15, 8.9e-16, 100)
+
+
+# ------------------------------- Sigma_L without the negligible powers
+
+
+@pytest.mark.parametrize("L", [4, 5, 10, 50, 1000, 4096])
+def test_ring_sums_skip_only_negligible_powers(harm_mod_spectrum,
+                                               micro_spectrum, L,
+                                               plain_power_ring_sums):
+    for spectrum in (harm_mod_spectrum, micro_spectrum):
+        ks, want = plain_power_ring_sums(spectrum, L)
+        assert ring._ring_sums(spectrum, ks, L).tobytes() == want.tobytes()

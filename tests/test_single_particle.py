@@ -140,3 +140,24 @@ def test_near_continuum_curve_regression(micro_spectrum):
     for u, want in frozen.items():
         got = q.effective_u1d(micro_spectrum, u).u1d
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_u1d_values_is_effective_u1d_per_coupling(harm_mod_spectrum):
+    # one array pass over a sweep gives each point's scalar U1D exactly
+    for k in (0.0, 0.3):
+        cir = q.u_cir(harm_mod_spectrum, k=k)
+        grid = np.linspace(-30.0, 30.0, 61)
+        got = q.u1d_values(harm_mod_spectrum, grid, cir)
+        want = [q.effective_u1d(harm_mod_spectrum, float(u), k=k).u1d
+                for u in grid]
+        assert got.tolist() == want
+
+
+def test_u1d_values_reports_the_resonant_coupling(harm_mod_spectrum):
+    cir = q.u_cir(harm_mod_spectrum)
+    with pytest.raises(q.AtResonance) as swept:
+        q.u1d_values(harm_mod_spectrum, [1.0, cir.u_cir, -1.0], cir)
+    with pytest.raises(q.AtResonance) as alone:
+        q.effective_u1d(harm_mod_spectrum, cir.u_cir)
+    assert str(swept.value) == str(alone.value)
+    assert f"U = {cir.u_cir:.12g} sits" in str(swept.value)
