@@ -32,7 +32,7 @@ from .errors import (AtResonance, BranchCollision, ConfigError,
 from .oracle import (OracleResult, StripProblem, pair_hamiltonian,
                      pair_scattering_length, strip_hamiltonian,
                      strip_scattering_length)
-from .ring import (BranchScan, BranchSweep, RingCrossing, RingSolution,
+from .ring import (BranchSweep, RingCrossing, RingSolution,
                    asymptotic_momentum, ring_branch_roots, ring_channel_sum,
                    ring_cir_crossings, ring_momentum, ring_sweep_roots)
 from .single_particle import (CirValue, ScatteringResult, effective_u1d,
@@ -62,7 +62,7 @@ __all__ = [
     "ContinuumState", "ContinuumSum", "scattering_state",
     "density_of_states", "continuum_sum", "u_cir_with_continuum",
     # ring
-    "RingSolution", "RingCrossing", "BranchScan", "BranchSweep",
+    "RingSolution", "RingCrossing", "BranchSweep",
     "ring_momentum", "ring_branch_roots", "ring_sweep_roots",
     "ring_channel_sum", "ring_cir_crossings", "asymptotic_momentum",
     # two body

@@ -25,6 +25,7 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -168,7 +169,10 @@ def _argparse_spec(opt: _Option) -> tuple[list[str], dict[str, object]]:
     return flags, {"type": opt.kind}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it as
+    it was, so every :func:`main` call shares it."""
     parser = _Parser(prog="q1dscatter",
                      description="Quasi-1D lattice scattering toolkit")
     parser.add_argument("--version", action="version",
@@ -308,10 +312,13 @@ def build_trap(config: RunConfig):
     for pair in opts["values"].split(","):
         site, _, value = pair.partition(":")
         try:
-            table[int(site)] = float(value)
+            y, v = int(site), float(value)
         except ValueError:
             raise ConfigError(
                 f"bad tabulated entry {pair!r}; expected y:V") from None
+        if y in table:
+            raise ConfigError(f"tabulated site y={y} given twice in values")
+        table[y] = v
     asymptote = opts.get("asymptote")
     return Tabulated.from_mapping(
         table, None if asymptote is None else float(asymptote))
@@ -516,28 +523,19 @@ def _resonance_window(config: RunConfig, clamp: bool) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _resonance_report(config: RunConfig, window: tuple[float, float],
-                      kernel=None):
-    """The resonance report of `config`.  `kernel`, the zero-momentum
-    kernel of a ``twobody`` sweep, is the report's kernel (a converged
-    ladder's first rung, if it holds ``n_start`` states) whenever it
-    holds every state of its spectrum."""
-    if kernel is not None and kernel.n_cut != kernel.spectrum.n_states:
-        kernel = None
+def _resonance_report(config: RunConfig, window: tuple[float, float]):
+    """The resonance report of `config`, from a kernel of its own (with
+    ``--converge``, a ladder of its own)."""
     momentum = float(config.get("total_momentum"))
     if config.get("converge"):
         n_start = config.options.get("n_start")
         if n_start is None:
             raise ConfigError("--converge needs --n-start")
-        if kernel is not None and kernel.n_cut != n_start:
-            kernel = None
         return converged_resonances(build_trap(config), n_start,
-                                    total_momentum=momentum,
-                                    u_window=window, first_rung=kernel)
-    if kernel is None:
-        kernel = build_kernel(_solve_spectrum(config),
-                              total_momentum=momentum)
-    return locate_resonances(kernel, window)
+                                    total_momentum=momentum, u_window=window)
+    return locate_resonances(
+        build_kernel(_solve_spectrum(config), total_momentum=momentum),
+        window)
 
 
 def _write_resonances(config: RunConfig, out: Path, report) -> None:
@@ -563,7 +561,7 @@ def _kernel_diagnostics(source, prefix: str = "") -> dict[str, object]:
 
 def _ladder_diagnostics(report) -> dict[str, object]:
     """Each rung of a converged ladder: its basis size and whether its
-    kernel was reused, rebuilt or grown (manifest only)."""
+    kernel was rebuilt or grown (manifest only)."""
     if not report.rungs:
         return {}
     return {"ladder": [{"n_states": n, "kernel": how}
@@ -591,7 +589,6 @@ def run_twobody(config: RunConfig, out: Path):
                           "--points) or --resonances")
     outputs: list[Path] = []
     diagnostics: dict[str, object] = {}
-    kernel = None
     if has_sweep:
         spectrum = _solve_spectrum(config)
         kernel = build_kernel(
@@ -616,8 +613,8 @@ def run_twobody(config: RunConfig, out: Path):
                             "min_pole_proximity": proximity,
                             **_kernel_diagnostics(kernel)})
     if want_report:
-        report = _resonance_report(
-            config, _resonance_window(config, clamp=True), kernel)
+        report = _resonance_report(config,
+                                   _resonance_window(config, clamp=True))
         report_path = out.with_name(out.stem + "_resonances.csv") \
             if has_sweep else out
         _write_resonances(config, report_path, report)

@@ -32,8 +32,8 @@ solution ``k = 2 pi b / L`` at ``U = 0``.
 
 Roots are found on the pole-free form of the equation (both sides
 multiplied through by ``cos(kL/2) (1 + U Sigma_L)``).  A sweep over
-couplings scans each branch on one fixed grid, whose ``Sigma_L`` does
-not depend on the coupling (:class:`BranchScan`), and polishes every
+couplings scans each branch on one fixed grid, where ``Sigma_L``, which
+does not depend on the coupling, is evaluated once, and polishes every
 bracketed root of the sweep together: each bracket is one lane of a
 numpy port of scipy's ``brentq`` loop, so a root is brentq's to the
 last bit, and each iteration evaluates all live lanes in one array pass.
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -156,25 +155,21 @@ def _branch_interval(L: int, branch: int) -> tuple[float, float]:
     return lo + pad, hi - pad
 
 
-def _pole_free_mismatch(spectrum: TransverseSpectrum, u, L: int, k
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The momentum equation with both tan poles and coupling poles
-    cleared, and its relative residual, at every pair of couplings `u`
-    and momenta `k` (arrays of one shape): one :func:`_ring_sums` pass.
+def _sides(spectrum: TransverseSpectrum, u, L: int, k
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of the momentum equation with both tan poles and
+    coupling poles cleared, ``2 J sin k sin(kL/2) (1 + U Sigma_L)`` and
+    ``U psi_0(0)^2 cos(kL/2)``, at couplings `u` and momenta `k`
+    broadcast together: one :func:`_ring_sums` pass over the momenta of
+    `k`, so a (couplings x 1) `u` against a grid `k` sums once.
 
-    ``G(k) = 2 J sin k sin(kL/2) (1 + U Sigma_L) - U psi_0(0)^2 cos(kL/2)``
-    is zero exactly at the allowed momenta; the residual divides
-    ``|G|`` by the larger side or ``2 J |sin k|``.
+    Their difference ``G(k)`` is zero exactly at the allowed momenta.
     """
     half = 0.5 * k * L
     psi0 = float(spectrum.origin_amplitudes[0])
-    lhs = 2.0 * J * np.sin(k) * np.sin(half) \
-        * (1.0 + u * _ring_sums(spectrum, k, L))
-    rhs = u * psi0 * psi0 * np.cos(half)
-    mismatch = lhs - rhs
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
-                       2.0 * J * np.abs(np.sin(k)))
-    return mismatch, np.abs(mismatch) / scale
+    return (2.0 * J * np.sin(k) * np.sin(half)
+            * (1.0 + u * _ring_sums(spectrum, k, L)),
+            u * psi0 * psi0 * np.cos(half))
 
 
 def _brentq_lanes(f, xa: np.ndarray, xb: np.ndarray, xtol: float,
@@ -260,40 +255,6 @@ def _brentq_lanes(f, xa: np.ndarray, xb: np.ndarray, xtol: float,
     return root, aux, converged, calls
 
 
-@dataclass(frozen=True, eq=False)
-class BranchScan:
-    """The coupling-independent part of one branch's root scan.
-
-    ``G(k) = s(k) (1 + U Sigma_L(k)) - U psi_0(0)^2 c(k)`` with
-    ``s = 2 J sin k sin(kL/2)`` and ``c = cos(kL/2)``: on the branch's
-    fixed scan grid, `s`, `c` and ``Sigma_L`` are evaluated once, on
-    first use, and every coupling of a sweep reuses them.
-    """
-
-    spectrum: TransverseSpectrum
-    L: int
-    branch: int
-
-    @cached_property
-    def interval(self) -> tuple[float, float]:
-        return _branch_interval(self.L, self.branch)
-
-    @cached_property
-    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        ks = np.linspace(*self.interval, _SCAN_POINTS)
-        half = 0.5 * ks * self.L
-        return (ks, 2.0 * J * np.sin(ks) * np.sin(half), np.cos(half),
-                _ring_sums(self.spectrum, ks, self.L))
-
-    def mismatch(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The scan grid and ``G`` on it, one row per coupling of `us`
-        (bit for bit :func:`_pole_free_mismatch` there)."""
-        ks, s, c, sig = self._grid
-        psi0 = float(self.spectrum.origin_amplitudes[0])
-        us = np.asarray(us)[:, None]
-        return ks, s * (1.0 + us * sig) - us * psi0 * psi0 * c
-
-
 @dataclass(frozen=True)
 class BranchSweep:
     """One branch's allowed momenta at every coupling of a sweep.
@@ -309,23 +270,18 @@ class BranchSweep:
 
 
 def ring_sweep_roots(spectrum: TransverseSpectrum, us: list[float], L: int,
-                     branch: int, scan: BranchScan | None = None
-                     ) -> BranchSweep:
+                     branch: int) -> BranchSweep:
     """:func:`ring_branch_roots` at every coupling of `us` at once.
 
-    Each coupling's sign changes on the branch's scan grid bracket its
-    roots; every bracket of the sweep is one lane of
+    Each coupling's sign changes of ``G`` on the branch's fixed scan grid
+    bracket its roots; every bracket of the sweep is one lane of
     :func:`_brentq_lanes`, so the whole sweep costs a few array passes.
-    An error is raised for the first failing coupling in the order of
-    `us`; an empty branch is not an error here.  ``U = 0`` has the free
-    momentum and never scans.
+    The residual of a root divides ``|G|`` by the larger side or
+    ``2 J |sin k|``.  An error is raised for the first failing coupling
+    in the order of `us`; an empty branch is not an error here.
+    ``U = 0`` has the free momentum and never scans.
     """
-    if scan is None:
-        scan = BranchScan(spectrum, L, branch)
-    if scan.spectrum is not spectrum or (scan.L, scan.branch) != (L, branch):
-        raise ConfigError(f"scan of branch {scan.branch} at L={scan.L} "
-                          f"passed for branch {branch} at L={L}")
-    lo, hi = scan.interval
+    lo, hi = _branch_interval(L, branch)
     free_k = 2.0 * math.pi * branch / L
     free = None
     if branch and lo < free_k < hi:
@@ -339,15 +295,25 @@ def ring_sweep_roots(spectrum: TransverseSpectrum, us: list[float], L: int,
         return BranchSweep(roots, passes=0, polished=0)
 
     lane_us = np.array([us[j] for j in coupled], dtype=float)
-    ks, vals = scan.mismatch(lane_us)
+    ks = np.linspace(lo, hi, _SCAN_POINTS)
+    # G with one row per coupling; Sigma_L is summed on the grid once
+    vals = np.subtract(*_sides(spectrum, lane_us[:, None], L, ks))
     # an exact zero on the grid is a root as it stands: a bracket of width 0
     zero_j, zero_i = np.nonzero(vals == 0.0)
     cut_j, cut_i = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     lane_j = np.concatenate((zero_j, cut_j))
     lane_us = lane_us[lane_j]
+
+    def mismatch(lanes, x):
+        """G at each lane's coupling, and its relative residual."""
+        lhs, rhs = _sides(spectrum, lane_us[lanes], L, x)
+        g = lhs - rhs
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
+                           2.0 * J * np.abs(np.sin(x)))
+        return g, np.abs(g) / scale
+
     k, res, ok, passes = _brentq_lanes(
-        lambda lanes, x: _pole_free_mismatch(spectrum, lane_us[lanes], L, x),
-        np.concatenate((ks[zero_i], ks[cut_i])),
+        mismatch, np.concatenate((ks[zero_i], ks[cut_i])),
         np.concatenate((ks[zero_i], ks[cut_i + 1])), _XTOL, _RTOL, _MAXITER)
 
     found: list[dict[float, float]] = [{} for _ in coupled]
@@ -382,17 +348,15 @@ def ring_sweep_roots(spectrum: TransverseSpectrum, us: list[float], L: int,
 
 
 def ring_branch_roots(spectrum: TransverseSpectrum, u: float, L: int,
-                      branch: int, scan: BranchScan | None = None
-                      ) -> list[RingSolution]:
+                      branch: int) -> list[RingSolution]:
     """All allowed momenta of one branch (usually one; two while the
     coupling pole of the momentum equation transits the branch): the
     one-coupling case of :func:`ring_sweep_roots`.
 
-    Calls that pass one `scan` of the branch share it; without it each
-    call scans afresh.  A sweep over couplings calls
-    :func:`ring_sweep_roots` once instead.
+    Each call scans the branch afresh; a sweep over couplings calls
+    :func:`ring_sweep_roots` once instead, which scans it once.
     """
-    found = ring_sweep_roots(spectrum, [u], L, branch, scan=scan).roots[0]
+    found = ring_sweep_roots(spectrum, [u], L, branch).roots[0]
     if found is None:
         if u == 0.0:
             raise NoRootInBranch(
@@ -424,8 +388,7 @@ def ring_momentum(spectrum: TransverseSpectrum, u: float, L: int,
     return ring_branch_roots(spectrum, u, L, branch)[0]
 
 
-def ring_cir_crossings(spectrum: TransverseSpectrum, L: int,
-                       u_window: tuple[float, float] = (-math.inf, 0.0)
+def ring_cir_crossings(spectrum: TransverseSpectrum, L: int
                        ) -> list[RingCrossing]:
     """Couplings at which an allowed energy crosses a fermionized level.
 
@@ -439,14 +402,9 @@ def ring_cir_crossings(spectrum: TransverseSpectrum, L: int,
     spectrum : TransverseSpectrum
     L : int
         Ring circumference (sites).
-    u_window : (float, float)
-        Keep only crossings with ``u_lo <= U <= u_hi``.
     """
     if L < 4:
         raise ConfigError(f"ring length must be at least 4 sites, got L={L}")
-    u_lo, u_hi = u_window
-    if u_lo > u_hi:
-        raise ConfigError(f"empty coupling window {u_window}")
     levels = np.arange((L - 1) // 2 + 1)  # every higher level has k_n > pi
     ks = (2 * levels + 1) * math.pi / L
     below_pi = ks < math.pi
@@ -463,7 +421,7 @@ def ring_cir_crossings(spectrum: TransverseSpectrum, L: int,
     keep = sig > 0.0  # Sigma_L > 0 by construction; guards NaN traps
     levels, ks, us = levels[keep], ks[keep], -1.0 / sig[keep]
     return [RingCrossing(level=int(n), k=float(k), u=float(u))
-            for n, k, u in zip(levels, ks, us) if u_lo <= u <= u_hi]
+            for n, k, u in zip(levels, ks, us)]
 
 
 def asymptotic_momentum(spectrum: TransverseSpectrum, u: float, L: int,

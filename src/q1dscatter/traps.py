@@ -540,7 +540,10 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
         try:
             return _grid_eigensolve(grid, v, n_states, edge_tol, ceiling)
         except EdgeLeak as err:
-            leak = err  # the next, larger grid may hold the states
+            # the next, larger grid may hold the states.  Kept without its
+            # traceback: that would hold this frame, and through it every
+            # caller's locals, in a cycle until the cyclic collector runs
+            leak = err.with_traceback(None)
     raise leak  # a single fixed grid; auto grids raise on running out
 
 

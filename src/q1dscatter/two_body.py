@@ -359,8 +359,8 @@ class ResonanceReport:
     describe the kernel the report was computed from (see
     :class:`OverlapKernel`).  ``rungs`` is set by
     :func:`converged_resonances`: the basis size of each rung it solved
-    and how that rung's kernel was obtained, ``"reused"`` (passed in by
-    the caller), ``"rebuilt"`` or ``"grown"``.
+    and how that rung's kernel was obtained, ``"rebuilt"`` or
+    ``"grown"``.
     """
 
     resonances: tuple[Resonance, ...]
@@ -696,30 +696,9 @@ def _complete_basis(spectrum: TransverseSpectrum) -> bool:
     return spectrum.n_states == len(spectrum.grid)
 
 
-def _check_first_rung(kernel: OverlapKernel, n_start: int,
-                      total_momentum: float) -> None:
-    """A kernel passed to :func:`converged_resonances` must be its first
-    rung: all `n_start` states of its spectrum, at `total_momentum` and
-    zero relative momentum."""
-    if not kernel.n_cut == n_start == kernel.spectrum.n_states:
-        raise ConfigError(
-            f"first rung must hold all n_start={n_start} states; the kernel "
-            f"has n_cut={kernel.n_cut} of {kernel.spectrum.n_states}")
-    if kernel.total_momentum != total_momentum:
-        raise ConfigError(
-            f"first rung is at K={kernel.total_momentum}, the ladder at "
-            f"K={total_momentum}")
-    energy = _zero_momentum_energy(kernel.spectrum, kernel.j_k)
-    if kernel.energy != energy:
-        raise ConfigError(
-            f"first rung is at E={kernel.energy!r}, the ladder at the "
-            f"zero-momentum energy {energy!r}")
-
-
 def converged_resonances(trap: TrapSpec, n_start: int,
                          total_momentum: float = 0.0,
-                         u_window: tuple[float, float] = (-30.0, 0.0),
-                         first_rung: OverlapKernel | None = None
+                         u_window: tuple[float, float] = (-30.0, 0.0)
                          ) -> ResonanceReport:
     """Resonance report with the channel cutoff raised until the visible
     pole positions stabilize.
@@ -736,51 +715,39 @@ def converged_resonances(trap: TrapSpec, n_start: int,
     extends the previous rung's bit for bit on the same grid (a fixed
     grid, or an auto grid that did not grow), the rung grows the
     previous kernel by its new channels (:func:`_grow`); otherwise it
-    rebuilds it from an empty kernel.  Intermediate rungs compute poles
-    only; the zero crossings are computed for the returned rung.
-    ``rungs`` in the report lists each rung's size and how its kernel
-    was obtained.
-
-    `first_rung`, a kernel the caller has already built (and perhaps
-    decomposed) on ``solve_transverse(trap, n_states=n_start)``, serves
-    as the first rung; the ladder trusts it to come from `trap`.
+    rebuilds it from an empty kernel; the first rung is always rebuilt.
+    Intermediate rungs compute poles only; the zero crossings are
+    computed for the returned rung.  ``rungs`` in the report lists each
+    rung's size and how its kernel was obtained.
 
     Raises
     ------
     ConfigError
-        If `first_rung` does not hold exactly `n_start` states with
-        ``n_cut = n_start``, or is at another ``K`` or energy than the
-        ladder; if the trap refuses a rung's states and has no complete
-        basis.
+        If the trap refuses a rung's states and has no complete basis.
     NoConvergence
         If 161 states are passed without two agreeing rungs.
     """
     if n_start < 1:
         raise ConfigError(f"n_start must be positive, got {n_start}")
-    if first_rung is not None:
-        _check_first_rung(first_rung, n_start, total_momentum)
-    kernel = first_rung
+    kernel = None
     prev: tuple[Resonance, ...] | None = None
     rungs: list[tuple[int, str]] = []
     nc = n_start
     while nc <= _LADDER_LIMIT:
-        if first_rung is not None and not rungs:
-            how = "reused"
-        else:
-            try:
-                spectrum = solve_transverse(trap, n_states=nc)
-            except ConfigError:
-                # a finite trap holds fewer than nc states: its complete
-                # basis is exact; any other basis would pass for
-                # converged when it merely repeats
-                spectrum = solve_transverse(trap)
-                if not _complete_basis(spectrum):
-                    raise
-            how = "grown"
-            if kernel is None or not _extends(spectrum, kernel.spectrum):
-                how = "rebuilt"
-                kernel = build_kernel(spectrum, total_momentum, n_cut=1)
-            kernel = _grow(kernel, spectrum)
+        try:
+            spectrum = solve_transverse(trap, n_states=nc)
+        except ConfigError:
+            # a finite trap holds fewer than nc states: its complete
+            # basis is exact; any other basis would pass for converged
+            # when it merely repeats
+            spectrum = solve_transverse(trap)
+            if not _complete_basis(spectrum):
+                raise
+        how = "grown"
+        if kernel is None or not _extends(spectrum, kernel.spectrum):
+            how = "rebuilt"
+            kernel = build_kernel(spectrum, total_momentum, n_cut=1)
+        kernel = _grow(kernel, spectrum)
         rungs.append((kernel.n_cut, how))
         found = _resonances(kernel, u_window)
         if _complete_basis(kernel.spectrum) or (

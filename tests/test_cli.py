@@ -145,9 +145,9 @@ def test_converged_resonances_past_a_finite_basis(tmp_path, capsys):
 
 
 def test_ladder_rungs_in_manifest_only(tmp_path, capsys):
-    """A twobody sweep hands its kernel to the ladder as the first rung;
-    the manifest lists each rung and how its kernel was obtained, and
-    the report is the one a ladder from scratch writes."""
+    """The manifest lists each rung and how its kernel was obtained, and
+    a twobody sweep's report is the one the resonances subcommand
+    writes."""
     trap = ["--trap", "harmonic", "--omega", "0.03", "--n-start", "21",
             "--converge"]
     swept = tmp_path / "tb.csv"
@@ -157,7 +157,7 @@ def test_ladder_rungs_in_manifest_only(tmp_path, capsys):
     assert code == 0
     diag = json.loads(
         (tmp_path / "tb.csv.manifest.json").read_text())["diagnostics"]
-    assert diag["ladder"] == [{"n_states": 21, "kernel": "reused"},
+    assert diag["ladder"] == [{"n_states": 21, "kernel": "rebuilt"},
                               {"n_states": 41, "kernel": "grown"},
                               {"n_states": 61, "kernel": "rebuilt"}]
     alone = tmp_path / "res.csv"
@@ -262,25 +262,17 @@ def test_twobody_sweep_matches_dense_solve(tmp_path, capsys, two_site_kernel,
                                 dense_collision_solve)
 
 
-def test_twobody_report_reuses_the_sweep_kernel(tmp_path, capsys,
-                                                monkeypatch):
-    # fig5's sweep kernel holds every state of its spectrum, so the
-    # resonance report reads it instead of building the same kernel again
-    calls = []
-    build = cli.build_kernel
-    monkeypatch.setattr(cli, "build_kernel",
-                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+def test_twobody_report_reuses_the_sweep_kernel(tmp_path, capsys):
+    # fig5's resonance report is the one the resonances subcommand
+    # writes from a fresh kernel on the same spectrum
     code, _, _ = run_cli(["figure", "fig5", "--output-dir", str(tmp_path)],
                          capsys)
     assert code == 0
-    assert len(calls) == 1
-    # the report a fresh kernel gives (`resonances` builds its own)
     code, _, _ = run_cli(["resonances", "--trap", "harmonic", "--omega",
                           "0.1", "--n-states", "21", "--u-from", "-30",
                           "--u-to", "0", "--output",
                           str(tmp_path / "fresh.csv")], capsys)
     assert code == 0
-    assert len(calls) == 2
 
     def report(path):
         return [line for line in path.read_text().splitlines()
@@ -398,6 +390,21 @@ def test_tabulated_trap_flags(tmp_path, capsys):
     meta, rows = read_csv(out)
     assert len(rows) == 3
     assert meta["symmetric"] == "True"
+
+
+def test_tabulated_site_given_twice(tmp_path, capsys):
+    # the flag and a config file alike: no value silently wins
+    out = tmp_path / "tab.csv"
+    record = expect_error(["transverse", "--trap", "tabulated",
+                           "--values=0:1,0:2,-1:1,1:1", "--output", str(out)],
+                          capsys, 2, "ConfigError")
+    assert "y=0" in record["message"]
+    cfg = tmp_path / "tab.cfg"
+    cfg.write_text("trap = tabulated\nvalues = -1:1,0:1,1:1,-1:3\n")
+    record = expect_error(["transverse", "--config", str(cfg),
+                           "--output", str(out)], capsys, 2, "ConfigError")
+    assert "y=-1" in record["message"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------- reproducibility
@@ -634,6 +641,23 @@ def test_bad_choice_in_manifest(tmp_path, capsys):
     manifest.write_text(json.dumps(payload))
     expect_error(["continuum", "--config", str(manifest)], capsys, 2,
                  "ConfigError")
+
+
+def test_parser_built_once_and_left_as_it_was(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    args = ["ring", "--trap", "two-site", "--v", "1.0", "--length", "10",
+            "--u-from", "-1", "--u-to", "1", "--points", "3"]
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli([*args, "--crossings", "--output", str(first)],
+                   capsys)[0] == 0
+    assert run_cli([*args, "--output", str(second)], capsys)[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+    # the first call's switch does not carry into the second
+    config = json.loads(
+        (tmp_path / "b.csv.manifest.json").read_text())["config"]
+    assert config["crossings"] is False
+    assert (tmp_path / "a_crossings.csv").exists()
+    assert not (tmp_path / "b_crossings.csv").exists()
 
 
 def test_parser_takes_exactly_the_subcommand_options():

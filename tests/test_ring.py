@@ -54,14 +54,6 @@ def test_crossings_attractive_and_consistent(harm_mod_spectrum):
         assert c.u == pytest.approx(-1.0 / sigma, rel=1e-13)
 
 
-def test_crossing_window_filter(harm_mod_spectrum):
-    window = (-5.3, -5.0)
-    subset = q.ring_cir_crossings(harm_mod_spectrum, 50, u_window=window)
-    full = q.ring_cir_crossings(harm_mod_spectrum, 50)
-    assert [c.u for c in subset] == [
-        c.u for c in full if window[0] <= c.u <= window[1]]
-
-
 def test_lowest_crossing_approaches_infinite_system_cir(micro_spectrum):
     crossings = q.ring_cir_crossings(micro_spectrum, 1000)
     cir = q.u_cir(micro_spectrum)
@@ -174,9 +166,8 @@ def test_branch_scan_matches_scalar_scan(harm_mod_spectrum, micro_spectrum,
     errors = set()
     for spectrum, u in cases:
         for branch in range(3):
-            scan = q.BranchScan(spectrum, L, branch)
             new = _outcome(lambda: [s.k for s in q.ring_branch_roots(
-                spectrum, u, L, branch, scan=scan)])
+                spectrum, u, L, branch)])
             ref = _outcome(lambda: _scalar_branch_roots(spectrum, u, L,
                                                         branch))
             assert type(new) is type(ref), (u, branch, new, ref)
@@ -198,19 +189,14 @@ def test_branch_scan_matches_scalar_scan(harm_mod_spectrum, micro_spectrum,
                                                    rel=1e-14, abs=0.0)
 
 
-def test_scan_belongs_to_its_branch(harm_mod_spectrum):
-    scan = q.BranchScan(harm_mod_spectrum, 50, 1)
-    with pytest.raises(q.ConfigError):
-        q.ring_branch_roots(harm_mod_spectrum, -5.0, 50, 2, scan=scan)
-
-
 # ------------------------- witness: the per-root brentq polish of a sweep
 
 
-def _brentq_polish(spectrum, u, L, branch, scan):
+def _brentq_polish(spectrum, u, L, branch):
     """The per-root polish the lane solver replaced: each bracketed sign
-    change of the shared scan polished by scipy's brentq on the scalar
-    momentum equation, the residual from one more scalar evaluation."""
+    change of the branch's scan grid polished by scipy's brentq on the
+    scalar momentum equation, the residual from one more scalar
+    evaluation."""
     psi0 = float(spectrum.origin_amplitudes[0])
 
     def sides(k):
@@ -223,8 +209,9 @@ def _brentq_polish(spectrum, u, L, branch, scan):
         lhs, rhs = sides(k)
         return lhs - rhs
 
-    ks, vals = scan.mismatch([u])
-    vals = vals[0]
+    ks = np.linspace(*ring._branch_interval(L, branch), ring._SCAN_POINTS)
+    lhs, rhs = ring._sides(spectrum, np.array([[u]]), L, ks)
+    vals = (lhs - rhs)[0]
     found = set(ks[vals == 0.0].tolist())
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
         found.add(float(brentq(g, float(ks[i]), float(ks[i + 1]),
@@ -251,9 +238,8 @@ def test_sweep_polish_matches_brentq_bitwise(micro_spectrum,
     cases += [(harm_mod_spectrum, np.linspace(-30.0, 30.0, 50).tolist(), b)
               for b in (1, 2)]
     for spectrum, grid, branch in cases:
-        scan = q.BranchScan(spectrum, L, branch)
         try:
-            sweep = q.ring_sweep_roots(spectrum, grid, L, branch, scan=scan)
+            sweep = q.ring_sweep_roots(spectrum, grid, L, branch)
         except q.OpenChannel:
             assert (L, branch) == (10, 2)
             continue
@@ -262,7 +248,7 @@ def test_sweep_polish_matches_brentq_bitwise(micro_spectrum,
             got = None if sols is None else [(s.k, s.energy, s.residual)
                                              for s in sols]
             assert _bits(got) == _bits(
-                _brentq_polish(spectrum, u, L, branch, scan)), (u, branch)
+                _brentq_polish(spectrum, u, L, branch)), (u, branch)
 
 
 def test_sweep_reports_first_unconverged_coupling(harm_mod_spectrum,

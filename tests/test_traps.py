@@ -2,6 +2,7 @@
 labels, grid auto-sizing, and the closed-channel decay factor."""
 
 import functools
+import gc
 import importlib.util
 import math
 from pathlib import Path
@@ -160,6 +161,31 @@ def test_harmonic_grid_auto_doubles_to_hold_request():
     # all kept states decay at the edge
     assert np.max(np.abs(spec.wavefunctions[:, 0])) < 1e-10
     assert np.max(np.abs(spec.wavefunctions[:, -1])) < 1e-10
+
+
+def test_grid_growth_leaves_no_reference_cycle(monkeypatch):
+    # a grid too small raises EdgeLeak inside the solve; keeping that
+    # error with its traceback would tie the solve's frame, and through
+    # it every caller's arrays, into a cycle that only gc.collect frees
+    leaks = []
+    solve = traps._grid_eigensolve
+
+    def counted(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except q.EdgeLeak:
+            leaks.append(args)
+            raise
+
+    monkeypatch.setattr(traps, "_grid_eigensolve", counted)
+    gc.collect()
+    gc.disable()
+    try:
+        q.solve_transverse(q.Harmonic(omega=1e-3), n_states=121)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert leaks
 
 
 def test_harmonic_explicit_width_stable_under_doubling():

@@ -269,26 +269,6 @@ def test_ladder_stops_where_no_complete_basis_exists():
         q.converged_resonances(q.DeltaWell(v0=2.0), 1)
 
 
-def test_first_rung_from_the_caller(harm_mod_kernel):
-    """A kernel the caller already decomposed serves as the first rung
-    and gives the report a fresh first rung gives; one that is not that
-    rung is refused."""
-    trap = q.Harmonic(omega=1e-1)
-    rep = q.converged_resonances(trap, 21, first_rung=harm_mod_kernel)
-    assert rep.rungs == ((21, "reused"), (41, "grown"))
-    assert replace(rep, rungs=()) == replace(
-        q.converged_resonances(trap, 21), rungs=())
-    for kernel, n_start, momentum in [
-            (harm_mod_kernel, 41, 0.0),
-            (q.build_kernel(q.solve_transverse(trap, n_states=41), n_cut=21),
-             21, 0.0),
-            (harm_mod_kernel, 21, 0.5),
-            (harm_mod_kernel.at_relative_momentum(0.1), 21, 0.0)]:
-        with pytest.raises(q.ConfigError, match="first rung"):
-            q.converged_resonances(trap, n_start, total_momentum=momentum,
-                                   first_rung=kernel)
-
-
 # --------------------------------------------- channel-space witness
 
 
