@@ -75,7 +75,8 @@ class NoConvergence(Q1DError):
 
 
 class Diverging(Q1DError):
-    """Born series terms grew for five consecutive orders."""
+    """A Born series was asked for at ``|U| max mu >= 1``, on or beyond
+    its radius of convergence."""
 
 
 class ContaminatedChannel(Q1DError):

@@ -11,18 +11,26 @@ on a finite grid and computes the decay factor ``alpha`` of an
 energetically closed channel together with the Green's-function
 denominator every scattering module divides by.
 
-A reflection-symmetric grid (bit for bit: :func:`mirror_symmetric`) is
-diagonalized one parity sector at a time: the even sector on sites
-``0..Y`` (the ``y = 0 <-> 1`` bond scaled by ``sqrt(2)``) and the odd
-sector on sites ``1..Y``.  Parity labels are
-therefore exact, odd states vanish at the origin exactly, and neither
-depends on how the eigensolver mixes the near-degenerate doublets high
-in the trap.  The odd-sector matrix is the even one with its ``y = 0``
-row and column removed, so Cauchy interlacing fixes the level order
+Every grid is diagonalized one symmetry sector at a time and refined.
+A reflection-symmetric grid (bit for bit: :func:`mirror_symmetric`) has
+an even sector on sites ``0..Y`` (the ``y = 0 <-> 1`` bond scaled by
+``sqrt(2)``) and an odd sector on sites ``1..Y``, so parity labels are
+exact, odd states vanish at the origin exactly, and neither depends on
+how the eigensolver mixes the near-degenerate doublets high in the
+trap.  The odd-sector matrix is the even one with its ``y = 0`` row and
+column removed, so Cauchy interlacing fixes the level order
 ``e0 < o0 < e1 < o1 < ...``; the sectors are merged by interleaving.
-One Rayleigh-quotient step per eigenpair, with the residual accumulated
-error-free, makes every energy correctly rounded, so the merged list is
-nondecreasing even where a doublet's splitting is below one ulp.
+Any other grid is one sector.  One Rayleigh-quotient step per
+eigenpair, with the residual accumulated error-free, makes every energy
+correctly rounded, so the merged list is nondecreasing even where a
+doublet's splitting is below one ulp.
+
+A truncated grid (harmonic traps, continuum wells) lets in only the
+leading run of states, in energy order, whose amplitude on the end
+sites is below ``DEFAULT_EDGE_TOL``; too few is an :class:`EdgeLeak`
+once an auto-sized grid stops growing.  A continuum well lets in only
+its bound states below the band bottom ``asymptote - 2 J`` (no
+eigenpair above it is computed), by default every one of them.
 
 Lengths are lattice spacings; energies are in units of ``J``.
 """
@@ -320,133 +328,119 @@ def _rayleigh_refine(diag: np.ndarray, off: np.ndarray, off_lo: np.ndarray,
                        / np.einsum("ik,ik->k", u, u))
 
 
-def _decaying_run(edge: np.ndarray, edge_tol: float) -> int:
-    """Number of leading states whose edge amplitude is below `edge_tol`."""
-    leaks = np.flatnonzero(edge >= edge_tol)
-    return int(leaks[0]) if len(leaks) else len(edge)
+def _sectors(v: np.ndarray, symmetric: bool) -> tuple[tuple, ...]:
+    """The Jacobi matrices ``(diag, off, off_lo, embed)`` into which
+    ``H_y`` splits on a grid with potential `v` (module docstring);
+    ``embed`` maps a sector's eigenvectors (columns) to full-grid
+    wavefunctions (rows), a wing value ``u / sqrt(2)`` on ``y`` and
+    ``-y``."""
+    if not symmetric:
+        off = -J * np.ones(len(v) - 1)
+        return ((v, off, np.zeros_like(off), np.transpose),)
+    y = (len(v) - 1) // 2
+    off = -J * np.ones(y)
+    off[:1] *= _ROOT2
+    off_lo = np.zeros(y)
+    off_lo[:1] = -J * _ROOT2_LO
+
+    def even(u):
+        return np.vstack((u[:0:-1] / _ROOT2, u[:1], u[1:] / _ROOT2)).T
+
+    def odd(u):
+        return np.vstack((u[::-1] / -_ROOT2, np.zeros((1, u.shape[1])),
+                          u / _ROOT2)).T
+
+    return ((v[y:], off, off_lo, even), (v[y + 1:], off[1:], off_lo[1:], odd))
 
 
-def _sector_solve(diag: np.ndarray, off: np.ndarray
+def _sector_solve(diag: np.ndarray, off: np.ndarray, ceiling: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of one Jacobi matrix, vectors as columns."""
+    """The eigenpairs of one Jacobi matrix below `ceiling`, vectors as
+    columns; below a finite ceiling LAPACK computes no others."""
     if len(diag) == 0:
         return np.empty(0), np.empty((0, 0))
-    return eigh_tridiagonal(diag, off)
-
-
-def _symmetric_eigensolve(v: np.ndarray, keep: int | None,
-                          edge_tol: float | None
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Parity-sector eigensolve of a symmetric grid ``-Y..Y``.
-
-    Returns the interleaved energies and full-grid wavefunctions (rows)
-    of the leading states that decay at the edges, at most `keep`.
-    """
-    y = (len(v) - 1) // 2
-    half = v[y:]                          # V(0), V(1), ..., V(Y)
-    even_off = -J * np.ones(y)
-    even_off[:1] *= _ROOT2
-    even_lo = np.zeros(y)
-    even_lo[:1] = -J * _ROOT2_LO
-    odd_off = -J * np.ones(max(y - 1, 0))
-    odd_lo = np.zeros_like(odd_off)
-    e_even, u_even = _sector_solve(half, even_off)
-    e_odd, u_odd = _sector_solve(half[1:], odd_off)
-
-    # interlacing: e0 < o0 < e1 < o1 < ...; keep the leading run of
-    # states that decay at the edges (edge amplitude |u_Y| / sqrt 2)
-    n_total = len(e_even) + len(e_odd)
-    n_keep = n_total if keep is None else min(keep, n_total)
-    if edge_tol is not None:
-        edge = np.empty(n_total)
-        edge[0::2] = np.abs(u_even[-1]) / _ROOT2
-        edge[1::2] = np.abs(u_odd[-1]) / _ROOT2
-        n_keep = _decaying_run(edge[:n_keep], edge_tol)
-    n_even, n_odd = (n_keep + 1) // 2, n_keep // 2
-
-    u_even, u_odd = u_even[:, :n_even], u_odd[:, :n_odd]
-    energies = np.empty(n_keep)
-    energies[0::2] = _rayleigh_refine(half, even_off, even_lo,
-                                      e_even[:n_even], u_even)
-    energies[1::2] = _rayleigh_refine(half[1:], odd_off, odd_lo,
-                                      e_odd[:n_odd], u_odd)
-
-    vectors = np.zeros((n_keep, len(v)))
-    wing = u_even[1:].T / _ROOT2
-    vectors[0::2, y] = u_even[0]
-    vectors[0::2, y + 1:] = wing
-    vectors[0::2, :y] = wing[:, ::-1]
-    wing = u_odd.T / _ROOT2
-    vectors[1::2, y + 1:] = wing
-    vectors[1::2, :y] = -wing[:, ::-1]
-    return energies, vectors
+    if ceiling == math.inf:
+        return eigh_tridiagonal(diag, off)
+    return eigh_tridiagonal(diag, off, select="v",
+                            select_range=(-np.inf, ceiling))
 
 
 def _grid_eigensolve(grid: np.ndarray, v: np.ndarray, n_states: int | None,
                      edge_tol: float | None, ceiling: float = math.inf
                      ) -> TransverseSpectrum:
     """The lowest `n_states` eigenpairs of ``H_y`` on `grid` below
-    `ceiling` (all of them for ``None``).  On a truncated grid only the
-    leading run whose edge amplitude is below `edge_tol` counts; too few
-    (or none) is an :class:`EdgeLeak`.  ``edge_tol=None`` declares the
-    grid the trap's whole space: every eigenpair is exact, and too few
-    is a :class:`ConfigError`."""
+    `ceiling` (all of them for ``None``), solved by :func:`_sectors`.
+    On a truncated grid only the leading run whose edge amplitude is
+    below `edge_tol` counts; too few (or none) is an :class:`EdgeLeak`.
+    ``edge_tol=None`` declares the grid the trap's whole space: every
+    eigenpair is exact, and too few is a :class:`ConfigError`."""
     symmetric = mirror_symmetric(grid, v)
-    if symmetric:
-        energies, vectors = _symmetric_eigensolve(v, n_states, edge_tol)
-        parities = tuple("even" if n % 2 == 0 else "odd"
-                         for n in range(len(energies)))
-    else:
-        energies, vectors = eigh_tridiagonal(v, -J * np.ones(len(grid) - 1))
-        vectors = vectors.T
-        if edge_tol is not None:
-            edge = np.maximum(np.abs(vectors[:, 0]), np.abs(vectors[:, -1]))
-            n_ok = _decaying_run(edge, edge_tol)
-            energies, vectors = energies[:n_ok], vectors[:n_ok]
-        parities = ("none",) * len(energies)
-    n_held = int(np.count_nonzero(energies < ceiling))
-    n_keep = n_held if n_states is None else n_states
-    if n_held < max(n_keep, 1):
+    sectors = _sectors(v, symmetric)
+    solved = [_sector_solve(diag, off, ceiling) for diag, off, *_ in sectors]
+    # sector s holds states s, s + n_sec, ... of the merged spectrum
+    # (interlacing), which ends where a sector runs out
+    n_sec = len(sectors)
+    n_keep = min(n_sec * len(e) + s for s, (e, _) in enumerate(solved))
+    if n_states is not None:
+        n_keep = min(n_states, n_keep)
+    vectors = np.empty((n_keep, len(v)))
+    for s, ((*_, embed), (_, u)) in enumerate(zip(sectors, solved)):
+        vectors[s::n_sec] = embed(u[:, :len(range(s, n_keep, n_sec))])
+    if edge_tol is not None:  # the leading run that decays at the edges
+        leaks = np.flatnonzero(np.abs(vectors[:, [0, -1]]).max(axis=1)
+                               >= edge_tol)
+        n_keep = int(leaks[0]) if len(leaks) else n_keep
+    n_wanted = n_keep if n_states is None else n_states
+    if n_keep < max(n_wanted, 1):
         if edge_tol is None:
-            raise ConfigError(f"trap holds only {n_held} states")
+            raise ConfigError(f"trap holds only {n_keep} states")
         raise EdgeLeak(
-            f"only {n_held} states decay at the grid edge; "
-            f"{n_keep} requested (half-width {int(grid[-1])} too small)"
+            f"only {n_keep} states decay at the grid edge; "
+            f"{n_wanted} requested (half-width {int(grid[-1])} too small)"
         )
-    energies, vectors = energies[:n_keep], vectors[:n_keep]
+    energies = np.empty(n_keep)
+    for s, ((diag, off, off_lo, _), (e, u)) in enumerate(zip(sectors,
+                                                             solved)):
+        n = len(range(s, n_keep, n_sec))
+        energies[s::n_sec] = _rayleigh_refine(diag, off, off_lo, e[:n],
+                                              u[:, :n])
     drops = np.flatnonzero(np.diff(energies) < 0.0)
     if len(drops):
         n = int(drops[0])
         raise UnorderedSpectrum(
             f"transverse energy {n + 1} ({energies[n + 1]!r}) lies below "
             f"energy {n} ({energies[n]!r})")
-    return TransverseSpectrum(energies=energies, wavefunctions=_fix_gauge(vectors),
-                              parities=parities[:n_keep], grid=grid,
-                              symmetric=symmetric)
+    labels = ("even", "odd") if symmetric else ("none",)
+    return TransverseSpectrum(
+        energies=energies, wavefunctions=_fix_gauge(vectors[:n_keep]),
+        parities=tuple(labels[n % n_sec] for n in range(n_keep)),
+        grid=grid, symmetric=symmetric)
 
 
 def _grid_problems(spec: TrapSpec, n_states: int | None
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray, float | None,
-                                       float]]:
-    """The arguments ``(grid, V, edge_tol, ceiling)`` of
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, int | None,
+                                       float | None, float]]:
+    """The arguments ``(grid, V, n_states, edge_tol, ceiling)`` of
     :func:`_grid_eigensolve` for `spec`, smallest grid first.
 
     A finite trap is its own whole grid; a harmonic trap with a set
     half-width has one grid.  An auto-sized harmonic grid doubles its
     half-width from 40.  A continuum well doubles it from 20 sites
-    beyond its range, keeps the states below the band, and skips the
-    boxes too small to hold `n_states` (at least one) of them.  Running
-    out of grids raises.
+    beyond its range, keeps the states below the band, and asks each
+    box for every bound state it may hold (`n_states` if set), or
+    stops if that is fewer.  Running out of grids raises.
     """
     if isinstance(spec, TwoSite) or (isinstance(spec, Tabulated)
                                      and spec.asymptote is None):
-        yield *potential_on_grid(spec, 0), None, math.inf
+        yield *potential_on_grid(spec, 0), n_states, None, math.inf
     elif isinstance(spec, Harmonic) and spec.y_max is not None:
-        yield *potential_on_grid(spec, spec.y_max), DEFAULT_EDGE_TOL, math.inf
+        yield (*potential_on_grid(spec, spec.y_max), n_states,
+               DEFAULT_EDGE_TOL, math.inf)
     elif isinstance(spec, Harmonic):
         y_max = 40
         while y_max <= _MAX_AUTO_Y:
-            yield *potential_on_grid(spec, y_max), DEFAULT_EDGE_TOL, math.inf
+            yield (*potential_on_grid(spec, y_max), n_states,
+                   DEFAULT_EDGE_TOL, math.inf)
             y_max *= 2
         raise ConfigError(
             f"auto grid sizing exceeded half-width {_MAX_AUTO_Y} "
@@ -456,24 +450,24 @@ def _grid_problems(spec: TrapSpec, n_states: int | None
         ceiling = spec.asymptote - 2.0 * J - 1e-12  # just below the band
         range_max = int(max(abs(spec.grid[0]), abs(spec.grid[-1])))
         y_max = max(range_max + 20, 40)
-        n_wanted = n_max = n_states if n_states is not None else 1
-        while n_max >= n_wanted and y_max <= _MAX_AUTO_Y:
+        n_max = n_wanted = n_states if n_states is not None else 1
+        while y_max <= _MAX_AUTO_Y:
             grid, v = potential_on_grid(spec, y_max)
-            # levels below the band of the hard-wall box bound the well's
-            # from above; cutting the end bonds and lowering the end sites
-            # by J bounds H from below by a box whose count below the band
-            # caps the bound states (the cut-off half-chains start at it)
-            n_box, n_max = (len(eigvalsh_tridiagonal(
-                d, -J * np.ones(len(v) - 1), select="v",
-                select_range=(-np.inf, ceiling)))
-                for d in (v, v - J * (np.abs(grid) == y_max)))
-            if n_box >= n_wanted:
-                yield grid, v, DEFAULT_EDGE_TOL, ceiling
+            # cutting the end bonds and lowering the end sites by J bounds
+            # H from below by a box whose count below the band caps the
+            # bound states (the cut-off half-chains start at it)
+            n_max = len(eigvalsh_tridiagonal(
+                v - J * (np.abs(grid) == y_max), -J * np.ones(len(v) - 1),
+                select="v", select_range=(-np.inf, ceiling)))
+            n_wanted = n_max if n_states is None else n_states
+            if n_max < max(n_wanted, 1):
+                break
+            yield grid, v, n_wanted, DEFAULT_EDGE_TOL, ceiling
             y_max *= 2
         raise EdgeLeak(
-            f"{n_wanted} bound states requested below the transverse band "
-            f"bottom; the well holds at most {n_max}, and fewer decay at "
-            f"the edges up to half-width {y_max // 2}")
+            f"{max(n_wanted, 1)} bound states requested below the transverse "
+            f"band bottom; the well holds at most {n_max}, and fewer decay "
+            f"at the edges up to half-width {min(y_max, _MAX_AUTO_Y)}")
     else:
         raise ConfigError(f"unknown trap spec {type(spec).__name__}")
 
@@ -487,18 +481,23 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
     spec : TrapSpec
         The trap.  For :class:`DeltaWell` only the single bound state is
         returned, and for a :class:`Tabulated` well with an asymptote
-        only its states below the band bottom (continuum states are
-        handled in :mod:`q1dscatter.continuum`).
+        only its states below the band bottom (continuum states, and
+        bound states above the band, are left to
+        :mod:`q1dscatter.continuum`).
     n_states : int, optional
-        Number of bound states to return.  For traps on an auto-sized
-        grid the half-width grows until this many states decay at the
-        edges (edge amplitude below ``DEFAULT_EDGE_TOL``).  ``None``
-        keeps a trap-dependent default (everything for finite traps).
+        Number of bound states to return.  On a truncated grid only the
+        leading run of states whose edge amplitude is below
+        ``DEFAULT_EDGE_TOL`` counts, and an auto-sized half-width grows
+        until this many do.  ``None`` returns every state of a finite
+        trap, 40 of a harmonic trap, and every bound state of a
+        continuum well.
 
     Returns
     -------
     TransverseSpectrum
-        ``symmetric`` is :func:`mirror_symmetric` of the solved grid.
+        Every grid solved by symmetry sectors and refined to correctly
+        rounded energies; ``symmetric`` is :func:`mirror_symmetric` of
+        the solved grid.
 
     Raises
     ------
@@ -506,7 +505,8 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
         If a finite trap holds fewer than `n_states` states.
     EdgeLeak
         If an explicit grid cannot hold the requested states, or a
-        continuum-supporting well binds fewer than requested.
+        continuum well binds fewer than requested, or its states do not
+        decay by half-width 40,960.
     """
     if isinstance(spec, DeltaWell):
         if n_states is not None and n_states != 1:
@@ -536,9 +536,9 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
     if isinstance(spec, Harmonic) and n_states is None:
         n_states = _DEFAULT_N_STATES
     leak = None
-    for grid, v, edge_tol, ceiling in _grid_problems(spec, n_states):
+    for problem in _grid_problems(spec, n_states):
         try:
-            return _grid_eigensolve(grid, v, n_states, edge_tol, ceiling)
+            return _grid_eigensolve(*problem)
         except EdgeLeak as err:
             # the next, larger grid may hold the states.  Kept without its
             # traceback: that would hold this frame, and through it every

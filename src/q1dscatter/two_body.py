@@ -559,42 +559,26 @@ def born_series(kernel: OverlapKernel, u: float, order: int) -> BornResult:
     """Born series of the entrance amplitude, truncated at `order`.
 
     Order 1 is the bare overlap ``R(00;00)``; order ``m + 1`` adds the
-    term ``U^m psi_0^2 . (-H)^m psi_0^2`` (``m`` channel round trips).
+    term ``U^m psi_0^2 . (-H)^m psi_0^2 = sum_j p_j^2 (-U mu_j)^m``
+    (``m`` channel round trips) from the kernel's spectral form.
 
     Raises
     ------
     Diverging
-        If term magnitudes grow for 5 consecutive orders (coupling
-        beyond the convergence radius set by the nearest resonance).
+        If ``|U| max mu >= 1``: the coupling lies on or beyond the
+        convergence radius set by the nearest pole ``-1/max mu``.
     """
     if order < 1:
         raise ConfigError(f"Born order must be >= 1, got {order}")
-    h = kernel.green
-    psi0_sq = kernel.entrance_row
-    y = psi0_sq
-    total = kernel.r_entrance
-    partials = [total]
-    prev_mag = None
-    growing = 0
-    u_pow = 1.0
-    for _ in range(1, order):
-        u_pow *= u
-        y = -(h @ y)
-        term = u_pow * float(psi0_sq @ y)
-        total += term
-        partials.append(total)
-        mag = abs(term)
-        if prev_mag is not None:
-            if mag > prev_mag:
-                growing += 1
-                if growing >= 5:
-                    raise Diverging(
-                        f"Born terms grew for {growing} consecutive "
-                        f"orders at U={u:g}: |U| exceeds the first "
-                        f"resonance coupling")
-            else:
-                growing = 0
-        prev_mag = mag
+    mu, _, _, proj = kernel._spectral
+    ratio = abs(u) * mu.max(initial=0.0)
+    if ratio >= 1.0:
+        raise Diverging(f"|U| max mu = {ratio:.6g} >= 1 at U={u:g}: |U| "
+                        f"reaches the first resonance coupling")
+    powers = np.cumprod(np.broadcast_to(-u * mu, (order - 1, mu.size)),
+                        axis=0)
+    partials = np.cumsum(np.concatenate(([kernel.r_entrance],
+                                         powers @ (proj * proj)))).tolist()
     converged = True
     if len(partials) >= 2:
         last = abs(partials[-1] - partials[-2])

@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 import q1dscatter as q
-from q1dscatter import ring
+from q1dscatter import oracle, ring
 
 try:
     from hypothesis import settings
@@ -81,6 +83,27 @@ def _dense_collision_solve(ker, u):
 @pytest.fixture(scope="session")
 def dense_collision_solve():
     return _dense_collision_solve
+
+
+def _ring_strip_eigenvalue(grid, v, length, u, energy):
+    """Exact-diagonalization witness of the ring quantization: the
+    eigenvalue nearest `energy` of one particle on the periodic strip of
+    `length` x-sites by the transverse `grid` with potential `v`, contact
+    `u` at (0, 0), from shift-invert ``eigsh`` at `energy`."""
+    wrap = sp.csr_matrix(([-q.J, -q.J], ([0, length - 1], [length - 1, 0])),
+                         shape=(length, length))
+    h = (sp.kron(oracle._hop_matrix(length, q.J) + wrap,
+                 sp.identity(len(grid)))
+         + sp.kron(sp.identity(length), oracle._slice_hamiltonian(v)))
+    origin = int(np.searchsorted(grid, 0))
+    h = h + sp.csr_matrix(([u], ([origin], [origin])), shape=h.shape)
+    return float(eigsh(h.tocsc(), k=1, sigma=energy,
+                       return_eigenvectors=False)[0])
+
+
+@pytest.fixture(scope="session")
+def ring_strip_eigenvalue():
+    return _ring_strip_eigenvalue
 
 
 def _plain_power_ring_sums(spectrum, L, points=400):

@@ -262,7 +262,7 @@ def test_twobody_sweep_matches_dense_solve(tmp_path, capsys, two_site_kernel,
                                 dense_collision_solve)
 
 
-def test_twobody_report_reuses_the_sweep_kernel(tmp_path, capsys):
+def test_twobody_report_equals_a_fresh_report(tmp_path, capsys):
     # fig5's resonance report is the one the resonances subcommand
     # writes from a fresh kernel on the same spectrum
     code, _, _ = run_cli(["figure", "fig5", "--output-dir", str(tmp_path)],

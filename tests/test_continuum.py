@@ -140,6 +140,19 @@ def test_continuum_matches_finite_box_channel_sum(well, k):
     assert abs(inverse - _box_channel_sum(well, k)) < 1e-9
 
 
+@pytest.mark.parametrize("depth", [3.05, 3.2])
+def test_default_solve_holds_every_bound_state(depth):
+    # the width-3 well binds a third state at E = -1.013 (depth 3.05) or
+    # -1.103 (3.2), just below the band bottom -1.0; the first box holds
+    # only two, and leaving the third out of the bound sum moves 1/U_CIR
+    # by 0.067 or 0.105
+    well = q.Tabulated.from_mapping({y: 1.0 - depth for y in (-1, 0, 1)},
+                                    1.0)
+    assert q.solve_transverse(well).n_states == 3
+    inverse = q.u_cir_with_continuum(well).inverse
+    assert abs(inverse - _box_channel_sum(well, 0.0)) < 1e-9
+
+
 def test_tabulated_well_is_solved_once(monkeypatch):
     well = _cavity(16.0)
     # the bound sector solved separately for S(k) and for the bound sum

@@ -191,6 +191,61 @@ def test_ring_sums_skip_only_negligible_powers(trap, L,
     assert ring._ring_sums(spectrum, ks, L).tobytes() == want.tobytes()
 
 
+@given(trap=tabulated_traps(), L=st.integers(10, 40),
+       u=st.floats(-8.0, 8.0).filter(lambda u: abs(u) >= 0.1))
+def test_ring_energy_is_a_strip_eigenvalue(trap, L, u,
+                                           ring_strip_eigenvalue):
+    """E_0 plus the lowest ring energy of branch 1 is an eigenvalue of
+    the periodic strip with the contact at (0, 0), on symmetric and
+    asymmetric tables alike."""
+    spectrum = q.solve_transverse(trap)
+    try:
+        sol = q.ring_momentum(spectrum, u, L, 1)
+    except (q.OpenChannel, q.NoRootInBranch):
+        assume(False)
+    energy = float(spectrum.energies[0]) + sol.energy
+    grid, v = q.potential_on_grid(trap, 0)
+    assert abs(ring_strip_eigenvalue(grid, v, L, u, energy) - energy) \
+        <= 1e-12 * max(1.0, abs(energy))
+
+
+def _report(trap):
+    return q.locate_resonances(q.build_kernel(q.solve_transverse(trap)),
+                               (-30.0, 0.0))
+
+
+@given(table=mirrored_tables(), data=st.data())
+def test_integer_relabelling_keeps_poles_and_zero_crossings(table, data):
+    """The contact acts on the whole collision diagonal, so relabelling a
+    hard-wall table y -> y + s (integer s != 0) leaves the pair problem
+    as it is.  The mirror table is solved by parity sectors, its shifted
+    copy as one sector; both give the same visible poles and zero
+    crossings to 1e-12 max(1, |U|).  The copy's odd pairs add poles of
+    zero weight, and a zero crossing within the cancellation distance
+    of one of them is not reported (see locate_resonances), so such a
+    zero of the mirror table is left out of the comparison."""
+    half = int(table.grid[-1])
+    shift = data.draw(st.integers(-half, half).filter(bool))
+    moved = q.Tabulated(tuple((y + shift, v) for y, v in table.values),
+                        None)
+    assert not moved.is_symmetric()
+    mirror, copy = _report(table), _report(moved)
+    poles = np.array([r.u for r in copy.resonances])
+    reach = q.two_body._ZERO_POLE_CANCELLATION * np.maximum(1.0,
+                                                            np.abs(poles))
+    zeros = np.array(mirror.zero_crossings)
+    zeros = zeros[(np.abs(np.subtract.outer(zeros, poles)) > reach).all(
+        axis=1)]
+    for want, got in (
+            ([r.u for r in mirror.visible_resonances],
+             [r.u for r in copy.visible_resonances]),
+            (zeros, copy.zero_crossings)):
+        want, got = np.array(want), np.array(got)
+        assert len(want) == len(got)
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 def _smooth(c, r, m, w, q_, x):
     """``c (x - r) ((x - m)^2 + w) / (1 + q x^2)``: for w, q >= 0 it
     changes sign only at r (and touches zero at m if w = 0)."""

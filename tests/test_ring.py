@@ -280,3 +280,31 @@ def test_ring_sums_skip_only_negligible_powers(harm_mod_spectrum,
     for spectrum in (harm_mod_spectrum, micro_spectrum):
         ks, want = plain_power_ring_sums(spectrum, L)
         assert ring._ring_sums(spectrum, ks, L).tobytes() == want.tobytes()
+
+
+# ----------------------------------- exact-diagonalization witness
+
+
+@pytest.mark.parametrize("trap, n_states", [
+    (q.TwoSite(v=1.0), None),
+    # 21 of the grid's 41 states enter the ring sum; the strip holds all
+    (q.Harmonic(omega=0.1, y_max=20), 21),
+], ids=["two-site", "harmonic-0.1"])
+@pytest.mark.parametrize("L", [10, 50])
+def test_ring_energy_is_a_strip_eigenvalue(trap, n_states, L,
+                                           ring_strip_eigenvalue):
+    # the ring equation is exact at every L: E_0 plus the ring energy is
+    # an eigenvalue of the periodic strip with the contact at (0, 0)
+    spectrum = q.solve_transverse(trap, n_states=n_states)
+    grid, v = q.potential_on_grid(trap, int(spectrum.grid[-1]))
+    e0 = float(spectrum.energies[0])
+    for u in (-3.0, -5.0, 2.0):
+        for branch in (1, 2):
+            if (L, branch, n_states) == (10, 2, 21):
+                # k ~ 2 pi * 2 / 10 opens the first excited channel
+                with pytest.raises(q.OpenChannel):
+                    q.ring_momentum(spectrum, u, L, branch)
+                continue
+            energy = e0 + q.ring_momentum(spectrum, u, L, branch).energy
+            assert abs(ring_strip_eigenvalue(grid, v, L, u, energy)
+                       - energy) <= 1e-12

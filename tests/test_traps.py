@@ -93,6 +93,23 @@ def test_harmonic_orthonormal_and_ordered(harm_mod_spectrum):
         assert abs(mp.mpf(float(e)) - want) <= np.spacing(abs(float(e)))
 
 
+@pytest.mark.parametrize("offset", [0.25, 0.5, 1.0])
+def test_off_centre_trap_energies_correctly_rounded(offset):
+    # V = 0.1 (y - s)^2 on -8..8 is no mirror image: one sector, refined
+    # like the parity sectors, every energy within 1 ulp of a 40-digit
+    # solve of the same table
+    mp = pytest.importorskip("mpmath")
+    trap = q.Tabulated.from_mapping(
+        {y: 0.1 * (y - offset) ** 2 for y in range(-8, 9)}, None)
+    s = q.solve_transverse(trap)
+    assert not s.symmetric
+    with mp.workdps(40):
+        ref = _reference_module().eigenvalues(
+            [mp.mpf(v) for _, v in trap.values], [mp.mpf(-1)] * 16, 17)
+    for e, want in zip(s.energies, ref, strict=True):
+        assert abs(mp.mpf(float(e)) - want) <= np.spacing(abs(float(e)))
+
+
 def test_harmonic_parity_labels(harm_mod_spectrum):
     s = harm_mod_spectrum
     assert s.symmetric
@@ -234,6 +251,26 @@ def test_continuum_well_grid_grows_to_hold_a_shallow_state(depth):
     assert spec.n_states == 1
     assert spec.energies[0] == pytest.approx(
         1.0 - depth + q.DeltaWell(v0=depth).bound_energy, abs=1e-12)
+
+
+def test_weak_bound_state_computes_no_eigenpair_above_the_band(
+        monkeypatch):
+    # the third state of the width-3 well at depth 3 + 1e-4 lies 9e-8
+    # below the band and decays only on the box of half-width 40,960,
+    # whose full eigenvector matrix would take 13 GB
+    solve = traps.eigh_tridiagonal
+
+    def below_the_band(diag, off, **kwargs):
+        assert kwargs.get("select") == "v", "every eigenpair requested"
+        return solve(diag, off, **kwargs)
+
+    monkeypatch.setattr(traps, "eigh_tridiagonal", below_the_band)
+    well = q.Tabulated.from_mapping({y: -2.0 - 1e-4 for y in (-1, 0, 1)},
+                                    1.0)
+    spec = q.solve_transverse(well, n_states=3)
+    assert spec.n_states == 3
+    assert int(spec.grid[-1]) == 40_960
+    assert spec.energies[2] < -1.0
 
 
 def test_half_width_must_be_integral():
