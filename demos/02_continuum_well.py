@@ -34,9 +34,14 @@ s = q.continuum_sum(well)
 print(f"\ncontinuum channel sum     = {s.value:+.10f}")
 print(f"quadrature error estimate = {s.quadrature_error:.2e}")
 
-grid = q.continuum_sum(well, method="grid")
-print(f"fixed-grid cross-check    = {grid.value:+.10f} "
-      f"(diff {abs(s.value - grid.value):.2e})")
+# witness: the same well in a hard-walled box of 401 sites, where the
+# continuum is a discrete set of closed channels and the bound-state sum
+# over the complete basis is exact
+box = q.Tabulated.from_mapping(
+    {y: 0.0 if y == 0 else well.v0 for y in range(-200, 201)})
+box_sum = q.u_cir(q.solve_transverse(box)).inverse
+print(f"box sum on 401 sites      = {box_sum:+.10f} "
+      f"(diff {abs(s.value - box_sum):.2e})")
 
 cir = q.u_cir_with_continuum(well)
 print(f"\nCIR with continuum states: U_CIR = {cir.u_cir:+.10f}")

@@ -92,13 +92,8 @@ _OPTIONS = {row[0]: _Option(*row) for row in (
                            "spa-fit"), "sweep points"),
     ("k", float, 0.0, ("single", "continuum", "twobody"),
      "longitudinal momentum (twobody: relative momentum)"),
-    ("n_cut", int, None, ("single", "twobody"), "closed-channel cutoff"),
-    ("tail_tol", float, 1e-10, ("single",), "channel-sum tail tolerance"),
     ("v0_from", float, None, ("continuum",), "first well height"),
     ("v0_to", float, None, ("continuum",), "last well height"),
-    ("quad_tol", float, 1e-10, ("continuum",), "quadrature tolerance"),
-    ("method", ("adaptive", "grid"), "adaptive", ("continuum",),
-     "continuum quadrature"),
     ("length", list[int], None, ("ring",), "ring length (repeatable)"),
     ("branches", int, 1, ("ring",), "momentum branches per length"),
     ("crossings", bool, False, ("ring",),
@@ -301,6 +296,14 @@ def build_trap(config: RunConfig):
                    if opts.get(k) is not None and k not in allowed)
     if extra:
         raise ConfigError(f"trap {name} does not take --{'/--'.join(extra)}")
+    if config.subcommand in _U_RANGE and (
+            name == "delta-well" or opts.get("asymptote") is not None):
+        # the coupling sweeps sum over the solved bound states only: the
+        # continuum channels would be dropped without a word
+        raise ConfigError(
+            f"{config.subcommand} sums over bound transverse channels only; "
+            f"trap {name} has a transverse continuum: use the continuum "
+            f"subcommand (or q1dscatter.u_cir_with_continuum)")
     size = {} if opts.get("y_max") is None else {"y_max": opts["y_max"]}
     if name == "harmonic":
         return Harmonic(omega=float(opts["omega"]), **size)
@@ -427,16 +430,14 @@ _MAX_AUTO_STATES = 1280
 def run_single(config: RunConfig, out: Path):
     spectrum = _solve_spectrum(config)
     k = float(config.get("k"))
-    n_cut = config.options.get("n_cut")
-    tail_tol = float(config.get("tail_tol"))
     pinned = config.options.get("n_states") is not None
     while True:
         try:
-            cir = u_cir(spectrum, k=k, n_cut=n_cut, tail_tol=tail_tol)
+            cir = u_cir(spectrum, k=k)
             break
         except TailTooLarge:
             # With no explicit state count, grow the basis until the
-            # channel-sum tail passes the tolerance.
+            # channel-sum tail passes its bound.
             if pinned or spectrum.n_states >= _MAX_AUTO_STATES:
                 raise
             spectrum = solve_transverse(
@@ -459,16 +460,15 @@ def run_single(config: RunConfig, out: Path):
 
 def run_continuum(config: RunConfig, out: Path):
     grid = _sweep_grid(config, "v0")
-    k, quad_tol, method = (float(config.get("k")),
-                           float(config.get("quad_tol")), config.get("method"))
+    k = float(config.get("k"))
     rows = []
     for v0 in grid:
         spec = DeltaWell(v0=v0)
-        s = continuum_sum(spec, k=k, quad_tol=quad_tol, method=method)
+        s = continuum_sum(spec, k=k)
         cir = u_cir_with_continuum(spec, k=k, continuum=s)
         rows.append((v0, s.value, cir.inverse, cir.u_cir))
     write_csv(out, config, ["v0", "s_k", "inverse_u_cir", "u_cir"], rows,
-              {"k": k, "method": method})
+              {"k": k})
     return [out], {"points": len(rows)}
 
 
@@ -592,8 +592,7 @@ def run_twobody(config: RunConfig, out: Path):
     if has_sweep:
         spectrum = _solve_spectrum(config)
         kernel = build_kernel(
-            spectrum, total_momentum=float(config.get("total_momentum")),
-            n_cut=config.options.get("n_cut"))
+            spectrum, total_momentum=float(config.get("total_momentum")))
         grid = _sweep_grid(config, "u")
         k = float(config.get("k"))
         # a finite-k sweep evaluates the kernel at E(k) once: one H

@@ -195,24 +195,16 @@ def _bound_reference(spec: ContinuumSpec,
 
 
 def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
-                  quad_tol: float = DEFAULT_QUAD_TOL,
-                  method: str = "adaptive",
                   spectrum: TransverseSpectrum | None = None
                   ) -> ContinuumSum:
-    """Continuum channel integral ``S(k)``.
+    """Continuum channel integral ``S(k)``, by adaptive Gauss-Kronrod
+    panels to an absolute error of ``DEFAULT_QUAD_TOL`` (``1e-10``).
 
     Parameters
     ----------
     spec : DeltaWell or Tabulated (with asymptote)
     k : float
         Longitudinal quasi-momentum; ``S`` is even in `k`.
-    quad_tol : float
-        Absolute error demanded of the adaptive quadrature; an error
-        estimate up to ``10 * quad_tol`` is accepted.
-    method : {'adaptive', 'grid'}
-        'adaptive' uses adaptive Gauss-Kronrod panels; 'grid' a fixed
-        composite trapezoid on 10,000 points (the two paths
-        cross-validate each other).
     spectrum : TransverseSpectrum, optional
         A previously solved bound sector of `spec` to reuse; its ground
         energy sets the entrance energy.
@@ -220,7 +212,7 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
     Raises
     ------
     QuadratureFail
-        If the adaptive error estimate exceeds ``10 * quad_tol``.
+        If the error estimate exceeds ``10 * DEFAULT_QUAD_TOL``.
     """
     v_inf = _check_continuum_spec(spec)
     e_k = -2.0 * J * math.cos(k) + _bound_reference(spec, spectrum)[0]
@@ -231,21 +223,12 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
         den = alpha_closed(v_inf - 2.0 * J * math.cos(q), e_k).denominator
         return _phase(spec, q)[1] ** 2 / den
 
-    if method == "adaptive":
-        val, err = quad(integrand, 0.0, math.pi,
-                        epsabs=quad_tol, epsrel=0.0, limit=400)
-        if err > quad_tol * 10.0:
-            raise QuadratureFail(
-                f"adaptive quadrature error estimate {err:.3g} exceeds "
-                f"10 x quad_tol = {quad_tol * 10.0:g}")
-    elif method == "grid":
-        qs = np.linspace(0.0, math.pi, 10_000)
-        vals = np.array([integrand(float(q)) for q in qs])
-        val = float(np.trapezoid(vals, qs))
-        coarse = float(np.trapezoid(vals[::2], qs[::2]))
-        err = abs(val - coarse) / 3.0
-    else:
-        raise ConfigError(f"unknown quadrature method {method!r}")
+    val, err = quad(integrand, 0.0, math.pi,
+                    epsabs=DEFAULT_QUAD_TOL, epsrel=0.0, limit=400)
+    if err > DEFAULT_QUAD_TOL * 10.0:
+        raise QuadratureFail(
+            f"adaptive quadrature error estimate {err:.3g} exceeds "
+            f"{DEFAULT_QUAD_TOL * 10.0:g}")
     return ContinuumSum(value=val / math.pi, quadrature_error=err / math.pi,
                         k=k)
 
@@ -257,7 +240,7 @@ def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,
 
     For the zero-range well the bound sum is empty and
     ``1/U_CIR = S(0)`` holds exactly.  Pass `continuum` to reuse
-    ``continuum_sum(spec, k, ...)`` already computed for this well; the
+    ``continuum_sum(spec, k)`` already computed for this well; the
     default is ``continuum_sum(spec, k)`` on the bound sector solved
     here.
 

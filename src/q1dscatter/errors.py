@@ -59,7 +59,7 @@ class TailTooLarge(Q1DError):
 
 
 class QuadratureFail(Q1DError):
-    """Quadrature error estimate exceeds the requested tolerance."""
+    """Quadrature error estimate exceeds its bound."""
 
 
 class NoRootInBranch(Q1DError):

@@ -101,7 +101,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import ConfigError, ContaminatedChannel, NoConvergence
-from .traps import (J, DeltaWell, Harmonic, TransverseSpectrum, TrapSpec,
+from .traps import (J, Harmonic, TransverseSpectrum, TrapSpec,
                     alpha_closed, mirror_symmetric, potential_on_grid,
                     solve_transverse)
 from .two_body import pair_hopping
@@ -135,11 +135,6 @@ class StripProblem:
     y_max: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.trap, DeltaWell):
-            raise ConfigError(
-                "the exact-diagonalization oracle does not take the delta "
-                "well: its closed channels form a transverse continuum; "
-                "use the continuum module")
         if self.lx < 16:
             raise ConfigError(f"strip half-extent must be >= 16, got {self.lx}")
 

@@ -26,7 +26,7 @@ from .traps import J, TransverseSpectrum, closed_channels
 
 #: relative size below which the next even-parity channel term counts as spent
 CHANNEL_REL_TOL = 1e-12
-#: default bound on the estimated (relative) channel-sum truncation error
+#: bound on the estimated (relative) channel-sum truncation error
 DEFAULT_TAIL_TOL = 1e-10
 
 
@@ -99,61 +99,55 @@ def _geometric_tail(last: float, prev: float) -> float:
     return last * ratio / (1.0 - ratio)
 
 
-def u_cir(spectrum: TransverseSpectrum, k: float = 0.0,
-          n_cut: int | None = None,
-          tail_tol: float = DEFAULT_TAIL_TOL) -> CirValue:
+def u_cir(spectrum: TransverseSpectrum, k: float = 0.0) -> CirValue:
     """Confinement-induced resonance coupling ``U_CIR(k)``.
+
+    The sum runs over the channels of `spectrum` and stops once the next
+    coupling-carrying channel contributes below ``1e-12`` relative *and*
+    the geometric tail bound drops below ``DEFAULT_TAIL_TOL`` (``1e-10``)
+    relative.  A spectrum that holds the trap's whole grid makes an
+    exhausted sum exact.
 
     Parameters
     ----------
     spectrum : TransverseSpectrum
         Transverse bound states; channel ``n >= 1`` enters with weight
-        ``|psi_n(0)|^2``.  Every channel up to the cutoff must be closed
+        ``|psi_n(0)|^2``.  Every channel the sum reaches must be closed
         at ``E(k)``.
     k : float
         Entrance quasi-momentum in ``[0, pi)``.
-    n_cut : int, optional
-        Explicit channel cutoff.  ``None`` sums until the next
-        coupling-carrying channel contributes below ``1e-12`` relative
-        *and* the geometric tail bound drops below `tail_tol`.
-    tail_tol : float
-        Bound (relative to the accumulated sum) demanded of the
-        estimated truncation error.
 
     Raises
     ------
     OpenChannel
-        If a channel within the cutoff is open at ``E(k)``.
+        If a channel of `spectrum` is open at ``E(k)``.
     TailTooLarge
-        If the truncation-error estimate exceeds `tail_tol`.
+        If the truncation-error estimate exceeds ``DEFAULT_TAIL_TOL``
+        relative: `spectrum` holds too few states.
     """
     if not 0.0 <= k < math.pi:
         raise ConfigError(f"quasi-momentum must lie in [0, pi), got {k}")
     n_avail = spectrum.n_states - 1
-    if n_cut is not None and n_cut > n_avail:
-        raise ConfigError(f"n_cut = {n_cut} exceeds the {n_avail} available channels")
     energy = entrance_energy(spectrum, k)
     psi0_sq = spectrum.origin_amplitudes ** 2
     # the trap's full Hilbert space is the grid: an exhausted sum is exact
     complete = spectrum.n_states == len(spectrum.grid)
-
-    limit = n_cut if n_cut is not None else n_avail
-    denoms = _closed_denominators(spectrum, energy, limit)
+    denoms = _closed_denominators(spectrum, energy, n_avail)
 
     total = 0.0
     last = prev = 0.0  # magnitudes of the last two nonzero terms
     n_used = 0
-    for n in range(1, limit + 1):
+    for n in range(1, n_avail + 1):
         term = float(psi0_sq[n]) / float(denoms[n - 1])
         total += term
         n_used = n
         if term != 0.0:
             prev, last = last, abs(term)
-            if n_cut is None and prev != 0.0:
+            if prev != 0.0:
                 scale = max(abs(total), 1e-300)
                 tail = _geometric_tail(last, prev)
                 if abs(term) < CHANNEL_REL_TOL * scale \
-                        and tail < tail_tol * scale:
+                        and tail < DEFAULT_TAIL_TOL * scale:
                     break
 
     tail_bound = _geometric_tail(last, prev)
@@ -165,10 +159,10 @@ def u_cir(spectrum: TransverseSpectrum, k: float = 0.0,
         tail_bound = 0.0
     scale = max(abs(total), 1e-300)
     rel_tail = tail_bound / scale
-    if rel_tail >= tail_tol:
+    if rel_tail >= DEFAULT_TAIL_TOL:
         raise TailTooLarge(
             f"channel-sum truncation error estimate {rel_tail:.3g} (relative) "
-            f"exceeds {tail_tol:g} after {n_used} channels"
+            f"exceeds {DEFAULT_TAIL_TOL:g} after {n_used} channels"
         )
     value = math.inf if total == 0.0 else 1.0 / total
     return CirValue(u_cir=value, inverse=total, k=k,
@@ -197,8 +191,8 @@ def u1d_values(spectrum: TransverseSpectrum, us, cir: CirValue
     return us * psi0 ** 2 / pole_factor
 
 
-def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
-                  cir: CirValue | None = None) -> ScatteringResult:
+def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0
+                  ) -> ScatteringResult:
     """Effective 1D coupling, scattering length, and phase shift.
 
     Parameters
@@ -208,12 +202,9 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
         Contact coupling in units of J, any sign.
     k : float
         Entrance quasi-momentum; ``0`` selects the zero-energy limit
-        where the scattering length is defined.
-    cir : CirValue, optional
-        ``u_cir(spectrum, k, ...)``, which does not depend on `u`: a
-        sweep over couplings computes it once and passes it to every
-        point.  Default: ``u_cir(spectrum, k)``; pass it to set the
-        channel cutoff or tail tolerance.
+        where the scattering length is defined.  ``U_CIR(k)`` is
+        ``u_cir(spectrum, k)``; a sweep over couplings calls
+        :func:`u1d_values` with it once instead.
 
     Returns
     -------
@@ -225,10 +216,7 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0,
         If ``|1 - U/U_CIR(k)| < 1e-12``: the pole is reported as such,
         never as an infinite float.
     """
-    if cir is None:
-        cir = u_cir(spectrum, k=k)
-    elif cir.k != k:
-        raise ConfigError(f"u_cir was evaluated at k={cir.k}, not k={k}")
+    cir = u_cir(spectrum, k=k)
     u1d = float(u1d_values(spectrum, [u], cir)[0])
     psi0 = float(spectrum.origin_amplitudes[0])
 

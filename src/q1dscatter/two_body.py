@@ -25,7 +25,7 @@ and the entrance amplitude is
     I00(U) = R(00;00) + U sum_b (v_b / D_b) I_b.
 
 ``R`` has rank at most ``n_y``, the number of transverse sites, while
-the channel count grows as ``n_cut^2 / 4``.  Every channel vector in
+the channel count grows as ``n_states^2 / 4``.  Every channel vector in
 the system lies in the range of ``S``, ``I = S phi``, which turns it
 into the ``n_y``-sized problem
 
@@ -174,7 +174,6 @@ class OverlapKernel:
     total_momentum: float
     energy: float
     spectrum: TransverseSpectrum
-    n_cut: int
 
     @property
     def n_channels(self) -> int:
@@ -439,8 +438,8 @@ def _green(pair_rows: np.ndarray, denominators: np.ndarray) -> np.ndarray:
     return scaled.T @ scaled
 
 
-def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
-                 n_cut: int | None = None) -> OverlapKernel:
+def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0
+                 ) -> OverlapKernel:
     """Assemble the two-body kernel on the collision diagonal, at the
     lowest pair scattering energy ``-2 J_K + 2 E_0`` (zero relative
     momentum; :meth:`OverlapKernel.at_energy` moves it).
@@ -448,12 +447,10 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
     Parameters
     ----------
     spectrum : TransverseSpectrum
-        Single-particle transverse states; the first `n_cut` build the
-        pair channels.
+        Single-particle transverse states; every state builds the pair
+        channels, so the basis size is ``spectrum.n_states``.
     total_momentum : float
         Conserved total quasi-momentum ``K``, ``|K| < pi``.
-    n_cut : int, optional
-        Single-particle state cutoff; default: all states in `spectrum`.
 
     Raises
     ------
@@ -463,15 +460,10 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
         If a closed-channel denominator fails to be negative.
     """
     j_k = pair_hopping(total_momentum)
-    if n_cut is None:
-        n_cut = spectrum.n_states
-    if not 1 <= n_cut <= spectrum.n_states:
-        raise ConfigError(
-            f"n_cut={n_cut} outside 1..{spectrum.n_states} (states held "
-            f"by the spectrum)")
     energy = _zero_momentum_energy(spectrum, j_k)
 
-    pairs, channel_energies, pair_rows = _pair_channels(spectrum, 1, n_cut)
+    pairs, channel_energies, pair_rows = _pair_channels(
+        spectrum, 1, spectrum.n_states)
     alphas, denominators = _closed_channels(pairs, channel_energies, energy,
                                             j_k)
     psi = spectrum.wavefunctions
@@ -481,8 +473,7 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
         pair_rows=pair_rows, entrance_row=entrance_row,
         alphas=alphas, denominators=denominators,
         r_entrance=float(entrance_row @ entrance_row), j_k=j_k,
-        total_momentum=total_momentum, energy=energy, spectrum=spectrum,
-        n_cut=n_cut)
+        total_momentum=total_momentum, energy=energy, spectrum=spectrum)
 
 
 def _extends(spectrum: TransverseSpectrum, base: TransverseSpectrum) -> bool:
@@ -499,12 +490,12 @@ def _extends(spectrum: TransverseSpectrum, base: TransverseSpectrum) -> bool:
 
 def _grow(kernel: OverlapKernel, spectrum: TransverseSpectrum
           ) -> OverlapKernel:
-    """`kernel` with the channels of the states ``kernel.n_cut`` to
-    ``spectrum.n_states - 1`` appended, at the same ``(K, E)``:
+    """`kernel` with the channels of the states ``kernel.spectrum.n_states``
+    to ``spectrum.n_states - 1`` appended, at the same ``(K, E)``:
     ``H = H_prev + S_new^T |D_new|^{-1} S_new``.  `spectrum` must
     extend ``kernel.spectrum`` (:func:`_extends`)."""
     pairs, channel_energies, pair_rows = _pair_channels(
-        spectrum, kernel.n_cut, spectrum.n_states)
+        spectrum, kernel.spectrum.n_states, spectrum.n_states)
     alphas, denominators = _closed_channels(pairs, channel_energies,
                                             kernel.energy, kernel.j_k)
     green = _green(pair_rows, denominators)
@@ -516,7 +507,7 @@ def _grow(kernel: OverlapKernel, spectrum: TransverseSpectrum
         pair_rows=np.concatenate((kernel.pair_rows, pair_rows)),
         alphas=np.concatenate((kernel.alphas, alphas)),
         denominators=np.concatenate((kernel.denominators, denominators)),
-        spectrum=spectrum, n_cut=spectrum.n_states)
+        spectrum=spectrum)
     grown.__dict__["green"] = green  # the cached_property's slot
     return grown
 
@@ -669,7 +660,7 @@ def locate_resonances(kernel: OverlapKernel,
 
     return ResonanceReport(
         resonances=resonances, zero_crossings=tuple(crossings.tolist()),
-        window=(u_lo, u_hi), n_states=kernel.n_cut,
+        window=(u_lo, u_hi), n_states=kernel.spectrum.n_states,
         n_channels=kernel.n_channels,
         collision_sites=kernel.collision_sites,
         numerical_rank=kernel.numerical_rank,
@@ -699,7 +690,7 @@ def converged_resonances(trap: TrapSpec, n_start: int,
     extends the previous rung's bit for bit on the same grid (a fixed
     grid, or an auto grid that did not grow), the rung grows the
     previous kernel by its new channels (:func:`_grow`); otherwise it
-    rebuilds it from an empty kernel; the first rung is always rebuilt.
+    builds a fresh kernel; the first rung is always built fresh.
     Intermediate rungs compute poles only; the zero crossings are
     computed for the returned rung.  ``rungs`` in the report lists each
     rung's size and how its kernel was obtained.
@@ -727,12 +718,11 @@ def converged_resonances(trap: TrapSpec, n_start: int,
             spectrum = solve_transverse(trap)
             if not _complete_basis(spectrum):
                 raise
-        how = "grown"
         if kernel is None or not _extends(spectrum, kernel.spectrum):
-            how = "rebuilt"
-            kernel = build_kernel(spectrum, total_momentum, n_cut=1)
-        kernel = _grow(kernel, spectrum)
-        rungs.append((kernel.n_cut, how))
+            how, kernel = "rebuilt", build_kernel(spectrum, total_momentum)
+        else:
+            how, kernel = "grown", _grow(kernel, spectrum)
+        rungs.append((spectrum.n_states, how))
         found = _resonances(kernel, u_window)
         if _complete_basis(kernel.spectrum) or (
                 prev is not None and _positions_match(prev, found)):

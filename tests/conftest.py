@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
@@ -104,6 +105,27 @@ def _ring_strip_eigenvalue(grid, v, length, u, energy):
 @pytest.fixture(scope="session")
 def ring_strip_eigenvalue():
     return _ring_strip_eigenvalue
+
+
+def _box_channel_sum(well, k, half_width=1000):
+    """Independent witness of ``1/U_CIR``: the closed-channel sum over
+    every excited state of the well on a hard-wall box of
+    ``2 half_width + 1`` sites, ``sum_n psi_n(0)^2 / D_n`` with the
+    closed form ``D_n = -sqrt((E_n - E)^2 - 4 J^2)``."""
+    v = np.full(2 * half_width + 1, well.asymptote)
+    for y, value in well.values:
+        v[y + half_width] = value
+    energies, vectors = scipy.linalg.eigh_tridiagonal(
+        v, -np.ones(2 * half_width))
+    gaps = energies[1:] - (energies[0] - 2.0 * math.cos(k))
+    assert np.all(gaps > 2.0)  # every channel closed
+    return float(np.sum(vectors[half_width, 1:] ** 2
+                        / -np.sqrt(gaps ** 2 - 4.0)))
+
+
+@pytest.fixture(scope="session")
+def box_channel_sum():
+    return _box_channel_sum
 
 
 def _plain_power_ring_sums(spectrum, L, points=400):

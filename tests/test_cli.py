@@ -632,15 +632,67 @@ def test_bad_mode_choice_in_config_file(tmp_path, capsys):
 
 
 def test_bad_choice_in_manifest(tmp_path, capsys):
-    out = tmp_path / "c.csv"
-    run_cli(["continuum", "--v0-from", "1", "--v0-to", "2", "--points", "2",
-             "--output", str(out)], capsys)
-    manifest = tmp_path / "c.csv.manifest.json"
+    out = tmp_path / "o.csv"
+    assert run_cli(["oracle", "--validate", "--trap", "two-site", "--v",
+                    "1.0", "--u", "-2", "--lx", "100", "--output", str(out)],
+                   capsys)[0] == 0
+    manifest = tmp_path / "o.csv.manifest.json"
     payload = json.loads(manifest.read_text())
-    payload["config"]["method"] = "gird"
+    payload["config"]["mode"] = "sigle"
     manifest.write_text(json.dumps(payload))
-    expect_error(["continuum", "--config", str(manifest)], capsys, 2,
-                 "ConfigError")
+    record = expect_error(["oracle", "--config", str(manifest)], capsys, 2,
+                          "ConfigError")
+    assert "sigle" in record["message"]
+
+
+@pytest.mark.parametrize("subcommand, key, value", [
+    ("single", "tail_tol", 1e-10), ("single", "n_cut", None),
+    ("twobody", "n_cut", None), ("continuum", "quad_tol", 1e-10),
+    ("continuum", "method", "adaptive")])
+def test_retired_key_in_manifest_refused(tmp_path, capsys, subcommand, key,
+                                         value):
+    manifest = tmp_path / "old.json"
+    manifest.write_text(json.dumps({"subcommand": subcommand,
+                                    "config": {key: value}}))
+    record = expect_error([subcommand, "--config", str(manifest)], capsys,
+                          2, "ConfigError")
+    assert repr(key) in record["message"]
+
+
+_CONTINUUM_TRAPS = {
+    "delta-well": ("--trap", "delta-well", "--v0", "1"),
+    "table-with-asymptote": ("--trap", "tabulated",
+                             "--values=-1:0.5,0:-0.9,1:0.5",
+                             "--asymptote", "1"),
+}
+_SWEEP = ("--u-from", "-1", "--u-to", "1", "--points", "3")
+
+
+@pytest.mark.parametrize("trap", list(_CONTINUUM_TRAPS))
+@pytest.mark.parametrize("args", [
+    ("single", *_SWEEP), ("ring", "--length", "10", *_SWEEP),
+    ("twobody", *_SWEEP), ("twobody", "--resonances"),
+    ("spa-fit", *_SWEEP), ("resonances",),
+    ("resonances", "--converge", "--n-start", "1")],
+    ids=["single", "ring", "twobody", "twobody-report", "spa-fit",
+         "resonances", "resonances-converge"])
+def test_continuum_trap_refused_by_bound_channel_sums(tmp_path, capsys,
+                                                      args, trap):
+    # these sum over the solved bound states only, which would drop the
+    # continuum channels without a word
+    out = tmp_path / "x.csv"
+    record = expect_error([*args, *_CONTINUUM_TRAPS[trap],
+                           "--output", str(out)], capsys, 2, "ConfigError")
+    assert "continuum subcommand" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trap", list(_CONTINUUM_TRAPS))
+def test_transverse_takes_a_continuum_trap(tmp_path, capsys, trap):
+    out = tmp_path / "t.csv"
+    assert run_cli(["transverse", *_CONTINUUM_TRAPS[trap],
+                    "--output", str(out)], capsys)[0] == 0
+    assert len(read_csv(out)[1]) >= 1
 
 
 def test_parser_built_once_and_left_as_it_was(tmp_path, capsys):
@@ -714,15 +766,17 @@ def test_figure_recipes_resolve():
         cli.figure_recipe("fig0")
 
 
-# Config hashes before the option table replaced the hand-written
-# defaults: every key, default value and value type must stay in place.
-_RECIPE_HASHES = {"fig1": "ae12419c3f8e", "fig2": "e6c07d7c0436",
-                  "fig3": "871d66dc541b", "fig4": "08977c97c48f",
-                  "fig5": "222c29be1dd8"}
+# Config hashes of every recipe and every subcommand's defaults: every
+# key, default value and value type must stay in place.  single,
+# twobody, continuum and their recipes moved once, when the n_cut,
+# tail_tol, quad_tol and method keys were retired.
+_RECIPE_HASHES = {"fig1": "feae5c26fd65", "fig2": "a5b62fdc8171",
+                  "fig3": "871d66dc541b", "fig4": "92407a7886e3",
+                  "fig5": "463b067821b6"}
 _DEFAULT_HASHES = {
-    "transverse": "f0c6ffd20748", "single": "3b675edec33f",
-    "continuum": "05e319678546", "ring": "2d1df7730d1e",
-    "twobody": "c42bfb0a7acb", "spa-fit": "831fef652b64",
+    "transverse": "f0c6ffd20748", "single": "352e280a97cf",
+    "continuum": "e0215195462f", "ring": "2d1df7730d1e",
+    "twobody": "d439e27ab83d", "spa-fit": "831fef652b64",
     "resonances": "30c2ef44a6f2", "oracle": "195b56eafc6e",
     "figure": "88b79525d0f0",
 }

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import q1dscatter as q
 from q1dscatter import continuum
@@ -46,13 +45,17 @@ def test_density_of_states_excess():
     assert excess == pytest.approx(st.dtheta_dq / math.pi, rel=1e-12)
 
 
-def test_quadrature_methods_agree():
-    for v0 in (0.5, 1.0, 5.0):
-        spec = q.DeltaWell(v0=v0)
-        adaptive = q.continuum_sum(spec, method="adaptive")
-        grid = q.continuum_sum(spec, method="grid")
-        assert abs(adaptive.value - grid.value) < 1e-8
-        assert adaptive.quadrature_error < 1e-8
+def test_quadrature_methods_agree(box_channel_sum):
+    # the adaptive quadrature against the box sum of the same one-site
+    # well; at k = 0.3 the continuum channel of a well of depth 0.5 or
+    # less is open
+    for v0, ks in ((0.1, (0.0,)), (0.5, (0.0,)), (1.0, (0.0, 0.3)),
+                   (5.0, (0.0, 0.3)), (10.0, (0.0, 0.3))):
+        for k in ks:
+            inverse = q.u_cir_with_continuum(q.DeltaWell(v0=v0), k=k).inverse
+            box = box_channel_sum(q.Tabulated.from_mapping({0: 0.0}, v0), k)
+            assert abs(inverse - box) <= 1e-12 * abs(box)
+    assert q.continuum_sum(q.DeltaWell(v0=1.0)).quadrature_error < 1e-8
 
 
 def test_channel_sum_finite_and_negative_for_all_depths():
@@ -108,22 +111,6 @@ def _cavity(barrier):
     return q.Tabulated.from_mapping({-4: barrier, **inner, 4: barrier}, 1.0)
 
 
-def _box_channel_sum(well, k, half_width=1000):
-    """Independent witness of ``1/U_CIR``: the closed-channel sum over
-    every excited state of the well on a hard-wall box of
-    ``2 half_width + 1`` sites, ``sum_n psi_n(0)^2 / D_n`` with the
-    closed form ``D_n = -sqrt((E_n - E)^2 - 4 J^2)``."""
-    v = np.full(2 * half_width + 1, well.asymptote)
-    for y, value in well.values:
-        v[y + half_width] = value
-    energies, vectors = scipy.linalg.eigh_tridiagonal(
-        v, -np.ones(2 * half_width))
-    gaps = energies[1:] - (energies[0] - 2.0 * math.cos(k))
-    assert np.all(gaps > 2.0)  # every channel closed
-    return float(np.sum(vectors[half_width, 1:] ** 2
-                        / -np.sqrt(gaps ** 2 - 4.0)))
-
-
 @pytest.mark.parametrize("k", [0.0, 0.3])
 @pytest.mark.parametrize("well", [
     q.Tabulated.from_mapping({0: 0.0}, 1.0),
@@ -131,17 +118,17 @@ def _box_channel_sum(well, k, half_width=1000):
     _cavity(16.0),
     _cavity(64.0),
 ], ids=["zero-range", "dip", "cavity", "narrow-cavity"])
-def test_continuum_matches_finite_box_channel_sum(well, k):
+def test_continuum_matches_finite_box_channel_sum(well, k, box_channel_sum):
     # bound sum plus S(k) is the box sum in the infinite-box limit; the
     # cavity's two bound states above the band add -2.5e-11 to the box,
     # and walls of 64 narrow its quasi-bound peak to a half-width of
     # 2.3e-5 in q, which the adaptive panels must still find
     inverse = q.u_cir_with_continuum(well, k=k).inverse
-    assert abs(inverse - _box_channel_sum(well, k)) < 1e-9
+    assert abs(inverse - box_channel_sum(well, k)) < 1e-9
 
 
 @pytest.mark.parametrize("depth", [3.05, 3.2])
-def test_default_solve_holds_every_bound_state(depth):
+def test_default_solve_holds_every_bound_state(depth, box_channel_sum):
     # the width-3 well binds a third state at E = -1.013 (depth 3.05) or
     # -1.103 (3.2), just below the band bottom -1.0; the first box holds
     # only two, and leaving the third out of the bound sum moves 1/U_CIR
@@ -150,7 +137,7 @@ def test_default_solve_holds_every_bound_state(depth):
                                     1.0)
     assert q.solve_transverse(well).n_states == 3
     inverse = q.u_cir_with_continuum(well).inverse
-    assert abs(inverse - _box_channel_sum(well, 0.0)) < 1e-9
+    assert abs(inverse - box_channel_sum(well, 0.0)) < 1e-9
 
 
 def test_tabulated_well_is_solved_once(monkeypatch):
@@ -174,10 +161,10 @@ def test_tabulated_well_is_solved_once(monkeypatch):
 
 @pytest.mark.xfail(strict=True, reason="bound states above the band (here "
                    "two at E = 4.59) are left out of the bound sum")
-def test_bound_states_above_the_band_enter_the_channel_sum():
+def test_bound_states_above_the_band_enter_the_channel_sum(box_channel_sum):
     well = _cavity(4.0)
     inverse = q.u_cir_with_continuum(well).inverse
-    assert abs(inverse - _box_channel_sum(well, 0.0)) < 1e-9
+    assert abs(inverse - box_channel_sum(well, 0.0)) < 1e-9
 
 
 @pytest.mark.parametrize("qq", [1e-6, 1e-9])

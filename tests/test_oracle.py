@@ -66,10 +66,22 @@ def test_strip_size_validation():
             q.StripProblem(trap=q.TwoSite(v=1.0), u=-2.0, lx=16))
 
 
-def test_delta_well_refused_up_front():
-    with pytest.raises(q.ConfigError,
-                       match="oracle does not take the delta well"):
-        q.StripProblem(trap=q.DeltaWell(v0=1.0), u=-2.0, lx=100)
+@pytest.mark.parametrize("u", [-1.0, 2.0])
+@pytest.mark.parametrize("trap", [
+    q.DeltaWell(v0=1.0),
+    q.DeltaWell(v0=3.0),
+    q.Tabulated.from_mapping({-1: 0.5, 0: -0.9, 1: 0.5}, 1.0),
+    q.Tabulated.from_mapping({0: 0.0}, 1.0),
+], ids=["delta-1", "delta-3", "dip", "one-site"])
+def test_continuum_well_matches_the_continuum_theory(trap, u):
+    # the strip's transverse box holds the well's continuum as a dense
+    # set of closed channels: a = -2 J / U1D with the bound sum plus the
+    # continuum integral S(0) in 1/U_CIR (measured <= 1.4e-11)
+    cir = q.u_cir_with_continuum(trap)
+    psi0 = float(q.solve_transverse(trap).origin_amplitudes[0])
+    theory = -2.0 * q.J * (1.0 - u * cir.inverse) / (u * psi0 ** 2)
+    res = q.strip_scattering_length(q.StripProblem(trap=trap, u=u, lx=200))
+    assert abs(res.a - theory) <= 1e-9 * abs(theory)
 
 
 # ------------------------------------------- sparse assembly and sectors

@@ -115,8 +115,8 @@ def test_grown_kernel_is_the_fresh_kernel(trap, total_momentum, data):
     its H to the round-off of one sum over the channels."""
     spectrum = q.solve_transverse(trap)
     n_lo = data.draw(st.integers(1, spectrum.n_states))
-    grown = q.two_body._grow(
-        q.build_kernel(spectrum, total_momentum, n_cut=n_lo), spectrum)
+    grown = q.two_body._grow(q.build_kernel(
+        q.solve_transverse(trap, n_states=n_lo), total_momentum), spectrum)
     fresh = q.build_kernel(spectrum, total_momentum)
     order = np.lexsort((grown.pairs[:, 1], grown.pairs[:, 0]))
     assert np.array_equal(grown.pairs[order], fresh.pairs)

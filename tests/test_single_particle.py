@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import q1dscatter as q
+from q1dscatter import single_particle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -105,10 +106,22 @@ def test_odd_channels_carry_nothing(harm_mod_spectrum):
 
 def test_channel_cutoff_consistency(harm_soft_spectrum):
     full = q.u_cir(harm_soft_spectrum)
-    cut = q.u_cir(harm_soft_spectrum, n_cut=12, tail_tol=1.0)
-    assert abs(cut.inverse - full.inverse) <= cut.tail_bound
+    # the first 12 channels miss the rest of the sum by no more than the
+    # geometric bound on their last two nonzero terms
+    energy = q.entrance_energy(harm_soft_spectrum)
+    _, denoms = q.closed_channels(harm_soft_spectrum.energies[1:13], energy)
+    terms = (harm_soft_spectrum.origin_amplitudes[1:13] ** 2
+             / denoms).tolist()
+    prev, last = [abs(t) for t in terms if t != 0.0][-2:]
+    assert abs(sum(terms) - full.inverse) \
+        <= single_particle._geometric_tail(last, prev)
+    # 13 states on the same grid hold those 12 channels: too few for
+    # the 1e-10 tail bound
+    short = q.solve_transverse(
+        q.Harmonic(omega=1e-2, y_max=float(harm_soft_spectrum.grid[-1])),
+        n_states=13)
     with pytest.raises(q.TailTooLarge):
-        q.u_cir(harm_soft_spectrum, n_cut=12)
+        q.u_cir(short)
 
 
 def test_empty_channel_sum_means_no_resonance():

@@ -212,7 +212,7 @@ def test_grown_kernel_matches_fresh_build():
         assert q.two_body._extends(spectrum, kernel.spectrum)
         kernel = q.two_body._grow(kernel, spectrum)
         fresh = q.build_kernel(spectrum)
-        assert kernel.n_cut == nc
+        assert kernel.spectrum.n_states == nc
         # fresh channels are row-major; grown ones come shell by shell
         order = np.lexsort((kernel.pairs[:, 1], kernel.pairs[:, 0]))
         assert np.array_equal(kernel.pairs[order], fresh.pairs)
@@ -303,7 +303,7 @@ _WITNESS_KERNELS = {
             {y: 0.1 * y * y for y in range(-4, 5)}, None)),
         total_momentum=math.pi / 3),
     "harmonic-1e-3-n41": lambda fixture: q.build_kernel(
-        fixture("micro_spectrum"), n_cut=41),
+        q.solve_transverse(q.Harmonic(omega=1e-3, y_max=160), n_states=41)),
 }
 
 
