@@ -24,10 +24,16 @@ and the entrance amplitude is
 
     I00(U) = R(00;00) + U sum_b (v_b / D_b) I_b.
 
-``R`` has rank at most ``n_y``, the number of transverse sites, while
-the channel count grows as ``n_states^2 / 4``.  Every channel vector in
-the system lies in the range of ``S``, ``I = S phi``, which turns it
-into the ``n_y``-sized problem
+``R`` has rank at most ``n_y``, the number of collision sites, while
+the channel count grows as ``n_states^2 / 4``.  In a mirror-symmetric
+trap the contact conserves the pair's transverse parity: only even
+pairs couple to the entrance, every row ``S[b, y]`` is even in ``y``,
+and the rows are kept on the sites ``y >= 0`` alone, with weight
+``sqrt(2)`` on ``y > 0``.  That fold keeps every inner product over
+``y``, so ``n_y = (Y + 1) / 2`` of a ``Y``-site mirror grid; any other
+grid keeps all ``Y`` sites with weight 1.  Every channel vector in the
+system lies in the range of ``S``, ``I = S phi``, which turns it into
+the ``n_y``-sized problem
 
     (1 + U H) phi = psi_0^2,     H = S^T |D|^{-1} S,
 
@@ -65,7 +71,8 @@ consecutive poles.  With ``h = H w``, ``Q H Q`` is the rank-two update
 ``H`` that does not overlap the entrance row (``p_j = 0``) is left
 unchanged by ``Q`` and puts a zero on its own pole, where the two
 cancel; such a zero, within ``_ZERO_POLE_CANCELLATION`` of a pole, is
-not reported.
+not reported.  Each pole cancels at most one zero, closest pairs first,
+so a genuine sign change next to a zero-weight pole is kept.
 
 At relative quasi-momentum ``k`` the pair scatters at
 ``E_k = -2 J_K cos k + 2 E_0`` and the entrance term carries the factor
@@ -103,9 +110,10 @@ BROAD_THRESHOLD = 0.05
 
 _SINGULAR_PROXIMITY = 1e-12
 #: A zero of ``I00`` within ``_ZERO_POLE_CANCELLATION * max(1, |U_j|)`` of
-#: a pole ``U_j`` in the window cancels against it and is not reported:
-#: an eigenvector of ``H`` with no entrance overlap keeps its eigenvalue
-#: in ``Q H Q`` up to round-off (``eps max(mu) / mu_j`` relative).
+#: a pole ``U_j`` in the window cancels against it and is not reported
+#: (one zero per pole): an eigenvector of ``H`` with no entrance overlap
+#: keeps its eigenvalue in ``Q H Q`` up to round-off (``eps max(mu) /
+#: mu_j`` relative).
 _ZERO_POLE_CANCELLATION = 1e-9
 _PARITY_SIGN = {"even": 1, "odd": -1, "none": 0}
 _LADDER_STEP, _LADDER_LIMIT, _LADDER_REL_TOL = 20, 161, 1e-6
@@ -152,7 +160,10 @@ class OverlapKernel:
     pair rows ``pair_rows[b, y] = S[b, y]``, the entrance row
     ``psi_0(y)^2``, and the per-channel decay factors ``alphas`` and
     denominators ``denominators`` at `energy`;
-    ``r_entrance = R(0,0; 0,0) = sum_y psi_0(y)^4``.
+    ``r_entrance = R(0,0; 0,0) = sum_y psi_0(y)^4``.  The rows hold the
+    ``n_y`` collision sites (module docstring): on a mirror grid the
+    sites ``y >= 0``, where `pair_rows` and `entrance_row` carry the
+    weight ``sqrt(2)`` on ``y > 0``; on any other grid every site.
 
     Derived lazily: the ``n_y x n_y`` pair Green's function
     :attr:`green` ``H = S^T |D|^{-1} S`` (set on construction in a grown
@@ -160,7 +171,8 @@ class OverlapKernel:
     spectral form, on which every solver runs; and the channel-space
     views :attr:`channels`, :attr:`r_matrix` ``R = S S^T`` and
     :attr:`entrance_column` ``R(b; 0,0)``, which no solver needs (``R``
-    alone is ``8 n_channels^2`` bytes).
+    alone is ``8 n_channels^2`` bytes).  The fold keeps inner products
+    over ``y``, so these views are those of the full grid.
     """
 
     pairs: np.ndarray
@@ -181,7 +193,9 @@ class OverlapKernel:
 
     @property
     def collision_sites(self) -> int:
-        """``n_y``: the size of every matrix the solvers factor."""
+        """``n_y``: the size of every matrix the solvers factor, the
+        ``(Y + 1) / 2`` sites ``y >= 0`` of a ``Y``-site mirror grid and
+        every site of any other."""
         return len(self.entrance_row)
 
     @cached_property
@@ -218,7 +232,8 @@ class OverlapKernel:
 
     @property
     def numerical_rank(self) -> int:
-        """Eigenvalues of :attr:`green` above ``n_y eps max(mu)``."""
+        """Eigenvalues of :attr:`green` above ``n_y eps max(mu)``, with
+        ``n_y`` the :attr:`collision_sites`."""
         mu = self._spectral[0]
         tol = mu.max(initial=0.0) * mu.size * np.finfo(float).eps
         return int(np.count_nonzero(mu > tol))
@@ -414,7 +429,7 @@ def _pair_channels(spectrum: TransverseSpectrum, n_lo: int, n_cut: int
     ``n2`` lies in ``[n_lo, n_cut)``, row-major; ``n_lo >= 1`` leaves
     out the entrance ``(0, 0)``, and odd pairs of a symmetric trap are
     left out too.  Returns the pairs, their energies and their pair
-    rows ``S``."""
+    rows ``S`` on the collision sector (:func:`_collision_sector`)."""
     n1, n2 = np.triu_indices(n_cut)
     keep = n2 >= n_lo
     if spectrum.symmetric:
@@ -425,11 +440,30 @@ def _pair_channels(spectrum: TransverseSpectrum, n_lo: int, n_cut: int
     pairs = np.column_stack((n1[keep], n2[keep]))
     channel_energies = (spectrum.energies[pairs[:, 0]]
                         + spectrum.energies[pairs[:, 1]])
-    psi = spectrum.wavefunctions
+    psi, weight = _collision_sector(spectrum)
     pair_rows = psi[pairs[:, 0]] * psi[pairs[:, 1]]
     pair_rows *= np.where(pairs[:, 0] != pairs[:, 1], math.sqrt(2.0),
                           1.0)[:, None]
+    pair_rows *= weight
     return pairs, channel_energies, pair_rows
+
+
+def _collision_sector(spectrum: TransverseSpectrum
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The sites of the collision diagonal that every kept pair row
+    lives on, as the wavefunction columns there and the weight each
+    site's row entry carries.  On a mirror grid every kept row is even
+    in ``y``: the sites ``y >= 0`` hold it, with weight ``sqrt(2)`` on
+    ``y > 0`` (the fold of the even transverse sector), which keeps
+    every inner product over ``y``.  Any other grid is one sector of
+    weight 1."""
+    psi = spectrum.wavefunctions
+    if not spectrum.symmetric:
+        return psi, np.ones(psi.shape[1])
+    origin = spectrum.origin_index
+    weight = np.full(psi.shape[1] - origin, math.sqrt(2.0))
+    weight[0] = 1.0
+    return psi[:, origin:], weight
 
 
 def _green(pair_rows: np.ndarray, denominators: np.ndarray) -> np.ndarray:
@@ -466,8 +500,8 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0
         spectrum, 1, spectrum.n_states)
     alphas, denominators = _closed_channels(pairs, channel_energies, energy,
                                             j_k)
-    psi = spectrum.wavefunctions
-    entrance_row = psi[0] * psi[0]
+    psi, weight = _collision_sector(spectrum)
+    entrance_row = psi[0] * psi[0] * weight
     return OverlapKernel(
         pairs=pairs, channel_energies=channel_energies,
         pair_rows=pair_rows, entrance_row=entrance_row,
@@ -638,7 +672,8 @@ def locate_resonances(kernel: OverlapKernel,
     ``w``; ``Q H Q`` is formed as a rank-two update of ``H`` in
     ``O(n_y^2)`` (see the module docstring).  A zero within
     ``1e-9 max(1, |U_j|)`` of a pole ``U_j`` in the window cancels
-    against it and is not reported.
+    against it and is not reported; each pole cancels at most one zero,
+    closest pairs first.
     """
     resonances = _resonances(kernel, u_window)
     poles = np.array([r.u for r in resonances])
@@ -653,10 +688,7 @@ def locate_resonances(kernel: OverlapKernel,
     lam = np.linalg.eigvalsh(kernel.green - (update + update.T))
     zeros = -1.0 / lam[lam > 0.0]
     zeros = zeros[(u_lo <= zeros) & (zeros <= u_hi)]
-    cancelled = (np.abs(np.subtract.outer(zeros, poles))
-                 <= _ZERO_POLE_CANCELLATION * np.maximum(1.0, np.abs(poles))
-                 ).any(axis=1)
-    crossings = np.sort(zeros[~cancelled])
+    crossings = np.sort(_uncancelled(zeros, poles))
 
     return ResonanceReport(
         resonances=resonances, zero_crossings=tuple(crossings.tolist()),
@@ -665,6 +697,22 @@ def locate_resonances(kernel: OverlapKernel,
         collision_sites=kernel.collision_sites,
         numerical_rank=kernel.numerical_rank,
         min_abs_denominator=kernel.min_abs_denominator, converged=None)
+
+
+def _uncancelled(zeros: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """`zeros` without those that cancel against a pole: a zero within
+    ``_ZERO_POLE_CANCELLATION * max(1, |U_j|)`` of a pole ``U_j``, each
+    pole cancelling at most one zero, closest pairs first."""
+    gap = np.abs(np.subtract.outer(zeros, poles))
+    near_z, near_p = np.nonzero(
+        gap <= _ZERO_POLE_CANCELLATION * np.maximum(1.0, np.abs(poles)))
+    keep = np.ones(len(zeros), dtype=bool)
+    free = np.ones(len(poles), dtype=bool)
+    for i in np.argsort(gap[near_z, near_p], kind="stable"):
+        z, p = near_z[i], near_p[i]
+        if keep[z] and free[p]:
+            keep[z] = free[p] = False
+    return zeros[keep]
 
 
 def _complete_basis(spectrum: TransverseSpectrum) -> bool:

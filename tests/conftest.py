@@ -86,6 +86,70 @@ def dense_collision_solve():
     return _dense_collision_solve
 
 
+def _projected_zeros(ker, window):
+    """Every zero of ``I00`` in `window`, ascending, from ``eigvalsh`` of
+    ``Q H Q`` with the dense projector
+    ``Q = 1 - psi_0^2 psi_0^2^T / R(00;00)``; none is cancelled."""
+    psi0_sq = ker.entrance_row
+    proj = np.identity(ker.collision_sites) \
+        - np.outer(psi0_sq, psi0_sq) / ker.r_entrance
+    lam = np.linalg.eigvalsh(proj @ ker.green @ proj)
+    zeros = -1.0 / lam[lam > 0.0]
+    return np.sort(zeros[(window[0] <= zeros) & (zeros <= window[1])])
+
+
+@pytest.fixture(scope="session")
+def projected_zeros():
+    return _projected_zeros
+
+
+def _full_grid_green(ker):
+    """Independent witness of the kernel's collision sector: ``H`` and
+    the entrance row ``psi_0^2`` over every site of the transverse grid,
+    with ``S`` built straight from the spectrum's wavefunctions and the
+    kernel's pairs and denominators (no fold, no weights)."""
+    psi = ker.spectrum.wavefunctions
+    n1, n2 = ker.pairs.T
+    rows = psi[n1] * psi[n2] * np.where(n1 == n2, 1.0, math.sqrt(2.0))[:, None]
+    scaled = rows / np.sqrt(-ker.denominators)[:, None]
+    return scaled.T @ scaled, psi[0] * psi[0]
+
+
+def _check_full_grid(ker, couplings, window=(-30.0, 0.0)):
+    """Check `ker` against :func:`_full_grid_green`: the nonzero spectrum
+    of ``H`` to 1e-12 max mu, ``I00(U)`` at `couplings` from a dense
+    full-grid solve to 1e-10 relative, and the visible poles in `window`
+    to 1e-12 relative."""
+    h, psi0_sq = _full_grid_green(ker)
+    r00 = float(psi0_sq @ psi0_sq)
+    mu_full, vectors = np.linalg.eigh(h)
+    mu = np.linalg.eigvalsh(ker.green)
+    tol = 1e-12 * mu_full[-1]
+    assert np.all(np.abs(mu_full[-mu.size:] - mu) <= tol)
+    assert np.all(np.abs(mu_full[:-mu.size]) <= tol)
+
+    for u in couplings:
+        g = np.linalg.solve(np.eye(len(h)) + u * h, -(h @ psi0_sq))
+        i00 = r00 + u * float(psi0_sq @ g)
+        assert abs(ker.entrance_amplitude(u) - i00) <= 1e-10 * abs(i00)
+
+    with np.errstate(divide="ignore"):
+        poles = -1.0 / mu_full
+    width = mu_full * (vectors.T @ psi0_sq) ** 2 * np.abs(poles) / r00
+    keep = ((window[0] <= poles) & (poles <= window[1])
+            & (width > q.two_body.VISIBILITY_FLOOR))
+    want = np.sort(poles[keep])
+    got = np.array([r.u for r in
+                    q.locate_resonances(ker, window).visible_resonances])
+    assert len(got) == len(want)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.fixture(scope="session")
+def check_full_grid():
+    return _check_full_grid
+
+
 def _ring_strip_eigenvalue(grid, v, length, u, energy):
     """Exact-diagonalization witness of the ring quantization: the
     eigenvalue nearest `energy` of one particle on the periodic strip of

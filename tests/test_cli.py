@@ -528,9 +528,21 @@ def test_kernel_diagnostics_in_manifest_only(tmp_path, capsys,
     assert code == 0
     diag = json.loads(
         (tmp_path / "spa.csv.manifest.json").read_text())["diagnostics"]
-    assert diag["collision_sites"] == 81
-    assert 0 < diag["numerical_rank"] <= 81
+    # the 81-site mirror grid is solved on its 41 sites y >= 0
+    assert diag["collision_sites"] == 41
+    assert 0 < diag["numerical_rank"] <= 41
     assert diag["min_abs_denominator"] > 0.0
+
+    # a shifted copy of a mirror table is no mirror: every site counts
+    res = tmp_path / "res.csv"
+    values = ",".join(f"{y + 1}:{0.1 * y * y!r}" for y in range(-4, 5))
+    code, _, _ = run_cli(["resonances", "--trap", "tabulated",
+                          f"--values={values}", "--output", str(res)],
+                         capsys)
+    assert code == 0
+    diag = json.loads(
+        (tmp_path / "res.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["collision_sites"] == 9
 
 
 def test_config_file_values_take_the_declared_type(tmp_path, capsys):

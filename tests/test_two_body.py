@@ -324,27 +324,44 @@ def test_collision_diagonal_matches_channel_space(name, request):
     assert np.all(np.abs(np.array(poles) - dense) <= 1e-12 * np.abs(dense))
 
 
-def _dense_zero_crossings(ker, window, poles):
+@pytest.mark.parametrize("total_momentum", [0.0, 0.7])
+@pytest.mark.parametrize("spectrum", ["micro_spectrum", "harm_mod_spectrum"])
+def test_folded_kernel_matches_the_full_grid(spectrum, total_momentum,
+                                             request, check_full_grid):
+    """A mirror trap's kernel holds the even half of the collision
+    diagonal; the full-grid H built without the fold has the same
+    nonzero spectrum, entrance amplitude and visible poles."""
+    spectrum = request.getfixturevalue(spectrum)
+    ker = q.build_kernel(spectrum, total_momentum)
+    assert ker.collision_sites == (len(spectrum.grid) + 1) // 2
+    check_full_grid(ker, (-2.5, -1.0, 0.5, 4.0))
+
+
+def _dense_zero_crossings(ker, window, poles, projected_zeros):
     """Zero crossings from ``eigvalsh`` of ``Q H Q`` with the dense
-    projector ``Q = 1 - psi_0^2 psi_0^2^T / R(00;00)``."""
-    psi0_sq = ker.entrance_row
-    proj = np.identity(ker.collision_sites) \
-        - np.outer(psi0_sq, psi0_sq) / ker.r_entrance
-    lam = np.linalg.eigvalsh(proj @ ker.green @ proj)
-    zeros = -1.0 / lam[lam > 0.0]
-    zeros = zeros[(window[0] <= zeros) & (zeros <= window[1])]
-    cancelled = (np.abs(np.subtract.outer(zeros, poles))
-                 <= 1e-9 * np.maximum(1.0, np.abs(poles))).any(axis=1)
-    return np.sort(zeros[~cancelled])
+    projector ``Q = 1 - psi_0^2 psi_0^2^T / R(00;00)``, less the zeros
+    that cancel against a pole within ``1e-9 max(1, |U_j|)``: the
+    closest (zero, pole) pair cancels first, and each pole and each zero
+    cancels once."""
+    zeros = list(projected_zeros(ker, window))
+    poles = list(poles)
+    while True:
+        near = [(abs(z - p), z, p) for z in zeros for p in poles
+                if abs(z - p) <= 1e-9 * max(1.0, abs(p))]
+        if not near:
+            return np.array(zeros)
+        _, z, p = min(near)
+        zeros.remove(z)
+        poles.remove(p)
 
 
 @pytest.mark.parametrize("name", list(_WITNESS_KERNELS))
-def test_rank_two_projection_matches_dense(name, request):
+def test_rank_two_projection_matches_dense(name, request, projected_zeros):
     ker = _WITNESS_KERNELS[name](request.getfixturevalue)
     window = (-30.0, 0.0)
     rep = q.locate_resonances(ker, window)
-    dense = _dense_zero_crossings(ker, window,
-                                  np.array([r.u for r in rep.resonances]))
+    dense = _dense_zero_crossings(ker, window, [r.u for r in rep.resonances],
+                                  projected_zeros)
     assert len(rep.zero_crossings) == len(dense) > 0
     assert np.all(np.abs(np.array(rep.zero_crossings) - dense)
                   <= 1e-12 * np.abs(dense))
