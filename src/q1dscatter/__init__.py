@@ -41,7 +41,7 @@ from .spa import SpaFit, spa_curve, spa_fit
 from .traps import (AlphaValue, DeltaWell, Harmonic, Tabulated,
                     TransverseSpectrum, TrapSpec, TwoSite, alpha_closed,
                     closed_channels, potential_on_grid, solve_transverse, J)
-from .two_body import (BornResult, OverlapKernel, PairChannel, Resonance,
+from .two_body import (BornResult, OverlapKernel, Resonance,
                        ResonanceReport, TwoBodyResult, born_series,
                        build_kernel, converged_resonances, locate_resonances,
                        pair_hopping, solve_finite_k, solve_scattering_length,
@@ -66,7 +66,7 @@ __all__ = [
     "ring_momentum", "ring_branch_roots", "ring_sweep_roots",
     "ring_channel_sum", "ring_cir_crossings", "asymptotic_momentum",
     # two body
-    "PairChannel", "OverlapKernel", "TwoBodyResult", "BornResult",
+    "OverlapKernel", "TwoBodyResult", "BornResult",
     "Resonance", "ResonanceReport", "pair_hopping", "build_kernel",
     "solve_scattering_length", "u1d_curve", "born_series", "solve_finite_k",
     "locate_resonances", "converged_resonances",

@@ -292,7 +292,10 @@ def build_trap(config: RunConfig):
     if opts.get(need) is None:
         raise ConfigError(f"trap {name} needs --{need}")
     allowed = {need, "asymptote"} if name == "tabulated" else {need}
-    extra = sorted(k for k in (*_TRAP_PARAMETER.values(), "asymptote")
+    if name in ("harmonic", "delta-well"):
+        allowed.add("y_max")  # the traps whose grid has a half-width knob
+    extra = sorted(k.replace("_", "-")
+                   for k in (*_TRAP_PARAMETER.values(), "asymptote", "y_max")
                    if opts.get(k) is not None and k not in allowed)
     if extra:
         raise ConfigError(f"trap {name} does not take --{'/--'.join(extra)}")
@@ -668,9 +671,8 @@ def run_oracle(config: RunConfig, out: Path):
                           "pass --validate to run it")
     if config.options.get("u") is None:
         raise ConfigError("oracle needs --u")
-    problem = StripProblem(
-        trap=build_trap(config), u=float(config.get("u")),
-        lx=config.get("lx"), y_max=config.options.get("y_max"))
+    problem = StripProblem(trap=build_trap(config), u=float(config.get("u")),
+                           lx=config.get("lx"))
     mode = config.get("mode")
     if mode == "single":
         res = strip_scattering_length(problem)

@@ -93,7 +93,7 @@ against the order below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -125,14 +125,13 @@ class StripProblem:
     """A finite 2D lattice problem for brute-force diagonalization.
 
     ``lx`` is the half-extent of the free direction (sites ``-lx..lx``);
-    ``y_max`` overrides the transverse half-width for traps on an
-    auto-sized grid (``None`` keeps the trap's own sizing).
+    the transverse grid is the trap's own (a trap's ``y_max``, where it
+    has one, sets its half-width).
     """
 
     trap: TrapSpec
     u: float
     lx: int
-    y_max: int | None = None
 
     def __post_init__(self):
         if self.lx < 16:
@@ -177,11 +176,6 @@ def _transverse(problem: StripProblem
     solve (for a harmonic trap the three states `_first_coupled_gap`
     reads)."""
     trap = problem.trap
-    if problem.y_max is not None:
-        if not isinstance(trap, Harmonic):
-            raise ConfigError(
-                "y_max override applies only to traps on an auto-sized grid")
-        trap = replace(trap, y_max=problem.y_max)
     spectrum = solve_transverse(trap, n_states=3) \
         if isinstance(trap, Harmonic) else solve_transverse(trap)
     _, v = potential_on_grid(trap, int(spectrum.grid[-1]))

@@ -130,8 +130,6 @@ def u_cir(spectrum: TransverseSpectrum, k: float = 0.0) -> CirValue:
     n_avail = spectrum.n_states - 1
     energy = entrance_energy(spectrum, k)
     psi0_sq = spectrum.origin_amplitudes ** 2
-    # the trap's full Hilbert space is the grid: an exhausted sum is exact
-    complete = spectrum.n_states == len(spectrum.grid)
     denoms = _closed_denominators(spectrum, energy, n_avail)
 
     total = 0.0
@@ -151,7 +149,8 @@ def u_cir(spectrum: TransverseSpectrum, k: float = 0.0) -> CirValue:
                     break
 
     tail_bound = _geometric_tail(last, prev)
-    if complete and n_used == n_avail:
+    if spectrum.complete and n_used == n_avail:
+        # the whole Hilbert space of the grid: an exhausted sum is exact
         tail_bound = 0.0
     if last == 0.0:
         # no channel couples to the impurity within this spectrum: the

@@ -241,6 +241,12 @@ class TransverseSpectrum:
         return len(self.energies)
 
     @property
+    def complete(self) -> bool:
+        """Whether the states span the grid's whole Hilbert space (one
+        per site): a sum over them is then exact, not truncated."""
+        return self.n_states == len(self.grid)
+
+    @property
     def origin_amplitudes(self) -> np.ndarray:
         """Amplitudes ``psi_n(0)`` at the impurity row.
 

@@ -45,7 +45,9 @@ diagonal (symmetric positive semi-definite).  Writing
 
 and the Born series has terms ``U^m psi_0^2 . (-H)^m psi_0^2``.  The
 effective 1D coupling is ``U1D = U * I00`` and the scattering length
-``a = -2 J_K / U1D``.  Because ``U`` enters linearly, ``I00`` is a
+``a = -2 J_K / U1D``.  A kernel stores ``S``, ``psi_0^2``, the ``D_b``
+and ``H``; the channel-space ``R`` (``8 n_channels^2`` bytes) is never
+formed.  Because ``U`` enters linearly, ``I00`` is a
 rational function of ``U`` with poles at the confinement-induced
 resonances.  One eigendecomposition ``H = V diag(mu) V^T`` per kernel
 (whose nonzero spectrum equals that of the channel form
@@ -115,7 +117,6 @@ _SINGULAR_PROXIMITY = 1e-12
 #: keeps its eigenvalue in ``Q H Q`` up to round-off (``eps max(mu) /
 #: mu_j`` relative).
 _ZERO_POLE_CANCELLATION = 1e-9
-_PARITY_SIGN = {"even": 1, "odd": -1, "none": 0}
 _LADDER_STEP, _LADDER_LIMIT, _LADDER_REL_TOL = 20, 161, 1e-6
 
 
@@ -132,24 +133,6 @@ def pair_hopping(total_momentum: float = 0.0) -> float:
 
 
 @dataclass(frozen=True)
-class PairChannel:
-    """One closed two-particle transverse channel ``(n1, n2)``,
-    ``n1 <= n2``, never ``(0, 0)``.
-
-    ``parity_weight`` is +1 / -1 for even / odd combined transverse
-    parity (0 when the trap defines no parity); odd channels decouple
-    from the entrance channel of a symmetric trap.
-    """
-
-    n1: int
-    n2: int
-    energy: float
-    alpha: float
-    denominator: float
-    parity_weight: int
-
-
-@dataclass(frozen=True)
 class OverlapKernel:
     """The two-body problem at one ``(K, E)`` point, held on the
     collision diagonal.
@@ -158,29 +141,26 @@ class OverlapKernel:
     row-major, or row-major per added shell of states in a kernel the
     resonance ladder grew) and its energy ``channel_energies[b]``, the
     pair rows ``pair_rows[b, y] = S[b, y]``, the entrance row
-    ``psi_0(y)^2``, and the per-channel decay factors ``alphas`` and
-    denominators ``denominators`` at `energy`;
-    ``r_entrance = R(0,0; 0,0) = sum_y psi_0(y)^4``.  The rows hold the
-    ``n_y`` collision sites (module docstring): on a mirror grid the
-    sites ``y >= 0``, where `pair_rows` and `entrance_row` carry the
-    weight ``sqrt(2)`` on ``y > 0``; on any other grid every site.
+    ``psi_0(y)^2``, the closed-channel denominators ``denominators`` at
+    `energy`, the ``n_y x n_y`` pair Green's function
+    ``green = H = S^T |D|^{-1} S`` (exactly symmetric; set on
+    construction, in a grown kernel as the previous ``H`` plus the new
+    shells' terms) and ``r_entrance = R(0,0; 0,0) = sum_y psi_0(y)^4``.
+    The rows hold the ``n_y`` collision sites (module docstring): on a
+    mirror grid the sites ``y >= 0``, where `pair_rows` and
+    `entrance_row` carry the weight ``sqrt(2)`` on ``y > 0``; on any
+    other grid every site.
 
-    Derived lazily: the ``n_y x n_y`` pair Green's function
-    :attr:`green` ``H = S^T |D|^{-1} S`` (set on construction in a grown
-    kernel, as the previous ``H`` plus the new shells' terms) and its
-    spectral form, on which every solver runs; and the channel-space
-    views :attr:`channels`, :attr:`r_matrix` ``R = S S^T`` and
-    :attr:`entrance_column` ``R(b; 0,0)``, which no solver needs (``R``
-    alone is ``8 n_channels^2`` bytes).  The fold keeps inner products
-    over ``y``, so these views are those of the full grid.
+    Derived lazily: the spectral form of ``H``, on which every solver
+    runs.
     """
 
     pairs: np.ndarray
     channel_energies: np.ndarray
     pair_rows: np.ndarray
     entrance_row: np.ndarray
-    alphas: np.ndarray
     denominators: np.ndarray
+    green: np.ndarray
     r_entrance: float
     j_k: float
     total_momentum: float
@@ -197,29 +177,6 @@ class OverlapKernel:
         ``(Y + 1) / 2`` sites ``y >= 0`` of a ``Y``-site mirror grid and
         every site of any other."""
         return len(self.entrance_row)
-
-    @cached_property
-    def channels(self) -> tuple[PairChannel, ...]:
-        sign = [_PARITY_SIGN[p] for p in self.spectrum.parities]
-        return tuple(
-            PairChannel(n1=int(n1), n2=int(n2), energy=float(e),
-                        alpha=float(a), denominator=float(d),
-                        parity_weight=sign[n1] * sign[n2])
-            for (n1, n2), e, a, d in zip(self.pairs, self.channel_energies,
-                                         self.alphas, self.denominators))
-
-    @cached_property
-    def r_matrix(self) -> np.ndarray:
-        return self.pair_rows @ self.pair_rows.T
-
-    @cached_property
-    def entrance_column(self) -> np.ndarray:
-        return self.pair_rows @ self.entrance_row
-
-    @cached_property
-    def green(self) -> np.ndarray:
-        """``H = S^T |D|^{-1} S``, exactly symmetric."""
-        return _green(self.pair_rows, self.denominators)
 
     @cached_property
     def _spectral(self) -> tuple[np.ndarray, ...]:
@@ -293,19 +250,20 @@ class OverlapKernel:
 
     def at_energy(self, energy: float) -> "OverlapKernel":
         """Same channel set and pair rows, re-evaluated at a different
-        scattering energy (new decay factors and denominators)."""
+        scattering energy (new denominators and ``H``)."""
         if energy == self.energy:
             return self
-        alphas, denominators = _closed_channels(
-            self.pairs, self.channel_energies, energy, self.j_k)
-        return replace(self, alphas=alphas, denominators=denominators,
+        denominators = _closed_channels(self.pairs, self.channel_energies,
+                                        energy, self.j_k)
+        return replace(self, denominators=denominators,
+                       green=_green(self.pair_rows, denominators),
                        energy=energy)
 
     def at_relative_momentum(self, k: float) -> "OverlapKernel":
         """:meth:`at_energy` at the pair scattering energy
         ``-2 J_K cos k + 2 E_0`` of relative quasi-momentum `k` in
         ``(0, pi)``; a kernel already there is returned as is, with its
-        cached ``H``."""
+        ``H`` and spectral form."""
         if not 0.0 < k < math.pi:
             raise ConfigError(f"quasi-momentum must lie in (0, pi), got {k}")
         e0 = float(self.spectrum.energies[0])
@@ -394,9 +352,8 @@ class ResonanceReport:
 
 
 def _closed_channels(pairs: np.ndarray, channel_energies: np.ndarray,
-                     energy: float, j_k: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Decay factors and denominators of all pair channels at `energy`
+                     energy: float, j_k: float) -> np.ndarray:
+    """Denominators of all pair channels at `energy`
     (:func:`~q1dscatter.traps.closed_channels`).
 
     Raises
@@ -406,7 +363,7 @@ def _closed_channels(pairs: np.ndarray, channel_energies: np.ndarray,
     SignConventionViolation
         If a closed-channel denominator fails to be negative.
     """
-    alphas, denominators = closed_channels(channel_energies, energy, j_k)
+    denominators = closed_channels(channel_energies, energy, j_k)[1]
     bad = np.flatnonzero(~(denominators < 0.0))
     if bad.size:
         b = bad[0]
@@ -415,7 +372,7 @@ def _closed_channels(pairs: np.ndarray, channel_energies: np.ndarray,
             f"closed-channel denominator of ({n1},{n2}) is "
             f"{denominators[b]:.6g} >= 0; the channel reduction is only "
             f"valid with negative denominators")
-    return alphas, denominators
+    return denominators
 
 
 def _zero_momentum_energy(spectrum: TransverseSpectrum, j_k: float) -> float:
@@ -434,9 +391,8 @@ def _pair_channels(spectrum: TransverseSpectrum, n_lo: int, n_cut: int
     keep = n2 >= n_lo
     if spectrum.symmetric:
         # odd pairs are exactly decoupled from the entrance
-        sign = np.array([_PARITY_SIGN[p]
-                         for p in spectrum.parities[:n_cut]])
-        keep &= sign[n1] * sign[n2] != -1
+        odd = np.array([p == "odd" for p in spectrum.parities[:n_cut]])
+        keep &= odd[n1] == odd[n2]
     pairs = np.column_stack((n1[keep], n2[keep]))
     channel_energies = (spectrum.energies[pairs[:, 0]]
                         + spectrum.energies[pairs[:, 1]])
@@ -498,14 +454,13 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0
 
     pairs, channel_energies, pair_rows = _pair_channels(
         spectrum, 1, spectrum.n_states)
-    alphas, denominators = _closed_channels(pairs, channel_energies, energy,
-                                            j_k)
+    denominators = _closed_channels(pairs, channel_energies, energy, j_k)
     psi, weight = _collision_sector(spectrum)
     entrance_row = psi[0] * psi[0] * weight
     return OverlapKernel(
         pairs=pairs, channel_energies=channel_energies,
         pair_rows=pair_rows, entrance_row=entrance_row,
-        alphas=alphas, denominators=denominators,
+        denominators=denominators, green=_green(pair_rows, denominators),
         r_entrance=float(entrance_row @ entrance_row), j_k=j_k,
         total_momentum=total_momentum, energy=energy, spectrum=spectrum)
 
@@ -530,20 +485,17 @@ def _grow(kernel: OverlapKernel, spectrum: TransverseSpectrum
     extend ``kernel.spectrum`` (:func:`_extends`)."""
     pairs, channel_energies, pair_rows = _pair_channels(
         spectrum, kernel.spectrum.n_states, spectrum.n_states)
-    alphas, denominators = _closed_channels(pairs, channel_energies,
-                                            kernel.energy, kernel.j_k)
+    denominators = _closed_channels(pairs, channel_energies, kernel.energy,
+                                    kernel.j_k)
     green = _green(pair_rows, denominators)
     green += kernel.green
-    grown = replace(
+    return replace(
         kernel, pairs=np.concatenate((kernel.pairs, pairs)),
         channel_energies=np.concatenate((kernel.channel_energies,
                                          channel_energies)),
         pair_rows=np.concatenate((kernel.pair_rows, pair_rows)),
-        alphas=np.concatenate((kernel.alphas, alphas)),
         denominators=np.concatenate((kernel.denominators, denominators)),
-        spectrum=spectrum)
-    grown.__dict__["green"] = green  # the cached_property's slot
-    return grown
+        green=green, spectrum=spectrum)
 
 
 def solve_scattering_length(kernel: OverlapKernel, u: float) -> TwoBodyResult:
@@ -585,17 +537,26 @@ def born_series(kernel: OverlapKernel, u: float, order: int) -> BornResult:
 
     Order 1 is the bare overlap ``R(00;00)``; order ``m + 1`` adds the
     term ``U^m psi_0^2 . (-H)^m psi_0^2 = sum_j p_j^2 (-U mu_j)^m``
-    (``m`` channel round trips) from the kernel's spectral form.
+    (``m`` channel round trips) from the kernel's spectral form.  Both
+    the sum and the radius run over the eigenvectors the entrance row
+    reaches, ``p_j^2 > eps R(00;00)``: a weight below that is the
+    round-off of an exact zero (a sector of ``H`` the contact never
+    couples to the entrance, such as the odd pairs of a shifted mirror
+    table), and its pole is not a pole of ``I00``.
 
     Raises
     ------
     Diverging
-        If ``|U| max mu >= 1``: the coupling lies on or beyond the
-        convergence radius set by the nearest pole ``-1/max mu``.
+        If ``|U| max mu >= 1`` over those eigenvalues: the coupling lies
+        on or beyond the convergence radius set by the nearest pole
+        ``-1/max mu``.
     """
     if order < 1:
         raise ConfigError(f"Born order must be >= 1, got {order}")
     mu, _, _, proj = kernel._spectral
+    weight = proj * proj
+    reached = weight > np.finfo(float).eps * kernel.r_entrance
+    mu, weight = mu[reached], weight[reached]
     ratio = abs(u) * mu.max(initial=0.0)
     if ratio >= 1.0:
         raise Diverging(f"|U| max mu = {ratio:.6g} >= 1 at U={u:g}: |U| "
@@ -603,7 +564,7 @@ def born_series(kernel: OverlapKernel, u: float, order: int) -> BornResult:
     powers = np.cumprod(np.broadcast_to(-u * mu, (order - 1, mu.size)),
                         axis=0)
     partials = np.cumsum(np.concatenate(([kernel.r_entrance],
-                                         powers @ (proj * proj)))).tolist()
+                                         powers @ weight))).tolist()
     converged = True
     if len(partials) >= 2:
         last = abs(partials[-1] - partials[-2])
@@ -715,10 +676,6 @@ def _uncancelled(zeros: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return zeros[keep]
 
 
-def _complete_basis(spectrum: TransverseSpectrum) -> bool:
-    return spectrum.n_states == len(spectrum.grid)
-
-
 def converged_resonances(trap: TrapSpec, n_start: int,
                          total_momentum: float = 0.0,
                          u_window: tuple[float, float] = (-30.0, 0.0)
@@ -764,7 +721,7 @@ def converged_resonances(trap: TrapSpec, n_start: int,
             # basis is exact; any other basis would pass for converged
             # when it merely repeats
             spectrum = solve_transverse(trap)
-            if not _complete_basis(spectrum):
+            if not spectrum.complete:
                 raise
         if kernel is None or not _extends(spectrum, kernel.spectrum):
             how, kernel = "rebuilt", build_kernel(spectrum, total_momentum)
@@ -772,7 +729,7 @@ def converged_resonances(trap: TrapSpec, n_start: int,
             how, kernel = "grown", _grow(kernel, spectrum)
         rungs.append((spectrum.n_states, how))
         found = _resonances(kernel, u_window)
-        if _complete_basis(kernel.spectrum) or (
+        if kernel.spectrum.complete or (
                 prev is not None and _positions_match(prev, found)):
             return replace(locate_resonances(kernel, u_window),
                            converged=True, rungs=tuple(rungs))

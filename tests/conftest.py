@@ -104,15 +104,22 @@ def projected_zeros():
 
 
 def _full_grid_green(ker):
-    """Independent witness of the kernel's collision sector: ``H`` and
-    the entrance row ``psi_0^2`` over every site of the transverse grid,
-    with ``S`` built straight from the spectrum's wavefunctions and the
-    kernel's pairs and denominators (no fold, no weights)."""
+    """Independent witness of the kernel's collision sector: ``H``, the
+    entrance row ``psi_0^2`` and the pair rows ``S`` over every site of
+    the transverse grid, with ``S`` built straight from the spectrum's
+    wavefunctions and the kernel's pairs and denominators (no fold, no
+    weights).  The channel-space ``R = S S^T`` and entrance column
+    ``S psi_0^2`` follow from the rows."""
     psi = ker.spectrum.wavefunctions
     n1, n2 = ker.pairs.T
     rows = psi[n1] * psi[n2] * np.where(n1 == n2, 1.0, math.sqrt(2.0))[:, None]
     scaled = rows / np.sqrt(-ker.denominators)[:, None]
-    return scaled.T @ scaled, psi[0] * psi[0]
+    return scaled.T @ scaled, psi[0] * psi[0], rows
+
+
+@pytest.fixture(scope="session")
+def full_grid_green():
+    return _full_grid_green
 
 
 def _check_full_grid(ker, couplings, window=(-30.0, 0.0)):
@@ -120,7 +127,7 @@ def _check_full_grid(ker, couplings, window=(-30.0, 0.0)):
     of ``H`` to 1e-12 max mu, ``I00(U)`` at `couplings` from a dense
     full-grid solve to 1e-10 relative, and the visible poles in `window`
     to 1e-12 relative."""
-    h, psi0_sq = _full_grid_green(ker)
+    h, psi0_sq, _ = _full_grid_green(ker)
     r00 = float(psi0_sq @ psi0_sq)
     mu_full, vectors = np.linalg.eigh(h)
     mu = np.linalg.eigvalsh(ker.green)

@@ -308,9 +308,11 @@ def test_closed_channel_invariants(harm_mod_spectrum, two_site_kernel,
             assert val.denominator < 0.0
     # every channel of every kernel
     for ker in (two_site_kernel, harm_mod_kernel, micro_kernel):
-        for ch in ker.channels:
-            assert 0.0 < ch.alpha < 1.0
-            assert ch.denominator < 0.0
+        alphas, denominators = q.closed_channels(ker.channel_energies,
+                                                 ker.energy, ker.j_k)
+        assert np.all((0.0 < alphas) & (alphas < 1.0))
+        assert np.all(denominators < 0.0)
+        assert np.array_equal(denominators, ker.denominators)
     # ring channel sums are positive (denominators keep one sign)
     for k in (0.05, 0.3, 0.8):
         assert q.ring_channel_sum(harm_mod_spectrum, k, 50) > 0.0
@@ -319,8 +321,7 @@ def test_closed_channel_invariants(harm_mod_spectrum, two_site_kernel,
 def test_kernel_symmetry_everywhere(two_site_kernel, harm_mod_kernel,
                                     micro_kernel):
     for ker in (two_site_kernel, harm_mod_kernel, micro_kernel):
-        r = np.asarray(ker.r_matrix)
-        assert np.max(np.abs(r - r.T)) < 1e-12
+        assert np.array_equal(ker.green, ker.green.T)
 
 
 def test_parity_selection(harm_mod_spectrum, micro_spectrum,
@@ -329,7 +330,7 @@ def test_parity_selection(harm_mod_spectrum, micro_spectrum,
         amps = np.asarray(spec.origin_amplitudes)
         assert np.all(np.abs(amps[1::2]) < 1e-12)
     for ker in (harm_mod_kernel, micro_kernel):
-        assert all((c.n1 + c.n2) % 2 == 0 for c in ker.channels)
+        assert np.all(ker.pairs.sum(axis=1) % 2 == 0)
     # amplitudes are indexed from the first excited state, so the
     # parity-forbidden odd states occupy the even slots
     r = q.effective_u1d(harm_mod_spectrum, -2.0)

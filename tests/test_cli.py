@@ -379,6 +379,32 @@ def test_oracle_short_strip_exit_code(tmp_path, capsys):
     assert record["message"].endswith("lx = 52")
 
 
+def test_oracle_delta_well_takes_its_half_width(tmp_path, capsys):
+    """--y-max sizes a delta well's grid in the oracle as in the library
+    (the well's own ``y_max``)."""
+    out = tmp_path / "o.csv"
+    code, _, _ = run_cli(["oracle", "--validate", "--trap", "delta-well",
+                          "--v0", "1.0", "--y-max", "60", "--u", "-1",
+                          "--lx", "100", "--output", str(out)], capsys)
+    assert code == 0
+    _, rows = read_csv(out)
+    want = q.strip_scattering_length(
+        q.StripProblem(q.DeltaWell(1.0, y_max=60), -1.0, 100)).a
+    assert float(rows[0]["a"]) == want
+
+
+@pytest.mark.parametrize("trap", [
+    ["--trap", "two-site", "--v", "1.0"],
+    ["--trap", "tabulated", "--values=-1:0.5,0:0.0,1:0.5"]])
+def test_half_width_refused_on_a_fixed_grid(trap, tmp_path, capsys):
+    """A two-site trap and a table fix their own grid: --y-max is
+    refused, not ignored."""
+    record = expect_error(["transverse", *trap, "--y-max", "60",
+                           "--output", str(tmp_path / "t.csv")],
+                          capsys, 2, "ConfigError")
+    assert record["message"].endswith("does not take --y-max")
+
+
 def test_tabulated_trap_flags(tmp_path, capsys):
     out = tmp_path / "tab.csv"
     # --values=... (equals form) keeps argparse from reading the leading

@@ -1,9 +1,11 @@
 """Source hygiene checks that need no linter: every name a package
 module imports is used in that module (``__init__.py`` imports to
-re-export, so it is exempt), and every error class is exported and
-named by some module other than ``errors.py``."""
+re-export, so it is exempt), every error class is exported and named by
+some module other than ``errors.py``, and every name the README's
+library tour lists is exported."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,21 @@ def test_every_error_class_is_exported_and_raised_somewhere():
                          for p in MODULES if p != errors))
     assert not set(classes) - used, \
         f"error classes no other module names: {set(classes) - used}"
+
+
+def test_library_tour_names_are_exported():
+    """Every backticked identifier in the README's "Library tour" table
+    and in the typed-exception sentence below it is in ``__all__``
+    (dotted names such as ``.from_mapping`` are not identifiers)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in tour.splitlines() if line.startswith("| ")]
+    sentence = tour[tour.index("All solvers raise typed exceptions"):]
+    sentence = sentence.split("\n\n", 1)[0]
+    names = {name for name in re.findall(r"`([^`]+)`",
+                                         "\n".join(rows) + sentence)
+             if name.isidentifier()}
+    assert {"build_kernel", "StripProblem", "OpenChannel"} <= names
+    assert not names - set(q1dscatter.__all__), \
+        f"README lists names the package does not export: " \
+        f"{sorted(names - set(q1dscatter.__all__))}"

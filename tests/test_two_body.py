@@ -22,38 +22,51 @@ def test_two_site_entrance_weight_exact(two_site_kernel):
 
 def test_two_site_channels_and_denominators(two_site_kernel):
     ker = two_site_kernel
-    assert [(c.n1, c.n2) for c in ker.channels] == [(0, 1), (1, 1)]
+    assert ker.pairs.tolist() == [[0, 1], [1, 1]]
     den = [float(d) for d in ker.denominators]
     assert den[0] == pytest.approx(-5.534204278662789, rel=1e-12)
     assert den[1] == pytest.approx(-8.789472907742478, rel=1e-12)
-
-
-def test_kernel_symmetric(two_site_kernel, harm_mod_kernel):
-    for ker in (two_site_kernel, harm_mod_kernel):
-        r = np.asarray(ker.r_matrix)
-        assert np.max(np.abs(r - r.T)) < 1e-12
-
-
-def test_channel_selection_rules(harm_mod_kernel):
-    chans = harm_mod_kernel.channels
-    assert all(c.n1 <= c.n2 for c in chans)
-    assert (0, 0) not in [(c.n1, c.n2) for c in chans]
-    # symmetric trap: only even-parity pair states couple
-    assert all((c.n1 + c.n2) % 2 == 0 for c in chans)
-    for c in chans:
-        assert 0.0 < c.alpha < 1.0
-        assert c.denominator < 0.0
 
 
 ASYMMETRIC_TABLE = q.Tabulated.from_mapping(
     {-2: 0.0, -1: 0.3, 0: 0.0, 1: 0.9, 2: 0.1}, None)
 
 
+def test_kernel_symmetric(two_site_kernel, harm_mod_kernel):
+    """``H`` is exactly symmetric however the kernel was made: built on
+    a mirror or an asymmetric trap, grown, or moved in energy."""
+    asymmetric = q.build_kernel(q.solve_transverse(ASYMMETRIC_TABLE))
+    trap = q.Harmonic(omega=1e-3, y_max=160)
+    base = q.build_kernel(q.solve_transverse(trap, n_states=41))
+    spectrum = q.solve_transverse(trap, n_states=61)
+    assert q.two_body._extends(spectrum, base.spectrum)
+    grown = q.two_body._grow(base, spectrum)
+    for ker in (two_site_kernel, harm_mod_kernel, asymmetric, grown,
+                harm_mod_kernel.at_relative_momentum(0.01),
+                asymmetric.at_relative_momentum(0.3)):
+        assert np.array_equal(ker.green, ker.green.T)
+
+
+def test_channel_selection_rules(harm_mod_kernel):
+    ker = harm_mod_kernel
+    n1, n2 = ker.pairs.T
+    assert np.all(n1 <= n2)
+    assert not np.any((n1 == 0) & (n2 == 0))
+    # symmetric trap: only even-parity pair states couple
+    assert np.all((n1 + n2) % 2 == 0)
+    alphas, denominators = q.closed_channels(ker.channel_energies,
+                                             ker.energy, ker.j_k)
+    assert np.all((0.0 < alphas) & (alphas < 1.0))
+    assert np.array_equal(denominators, ker.denominators)
+    assert np.all(ker.denominators < 0.0)
+
+
 def test_asymmetric_trap_keeps_all_pairs():
     ker = q.build_kernel(q.solve_transverse(ASYMMETRIC_TABLE))
-    assert any((c.n1 + c.n2) % 2 == 1 for c in ker.channels)
-    r = np.asarray(ker.r_matrix)
-    assert np.max(np.abs(r - r.T)) < 1e-12
+    assert np.any(ker.pairs.sum(axis=1) % 2 == 1)
+    n = ker.spectrum.n_states
+    assert ker.n_channels == n * (n + 1) // 2 - 1
+    assert np.array_equal(ker.green, ker.green.T)
 
 
 def test_pair_hopping():
@@ -110,6 +123,24 @@ def test_born_series_flags_divergence(two_site_kernel):
     # beyond the smallest-|U| resonance (-7.215) the series diverges
     with pytest.raises(q.Diverging):
         q.born_series(two_site_kernel, -8.0, 100)
+
+
+@pytest.mark.parametrize("shift", [1, 3])
+def test_born_radius_ignores_decoupled_poles(shift):
+    """The 13-site table V = 0.1 y^2 shifted off its mirror keeps the
+    odd pairs, whose top eigenvalue of H (0.2136) the entrance row never
+    reaches; the radius is that of the weighted poles (max mu 0.1785),
+    so the shifted series at U = -5 is the mirror table's."""
+    def kernel(s):
+        return q.build_kernel(q.solve_transverse(q.Tabulated.from_mapping(
+            {y + s: 0.1 * y * y for y in range(-6, 7)}, None)))
+
+    mirror, shifted = kernel(0), kernel(shift)
+    want = np.array(q.born_series(mirror, -5.0, 40).partial_sums)
+    got = np.array(q.born_series(shifted, -5.0, 40).partial_sums)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    with pytest.raises(q.Diverging):
+        q.born_series(shifted, -5.7, 40)
 
 
 # ---------------------------------------------------------------- finite k
@@ -272,22 +303,30 @@ def test_ladder_stops_where_no_complete_basis_exists():
 # --------------------------------------------- channel-space witness
 
 
-def _dense_channel_solve(ker, u):
+def _channel_space(ker, full_grid_green):
+    """``R = S S^T``, the entrance column ``v = S psi_0^2`` and
+    ``R(00;00)`` from the full-grid rows of :func:`_full_grid_green`."""
+    _, psi0_sq, rows = full_grid_green(ker)
+    return rows @ rows.T, rows @ psi0_sq, float(psi0_sq @ psi0_sq)
+
+
+def _dense_channel_solve(channel_space, d, u):
     """The channel-space solve the collision-diagonal form replaced:
     ``(1 - U R D^-1) I = v`` at size ``n_channels``."""
-    d, v = ker.denominators, ker.entrance_column
-    lhs = np.eye(ker.n_channels) - u * ker.r_matrix / d[None, :]
+    r, v, r00 = channel_space
+    lhs = np.eye(len(d)) - u * r / d[None, :]
     i_vec = np.linalg.solve(lhs, v)
-    return i_vec, ker.r_entrance + u * float((v / d) @ i_vec)
+    return i_vec, r00 + u * float((v / d) @ i_vec)
 
 
-def _dense_visible_poles(ker, window):
+def _dense_visible_poles(channel_space, denominators, window):
     """Visible poles from ``eigh`` of ``|D|^-1/2 R |D|^-1/2``."""
-    scale = 1.0 / np.sqrt(-ker.denominators)
-    mu, w = np.linalg.eigh(ker.r_matrix * np.outer(scale, scale))
-    c2 = (w.T @ (scale * ker.entrance_column)) ** 2
+    r, v, r00 = channel_space
+    scale = 1.0 / np.sqrt(-denominators)
+    mu, w = np.linalg.eigh(r * np.outer(scale, scale))
+    c2 = (w.T @ (scale * v)) ** 2
     poles = -1.0 / mu[mu != 0.0]
-    width = c2[mu != 0.0] * np.abs(poles) / ker.r_entrance
+    width = c2[mu != 0.0] * np.abs(poles) / r00
     keep = ((window[0] <= poles) & (poles <= window[1])
             & (width > q.two_body.VISIBILITY_FLOOR))
     return np.sort(poles[keep])
@@ -308,10 +347,13 @@ _WITNESS_KERNELS = {
 
 
 @pytest.mark.parametrize("name", list(_WITNESS_KERNELS))
-def test_collision_diagonal_matches_channel_space(name, request):
+def test_collision_diagonal_matches_channel_space(name, request,
+                                                  full_grid_green):
     ker = _WITNESS_KERNELS[name](request.getfixturevalue)
+    channel_space = _channel_space(ker, full_grid_green)
     for u in (-2.5, -1.0, 0.5, 4.0):
-        i_dense, i00_dense = _dense_channel_solve(ker, u)
+        i_dense, i00_dense = _dense_channel_solve(channel_space,
+                                                  ker.denominators, u)
         r = q.solve_scattering_length(ker, u)
         assert abs(r.i00 - i00_dense) <= 1e-12 * abs(i00_dense)
         assert np.max(np.abs(r.i_vector - i_dense)) \
@@ -319,7 +361,7 @@ def test_collision_diagonal_matches_channel_space(name, request):
     window = (-30.0, 0.0)
     poles = [res.u for res in
              q.locate_resonances(ker, window).visible_resonances]
-    dense = _dense_visible_poles(ker, window)
+    dense = _dense_visible_poles(channel_space, ker.denominators, window)
     assert len(poles) == len(dense) > 0
     assert np.all(np.abs(np.array(poles) - dense) <= 1e-12 * np.abs(dense))
 
