@@ -41,7 +41,8 @@ from .ring import ring_cir_crossings, ring_sweep_roots
 from .single_particle import J, phase_shift, scattering_length, u1d_values, \
     u_cir
 from .spa import spa_fit
-from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, solve_transverse
+from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, _TrapSolver, \
+    solve_transverse
 from .two_body import build_kernel, converged_resonances, locate_resonances, \
     u1d_curve
 
@@ -431,7 +432,9 @@ _MAX_AUTO_STATES = 1280
 
 
 def run_single(config: RunConfig, out: Path):
-    spectrum = _solve_spectrum(config)
+    # one solver for the basis growth below: each grid solved once
+    solver = _TrapSolver(build_trap(config))
+    spectrum = solver.spectrum(config.options.get("n_states"))
     k = float(config.get("k"))
     pinned = config.options.get("n_states") is not None
     while True:
@@ -443,9 +446,8 @@ def run_single(config: RunConfig, out: Path):
             # channel-sum tail passes its bound.
             if pinned or spectrum.n_states >= _MAX_AUTO_STATES:
                 raise
-            spectrum = solve_transverse(
-                build_trap(config),
-                n_states=min(2 * spectrum.n_states, _MAX_AUTO_STATES))
+            spectrum = solver.spectrum(
+                min(2 * spectrum.n_states, _MAX_AUTO_STATES))
     grid = _sweep_grid(config, "u")
     rows = []
     for u, u1d in zip(grid, u1d_values(spectrum, grid, cir).tolist()):
@@ -563,12 +565,13 @@ def _kernel_diagnostics(source, prefix: str = "") -> dict[str, object]:
 
 
 def _ladder_diagnostics(report) -> dict[str, object]:
-    """Each rung of a converged ladder: its basis size and whether its
-    kernel was rebuilt or grown (manifest only)."""
+    """Each rung of a converged ladder: its basis size, whether its
+    kernel was rebuilt or grown, and its grid's site count (manifest
+    only)."""
     if not report.rungs:
         return {}
-    return {"ladder": [{"n_states": n, "kernel": how}
-                       for n, how in report.rungs]}
+    return {"ladder": [{"n_states": n, "kernel": how, "grid_sites": sites}
+                       for n, how, sites in report.rungs]}
 
 
 def _twobody_row(u: float, i00: float, j_k: float, k: float) -> tuple:

@@ -50,7 +50,8 @@ class CirValue:
     tail_bound: float
 
 
-@dataclass(frozen=True)
+# ndarray fields: compared by identity, hashed by id
+@dataclass(frozen=True, eq=False)
 class ScatteringResult:
     """Effective 1D scattering data at one coupling and quasi-momentum.
 

@@ -209,7 +209,8 @@ def potential_on_grid(spec: TrapSpec, y_max: int) -> tuple[np.ndarray, np.ndarra
 # spectra
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# ndarray fields: compared by identity, hashed by id
+@dataclass(frozen=True, eq=False)
 class TransverseSpectrum:
     """Bound eigenpairs of the transverse Hamiltonian.
 
@@ -371,39 +372,53 @@ def _sector_solve(diag: np.ndarray, off: np.ndarray, ceiling: float
                             select_range=(-np.inf, ceiling))
 
 
-def _grid_eigensolve(grid: np.ndarray, v: np.ndarray, n_states: int | None,
-                     edge_tol: float | None, ceiling: float = math.inf
-                     ) -> TransverseSpectrum:
-    """The lowest `n_states` eigenpairs of ``H_y`` on `grid` below
-    `ceiling` (all of them for ``None``), solved by :func:`_sectors`.
-    On a truncated grid only the leading run whose edge amplitude is
-    below `edge_tol` counts; too few (or none) is an :class:`EdgeLeak`.
-    ``edge_tol=None`` declares the grid the trap's whole space: every
-    eigenpair is exact, and too few is a :class:`ConfigError`."""
+def _grid_eigenpairs(grid: np.ndarray, v: np.ndarray, ceiling: float
+                     ) -> tuple[bool, tuple[tuple, ...], list]:
+    """``(symmetric, sectors, solved)``: the Jacobi matrices of ``H_y``
+    on `grid` (:func:`_sectors`) and the eigenpairs of each below
+    `ceiling`.  This is a grid's only eigensolve; the spectra of every
+    size are cut from it (:func:`_leading_run`, :func:`_refined`)."""
     symmetric = mirror_symmetric(grid, v)
     sectors = _sectors(v, symmetric)
     solved = [_sector_solve(diag, off, ceiling) for diag, off, *_ in sectors]
+    return symmetric, sectors, solved
+
+
+def _leading_run(eigenpairs: tuple, n_sites: int, n_states: int | None,
+                 edge_tol: float | None) -> tuple[int, np.ndarray]:
+    """``(n_keep, vectors)``: the lowest `n_states` wavefunctions of
+    `eigenpairs` (all of them for ``None``), merged from the sectors as
+    rows, and how many of them lead the spectrum with an edge amplitude
+    below `edge_tol` (every one for ``None``)."""
+    _, sectors, solved = eigenpairs
     # sector s holds states s, s + n_sec, ... of the merged spectrum
     # (interlacing), which ends where a sector runs out
     n_sec = len(sectors)
     n_keep = min(n_sec * len(e) + s for s, (e, _) in enumerate(solved))
     if n_states is not None:
         n_keep = min(n_states, n_keep)
-    vectors = np.empty((n_keep, len(v)))
+    vectors = np.empty((n_keep, n_sites))
     for s, ((*_, embed), (_, u)) in enumerate(zip(sectors, solved)):
         vectors[s::n_sec] = embed(u[:, :len(range(s, n_keep, n_sec))])
     if edge_tol is not None:  # the leading run that decays at the edges
         leaks = np.flatnonzero(np.abs(vectors[:, [0, -1]]).max(axis=1)
                                >= edge_tol)
         n_keep = int(leaks[0]) if len(leaks) else n_keep
-    n_wanted = n_keep if n_states is None else n_states
-    if n_keep < max(n_wanted, 1):
-        if edge_tol is None:
-            raise ConfigError(f"trap holds only {n_keep} states")
-        raise EdgeLeak(
-            f"only {n_keep} states decay at the grid edge; "
-            f"{n_wanted} requested (half-width {int(grid[-1])} too small)"
-        )
+    return n_keep, vectors
+
+
+def _edge_leak(n_keep: int, n_wanted: int, grid: np.ndarray) -> EdgeLeak:
+    return EdgeLeak(
+        f"only {n_keep} states decay at the grid edge; "
+        f"{n_wanted} requested (half-width {int(grid[-1])} too small)")
+
+
+def _refined(eigenpairs: tuple, grid: np.ndarray, vectors: np.ndarray
+             ) -> TransverseSpectrum:
+    """The spectrum of the leading `vectors` of `eigenpairs`, each
+    energy refined by :func:`_rayleigh_refine`."""
+    symmetric, sectors, solved = eigenpairs
+    n_sec, n_keep = len(sectors), len(vectors)
     energies = np.empty(n_keep)
     for s, ((diag, off, off_lo, _), (e, u)) in enumerate(zip(sectors,
                                                              solved)):
@@ -418,7 +433,7 @@ def _grid_eigensolve(grid: np.ndarray, v: np.ndarray, n_states: int | None,
             f"energy {n} ({energies[n]!r})")
     labels = ("even", "odd") if symmetric else ("none",)
     return TransverseSpectrum(
-        energies=energies, wavefunctions=_fix_gauge(vectors[:n_keep]),
+        energies=energies, wavefunctions=_fix_gauge(vectors),
         parities=tuple(labels[n % n_sec] for n in range(n_keep)),
         grid=grid, symmetric=symmetric)
 
@@ -426,8 +441,12 @@ def _grid_eigensolve(grid: np.ndarray, v: np.ndarray, n_states: int | None,
 def _grid_problems(spec: TrapSpec, n_states: int | None
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, int | None,
                                        float | None, float]]:
-    """The arguments ``(grid, V, n_states, edge_tol, ceiling)`` of
-    :func:`_grid_eigensolve` for `spec`, smallest grid first.
+    """The grid problems ``(grid, V, n_states, edge_tol, ceiling)`` of
+    `spec`, smallest grid first: ``n_states`` states are wanted (all of
+    them for ``None``) among the eigenpairs below ``ceiling``, and on a
+    truncated grid only the leading run whose edge amplitude is below
+    ``edge_tol`` counts; ``edge_tol=None`` declares the grid the trap's
+    whole space, every eigenpair of it exact.
 
     A finite trap is its own whole grid; a harmonic trap with a set
     half-width has one grid.  An auto-sized harmonic grid doubles its
@@ -478,9 +497,96 @@ def _grid_problems(spec: TrapSpec, n_states: int | None
         raise ConfigError(f"unknown trap spec {type(spec).__name__}")
 
 
+class _TrapSolver:
+    """The transverse spectra of one trap, for any number of states,
+    with each grid diagonalized at most once.
+
+    A grid's sector eigenpairs (:func:`_grid_eigenpairs`) do not
+    depend on the number of states asked for, so every request cuts
+    its spectrum from them by the steps a fresh solve takes on the same
+    arrays: :meth:`spectrum` is bit for bit :func:`solve_transverse`,
+    refusals included.  A grid found too short keeps only the length of
+    its leading edge-decaying run, which refuses every larger request
+    without a solve; the solver holds the eigenpairs of the grid that
+    last served a request.  It lives as long as the one caller that
+    made it.
+    """
+
+    def __init__(self, spec: TrapSpec):
+        self.spec = spec
+        # grid size -> eigenpairs, or the leading run of a short grid
+        self._grids: dict[int, tuple | int] = {}
+
+    def spectrum(self, n_states: int | None = None) -> TransverseSpectrum:
+        """:func:`solve_transverse` of the trap for `n_states`."""
+        spec = self.spec
+        if isinstance(spec, DeltaWell):
+            return _delta_well_spectrum(spec, n_states)
+        if isinstance(spec, Harmonic) and n_states is None:
+            n_states = _DEFAULT_N_STATES
+        leak = None
+        for grid, v, n_wanted, edge_tol, ceiling in _grid_problems(
+                spec, n_states):
+            held = self._grids.get(len(grid))
+            if isinstance(held, int) and n_wanted > held:
+                leak = _edge_leak(held, n_wanted, grid)
+                continue
+            if not isinstance(held, tuple):
+                held = self._grids[len(grid)] = _grid_eigenpairs(
+                    grid, v, ceiling)
+            n_keep, vectors = _leading_run(held, len(grid), n_wanted,
+                                           edge_tol)
+            n_wanted = n_keep if n_wanted is None else n_wanted
+            if n_keep >= max(n_wanted, 1):
+                return _refined(held, grid, vectors)
+            if edge_tol is None:
+                raise ConfigError(f"trap holds only {n_keep} states")
+            # the run does not depend on the request: any larger one
+            # leaks too, and the next, larger grid may hold the states
+            self._grids[len(grid)] = n_keep
+            leak = _edge_leak(n_keep, n_wanted, grid)
+        raise leak  # a single fixed grid; auto grids raise on running out
+
+
+def _delta_well_spectrum(spec: DeltaWell, n_states: int | None
+                         ) -> TransverseSpectrum:
+    """The delta well's single bound state, in closed form."""
+    if n_states is not None and n_states != 1:
+        raise ConfigError(
+            "the delta well has a single bound state; its continuum is "
+            "handled by the continuum module"
+        )
+    beta = spec.decay
+    y_max = spec.y_max
+    if y_max is None:
+        y_max = max(4, math.ceil(math.log(DEFAULT_EDGE_TOL)
+                                 / math.log(beta)))
+        while beta ** y_max >= DEFAULT_EDGE_TOL:
+            y_max += 1
+    if beta ** y_max >= DEFAULT_EDGE_TOL:
+        raise EdgeLeak(
+            f"bound state decays as {beta:.4g}**|y|; half-width {y_max} "
+            f"leaves edge weight above {DEFAULT_EDGE_TOL:g}"
+        )
+    grid = np.arange(-y_max, y_max + 1)
+    psi = beta ** np.abs(grid).astype(float)
+    psi /= math.sqrt(float(psi @ psi))
+    return TransverseSpectrum(energies=np.array([spec.bound_energy]),
+                              wavefunctions=psi[None, :],
+                              parities=("even",), grid=grid, symmetric=True)
+
+
 def solve_transverse(spec: TrapSpec, n_states: int | None = None
                      ) -> TransverseSpectrum:
     """Diagonalize the transverse trap Hamiltonian.
+
+    Each grid the call tries (an auto-sized one grows until the states
+    fit) is diagonalized once, and nothing is kept after it returns.  A
+    caller that asks one trap for a growing number of states (the
+    resonance ladder, the ``single`` subcommand's basis growth) holds
+    one private solver across its requests instead, so that each grid
+    is diagonalized once per caller rather than once per request; every
+    spectrum it returns is bit for bit this function's.
 
     Parameters
     ----------
@@ -514,43 +620,7 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
         continuum well binds fewer than requested, or its states do not
         decay by half-width 40,960.
     """
-    if isinstance(spec, DeltaWell):
-        if n_states is not None and n_states != 1:
-            raise ConfigError(
-                "the delta well has a single bound state; its continuum is "
-                "handled by the continuum module"
-            )
-        beta = spec.decay
-        y_max = spec.y_max
-        if y_max is None:
-            y_max = max(4, math.ceil(math.log(DEFAULT_EDGE_TOL)
-                                     / math.log(beta)))
-            while beta ** y_max >= DEFAULT_EDGE_TOL:
-                y_max += 1
-        if beta ** y_max >= DEFAULT_EDGE_TOL:
-            raise EdgeLeak(
-                f"bound state decays as {beta:.4g}**|y|; half-width {y_max} "
-                f"leaves edge weight above {DEFAULT_EDGE_TOL:g}"
-            )
-        grid = np.arange(-y_max, y_max + 1)
-        psi = beta ** np.abs(grid).astype(float)
-        psi /= math.sqrt(float(psi @ psi))
-        return TransverseSpectrum(energies=np.array([spec.bound_energy]),
-                                  wavefunctions=psi[None, :],
-                                  parities=("even",), grid=grid, symmetric=True)
-
-    if isinstance(spec, Harmonic) and n_states is None:
-        n_states = _DEFAULT_N_STATES
-    leak = None
-    for problem in _grid_problems(spec, n_states):
-        try:
-            return _grid_eigensolve(*problem)
-        except EdgeLeak as err:
-            # the next, larger grid may hold the states.  Kept without its
-            # traceback: that would hold this frame, and through it every
-            # caller's locals, in a cycle until the cyclic collector runs
-            leak = err.with_traceback(None)
-    raise leak  # a single fixed grid; auto grids raise on running out
+    return _TrapSolver(spec).spectrum(n_states)
 
 
 # --------------------------------------------------------------------------

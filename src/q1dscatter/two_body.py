@@ -101,8 +101,8 @@ import numpy as np
 from .errors import (ConfigError, Diverging, NoConvergence,
                      SignConventionViolation, SingularSystem)
 from .single_particle import phase_shift, scattering_length
-from .traps import (J, TransverseSpectrum, TrapSpec, closed_channels,
-                    solve_transverse)
+from .traps import (J, TransverseSpectrum, TrapSpec, _TrapSolver,
+                    closed_channels)
 
 #: Resonances with normalized pole strength below this are reported as
 #: invisible (they do not register at any realistic plot resolution).
@@ -132,7 +132,8 @@ def pair_hopping(total_momentum: float = 0.0) -> float:
     return 2.0 * J * math.cos(0.5 * total_momentum)
 
 
-@dataclass(frozen=True)
+# ndarray fields: compared by identity, hashed by id
+@dataclass(frozen=True, eq=False)
 class OverlapKernel:
     """The two-body problem at one ``(K, E)`` point, held on the
     collision diagonal.
@@ -270,7 +271,8 @@ class OverlapKernel:
         return self.at_energy(-2.0 * self.j_k * math.cos(k) + 2.0 * e0)
 
 
-@dataclass(frozen=True)
+# ndarray fields: compared by identity, hashed by id
+@dataclass(frozen=True, eq=False)
 class TwoBodyResult:
     """Scattering output at one coupling.
 
@@ -330,9 +332,9 @@ class ResonanceReport:
     ``collision_sites``, ``numerical_rank`` and ``min_abs_denominator``
     describe the kernel the report was computed from (see
     :class:`OverlapKernel`).  ``rungs`` is set by
-    :func:`converged_resonances`: the basis size of each rung it solved
-    and how that rung's kernel was obtained, ``"rebuilt"`` or
-    ``"grown"``.
+    :func:`converged_resonances`: for each rung it solved, the basis
+    size, how the rung's kernel was obtained (``"rebuilt"`` or
+    ``"grown"``) and the number of transverse grid sites.
     """
 
     resonances: tuple[Resonance, ...]
@@ -344,7 +346,7 @@ class ResonanceReport:
     numerical_rank: int
     min_abs_denominator: float
     converged: bool | None = None
-    rungs: tuple[tuple[int, str], ...] = ()
+    rungs: tuple[tuple[int, str, int], ...] = ()
 
     @property
     def visible_resonances(self) -> tuple[Resonance, ...]:
@@ -691,14 +693,18 @@ def converged_resonances(trap: TrapSpec, n_start: int,
     the states without having a complete basis (a delta well binds one
     state) stops the ladder with that refusal.
 
-    Each rung solves the transverse trap afresh.  When that spectrum
-    extends the previous rung's bit for bit on the same grid (a fixed
-    grid, or an auto grid that did not grow), the rung grows the
+    The rungs share one transverse solver, so each grid they try is
+    diagonalized once per ladder; each rung's spectrum is cut from that
+    grid's eigenpairs and is bit for bit what
+    :func:`~q1dscatter.traps.solve_transverse` returns for its size.
+    When that spectrum extends the previous rung's on the same grid (a
+    fixed grid, or an auto grid that did not grow), the rung grows the
     previous kernel by its new channels (:func:`_grow`); otherwise it
     builds a fresh kernel; the first rung is always built fresh.
     Intermediate rungs compute poles only; the zero crossings are
     computed for the returned rung.  ``rungs`` in the report lists each
-    rung's size and how its kernel was obtained.
+    rung's size, how its kernel was obtained and its grid's site
+    count.
 
     Raises
     ------
@@ -709,25 +715,26 @@ def converged_resonances(trap: TrapSpec, n_start: int,
     """
     if n_start < 1:
         raise ConfigError(f"n_start must be positive, got {n_start}")
+    solver = _TrapSolver(trap)
     kernel = None
     prev: tuple[Resonance, ...] | None = None
-    rungs: list[tuple[int, str]] = []
+    rungs: list[tuple[int, str, int]] = []
     nc = n_start
     while nc <= _LADDER_LIMIT:
         try:
-            spectrum = solve_transverse(trap, n_states=nc)
+            spectrum = solver.spectrum(nc)
         except ConfigError:
             # a finite trap holds fewer than nc states: its complete
             # basis is exact; any other basis would pass for converged
             # when it merely repeats
-            spectrum = solve_transverse(trap)
+            spectrum = solver.spectrum()
             if not spectrum.complete:
                 raise
         if kernel is None or not _extends(spectrum, kernel.spectrum):
             how, kernel = "rebuilt", build_kernel(spectrum, total_momentum)
         else:
             how, kernel = "grown", _grow(kernel, spectrum)
-        rungs.append((spectrum.n_states, how))
+        rungs.append((spectrum.n_states, how, len(spectrum.grid)))
         found = _resonances(kernel, u_window)
         if kernel.spectrum.complete or (
                 prev is not None and _positions_match(prev, found)):

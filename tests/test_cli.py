@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import q1dscatter as q
-from q1dscatter import cli, oracle
+from q1dscatter import cli, oracle, traps
 
 
 def run_cli(args, capsys):
@@ -144,10 +144,35 @@ def test_converged_resonances_past_a_finite_basis(tmp_path, capsys):
     assert np.allclose(crossings, exact.zero_crossings, rtol=1e-12, atol=0)
 
 
+def test_single_basis_growth_solves_each_grid_once(tmp_path, capsys,
+                                                   monkeypatch):
+    """Without --n-states, single doubles the basis from 40 to 320
+    states, and the auto grid grows from 81 to 641 sites on the way; one
+    solver across the doublings diagonalizes each grid's two parity
+    sectors once (a fresh solve per doubling made 28 sector calls)."""
+    sectors = []
+    solve = traps.eigh_tridiagonal
+
+    def counted(diag, off, **kwargs):
+        sectors.append(len(diag))
+        return solve(diag, off, **kwargs)
+
+    monkeypatch.setattr(traps, "eigh_tridiagonal", counted)
+    out = tmp_path / "single.csv"
+    code, _, _ = run_cli(["single", "--trap", "harmonic", "--omega", "1e-4",
+                          "--u-from", "-3", "--u-to", "-1", "--points", "3",
+                          "--output", str(out)], capsys)
+    assert code == 0
+    assert sectors == [41, 40, 81, 80, 161, 160, 321, 320]
+    meta, _ = read_csv(out)
+    assert meta["n-states"] == "320"
+
+
 def test_ladder_rungs_in_manifest_only(tmp_path, capsys):
-    """The manifest lists each rung and how its kernel was obtained, and
-    a twobody sweep's report is the one the resonances subcommand
-    writes."""
+    """The manifest lists each rung, how its kernel was obtained and
+    its grid's site count (the auto grid grows from 81 to 161 sites at
+    61 states), and a twobody sweep's report is the one the resonances
+    subcommand writes."""
     trap = ["--trap", "harmonic", "--omega", "0.03", "--n-start", "21",
             "--converge"]
     swept = tmp_path / "tb.csv"
@@ -157,22 +182,26 @@ def test_ladder_rungs_in_manifest_only(tmp_path, capsys):
     assert code == 0
     diag = json.loads(
         (tmp_path / "tb.csv.manifest.json").read_text())["diagnostics"]
-    assert diag["ladder"] == [{"n_states": 21, "kernel": "rebuilt"},
-                              {"n_states": 41, "kernel": "grown"},
-                              {"n_states": 61, "kernel": "rebuilt"}]
+    assert diag["ladder"] == [
+        {"n_states": 21, "kernel": "rebuilt", "grid_sites": 81},
+        {"n_states": 41, "kernel": "grown", "grid_sites": 81},
+        {"n_states": 61, "kernel": "rebuilt", "grid_sites": 161}]
     alone = tmp_path / "res.csv"
     code, _, _ = run_cli(["resonances", *trap, "--output", str(alone)],
                          capsys)
     assert code == 0
     diag = json.loads(
         (tmp_path / "res.csv.manifest.json").read_text())["diagnostics"]
-    assert diag["ladder"][0] == {"n_states": 21, "kernel": "rebuilt"}
-    assert diag["ladder"][1:] == [{"n_states": 41, "kernel": "grown"},
-                                  {"n_states": 61, "kernel": "rebuilt"}]
+    assert diag["ladder"][0] == {"n_states": 21, "kernel": "rebuilt",
+                                 "grid_sites": 81}
+    assert diag["ladder"][1:] == [
+        {"n_states": 41, "kernel": "grown", "grid_sites": 81},
+        {"n_states": 61, "kernel": "rebuilt", "grid_sites": 161}]
     meta_swept, rows_swept = read_csv(tmp_path / "tb_resonances.csv")
     meta_alone, rows_alone = read_csv(alone)
     assert rows_swept == rows_alone
-    assert not any("ladder" in key or "rung" in key for key in meta_swept)
+    assert not any("ladder" in key or "rung" in key or "grid" in key
+                   for key in meta_swept)
     for key in ("zero-crossings", "n-states", "n-channels", "converged"):
         assert meta_swept[key] == meta_alone[key]
     # the rungs stay out of the config hash: a replay is byte-identical

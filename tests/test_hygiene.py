@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every name a package
 module imports is used in that module (``__init__.py`` imports to
 re-export, so it is exempt), every error class is exported and named by
-some module other than ``errors.py``, and every name the README's
-library tour lists is exported."""
+some module other than ``errors.py``, every name the README's library
+tour lists is exported, and no function result is memoized across
+calls but the CLI's parser."""
 
 import ast
 import re
@@ -81,3 +82,50 @@ def test_library_tour_names_are_exported():
     assert not names - set(q1dscatter.__all__), \
         f"README lists names the package does not export: " \
         f"{sorted(names - set(q1dscatter.__all__))}"
+
+
+_MEMOS = {"cache", "lru_cache"}
+
+
+def _memo_uses(tree: ast.Module) -> list[str]:
+    """Where a module uses ``functools.cache``/``lru_cache``, by any
+    import name: the decorated function's name, or ``"<call>"`` for a
+    use that decorates nothing."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in _MEMOS}
+
+    def is_memo(node):
+        return ((isinstance(node, ast.Name) and node.id in names
+                 and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr in _MEMOS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules))
+
+    decorators = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                decorators[id(target)] = node.name
+    return sorted(decorators.get(id(node), "<call>")
+                  for node in ast.walk(tree) if is_memo(node))
+
+
+def test_only_the_parser_is_memoized():
+    """A memo that outlived one call would let a later in-process call
+    (the benchmark drives ``cli.main`` repeatedly) reuse an earlier
+    call's work; the CLI's argument parser holds no results."""
+    uses = {path.name: _memo_uses(ast.parse(path.read_text()))
+            for path in Path(q1dscatter.__file__).parent.glob("*.py")}
+    uses = {name: found for name, found in uses.items() if found}
+    assert uses == {"cli.py": ["build_parser"]}
+    probe = ast.parse("import functools as ft\nfrom functools import "
+                      "lru_cache as memo\n@ft.cache\ndef a(): pass\n"
+                      "@memo(maxsize=4)\ndef b(): pass\nc = ft.lru_cache(f)")
+    assert _memo_uses(probe) == ["<call>", "a", "b"]

@@ -1,7 +1,8 @@
 """Structural invariants of the collision-diagonal two-body form, of
 the ring sums and of the oracle's symmetry sectors on random
-hard-walled tabulated traps, and the ring's lane-wise Brent solver
-against scipy's brentq (property tests)."""
+hard-walled tabulated traps, the ring's lane-wise Brent solver against
+scipy's brentq, and one transverse solver's spectra against fresh
+solves (property tests)."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
 import q1dscatter as q  # noqa: E402
-from q1dscatter import oracle, ring  # noqa: E402
+from q1dscatter import oracle, ring, traps  # noqa: E402
 
 
 _DEPTH = st.floats(0.0, 3.0)
@@ -406,3 +407,50 @@ def test_oracle_sector_factors(trap, lx, u, momentum):
         lift = np.kron(np.identity(nx), rotation)
         assert np.linalg.norm(h_s @ lift - lift @ h_rot.toarray()) \
             <= 1e-13 * np.linalg.norm(h_s)
+
+
+@st.composite
+def solver_requests(draw):
+    """A harmonic trap (auto or fixed grid) or a hard-walled table, and
+    an increasing sequence of state counts to ask it for, possibly
+    closed by ``None`` (the default count)."""
+    if draw(st.booleans()):
+        trap = q.Harmonic(omega=10.0 ** draw(st.floats(-3.0, 0.0)),
+                          y_max=draw(st.sampled_from([None, 8, 40])))
+        top = 130
+    else:
+        trap = draw(tabulated_traps())
+        top = 20
+    sizes = sorted(draw(st.sets(st.integers(1, top), min_size=1,
+                                max_size=5)))
+    return trap, sizes + [None] * draw(st.booleans())
+
+
+def _outcome(solve, n_states):
+    """The spectrum `solve` returns for `n_states`, or its refusal as
+    ``(type, message)``."""
+    try:
+        return solve(n_states)
+    except q.Q1DError as err:
+        return type(err), str(err)
+
+
+@given(request=solver_requests())
+def test_one_solver_cuts_each_size_as_a_fresh_solve(request):
+    """One solver asked for a growing number of states diagonalizes each
+    grid once, yet every spectrum equals a fresh ``solve_transverse``
+    bit for bit, and every refusal (a fixed grid too narrow, a table
+    too small) has the fresh solve's type and message."""
+    trap, sizes = request
+    solver = traps._TrapSolver(trap)
+    for n_states in sizes:
+        got = _outcome(solver.spectrum, n_states)
+        want = _outcome(lambda n: q.solve_transverse(trap, n), n_states)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert isinstance(got, q.TransverseSpectrum)
+        for field in ("energies", "wavefunctions", "grid"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.parities, got.symmetric) == (want.parities,
+                                                 want.symmetric)

@@ -185,20 +185,18 @@ def test_harmonic_grid_auto_doubles_to_hold_request():
 
 
 def test_grid_growth_leaves_no_reference_cycle(monkeypatch):
-    # a grid too small raises EdgeLeak inside the solve; keeping that
-    # error with its traceback would tie the solve's frame, and through
-    # it every caller's arrays, into a cycle that only gc.collect frees
-    leaks = []
-    solve = traps._grid_eigensolve
+    # a grid too small leaves an EdgeLeak for the next grid to clear;
+    # keeping that error with a traceback would tie the solve's frame,
+    # and through it every caller's arrays, into a cycle that only
+    # gc.collect frees
+    grids = []
+    solve = traps._grid_eigenpairs
 
-    def counted(*args, **kwargs):
-        try:
-            return solve(*args, **kwargs)
-        except q.EdgeLeak:
-            leaks.append(args)
-            raise
+    def counted(grid, *args):
+        grids.append(len(grid))
+        return solve(grid, *args)
 
-    monkeypatch.setattr(traps, "_grid_eigensolve", counted)
+    monkeypatch.setattr(traps, "_grid_eigenpairs", counted)
     gc.collect()
     gc.disable()
     try:
@@ -206,7 +204,22 @@ def test_grid_growth_leaves_no_reference_cycle(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert leaks
+    assert grids == [81, 161, 321]
+
+
+def test_solver_keeps_only_eigenpairs_later_requests_can_use():
+    """A grid too short for one request is too short for every larger
+    one: the solver keeps only its leading run of edge-decaying states
+    (2 of 81 sites, 70 of 161 at omega = 1e-3), and the eigenpairs of
+    the grid that served the last request."""
+    solver = traps._TrapSolver(q.Harmonic(omega=1e-3))
+    solver.spectrum(41)
+    solver.spectrum(81)
+    kept = {sites: held if isinstance(held, int) else "eigenpairs"
+            for sites, held in solver._grids.items()}
+    assert kept == {81: 2, 161: 70, 321: "eigenpairs"}
+    with pytest.raises(q.EdgeLeak, match="only 70 states decay"):
+        traps._TrapSolver(q.Harmonic(omega=1e-3, y_max=80)).spectrum(71)
 
 
 def test_harmonic_explicit_width_stable_under_doubling():
@@ -231,13 +244,13 @@ def test_continuum_well_short_of_bound_states_fails_fast(
     # the box with its end sites lowered by J caps the well's bound
     # states, so the auto-sized grid stops before computing eigenvectors
     solves = []
-    solve = traps._grid_eigensolve
+    solve = traps._grid_eigenpairs
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         solves.append(args)
-        return solve(*args, **kwargs)
+        return solve(*args)
 
-    monkeypatch.setattr(traps, "_grid_eigensolve", counted)
+    monkeypatch.setattr(traps, "_grid_eigenpairs", counted)
     with pytest.raises(q.EdgeLeak):
         q.solve_transverse(q.Tabulated.from_mapping(values, 1.0),
                            n_states=n_states)

@@ -1,6 +1,7 @@
 """Two-particle scattering with a non-separable interaction: overlap
 kernel, effective coupling, Born series, resonance report."""
 
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import q1dscatter as q
+from q1dscatter import traps
 from q1dscatter.single_particle import scattering_length
 
 
@@ -67,6 +69,26 @@ def test_asymmetric_trap_keeps_all_pairs():
     n = ker.spectrum.n_states
     assert ker.n_channels == n * (n + 1) // 2 - 1
     assert np.array_equal(ker.green, ker.green.T)
+
+
+def test_array_results_compare_by_identity(two_site_spectrum,
+                                           two_site_kernel, two_site_report):
+    """Results with ndarray fields compare and hash by identity: a copy
+    is unequal without raising, and ``replace`` still copies.  The
+    report and the trap specs keep value equality."""
+    results = [two_site_spectrum, two_site_kernel,
+               q.solve_scattering_length(two_site_kernel, -2.0),
+               q.effective_u1d(two_site_spectrum, -2.0)]
+    for result in results:
+        copy = dataclasses.replace(result)
+        assert result == result
+        assert not result == copy
+        assert result != copy
+        assert hash(result) == hash(result)
+        assert len({result, copy}) == 2
+    assert two_site_report == replace(two_site_report)
+    assert q.Harmonic(omega=0.1) == q.Harmonic(omega=0.1)
+    assert hash(q.TwoSite(v=1.0)) == hash(q.TwoSite(v=1.0))
 
 
 def test_pair_hopping():
@@ -252,8 +274,9 @@ def test_grown_kernel_matches_fresh_build():
         scale = np.max(np.abs(fresh.green))
         assert np.max(np.abs(kernel.green - fresh.green)) <= 1e-14 * scale
     rep = q.converged_resonances(trap, 41)
-    assert rep.rungs == ((41, "rebuilt"), (61, "grown"), (81, "grown"),
-                         (101, "grown"), (121, "grown"))
+    assert rep.rungs == ((41, "rebuilt", 321), (61, "grown", 321),
+                         (81, "grown", 321), (101, "grown", 321),
+                         (121, "grown", 321))
 
 
 def test_ladder_rebuilds_when_the_auto_grid_grows():
@@ -264,14 +287,15 @@ def test_ladder_rebuilds_when_the_auto_grid_grows():
     assert [len(q.solve_transverse(trap, n_states=n).grid)
             for n in (21, 41, 61)] == [81, 81, 161]
     rep = q.converged_resonances(trap, 21)
-    assert rep.rungs == ((21, "rebuilt"), (41, "grown"), (61, "rebuilt"))
+    assert rep.rungs == ((21, "rebuilt", 81), (41, "grown", 81),
+                         (61, "rebuilt", 161))
     assert replace(rep, rungs=()) == _fresh_ladder(trap, 21)
 
 
-@pytest.mark.parametrize("trap, n_start", [(NINE_SITE_TABLE, 3),
-                                           (q.TwoSite(v=1.0), 1)],
+@pytest.mark.parametrize("trap, n_start, sites", [(NINE_SITE_TABLE, 3, 9),
+                                                  (q.TwoSite(v=1.0), 1, 2)],
                          ids=["table-9-site", "two-site"])
-def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start):
+def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start, sites):
     """A rung asking for more states than the trap holds solves the
     complete basis, which is exact; the truncated rung before it is not
     converged (9-site table: it held 2 poles at -19.9 and -11.9 instead
@@ -279,7 +303,8 @@ def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start):
     rep = q.converged_resonances(trap, n_start)
     exact = q.locate_resonances(q.build_kernel(q.solve_transverse(trap)))
     assert rep.converged
-    assert rep.rungs == ((n_start, "rebuilt"), (exact.n_states, "grown"))
+    assert rep.rungs == ((n_start, "rebuilt", sites),
+                         (exact.n_states, "grown", sites))
     assert (rep.n_states, rep.n_channels) == (exact.n_states,
                                               exact.n_channels)
     assert [(r.kind, r.visible) for r in rep.resonances] == [
@@ -289,6 +314,52 @@ def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start):
                        [r.u for r in exact.resonances], rtol=1e-12, atol=0)
     assert np.allclose(rep.zero_crossings, exact.zero_crossings, rtol=1e-12,
                        atol=0)
+
+
+def test_ladder_solves_each_grid_once(monkeypatch):
+    """The ladder from 41 states at omega = 1e-3 tries the auto grids of
+    81, 161 and 321 sites; its rungs share one solver, which
+    diagonalizes each grid's two parity sectors once (a fresh solve per
+    rung made 26 sector calls)."""
+    sectors = []
+    solve = traps.eigh_tridiagonal
+
+    def counted(diag, off, **kwargs):
+        sectors.append(len(diag))
+        return solve(diag, off, **kwargs)
+
+    monkeypatch.setattr(traps, "eigh_tridiagonal", counted)
+    rep = q.converged_resonances(q.Harmonic(omega=1e-3), 41)
+    assert sectors == [41, 40, 81, 80, 161, 160]
+    assert [sites for *_, sites in rep.rungs] == [161, 161, 321, 321, 321]
+
+
+@pytest.mark.parametrize("trap, n_start", [
+    (q.Harmonic(omega=1e-3), 41), (q.Harmonic(omega=0.03), 21),
+    (q.Harmonic(omega=1e-3, y_max=160), 41), (NINE_SITE_TABLE, 3)],
+    ids=["auto-grid", "auto-grid-grows", "fixed-grid", "table-9-site"])
+def test_ladder_rungs_equal_fresh_solves(monkeypatch, trap, n_start):
+    """Every rung's spectrum, cut from its grid's one eigensolve, is bit
+    for bit a fresh ``solve_transverse`` of its size, and all rungs come
+    from one solver."""
+    rungs = []
+    spectrum = traps._TrapSolver.spectrum
+
+    def recorded(self, n_states=None):
+        rungs.append((id(self), spectrum(self, n_states)))
+        return rungs[-1][1]
+
+    monkeypatch.setattr(traps._TrapSolver, "spectrum", recorded)
+    rep = q.converged_resonances(trap, n_start)
+    monkeypatch.undo()
+    assert len({solver for solver, _ in rungs}) == 1
+    assert [(s.n_states, len(s.grid)) for _, s in rungs] == [
+        (n, sites) for n, _, sites in rep.rungs]
+    for _, got in rungs:
+        want = q.solve_transverse(trap, n_states=got.n_states)
+        for field in ("energies", "wavefunctions", "grid"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.parities == want.parities
 
 
 def test_ladder_stops_where_no_complete_basis_exists():
