@@ -45,9 +45,12 @@ diagonal (symmetric positive semi-definite).  Writing
 
 and the Born series has terms ``U^m psi_0^2 . (-H)^m psi_0^2``.  The
 effective 1D coupling is ``U1D = U * I00`` and the scattering length
-``a = -2 J_K / U1D``.  A kernel stores ``S``, ``psi_0^2``, the ``D_b``
-and ``H``; the channel-space ``R`` (``8 n_channels^2`` bytes) is never
-formed.  Because ``U`` enters linearly, ``I00`` is a
+``a = -2 J_K / U1D``.  A kernel stores the channels, ``psi_0^2``, the
+``D_b`` and ``H``, but not ``S`` (``8 n_channels n_y`` bytes): ``S`` is
+formed a fixed block of channels at a time, and each block is added
+into ``H`` (or multiplied into ``I``) before the next is formed.  The
+channel-space ``R`` (``8 n_channels^2`` bytes) is never formed either.
+Because ``U`` enters linearly, ``I00`` is a
 rational function of ``U`` with poles at the confinement-induced
 resonances.  One eigendecomposition ``H = V diag(mu) V^T`` per kernel
 (whose nonzero spectrum equals that of the channel form
@@ -93,6 +96,7 @@ the same partial-fraction pass as a zero-momentum one.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -118,6 +122,9 @@ _SINGULAR_PROXIMITY = 1e-12
 #: mu_j`` relative).
 _ZERO_POLE_CANCELLATION = 1e-9
 _LADDER_STEP, _LADDER_LIMIT, _LADDER_REL_TOL = 20, 161, 1e-6
+#: Channels per block of pair rows: a 1,024 x 161 block is 1.3 MB, so
+#: each block stays in cache between its forming and its product.
+_BLOCK_CHANNELS = 1024
 
 
 def pair_hopping(total_momentum: float = 0.0) -> float:
@@ -141,16 +148,17 @@ class OverlapKernel:
     Stored: ``pairs[b] = (n1, n2)`` of each kept channel (``n1 <= n2``;
     row-major, or row-major per added shell of states in a kernel the
     resonance ladder grew) and its energy ``channel_energies[b]``, the
-    pair rows ``pair_rows[b, y] = S[b, y]``, the entrance row
-    ``psi_0(y)^2``, the closed-channel denominators ``denominators`` at
-    `energy`, the ``n_y x n_y`` pair Green's function
-    ``green = H = S^T |D|^{-1} S`` (exactly symmetric; set on
+    entrance row ``psi_0(y)^2``, the closed-channel denominators
+    ``denominators`` at `energy`, the ``n_y x n_y`` pair Green's
+    function ``green = H = S^T |D|^{-1} S`` (exactly symmetric; set on
     construction, in a grown kernel as the previous ``H`` plus the new
     shells' terms) and ``r_entrance = R(0,0; 0,0) = sum_y psi_0(y)^4``.
-    The rows hold the ``n_y`` collision sites (module docstring): on a
-    mirror grid the sites ``y >= 0``, where `pair_rows` and
-    `entrance_row` carry the weight ``sqrt(2)`` on ``y > 0``; on any
-    other grid every site.
+    The pair rows ``S[b, y]`` are not stored: they follow from
+    `spectrum` and `pairs`, and are formed a block of channels at a
+    time where ``H`` or the channel amplitudes need them.  Rows hold
+    the ``n_y`` collision sites (module docstring): on a mirror grid the
+    sites ``y >= 0``, where ``S`` and `entrance_row` carry the weight
+    ``sqrt(2)`` on ``y > 0``; on any other grid every site.
 
     Derived lazily: the spectral form of ``H``, on which every solver
     runs.
@@ -158,7 +166,6 @@ class OverlapKernel:
 
     pairs: np.ndarray
     channel_energies: np.ndarray
-    pair_rows: np.ndarray
     entrance_row: np.ndarray
     denominators: np.ndarray
     green: np.ndarray
@@ -250,14 +257,17 @@ class OverlapKernel:
         return float(prox.min())
 
     def at_energy(self, energy: float) -> "OverlapKernel":
-        """Same channel set and pair rows, re-evaluated at a different
-        scattering energy (new denominators and ``H``)."""
+        """Same channel set, re-evaluated at a different scattering
+        energy (new denominators, and ``H`` summed afresh from the pair
+        rows)."""
         if energy == self.energy:
             return self
         denominators = _closed_channels(self.pairs, self.channel_energies,
                                         energy, self.j_k)
         return replace(self, denominators=denominators,
-                       green=_green(self.pair_rows, denominators),
+                       green=_add_green(np.zeros_like(self.green),
+                                        self.spectrum, self.pairs,
+                                        denominators),
                        energy=energy)
 
     def at_relative_momentum(self, k: float) -> "OverlapKernel":
@@ -383,12 +393,11 @@ def _zero_momentum_energy(spectrum: TransverseSpectrum, j_k: float) -> float:
 
 
 def _pair_channels(spectrum: TransverseSpectrum, n_lo: int, n_cut: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """The pair channels ``(n1, n2)``, ``n1 <= n2``, whose upper state
     ``n2`` lies in ``[n_lo, n_cut)``, row-major; ``n_lo >= 1`` leaves
     out the entrance ``(0, 0)``, and odd pairs of a symmetric trap are
-    left out too.  Returns the pairs, their energies and their pair
-    rows ``S`` on the collision sector (:func:`_collision_sector`)."""
+    left out too.  Returns the pairs and their energies."""
     n1, n2 = np.triu_indices(n_cut)
     keep = n2 >= n_lo
     if spectrum.symmetric:
@@ -398,12 +407,7 @@ def _pair_channels(spectrum: TransverseSpectrum, n_lo: int, n_cut: int
     pairs = np.column_stack((n1[keep], n2[keep]))
     channel_energies = (spectrum.energies[pairs[:, 0]]
                         + spectrum.energies[pairs[:, 1]])
-    psi, weight = _collision_sector(spectrum)
-    pair_rows = psi[pairs[:, 0]] * psi[pairs[:, 1]]
-    pair_rows *= np.where(pairs[:, 0] != pairs[:, 1], math.sqrt(2.0),
-                          1.0)[:, None]
-    pair_rows *= weight
-    return pairs, channel_energies, pair_rows
+    return pairs, channel_energies
 
 
 def _collision_sector(spectrum: TransverseSpectrum
@@ -424,10 +428,38 @@ def _collision_sector(spectrum: TransverseSpectrum
     return psi[:, origin:], weight
 
 
-def _green(pair_rows: np.ndarray, denominators: np.ndarray) -> np.ndarray:
-    """``S^T |D|^{-1} S`` over the channels of `pair_rows`."""
-    scaled = pair_rows * (1.0 / np.sqrt(-denominators))[:, None]
-    return scaled.T @ scaled
+def _pair_row_blocks(spectrum: TransverseSpectrum, pairs: np.ndarray
+                     ) -> Iterator[tuple[slice, np.ndarray]]:
+    """The pair rows ``S[b, y]`` of `pairs` on the collision sector
+    (:func:`_collision_sector`), ``_BLOCK_CHANNELS`` channels at a time:
+    yields each block's channel slice and its rows.  The only place
+    ``S`` is formed.  Every block is written into the same buffer, so a
+    caller uses (or scales in place) each block before it asks for the
+    next, and never holds more than one block of ``S``."""
+    psi, weight = _collision_sector(spectrum)
+    psi = np.ascontiguousarray(psi)
+    buffers = np.empty((2, min(len(pairs), _BLOCK_CHANNELS), psi.shape[1]))
+    for lo in range(0, len(pairs), _BLOCK_CHANNELS):
+        n1, n2 = pairs[lo:lo + _BLOCK_CHANNELS].T
+        rows, other = buffers[:, :len(n1)]
+        # mode="clip" writes straight into `out`; "raise" would buffer
+        np.take(psi, n1, axis=0, out=rows, mode="clip")
+        np.take(psi, n2, axis=0, out=other, mode="clip")
+        rows *= other
+        rows *= np.where(n1 != n2, math.sqrt(2.0), 1.0)[:, None]
+        rows *= weight
+        yield slice(lo, lo + len(n1)), rows
+
+
+def _add_green(green: np.ndarray, spectrum: TransverseSpectrum,
+               pairs: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """`green` plus ``S^T |D|^{-1} S`` over the channels `pairs`, added
+    in place one block of rows at a time; each block's term is exactly
+    symmetric, so a symmetric `green` stays so."""
+    for block, rows in _pair_row_blocks(spectrum, pairs):
+        rows *= (1.0 / np.sqrt(-denominators[block]))[:, None]
+        green += rows.T @ rows
+    return green
 
 
 def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0
@@ -454,15 +486,17 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0
     j_k = pair_hopping(total_momentum)
     energy = _zero_momentum_energy(spectrum, j_k)
 
-    pairs, channel_energies, pair_rows = _pair_channels(
-        spectrum, 1, spectrum.n_states)
+    pairs, channel_energies = _pair_channels(spectrum, 1, spectrum.n_states)
     denominators = _closed_channels(pairs, channel_energies, energy, j_k)
-    psi, weight = _collision_sector(spectrum)
-    entrance_row = psi[0] * psi[0] * weight
+    # the entrance pair (0, 0) is one block of one row
+    (_, entrance), = _pair_row_blocks(spectrum, np.zeros((1, 2), dtype=int))
+    entrance_row = entrance[0]
+    n_y = len(entrance_row)
     return OverlapKernel(
         pairs=pairs, channel_energies=channel_energies,
-        pair_rows=pair_rows, entrance_row=entrance_row,
-        denominators=denominators, green=_green(pair_rows, denominators),
+        entrance_row=entrance_row, denominators=denominators,
+        green=_add_green(np.zeros((n_y, n_y)), spectrum, pairs,
+                         denominators),
         r_entrance=float(entrance_row @ entrance_row), j_k=j_k,
         total_momentum=total_momentum, energy=energy, spectrum=spectrum)
 
@@ -485,17 +519,15 @@ def _grow(kernel: OverlapKernel, spectrum: TransverseSpectrum
     to ``spectrum.n_states - 1`` appended, at the same ``(K, E)``:
     ``H = H_prev + S_new^T |D_new|^{-1} S_new``.  `spectrum` must
     extend ``kernel.spectrum`` (:func:`_extends`)."""
-    pairs, channel_energies, pair_rows = _pair_channels(
+    pairs, channel_energies = _pair_channels(
         spectrum, kernel.spectrum.n_states, spectrum.n_states)
     denominators = _closed_channels(pairs, channel_energies, kernel.energy,
                                     kernel.j_k)
-    green = _green(pair_rows, denominators)
-    green += kernel.green
+    green = _add_green(kernel.green.copy(), spectrum, pairs, denominators)
     return replace(
         kernel, pairs=np.concatenate((kernel.pairs, pairs)),
         channel_energies=np.concatenate((kernel.channel_energies,
                                          channel_energies)),
-        pair_rows=np.concatenate((kernel.pair_rows, pair_rows)),
         denominators=np.concatenate((kernel.denominators, denominators)),
         green=green, spectrum=spectrum)
 
@@ -516,7 +548,10 @@ def solve_scattering_length(kernel: OverlapKernel, u: float) -> TwoBodyResult:
     kernel.pole_proximity(u)
     mu, _, v, proj = kernel._spectral
     g = -(v @ (mu * proj / (1.0 + u * mu)))
-    i_vec = kernel.pair_rows @ (kernel.entrance_row + u * g)
+    phi = kernel.entrance_row + u * g
+    i_vec = np.empty(kernel.n_channels)
+    for block, rows in _pair_row_blocks(kernel.spectrum, kernel.pairs):
+        i_vec[block] = rows @ phi
     i00 = kernel.entrance_amplitude(u)
     u1d = u * i00
     a = scattering_length(u1d, kernel.j_k)

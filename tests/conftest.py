@@ -73,11 +73,12 @@ def micro_kernel(micro_spectrum):
 def _dense_collision_solve(ker, u):
     """Reference for the spectral two-body solve: the direct
     ``n_y``-sized solve of ``(1 + U H) g = -H psi_0^2``.  Returns the
-    channel amplitudes ``S (psi_0^2 + U g)`` and
+    channel amplitudes ``S (psi_0^2 + U g)``, with ``S`` from
+    :func:`_collision_rows` in one array, and
     ``I00 = R(00;00) + U psi_0^2 . g``."""
     h, psi0_sq = ker.green, ker.entrance_row
     g = np.linalg.solve(np.eye(len(h)) + u * h, -(h @ psi0_sq))
-    return (ker.pair_rows @ (psi0_sq + u * g),
+    return (_collision_rows(ker) @ (psi0_sq + u * g),
             ker.r_entrance + u * float(psi0_sq @ g))
 
 
@@ -120,6 +121,25 @@ def _full_grid_green(ker):
 @pytest.fixture(scope="session")
 def full_grid_green():
     return _full_grid_green
+
+
+def _collision_rows(ker):
+    """The pair rows ``S`` of `ker`'s channels on its collision sites,
+    all in one array: the rows of :func:`_full_grid_green` on every
+    site, or on a mirror grid their sites ``y >= 0`` with weight
+    ``sqrt(2)`` on ``y > 0`` (the fold that keeps every inner product
+    over ``y``)."""
+    rows = _full_grid_green(ker)[2]
+    if not ker.spectrum.symmetric:
+        return rows
+    rows = rows[:, ker.spectrum.origin_index:]
+    rows[:, 1:] *= math.sqrt(2.0)
+    return rows
+
+
+@pytest.fixture(scope="session")
+def collision_rows():
+    return _collision_rows
 
 
 def _check_full_grid(ker, couplings, window=(-30.0, 0.0)):

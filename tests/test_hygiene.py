@@ -2,10 +2,12 @@
 module imports is used in that module (``__init__.py`` imports to
 re-export, so it is exempt), every error class is exported and named by
 some module other than ``errors.py``, every name the README's library
-tour lists is exported, and no function result is memoized across
-calls but the CLI's parser."""
+tour lists is exported, no function result is memoized across calls but
+the CLI's parser, every name the benchmark's tracer wraps exists, and
+the two-body pair rows are formed in one place."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -129,3 +131,65 @@ def test_only_the_parser_is_memoized():
                       "lru_cache as memo\n@ft.cache\ndef a(): pass\n"
                       "@memo(maxsize=4)\ndef b(): pass\nc = ft.lru_cache(f)")
     assert _memo_uses(probe) == ["<call>", "a", "b"]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_traced_name_exists(monkeypatch):
+    """``perfbench/tracing.py`` wraps each (module, name) of its
+    ``SPANNED``, ``COUNTED`` and ``SOLVERS`` tables by ``getattr`` when
+    it installs; a name a refactor renamed or removed would crash every
+    traced benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    named = ([(module, name) for module, name, _ in tracing.SPANNED]
+             + list(tracing.COUNTED) + list(tracing.SOLVERS))
+    assert ("two_body", "build_kernel") in named
+    missing = [f"{module}.{name}" for module, name in named
+               if not hasattr(importlib.import_module(f"q1dscatter.{module}"),
+                              name)]
+    assert not missing, f"traced names q1dscatter lacks: {missing}"
+
+
+def _functions_using(tree: ast.Module, uses) -> set[str]:
+    """Names (``Class.method`` for methods) of the module-level functions
+    and methods of `tree` with a node for which `uses` is true."""
+    defs = [(node.name, node) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)]
+    return {name for name, node in defs
+            if any(uses(sub) for sub in ast.walk(node))}
+
+
+def _calls(name):
+    return lambda node: (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def _reads(attr):
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == attr
+
+
+def test_pair_rows_are_formed_only_in_the_block_helper():
+    """The pair rows S (n_channels x n_y) are products of the transverse
+    wavefunctions on the collision sector.  Only
+    ``two_body._pair_row_blocks`` takes that sector, and it forms S a
+    block of channels at a time; in ``two_body.py`` the wavefunctions
+    are read only to cut that sector and, by ``_extends``, to compare
+    two spectra.  So no other code can hold S whole."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    takers = {f"{name}:{func}" for name, tree in trees.items()
+              for func in _functions_using(tree, _calls("_collision_sector"))}
+    assert takers == {"two_body.py:_pair_row_blocks"}
+    assert _functions_using(trees["two_body.py"], _reads("wavefunctions")) \
+        == {"_collision_sector", "_extends"}
+    probe = ast.parse("def f(s): return g(s.wavefunctions)\n"
+                      "class K:\n"
+                      "    def m(self): return h(_collision_sector(1))")
+    assert _functions_using(probe, _calls("_collision_sector")) == {"K.m"}
+    assert _functions_using(probe, _reads("wavefunctions")) == {"f"}

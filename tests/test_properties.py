@@ -4,6 +4,8 @@ hard-walled tabulated traps, the ring's lane-wise Brent solver against
 scipy's brentq, and one transverse solver's spectra against fresh
 solves (property tests)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
 import q1dscatter as q  # noqa: E402
-from q1dscatter import oracle, ring, traps  # noqa: E402
+from q1dscatter import oracle, ring, traps, two_body  # noqa: E402
 
 
 _DEPTH = st.floats(0.0, 3.0)
@@ -153,10 +155,12 @@ def test_zero_crossings_are_sign_changes_between_poles(trap,
 
 @given(trap=tabulated_traps(), total_momentum=st.floats(0.0, 2.0),
        data=st.data())
-def test_grown_kernel_is_the_fresh_kernel(trap, total_momentum, data):
+def test_grown_kernel_is_the_fresh_kernel(trap, total_momentum, data,
+                                         collision_rows):
     """A kernel on the first n_lo states grown to the whole spectrum
     holds the fresh kernel's channels, pair rows and denominators, and
-    its H to the round-off of one sum over the channels."""
+    its H to the round-off of one sum over the channels (the blocks of
+    rows, and so the order of that sum, differ between the two)."""
     spectrum = q.solve_transverse(trap)
     n_lo = data.draw(st.integers(1, spectrum.n_states))
     grown = q.two_body._grow(q.build_kernel(
@@ -164,11 +168,39 @@ def test_grown_kernel_is_the_fresh_kernel(trap, total_momentum, data):
     fresh = q.build_kernel(spectrum, total_momentum)
     order = np.lexsort((grown.pairs[:, 1], grown.pairs[:, 0]))
     assert np.array_equal(grown.pairs[order], fresh.pairs)
-    assert np.array_equal(grown.pair_rows[order], fresh.pair_rows)
+    assert np.array_equal(collision_rows(grown)[order],
+                          collision_rows(fresh))
     assert np.array_equal(grown.denominators[order], fresh.denominators)
     bound = fresh.n_channels * np.finfo(float).eps \
         * np.max(np.abs(fresh.green))
     assert np.max(np.abs(grown.green - fresh.green)) <= bound
+
+
+@pytest.mark.parametrize("block", [1, 3, two_body._BLOCK_CHANNELS])
+@given(trap=tabulated_traps(), total_momentum=st.floats(0.0, 2.0),
+       u=st.floats(-20.0, 20.0))
+def test_block_assembled_kernel_is_the_single_product(
+        block, trap, total_momentum, u, collision_rows,
+        dense_collision_solve):
+    """H summed a block of `block` channels at a time (block edges cut
+    through the channels of one upper state) against S^T |D|^-1 S from
+    every row in one product, and the blockwise channel amplitudes
+    against the dense S (psi_0^2 + U g)."""
+    with mock.patch.object(two_body, "_BLOCK_CHANNELS", block):
+        ker = q.build_kernel(q.solve_transverse(trap), total_momentum)
+    rows = collision_rows(ker)
+    scaled = rows / np.sqrt(-ker.denominators)[:, None]
+    witness = scaled.T @ scaled
+    assert np.array_equal(ker.green, ker.green.T)
+    assert np.max(np.abs(ker.green - witness)) \
+        <= 1e-14 * np.max(np.abs(witness))
+
+    assume(np.min(np.abs(1.0 + u * np.linalg.eigvalsh(ker.green))) > 1e-3)
+    with mock.patch.object(two_body, "_BLOCK_CHANNELS", block):
+        i_vector = q.solve_scattering_length(ker, u).i_vector
+    i_dense = dense_collision_solve(ker, u)[0]
+    assert np.max(np.abs(i_vector - i_dense)) \
+        <= 1e-9 * np.max(np.abs(i_dense))
 
 
 @given(trap=tabulated_traps(), u=st.floats(-20.0, 20.0),

@@ -3,6 +3,7 @@ kernel, effective coupling, Born series, resonance report."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -254,10 +255,11 @@ def _fresh_ladder(trap, n_start, rel_tol=1e-6, n_step=20):
         prev, nc = report, nc + n_step
 
 
-def test_grown_kernel_matches_fresh_build():
+def test_grown_kernel_matches_fresh_build(collision_rows):
     """On a fixed grid each rung extends the last bit for bit, so the
     ladder grows one kernel: the channels of a fresh build, the same
-    pair rows and denominators, and H to rounding."""
+    pair rows and denominators, and H to the rounding of a sum whose
+    order the blocks of rows set."""
     trap = q.Harmonic(omega=1e-3, y_max=160)
     kernel = q.build_kernel(q.solve_transverse(trap, n_states=41))
     for nc in (61, 81, 101, 121):
@@ -270,13 +272,35 @@ def test_grown_kernel_matches_fresh_build():
         order = np.lexsort((kernel.pairs[:, 1], kernel.pairs[:, 0]))
         assert np.array_equal(kernel.pairs[order], fresh.pairs)
         assert np.array_equal(kernel.denominators[order], fresh.denominators)
-        assert np.array_equal(kernel.pair_rows[order], fresh.pair_rows)
+        assert np.array_equal(collision_rows(kernel)[order],
+                              collision_rows(fresh))
         scale = np.max(np.abs(fresh.green))
         assert np.max(np.abs(kernel.green - fresh.green)) <= 1e-14 * scale
     rep = q.converged_resonances(trap, 41)
     assert rep.rungs == ((41, "rebuilt", 321), (61, "grown", 321),
                          (81, "grown", 321), (101, "grown", 321),
                          (121, "grown", 321))
+
+
+def test_kernel_holds_no_pair_rows(micro_spectrum):
+    """fig4's 121-state rung has 3,720 channels on 161 collision sites,
+    so its pair rows S would take 4.8 MB, and a scaled copy as much
+    again.  The kernel forms S a block of channels at a time and keeps
+    none of it: building it peaks under 6 MB, and no array it holds has
+    as many entries as S."""
+    tracemalloc.start()
+    try:
+        ker = q.build_kernel(micro_spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ker.n_channels, ker.collision_sites) == (3720, 161)
+    assert peak <= 6e6
+    s_size = ker.n_channels * ker.collision_sites
+    for field in dataclasses.fields(ker):
+        value = getattr(ker, field.name)
+        if isinstance(value, np.ndarray):
+            assert value.size < s_size, field.name
 
 
 def test_ladder_rebuilds_when_the_auto_grid_grows():
