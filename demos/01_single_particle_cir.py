@@ -26,7 +26,10 @@ print(f"ground-state weight        psi0^2  = "
 cir = q.u_cir(spectrum)
 print(f"\nresonant bare coupling     U_CIR   = {cir.u_cir:+.6f}")
 print(f"channels used in the sum   n_used  = {cir.n_used}")
-print(f"truncation tail bound              = {cir.tail_bound:.2e}")
+# every state of the trap's grid, the grid doubled until U_CIR settles
+grid_basis, complete = q.u_cir_complete(trap)[-1]
+print(f"complete grid basis        U_CIR   = {complete.u_cir:+.6f} "
+      f"({grid_basis.n_states} states)")
 
 print("\n  U        U1D(U)       a(U)")
 couplings = [-40.0, -10.0, cir.u_cir - 1e-3, cir.u_cir + 1e-3,

@@ -27,8 +27,8 @@ from .errors import (AtResonance, BranchCollision, ConfigError,
                      ContaminatedChannel, Diverging, EdgeLeak,
                      NoConvergence, NoRootInBranch, OpenChannel,
                      PoleInWindow, Q1DError, QuadratureFail,
-                     SignConventionViolation, SingularSystem, TailTooLarge,
-                     UnknownFigure, UnorderedSpectrum)
+                     SignConventionViolation, SingularSystem, UnknownFigure,
+                     UnorderedSpectrum)
 from .oracle import (OracleResult, StripProblem, pair_hamiltonian,
                      pair_scattering_length, strip_hamiltonian,
                      strip_scattering_length)
@@ -36,7 +36,8 @@ from .ring import (BranchSweep, RingCrossing, RingSolution,
                    asymptotic_momentum, ring_branch_roots, ring_channel_sum,
                    ring_cir_crossings, ring_momentum, ring_sweep_roots)
 from .single_particle import (CirValue, ScatteringResult, effective_u1d,
-                              entrance_energy, u1d_values, u_cir)
+                              entrance_energy, u1d_values, u_cir,
+                              u_cir_complete)
 from .spa import SpaFit, spa_curve, spa_fit
 from .traps import (AlphaValue, DeltaWell, Harmonic, Tabulated,
                     TransverseSpectrum, TrapSpec, TwoSite, alpha_closed,
@@ -57,7 +58,7 @@ __all__ = [
     "closed_channels", "potential_on_grid",
     # single particle
     "CirValue", "ScatteringResult", "entrance_energy", "u_cir",
-    "effective_u1d", "u1d_values",
+    "u_cir_complete", "effective_u1d", "u1d_values",
     # continuum
     "ContinuumState", "ContinuumSum", "scattering_state",
     "density_of_states", "continuum_sum", "u_cir_with_continuum",
@@ -77,7 +78,7 @@ __all__ = [
     "strip_scattering_length", "pair_scattering_length",
     # errors
     "Q1DError", "ConfigError", "UnknownFigure", "PoleInWindow",
-    "UnorderedSpectrum", "EdgeLeak", "TailTooLarge",
+    "UnorderedSpectrum", "EdgeLeak",
     "QuadratureFail", "NoRootInBranch", "BranchCollision",
     "NoConvergence", "Diverging", "ContaminatedChannel",
     "OpenChannel", "AtResonance", "SingularSystem", "SignConventionViolation",

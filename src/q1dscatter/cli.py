@@ -33,16 +33,15 @@ import numpy
 import scipy
 
 from . import __version__
-from .errors import ConfigError, Q1DError, TailTooLarge, UnknownFigure
+from .errors import ConfigError, Q1DError, UnknownFigure
 from .continuum import continuum_sum, u_cir_with_continuum
 from .oracle import StripProblem, pair_scattering_length, \
     strip_scattering_length
 from .ring import ring_cir_crossings, ring_sweep_roots
 from .single_particle import J, phase_shift, scattering_length, u1d_values, \
-    u_cir
+    u_cir, u_cir_complete
 from .spa import spa_fit
-from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, _TrapSolver, \
-    solve_transverse
+from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, solve_transverse
 from .two_body import build_kernel, converged_resonances, locate_resonances, \
     u1d_curve
 
@@ -428,26 +427,14 @@ def run_transverse(config: RunConfig, out: Path):
                    "symmetric": spectrum.symmetric}
 
 
-_MAX_AUTO_STATES = 1280
-
-
 def run_single(config: RunConfig, out: Path):
-    # one solver for the basis growth below: each grid solved once
-    solver = _TrapSolver(build_trap(config))
-    spectrum = solver.spectrum(config.options.get("n_states"))
     k = float(config.get("k"))
-    pinned = config.options.get("n_states") is not None
-    while True:
-        try:
-            cir = u_cir(spectrum, k=k)
-            break
-        except TailTooLarge:
-            # With no explicit state count, grow the basis until the
-            # channel-sum tail passes its bound.
-            if pinned or spectrum.n_states >= _MAX_AUTO_STATES:
-                raise
-            spectrum = solver.spectrum(
-                min(2 * spectrum.n_states, _MAX_AUTO_STATES))
+    if config.options.get("n_states") is None:  # the complete grid basis
+        rungs = u_cir_complete(build_trap(config), k=k)
+    else:
+        spectrum = _solve_spectrum(config)
+        rungs = [(spectrum, u_cir(spectrum, k=k))]
+    spectrum, cir = rungs[-1]
     grid = _sweep_grid(config, "u")
     rows = []
     for u, u1d in zip(grid, u1d_values(spectrum, grid, cir).tolist()):
@@ -455,12 +442,13 @@ def run_single(config: RunConfig, out: Path):
                     else (None, phase_shift(u1d, k)))
         rows.append((u, u1d, a, delta, math.atan(u1d / J)))
     write_csv(out, config, ["u", "u1d", "a", "delta_k", "atan_u1d"], rows,
-              {"u-cir": cir.u_cir, "n-used": cir.n_used,
-               "tail-bound": cir.tail_bound, "k": k,
+              {"u-cir": cir.u_cir, "n-used": cir.n_used, "k": k,
                "n-states": spectrum.n_states})
     return [out], {"u_cir": cir.u_cir, "n_used": cir.n_used,
-                   "tail_bound": cir.tail_bound,
-                   "n_states": spectrum.n_states}
+                   "n_states": spectrum.n_states,
+                   "complete": spectrum.complete,
+                   "rungs": [{"grid_sites": len(s.grid),
+                              "inverse_u_cir": c.inverse} for s, c in rungs]}
 
 
 def run_continuum(config: RunConfig, out: Path):

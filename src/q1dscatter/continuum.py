@@ -264,5 +264,4 @@ def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,
         bound_part = float(np.sum(spectrum.origin_amplitudes[1:] ** 2 / den))
     inverse = bound_part + continuum.value
     value = math.inf if inverse == 0.0 else 1.0 / inverse
-    return CirValue(u_cir=value, inverse=inverse, k=k,
-                    n_used=n_bound - 1, tail_bound=continuum.quadrature_error)
+    return CirValue(u_cir=value, inverse=inverse, k=k, n_used=n_bound - 1)

@@ -54,10 +54,6 @@ class EdgeLeak(Q1DError):
     """
 
 
-class TailTooLarge(Q1DError):
-    """Estimated channel-sum truncation error exceeds tolerance."""
-
-
 class QuadratureFail(Q1DError):
     """Quadrature error estimate exceeds its bound."""
 

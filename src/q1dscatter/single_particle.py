@@ -12,6 +12,11 @@ confinement-induced resonance (CIR) coupling ``U_CIR``:
 with ``E(k) = -2 J cos k + E_0`` the entrance energy.  At ``k = 0`` the
 scattering length follows from ``a = -2 J / U1D``; at finite ``k`` the
 phase shift from ``tan(delta_k) = -U1D(k) / (2 J sin k)``.
+
+The sum runs over every channel of the spectrum it is given, with no
+cutoff.  :func:`u_cir_complete` gives it the trap's complete grid basis,
+on which the sum is exact for that grid, and doubles an auto-sized
+harmonic grid until the value settles.
 """
 
 from __future__ import annotations
@@ -21,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtResonance, ConfigError, TailTooLarge
-from .traps import J, TransverseSpectrum, closed_channels
+from .errors import AtResonance, ConfigError, NoConvergence
+from .traps import (_MAX_AUTO_Y, DeltaWell, Harmonic, J, TransverseSpectrum,
+                    TrapSpec, _complete_spectrum, closed_channels)
 
-#: relative size below which the next even-parity channel term counts as spent
-CHANNEL_REL_TOL = 1e-12
-#: bound on the estimated (relative) channel-sum truncation error
-DEFAULT_TAIL_TOL = 1e-10
+#: relative agreement of two grid rungs at which `u_cir_complete` stops
+GRID_REL_TOL = 1e-12
 
 
 def entrance_energy(spectrum: TransverseSpectrum, k: float = 0.0) -> float:
@@ -41,13 +45,13 @@ class CirValue:
 
     ``u_cir`` may be infinite when no transverse state couples to the
     impurity site (empty channel sum); ``inverse`` is always finite.
+    ``n_used`` counts the channels summed, every excited state.
     """
 
     u_cir: float
     inverse: float
     k: float
     n_used: int
-    tail_bound: float
 
 
 # ndarray fields: compared by identity, hashed by id
@@ -79,42 +83,25 @@ def phase_shift(u1d: float, k: float, j: float = J) -> float:
     return math.atan(-u1d / (2.0 * j * math.sin(k))) + 0.0
 
 
-def _closed_denominators(spectrum: TransverseSpectrum, energy: float,
-                         limit: int) -> np.ndarray:
-    """Green's-function denominators of channels 1..limit at `energy`."""
-    return closed_channels(spectrum.energies[1:limit + 1], energy)[1]
-
-
-def _geometric_tail(last: float, prev: float) -> float:
-    """Geometric extrapolation bound on the dropped part of a channel sum.
-
-    Uses the last two nonzero term magnitudes, `prev` then `last` (0
-    where the sum has fewer); returns ``inf`` when the sequence is not
-    (yet) decaying.
-    """
-    if prev == 0.0:
-        return math.inf
-    ratio = last / prev
-    if ratio >= 1.0:
-        return math.inf
-    return last * ratio / (1.0 - ratio)
+def _closed_denominators(spectrum: TransverseSpectrum, energy: float
+                         ) -> np.ndarray:
+    """Green's-function denominators of every excited channel at `energy`."""
+    return closed_channels(spectrum.energies[1:], energy)[1]
 
 
 def u_cir(spectrum: TransverseSpectrum, k: float = 0.0) -> CirValue:
     """Confinement-induced resonance coupling ``U_CIR(k)``.
 
-    The sum runs over the channels of `spectrum` and stops once the next
-    coupling-carrying channel contributes below ``1e-12`` relative *and*
-    the geometric tail bound drops below ``DEFAULT_TAIL_TOL`` (``1e-10``)
-    relative.  A spectrum that holds the trap's whole grid makes an
-    exhausted sum exact.
+    The sum runs over every channel of `spectrum`, with no cutoff: a
+    spectrum that holds the trap's whole grid makes it exact for that
+    grid (:func:`u_cir_complete`), and a truncated one is summed as
+    given.
 
     Parameters
     ----------
     spectrum : TransverseSpectrum
         Transverse bound states; channel ``n >= 1`` enters with weight
-        ``|psi_n(0)|^2``.  Every channel the sum reaches must be closed
-        at ``E(k)``.
+        ``|psi_n(0)|^2``.  Every channel must be closed at ``E(k)``.
     k : float
         Entrance quasi-momentum in ``[0, pi)``.
 
@@ -122,51 +109,59 @@ def u_cir(spectrum: TransverseSpectrum, k: float = 0.0) -> CirValue:
     ------
     OpenChannel
         If a channel of `spectrum` is open at ``E(k)``.
-    TailTooLarge
-        If the truncation-error estimate exceeds ``DEFAULT_TAIL_TOL``
-        relative: `spectrum` holds too few states.
     """
     if not 0.0 <= k < math.pi:
         raise ConfigError(f"quasi-momentum must lie in [0, pi), got {k}")
-    n_avail = spectrum.n_states - 1
-    energy = entrance_energy(spectrum, k)
-    psi0_sq = spectrum.origin_amplitudes ** 2
-    denoms = _closed_denominators(spectrum, energy, n_avail)
-
-    total = 0.0
-    last = prev = 0.0  # magnitudes of the last two nonzero terms
-    n_used = 0
-    for n in range(1, n_avail + 1):
-        term = float(psi0_sq[n]) / float(denoms[n - 1])
-        total += term
-        n_used = n
-        if term != 0.0:
-            prev, last = last, abs(term)
-            if prev != 0.0:
-                scale = max(abs(total), 1e-300)
-                tail = _geometric_tail(last, prev)
-                if abs(term) < CHANNEL_REL_TOL * scale \
-                        and tail < DEFAULT_TAIL_TOL * scale:
-                    break
-
-    tail_bound = _geometric_tail(last, prev)
-    if spectrum.complete and n_used == n_avail:
-        # the whole Hilbert space of the grid: an exhausted sum is exact
-        tail_bound = 0.0
-    if last == 0.0:
-        # no channel couples to the impurity within this spectrum: the
-        # bound-state sum is exactly zero
-        tail_bound = 0.0
-    scale = max(abs(total), 1e-300)
-    rel_tail = tail_bound / scale
-    if rel_tail >= DEFAULT_TAIL_TOL:
-        raise TailTooLarge(
-            f"channel-sum truncation error estimate {rel_tail:.3g} (relative) "
-            f"exceeds {DEFAULT_TAIL_TOL:g} after {n_used} channels"
-        )
+    denoms = _closed_denominators(spectrum, entrance_energy(spectrum, k))
+    total = float(np.sum(spectrum.origin_amplitudes[1:] ** 2 / denoms))
     value = math.inf if total == 0.0 else 1.0 / total
     return CirValue(u_cir=value, inverse=total, k=k,
-                    n_used=n_used, tail_bound=tail_bound)
+                    n_used=spectrum.n_states - 1)
+
+
+def u_cir_complete(trap: TrapSpec, k: float = 0.0
+                   ) -> list[tuple[TransverseSpectrum, CirValue]]:
+    """``U_CIR(k)`` summed over the trap's complete grid basis.
+
+    A finite trap (two-site, hard-walled table) and a harmonic trap with
+    a set half-width have one grid, every state of which enters the sum.
+    An auto-sized harmonic grid doubles its half-width from 40 until two
+    consecutive grids agree on ``1/U_CIR`` to ``GRID_REL_TOL`` relative.
+
+    Returns
+    -------
+    list of (TransverseSpectrum, CirValue)
+        One rung per grid solved, smallest first; the last is the
+        result.
+
+    Raises
+    ------
+    ConfigError
+        For a trap with a transverse continuum (use
+        :func:`~q1dscatter.continuum.u_cir_with_continuum`).
+    NoConvergence
+        If an auto-sized grid has not settled by half-width 40,960.
+    """
+    if isinstance(trap, DeltaWell) or getattr(trap, "asymptote", None) \
+            is not None:
+        raise ConfigError("the trap has a transverse continuum; use "
+                          "u_cir_with_continuum")
+    if not isinstance(trap, Harmonic) or trap.y_max is not None:
+        spectrum = _complete_spectrum(trap, getattr(trap, "y_max", 0))
+        return [(spectrum, u_cir(spectrum, k))]
+    rungs, y_max = [], 40
+    while y_max <= _MAX_AUTO_Y:
+        spectrum = _complete_spectrum(trap, y_max)
+        cir = u_cir(spectrum, k)
+        settled = bool(rungs) and abs(cir.inverse - rungs[-1][1].inverse) \
+            <= GRID_REL_TOL * abs(cir.inverse)
+        rungs.append((spectrum, cir))
+        if settled:
+            return rungs
+        y_max *= 2
+    raise NoConvergence(
+        f"1/U_CIR did not settle to {GRID_REL_TOL:g} relative between grid "
+        f"half-widths {y_max // 4} and {y_max // 2}")
 
 
 def u1d_values(spectrum: TransverseSpectrum, us, cir: CirValue
@@ -227,13 +222,11 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0
     else:
         delta_k = phase_shift(u1d, k)
 
-    energy = entrance_energy(spectrum, k)
     if u == 0.0:
         amplitudes = np.zeros(cir.n_used)
     else:
-        denoms = _closed_denominators(spectrum, energy, cir.n_used)
-        origin = spectrum.origin_amplitudes
+        denoms = _closed_denominators(spectrum, entrance_energy(spectrum, k))
         # b_n = U psi_n(0) Psi(0,0) / D_n with Psi(0,0) = 2J/(U psi_0(0))
-        amplitudes = 2.0 * J * origin[1:cir.n_used + 1] / (psi0 * denoms)
+        amplitudes = 2.0 * J * spectrum.origin_amplitudes[1:] / (psi0 * denoms)
     return ScatteringResult(k=k, u1d=u1d, a=a, delta_k=delta_k,
                             channel_amplitudes=amplitudes, u_cir=cir)

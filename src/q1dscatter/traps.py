@@ -438,6 +438,16 @@ def _refined(eigenpairs: tuple, grid: np.ndarray, vectors: np.ndarray
         grid=grid, symmetric=symmetric)
 
 
+def _complete_spectrum(spec: TrapSpec, y_max: int) -> TransverseSpectrum:
+    """Every eigenpair of `spec` on the grid ``[-y_max, y_max]`` (on its
+    own grid for a finite trap), refined: the grid's whole Hilbert
+    space, with no edge check."""
+    grid, v = potential_on_grid(spec, y_max)
+    eigenpairs = _grid_eigenpairs(grid, v, math.inf)
+    _, vectors = _leading_run(eigenpairs, len(grid), None, None)
+    return _refined(eigenpairs, grid, vectors)
+
+
 def _grid_problems(spec: TrapSpec, n_states: int | None
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, int | None,
                                        float | None, float]]:
@@ -583,10 +593,10 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
     Each grid the call tries (an auto-sized one grows until the states
     fit) is diagonalized once, and nothing is kept after it returns.  A
     caller that asks one trap for a growing number of states (the
-    resonance ladder, the ``single`` subcommand's basis growth) holds
-    one private solver across its requests instead, so that each grid
-    is diagonalized once per caller rather than once per request; every
-    spectrum it returns is bit for bit this function's.
+    resonance ladder) holds one private solver across its requests
+    instead, so that each grid is diagonalized once per caller rather
+    than once per request; every spectrum it returns is bit for bit
+    this function's.
 
     Parameters
     ----------

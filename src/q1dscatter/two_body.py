@@ -398,13 +398,18 @@ def _pair_channels(spectrum: TransverseSpectrum, n_lo: int, n_cut: int
     ``n2`` lies in ``[n_lo, n_cut)``, row-major; ``n_lo >= 1`` leaves
     out the entrance ``(0, 0)``, and odd pairs of a symmetric trap are
     left out too.  Returns the pairs and their energies."""
-    n1, n2 = np.triu_indices(n_cut)
-    keep = n2 >= n_lo
+    n1 = np.arange(n_cut)
+    first = np.maximum(n1, n_lo)  # row n1 holds n2 = first .. n_cut - 1
+    counts = n_cut - first
+    n1 = np.repeat(n1, counts)
+    n2 = np.arange(len(n1)) - np.repeat(np.cumsum(counts) - counts - first,
+                                        counts)
     if spectrum.symmetric:
         # odd pairs are exactly decoupled from the entrance
         odd = np.array([p == "odd" for p in spectrum.parities[:n_cut]])
-        keep &= odd[n1] == odd[n2]
-    pairs = np.column_stack((n1[keep], n2[keep]))
+        keep = odd[n1] == odd[n2]
+        n1, n2 = n1[keep], n2[keep]
+    pairs = np.column_stack((n1, n2))
     channel_energies = (spectrum.energies[pairs[:, 0]]
                         + spectrum.energies[pairs[:, 1]])
     return pairs, channel_energies

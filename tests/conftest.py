@@ -54,7 +54,7 @@ def harm_mod_kernel(harm_mod_spectrum):
 
 @pytest.fixture(scope="session")
 def harm_soft_spectrum():
-    """omega = 1e-2 with enough states for a 1e-10 channel tail."""
+    """Soft harmonic confinement: omega = 1e-2, 80 states."""
     return q.solve_transverse(q.Harmonic(omega=1e-2), n_states=80)
 
 

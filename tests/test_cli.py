@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import q1dscatter as q
-from q1dscatter import cli, oracle, traps
+from q1dscatter import cli, oracle, single_particle, traps
 
 
 def run_cli(args, capsys):
@@ -144,12 +144,10 @@ def test_converged_resonances_past_a_finite_basis(tmp_path, capsys):
     assert np.allclose(crossings, exact.zero_crossings, rtol=1e-12, atol=0)
 
 
-def test_single_basis_growth_solves_each_grid_once(tmp_path, capsys,
-                                                   monkeypatch):
-    """Without --n-states, single doubles the basis from 40 to 320
-    states, and the auto grid grows from 81 to 641 sites on the way; one
-    solver across the doublings diagonalizes each grid's two parity
-    sectors once (a fresh solve per doubling made 28 sector calls)."""
+def test_single_grid_rungs_in_manifest(tmp_path, capsys, monkeypatch):
+    """Without --n-states, single sums every state of the auto grid and
+    doubles it from 81 sites until 1/U_CIR settles: at omega = 1e-4 the
+    161- and 321-site grids agree, each solved once, by parity sector."""
     sectors = []
     solve = traps.eigh_tridiagonal
 
@@ -163,9 +161,44 @@ def test_single_basis_growth_solves_each_grid_once(tmp_path, capsys,
                           "--u-from", "-3", "--u-to", "-1", "--points", "3",
                           "--output", str(out)], capsys)
     assert code == 0
-    assert sectors == [41, 40, 81, 80, 161, 160, 321, 320]
+    assert sectors == [41, 40, 81, 80, 161, 160]
     meta, _ = read_csv(out)
-    assert meta["n-states"] == "320"
+    assert (meta["n-states"], meta["n-used"]) == ("321", "320")
+    diag = json.loads(
+        (tmp_path / "single.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["complete"] is True
+    assert [r["grid_sites"] for r in diag["rungs"]] == [81, 161, 321]
+    inverse = [r["inverse_u_cir"] for r in diag["rungs"]]
+    assert abs(inverse[2] - inverse[1]) <= 1e-12 * abs(inverse[2])
+    assert float(meta["u-cir"]) == 1.0 / inverse[2]
+
+
+def test_single_pinned_basis_is_summed_as_given(tmp_path, capsys):
+    # 40 states on the auto grid: a truncated sum, one rung, not complete
+    out = tmp_path / "single.csv"
+    code, _, _ = run_cli(["single", "--trap", "harmonic", "--omega", "1e-3",
+                          "--n-states", "40", "--u-from", "-1", "--u-to",
+                          "1", "--points", "3", "--output", str(out)], capsys)
+    assert code == 0
+    meta, _ = read_csv(out)
+    assert (meta["n-states"], meta["n-used"]) == ("40", "39")
+    diag = json.loads(
+        (tmp_path / "single.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["complete"] is False
+    assert [r["grid_sites"] for r in diag["rungs"]] == [161]
+
+
+def test_default_basis_single_matches_the_oracle(tmp_path, capsys):
+    # the README's validation bound for the soft harmonic trap
+    out = tmp_path / "single.csv"
+    code, _, _ = run_cli(["single", "--trap", "harmonic", "--omega", "0.1",
+                          "--u-from", "-2", "--u-to", "-2", "--points", "1",
+                          "--output", str(out)], capsys)
+    assert code == 0
+    _, (row,) = read_csv(out)
+    want = q.strip_scattering_length(
+        q.StripProblem(trap=q.Harmonic(omega=0.1), u=-2.0, lx=200)).a
+    assert abs(float(row["a"]) - want) <= 4e-9 * abs(want)
 
 
 def test_ladder_rungs_in_manifest_only(tmp_path, capsys):
@@ -797,12 +830,14 @@ def test_figure_rejects_output(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
-    # pinned basis too small for the channel tail tolerance
-    expect_error(["single", "--trap", "harmonic", "--omega", "1e-3",
-                  "--n-states", "40", "--u-from", "-1", "--u-to", "1",
-                  "--points", "3", "--output", str(tmp_path / "x.csv")],
-                 capsys, 3, "TailTooLarge")
+def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # the auto grid reaches its cap before 1/U_CIR settles (the cap is
+    # lowered to 80 here: at omega = 1e-4 half-widths 40 and 80 differ)
+    monkeypatch.setattr(single_particle, "_MAX_AUTO_Y", 80)
+    expect_error(["single", "--trap", "harmonic", "--omega", "1e-4",
+                  "--u-from", "-1", "--u-to", "1", "--points", "3",
+                  "--output", str(tmp_path / "x.csv")],
+                 capsys, 3, "NoConvergence")
 
 
 def test_regime_violation_exit_code(tmp_path, capsys):
@@ -939,3 +974,58 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True, env=_package_env())
     assert proc.returncode == 0
     assert out.exists()
+
+
+# ------------------------------------------------------------------- README
+
+_README_RUNS = {
+    "transverse": ("--trap", "two-site", "--v", "1.0"),
+    "single": ("--trap", "two-site", "--v", "1.0", *_SWEEP),
+    "continuum": ("--v0-from", "1", "--v0-to", "2", "--points", "2"),
+    "ring": ("--trap", "two-site", "--v", "1.0", "--length", "10", *_SWEEP),
+    "twobody": ("--trap", "two-site", "--v", "1.0", *_SWEEP),
+    "spa-fit": ("--trap", "harmonic", "--omega", "0.1", "--n-states", "21",
+                "--u-from", "-1000", "--u-to", "-900", "--points", "50"),
+    "resonances": ("--trap", "two-site", "--v", "1.0"),
+    "oracle": ("--validate", "--trap", "two-site", "--v", "1.0", "--mode",
+               "single", "--u", "-2", "--lx", "100"),
+}
+
+
+def _readme_csv_table():
+    """The README's "Subcommands and their CSV columns" table, as
+    subcommand -> (Columns cell, Extra outputs cell)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.split("Subcommands and their CSV columns:", 1)[1]
+    rows = []
+    for line in lines.strip().splitlines():
+        if not line.startswith("|"):
+            break
+        # the last cell may hold a pipe of its own, as in ``|a|``
+        rows.append([cell.strip() for cell in line.strip().strip("|")
+                     .split("|", 2)])
+    return {name.strip("`"): (columns, extra)
+            for name, columns, extra in rows[2:]}
+
+
+def test_readme_csv_table_lists_every_subcommand():
+    assert set(_readme_csv_table()) == set(cli.SUBCOMMANDS)
+    assert set(_README_RUNS) == set(cli.SUBCOMMANDS) - {"figure"}
+
+
+@pytest.mark.parametrize("subcommand", list(_README_RUNS))
+def test_readme_csv_table_matches_the_csv(subcommand, tmp_path, capsys):
+    """The header row is the Columns cell, and every backticked ``meta:``
+    key of the Extra outputs cell is in the ``#`` block."""
+    columns, extra = _readme_csv_table()[subcommand]
+    out = tmp_path / "x.csv"
+    code, _, _ = run_cli([subcommand, *_README_RUNS[subcommand],
+                          "--output", str(out)], capsys)
+    assert code == 0
+    meta, _ = read_csv(out)
+    header = next(line for line in out.read_text().splitlines()
+                  if not line.startswith("#"))
+    assert header.split(",") == columns.strip("`").split(", ")
+    keys = re.findall(r"`([^`]+)`", extra) if extra.startswith("meta:") \
+        else []
+    assert set(keys) <= set(meta), extra

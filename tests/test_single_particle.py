@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import q1dscatter as q
-from q1dscatter import single_particle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -31,7 +30,6 @@ def test_two_site_cir_matches_closed_form(two_site_spectrum):
     assert cir.u_cir == pytest.approx(two_site_cir_analytic(), rel=1e-13)
     assert cir.u_cir == pytest.approx(-30.009137607725254, rel=1e-12)
     assert cir.n_used == 1
-    assert cir.tail_bound == 0.0
 
 
 def test_zero_coupling_is_transparent(two_site_spectrum):
@@ -104,24 +102,59 @@ def test_odd_channels_carry_nothing(harm_mod_spectrum):
     assert np.any(amps[1::2] != 0.0)
 
 
-def test_channel_cutoff_consistency(harm_soft_spectrum):
-    full = q.u_cir(harm_soft_spectrum)
-    # the first 12 channels miss the rest of the sum by no more than the
-    # geometric bound on their last two nonzero terms
-    energy = q.entrance_energy(harm_soft_spectrum)
-    _, denoms = q.closed_channels(harm_soft_spectrum.energies[1:13], energy)
-    terms = (harm_soft_spectrum.origin_amplitudes[1:13] ** 2
-             / denoms).tolist()
-    prev, last = [abs(t) for t in terms if t != 0.0][-2:]
-    assert abs(sum(terms) - full.inverse) \
-        <= single_particle._geometric_tail(last, prev)
-    # 13 states on the same grid hold those 12 channels: too few for
-    # the 1e-10 tail bound
-    short = q.solve_transverse(
-        q.Harmonic(omega=1e-2, y_max=float(harm_soft_spectrum.grid[-1])),
-        n_states=13)
-    with pytest.raises(q.TailTooLarge):
-        q.u_cir(short)
+def test_pinned_basis_matches_the_complete_basis(micro_spectrum):
+    # fig1's 121 states on the 321-site grid against every state of the
+    # auto-sized grids: the channels beyond 121 are spent to 1 ulp
+    rungs = q.u_cir_complete(q.Harmonic(omega=1e-3))
+    complete = rungs[-1][1]
+    assert [len(s.grid) for s, _ in rungs] == [81, 161]
+    assert complete.n_used == 160
+    pinned = q.u_cir(micro_spectrum)
+    assert pinned.n_used == 120
+    assert abs(pinned.u_cir - complete.u_cir) <= 1e-15 * abs(complete.u_cir)
+    # the array sum against a correctly rounded one: no term is
+    # positive, so pairwise summation is off by at most log2(120) ulps
+    _, denoms = q.closed_channels(micro_spectrum.energies[1:],
+                                  q.entrance_energy(micro_spectrum))
+    exact = math.fsum(micro_spectrum.origin_amplitudes[1:] ** 2 / denoms)
+    assert abs(pinned.inverse - exact) <= 7 * np.finfo(float).eps \
+        * abs(exact)
+
+
+def test_complete_basis_of_a_fixed_grid():
+    # a finite trap and a set half-width each have one grid, summed whole
+    (spec, cir), = q.u_cir_complete(q.TwoSite(v=1.0))
+    assert spec.complete and cir.u_cir == q.u_cir(spec).u_cir
+    assert cir.u_cir == pytest.approx(two_site_cir_analytic(), rel=1e-13)
+    (spec, cir), = q.u_cir_complete(q.Harmonic(omega=1e-1, y_max=40))
+    assert spec.complete and spec.n_states == 81 and cir.n_used == 80
+    with pytest.raises(q.ConfigError):
+        q.u_cir_complete(q.DeltaWell(v0=1.0))
+
+
+def test_complete_basis_grids_agree_to_1e_12():
+    # at omega = 3e-4 the 81- and 161-site grids differ by 4.9e-12
+    rungs = q.u_cir_complete(q.Harmonic(omega=3e-4))
+    assert [len(s.grid) for s, _ in rungs] == [81, 161, 321]
+    last, before = rungs[-1][1].inverse, rungs[-2][1].inverse
+    assert abs(last - before) <= 1e-12 * abs(last)
+
+
+def test_continuum_limit_slope():
+    """As omega -> 0 the lattice approaches the continuum waveguide, where
+    1/|U_CIR| rises by ln 10 / (8 pi J) per decade of omega; the lattice
+    correction shrinks with omega, so the local slopes rise toward it
+    from below (measured 0.09120, then 0.09136: 0.29% low)."""
+    omegas = (1e-4, 3e-5, 1e-5)
+    rungs = [q.u_cir_complete(q.Harmonic(omega=w)) for w in omegas]
+    # at 1e-5 the 161- and 321-site grids still differ by 9.3e-9
+    assert [len(s.grid) for s, _ in rungs[-1]] == [81, 161, 321, 641]
+    inverse = [-r[-1][1].inverse for r in rungs]
+    slopes = [(b - a) / math.log10(wa / wb) for a, b, wa, wb in
+              zip(inverse, inverse[1:], omegas, omegas[1:])]
+    closed_form = math.log(10.0) / (8.0 * math.pi * q.J)
+    assert slopes[0] < slopes[1] < closed_form
+    assert slopes[1] >= (1.0 - 5e-3) * closed_form
 
 
 def test_empty_channel_sum_means_no_resonance():

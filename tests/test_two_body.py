@@ -303,6 +303,57 @@ def test_kernel_holds_no_pair_rows(micro_spectrum):
             assert value.size < s_size, field.name
 
 
+def _triangle_pair_channels(spectrum, n_lo, n_cut):
+    """The pair channels as first enumerated: the whole upper triangle
+    of ``n_cut`` states, masked down to the shells ``n2 >= n_lo``."""
+    n1, n2 = np.triu_indices(n_cut)
+    keep = n2 >= n_lo
+    if spectrum.symmetric:
+        odd = np.array([p == "odd" for p in spectrum.parities[:n_cut]])
+        keep &= odd[n1] == odd[n2]
+    return np.column_stack((n1[keep], n2[keep]))
+
+
+_ASYMMETRIC_TABLE = q.Tabulated.from_mapping(
+    {-3: 0.9, -2: 0.4, -1: 0.1, 0: 0.0, 1: 0.2, 2: 0.7})
+
+
+@pytest.mark.parametrize("shells", [(1, 121), (1, 41), (41, 61), (61, 81),
+                                    (81, 101), (101, 121)])
+def test_pair_channels_keep_their_order_on_fig4_rungs(micro_spectrum,
+                                                      shells):
+    pairs, energies = q.two_body._pair_channels(micro_spectrum, *shells)
+    assert np.array_equal(pairs,
+                          _triangle_pair_channels(micro_spectrum, *shells))
+    assert np.array_equal(energies, micro_spectrum.energies[pairs[:, 0]]
+                          + micro_spectrum.energies[pairs[:, 1]])
+
+
+def test_pair_channels_keep_their_order_on_an_asymmetric_table():
+    spectrum = q.solve_transverse(_ASYMMETRIC_TABLE)
+    assert not spectrum.symmetric and spectrum.n_states == 6
+    for shells in [(0, 6), (1, 6), (2, 4), (3, 6), (5, 6), (6, 6)]:
+        pairs, _ = q.two_body._pair_channels(spectrum, *shells)
+        assert np.array_equal(pairs,
+                              _triangle_pair_channels(spectrum, *shells))
+
+
+def test_pair_channels_enumerate_only_the_new_shells():
+    """The last 20 shells of 321 states hold 3,120 channels, 6% of the
+    triangle: enumerating them peaks under 4 times the arrays returned
+    (measured 2.7; masking the whole triangle took 13.8)."""
+    (spectrum, _), = q.u_cir_complete(q.Harmonic(omega=1e-4, y_max=160))
+    assert spectrum.n_states == 321
+    tracemalloc.start()
+    try:
+        pairs, energies = q.two_body._pair_channels(spectrum, 301, 321)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 3120
+    assert peak <= 4 * (pairs.nbytes + energies.nbytes)
+
+
 def test_ladder_rebuilds_when_the_auto_grid_grows():
     """omega = 0.03 on an auto grid: 21 and 41 states fit on 81 sites,
     61 need 161.  The rung on the wider grid starts from an empty
