@@ -553,13 +553,9 @@ def _kernel_diagnostics(source, prefix: str = "") -> dict[str, object]:
 
 
 def _ladder_diagnostics(report) -> dict[str, object]:
-    """Each rung of a converged ladder: its basis size, whether its
-    kernel was rebuilt or grown, and its grid's site count (manifest
+    """The basis size of each rung of a converged ladder (manifest
     only)."""
-    if not report.rungs:
-        return {}
-    return {"ladder": [{"n_states": n, "kernel": how, "grid_sites": sites}
-                       for n, how, sites in report.rungs]}
+    return {"ladder": list(report.rungs)} if report.rungs else {}
 
 
 def _twobody_row(u: float, i00: float, j_k: float, k: float) -> tuple:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtResonance, ConfigError, NoConvergence
-from .traps import (_MAX_AUTO_Y, DeltaWell, Harmonic, J, TransverseSpectrum,
-                    TrapSpec, _complete_spectrum, closed_channels)
+from .traps import (_MAX_AUTO_Y, J, TransverseSpectrum, TrapSpec,
+                    _complete_spectrum, _own_grid_basis, closed_channels)
 
 #: relative agreement of two grid rungs at which `u_cir_complete` stops
 GRID_REL_TOL = 1e-12
@@ -142,12 +142,8 @@ def u_cir_complete(trap: TrapSpec, k: float = 0.0
     NoConvergence
         If an auto-sized grid has not settled by half-width 40,960.
     """
-    if isinstance(trap, DeltaWell) or getattr(trap, "asymptote", None) \
-            is not None:
-        raise ConfigError("the trap has a transverse continuum; use "
-                          "u_cir_with_continuum")
-    if not isinstance(trap, Harmonic) or trap.y_max is not None:
-        spectrum = _complete_spectrum(trap, getattr(trap, "y_max", 0))
+    spectrum = _own_grid_basis(trap)
+    if spectrum is not None:
         return [(spectrum, u_cir(spectrum, k))]
     rungs, y_max = [], 40
     while y_max <= _MAX_AUTO_Y:

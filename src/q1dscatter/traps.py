@@ -38,7 +38,7 @@ Lengths are lattice spacings; energies are in units of ``J``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -376,8 +376,8 @@ def _grid_eigenpairs(grid: np.ndarray, v: np.ndarray, ceiling: float
                      ) -> tuple[bool, tuple[tuple, ...], list]:
     """``(symmetric, sectors, solved)``: the Jacobi matrices of ``H_y``
     on `grid` (:func:`_sectors`) and the eigenpairs of each below
-    `ceiling`.  This is a grid's only eigensolve; the spectra of every
-    size are cut from it (:func:`_leading_run`, :func:`_refined`)."""
+    `ceiling`, from which :func:`_leading_run` and :func:`_refined` cut
+    a spectrum of any size."""
     symmetric = mirror_symmetric(grid, v)
     sectors = _sectors(v, symmetric)
     solved = [_sector_solve(diag, off, ceiling) for diag, off, *_ in sectors]
@@ -405,12 +405,6 @@ def _leading_run(eigenpairs: tuple, n_sites: int, n_states: int | None,
                                >= edge_tol)
         n_keep = int(leaks[0]) if len(leaks) else n_keep
     return n_keep, vectors
-
-
-def _edge_leak(n_keep: int, n_wanted: int, grid: np.ndarray) -> EdgeLeak:
-    return EdgeLeak(
-        f"only {n_keep} states decay at the grid edge; "
-        f"{n_wanted} requested (half-width {int(grid[-1])} too small)")
 
 
 def _refined(eigenpairs: tuple, grid: np.ndarray, vectors: np.ndarray
@@ -446,6 +440,38 @@ def _complete_spectrum(spec: TrapSpec, y_max: int) -> TransverseSpectrum:
     eigenpairs = _grid_eigenpairs(grid, v, math.inf)
     _, vectors = _leading_run(eigenpairs, len(grid), None, None)
     return _refined(eigenpairs, grid, vectors)
+
+
+def _own_grid_basis(spec: TrapSpec) -> TransverseSpectrum | None:
+    """The complete basis of a trap that fixes its own grid: every state
+    of a finite trap (two-site, hard-walled table) or of a harmonic trap
+    with a set half-width.  ``None`` for an auto-sized harmonic trap,
+    whose grid grows with the states asked of it.
+
+    Raises
+    ------
+    ConfigError
+        For a trap with a transverse continuum (delta well, table with
+        an asymptote), which no grid basis completes.
+    """
+    if isinstance(spec, DeltaWell) or getattr(spec, "asymptote", None) \
+            is not None:
+        raise ConfigError("the trap has a transverse continuum, which no "
+                          "grid basis completes")
+    if isinstance(spec, Harmonic) and spec.y_max is None:
+        return None
+    return _complete_spectrum(spec, getattr(spec, "y_max", 0))
+
+
+def _leading_states(spectrum: TransverseSpectrum, n_states: int
+                    ) -> TransverseSpectrum:
+    """The lowest `n_states` states of `spectrum` (all of them if it
+    holds fewer), on the same grid."""
+    if n_states >= spectrum.n_states:
+        return spectrum
+    return replace(spectrum, energies=spectrum.energies[:n_states],
+                   wavefunctions=spectrum.wavefunctions[:n_states],
+                   parities=spectrum.parities[:n_states])
 
 
 def _grid_problems(spec: TrapSpec, n_states: int | None
@@ -507,57 +533,6 @@ def _grid_problems(spec: TrapSpec, n_states: int | None
         raise ConfigError(f"unknown trap spec {type(spec).__name__}")
 
 
-class _TrapSolver:
-    """The transverse spectra of one trap, for any number of states,
-    with each grid diagonalized at most once.
-
-    A grid's sector eigenpairs (:func:`_grid_eigenpairs`) do not
-    depend on the number of states asked for, so every request cuts
-    its spectrum from them by the steps a fresh solve takes on the same
-    arrays: :meth:`spectrum` is bit for bit :func:`solve_transverse`,
-    refusals included.  A grid found too short keeps only the length of
-    its leading edge-decaying run, which refuses every larger request
-    without a solve; the solver holds the eigenpairs of the grid that
-    last served a request.  It lives as long as the one caller that
-    made it.
-    """
-
-    def __init__(self, spec: TrapSpec):
-        self.spec = spec
-        # grid size -> eigenpairs, or the leading run of a short grid
-        self._grids: dict[int, tuple | int] = {}
-
-    def spectrum(self, n_states: int | None = None) -> TransverseSpectrum:
-        """:func:`solve_transverse` of the trap for `n_states`."""
-        spec = self.spec
-        if isinstance(spec, DeltaWell):
-            return _delta_well_spectrum(spec, n_states)
-        if isinstance(spec, Harmonic) and n_states is None:
-            n_states = _DEFAULT_N_STATES
-        leak = None
-        for grid, v, n_wanted, edge_tol, ceiling in _grid_problems(
-                spec, n_states):
-            held = self._grids.get(len(grid))
-            if isinstance(held, int) and n_wanted > held:
-                leak = _edge_leak(held, n_wanted, grid)
-                continue
-            if not isinstance(held, tuple):
-                held = self._grids[len(grid)] = _grid_eigenpairs(
-                    grid, v, ceiling)
-            n_keep, vectors = _leading_run(held, len(grid), n_wanted,
-                                           edge_tol)
-            n_wanted = n_keep if n_wanted is None else n_wanted
-            if n_keep >= max(n_wanted, 1):
-                return _refined(held, grid, vectors)
-            if edge_tol is None:
-                raise ConfigError(f"trap holds only {n_keep} states")
-            # the run does not depend on the request: any larger one
-            # leaks too, and the next, larger grid may hold the states
-            self._grids[len(grid)] = n_keep
-            leak = _edge_leak(n_keep, n_wanted, grid)
-        raise leak  # a single fixed grid; auto grids raise on running out
-
-
 def _delta_well_spectrum(spec: DeltaWell, n_states: int | None
                          ) -> TransverseSpectrum:
     """The delta well's single bound state, in closed form."""
@@ -591,12 +566,9 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
     """Diagonalize the transverse trap Hamiltonian.
 
     Each grid the call tries (an auto-sized one grows until the states
-    fit) is diagonalized once, and nothing is kept after it returns.  A
-    caller that asks one trap for a growing number of states (the
-    resonance ladder) holds one private solver across its requests
-    instead, so that each grid is diagonalized once per caller rather
-    than once per request; every spectrum it returns is bit for bit
-    this function's.
+    fit) is diagonalized once.  On one grid the spectrum of ``n`` states
+    is bit for bit the lowest ``n`` of any larger one, so a caller that
+    needs several sizes (the resonance ladder) solves once and cuts.
 
     Parameters
     ----------
@@ -630,7 +602,24 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
         continuum well binds fewer than requested, or its states do not
         decay by half-width 40,960.
     """
-    return _TrapSolver(spec).spectrum(n_states)
+    if isinstance(spec, DeltaWell):
+        return _delta_well_spectrum(spec, n_states)
+    if isinstance(spec, Harmonic) and n_states is None:
+        n_states = _DEFAULT_N_STATES
+    for grid, v, n_wanted, edge_tol, ceiling in _grid_problems(spec,
+                                                               n_states):
+        eigenpairs = _grid_eigenpairs(grid, v, ceiling)
+        n_keep, vectors = _leading_run(eigenpairs, len(grid), n_wanted,
+                                       edge_tol)
+        n_wanted = n_keep if n_wanted is None else n_wanted
+        if n_keep >= max(n_wanted, 1):
+            return _refined(eigenpairs, grid, vectors)
+        if edge_tol is None:
+            raise ConfigError(f"trap holds only {n_keep} states")
+        leak = EdgeLeak(
+            f"only {n_keep} states decay at the grid edge; {n_wanted} "
+            f"requested (half-width {int(grid[-1])} too small)")
+    raise leak  # a single fixed grid; auto grids raise on running out
 
 
 # --------------------------------------------------------------------------

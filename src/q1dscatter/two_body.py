@@ -105,11 +105,14 @@ import numpy as np
 from .errors import (ConfigError, Diverging, NoConvergence,
                      SignConventionViolation, SingularSystem)
 from .single_particle import phase_shift, scattering_length
-from .traps import (J, TransverseSpectrum, TrapSpec, _TrapSolver,
-                    closed_channels)
+from .traps import (J, TransverseSpectrum, TrapSpec, _leading_states,
+                    _own_grid_basis, closed_channels, solve_transverse)
 
-#: Resonances with normalized pole strength below this are reported as
-#: invisible (they do not register at any realistic plot resolution).
+#: Resonances with normalized pole strength (``width``) at or below this
+#: are reported as invisible.  The floor is absolute, not a physical
+#: scale: the sharp family of a harmonic trap narrows as omega falls and
+#: crosses it between omega = 1e-4 and 3e-5, below which one visible CIR
+#: is left.
 VISIBILITY_FLOOR = 1e-5
 #: Normalized pole strength separating broad from sharp resonances.
 BROAD_THRESHOLD = 0.05
@@ -342,9 +345,8 @@ class ResonanceReport:
     ``collision_sites``, ``numerical_rank`` and ``min_abs_denominator``
     describe the kernel the report was computed from (see
     :class:`OverlapKernel`).  ``rungs`` is set by
-    :func:`converged_resonances`: for each rung it solved, the basis
-    size, how the rung's kernel was obtained (``"rebuilt"`` or
-    ``"grown"``) and the number of transverse grid sites.
+    :func:`converged_resonances`: the basis size of each rung it
+    solved.
     """
 
     resonances: tuple[Resonance, ...]
@@ -356,7 +358,7 @@ class ResonanceReport:
     numerical_rank: int
     min_abs_denominator: float
     converged: bool | None = None
-    rungs: tuple[tuple[int, str, int], ...] = ()
+    rungs: tuple[int, ...] = ()
 
     @property
     def visible_resonances(self) -> tuple[Resonance, ...]:
@@ -506,24 +508,13 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0
         total_momentum=total_momentum, energy=energy, spectrum=spectrum)
 
 
-def _extends(spectrum: TransverseSpectrum, base: TransverseSpectrum) -> bool:
-    """Whether `spectrum` holds every state of `base` bit for bit, on
-    the same grid: then a kernel on `base` grows into one on
-    `spectrum`."""
-    n = base.n_states
-    return (spectrum.n_states >= n
-            and np.array_equal(spectrum.grid, base.grid)
-            and np.array_equal(spectrum.energies[:n], base.energies)
-            and np.array_equal(spectrum.wavefunctions[:n],
-                               base.wavefunctions))
-
-
 def _grow(kernel: OverlapKernel, spectrum: TransverseSpectrum
           ) -> OverlapKernel:
     """`kernel` with the channels of the states ``kernel.spectrum.n_states``
     to ``spectrum.n_states - 1`` appended, at the same ``(K, E)``:
-    ``H = H_prev + S_new^T |D_new|^{-1} S_new``.  `spectrum` must
-    extend ``kernel.spectrum`` (:func:`_extends`)."""
+    ``H = H_prev + S_new^T |D_new|^{-1} S_new``.  ``kernel.spectrum``
+    must be the leading states of `spectrum`, as the rungs of one
+    basis are (:func:`converged_resonances`)."""
     pairs, channel_energies = _pair_channels(
         spectrum, kernel.spectrum.n_states, spectrum.n_states)
     denominators = _closed_channels(pairs, channel_energies, kernel.energy,
@@ -725,63 +716,45 @@ def converged_resonances(trap: TrapSpec, n_start: int,
     """Resonance report with the channel cutoff raised until the visible
     pole positions stabilize.
 
-    Starts from `n_start` single-particle states and adds 20 per rung,
-    up to 161; two consecutive rungs must agree in visible-resonance
-    count and positions (relative 1e-6).  A rung that asks for more
-    states than a finite trap holds uses the trap's complete basis; a
-    complete basis is exact and ends the ladder.  A trap that refuses
-    the states without having a complete basis (a delta well binds one
-    state) stops the ladder with that refusal.
-
-    The rungs share one transverse solver, so each grid they try is
-    diagonalized once per ladder; each rung's spectrum is cut from that
-    grid's eigenpairs and is bit for bit what
-    :func:`~q1dscatter.traps.solve_transverse` returns for its size.
-    When that spectrum extends the previous rung's on the same grid (a
-    fixed grid, or an auto grid that did not grow), the rung grows the
-    previous kernel by its new channels (:func:`_grow`); otherwise it
-    builds a fresh kernel; the first rung is always built fresh.
-    Intermediate rungs compute poles only; the zero crossings are
-    computed for the returned rung.  ``rungs`` in the report lists each
-    rung's size, how its kernel was obtained and its grid's site
-    count.
+    The trap is solved once.  A trap that fixes its own grid (a finite
+    trap, or a harmonic trap with a set half-width) gives every state
+    of that grid; an auto-sized harmonic trap gives its lowest 161
+    states.  Each rung is the lowest ``nc`` states of that one basis,
+    from `n_start` up by 20 to 161: the first rung builds its kernel,
+    and each later rung grows the one before it by its new channels
+    (:func:`_grow`).  The ladder stops where two consecutive rungs agree
+    in visible-resonance count and positions (relative 1e-6), or where
+    a rung holds the whole basis, which is exact.  Intermediate rungs
+    compute poles only; the zero crossings are computed for the
+    returned rung.  ``rungs`` in the report lists each rung's size.
 
     Raises
     ------
     ConfigError
-        If the trap refuses a rung's states and has no complete basis.
+        For a trap with a transverse continuum, which no grid basis
+        completes.
     NoConvergence
         If 161 states are passed without two agreeing rungs.
     """
     if n_start < 1:
         raise ConfigError(f"n_start must be positive, got {n_start}")
-    solver = _TrapSolver(trap)
+    basis = _own_grid_basis(trap)
+    if basis is None:
+        basis = solve_transverse(trap, _LADDER_LIMIT)
     kernel = None
     prev: tuple[Resonance, ...] | None = None
-    rungs: list[tuple[int, str, int]] = []
-    nc = n_start
-    while nc <= _LADDER_LIMIT:
-        try:
-            spectrum = solver.spectrum(nc)
-        except ConfigError:
-            # a finite trap holds fewer than nc states: its complete
-            # basis is exact; any other basis would pass for converged
-            # when it merely repeats
-            spectrum = solver.spectrum()
-            if not spectrum.complete:
-                raise
-        if kernel is None or not _extends(spectrum, kernel.spectrum):
-            how, kernel = "rebuilt", build_kernel(spectrum, total_momentum)
-        else:
-            how, kernel = "grown", _grow(kernel, spectrum)
-        rungs.append((spectrum.n_states, how, len(spectrum.grid)))
+    rungs: list[int] = []
+    for nc in range(n_start, _LADDER_LIMIT + 1, _LADDER_STEP):
+        spectrum = _leading_states(basis, nc)
+        kernel = build_kernel(spectrum, total_momentum) if kernel is None \
+            else _grow(kernel, spectrum)
+        rungs.append(spectrum.n_states)
         found = _resonances(kernel, u_window)
-        if kernel.spectrum.complete or (
+        if spectrum.complete or (
                 prev is not None and _positions_match(prev, found)):
             return replace(locate_resonances(kernel, u_window),
                            converged=True, rungs=tuple(rungs))
         prev = found
-        nc += _LADDER_STEP
     raise NoConvergence(
         f"visible resonance positions did not stabilize to "
         f"{_LADDER_REL_TOL:g} by {_LADDER_LIMIT} transverse states")

@@ -202,10 +202,8 @@ def test_default_basis_single_matches_the_oracle(tmp_path, capsys):
 
 
 def test_ladder_rungs_in_manifest_only(tmp_path, capsys):
-    """The manifest lists each rung, how its kernel was obtained and
-    its grid's site count (the auto grid grows from 81 to 161 sites at
-    61 states), and a twobody sweep's report is the one the resonances
-    subcommand writes."""
+    """The manifest lists each rung's basis size, and a twobody sweep's
+    report is the one the resonances subcommand writes."""
     trap = ["--trap", "harmonic", "--omega", "0.03", "--n-start", "21",
             "--converge"]
     swept = tmp_path / "tb.csv"
@@ -215,21 +213,14 @@ def test_ladder_rungs_in_manifest_only(tmp_path, capsys):
     assert code == 0
     diag = json.loads(
         (tmp_path / "tb.csv.manifest.json").read_text())["diagnostics"]
-    assert diag["ladder"] == [
-        {"n_states": 21, "kernel": "rebuilt", "grid_sites": 81},
-        {"n_states": 41, "kernel": "grown", "grid_sites": 81},
-        {"n_states": 61, "kernel": "rebuilt", "grid_sites": 161}]
+    assert diag["ladder"] == [21, 41, 61]
     alone = tmp_path / "res.csv"
     code, _, _ = run_cli(["resonances", *trap, "--output", str(alone)],
                          capsys)
     assert code == 0
     diag = json.loads(
         (tmp_path / "res.csv.manifest.json").read_text())["diagnostics"]
-    assert diag["ladder"][0] == {"n_states": 21, "kernel": "rebuilt",
-                                 "grid_sites": 81}
-    assert diag["ladder"][1:] == [
-        {"n_states": 41, "kernel": "grown", "grid_sites": 81},
-        {"n_states": 61, "kernel": "rebuilt", "grid_sites": 161}]
+    assert diag["ladder"] == [21, 41, 61]
     meta_swept, rows_swept = read_csv(tmp_path / "tb_resonances.csv")
     meta_alone, rows_alone = read_csv(alone)
     assert rows_swept == rows_alone

@@ -180,14 +180,14 @@ def test_pair_rows_are_formed_only_in_the_block_helper():
     wavefunctions on the collision sector.  Only
     ``two_body._pair_row_blocks`` takes that sector, and it forms S a
     block of channels at a time; in ``two_body.py`` the wavefunctions
-    are read only to cut that sector and, by ``_extends``, to compare
-    two spectra.  So no other code can hold S whole."""
+    are read only to cut that sector.  So no other code can hold S
+    whole."""
     trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
     takers = {f"{name}:{func}" for name, tree in trees.items()
               for func in _functions_using(tree, _calls("_collision_sector"))}
     assert takers == {"two_body.py:_pair_row_blocks"}
     assert _functions_using(trees["two_body.py"], _reads("wavefunctions")) \
-        == {"_collision_sector", "_extends"}
+        == {"_collision_sector"}
     probe = ast.parse("def f(s): return g(s.wavefunctions)\n"
                       "class K:\n"
                       "    def m(self): return h(_collision_sector(1))")

@@ -519,3 +519,26 @@ def test_singular_shift_retried_once(monkeypatch):
     assert abs(retried.a - plain.a) <= 1e-9
     assert retried.k_min == pytest.approx(plain.k_min, rel=1e-12)
     assert retried.eigen_residual <= 1e-10
+
+
+def test_eigenpair_residual_gate_rejects_a_planted_bad_pair(monkeypatch):
+    """The measured eigenpair residuals are near 1e-14, so no real solve
+    reaches the ``_EIGEN_RESIDUAL_MAX`` gate.  Raising every residual by
+    1e-8 plants a bad pair in each state: the gate rejects them all, and
+    the run names it rather than fitting them (a gate at 1e-6 would
+    have returned a = 1.94)."""
+    solve = oracle._sector_eigenpairs
+
+    def planted(sector, sigma):
+        eigenpairs = solve(sector, sigma)
+
+        def worse(count):
+            rho, vectors, residuals = eigenpairs(count)
+            return rho, vectors, residuals + 1e-8
+
+        return worse
+
+    monkeypatch.setattr(oracle, "_sector_eigenpairs", planted)
+    problem = q.StripProblem(trap=q.Harmonic(omega=0.1), u=-2.0, lx=100)
+    with pytest.raises(q.ContaminatedChannel, match="eigenpair residual"):
+        q.strip_scattering_length(problem)

@@ -442,20 +442,19 @@ def test_oracle_sector_factors(trap, lx, u, momentum):
 
 
 @st.composite
-def solver_requests(draw):
-    """A harmonic trap (auto or fixed grid) or a hard-walled table, and
-    an increasing sequence of state counts to ask it for, possibly
-    closed by ``None`` (the default count)."""
+def own_grid_requests(draw):
+    """A trap that fixes its own grid (a harmonic trap with a set
+    half-width, or a hard-walled table) and the state counts to ask it
+    for."""
     if draw(st.booleans()):
         trap = q.Harmonic(omega=10.0 ** draw(st.floats(-3.0, 0.0)),
-                          y_max=draw(st.sampled_from([None, 8, 40])))
+                          y_max=draw(st.sampled_from([8, 40])))
         top = 130
     else:
         trap = draw(tabulated_traps())
         top = 20
-    sizes = sorted(draw(st.sets(st.integers(1, top), min_size=1,
-                                max_size=5)))
-    return trap, sizes + [None] * draw(st.booleans())
+    return trap, sorted(draw(st.sets(st.integers(1, top), min_size=1,
+                                     max_size=5)))
 
 
 def _outcome(solve, n_states):
@@ -467,21 +466,33 @@ def _outcome(solve, n_states):
         return type(err), str(err)
 
 
-@given(request=solver_requests())
-def test_one_solver_cuts_each_size_as_a_fresh_solve(request):
-    """One solver asked for a growing number of states diagonalizes each
-    grid once, yet every spectrum equals a fresh ``solve_transverse``
-    bit for bit, and every refusal (a fixed grid too narrow, a table
-    too small) has the fresh solve's type and message."""
+@given(request=own_grid_requests())
+def test_leading_states_of_one_solve_are_a_fresh_solve(request):
+    """The resonance ladder cuts every rung from one solve of the
+    trap's grid.  The lowest n states of that complete basis equal a
+    fresh ``solve_transverse(trap, n)`` bit for bit, and where the fresh
+    solve refuses, the basis shows why: a table holds fewer states, or
+    state m of a harmonic grid is the first to reach its edges."""
     trap, sizes = request
-    solver = traps._TrapSolver(trap)
+    basis = traps._own_grid_basis(trap)
+    assert basis.complete
+    leaks = np.abs(basis.wavefunctions[:, [0, -1]]).max(axis=1) \
+        >= traps.DEFAULT_EDGE_TOL
     for n_states in sizes:
-        got = _outcome(solver.spectrum, n_states)
         want = _outcome(lambda n: q.solve_transverse(trap, n), n_states)
-        if isinstance(want, tuple):
-            assert got == want
+        if isinstance(trap, q.Tabulated) and n_states > basis.n_states:
+            assert want == (q.ConfigError,
+                            f"trap holds only {basis.n_states} states")
             continue
-        assert isinstance(got, q.TransverseSpectrum)
+        if isinstance(trap, q.Harmonic) and leaks[:n_states].any():
+            m = int(np.argmax(leaks))
+            assert want == (q.EdgeLeak, (
+                f"only {m} states decay at the grid edge; {n_states} "
+                f"requested (half-width {trap.y_max} too small)"))
+            continue
+        assert isinstance(want, q.TransverseSpectrum)
+        got = traps._leading_states(basis, n_states)
+        assert got.n_states == n_states
         for field in ("energies", "wavefunctions", "grid"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert (got.parities, got.symmetric) == (want.parities,

@@ -207,19 +207,13 @@ def test_grid_growth_leaves_no_reference_cycle(monkeypatch):
     assert grids == [81, 161, 321]
 
 
-def test_solver_keeps_only_eigenpairs_later_requests_can_use():
-    """A grid too short for one request is too short for every larger
-    one: the solver keeps only its leading run of edge-decaying states
-    (2 of 81 sites, 70 of 161 at omega = 1e-3), and the eigenpairs of
-    the grid that served the last request."""
-    solver = traps._TrapSolver(q.Harmonic(omega=1e-3))
-    solver.spectrum(41)
-    solver.spectrum(81)
-    kept = {sites: held if isinstance(held, int) else "eigenpairs"
-            for sites, held in solver._grids.items()}
-    assert kept == {81: 2, 161: 70, 321: "eigenpairs"}
+def test_fixed_grid_refuses_past_its_edge_decaying_run():
+    """At omega = 1e-3 the 161-site grid holds 70 states that decay at
+    its edges: 70 are served, and 71 are refused with that count."""
+    trap = q.Harmonic(omega=1e-3, y_max=80)
+    assert q.solve_transverse(trap, 70).n_states == 70
     with pytest.raises(q.EdgeLeak, match="only 70 states decay"):
-        traps._TrapSolver(q.Harmonic(omega=1e-3, y_max=80)).spectrum(71)
+        q.solve_transverse(trap, 71)
 
 
 def test_harmonic_explicit_width_stable_under_doubling():

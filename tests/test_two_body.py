@@ -41,9 +41,7 @@ def test_kernel_symmetric(two_site_kernel, harm_mod_kernel):
     asymmetric = q.build_kernel(q.solve_transverse(ASYMMETRIC_TABLE))
     trap = q.Harmonic(omega=1e-3, y_max=160)
     base = q.build_kernel(q.solve_transverse(trap, n_states=41))
-    spectrum = q.solve_transverse(trap, n_states=61)
-    assert q.two_body._extends(spectrum, base.spectrum)
-    grown = q.two_body._grow(base, spectrum)
+    grown = q.two_body._grow(base, q.solve_transverse(trap, n_states=61))
     for ker in (two_site_kernel, harm_mod_kernel, asymmetric, grown,
                 harm_mod_kernel.at_relative_momentum(0.01),
                 asymmetric.at_relative_momentum(0.3)):
@@ -225,6 +223,30 @@ def test_moderate_trap_frozen_report(harm_mod_kernel):
     assert np.allclose(rep.zero_crossings, crossings, rtol=1e-10)
 
 
+@pytest.mark.parametrize("y_max", [120, 160])
+def test_visibility_floor_separates_the_small_omega_poles(y_max):
+    """At omega = 3e-4 the complete hard-wall basis holds a sharp pole
+    of width 5.87e-5, visible, next to the broad one, and another of
+    width 1.36e-6 beside it, invisible: the widths bracket
+    ``VISIBILITY_FLOOR`` within a decade on each side.  y_max = 120
+    (241 states) and 160 (321 states) agree to 9 digits, the second
+    being the first's witness."""
+    (spectrum, _), = q.u_cir_complete(q.Harmonic(omega=3e-4, y_max=y_max))
+    assert spectrum.n_states == 2 * y_max + 1
+    rep = q.locate_resonances(q.build_kernel(spectrum))
+    broad, sharp, faint = (min(rep.resonances, key=lambda r: abs(r.u - u))
+                           for u in (-4.304010263, -3.539852434,
+                                     -4.308858268))
+    assert broad.u == pytest.approx(-4.304010263, rel=1e-9)
+    assert (broad.kind, broad.visible) == ("broad", True)
+    assert sharp.u == pytest.approx(-3.539852434, rel=1e-9)
+    assert sharp.width == pytest.approx(5.87e-5, rel=1e-3)
+    assert (sharp.kind, sharp.visible) == ("sharp", True)
+    assert faint.u == pytest.approx(-4.308858268, rel=1e-9)
+    assert faint.width == pytest.approx(1.36e-6, rel=1e-2)
+    assert not faint.visible
+
+
 def test_convergence_ladder_moderate_trap(harm_mod_kernel):
     rep = q.converged_resonances(q.Harmonic(omega=1e-1), 21)
     assert rep.converged
@@ -239,32 +261,43 @@ NINE_SITE_TABLE = q.Tabulated.from_mapping(
     {y: 0.1 * y * y for y in range(-4, 5)}, None)
 
 
-def _fresh_ladder(trap, n_start, rel_tol=1e-6, n_step=20):
-    """The basis ladder with every rung built from scratch: a fresh
-    kernel and a full report per rung."""
-    prev, nc = None, n_start
-    while True:
-        report = q.locate_resonances(
-            q.build_kernel(q.solve_transverse(trap, n_states=nc)))
-        if prev is not None:
-            a, b = prev.visible_resonances, report.visible_resonances
-            if len(a) == len(b) and all(
-                    abs(x.u - y.u) <= rel_tol * max(abs(x.u), abs(y.u))
-                    for x, y in zip(a, b)):
-                return replace(report, converged=True)
-        prev, nc = report, nc + n_step
+def _ladder_spectra(monkeypatch, trap, n_start):
+    """The report of the ladder on `trap` from `n_start`, and the
+    spectrum of every rung, in order, as its kernel was built or
+    grown."""
+    spectra = []
+    build, grow = q.two_body.build_kernel, q.two_body._grow
+
+    def built(spectrum, *args):
+        spectra.append(spectrum)
+        return build(spectrum, *args)
+
+    def grown(kernel, spectrum):
+        spectra.append(spectrum)
+        return grow(kernel, spectrum)
+
+    monkeypatch.setattr(q.two_body, "build_kernel", built)
+    monkeypatch.setattr(q.two_body, "_grow", grown)
+    rep = q.converged_resonances(trap, n_start)
+    monkeypatch.undo()
+    assert tuple(s.n_states for s in spectra) == rep.rungs
+    return rep, spectra
+
+
+def _assert_same_states(got, want):
+    for field in ("energies", "wavefunctions", "grid"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert (got.parities, got.symmetric) == (want.parities, want.symmetric)
 
 
 def test_grown_kernel_matches_fresh_build(collision_rows):
-    """On a fixed grid each rung extends the last bit for bit, so the
-    ladder grows one kernel: the channels of a fresh build, the same
-    pair rows and denominators, and H to the rounding of a sum whose
-    order the blocks of rows set."""
+    """A kernel grown shell by shell holds the channels of a fresh
+    build, the same pair rows and denominators, and H to the rounding
+    of a sum whose order the blocks of rows set."""
     trap = q.Harmonic(omega=1e-3, y_max=160)
     kernel = q.build_kernel(q.solve_transverse(trap, n_states=41))
     for nc in (61, 81, 101, 121):
         spectrum = q.solve_transverse(trap, n_states=nc)
-        assert q.two_body._extends(spectrum, kernel.spectrum)
         kernel = q.two_body._grow(kernel, spectrum)
         fresh = q.build_kernel(spectrum)
         assert kernel.spectrum.n_states == nc
@@ -276,10 +309,7 @@ def test_grown_kernel_matches_fresh_build(collision_rows):
                               collision_rows(fresh))
         scale = np.max(np.abs(fresh.green))
         assert np.max(np.abs(kernel.green - fresh.green)) <= 1e-14 * scale
-    rep = q.converged_resonances(trap, 41)
-    assert rep.rungs == ((41, "rebuilt", 321), (61, "grown", 321),
-                         (81, "grown", 321), (101, "grown", 321),
-                         (121, "grown", 321))
+    assert q.converged_resonances(trap, 41).rungs == (41, 61, 81, 101, 121)
 
 
 def test_kernel_holds_no_pair_rows(micro_spectrum):
@@ -354,23 +384,26 @@ def test_pair_channels_enumerate_only_the_new_shells():
     assert peak <= 4 * (pairs.nbytes + energies.nbytes)
 
 
-def test_ladder_rebuilds_when_the_auto_grid_grows():
-    """omega = 0.03 on an auto grid: 21 and 41 states fit on 81 sites,
-    61 need 161.  The rung on the wider grid starts from an empty
-    kernel, and the report equals the ladder built from scratch."""
+def test_ladder_rungs_are_leading_cuts_of_one_basis(monkeypatch):
+    """omega = 0.03 on an auto grid: a fresh solve puts 21 and 41 states
+    on 81 sites and 61 on 161, but the ladder solves the trap once, for
+    161 states on 321 sites, and every rung holds the leading states of
+    the last one, bit for bit."""
     trap = q.Harmonic(omega=0.03)
     assert [len(q.solve_transverse(trap, n_states=n).grid)
             for n in (21, 41, 61)] == [81, 81, 161]
-    rep = q.converged_resonances(trap, 21)
-    assert rep.rungs == ((21, "rebuilt", 81), (41, "grown", 81),
-                         (61, "rebuilt", 161))
-    assert replace(rep, rungs=()) == _fresh_ladder(trap, 21)
+    rep, spectra = _ladder_spectra(monkeypatch, trap, 21)
+    assert rep.rungs == (21, 41, 61)
+    assert [len(spectrum.grid) for spectrum in spectra] == [321] * 3
+    for spectrum in spectra:
+        _assert_same_states(spectrum, q.traps._leading_states(
+            spectra[-1], spectrum.n_states))
 
 
-@pytest.mark.parametrize("trap, n_start, sites", [(NINE_SITE_TABLE, 3, 9),
-                                                  (q.TwoSite(v=1.0), 1, 2)],
+@pytest.mark.parametrize("trap, n_start", [(NINE_SITE_TABLE, 3),
+                                           (q.TwoSite(v=1.0), 1)],
                          ids=["table-9-site", "two-site"])
-def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start, sites):
+def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start):
     """A rung asking for more states than the trap holds solves the
     complete basis, which is exact; the truncated rung before it is not
     converged (9-site table: it held 2 poles at -19.9 and -11.9 instead
@@ -378,8 +411,7 @@ def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start, sites):
     rep = q.converged_resonances(trap, n_start)
     exact = q.locate_resonances(q.build_kernel(q.solve_transverse(trap)))
     assert rep.converged
-    assert rep.rungs == ((n_start, "rebuilt", sites),
-                         (exact.n_states, "grown", sites))
+    assert rep.rungs == (n_start, exact.n_states)
     assert (rep.n_states, rep.n_channels) == (exact.n_states,
                                               exact.n_channels)
     assert [(r.kind, r.visible) for r in rep.resonances] == [
@@ -392,8 +424,8 @@ def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start, sites):
 
 
 def test_ladder_solves_each_grid_once(monkeypatch):
-    """The ladder from 41 states at omega = 1e-3 tries the auto grids of
-    81, 161 and 321 sites; its rungs share one solver, which
+    """The ladder from 41 states at omega = 1e-3 solves the trap once
+    for 161 states, trying the auto grids of 81, 161 and 321 sites, and
     diagonalizes each grid's two parity sectors once (a fresh solve per
     rung made 26 sector calls)."""
     sectors = []
@@ -406,7 +438,7 @@ def test_ladder_solves_each_grid_once(monkeypatch):
     monkeypatch.setattr(traps, "eigh_tridiagonal", counted)
     rep = q.converged_resonances(q.Harmonic(omega=1e-3), 41)
     assert sectors == [41, 40, 81, 80, 161, 160]
-    assert [sites for *_, sites in rep.rungs] == [161, 161, 321, 321, 321]
+    assert rep.rungs == (41, 61, 81, 101, 121)
 
 
 @pytest.mark.parametrize("trap, n_start", [
@@ -414,36 +446,85 @@ def test_ladder_solves_each_grid_once(monkeypatch):
     (q.Harmonic(omega=1e-3, y_max=160), 41), (NINE_SITE_TABLE, 3)],
     ids=["auto-grid", "auto-grid-grows", "fixed-grid", "table-9-site"])
 def test_ladder_rungs_equal_fresh_solves(monkeypatch, trap, n_start):
-    """Every rung's spectrum, cut from its grid's one eigensolve, is bit
-    for bit a fresh ``solve_transverse`` of its size, and all rungs come
-    from one solver."""
-    rungs = []
-    spectrum = traps._TrapSolver.spectrum
-
-    def recorded(self, n_states=None):
-        rungs.append((id(self), spectrum(self, n_states)))
-        return rungs[-1][1]
-
-    monkeypatch.setattr(traps._TrapSolver, "spectrum", recorded)
-    rep = q.converged_resonances(trap, n_start)
-    monkeypatch.undo()
-    assert len({solver for solver, _ in rungs}) == 1
-    assert [(s.n_states, len(s.grid)) for _, s in rungs] == [
-        (n, sites) for n, _, sites in rep.rungs]
-    for _, got in rungs:
-        want = q.solve_transverse(trap, n_states=got.n_states)
-        for field in ("energies", "wavefunctions", "grid"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
-        assert got.parities == want.parities
+    """On a grid the trap fixes (a set half-width, a table) every rung's
+    spectrum is bit for bit a fresh ``solve_transverse`` of its size; on
+    an auto grid it is the leading cut of the fresh 161-state solve."""
+    rep, spectra = _ladder_spectra(monkeypatch, trap, n_start)
+    auto = isinstance(trap, q.Harmonic) and trap.y_max is None
+    basis = q.solve_transverse(trap, n_states=161) if auto else None
+    for spectrum in spectra:
+        n = spectrum.n_states
+        _assert_same_states(spectrum,
+                            q.traps._leading_states(basis, n) if auto
+                            else q.solve_transverse(trap, n_states=n))
 
 
 def test_ladder_stops_where_no_complete_basis_exists():
-    """A delta well binds one state and leaves the rest to its
-    continuum: the rung after it cannot fall back on a complete basis,
-    so the ladder raises instead of calling the one-state rung
-    converged."""
-    with pytest.raises(q.ConfigError, match="single bound state"):
-        q.converged_resonances(q.DeltaWell(v0=2.0), 1)
+    """A delta well or a table with an asymptote leaves its higher
+    states to the transverse continuum, which no grid basis completes:
+    the ladder refuses it before its first rung, instead of calling a
+    truncated bound-state rung converged."""
+    for trap in (q.DeltaWell(v0=2.0),
+                 q.Tabulated.from_mapping({0: 0.0}, asymptote=1.0)):
+        with pytest.raises(q.ConfigError, match="transverse continuum"):
+            q.converged_resonances(trap, 1)
+
+
+def test_fixed_grid_ladder_runs_on_the_complete_basis():
+    """A harmonic trap with a set half-width fixes its grid, and the
+    ladder cuts its rungs from every state of it, as ``u_cir_complete``
+    sums them: it runs on past the grid's edge-decaying states, which a
+    fresh solve refuses, and ends at the complete basis at the latest.
+    At omega = 0.03 on 81 sites it settles at 61 states, on the poles of
+    the auto grid's 321 sites to 1e-14."""
+    trap = q.Harmonic(omega=0.03, y_max=40)
+    with pytest.raises(q.EdgeLeak, match="only 59 states decay"):
+        q.solve_transverse(trap, n_states=61)
+    rep = q.converged_resonances(trap, 21)
+    assert rep.converged and rep.rungs == (21, 41, 61)
+    auto = q.converged_resonances(q.Harmonic(omega=0.03), 21)
+    assert [(r.kind, r.visible) for r in rep.resonances] == [
+        (r.kind, r.visible) for r in auto.resonances]
+    assert len(rep.visible_resonances) == 5
+    assert np.allclose([r.u for r in rep.visible_resonances],
+                       [r.u for r in auto.visible_resonances], rtol=1e-14,
+                       atol=0)
+    small = q.converged_resonances(q.Harmonic(omega=0.1, y_max=20), 11)
+    assert small.converged and small.rungs == (11, 31, 41)
+    assert small.n_states == 41 and small.collision_sites == 21
+
+
+def test_fig4_ladder_is_the_fresh_kernel_to_rounding():
+    """fig4's ladder (omega = 1e-3 from 41 states) grows one kernel on
+    the 321-site basis to 121 states.  Its report is a fresh kernel's on
+    ``solve_transverse(trap, 121)``, whose states it holds bit for bit,
+    up to the order of H's sum: poles and zero crossings to 1e-12
+    relative, every width to 1e-12 absolute, and the visible widths to
+    1e-9 relative."""
+    trap = q.Harmonic(omega=1e-3)
+    rep = q.converged_resonances(trap, 41)
+    fresh = q.locate_resonances(q.build_kernel(
+        q.solve_transverse(trap, n_states=121)))
+    assert rep.converged and rep.rungs == (41, 61, 81, 101, 121)
+    assert (rep.n_states, rep.n_channels) == (121, fresh.n_channels)
+    assert [(r.kind, r.visible) for r in rep.resonances] == [
+        (r.kind, r.visible) for r in fresh.resonances]
+    assert len(rep.visible_resonances) == 3
+
+    def field(report, name, only_visible=False):
+        rows = report.visible_resonances if only_visible \
+            else report.resonances
+        return np.array([getattr(r, name) for r in rows])
+
+    assert np.allclose(field(rep, "u"), field(fresh, "u"), rtol=1e-12,
+                       atol=0)
+    assert np.allclose(rep.zero_crossings, fresh.zero_crossings, rtol=1e-12,
+                       atol=0)
+    for name in ("width", "residue"):
+        assert np.allclose(field(rep, name), field(fresh, name), rtol=0,
+                           atol=1e-12)
+        assert np.allclose(field(rep, name, True), field(fresh, name, True),
+                           rtol=1e-9, atol=0)
 
 
 # --------------------------------------------- channel-space witness
