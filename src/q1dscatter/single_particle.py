@@ -140,7 +140,7 @@ def u_cir_complete(trap: TrapSpec, k: float = 0.0
         For a trap with a transverse continuum (use
         :func:`~q1dscatter.continuum.u_cir_with_continuum`).
     NoConvergence
-        If an auto-sized grid has not settled by half-width 40,960.
+        If an auto-sized grid has not settled by half-width 2,560.
     """
     spectrum = _own_grid_basis(trap)
     if spectrum is not None:

@@ -95,6 +95,7 @@ the same partial-fraction pass as a zero-momentum one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -102,11 +103,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, Diverging, NoConvergence,
-                     SignConventionViolation, SingularSystem)
-from .single_particle import phase_shift, scattering_length
+from .errors import (ConfigError, Diverging, SignConventionViolation,
+                     SingularSystem)
+from .single_particle import phase_shift, scattering_length, u_cir_complete
 from .traps import (J, TransverseSpectrum, TrapSpec, _leading_states,
-                    _own_grid_basis, closed_channels, solve_transverse)
+                    closed_channels)
 
 #: Resonances with normalized pole strength (``width``) at or below this
 #: are reported as invisible.  The floor is absolute, not a physical
@@ -124,7 +125,7 @@ _SINGULAR_PROXIMITY = 1e-12
 #: keeps its eigenvalue in ``Q H Q`` up to round-off (``eps max(mu) /
 #: mu_j`` relative).
 _ZERO_POLE_CANCELLATION = 1e-9
-_LADDER_STEP, _LADDER_LIMIT, _LADDER_REL_TOL = 20, 161, 1e-6
+_LADDER_STEP, _LADDER_REL_TOL = 20, 1e-6
 #: Channels per block of pair rows: a 1,024 x 161 block is 1.3 MB, so
 #: each block stays in cache between its forming and its product.
 _BLOCK_CHANNELS = 1024
@@ -716,17 +717,18 @@ def converged_resonances(trap: TrapSpec, n_start: int,
     """Resonance report with the channel cutoff raised until the visible
     pole positions stabilize.
 
-    The trap is solved once.  A trap that fixes its own grid (a finite
-    trap, or a harmonic trap with a set half-width) gives every state
-    of that grid; an auto-sized harmonic trap gives its lowest 161
-    states.  Each rung is the lowest ``nc`` states of that one basis,
-    from `n_start` up by 20 to 161: the first rung builds its kernel,
-    and each later rung grows the one before it by its new channels
-    (:func:`_grow`).  The ladder stops where two consecutive rungs agree
-    in visible-resonance count and positions (relative 1e-6), or where
-    a rung holds the whole basis, which is exact.  Intermediate rungs
-    compute poles only; the zero crossings are computed for the
-    returned rung.  ``rungs`` in the report lists each rung's size.
+    The basis is the trap's complete grid basis, the one
+    :func:`~q1dscatter.single_particle.u_cir_complete` sums: every state
+    of a finite trap or of a harmonic trap's grid (a set half-width, or
+    the auto-sized grid on which ``1/U_CIR`` settles).  Each rung is the
+    lowest ``nc`` states of that basis, from `n_start` up by 20: the
+    first rung builds its kernel, and each later rung grows the one
+    before it by its new channels (:func:`_grow`).  The ladder stops
+    where two consecutive rungs agree in visible-resonance count and
+    positions (relative 1e-6), or at the first rung that holds the whole
+    basis, which is exact.  Intermediate rungs compute poles only; the
+    zero crossings are computed for the returned rung.  ``rungs`` in the
+    report lists each rung's size.
 
     Raises
     ------
@@ -734,17 +736,15 @@ def converged_resonances(trap: TrapSpec, n_start: int,
         For a trap with a transverse continuum, which no grid basis
         completes.
     NoConvergence
-        If 161 states are passed without two agreeing rungs.
+        If an auto-sized grid does not settle (:func:`u_cir_complete`).
     """
     if n_start < 1:
         raise ConfigError(f"n_start must be positive, got {n_start}")
-    basis = _own_grid_basis(trap)
-    if basis is None:
-        basis = solve_transverse(trap, _LADDER_LIMIT)
+    basis = u_cir_complete(trap)[-1][0]
     kernel = None
     prev: tuple[Resonance, ...] | None = None
     rungs: list[int] = []
-    for nc in range(n_start, _LADDER_LIMIT + 1, _LADDER_STEP):
+    for nc in itertools.count(n_start, _LADDER_STEP):
         spectrum = _leading_states(basis, nc)
         kernel = build_kernel(spectrum, total_momentum) if kernel is None \
             else _grow(kernel, spectrum)
@@ -755,9 +755,6 @@ def converged_resonances(trap: TrapSpec, n_start: int,
             return replace(locate_resonances(kernel, u_window),
                            converged=True, rungs=tuple(rungs))
         prev = found
-    raise NoConvergence(
-        f"visible resonance positions did not stabilize to "
-        f"{_LADDER_REL_TOL:g} by {_LADDER_LIMIT} transverse states")
 
 
 def _positions_match(a: tuple[Resonance, ...], b: tuple[Resonance, ...]

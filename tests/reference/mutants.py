@@ -55,6 +55,17 @@ MUTANTS = {
     "eigen-residual-max-1e-7": ("src/q1dscatter/oracle.py",
                                 "_EIGEN_RESIDUAL_MAX = 1e-10",
                                 "_EIGEN_RESIDUAL_MAX = 1e-7"),
+    "ladder-rel-tol": ("src/q1dscatter/two_body.py",
+                       "_LADDER_STEP, _LADDER_REL_TOL = 20, 1e-6",
+                       "_LADDER_STEP, _LADDER_REL_TOL = 20, 1e-3"),
+    "ladder-step": ("src/q1dscatter/two_body.py",
+                    "_LADDER_STEP, _LADDER_REL_TOL = 20, 1e-6",
+                    "_LADDER_STEP, _LADDER_REL_TOL = 40, 1e-6"),
+    "grid-rel-tol": ("src/q1dscatter/single_particle.py",
+                     "GRID_REL_TOL = 1e-12", "GRID_REL_TOL = 1e-9"),
+    "auto-grid-cap": ("src/q1dscatter/traps.py",
+                      "_MAX_AUTO_Y, _MAX_BOX_Y = 2_560, 40_960",
+                      "_MAX_AUTO_Y, _MAX_BOX_Y = 40_960, 40_960"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

@@ -132,6 +132,24 @@ def test_complete_basis_of_a_fixed_grid():
         q.u_cir_complete(q.DeltaWell(v0=1.0))
 
 
+def test_auto_grid_stops_at_half_width_2560(monkeypatch):
+    """Every state of a grid keeps its eigenvector, about 36 B x sites^2:
+    the auto grid stops at half-width 2,560 (5,121 sites, 0.94 GB), not
+    at 40,960 (240 GB at 81,921 sites).  A stand-in basis whose 1/U_CIR
+    never settles records the half-widths asked for."""
+    half_widths = []
+
+    def never_settles(trap, y_max):
+        half_widths.append(y_max)
+        return q.solve_transverse(q.TwoSite(v=float(y_max)))
+
+    monkeypatch.setattr(q.single_particle, "_complete_spectrum",
+                        never_settles)
+    with pytest.raises(q.NoConvergence, match="1280 and 2560"):
+        q.u_cir_complete(q.Harmonic(omega=1e-12))
+    assert half_widths == [40 << i for i in range(7)]
+
+
 def test_complete_basis_grids_agree_to_1e_12():
     # at omega = 3e-4 the 81- and 161-site grids differ by 4.9e-12
     rungs = q.u_cir_complete(q.Harmonic(omega=3e-4))

@@ -207,6 +207,18 @@ def test_grid_growth_leaves_no_reference_cycle(monkeypatch):
     assert grids == [81, 161, 321]
 
 
+def test_auto_harmonic_grid_stops_at_half_width_2560():
+    """An auto-sized harmonic grid solves for every eigenvector, so it
+    doubles from half-width 40 to 2,560 (5,121 sites) and no further;
+    a continuum well's box, which keeps only the states below the band,
+    goes on to 40,960."""
+    half_widths = []
+    with pytest.raises(q.ConfigError, match="exceeded half-width 2560"):
+        for grid, *_ in traps._grid_problems(q.Harmonic(omega=1e-12), 10):
+            half_widths.append(int(grid[-1]))
+    assert half_widths == [40 << i for i in range(7)]
+
+
 def test_fixed_grid_refuses_past_its_edge_decaying_run():
     """At omega = 1e-3 the 161-site grid holds 70 states that decay at
     its edges: 70 are served, and 71 are refused with that count."""

@@ -386,15 +386,15 @@ def test_pair_channels_enumerate_only_the_new_shells():
 
 def test_ladder_rungs_are_leading_cuts_of_one_basis(monkeypatch):
     """omega = 0.03 on an auto grid: a fresh solve puts 21 and 41 states
-    on 81 sites and 61 on 161, but the ladder solves the trap once, for
-    161 states on 321 sites, and every rung holds the leading states of
-    the last one, bit for bit."""
+    on 81 sites and 61 on 161, but the ladder solves the trap once, on
+    the 161-site grid where 1/U_CIR settles, and every rung holds the
+    leading states of the last one, bit for bit."""
     trap = q.Harmonic(omega=0.03)
     assert [len(q.solve_transverse(trap, n_states=n).grid)
             for n in (21, 41, 61)] == [81, 81, 161]
     rep, spectra = _ladder_spectra(monkeypatch, trap, 21)
     assert rep.rungs == (21, 41, 61)
-    assert [len(spectrum.grid) for spectrum in spectra] == [321] * 3
+    assert [len(spectrum.grid) for spectrum in spectra] == [161] * 3
     for spectrum in spectra:
         _assert_same_states(spectrum, q.traps._leading_states(
             spectra[-1], spectrum.n_states))
@@ -424,10 +424,10 @@ def test_ladder_past_a_finite_basis_uses_all_of_it(trap, n_start):
 
 
 def test_ladder_solves_each_grid_once(monkeypatch):
-    """The ladder from 41 states at omega = 1e-3 solves the trap once
-    for 161 states, trying the auto grids of 81, 161 and 321 sites, and
-    diagonalizes each grid's two parity sectors once (a fresh solve per
-    rung made 26 sector calls)."""
+    """The ladder from 41 states at omega = 1e-3 solves the trap once,
+    doubling the auto grid from 81 to 161 sites until 1/U_CIR settles,
+    and diagonalizes each grid's two parity sectors once (a fresh solve
+    per rung made 26 sector calls)."""
     sectors = []
     solve = traps.eigh_tridiagonal
 
@@ -437,7 +437,7 @@ def test_ladder_solves_each_grid_once(monkeypatch):
 
     monkeypatch.setattr(traps, "eigh_tridiagonal", counted)
     rep = q.converged_resonances(q.Harmonic(omega=1e-3), 41)
-    assert sectors == [41, 40, 81, 80, 161, 160]
+    assert sectors == [41, 40, 81, 80]
     assert rep.rungs == (41, 61, 81, 101, 121)
 
 
@@ -448,10 +448,11 @@ def test_ladder_solves_each_grid_once(monkeypatch):
 def test_ladder_rungs_equal_fresh_solves(monkeypatch, trap, n_start):
     """On a grid the trap fixes (a set half-width, a table) every rung's
     spectrum is bit for bit a fresh ``solve_transverse`` of its size; on
-    an auto grid it is the leading cut of the fresh 161-state solve."""
+    an auto grid it is the leading cut of the complete basis that
+    ``u_cir_complete`` sums."""
     rep, spectra = _ladder_spectra(monkeypatch, trap, n_start)
     auto = isinstance(trap, q.Harmonic) and trap.y_max is None
-    basis = q.solve_transverse(trap, n_states=161) if auto else None
+    basis = q.u_cir_complete(trap)[-1][0] if auto else None
     for spectrum in spectra:
         n = spectrum.n_states
         _assert_same_states(spectrum,
@@ -494,37 +495,127 @@ def test_fixed_grid_ladder_runs_on_the_complete_basis():
     assert small.n_states == 41 and small.collision_sites == 21
 
 
+def test_fixed_grid_ladder_runs_past_161_states():
+    """A fixed grid's ladder has no state cap: on 401 sites at omega =
+    1e-3 it starts at 181 states and settles at 201 on fig4's three
+    visible poles, and on 321 sites at omega = 3e-4 it climbs from 41 to
+    181 states.  (A cap of 161 states refused both.)"""
+    fig4 = q.converged_resonances(q.Harmonic(omega=1e-3), 41)
+    rep = q.converged_resonances(q.Harmonic(omega=1e-3, y_max=200), 181)
+    assert rep.converged and rep.rungs == (181, 201)
+    assert len(rep.visible_resonances) == 3
+    assert np.allclose(_field(rep, "u", True), _field(fig4, "u", True),
+                       rtol=1e-12, atol=0)
+    rep = q.converged_resonances(q.Harmonic(omega=3e-4, y_max=160), 41)
+    assert rep.converged and rep.rungs[-1] == 181
+
+
+def test_ladder_starting_past_the_basis_takes_all_of_it():
+    """An `n_start` above the basis size gives one rung, the complete
+    basis: at omega = 0.3 its 161 states on the 161-site auto grid."""
+    rep = q.converged_resonances(q.Harmonic(omega=0.3), 200)
+    assert rep.converged and rep.rungs == (161,)
+    assert rep.n_states == 161 and rep.collision_sites == 81
+
+
+@pytest.mark.parametrize("omega, n_states, poles", [
+    (3e-4, 181, (-4.304010263, -3.539852434)),
+    (1e-4, 281, (-3.936765184, -3.288323961))])
+def test_small_omega_ladder_converges_on_the_complete_basis(omega, n_states,
+                                                            poles):
+    """At omega = 3e-4 and 1e-4 the auto-grid ladder runs past 161
+    states (to 181 and 281) and gives the visible poles of the complete
+    bases with y_max = 120 and 160 that pin the visibility floor at
+    3e-4, and of y_max = 160 to 320 at 1e-4."""
+    rep = q.converged_resonances(q.Harmonic(omega=omega), 41)
+    assert rep.converged and rep.n_states == n_states
+    assert np.allclose(_field(rep, "u", True), poles, rtol=1e-9, atol=0)
+
+
+def test_pair_continuum_limit_slope():
+    """As omega -> 0 the pair's relative motion (hopping 2J) approaches
+    the continuum waveguide, where 1/|U_CIR| of the broad pole rises by
+    ln 10 / (16 pi J) per decade of omega; the lattice correction
+    shrinks with omega, so the local slopes rise toward it from below
+    (measured 0.045569, then 0.045660: 0.32% low)."""
+    omegas = (1e-4, 3e-5, 1e-5)
+    reports = [q.converged_resonances(q.Harmonic(omega=w), 41)
+               for w in omegas]
+    broad = [[r for r in rep.visible_resonances if r.kind == "broad"]
+             for rep in reports]
+    assert [len(b) for b in broad] == [1, 1, 1]
+    assert np.allclose([b[0].u for b in broad],
+                       (-3.9367651837, -3.5991607893, -3.3374736649),
+                       rtol=1e-9, atol=0)
+    inverse = [-1.0 / b[0].u for b in broad]
+    slopes = [(b - a) / math.log10(wa / wb) for a, b, wa, wb in
+              zip(inverse, inverse[1:], omegas, omegas[1:])]
+    closed_form = math.log(10.0) / (16.0 * math.pi * q.J)
+    assert slopes[0] < slopes[1] < closed_form
+    assert slopes[1] >= (1.0 - 5e-3) * closed_form
+
+
 def test_fig4_ladder_is_the_fresh_kernel_to_rounding():
     """fig4's ladder (omega = 1e-3 from 41 states) grows one kernel on
-    the 321-site basis to 121 states.  Its report is a fresh kernel's on
-    ``solve_transverse(trap, 121)``, whose states it holds bit for bit,
-    up to the order of H's sum: poles and zero crossings to 1e-12
-    relative, every width to 1e-12 absolute, and the visible widths to
-    1e-9 relative."""
+    the complete basis of the 161-site grid to 121 states.  Its report
+    is a fresh kernel's on the leading 121 states of that basis, up to
+    the order of H's sum: poles and zero crossings to 1e-12 relative,
+    every width to 1e-12 absolute, and the visible widths to 1e-9
+    relative."""
     trap = q.Harmonic(omega=1e-3)
     rep = q.converged_resonances(trap, 41)
+    basis = q.u_cir_complete(trap)[-1][0]
+    assert len(basis.grid) == 161
     fresh = q.locate_resonances(q.build_kernel(
-        q.solve_transverse(trap, n_states=121)))
+        q.traps._leading_states(basis, 121)))
     assert rep.converged and rep.rungs == (41, 61, 81, 101, 121)
     assert (rep.n_states, rep.n_channels) == (121, fresh.n_channels)
     assert [(r.kind, r.visible) for r in rep.resonances] == [
         (r.kind, r.visible) for r in fresh.resonances]
     assert len(rep.visible_resonances) == 3
 
-    def field(report, name, only_visible=False):
-        rows = report.visible_resonances if only_visible \
-            else report.resonances
-        return np.array([getattr(r, name) for r in rows])
-
-    assert np.allclose(field(rep, "u"), field(fresh, "u"), rtol=1e-12,
+    assert np.allclose(_field(rep, "u"), _field(fresh, "u"), rtol=1e-12,
                        atol=0)
     assert np.allclose(rep.zero_crossings, fresh.zero_crossings, rtol=1e-12,
                        atol=0)
     for name in ("width", "residue"):
-        assert np.allclose(field(rep, name), field(fresh, name), rtol=0,
+        assert np.allclose(_field(rep, name), _field(fresh, name), rtol=0,
                            atol=1e-12)
-        assert np.allclose(field(rep, name, True), field(fresh, name, True),
-                           rtol=1e-9, atol=0)
+        assert np.allclose(_field(rep, name, True),
+                           _field(fresh, name, True), rtol=1e-9, atol=0)
+
+
+def _field(report, name, only_visible=False):
+    rows = report.visible_resonances if only_visible else report.resonances
+    return np.array([getattr(r, name) for r in rows])
+
+
+def test_fig4_ladder_matches_the_wider_grid():
+    """The 121 states fig4's ladder cuts from its 161-site basis are the
+    states ``solve_transverse(trap, 121)`` puts on 321 sites, to the
+    edge decay of both grids.  The two reports agree to 1e-14 relative
+    on the visible poles, the zero crossings and every row whose width
+    is above round-off (1e-28); the rows below it are eigenvectors of
+    H at the grid edge, with an entrance weight of round-off, and move
+    with the grid (up to 6e-5 relative in ``u``)."""
+    trap = q.Harmonic(omega=1e-3)
+    rep = q.converged_resonances(trap, 41)
+    wide = q.locate_resonances(q.build_kernel(
+        q.solve_transverse(trap, n_states=121)))
+    assert (rep.collision_sites, wide.collision_sites) == (81, 161)
+    assert rep.n_channels == wide.n_channels == 3720
+    assert [(r.kind, r.visible) for r in rep.resonances] == [
+        (r.kind, r.visible) for r in wide.resonances]
+    assert len(rep.resonances) == 57
+    above = _field(wide, "width") >= 1e-28
+    assert np.array_equal(_field(rep, "width") >= 1e-28, above)
+    assert 3 <= above.sum() < len(above)
+    assert np.allclose(_field(rep, "u", True), _field(wide, "u", True),
+                       rtol=1e-14, atol=0)
+    assert np.allclose(_field(rep, "u")[above], _field(wide, "u")[above],
+                       rtol=1e-14, atol=0)
+    assert np.allclose(rep.zero_crossings, wide.zero_crossings, rtol=1e-14,
+                       atol=0)
 
 
 # --------------------------------------------- channel-space witness
