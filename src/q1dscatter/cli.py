@@ -34,7 +34,7 @@ import scipy
 
 from . import __version__
 from .errors import ConfigError, Q1DError, UnknownFigure
-from .continuum import continuum_sum, u_cir_with_continuum
+from .continuum import u_cir_with_continuum
 from .oracle import StripProblem, pair_scattering_length, \
     strip_scattering_length
 from .ring import ring_cir_crossings, ring_sweep_roots
@@ -299,14 +299,14 @@ def build_trap(config: RunConfig):
                    if opts.get(k) is not None and k not in allowed)
     if extra:
         raise ConfigError(f"trap {name} does not take --{'/--'.join(extra)}")
-    if config.subcommand in _U_RANGE and (
+    if config.subcommand in ("ring", "twobody", "spa-fit", "resonances") and (
             name == "delta-well" or opts.get("asymptote") is not None):
-        # the coupling sweeps sum over the solved bound states only: the
-        # continuum channels would be dropped without a word
+        # the ring and pair sweeps sum over the solved bound states only:
+        # the continuum channels would be dropped without a word
         raise ConfigError(
             f"{config.subcommand} sums over bound transverse channels only; "
-            f"trap {name} has a transverse continuum: use the continuum "
-            f"subcommand (or q1dscatter.u_cir_with_continuum)")
+            f"trap {name} has a transverse continuum: use single (or "
+            f"q1dscatter.u_cir_with_continuum)")
     size = {} if opts.get("y_max") is None else {"y_max": opts["y_max"]}
     if name == "harmonic":
         return Harmonic(omega=float(opts["omega"]), **size)
@@ -429,11 +429,15 @@ def run_transverse(config: RunConfig, out: Path):
 
 def run_single(config: RunConfig, out: Path):
     k = float(config.get("k"))
-    if config.options.get("n_states") is None:  # the complete grid basis
-        rungs = u_cir_complete(build_trap(config), k=k)
-    else:
-        spectrum = _solve_spectrum(config)
-        rungs = [(spectrum, u_cir(spectrum, k=k))]
+    trap = build_trap(config)
+    n_states = config.options.get("n_states")
+    continuum = getattr(trap, "asymptote", None) is not None
+    if n_states is None and not continuum:  # the complete grid basis
+        rungs = u_cir_complete(trap, k=k)
+    else:  # the bound sector, plus S(k) for a continuum well
+        spectrum = solve_transverse(trap, n_states=n_states)
+        rungs = [(spectrum, u_cir_with_continuum(trap, k=k, spectrum=spectrum)
+                  if continuum else u_cir(spectrum, k=k))]
     spectrum, cir = rungs[-1]
     grid = _sweep_grid(config, "u")
     rows = []
@@ -456,10 +460,9 @@ def run_continuum(config: RunConfig, out: Path):
     k = float(config.get("k"))
     rows = []
     for v0 in grid:
-        spec = DeltaWell(v0=v0)
-        s = continuum_sum(spec, k=k)
-        cir = u_cir_with_continuum(spec, k=k, continuum=s)
-        rows.append((v0, s.value, cir.inverse, cir.u_cir))
+        # one bound state: no bound sum, and 1/U_CIR is S(k) itself
+        cir = u_cir_with_continuum(DeltaWell(v0=v0), k=k)
+        rows.append((v0, cir.inverse, cir.inverse, cir.u_cir))
     write_csv(out, config, ["v0", "s_k", "inverse_u_cir", "u_cir"], rows,
               {"k": k})
     return [out], {"points": len(rows)}

@@ -21,9 +21,14 @@ continuum channel; the denominator is smooth and bounded away from zero
 finite for every positive well depth.  ``S(k)`` is this one quadrature
 of one integrand, with no separate term for a quasi-bound transverse
 state: the adaptive panels must find its peak in ``phi_q(0)^2``.  The
-resonance position follows from ``1/U_CIR(k) = sum_bound + S(k)``; for
-the zero-range well the bound sum is empty and ``1/U_CIR = S(0)``
-exactly.  The tests check ``1/U_CIR`` against an independent witness,
+resonance position follows from ``1/U_CIR(k) = sum_bound + S(k)``, the
+bound sum :func:`~q1dscatter.single_particle.u_cir` over the bound
+sector that :func:`~q1dscatter.traps.solve_transverse` gives.  The
+zero-range well is the one-site table ``{0: 0}`` at asymptote ``v0``
+and is solved as one; only its phase shift, ``d(theta)/dq`` and bound
+energy are taken here in closed form, so its bound sum is empty,
+``1/U_CIR = S(k)`` exactly, and a sweep over ``v0`` solves no
+spectrum.  The tests check ``1/U_CIR`` against an independent witness,
 the channel sum over every excited state of the well in a finite
 hard-wall box, which converges to the same value.  There, walls of one
 site up to height 128 (peak half-width down to 1e-5 in ``q``) matched
@@ -41,12 +46,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, QuadratureFail
-from .single_particle import CirValue
+from .single_particle import CirValue, u_cir
 from .traps import (DeltaWell, J, Tabulated, TransverseSpectrum, alpha_closed,
-                    closed_channels, solve_transverse)
+                    solve_transverse)
 
 DEFAULT_QUAD_TOL = 1e-10
 _FD_STEP = 1e-6
@@ -83,15 +86,11 @@ class ContinuumState:
 
 @dataclass(frozen=True)
 class ContinuumSum:
-    """The continuum channel integral ``S(k)``.
-
-    ``quadrature_error`` is the integration error estimate and ``k`` the
-    longitudinal quasi-momentum it was evaluated at.
-    """
+    """The continuum channel integral ``S(k)``; ``quadrature_error`` is
+    the integration error estimate."""
 
     value: float
     quadrature_error: float
-    k: float
 
 
 ContinuumSpec = DeltaWell | Tabulated
@@ -99,16 +98,12 @@ ContinuumSpec = DeltaWell | Tabulated
 
 def _check_continuum_spec(spec: ContinuumSpec) -> float:
     """Validate and return the asymptotic potential value ``v_inf``."""
-    if isinstance(spec, DeltaWell):
-        return spec.v0
-    if isinstance(spec, Tabulated):
-        if spec.asymptote is None:
-            raise ConfigError("tabulated trap has no transverse continuum "
-                              "(no asymptote declared)")
-        if not spec.is_symmetric():
-            raise ConfigError("continuum treatment needs a symmetric well")
-        return float(spec.asymptote)
-    raise ConfigError(f"{type(spec).__name__} supports no transverse continuum")
+    if getattr(spec, "asymptote", None) is None:
+        raise ConfigError(f"{type(spec).__name__} trap has no transverse "
+                          f"continuum (no asymptote declared)")
+    if not spec.is_symmetric():
+        raise ConfigError("continuum treatment needs a symmetric well")
+    return float(spec.asymptote)
 
 
 def scattering_state(spec: ContinuumSpec, q: float) -> ContinuumState:
@@ -229,39 +224,25 @@ def continuum_sum(spec: ContinuumSpec, k: float = 0.0,
         raise QuadratureFail(
             f"adaptive quadrature error estimate {err:.3g} exceeds "
             f"{DEFAULT_QUAD_TOL * 10.0:g}")
-    return ContinuumSum(value=val / math.pi, quadrature_error=err / math.pi,
-                        k=k)
+    return ContinuumSum(value=val / math.pi, quadrature_error=err / math.pi)
 
 
 def u_cir_with_continuum(spec: ContinuumSpec, k: float = 0.0,
-                         continuum: ContinuumSum | None = None) -> CirValue:
+                         spectrum: TransverseSpectrum | None = None
+                         ) -> CirValue:
     """Resonance coupling of a continuum-supporting well,
     ``1/U_CIR(k) = sum over excited bound channels + S(k)``.
 
-    For the zero-range well the bound sum is empty and
-    ``1/U_CIR = S(0)`` holds exactly.  Pass `continuum` to reuse
-    ``continuum_sum(spec, k)`` already computed for this well; the
-    default is ``continuum_sum(spec, k)`` on the bound sector solved
-    here.
-
-    Raises
-    ------
-    ConfigError
-        If `continuum` was evaluated at another ``k``.
+    The bound sum is :func:`~q1dscatter.single_particle.u_cir` over
+    `spectrum`, a previously solved bound sector of `spec` to reuse,
+    summed as given; by default every bound state, solved here.  For
+    the zero-range well with no `spectrum` the bound sum is empty and
+    ``1/U_CIR = S(k)`` exactly.
     """
-    if continuum is not None and continuum.k != k:
-        raise ConfigError(f"continuum_sum was evaluated at "
-                          f"k={continuum.k}, not k={k}")
-    e0, spectrum = _bound_reference(spec)
-    if continuum is None:
-        continuum = continuum_sum(spec, k=k, spectrum=spectrum)
-    e_k = -2.0 * J * math.cos(k) + e0
-    bound_part = 0.0
-    n_bound = 1
-    if spectrum is not None:
-        n_bound = spectrum.n_states
-        den = closed_channels(spectrum.energies[1:], e_k)[1]
-        bound_part = float(np.sum(spectrum.origin_amplitudes[1:] ** 2 / den))
-    inverse = bound_part + continuum.value
+    _, spectrum = _bound_reference(spec, spectrum)
+    s = continuum_sum(spec, k=k, spectrum=spectrum)
+    bound = CirValue(u_cir=math.inf, inverse=0.0, k=k, n_used=0) \
+        if spectrum is None else u_cir(spectrum, k)
+    inverse = bound.inverse + s.value
     value = math.inf if inverse == 0.0 else 1.0 / inverse
-    return CirValue(u_cir=value, inverse=inverse, k=k, n_used=n_bound - 1)
+    return CirValue(u_cir=value, inverse=inverse, k=k, n_used=bound.n_used)

@@ -28,9 +28,12 @@ doublet's splitting is below one ulp.
 A truncated grid (harmonic traps, continuum wells) lets in only the
 leading run of states, in energy order, whose amplitude on the end
 sites is below ``DEFAULT_EDGE_TOL``; too few is an :class:`EdgeLeak`
-once an auto-sized grid stops growing.  A continuum well lets in only
-its bound states below the band bottom ``asymptote - 2 J`` (no
-eigenpair above it is computed), by default every one of them.
+once an auto-sized grid stops growing.  A continuum well is any trap
+with an ``asymptote`` (a table with one, or the delta well, which is
+the one-site table ``{0: 0}`` at asymptote ``v0``): it is solved in a
+box and lets in only its bound states below the band bottom
+``asymptote - 2 J`` (no eigenpair above it is computed), by default
+every one of them.
 
 Lengths are lattice spacings; energies are in units of ``J``.
 """
@@ -87,17 +90,47 @@ class Harmonic:
         _check_half_width(self.y_max)
 
 
+class _SiteTable:
+    """A potential given per site on a contiguous integer range, as the
+    sorted ``(y, V(y))`` pairs ``values``."""
+
+    values: tuple[tuple[int, float], ...]
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.array([y for y, _ in self.values], dtype=int)
+
+    @property
+    def potential(self) -> np.ndarray:
+        return np.array([v for _, v in self.values], dtype=float)
+
+    def is_symmetric(self) -> bool:
+        """:func:`mirror_symmetric` of the table, bit for bit, read off
+        its pairs (no arrays: a continuum sweep asks once per point)."""
+        return self.values == tuple((-y, v) for y, v in self.values[::-1])
+
+
 @dataclass(frozen=True)
-class DeltaWell:
-    """Zero-range well ``V(y) = v0`` off-site, ``V(0) = 0``.
+class DeltaWell(_SiteTable):
+    """Zero-range well ``V(y) = v0`` off-site, ``V(0) = 0``: the one-site
+    table ``{0: 0}`` with asymptote ``v0``, and solved as that table.
 
     The potential approaches the constant ``v0 > 0`` away from the
     origin, so the trap supports exactly one bound state plus a
     transverse continuum (handled in :mod:`q1dscatter.continuum`).
+
+    Parameters
+    ----------
+    v0 : float
+        Off-site potential, the asymptote; must be positive.
+    y_max : int, optional
+        Box half-width.  ``None`` (default) doubles the box from
+        half-width 40 until the bound state decays at its edges.
     """
 
     v0: float
     y_max: int | None = None
+    values = ((0, 0.0),)
 
     def __post_init__(self):
         if not self.v0 > 0.0:
@@ -108,14 +141,14 @@ class DeltaWell:
         _check_half_width(self.y_max)
 
     @property
-    def bound_energy(self) -> float:
-        """Energy of the single bound state, ``-sqrt(v0^2 + 4 J^2) + v0``."""
-        return -math.hypot(self.v0, 2.0 * J) + self.v0
+    def asymptote(self) -> float:
+        return self.v0
 
     @property
-    def decay(self) -> float:
-        """Bound-state decay factor ``beta`` in ``psi(y) ~ beta**|y|``."""
-        return (math.hypot(self.v0, 2.0 * J) - self.v0) / (2.0 * J)
+    def bound_energy(self) -> float:
+        """Energy of the single bound state, ``-sqrt(v0^2 + 4 J^2) + v0``,
+        in closed form."""
+        return -math.hypot(self.v0, 2.0 * J) + self.v0
 
 
 @dataclass(frozen=True)
@@ -128,7 +161,7 @@ class TwoSite:
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_SiteTable):
     """Potential tabulated per site on a contiguous integer range.
 
     Parameters
@@ -159,17 +192,6 @@ class Tabulated:
         if ys != list(range(ys[0], ys[-1] + 1)):
             raise ConfigError("tabulated sites must form a contiguous integer range")
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.array([y for y, _ in self.values], dtype=int)
-
-    @property
-    def potential(self) -> np.ndarray:
-        return np.array([v for _, v in self.values], dtype=float)
-
-    def is_symmetric(self) -> bool:
-        return mirror_symmetric(self.grid, self.potential)
-
 
 TrapSpec = Union[Harmonic, DeltaWell, TwoSite, Tabulated]
 
@@ -194,9 +216,7 @@ def potential_on_grid(spec: TrapSpec, y_max: int) -> tuple[np.ndarray, np.ndarra
     grid = np.arange(-int(y_max), int(y_max) + 1)
     if isinstance(spec, Harmonic):
         return grid, spec.omega * grid.astype(float) ** 2
-    if isinstance(spec, DeltaWell):
-        return grid, np.where(grid == 0, 0.0, spec.v0)
-    if isinstance(spec, Tabulated):
+    if isinstance(spec, _SiteTable):  # a table with an asymptote
         v = np.full(grid.shape, spec.asymptote, dtype=float)
         ys = spec.grid
         if ys[0] < -y_max or ys[-1] > y_max:
@@ -456,8 +476,7 @@ def _own_grid_basis(spec: TrapSpec) -> TransverseSpectrum | None:
         For a trap with a transverse continuum (delta well, table with
         an asymptote), which no grid basis completes.
     """
-    if isinstance(spec, DeltaWell) or getattr(spec, "asymptote", None) \
-            is not None:
+    if getattr(spec, "asymptote", None) is not None:
         raise ConfigError("the trap has a transverse continuum, which no "
                           "grid basis completes")
     if isinstance(spec, Harmonic) and spec.y_max is None:
@@ -488,10 +507,12 @@ def _grid_problems(spec: TrapSpec, n_states: int | None
 
     A finite trap is its own whole grid; a harmonic trap with a set
     half-width has one grid.  An auto-sized harmonic grid doubles its
-    half-width from 40 to 2,560.  A continuum well doubles it from 20
-    sites beyond its range to 40,960, keeps the states below the band,
-    and asks each box for every bound state it may hold (`n_states` if
-    set), or stops if that is fewer.  Running out of grids raises.
+    half-width from 40 to 2,560.  A continuum well (a table with an
+    asymptote, or the delta well) doubles it from 20 sites beyond its
+    range, and at least 40, to 40,960, or has the one box its ``y_max``
+    sets; it keeps the states below the band and asks each box for
+    every bound state it may hold (`n_states` if set), or stops if that
+    is fewer.  Running out of grids raises.
     """
     if isinstance(spec, TwoSite) or (isinstance(spec, Tabulated)
                                      and spec.asymptote is None):
@@ -509,12 +530,13 @@ def _grid_problems(spec: TrapSpec, n_states: int | None
             f"auto grid sizing exceeded half-width {_MAX_AUTO_Y} "
             f"for {n_states} states"
         )
-    elif isinstance(spec, Tabulated):
+    elif isinstance(spec, _SiteTable):  # a table with an asymptote
         ceiling = spec.asymptote - 2.0 * J - 1e-12  # just below the band
         range_max = int(max(abs(spec.grid[0]), abs(spec.grid[-1])))
-        y_max = max(range_max + 20, 40)
+        fixed = getattr(spec, "y_max", None)
+        y_max = fixed or max(range_max + 20, 40)
         n_max = n_wanted = n_states if n_states is not None else 1
-        while y_max <= _MAX_BOX_Y:
+        while y_max <= (fixed or _MAX_BOX_Y):
             grid, v = potential_on_grid(spec, y_max)
             # cutting the end bonds and lowering the end sites by J bounds
             # H from below by a box whose count below the band caps the
@@ -526,6 +548,8 @@ def _grid_problems(spec: TrapSpec, n_states: int | None
             if n_max < max(n_wanted, 1):
                 break
             yield grid, v, n_wanted, DEFAULT_EDGE_TOL, ceiling
+            if fixed:
+                return  # the one box; the caller reports its edge leak
             y_max *= 2
         raise EdgeLeak(
             f"{max(n_wanted, 1)} bound states requested below the transverse "
@@ -533,34 +557,6 @@ def _grid_problems(spec: TrapSpec, n_states: int | None
             f"at the edges up to half-width {min(y_max, _MAX_BOX_Y)}")
     else:
         raise ConfigError(f"unknown trap spec {type(spec).__name__}")
-
-
-def _delta_well_spectrum(spec: DeltaWell, n_states: int | None
-                         ) -> TransverseSpectrum:
-    """The delta well's single bound state, in closed form."""
-    if n_states is not None and n_states != 1:
-        raise ConfigError(
-            "the delta well has a single bound state; its continuum is "
-            "handled by the continuum module"
-        )
-    beta = spec.decay
-    y_max = spec.y_max
-    if y_max is None:
-        y_max = max(4, math.ceil(math.log(DEFAULT_EDGE_TOL)
-                                 / math.log(beta)))
-        while beta ** y_max >= DEFAULT_EDGE_TOL:
-            y_max += 1
-    if beta ** y_max >= DEFAULT_EDGE_TOL:
-        raise EdgeLeak(
-            f"bound state decays as {beta:.4g}**|y|; half-width {y_max} "
-            f"leaves edge weight above {DEFAULT_EDGE_TOL:g}"
-        )
-    grid = np.arange(-y_max, y_max + 1)
-    psi = beta ** np.abs(grid).astype(float)
-    psi /= math.sqrt(float(psi @ psi))
-    return TransverseSpectrum(energies=np.array([spec.bound_energy]),
-                              wavefunctions=psi[None, :],
-                              parities=("even",), grid=grid, symmetric=True)
 
 
 def solve_transverse(spec: TrapSpec, n_states: int | None = None
@@ -575,10 +571,10 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
     Parameters
     ----------
     spec : TrapSpec
-        The trap.  For :class:`DeltaWell` only the single bound state is
-        returned, and for a :class:`Tabulated` well with an asymptote
-        only its states below the band bottom (continuum states, and
-        bound states above the band, are left to
+        The trap.  For a continuum well (a :class:`Tabulated` well with
+        an asymptote, or the :class:`DeltaWell`, whose single bound state
+        this is) only its states below the band bottom are returned
+        (continuum states, and bound states above the band, are left to
         :mod:`q1dscatter.continuum`).
     n_states : int, optional
         Number of bound states to return.  On a truncated grid only the
@@ -605,8 +601,6 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
         continuum well binds fewer than requested, or its states do not
         decay by half-width 40,960.
     """
-    if isinstance(spec, DeltaWell):
-        return _delta_well_spectrum(spec, n_states)
     if isinstance(spec, Harmonic) and n_states is None:
         n_states = _DEFAULT_N_STATES
     for grid, v, n_wanted, edge_tol, ceiling in _grid_problems(spec,

@@ -66,6 +66,20 @@ MUTANTS = {
     "auto-grid-cap": ("src/q1dscatter/traps.py",
                       "_MAX_AUTO_Y, _MAX_BOX_Y = 2_560, 40_960",
                       "_MAX_AUTO_Y, _MAX_BOX_Y = 40_960, 40_960"),
+    "delta-bound-energy-sign": ("src/q1dscatter/traps.py",
+                                "return -math.hypot(self.v0, 2.0 * J) "
+                                "+ self.v0",
+                                "return -math.hypot(self.v0, 2.0 * J) "
+                                "- self.v0"),
+    "box-ceiling": ("src/q1dscatter/traps.py",
+                    "ceiling = spec.asymptote - 2.0 * J - 1e-12",
+                    "ceiling = spec.asymptote - 2.0 * J + 1e-2"),
+    "box-first-half-width": ("src/q1dscatter/traps.py",
+                             "y_max = fixed or max(range_max + 20, 40)",
+                             "y_max = fixed or max(range_max + 20, 20)"),
+    "box-fixed-half-width": ("src/q1dscatter/traps.py",
+                             "if fixed:\n                return",
+                             "if False:\n                return"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

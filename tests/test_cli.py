@@ -756,16 +756,21 @@ _CONTINUUM_TRAPS = {
                              "--values=-1:0.5,0:-0.9,1:0.5",
                              "--asymptote", "1"),
 }
+_CONTINUUM_WELLS = {
+    "delta-well": q.DeltaWell(v0=1.0),
+    "table-with-asymptote": q.Tabulated.from_mapping(
+        {-1: 0.5, 0: -0.9, 1: 0.5}, 1.0),
+}
 _SWEEP = ("--u-from", "-1", "--u-to", "1", "--points", "3")
 
 
 @pytest.mark.parametrize("trap", list(_CONTINUUM_TRAPS))
 @pytest.mark.parametrize("args", [
-    ("single", *_SWEEP), ("ring", "--length", "10", *_SWEEP),
+    ("ring", "--length", "10", *_SWEEP),
     ("twobody", *_SWEEP), ("twobody", "--resonances"),
     ("spa-fit", *_SWEEP), ("resonances",),
     ("resonances", "--converge", "--n-start", "1")],
-    ids=["single", "ring", "twobody", "twobody-report", "spa-fit",
+    ids=["ring", "twobody", "twobody-report", "spa-fit",
          "resonances", "resonances-converge"])
 def test_continuum_trap_refused_by_bound_channel_sums(tmp_path, capsys,
                                                       args, trap):
@@ -774,8 +779,51 @@ def test_continuum_trap_refused_by_bound_channel_sums(tmp_path, capsys,
     out = tmp_path / "x.csv"
     record = expect_error([*args, *_CONTINUUM_TRAPS[trap],
                            "--output", str(out)], capsys, 2, "ConfigError")
-    assert "continuum subcommand" in record["message"]
+    assert "use single" in record["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("trap", list(_CONTINUUM_TRAPS))
+def test_single_takes_a_continuum_trap(tmp_path, capsys, trap,
+                                       box_channel_sum):
+    # the bound sector is solved once and summed with S(0): 1/U_CIR is
+    # the library's and the hard-wall box sum's
+    out = tmp_path / "s.csv"
+    assert run_cli(["single", *_SWEEP, *_CONTINUUM_TRAPS[trap],
+                    "--output", str(out)], capsys)[0] == 0
+    meta, rows = read_csv(out)
+    well = _CONTINUUM_WELLS[trap]
+    spectrum = q.solve_transverse(well)
+    cir = q.u_cir_with_continuum(well, spectrum=spectrum)
+    assert float(meta["u-cir"]) == cir.u_cir
+    assert int(meta["n-used"]) == spectrum.n_states - 1
+    assert abs(cir.inverse - q.u_cir_with_continuum(well).inverse) < 1e-9
+    assert abs(cir.inverse - box_channel_sum(well, 0.0)) < 1e-9
+    psi0 = float(spectrum.origin_amplitudes[0])
+    for row in rows:
+        u = float(row["u"])
+        assert float(row["u1d"]) == pytest.approx(
+            u * psi0 ** 2 / (1.0 - u * cir.inverse), rel=1e-14)
+
+
+def test_single_sums_a_pinned_continuum_sector_as_given(tmp_path, capsys):
+    # the width-3 well binds three states below the band; pinned to two,
+    # the bound sum holds one channel, as it would for any other trap
+    out = tmp_path / "s.csv"
+    assert run_cli(["single", *_SWEEP, "--trap", "tabulated",
+                    "--values=-1:-2.2,0:-2.2,1:-2.2", "--asymptote", "1",
+                    "--n-states", "2", "--output", str(out)], capsys)[0] == 0
+    meta, _ = read_csv(out)
+    well = q.Tabulated.from_mapping({-1: -2.2, 0: -2.2, 1: -2.2}, 1.0)
+    pinned = q.u_cir_with_continuum(
+        well, spectrum=q.solve_transverse(well, n_states=2))
+    assert (meta["n-states"], meta["n-used"]) == ("2", "1")
+    assert float(meta["u-cir"]) == pinned.u_cir
+    assert pinned.u_cir != q.u_cir_with_continuum(well).u_cir
+    # the delta well binds one state: asking for two leaks (exit 3)
+    expect_error(["single", *_SWEEP, *_CONTINUUM_TRAPS["delta-well"],
+                  "--n-states", "2", "--output", str(out)], capsys, 3,
+                 "EdgeLeak")
 
 
 @pytest.mark.parametrize("trap", list(_CONTINUUM_TRAPS))

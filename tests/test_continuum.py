@@ -75,15 +75,25 @@ def test_cir_decreases_with_well_depth():
     assert all(b < a for a, b in zip(cirs, cirs[1:]))
 
 
-def test_precomputed_continuum_sum_is_reused():
-    spec = q.DeltaWell(v0=1.0)
-    for k in (0.0, 0.3):
-        s = q.continuum_sum(spec, k=k)
-        assert s.k == k
-        assert q.u_cir_with_continuum(spec, k=k, continuum=s) \
-            == q.u_cir_with_continuum(spec, k=k)
-    with pytest.raises(q.ConfigError):
-        q.u_cir_with_continuum(spec, k=0.3, continuum=q.continuum_sum(spec))
+def test_presolved_spectrum_is_reused(monkeypatch):
+    # a bound sector passed in is summed as given, and solved no more;
+    # the delta well's box solve matches its closed-form entrance energy
+    well = _cavity(16.0)
+    spectrum = q.solve_transverse(well)
+    fresh = [q.u_cir_with_continuum(well, k=k) for k in (0.0, 0.3)]
+    delta = q.DeltaWell(v0=1.0)
+    delta_spectrum = q.solve_transverse(delta)
+
+    def solved_again(*args, **kwargs):
+        raise AssertionError("bound sector solved again")
+
+    monkeypatch.setattr(continuum, "solve_transverse", solved_again)
+    assert [q.u_cir_with_continuum(well, k=k, spectrum=spectrum)
+            for k in (0.0, 0.3)] == fresh
+    boxed = q.u_cir_with_continuum(delta, spectrum=delta_spectrum)
+    assert boxed.n_used == 0
+    assert boxed.inverse == pytest.approx(
+        q.u_cir_with_continuum(delta).inverse, abs=1e-14)
 
 
 def test_cir_frozen_value():
@@ -142,8 +152,9 @@ def test_default_solve_holds_every_bound_state(depth, box_channel_sum):
 
 def test_tabulated_well_is_solved_once(monkeypatch):
     well = _cavity(16.0)
-    # the bound sector solved separately for S(k) and for the bound sum
-    two_solves = q.u_cir_with_continuum(well, continuum=q.continuum_sum(well))
+    # the bound sector solved outside and passed in
+    two_solves = q.u_cir_with_continuum(well,
+                                        spectrum=q.solve_transverse(well))
     solve = continuum.solve_transverse
     calls = []
 

@@ -76,7 +76,7 @@ def test_strip_size_validation():
 def test_continuum_well_matches_the_continuum_theory(trap, u):
     # the strip's transverse box holds the well's continuum as a dense
     # set of closed channels: a = -2 J / U1D with the bound sum plus the
-    # continuum integral S(0) in 1/U_CIR (measured <= 1.4e-11)
+    # continuum integral S(0) in 1/U_CIR (measured <= 9.9e-12)
     cir = q.u_cir_with_continuum(trap)
     psi0 = float(q.solve_transverse(trap).origin_amplitudes[0])
     theory = -2.0 * q.J * (1.0 - u * cir.inverse) / (u * psi0 ** 2)

@@ -47,14 +47,42 @@ def test_two_site_potential_grid():
 
 
 def test_delta_well_bound_energy():
-    # closed form: E0 = -sqrt(V0^2 + 4 J^2) + V0
-    for v0 in (0.5, 1.0, 1.5, 4.0):
-        spec = q.solve_transverse(q.DeltaWell(v0=v0, y_max=400))
+    # the box solve against the closed forms E0 = -sqrt(V0^2 + 4 J^2) + V0
+    # and psi0(0)^2 = (1 - b^2) / (1 + b^2), psi0(y) ~ b**|y|
+    for v0 in (0.01, 0.1, 0.5, 1.0, 1.5, 4.0, 10.0):
+        spec = q.solve_transverse(q.DeltaWell(v0=v0))
+        assert spec.n_states == 1
         want = -math.sqrt(v0 * v0 + 4.0) + v0
-        assert float(spec.energies[0]) == pytest.approx(want, abs=1e-10)
+        assert float(spec.energies[0]) == pytest.approx(want, abs=2e-15)
+        b = (math.sqrt(v0 * v0 + 4.0) - v0) / 2.0
+        assert float(spec.origin_amplitudes[0]) == pytest.approx(
+            math.sqrt((1.0 - b * b) / (1.0 + b * b)), abs=1e-13)
     # the V0 = 1.5 J case is exactly -J
     spec = q.solve_transverse(q.DeltaWell(v0=1.5, y_max=400))
-    assert float(spec.energies[0]) == pytest.approx(-1.0, abs=1e-10)
+    assert float(spec.energies[0]) == pytest.approx(-1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("v0", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("n_states", [None, 1])
+def test_delta_well_is_the_one_site_table(v0, n_states):
+    # the same box problem, bit for bit
+    delta = q.solve_transverse(q.DeltaWell(v0=v0), n_states=n_states)
+    table = q.solve_transverse(q.Tabulated.from_mapping({0: 0.0}, v0),
+                               n_states=n_states)
+    for field in ("energies", "wavefunctions", "grid"):
+        assert np.array_equal(getattr(delta, field), getattr(table, field))
+    assert (delta.parities, delta.symmetric) == (table.parities,
+                                                 table.symmetric)
+    # it binds one state, and a set half-width is the one box solved,
+    # too small for the state's 0.951**|y| decay at V0 = 0.1
+    with pytest.raises(q.EdgeLeak):
+        q.solve_transverse(q.DeltaWell(v0=v0), n_states=2)
+    fixed = q.DeltaWell(v0=v0, y_max=60)
+    if v0 < 1.0:
+        with pytest.raises(q.EdgeLeak, match="half-width 60"):
+            q.solve_transverse(fixed)
+    else:
+        assert len(q.solve_transverse(fixed).grid) == 121
 
 
 def test_tabulated_matches_two_site():
