@@ -21,6 +21,7 @@ Energies are in units of the hopping ``J``; lengths in lattice sites.
 """
 
 from .continuum import (ContinuumState, ContinuumSum, continuum_sum,
+                        continuum_sums,
                         density_of_states, scattering_state,
                         u_cir_with_continuum)
 from .errors import (AtResonance, BranchCollision, ConfigError,
@@ -61,7 +62,8 @@ __all__ = [
     "u_cir_complete", "effective_u1d", "u1d_values",
     # continuum
     "ContinuumState", "ContinuumSum", "scattering_state",
-    "density_of_states", "continuum_sum", "u_cir_with_continuum",
+    "density_of_states", "continuum_sum", "continuum_sums",
+    "u_cir_with_continuum",
     # ring
     "RingSolution", "RingCrossing", "BranchSweep",
     "ring_momentum", "ring_branch_roots", "ring_sweep_roots",

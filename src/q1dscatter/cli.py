@@ -34,7 +34,7 @@ import scipy
 
 from . import __version__
 from .errors import ConfigError, Q1DError, UnknownFigure
-from .continuum import u_cir_with_continuum
+from .continuum import continuum_sums, u_cir_with_continuum
 from .oracle import StripProblem, pair_scattering_length, \
     strip_scattering_length
 from .ring import ring_cir_crossings, ring_sweep_roots
@@ -458,11 +458,10 @@ def run_single(config: RunConfig, out: Path):
 def run_continuum(config: RunConfig, out: Path):
     grid = _sweep_grid(config, "v0")
     k = float(config.get("k"))
-    rows = []
-    for v0 in grid:
-        # one bound state: no bound sum, and 1/U_CIR is S(k) itself
-        cir = u_cir_with_continuum(DeltaWell(v0=v0), k=k)
-        rows.append((v0, cir.inverse, cir.inverse, cir.u_cir))
+    # one bound state: no bound sum, and 1/U_CIR is S(k) itself
+    sums = continuum_sums([DeltaWell(v0=v0) for v0 in grid], k=k)
+    rows = [(v0, s.value, s.value, 1.0 / s.value)
+            for v0, s in zip(grid, sums)]
     write_csv(out, config, ["v0", "s_k", "inverse_u_cir", "u_cir"], rows,
               {"k": k})
     return [out], {"points": len(rows)}

@@ -1,13 +1,13 @@
 """Planted-defect audit: does Tier-1 catch each one-line mutant?
 
-Each entry of ``MUTANTS`` changes one numerical constant of the package
-by a text replacement that must match exactly once.  For each, in turn,
-the script copies the repository (without ``.git`` and caches) to a
-temporary directory, applies the replacement there, runs the Tier-1
-suite on the copy with ``-x`` and records whether it failed (the mutant
-is killed) or passed (it survived).  An unmutated copy runs first as the
-control: it must pass, or every kill would be meaningless.  The working
-tree is never modified.
+Each entry of ``MUTANTS`` changes one line of the package (a numerical
+constant, a sign or an operation) by a text replacement that must match
+exactly once.  For each, in turn, the script copies the repository
+(without ``.git`` and caches) to a temporary directory, applies the
+replacement there, runs the Tier-1 suite on the copy with ``-x`` and
+records whether it failed (the mutant is killed) or passed (it
+survived).  An unmutated copy runs first as the control: it must pass,
+or every kill would be meaningless.  The working tree is never modified.
 
 Run it from the repository root; a killed mutant stops at its first
 failing test, a survivor and the control take the whole suite (about a
@@ -80,6 +80,23 @@ MUTANTS = {
     "box-fixed-half-width": ("src/q1dscatter/traps.py",
                              "if fixed:\n                return",
                              "if False:\n                return"),
+    "quad-tol-share": ("src/q1dscatter/continuum.py",
+                       "DEFAULT_QUAD_TOL * (hi - lo) / (b - a)",
+                       "DEFAULT_QUAD_TOL * 10.0 * (hi - lo) / (b - a)"),
+    "quad-kronrod-weight": ("src/q1dscatter/continuum.py",
+                            "0.147739104901338491374841515972068",
+                            "0.147739104901"),
+    "quad-panel-cap": ("src/q1dscatter/continuum.py",
+                       "_PANEL_LIMIT = 400", "_PANEL_LIMIT = 800"),
+    "quad-error-scaling": ("src/q1dscatter/continuum.py",
+                           "(200.0 * error[scaled]",
+                           "(20.0 * error[scaled]"),
+    "quad-gemv-row-sum": ("src/q1dscatter/continuum.py",
+                          "resk = (f * _KRONROD).sum(axis=1)",
+                          "resk = f @ _KRONROD"),
+    "phase-fold": ("src/q1dscatter/continuum.py",
+                   "np.where(theta < -math.pi / 2, theta + math.pi, theta)",
+                   "np.where(theta < -math.pi, theta + math.pi, theta)"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

@@ -967,8 +967,8 @@ def _package_env():
 
 def test_cold_start_defers_integrate_and_optimize(tmp_path):
     # scipy.integrate and scipy.optimize cost most of a fresh import;
-    # only the continuum path and ring.asymptotic_momentum load them, at
-    # their first call
+    # the continuum integral needs neither, and only
+    # ring.asymptotic_momentum loads scipy.optimize, at its first call
     twobody = ["twobody", "--trap", "two-site", "--v", "1.0",
                "--u-from", "-2", "--u-to", "-1", "--points", "5",
                "--output", str(tmp_path / "t.csv")]
@@ -977,7 +977,9 @@ def test_cold_start_defers_integrate_and_optimize(tmp_path):
             "21", "--length", "50", "--crossings", "--u-from", "-20",
             "--u-to", "20", "--points", "6", "--output",
             str(tmp_path / "r.csv")]
-    for argv in (twobody, ring):
+    continuum = ["continuum", "--v0-from", "0.1", "--v0-to", "10",
+                 "--points", "5", "--output", str(tmp_path / "c.csv")]
+    for argv in (twobody, ring, continuum):
         script = f"""
 import json, sys
 from q1dscatter import cli

@@ -55,7 +55,12 @@ def test_quadrature_methods_agree(box_channel_sum):
             inverse = q.u_cir_with_continuum(q.DeltaWell(v0=v0), k=k).inverse
             box = box_channel_sum(q.Tabulated.from_mapping({0: 0.0}, v0), k)
             assert abs(inverse - box) <= 1e-12 * abs(box)
-    assert q.continuum_sum(q.DeltaWell(v0=1.0)).quadrature_error < 1e-8
+    # every fig2 well meets the absolute target on its integral over
+    # (0, pi), which is pi S(k)
+    sums = q.continuum_sums([q.DeltaWell(v0=v0)
+                             for v0 in np.linspace(0.1, 10.0, 200)])
+    assert max(s.quadrature_error for s in sums) * math.pi \
+        <= continuum.DEFAULT_QUAD_TOL
 
 
 def test_channel_sum_finite_and_negative_for_all_depths():
@@ -101,11 +106,16 @@ def test_cir_frozen_value():
     assert cir.u_cir == pytest.approx(-5.45116707558226, rel=1e-10)
 
 
-def test_tabulated_asymptote_reproduces_delta_well():
+@pytest.mark.parametrize("values", [
+    {0: 0.0}, {-3: 1.0, -2: 1.0, -1: 1.0, 0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0}],
+    ids=["one-site", "padded"])
+def test_tabulated_asymptote_reproduces_delta_well(values):
     # a single-site defect described as a tabulated potential with a
-    # constant asymptote is the same physics as the closed-form well
-    tab = q.Tabulated.from_mapping({0: 0.0}, 1.0)
-    for qq in (0.4, 1.1, 2.3):
+    # constant asymptote is the same physics as the closed-form well;
+    # padded with sites at the asymptote, it is matched at y = 3, where
+    # u - 3 q must be folded into [-pi/2, pi/2]
+    tab = q.Tabulated.from_mapping(values, 1.0)
+    for qq in (0.4, 1.1, 2.3, 2.9):
         st_t = q.scattering_state(tab, qq)
         st_d = q.scattering_state(q.DeltaWell(v0=1.0), qq)
         assert st_t.theta == pytest.approx(st_d.theta, abs=1e-10)
@@ -127,14 +137,48 @@ def _cavity(barrier):
     q.Tabulated.from_mapping({-1: 0.5, 0: -0.9, 1: 0.5}, 1.0),
     _cavity(16.0),
     _cavity(64.0),
-], ids=["zero-range", "dip", "cavity", "narrow-cavity"])
+    _cavity(147.0),
+    _cavity(512.0),
+], ids=["zero-range", "dip", "cavity", "narrow-cavity", "wall-147",
+        "wall-512"])
 def test_continuum_matches_finite_box_channel_sum(well, k, box_channel_sum):
     # bound sum plus S(k) is the box sum in the infinite-box limit; the
     # cavity's two bound states above the band add -2.5e-11 to the box,
     # and walls of 64 narrow its quasi-bound peak to a half-width of
-    # 2.3e-5 in q, which the adaptive panels must still find
+    # 2.3e-5 in q, which the adaptive panels must still find; walls of
+    # 147 made scipy's QUADPACK (qags) give up as "probably divergent",
+    # and walls of 512 take about 150 of the 400 panels
     inverse = q.u_cir_with_continuum(well, k=k).inverse
     assert abs(inverse - box_channel_sum(well, k)) < 1e-9
+
+
+def test_a_peak_past_the_panel_cap_raises(monkeypatch):
+    # walls of 8192 narrow the quasi-bound peak past what 400 panels
+    # resolve: the estimate stops at 8.5e-7; with 800 panels the same
+    # well integrates to 1e-10, so the cap is what stops it
+    well = _cavity(8192.0)
+    with pytest.raises(q.QuadratureFail, match="exceeds 1e-09"):
+        q.continuum_sum(well)
+    monkeypatch.setattr(continuum, "_PANEL_LIMIT", 800)
+    assert q.continuum_sum(well).quadrature_error < 1e-10
+
+
+def test_gauss_rule_is_legendre_gauss():
+    # the 10 nodes that carry a Gauss weight, and those weights
+    gauss = continuum._GAUSS > 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.abs(continuum._NODES[gauss] - nodes).max() <= 1e-15
+    assert np.abs(continuum._GAUSS[gauss] - weights).max() <= 1e-15
+
+
+def test_kronrod_rule_is_exact_to_degree_31():
+    # 21 nodes and weights that integrate every x^n with n <= 31 exactly
+    # on [-1, 1] are the Kronrod extension of the Gauss rule: a wrong
+    # digit in the table breaks one of these moments
+    x, w = continuum._NODES, continuum._KRONROD
+    for n in range(32):
+        exact = 0.0 if n % 2 else 2.0 / (n + 1)
+        assert abs(np.sum(w * x ** n) - exact) <= 1e-15, n
 
 
 @pytest.mark.parametrize("depth", [3.05, 3.2])
@@ -165,7 +209,7 @@ def test_tabulated_well_is_solved_once(monkeypatch):
     monkeypatch.setattr(continuum, "solve_transverse", counted)
     cir = q.u_cir_with_continuum(well)
     assert len(calls) == 1
-    assert cir.u_cir == two_solves.u_cir == -17.91064853518658
+    assert cir.u_cir == two_solves.u_cir == -17.910648535186688
     assert cir.inverse == two_solves.inverse
 
 

@@ -1,9 +1,11 @@
 """Structural invariants of the collision-diagonal two-body form, of
 the ring sums and of the oracle's symmetry sectors on random
 hard-walled tabulated traps, the ring's lane-wise Brent solver against
-scipy's brentq, and one transverse solver's spectra against fresh
-solves (property tests)."""
+scipy's brentq, one transverse solver's spectra against fresh solves,
+and the batched continuum quadrature against one well at a time
+(property tests)."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -254,6 +256,22 @@ def test_closed_channels_match_scalar(channels, energies, j_eff):
                        [[v.denominator for v in row] for row in scalar])):
         assert np.array_equal(got.view(np.int64),
                               np.array(want).view(np.int64))
+
+
+@given(v0s=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=40),
+       closed=st.floats(0.0, 0.99))
+@example(v0s=np.linspace(0.1, 10.0, 200).tolist(), closed=0.0)  # fig2
+def test_a_batch_integrates_each_well_as_alone(v0s, closed):
+    """Each delta well's S(k) and error estimate are bit-identical in a
+    batch and alone: its panels, and the order of its sums, do not
+    depend on the other wells."""
+    # the continuum channel is closed while cos k > 2 - sqrt(v0^2 + 4)/2
+    k = closed * math.acos(max(2.0 - math.hypot(min(v0s), 2.0) / 2.0, -1.0))
+    wells = [q.DeltaWell(v0=v0) for v0 in v0s]
+    for well, got in zip(wells, q.continuum_sums(wells, k=k)):
+        alone = q.continuum_sum(well, k=k)
+        assert (got.value.hex(), got.quadrature_error.hex()) == \
+            (alone.value.hex(), alone.quadrature_error.hex()), well
 
 
 @given(trap=mirrored_tables(), L=st.integers(4, 5000))

@@ -6,7 +6,7 @@ name; a hook whose target was renamed or removed makes
 from pathlib import Path
 
 import q1dscatter as q
-from q1dscatter import continuum, ring
+from q1dscatter import cli, continuum, ring
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,9 +29,10 @@ def test_tracer_finds_every_hook(monkeypatch):
     assert metrics["two_body.channels.max"] == 2
 
 
-def test_tracer_counts_the_deferred_solvers(monkeypatch):
-    # ring.brentq and continuum.quad import scipy on first call; they
-    # must stay module-level names the tracer can wrap and count
+def test_tracer_counts_the_deferred_solvers(monkeypatch, tmp_path):
+    # ring.brentq imports scipy on first call, and continuum.quad is the
+    # batched Gauss-Kronrod routine; both must stay module-level names
+    # the tracer can wrap and count
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
@@ -47,3 +48,16 @@ def test_tracer_counts_the_deferred_solvers(monkeypatch):
     metrics = tracer.metrics()
     assert metrics["linalg.quad.calls"] == 1
     assert metrics["continuum.continuum_sum.calls"] == 1
+
+    # a 200-point continuum sweep is one quadrature of 200 wells
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["continuum", "--v0-from", "0.1", "--v0-to", "10",
+                         "--points", "200",
+                         "--output", str(tmp_path / "c.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["linalg.quad.calls"] == 1
+    assert metrics["traps.alpha_closed.calls"] == 0
