@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin
@@ -61,9 +61,10 @@ SUBCOMMANDS = {
 # the config hash so the CSV bytes do not depend on them.
 _HASH_EXCLUDE = {"threads", "output", "output_dir", "config"}
 
-# Each trap's parameter; the keys are the --trap choices.
-_TRAP_PARAMETER = {"harmonic": "omega", "delta-well": "v0", "two-site": "v",
-                   "tabulated": "values"}
+# The --trap choices.  A trap takes the options named by its class's
+# fields, which it is built from, and needs the first.
+_TRAPS = {"harmonic": Harmonic, "delta-well": DeltaWell, "two-site": TwoSite,
+          "tabulated": Tabulated}
 
 _RUNS = tuple(SUBCOMMANDS)[:-1]  # every subcommand but figure
 _TRAPPED = tuple(s for s in _RUNS if s != "continuum")
@@ -77,7 +78,7 @@ _U_RANGE = ("single", "ring", "twobody", "spa-fit", "resonances")
 # value (``None`` for a subcommand the mapping leaves out).
 _Option = namedtuple("_Option", "key kind default subcommands help")
 _OPTIONS = {row[0]: _Option(*row) for row in (
-    ("trap", tuple(_TRAP_PARAMETER), None, _TRAPPED, "transverse trap"),
+    ("trap", tuple(_TRAPS), None, _TRAPPED, "transverse trap"),
     ("omega", float, None, _TRAPPED, "harmonic curvature"),
     ("v0", float, None, _TRAPPED, "off-center well height"),
     ("v", float, None, _TRAPPED, "two-site offset"),
@@ -288,15 +289,13 @@ def build_trap(config: RunConfig):
     name = opts.get("trap")
     if name is None:
         raise ConfigError("no trap selected (--trap)")
-    need = _TRAP_PARAMETER[name]
-    if opts.get(need) is None:
-        raise ConfigError(f"trap {name} needs --{need}")
-    allowed = {need, "asymptote"} if name == "tabulated" else {need}
-    if name in ("harmonic", "delta-well"):
-        allowed.add("y_max")  # the traps whose grid has a half-width knob
-    extra = sorted(k.replace("_", "-")
-                   for k in (*_TRAP_PARAMETER.values(), "asymptote", "y_max")
-                   if opts.get(k) is not None and k not in allowed)
+    keys = [field.name for field in fields(_TRAPS[name])]
+    if opts.get(keys[0]) is None:
+        raise ConfigError(f"trap {name} needs --{keys[0]}")
+    extra = sorted({field.name.replace("_", "-") for trap in _TRAPS.values()
+                    for field in fields(trap)
+                    if opts.get(field.name) is not None
+                    and field.name not in keys})
     if extra:
         raise ConfigError(f"trap {name} does not take --{'/--'.join(extra)}")
     if config.subcommand in ("ring", "twobody", "spa-fit", "resonances") and (
@@ -307,13 +306,10 @@ def build_trap(config: RunConfig):
             f"{config.subcommand} sums over bound transverse channels only; "
             f"trap {name} has a transverse continuum: use single (or "
             f"q1dscatter.u_cir_with_continuum)")
-    size = {} if opts.get("y_max") is None else {"y_max": opts["y_max"]}
-    if name == "harmonic":
-        return Harmonic(omega=float(opts["omega"]), **size)
-    if name == "delta-well":
-        return DeltaWell(v0=float(opts["v0"]), **size)
-    if name == "two-site":
-        return TwoSite(v=float(opts["v"]))
+    given = {key: _OPTIONS[key].kind(opts[key]) for key in keys
+             if key != "values" and opts.get(key) is not None}
+    if name != "tabulated":
+        return _TRAPS[name](**given)
     table = {}
     for pair in opts["values"].split(","):
         site, _, value = pair.partition(":")
@@ -325,9 +321,7 @@ def build_trap(config: RunConfig):
         if y in table:
             raise ConfigError(f"tabulated site y={y} given twice in values")
         table[y] = v
-    asymptote = opts.get("asymptote")
-    return Tabulated.from_mapping(
-        table, None if asymptote is None else float(asymptote))
+    return Tabulated.from_mapping(table, **given)
 
 
 def _solve_spectrum(config: RunConfig):

@@ -59,13 +59,6 @@ _RESIDUAL_TOL = 1e-10
 _XTOL, _RTOL, _MAXITER = 1e-15, 8.9e-16, 100
 
 
-def brentq(*args, **kwargs):
-    """``scipy.optimize.brentq``, imported on first call: the import costs
-    ~0.2 s and only the ring solvers need it."""
-    from scipy.optimize import brentq
-    return brentq(*args, **kwargs)
-
-
 @dataclass(frozen=True)
 class RingSolution:
     """One allowed ring momentum.
@@ -172,8 +165,8 @@ def _sides(spectrum: TransverseSpectrum, u, L: int, k
             u * psi0 * psi0 * np.cos(half))
 
 
-def _brentq_lanes(f, xa: np.ndarray, xb: np.ndarray, xtol: float,
-                  rtol: float, maxiter: int):
+def brentq(f, xa: np.ndarray, xb: np.ndarray, xtol: float, rtol: float,
+           maxiter: int):
     """``scipy.optimize.brentq`` on many brackets at once: the loop of
     scipy's ``brentq.c``, step for step, with one lane per bracket
     ``[xa[i], xb[i]]``, so each root equals brentq's bit for bit.
@@ -275,7 +268,7 @@ def ring_sweep_roots(spectrum: TransverseSpectrum, us: list[float], L: int,
 
     Each coupling's sign changes of ``G`` on the branch's fixed scan grid
     bracket its roots; every bracket of the sweep is one lane of
-    :func:`_brentq_lanes`, so the whole sweep costs a few array passes.
+    :func:`brentq`, so the whole sweep costs a few array passes.
     The residual of a root divides ``|G|`` by the larger side or
     ``2 J |sin k|``.  An error is raised for the first failing coupling
     in the order of `us`; an empty branch is not an error here.
@@ -312,7 +305,7 @@ def ring_sweep_roots(spectrum: TransverseSpectrum, us: list[float], L: int,
                            2.0 * J * np.abs(np.sin(x)))
         return g, np.abs(g) / scale
 
-    k, res, ok, passes = _brentq_lanes(
+    k, res, ok, passes = brentq(
         mismatch, np.concatenate((ks[zero_i], ks[cut_i])),
         np.concatenate((ks[zero_i], ks[cut_i + 1])), _XTOL, _RTOL, _MAXITER)
 
@@ -445,7 +438,18 @@ def asymptotic_momentum(spectrum: TransverseSpectrum, u: float, L: int,
         raise NoRootInBranch(
             f"no quantization root in branch {branch} at U={u:g} "
             f"(phase shift window misses 2 pi * {branch})")
-    k = float(brentq(quantization, lo, hi, xtol=_XTOL, rtol=_RTOL))
+
+    def lane(_, x):
+        q = np.array([quantization(float(k)) for k in x])
+        return q, q
+
+    k, q, ok, _ = brentq(lane, np.array([lo]), np.array([hi]), _XTOL, _RTOL,
+                         _MAXITER)
+    if not ok[0]:
+        raise NoConvergence(
+            f"quantization root of branch {branch} at U={u:g}, L={L} not "
+            f"converged after {_MAXITER} iterations")
+    k = float(k[0])
     return RingSolution(L=L, u=u, branch=branch, k=k,
                         energy=-2.0 * J * math.cos(k),
-                        residual=abs(quantization(k)))
+                        residual=abs(float(q[0])))

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtResonance, ConfigError, NoConvergence
-from .traps import (_MAX_AUTO_Y, J, TransverseSpectrum, TrapSpec,
-                    _complete_spectrum, _own_grid_basis, closed_channels)
+from .traps import (J, TransverseSpectrum, TrapSpec, _complete_spectrum,
+                    _grids, closed_channels)
 
 #: relative agreement of two grid rungs at which `u_cir_complete` stops
 GRID_REL_TOL = 1e-12
@@ -123,10 +123,11 @@ def u_cir_complete(trap: TrapSpec, k: float = 0.0
                    ) -> list[tuple[TransverseSpectrum, CirValue]]:
     """``U_CIR(k)`` summed over the trap's complete grid basis.
 
-    A finite trap (two-site, hard-walled table) and a harmonic trap with
-    a set half-width have one grid, every state of which enters the sum.
-    An auto-sized harmonic grid doubles its half-width from 40 until two
-    consecutive grids agree on ``1/U_CIR`` to ``GRID_REL_TOL`` relative.
+    Every state of each grid the trap is solved on (``traps._grids``)
+    enters the sum.  A finite trap (two-site, hard-walled table) and a
+    harmonic trap with a set half-width have one grid.  An auto-sized
+    harmonic grid doubles its half-width from 40 until two consecutive
+    grids agree on ``1/U_CIR`` to ``GRID_REL_TOL`` relative.
 
     Returns
     -------
@@ -142,22 +143,24 @@ def u_cir_complete(trap: TrapSpec, k: float = 0.0
     NoConvergence
         If an auto-sized grid has not settled by half-width 2,560.
     """
-    spectrum = _own_grid_basis(trap)
-    if spectrum is not None:
-        return [(spectrum, u_cir(spectrum, k))]
-    rungs, y_max = [], 40
-    while y_max <= _MAX_AUTO_Y:
-        spectrum = _complete_spectrum(trap, y_max)
+    if getattr(trap, "asymptote", None) is not None:
+        raise ConfigError("the trap has a transverse continuum, which no "
+                          "grid basis completes")
+    rungs, half_widths = [], []
+    for grid, v in _grids(trap):
+        spectrum = _complete_spectrum(grid, v)
         cir = u_cir(spectrum, k)
         settled = bool(rungs) and abs(cir.inverse - rungs[-1][1].inverse) \
             <= GRID_REL_TOL * abs(cir.inverse)
         rungs.append((spectrum, cir))
+        half_widths.append(int(grid[-1]))
         if settled:
             return rungs
-        y_max *= 2
+    if len(rungs) == 1:  # the trap's one grid
+        return rungs
     raise NoConvergence(
         f"1/U_CIR did not settle to {GRID_REL_TOL:g} relative between grid "
-        f"half-widths {y_max // 4} and {y_max // 2}")
+        f"half-widths {half_widths[-2]} and {half_widths[-1]}")
 
 
 def u1d_values(spectrum: TransverseSpectrum, us, cir: CirValue

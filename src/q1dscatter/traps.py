@@ -92,9 +92,11 @@ class Harmonic:
 
 class _SiteTable:
     """A potential given per site on a contiguous integer range, as the
-    sorted ``(y, V(y))`` pairs ``values``."""
+    sorted ``(y, V(y))`` pairs ``values``, hard-walled unless it has an
+    ``asymptote``."""
 
     values: tuple[tuple[int, float], ...]
+    asymptote = None
 
     @property
     def grid(self) -> np.ndarray:
@@ -152,12 +154,16 @@ class DeltaWell(_SiteTable):
 
 
 @dataclass(frozen=True)
-class TwoSite:
-    """Two-site step trap on the grid {0, 1}: ``V(0) = 0``, ``V(1) = 2 v``,
-    open boundaries.  The transverse Hamiltonian is the 2x2 matrix
+class TwoSite(_SiteTable):
+    """Two-site step trap: the hard-walled table ``{0: 0, 1: 2 v}``, and
+    solved as that table.  The transverse Hamiltonian is the 2x2 matrix
     ``[[0, -J], [-J, 2 v]]``."""
 
     v: float
+
+    @property
+    def values(self) -> tuple[tuple[int, float], ...]:
+        return (0, 0.0), (1, 2.0 * self.v)
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,9 @@ def mirror_symmetric(grid: np.ndarray, v: np.ndarray) -> bool:
 
 def potential_on_grid(spec: TrapSpec, y_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(grid, V)`` for `spec` on the grid ``[-y_max, y_max]``
-    (or the trap's own finite grid for :class:`TwoSite` / hard-walled
-    :class:`Tabulated`)."""
-    if isinstance(spec, TwoSite):
-        return np.array([0, 1]), np.array([0.0, 2.0 * spec.v])
-    if isinstance(spec, Tabulated) and spec.asymptote is None:
+    (or the table's own grid for a hard-walled table: :class:`TwoSite`
+    or :class:`Tabulated` without an asymptote)."""
+    if isinstance(spec, _SiteTable) and spec.asymptote is None:
         return spec.grid, spec.potential
     grid = np.arange(-int(y_max), int(y_max) + 1)
     if isinstance(spec, Harmonic):
@@ -454,34 +458,12 @@ def _refined(eigenpairs: tuple, grid: np.ndarray, vectors: np.ndarray
         grid=grid, symmetric=symmetric)
 
 
-def _complete_spectrum(spec: TrapSpec, y_max: int) -> TransverseSpectrum:
-    """Every eigenpair of `spec` on the grid ``[-y_max, y_max]`` (on its
-    own grid for a finite trap), refined: the grid's whole Hilbert
-    space, with no edge check."""
-    grid, v = potential_on_grid(spec, y_max)
+def _complete_spectrum(grid: np.ndarray, v: np.ndarray) -> TransverseSpectrum:
+    """Every eigenpair of the potential `v` on `grid`, refined: the
+    grid's whole Hilbert space, with no edge check."""
     eigenpairs = _grid_eigenpairs(grid, v, math.inf)
     _, vectors = _leading_run(eigenpairs, len(grid), None, None)
     return _refined(eigenpairs, grid, vectors)
-
-
-def _own_grid_basis(spec: TrapSpec) -> TransverseSpectrum | None:
-    """The complete basis of a trap that fixes its own grid: every state
-    of a finite trap (two-site, hard-walled table) or of a harmonic trap
-    with a set half-width.  ``None`` for an auto-sized harmonic trap,
-    whose grid grows with the states asked of it.
-
-    Raises
-    ------
-    ConfigError
-        For a trap with a transverse continuum (delta well, table with
-        an asymptote), which no grid basis completes.
-    """
-    if getattr(spec, "asymptote", None) is not None:
-        raise ConfigError("the trap has a transverse continuum, which no "
-                          "grid basis completes")
-    if isinstance(spec, Harmonic) and spec.y_max is None:
-        return None
-    return _complete_spectrum(spec, getattr(spec, "y_max", 0))
 
 
 def _leading_states(spectrum: TransverseSpectrum, n_states: int
@@ -495,68 +477,82 @@ def _leading_states(spectrum: TransverseSpectrum, n_states: int
                    parities=spectrum.parities[:n_states])
 
 
+def _grids(spec: TrapSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The grids ``(grid, V)`` on which `spec` is solved, smallest first.
+
+    A hard-walled table is its own grid, and a set ``y_max`` gives one
+    grid.  Otherwise the half-width doubles: from 40 to 2,560 for a
+    harmonic trap, and for a continuum well (a table with an asymptote,
+    or the delta well) from 20 sites beyond its range, and at least 40,
+    to 40,960.  So a caller whose grids run out after more than one has
+    exhausted an auto-sized ladder.
+    """
+    if isinstance(spec, _SiteTable) and spec.asymptote is None:
+        yield spec.grid, spec.potential
+        return
+    y_max = getattr(spec, "y_max", None)
+    if y_max is not None:
+        yield potential_on_grid(spec, y_max)
+        return
+    if isinstance(spec, Harmonic):
+        y_max, cap = 40, _MAX_AUTO_Y
+    elif isinstance(spec, _SiteTable):  # a table with an asymptote
+        range_max = int(max(abs(spec.grid[0]), abs(spec.grid[-1])))
+        y_max, cap = max(range_max + 20, 40), _MAX_BOX_Y
+    else:
+        raise ConfigError(f"unknown trap spec {type(spec).__name__}")
+    while y_max <= cap:
+        yield potential_on_grid(spec, y_max)
+        y_max *= 2
+
+
 def _grid_problems(spec: TrapSpec, n_states: int | None
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, int | None,
                                        float | None, float]]:
     """The grid problems ``(grid, V, n_states, edge_tol, ceiling)`` of
-    `spec`, smallest grid first: ``n_states`` states are wanted (all of
-    them for ``None``) among the eigenpairs below ``ceiling``, and on a
-    truncated grid only the leading run whose edge amplitude is below
-    ``edge_tol`` counts; ``edge_tol=None`` declares the grid the trap's
-    whole space, every eigenpair of it exact.
+    `spec`, one per grid of :func:`_grids`: ``n_states`` states are
+    wanted (all of them for ``None``) among the eigenpairs below
+    ``ceiling``, and on a truncated grid only the leading run whose edge
+    amplitude is below ``edge_tol`` counts; ``edge_tol=None`` declares
+    the grid the trap's whole space, every eigenpair of it exact.
 
-    A finite trap is its own whole grid; a harmonic trap with a set
-    half-width has one grid.  An auto-sized harmonic grid doubles its
-    half-width from 40 to 2,560.  A continuum well (a table with an
-    asymptote, or the delta well) doubles it from 20 sites beyond its
-    range, and at least 40, to 40,960, or has the one box its ``y_max``
-    sets; it keeps the states below the band and asks each box for
-    every bound state it may hold (`n_states` if set), or stops if that
-    is fewer.  Running out of grids raises.
+    A continuum well keeps the states below the band and asks each box
+    for every bound state it may hold (`n_states` if set), or stops if
+    that is fewer.  Running out of auto-sized grids raises; after its
+    one grid a trap leaves the caller to report why it fell short.
     """
-    if isinstance(spec, TwoSite) or (isinstance(spec, Tabulated)
-                                     and spec.asymptote is None):
-        yield *potential_on_grid(spec, 0), n_states, None, math.inf
-    elif isinstance(spec, Harmonic) and spec.y_max is not None:
-        yield (*potential_on_grid(spec, spec.y_max), n_states,
-               DEFAULT_EDGE_TOL, math.inf)
-    elif isinstance(spec, Harmonic):
-        y_max = 40
-        while y_max <= _MAX_AUTO_Y:
-            yield (*potential_on_grid(spec, y_max), n_states,
-                   DEFAULT_EDGE_TOL, math.inf)
-            y_max *= 2
-        raise ConfigError(
-            f"auto grid sizing exceeded half-width {_MAX_AUTO_Y} "
-            f"for {n_states} states"
-        )
-    elif isinstance(spec, _SiteTable):  # a table with an asymptote
-        ceiling = spec.asymptote - 2.0 * J - 1e-12  # just below the band
-        range_max = int(max(abs(spec.grid[0]), abs(spec.grid[-1])))
-        fixed = getattr(spec, "y_max", None)
-        y_max = fixed or max(range_max + 20, 40)
-        n_max = n_wanted = n_states if n_states is not None else 1
-        while y_max <= (fixed or _MAX_BOX_Y):
-            grid, v = potential_on_grid(spec, y_max)
-            # cutting the end bonds and lowering the end sites by J bounds
-            # H from below by a box whose count below the band caps the
-            # bound states (the cut-off half-chains start at it)
-            n_max = len(eigvalsh_tridiagonal(
-                v - J * (np.abs(grid) == y_max), -J * np.ones(len(v) - 1),
-                select="v", select_range=(-np.inf, ceiling)))
-            n_wanted = n_max if n_states is None else n_states
-            if n_max < max(n_wanted, 1):
-                break
-            yield grid, v, n_wanted, DEFAULT_EDGE_TOL, ceiling
-            if fixed:
-                return  # the one box; the caller reports its edge leak
-            y_max *= 2
-        raise EdgeLeak(
-            f"{max(n_wanted, 1)} bound states requested below the transverse "
-            f"band bottom; the well holds at most {n_max}, and fewer decay "
-            f"at the edges up to half-width {min(y_max, _MAX_BOX_Y)}")
+    n_grids = 0
+    if getattr(spec, "asymptote", None) is None:
+        edge_tol = None if isinstance(spec, _SiteTable) else DEFAULT_EDGE_TOL
+        for n_grids, (grid, v) in enumerate(_grids(spec), 1):
+            yield grid, v, n_states, edge_tol, math.inf
+        if n_grids > 1:
+            raise ConfigError(
+                f"auto grid sizing exceeded half-width {_MAX_AUTO_Y} "
+                f"for {n_states} states")
+        return
+    ceiling = spec.asymptote - 2.0 * J - 1e-12  # just below the band
+    n_max = n_wanted = n_states if n_states is not None else 1
+    y_max = _MAX_BOX_Y
+    for n_grids, (grid, v) in enumerate(_grids(spec), 1):
+        y_max = int(grid[-1])
+        # cutting the end bonds and lowering the end sites by J bounds
+        # H from below by a box whose count below the band caps the
+        # bound states (the cut-off half-chains start at it)
+        n_max = len(eigvalsh_tridiagonal(
+            v - J * (np.abs(grid) == y_max), -J * np.ones(len(v) - 1),
+            select="v", select_range=(-np.inf, ceiling)))
+        n_wanted = n_max if n_states is None else n_states
+        if n_max < max(n_wanted, 1):
+            break
+        yield grid, v, n_wanted, DEFAULT_EDGE_TOL, ceiling
     else:
-        raise ConfigError(f"unknown trap spec {type(spec).__name__}")
+        if n_grids == 1:
+            return  # the one box; the caller reports its edge leak
+    raise EdgeLeak(
+        f"{max(n_wanted, 1)} bound states requested below the transverse "
+        f"band bottom; the well holds at most {n_max}, and fewer decay "
+        f"at the edges up to half-width {y_max}")
 
 
 def solve_transverse(spec: TrapSpec, n_states: int | None = None
@@ -644,61 +640,49 @@ class AlphaValue:
 
 def alpha_closed(channel_energy: float, target_energy: float,
                  j_eff: float = J) -> AlphaValue:
-    """Decay factor of a closed channel at the scattering energy.
-
-    Solves ``alpha**2 - g*alpha + 1 = 0`` with
-    ``g = (channel_energy - target_energy)/j_eff`` on the ``|alpha| < 1``
-    branch, ``alpha = (g - sqrt(g^2 - 4))/2``.
+    """Decay factor of one closed channel at the scattering energy: the
+    one entry of :func:`closed_channels`.
 
     Raises
     ------
     OpenChannel
-        If ``g <= 2``: the channel is open (or marginal) at the target
-        energy and the quasi-1D ansatz breaks down.
+        If the channel is open (or marginal) at the target energy.
     """
-    _check_hopping(j_eff)
-    g = (channel_energy - target_energy) / j_eff
-    if g <= 2.0:
-        raise _open_channel(channel_energy, target_energy, g)
-    alpha = 2.0 / (g + math.sqrt(g * g - 4.0))
-    denominator = target_energy + 2.0 * j_eff * alpha - channel_energy
-    return AlphaValue(alpha=alpha, denominator=denominator)
+    alpha, denominator = closed_channels(np.float64(channel_energy),
+                                         np.float64(target_energy), j_eff)
+    return AlphaValue(alpha=float(alpha), denominator=float(denominator))
 
 
 def closed_channels(channel_energies, energy, j_eff: float = J
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`alpha_closed` over arrays: the decay factors and
-    denominators of many closed channels in one pass, elementwise
-    bit-identical to the scalar form.
+    """Decay factors and Green's-function denominators of many closed
+    channels in one pass.
 
-    `channel_energies` and `energy` broadcast against each other; a
+    Each entry solves ``alpha**2 - g*alpha + 1 = 0`` with
+    ``g = (channel_energy - energy)/j_eff`` on the ``|alpha| < 1``
+    branch, ``alpha = (g - sqrt(g^2 - 4))/2``, and its denominator is
+    ``energy + 2 j_eff alpha - channel_energy``.  `channel_energies` and
+    `energy` (arrays or numpy scalars) broadcast against each other; a
     column of energies against a row of channels gives one row per
     energy.
 
     Raises
     ------
     OpenChannel
-        For the first open (or marginal) entry in row-major order, with
-        the message :func:`alpha_closed` gives for that entry.
+        For the first entry, in row-major order, with ``g <= 2``: the
+        channel is open (or marginal) at its energy and the quasi-1D
+        ansatz breaks down.
     """
-    _check_hopping(j_eff)
+    if not j_eff > 0.0:
+        raise ConfigError(f"j_eff must be positive, got {j_eff}")
     g = (channel_energies - energy) / j_eff
     open_ = np.flatnonzero(~(g > 2.0))
     if open_.size:
         first = np.unravel_index(open_[0], g.shape)
-        raise _open_channel(np.broadcast_to(channel_energies, g.shape)[first],
-                            np.broadcast_to(energy, g.shape)[first], g[first])
+        channel, target = (np.broadcast_to(x, g.shape)[first]
+                           for x in (channel_energies, energy))
+        raise OpenChannel(
+            f"channel at energy {channel:.6g} is open at target energy "
+            f"{target:.6g}: gap ratio g = {g[first]:.6g} <= 2")
     alphas = 2.0 / (g + np.sqrt(g * g - 4.0))
     return alphas, energy + 2.0 * j_eff * alphas - channel_energies
-
-
-def _check_hopping(j_eff: float) -> None:
-    if not j_eff > 0.0:
-        raise ConfigError(f"j_eff must be positive, got {j_eff}")
-
-
-def _open_channel(channel_energy: float, target_energy: float,
-                  g: float) -> OpenChannel:
-    return OpenChannel(
-        f"channel at energy {channel_energy:.6g} is open at target "
-        f"energy {target_energy:.6g}: gap ratio g = {g:.6g} <= 2")

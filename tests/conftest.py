@@ -27,6 +27,21 @@ else:
 
 
 @pytest.fixture(scope="session")
+def waveguide_match():
+    """The constant ``gamma/2 + A/2 - 2 ln 2`` that matches the harmonic
+    waveguide's closed-channel sum to the lattice Green's function at
+    threshold (README, "The continuum limit"), with
+    ``A = sum_{m>=1} [Gamma(m + 1/2) / (Gamma(m + 1) sqrt(m)) - 1/m]``
+    summed by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    a = mpmath.nsum(lambda m: mpmath.gamma(m + 0.5)
+                    / (mpmath.gamma(m + 1) * mpmath.sqrt(m)) - 1 / m,
+                    [1, mpmath.inf])
+    assert abs(a - mpmath.mpf("-0.192454205274636")) < 1e-14
+    return float(mpmath.euler / 2 + a / 2 - 2 * mpmath.log(2))
+
+
+@pytest.fixture(scope="session")
 def two_site_spectrum():
     return q.solve_transverse(q.TwoSite(v=1.0))
 

@@ -75,11 +75,22 @@ MUTANTS = {
                     "ceiling = spec.asymptote - 2.0 * J - 1e-12",
                     "ceiling = spec.asymptote - 2.0 * J + 1e-2"),
     "box-first-half-width": ("src/q1dscatter/traps.py",
-                             "y_max = fixed or max(range_max + 20, 40)",
-                             "y_max = fixed or max(range_max + 20, 20)"),
+                             "max(range_max + 20, 40), _MAX_BOX_Y",
+                             "max(range_max + 20, 20), _MAX_BOX_Y"),
+    "box-margin": ("src/q1dscatter/traps.py",
+                   "max(range_max + 20, 40), _MAX_BOX_Y",
+                   "max(range_max + 10, 40), _MAX_BOX_Y"),
     "box-fixed-half-width": ("src/q1dscatter/traps.py",
-                             "if fixed:\n                return",
-                             "if False:\n                return"),
+                             "if n_grids == 1:\n            return",
+                             "if False:\n            return"),
+    "auto-first-half-width": ("src/q1dscatter/traps.py",
+                              "y_max, cap = 40, _MAX_AUTO_Y",
+                              "y_max, cap = 80, _MAX_AUTO_Y"),
+    "grid-doubling": ("src/q1dscatter/traps.py",
+                      "        y_max *= 2", "        y_max *= 4"),
+    "asymptotic-lane-xtol": ("src/q1dscatter/ring.py",
+                             "np.array([hi]), _XTOL, _RTOL,",
+                             "np.array([hi]), 1e-12, _RTOL,"),
     "quad-tol-share": ("src/q1dscatter/continuum.py",
                        "DEFAULT_QUAD_TOL * (hi - lo) / (b - a)",
                        "DEFAULT_QUAD_TOL * 10.0 * (hi - lo) / (b - a)"),

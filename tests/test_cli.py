@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import q1dscatter as q
-from q1dscatter import cli, oracle, single_particle, traps
+from q1dscatter import cli, oracle, traps
 
 
 def run_cli(args, capsys):
@@ -872,7 +872,7 @@ def test_figure_rejects_output(tmp_path, capsys):
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     # the auto grid reaches its cap before 1/U_CIR settles (the cap is
     # lowered to 80 here: at omega = 1e-4 half-widths 40 and 80 differ)
-    monkeypatch.setattr(single_particle, "_MAX_AUTO_Y", 80)
+    monkeypatch.setattr(traps, "_MAX_AUTO_Y", 80)
     expect_error(["single", "--trap", "harmonic", "--omega", "1e-4",
                   "--u-from", "-1", "--u-to", "1", "--points", "3",
                   "--output", str(tmp_path / "x.csv")],
@@ -966,9 +966,8 @@ def _package_env():
 
 
 def test_cold_start_defers_integrate_and_optimize(tmp_path):
-    # scipy.integrate and scipy.optimize cost most of a fresh import;
-    # the continuum integral needs neither, and only
-    # ring.asymptotic_momentum loads scipy.optimize, at its first call
+    # scipy.integrate and scipy.optimize cost most of a fresh import,
+    # and no package module imports either
     twobody = ["twobody", "--trap", "two-site", "--v", "1.0",
                "--u-from", "-2", "--u-to", "-1", "--points", "5",
                "--output", str(tmp_path / "t.csv")]

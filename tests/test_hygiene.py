@@ -3,8 +3,10 @@ module imports is used in that module (``__init__.py`` imports to
 re-export, so it is exempt), every error class is exported and named by
 some module other than ``errors.py``, every name the README's library
 tour lists is exported, no function result is memoized across calls but
-the CLI's parser, every name the benchmark's tracer wraps exists, and
-the two-body pair rows are formed in one place."""
+the CLI's parser, every name the benchmark's tracer wraps exists, the
+two-body pair rows are formed in one place, only ``traps.py`` reads the
+auto-grid caps, and no module imports ``scipy.optimize`` or
+``scipy.integrate``."""
 
 import ast
 import importlib
@@ -193,3 +195,54 @@ def test_pair_rows_are_formed_only_in_the_block_helper():
                       "    def m(self): return h(_collision_sector(1))")
     assert _functions_using(probe, _calls("_collision_sector")) == {"K.m"}
     assert _functions_using(probe, _reads("wavefunctions")) == {"f"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module loads, binds or imports."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+
+
+def test_only_traps_names_the_grid_caps():
+    """Which grids a trap is solved on is decided in ``traps.py`` alone
+    (``traps._grids``); no other module reads the auto-grid caps."""
+    owners = {path.name for path in MODULES
+              if {"_MAX_AUTO_Y", "_MAX_BOX_Y"} & _names(ast.parse(
+                  path.read_text()))}
+    assert owners == {"traps.py"}
+
+
+_DEFERRED = ("scipy.optimize", "scipy.integrate")
+
+
+def _scipy_imports(tree: ast.AST) -> set[str]:
+    """The ``scipy.optimize``/``scipy.integrate`` modules `tree` imports,
+    at module level or inside a function, in any import form."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{alias.name}"
+                                       for alias in node.names]
+        else:
+            continue
+        found |= {m for m in _DEFERRED for module in modules
+                  if module == m or module.startswith(m + ".")}
+    return found
+
+
+def test_no_module_imports_optimize_or_integrate():
+    """The lane root finder ``ring.brentq`` and the batched quadrature
+    ``continuum.quad`` are numpy code: no module imports
+    ``scipy.optimize`` or ``scipy.integrate``, which cost about 0.6 s
+    of a fresh start between them."""
+    found = {path.name: _scipy_imports(ast.parse(path.read_text()))
+             for path in Path(q1dscatter.__file__).parent.glob("*.py")}
+    assert not {name: mods for name, mods in found.items() if mods}
+    probe = ast.parse("def f():\n    from scipy.optimize import brentq\n"
+                      "import scipy.integrate as si\nfrom scipy import "
+                      "optimize\nfrom scipy.linalg import eigh")
+    assert _scipy_imports(probe) == set(_DEFERRED)

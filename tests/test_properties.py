@@ -238,11 +238,21 @@ def test_finite_k_closed_form_solves_the_entrance_equation(trap, u, k):
        energies=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
        j_eff=st.floats(0.05, 2.0))
 def test_closed_channels_match_scalar(channels, energies, j_eff):
-    """The array helper is alpha_closed entry by entry, bit for bit, and
-    names the first open (energy, channel) pair in row-major order."""
+    """The array helper, and alpha_closed on each entry, are the scalar
+    root ``alpha = 2 / (g + sqrt(g^2 - 4))`` of
+    ``alpha^2 - g alpha + 1 = 0`` entry by entry, bit for bit, and name
+    the first open (energy, channel) pair in row-major order."""
+    def closed(e_n, e):
+        g = (e_n - e) / j_eff
+        if g <= 2.0:
+            raise q.OpenChannel(
+                f"channel at energy {e_n:.6g} is open at target energy "
+                f"{e:.6g}: gap ratio g = {g:.6g} <= 2")
+        alpha = 2.0 / (g + math.sqrt(g * g - 4.0))
+        return alpha, e + 2.0 * j_eff * alpha - e_n
+
     try:
-        scalar = [[q.alpha_closed(e_n, e, j_eff) for e_n in channels]
-                  for e in energies]
+        scalar = [[closed(e_n, e) for e_n in channels] for e in energies]
     except q.OpenChannel as exc:
         with pytest.raises(q.OpenChannel) as vec:
             q.closed_channels(np.array(channels),
@@ -251,11 +261,16 @@ def test_closed_channels_match_scalar(channels, energies, j_eff):
         return
     alphas, denominators = q.closed_channels(
         np.array(channels), np.array(energies)[:, None], j_eff)
-    for got, want in ((alphas, [[v.alpha for v in row] for row in scalar]),
-                      (denominators,
-                       [[v.denominator for v in row] for row in scalar])):
-        assert np.array_equal(got.view(np.int64),
-                              np.array(want).view(np.int64))
+    one_by_one = [[q.alpha_closed(e_n, e, j_eff) for e_n in channels]
+                  for e in energies]
+    for got, each, want in (
+            (alphas, [[v.alpha for v in row] for row in one_by_one],
+             [[a for a, _ in row] for row in scalar]),
+            (denominators, [[v.denominator for v in row] for row in one_by_one],
+             [[d for _, d in row] for row in scalar])):
+        want = np.array(want).view(np.int64)
+        assert np.array_equal(got.view(np.int64), want)
+        assert np.array_equal(np.array(each).view(np.int64), want)
 
 
 @given(v0s=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=40),
@@ -365,8 +380,7 @@ def test_brent_lanes_are_brentq_bit_for_bit(lanes, xtol):
         fx = _smooth(c[idx], r[idx], m[idx], w[idx], q_[idx], x)
         return fx, fx
 
-    root, aux, converged, _ = ring._brentq_lanes(f, a, b, xtol, 8.9e-16,
-                                                 100)
+    root, aux, converged, _ = ring.brentq(f, a, b, xtol, 8.9e-16, 100)
     for i in range(len(lanes)):
         args = tuple(float(v[i]) for v in (c, r, m, w, q_))
         want, info = brentq(lambda x: _smooth(*args, x), float(a[i]),
@@ -492,7 +506,7 @@ def test_leading_states_of_one_solve_are_a_fresh_solve(request):
     solve refuses, the basis shows why: a table holds fewer states, or
     state m of a harmonic grid is the first to reach its edges."""
     trap, sizes = request
-    basis = traps._own_grid_basis(trap)
+    basis = traps._complete_spectrum(*next(traps._grids(trap)))
     assert basis.complete
     leaks = np.abs(basis.wavefunctions[:, [0, -1]]).max(axis=1) \
         >= traps.DEFAULT_EDGE_TOL

@@ -74,6 +74,25 @@ def test_finite_size_correction_is_tiny_at_moderate_length(harm_mod_spectrum):
     assert abs(sol.energy - ref.energy) < 1e-9
 
 
+@pytest.mark.parametrize("u, L, branch", [(-5.0, 1000, 1), (4.0, 1000, 3),
+                                           (-25.0, 50, 1), (2.0, 50, 2)])
+def test_asymptotic_momentum_is_brentq_bit_for_bit(harm_mod_spectrum, u, L,
+                                                   branch):
+    """``asymptotic_momentum`` polishes its bracket as one lane of
+    ``ring.brentq``: its k is scipy's brentq root of the quantization
+    rule, to the last bit, and its residual the rule at that root."""
+    lo, hi = ring._branch_interval(L, branch)
+
+    def quantization(k):
+        delta = q.effective_u1d(harm_mod_spectrum, u, k=k).delta_k
+        return k * L + 2.0 * delta - 2.0 * math.pi * branch
+
+    want = brentq(quantization, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    got = q.asymptotic_momentum(harm_mod_spectrum, u, L, branch)
+    assert got.k.hex() == want.hex()
+    assert got.residual == abs(quantization(want))
+
+
 def test_open_channel_guards(harm_mod_spectrum):
     with pytest.raises(q.OpenChannel):
         q.ring_channel_sum(harm_mod_spectrum, 2.5, 50)
@@ -266,8 +285,8 @@ def test_brent_lanes_refuse_a_bracket_without_sign_change():
         return x * x + 1.0, x
 
     with pytest.raises(ValueError, match="different signs"):
-        ring._brentq_lanes(f, np.array([-1.0, 0.0]), np.array([1.0, 2.0]),
-                           1e-15, 8.9e-16, 100)
+        ring.brentq(f, np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 1e-15,
+                    8.9e-16, 100)
 
 
 # ------------------------------- Sigma_L without the negligible powers

@@ -139,9 +139,9 @@ def test_auto_grid_stops_at_half_width_2560(monkeypatch):
     never settles records the half-widths asked for."""
     half_widths = []
 
-    def never_settles(trap, y_max):
-        half_widths.append(y_max)
-        return q.solve_transverse(q.TwoSite(v=float(y_max)))
+    def never_settles(grid, v):
+        half_widths.append(int(grid[-1]))
+        return q.solve_transverse(q.TwoSite(v=float(grid[-1])))
 
     monkeypatch.setattr(q.single_particle, "_complete_spectrum",
                         never_settles)
@@ -158,11 +158,19 @@ def test_complete_basis_grids_agree_to_1e_12():
     assert abs(last - before) <= 1e-12 * abs(last)
 
 
-def test_continuum_limit_slope():
+def test_continuum_limit_slope(waveguide_match):
     """As omega -> 0 the lattice approaches the continuum waveguide, where
     1/|U_CIR| rises by ln 10 / (8 pi J) per decade of omega; the lattice
     correction shrinks with omega, so the local slopes rise toward it
-    from below (measured 0.09120, then 0.09136: 0.29% low)."""
+    from below (measured 0.09120, then 0.09136: 0.29% low).
+
+    The intercept too: the closed form (README, "The continuum limit")
+    is ``1/|U_CIR| = -ln(omega)/(8 pi J) + C1`` with
+    ``C1 = (ln sqrt(32) + gamma/2 + A/2 - 2 ln 2) / (2 pi J)
+    = 0.0857772441436``.  The gaps above it (measured 5.54e-4, 3.36e-4,
+    2.11e-4) are positive and shrink, and the model
+    ``c + sqrt(omega) (a ln(1/omega) + b)`` through them leaves
+    ``c = -1.87e-9``: no offset beyond that lattice correction."""
     omegas = (1e-4, 3e-5, 1e-5)
     rungs = [q.u_cir_complete(q.Harmonic(omega=w)) for w in omegas]
     # at 1e-5 the 161- and 321-site grids still differ by 9.3e-9
@@ -173,6 +181,15 @@ def test_continuum_limit_slope():
     closed_form = math.log(10.0) / (8.0 * math.pi * q.J)
     assert slopes[0] < slopes[1] < closed_form
     assert slopes[1] >= (1.0 - 5e-3) * closed_form
+
+    c1 = (0.5 * math.log(32.0) + waveguide_match) / (2.0 * math.pi * q.J)
+    assert c1 == pytest.approx(0.0857772441436, abs=1e-12)
+    gaps = [i + math.log(w) / (8.0 * math.pi * q.J) - c1
+            for i, w in zip(inverse, omegas)]
+    assert 0.0 < gaps[2] < gaps[1] < gaps[0]
+    model = [[1.0, math.sqrt(w) * math.log(1.0 / w), math.sqrt(w)]
+             for w in omegas]
+    assert abs(np.linalg.solve(model, gaps)[0]) <= 1e-8
 
 
 def test_empty_channel_sum_means_no_resonance():

@@ -30,9 +30,9 @@ def test_tracer_finds_every_hook(monkeypatch):
 
 
 def test_tracer_counts_the_deferred_solvers(monkeypatch, tmp_path):
-    # ring.brentq imports scipy on first call, and continuum.quad is the
-    # batched Gauss-Kronrod routine; both must stay module-level names
-    # the tracer can wrap and count
+    # ring.brentq is the lane solver, and continuum.quad the batched
+    # Gauss-Kronrod routine; both must stay module-level names the
+    # tracer can wrap and count
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 

@@ -1,6 +1,7 @@
 """Transverse trap solver: exact small systems, orthonormality, parity
 labels, grid auto-sizing, and the closed-channel decay factor."""
 
+import dataclasses
 import functools
 import gc
 import importlib.util
@@ -79,10 +80,25 @@ def test_delta_well_is_the_one_site_table(v0, n_states):
         q.solve_transverse(q.DeltaWell(v0=v0), n_states=2)
     fixed = q.DeltaWell(v0=v0, y_max=60)
     if v0 < 1.0:
-        with pytest.raises(q.EdgeLeak, match="half-width 60"):
+        # the one box is solved, and its edge leak reported as such
+        with pytest.raises(q.EdgeLeak, match=r"^only 0 states decay at the "
+                           r"grid edge; 1 requested \(half-width 60 too "
+                           r"small\)$"):
             q.solve_transverse(fixed)
     else:
         assert len(q.solve_transverse(fixed).grid) == 121
+
+
+@pytest.mark.parametrize("v", [-3.0, -0.25, 0.0, 1.0, 1.7, 40.0])
+def test_two_site_is_the_two_site_table(v):
+    # the hard-walled table {0: 0, 1: 2v}, solved as that table bit for bit
+    two = q.solve_transverse(q.TwoSite(v=v))
+    table = q.solve_transverse(q.Tabulated.from_mapping({0: 0.0, 1: 2 * v}))
+    for field in ("energies", "wavefunctions", "grid"):
+        assert np.array_equal(getattr(two, field), getattr(table, field))
+        assert getattr(two, field).dtype == getattr(table, field).dtype
+    assert (two.parities, two.symmetric) == (table.parities, table.symmetric)
+    assert [f.name for f in dataclasses.fields(q.TwoSite)] == ["v"]
 
 
 def test_tabulated_matches_two_site():
@@ -233,6 +249,25 @@ def test_grid_growth_leaves_no_reference_cycle(monkeypatch):
     finally:
         gc.enable()
     assert grids == [81, 161, 321]
+
+
+def test_grid_ladders():
+    """The grids each trap is solved on, smallest first: a hard-walled
+    table's own, the one a set ``y_max`` gives, an auto harmonic grid
+    from half-width 40 to 2,560, and a continuum box from 20 sites beyond
+    the well's range, and at least 40, to 40,960."""
+    def half_widths(trap):
+        return [int(grid[-1]) for grid, _ in traps._grids(trap)]
+
+    assert half_widths(q.TwoSite(v=1.0)) == [1]
+    assert half_widths(q.Tabulated.from_mapping({-2: 0.0, 2: 0.0, -1: 0.0,
+                                                 0: 0.0, 1: 0.0})) == [2]
+    assert half_widths(q.Harmonic(omega=0.1, y_max=7)) == [7]
+    assert half_widths(q.DeltaWell(v0=1.0, y_max=9)) == [9]
+    assert half_widths(q.Harmonic(omega=0.1)) == [40 << i for i in range(7)]
+    assert half_widths(q.DeltaWell(v0=1.0)) == [40 << i for i in range(11)]
+    wide = q.Tabulated.from_mapping({y: -0.5 for y in range(-30, 31)}, 1.0)
+    assert half_widths(wide) == [50 << i for i in range(10)]
 
 
 def test_auto_harmonic_grid_stops_at_half_width_2560():

@@ -532,12 +532,21 @@ def test_small_omega_ladder_converges_on_the_complete_basis(omega, n_states,
     assert np.allclose(_field(rep, "u", True), poles, rtol=1e-9, atol=0)
 
 
-def test_pair_continuum_limit_slope():
+def test_pair_continuum_limit_slope(waveguide_match):
     """As omega -> 0 the pair's relative motion (hopping 2J) approaches
     the continuum waveguide, where 1/|U_CIR| of the broad pole rises by
     ln 10 / (16 pi J) per decade of omega; the lattice correction
     shrinks with omega, so the local slopes rise toward it from below
-    (measured 0.045569, then 0.045660: 0.32% low)."""
+    (measured 0.045569, then 0.045660: 0.32% low).
+
+    The intercept too (README, "The continuum limit"): at K = 0 the
+    relative motion hops by ``J_x = J_y = 2 J`` in the trap omega/2, so
+    ``1/|U| = -ln(omega)/(16 pi J) + C(0)`` with
+    ``C(0) = (ln(4)/4 + ln(Lambda_0 / J_y)/2 + gamma/2 + A/2 - 2 ln 2)
+    / (4 pi J) = 0.0704680721`` and ``Lambda_0 = 32 J_y = 64 J``.  The
+    gaps above it (measured 3.14e-4, 1.88e-4, 1.17e-4) are positive and
+    shrink, and the model ``c + sqrt(omega) (a ln(1/omega) + b)``
+    through them leaves ``c = -6.4e-8``."""
     omegas = (1e-4, 3e-5, 1e-5)
     reports = [q.converged_resonances(q.Harmonic(omega=w), 41)
                for w in omegas]
@@ -553,6 +562,16 @@ def test_pair_continuum_limit_slope():
     closed_form = math.log(10.0) / (16.0 * math.pi * q.J)
     assert slopes[0] < slopes[1] < closed_form
     assert slopes[1] >= (1.0 - 5e-3) * closed_form
+
+    c0 = (0.25 * math.log(4.0) + 0.5 * math.log(32.0) + waveguide_match) \
+        / (4.0 * math.pi * q.J)
+    assert c0 == pytest.approx(0.0704680721, abs=1e-10)
+    gaps = [i + math.log(w) / (16.0 * math.pi * q.J) - c0
+            for i, w in zip(inverse, omegas)]
+    assert 0.0 < gaps[2] < gaps[1] < gaps[0]
+    model = [[1.0, math.sqrt(w) * math.log(1.0 / w), math.sqrt(w)]
+             for w in omegas]
+    assert abs(np.linalg.solve(model, gaps)[0]) <= 2e-7
 
 
 def test_fig4_ladder_is_the_fresh_kernel_to_rounding():
