@@ -214,7 +214,7 @@ def _coerce(key: str, raw: str):
 
 def _has_type(value, kind) -> bool:
     """Whether `value` is one of an option's choices or of its declared
-    type (an int passes for a float)."""
+    type (an int passes for a float; NaN and infinities do not)."""
     if isinstance(kind, tuple):
         return value in kind
     if get_origin(kind) is list:
@@ -222,7 +222,8 @@ def _has_type(value, kind) -> bool:
             _has_type(item, get_args(kind)[0]) for item in value)
     allowed = {bool: bool, int: int, float: (int, float)}.get(kind, str)
     return isinstance(value, allowed) and (
-        kind is bool or not isinstance(value, bool))
+        kind is bool or not isinstance(value, bool)) and (
+        not isinstance(value, float) or math.isfinite(value))
 
 
 def load_config_file(path: str, subcommand: str) -> dict[str, object]:
@@ -274,6 +275,7 @@ def resolve(subcommand: str, cli_options: dict[str, object]) -> RunConfig:
         if not (_has_type(value, kind) or value is None
                 and DEFAULTS[subcommand][key] is None):
             expected = "one of " + ", ".join(kind) if isinstance(kind, tuple) \
+                else "a finite float" if kind is float \
                 else f"of type {getattr(kind, '__name__', kind)}"
             raise ConfigError(f"{key} must be {expected}, got {value!r}")
         options[key] = value
@@ -364,10 +366,10 @@ def write_csv(path: Path, config: RunConfig, header: list[str],
         fh.write(f"# config-hash: {config.config_hash()}\n")
         for key, value in meta.items():
             fh.write(f"# {key}: {_fmt(value)}\n")
+        # a float is written as its repr, None as an empty field
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def _environment() -> dict[str, object]:
@@ -670,7 +672,8 @@ def run_oracle(config: RunConfig, out: Path):
     return [out], {"a": res.a, "diverged": res.diverged,
                    "eigen_residual": res.eigen_residual,
                    "unknowns": res.unknowns, "spread": res.spread,
-                   "eigenpairs": res.eigenpairs}
+                   "eigenpairs": res.eigenpairs, "sigma": res.sigma,
+                   "states": res.states}
 
 
 # --------------------------------------------------------------------

@@ -35,21 +35,23 @@ slice an orbit holds 1, 2 or 4 states.  There it factors as
 ``C`` the diagonal contact term.  On an asymmetric grid of ``ny`` sites
 ``m = ny`` for one particle and ``ny (ny + 1)/2`` for the pair; on a
 mirror-symmetric (odd) grid ``m = (ny + 1)/2`` and ``((ny + 1)/2)**2``.
-The factors are built straight from the lattice, never from the
-full-space ``H``.  In the eigenbasis of the
-slice, ``h_Y = R E R^T`` (dense ``eigh``), ``H_s`` becomes
+The factors are small numpy arrays (the chain's bonds, the dense
+``h_Y``, the diagonal of ``C`` and the transverse orbit labels), built
+straight from the lattice, never from the full-space ``H``.  In the
+eigenbasis of the slice, ``h_Y = R E R^T`` (dense ``eigh``), ``H_s``
+becomes
 
     H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R:
 
 ``m`` independent tridiagonal x-chains joined only by one dense
-``m x m`` contact block at ``x = 0``, assembled in one sparse
-construction from index arrays.  Its shift-invert Lanczos
-eigenpairs (ARPACK mode 3; Lehoucq, Sorensen & Yang, *ARPACK Users'
-Guide*, SIAM 1998) reuse one LU factorization of ``H_rot - sigma`` per
-strip.  ``H_rot`` is symmetric, so SuperLU orders it by minimum degree
-on ``A + A^T`` (``MMD_AT_PLUS_A``); the chains then factor without
-fill and the factors hold about ``4 n + m^2`` entries for ``n``
-unknowns, against 40-90 per unknown for ``H_s`` itself.  The dense
+``m x m`` contact block at ``x = 0``, with ``H_rot - sigma`` assembled
+in one sparse construction from index arrays.  Its shift-invert
+Lanczos eigenpairs (ARPACK mode 3; Lehoucq, Sorensen & Yang, *ARPACK
+Users' Guide*, SIAM 1998) reuse one LU factorization of it per strip.
+``H_rot`` is symmetric, so SuperLU orders it by minimum degree on
+``A + A^T`` (``MMD_AT_PLUS_A``); the chains then factor without fill
+and the factors hold about ``4 n + m^2`` entries for ``n`` unknowns,
+against 40-90 per unknown for ``H_s`` itself.  The dense
 block costs ``O(m^3)`` to factor, which is what keeps a pair on a wide
 grid out of reach (``omega = 0.1``, ``ny = 81``: ``m = 1681``).  The
 sector is also what makes the shift well-posed:
@@ -58,12 +60,17 @@ x-odd free level, which has a node at the impurity and never shifts, so
 ``H - sigma`` is numerically singular in the full space (its Lanczos
 residuals came out at 1e-9 to 1e-6, leaking into ``a`` amplified by
 1/k^2), while ``H_s - sigma`` is not.  Ritz vectors are rotated back
-with ``R`` and mapped to the full space, so the entrance projection and
-the fit act on full-space vectors.  The Rayleigh quotients and the
-acceptance check ``|H_s phi - rho phi| <= 1e-10`` use the real-space
-``H_s``, applied factor by factor, not ``H_rot``: the check then tests
-the eigen-equation of the lattice problem itself, and a wrong rotation
-or a mis-ordered factor fails it (by ~1) instead of passing unseen.
+with ``R`` but never mapped to the full space: the entrance amplitude
+``w(x)``, the entrance weight and the fit window's closed-channel
+share are read in the sector, where a full-space state ``P phi``
+carries ``phi`` weighted by ``1/sqrt 2`` on each of ``x`` and ``-x``
+(``x != 0``) and by ``1/sqrt |I|`` on each site of a transverse orbit
+``I``; they are the full-space numbers up to rounding.  The Rayleigh
+quotients and the acceptance check ``|H_s phi - rho phi| <= 1e-10``
+use the real-space ``H_s``, applied factor by factor, not ``H_rot``:
+the check then tests the eigen-equation of the lattice problem itself,
+and a wrong rotation or a mis-ordered factor fails it (by ~1) instead
+of passing unseen.
 
 Lanczos is asked only for the eigenpairs the fit can use.  A strip of
 half-extent ``Lx`` holds ``n_free = floor(k_max (Lx + 1)/pi + 1/2)``
@@ -136,6 +143,8 @@ class StripProblem:
     def __post_init__(self):
         if self.lx < 16:
             raise ConfigError(f"strip half-extent must be >= 16, got {self.lx}")
+        if not math.isfinite(self.u):
+            raise ConfigError(f"coupling u must be finite, got {self.u}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +163,8 @@ class OracleResult:
     ``spread`` is ``|a_hi - a_lo|`` between that order and the one below
     it (0 for a diverged reading) and ``states`` the ``(k, tan delta)``
     of every accepted state, ordered by ``k``.  ``eigenpairs`` is the
-    number of Lanczos eigenpairs finally requested.
+    number of Lanczos eigenpairs finally requested and ``sigma`` the
+    shift they were found around.
     """
 
     a: float
@@ -168,6 +178,7 @@ class OracleResult:
     spread: float
     states: tuple[tuple[float, float], ...]
     eigenpairs: int
+    sigma: float
 
 
 def _transverse(problem: StripProblem
@@ -241,46 +252,17 @@ def pair_hamiltonian(problem: StripProblem, total_momentum: float = 0.0
     return h.tocsr(), x_grid, y_grid
 
 
-def _orbits(n: int, *involutions: np.ndarray) -> sp.csr_matrix:
-    """Orbit indicators of the group generated by the commuting index
-    `involutions` of ``range(n)``: one 0/1 column per orbit (of size 1, 2,
-    4, ...), in the order of the orbits' smallest indices."""
+def _orbits(n: int, *involutions: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the group generated by the commuting index `involutions`
+    of ``range(n)``, in the order of their smallest indices: those
+    smallest indices, each index's orbit label and the orbit sizes (1, 2,
+    4, ...)."""
     images = np.arange(n)[None]
     for image in involutions:
         images = np.concatenate([images, image[images]])
-    _, column = np.unique(images.min(axis=0), return_inverse=True)
-    return sp.csr_matrix((np.ones(n), (np.arange(n), column)),
-                         shape=(n, column.max() + 1))
-
-
-def _sector_problem(h: sp.csr_matrix, orbits: sp.csr_matrix
-                    ) -> sp.csc_matrix:
-    """The sector Hamiltonian ``H_s = P^T H P`` of the isometry ``P``
-    whose columns are the normalized `orbits` (`_isometry`), for an `h`
-    that commutes with the orbits' symmetry group.
-
-    Every row of an orbit ``I`` then has the same sum over an orbit
-    ``J``, so ``H_s[I, J] = |I| S_IJ / sqrt(|I| |J|)`` with ``S_IJ``
-    summed over ``J`` in the row of ``I``'s smallest index alone.  Orbit
-    sizes are powers of two, so ``|I| S_IJ`` is exact and each entry is
-    rounded once: a rounded ``1/sqrt 2`` never enters twice
-    (``(1/sqrt 2)**2`` rounds to ``0.5 (1 + 2**-52)``, which would scale
-    the sector energies by ``1 + 2**-52``), and no entry depends on the
-    order in which the equal entries of an orbit of four or more are
-    summed.
-    """
-    by_orbit = orbits.tocsc()  # rows sorted within each column
-    size = np.diff(by_orbit.indptr)
-    h_s = (h[by_orbit.indices[by_orbit.indptr[:-1]]] @ orbits).tocoo()
-    h_s.data *= size[h_s.row]
-    h_s.data /= np.sqrt(size[h_s.row] * size[h_s.col])
-    return h_s.tocsc()
-
-
-def _isometry(orbits: sp.csr_matrix) -> sp.csr_matrix:
-    """``P``: the `orbits` columns, each scaled to unit norm."""
-    size = np.asarray(orbits.sum(axis=0)).ravel()
-    return orbits @ sp.diags(1.0 / np.sqrt(size))
+    return np.unique(images.min(axis=0), return_inverse=True,
+                     return_counts=True)
 
 
 class _Sector(NamedTuple):
@@ -288,15 +270,24 @@ class _Sector(NamedTuple):
     for a pair, ``y1 <-> y2`` symmetric sector of one strip in factored
     form, ``H_s = T_x (x) I + I (x) h_Y + |x=0><x=0| (x) C``.
 
-    ``t_x`` acts on the orbits of ``x -> -x`` (``x = 0`` last), ``h_y``
-    and the diagonal ``contact`` on the ``m`` transverse orbits;
-    ``orbits`` are the 0/1 orbit columns of the full space, x-major.
+    ``T_x`` acts on the ``lx + 1`` orbits of ``x -> -x``, ``|x| = lx - j``
+    for orbit ``j`` (``x = 0`` last); it has no diagonal, and ``chain[j]``
+    joins orbits ``j`` and ``j + 1``.  The dense ``h_y`` and the diagonal
+    ``contact`` act on the ``m`` transverse orbits; ``labels`` gives the
+    orbit of each slice state (index ``iy``, pair ``iy1 * ny + iy2``) and
+    ``sizes`` the number of states in each orbit.
     """
 
-    t_x: sp.csc_matrix
-    h_y: sp.csc_matrix
-    contact: sp.csc_matrix
-    orbits: sp.csr_matrix
+    chain: np.ndarray
+    h_y: np.ndarray
+    contact: np.ndarray
+    labels: np.ndarray
+    sizes: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        """``(lx + 1, m)``: the x-orbits and the transverse orbits."""
+        return self.chain.size + 1, self.sizes.size
 
 
 def _sector(problem: StripProblem, y_grid: np.ndarray, v: np.ndarray,
@@ -309,67 +300,95 @@ def _sector(problem: StripProblem, y_grid: np.ndarray, v: np.ndarray,
 
     The transverse mirror ``y -> -y`` (pair: ``(y1, y2) -> (-y1, -y2)``)
     joins the group only when the grid and potential are mirror images
-    bit for bit (:func:`~q1dscatter.traps.mirror_symmetric`)."""
+    bit for bit (:func:`~q1dscatter.traps.mirror_symmetric`).
+
+    An entry between orbits ``I`` and ``J`` of a factor ``H`` that
+    commutes with the group is ``|I| S_IJ / sqrt(|I| |J|)``, with
+    ``S_IJ`` the sum of ``H`` over ``J`` in the row of ``I``'s smallest
+    index alone.  Orbit sizes are powers of two, so ``|I| S_IJ`` is exact
+    and each entry is rounded once: a rounded ``1/sqrt 2`` never enters
+    twice (``(1/sqrt 2)**2`` rounds to ``0.5 (1 + 2**-52)``, which would
+    scale the sector energies by ``1 + 2**-52``), and the equal hoppings
+    summed into one entry give the same sum in any order.  The chain's
+    bonds are ``-J_eff``, except the one into ``x = 0``,
+    ``-2 J_eff/sqrt 2``, and the contact is ``|I| U/|I| = U`` on the
+    orbits of contact states."""
     ny = len(y_grid)
     if total_momentum is None:
-        j_eff, h_y = J, _slice_hamiltonian(v)
+        j_eff, shape = J, (ny,)
         sites = np.searchsorted(y_grid, [0])
         index = np.arange(ny)
         involutions = []
     else:
-        j_eff, h_y = pair_hopping(total_momentum), _pair_slice_hamiltonian(v)
+        j_eff, shape = pair_hopping(total_momentum), (ny, ny)
         sites = np.arange(ny) * (ny + 1)  # y1 = y2
         index = np.arange(ny * ny)
         involutions = [index.reshape(ny, ny).T.reshape(-1)]
     if mirror_symmetric(y_grid, v):
         involutions.append(index[::-1])
-    y_orbits = _orbits(index.size, *involutions)
-    nx = 2 * problem.lx + 1
-    x_orbits = _orbits(nx, np.arange(nx)[::-1])
-    t_x = _sector_problem(_hop_matrix(nx, j_eff), x_orbits)
-    h_y = _sector_problem(h_y, y_orbits)
-    contact = _sector_problem(_impurity(index.size, sites, problem.u),
-                              y_orbits)
-    return _Sector(t_x, h_y, contact,
-                   sp.kron(x_orbits, y_orbits, format="csr"))
+    first, labels, sizes = _orbits(index.size, *involutions)
+    m = sizes.size
+    # S over the rows of the orbits' first states: the slice is the sum
+    # over coordinates of one chain with potential v and hopping -J
+    coords = np.unravel_index(first, shape)
+    strides = (ny, 1)[-len(shape):]
+    s = np.zeros((m, m))
+    s[np.arange(m), np.arange(m)] = sum(v[c] for c in coords)
+    for c, stride in zip(coords, strides):
+        for step in (-1, 1):
+            inside = np.nonzero((c + step >= 0) & (c + step < ny))[0]
+            np.add.at(s, (inside, labels[first[inside] + step * stride]), -J)
+    h_y = s * sizes[:, None] / np.sqrt(sizes[:, None] * sizes)
+    chain = np.full(problem.lx, -j_eff)
+    chain[-1] = -2.0 * j_eff / math.sqrt(2.0)
+    contact = np.zeros(m)
+    contact[labels[sites]] = problem.u
+    return _Sector(chain, h_y, contact, labels, sizes)
 
 
-def _rotated(sector: _Sector) -> tuple[sp.csc_matrix, np.ndarray]:
-    """``H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R`` and the
+def _rotated(sector: _Sector, sigma: float
+             ) -> tuple[sp.csc_matrix, np.ndarray]:
+    """``H_rot - sigma``, where
+    ``H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R``, and the
     slice eigenbasis ``R`` (``h_Y = R E R^T``), so that
     ``H_s (I (x) R) = (I (x) R) H_rot``; x-major, with ``x = 0`` the
     last x-orbit.  Assembled in one construction from index arrays;
     ``T_x`` has no diagonal, so only the diagonal of the ``x = 0`` block
-    sums two terms, ``E + R^T C R``, and every entry is rounded exactly
-    as in the sum of the three Kronecker products."""
-    energies, rotation = np.linalg.eigh(sector.h_y.toarray())
-    block = rotation.T @ (sector.contact @ rotation)
-    nx, m = sector.t_x.shape[0], energies.size
-    chain = sector.t_x.tocoo()
-    slices = np.arange(m)
-    diagonal = np.arange(nx * m)
+    sums two terms, ``E + R^T C R``, before the shift, and every entry
+    is rounded exactly as in the sum of the three Kronecker products
+    less ``sigma I``, whose zeros it drops as well."""
+    energies, rotation = np.linalg.eigh(sector.h_y)
+    block = rotation.T @ (sector.contact[:, None] * rotation)
+    nx, m = sector.dims
+    diagonal = np.tile(energies, nx)
+    diagonal[-m:] += np.diag(block)
     b_row, b_col = np.nonzero(block)
+    off = b_row != b_col
     at_impurity = (nx - 1) * m
-    rows = np.concatenate([(chain.row[:, None] * m + slices).ravel(),
-                           diagonal, at_impurity + b_row])
-    cols = np.concatenate([(chain.col[:, None] * m + slices).ravel(),
-                           diagonal, at_impurity + b_col])
-    data = np.concatenate([np.repeat(chain.data, m), np.tile(energies, nx),
-                           block[b_row, b_col]])
-    return sp.csc_matrix((data, (rows, cols)), shape=(nx * m, nx * m)), \
-        rotation
+    upper = np.arange((nx - 1) * m)  # x-orbit j to j + 1, slice by slice
+    bonds = np.repeat(sector.chain, m)
+    rows = np.concatenate([upper, upper + m, np.arange(nx * m),
+                           at_impurity + b_row[off]])
+    cols = np.concatenate([upper + m, upper, np.arange(nx * m),
+                           at_impurity + b_col[off]])
+    data = np.concatenate([bonds, bonds, diagonal - sigma,
+                           block[b_row[off], b_col[off]]])
+    kept = data != 0.0
+    return sp.csc_matrix((data[kept], (rows[kept], cols[kept])),
+                         shape=(nx * m, nx * m)), rotation
 
 
 def _sector_product(sector: _Sector, phi: np.ndarray) -> np.ndarray:
     """``H_s phi`` for x-major columns `phi`, applied factor by factor:
-    ``T_x`` along x, ``h_Y`` on every slice and ``C`` on the ``x = 0``
+    ``h_Y`` on every slice, ``T_x`` along x and ``C`` on the ``x = 0``
     slice (the last), without assembling ``H_s``."""
-    nx, m = sector.t_x.shape[0], sector.h_y.shape[0]
+    nx, m = sector.dims
     v = phi.reshape(nx, m, -1)
-    h_v = (sector.t_x @ v.reshape(nx, -1)).reshape(v.shape)
-    h_v += (sector.h_y @ v.transpose(1, 0, 2).reshape(m, -1)) \
-        .reshape(m, nx, -1).transpose(1, 0, 2)
-    h_v[-1] += sector.contact @ v[-1]
+    bonds = sector.chain[:, None, None]
+    h_v = sector.h_y @ v
+    h_v[:-1] += bonds * v[1:]
+    h_v[1:] += bonds * v[:-1]
+    h_v[-1] += sector.contact[:, None] * v[-1]
     return h_v.reshape(phi.shape)
 
 
@@ -410,32 +429,36 @@ class _Extraction:
 
 
 def _sector_eigenpairs(sector: _Sector, sigma: float
-                       ) -> Callable[[int], tuple[np.ndarray, np.ndarray,
-                                                  np.ndarray]]:
+                       ) -> tuple[float, Callable[[int], tuple[
+                           np.ndarray, np.ndarray, np.ndarray]]]:
     """Shift-invert Lanczos on the sector Hamiltonian ``H_s`` near
     `sigma`, solved as ``H_rot`` in the slice eigenbasis from one LU
     factorization of ``H_rot - sigma`` (see the module docstring).
 
-    Returns ``eigenpairs(count)``: the `count` eigenpairs nearest
-    `sigma`, each call a fresh Lanczos run on the same factorization,
-    as the Rayleigh quotients ``rho`` of ``H_s`` in ascending order, the
-    full-space vectors ``P phi`` (unit columns) and the real-space sector
-    residuals ``|H_s phi - rho phi|``.  ``rho`` is evaluated as the Ritz
-    value plus ``phi.r / phi.phi`` with ``r = H_s phi - theta phi``:
-    summing ``phi.H_s phi`` directly loses ~sqrt(n) ulps, and ``k``
-    follows from ``rho`` with a ``1/k^2`` amplification.
+    Returns the shift factored (`sigma`, or a step off it where
+    ``H_rot - sigma`` is exactly singular) and ``eigenpairs(count)``:
+    the `count` eigenpairs nearest it, each call a fresh Lanczos run on
+    the same factorization, as the Rayleigh quotients ``rho`` of ``H_s``
+    in ascending order, the sector vectors ``phi`` (unit columns) and
+    the real-space sector residuals ``|H_s phi - rho phi|``.  ``rho`` is
+    evaluated as the Ritz value plus ``phi.r / phi.phi`` with
+    ``r = H_s phi - theta phi``: summing ``phi.H_s phi`` directly loses
+    ~sqrt(n) ulps, and ``k`` follows from ``rho`` with a ``1/k^2``
+    amplification.
     """
-    nx, m = sector.t_x.shape[0], sector.h_y.shape[0]
+    nx, m = sector.dims
     n = nx * m
-    h_rot, rotation = _rotated(sector)
-    eye = sp.identity(n, format="csc")
+    shifted, rotation = _rotated(sector, sigma)
     try:
-        lu = splu(h_rot - sigma * eye, permc_spec=_ORDERING)
+        lu = splu(shifted, permc_spec=_ORDERING)
     except RuntimeError:  # exactly singular: step off the level
         sigma += 1e-9 * (1.0 + abs(sigma))
-        lu = splu(h_rot - sigma * eye, permc_spec=_ORDERING)
+        shifted, rotation = _rotated(sector, sigma)
+        lu = splu(shifted, permc_spec=_ORDERING)
     solve = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    isometry = _isometry(sector.orbits)
+    # ARPACK's mode 3 applies only OPinv; H_rot gives eigsh its shape
+    h_rot = LinearOperator((n, n), matvec=lambda x: shifted @ x + sigma * x,
+                           dtype=float)
 
     def eigenpairs(count: int):
         theta, phi = eigsh(h_rot, k=count, sigma=sigma, OPinv=solve,
@@ -446,9 +469,9 @@ def _sector_eigenpairs(sector: _Sector, sigma: float
                        / np.einsum("ij,ij->j", phi, phi))
         residual = np.linalg.norm(h_phi - phi * rho, axis=0)
         order = np.argsort(rho)
-        return rho[order], isometry @ phi[:, order], residual[order]
+        return rho[order], phi[:, order], residual[order]
 
-    return eigenpairs
+    return sigma, eigenpairs
 
 
 def _fit_window(lx: int) -> np.ndarray:
@@ -466,19 +489,51 @@ def _pairs_requested(lx: int) -> int:
     return min(n_free, _MAX_ACCEPTED) + 2
 
 
+def _readout(sector: _Sector, vectors: np.ndarray, entrance: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the full-space states ``P phi`` of the sector columns
+    `vectors` in the sector.  Returns the entrance amplitude
+    ``w(x) = sum_y psi(x, y) entrance(y)`` on x-orbit ``j`` (row ``j``,
+    ``|x| = lx - j``), the entrance weight ``sum_x w(x)^2 / psi.psi`` and
+    the closed-channel share of the fit window's weight, one column per
+    state.  ``P`` spreads a sector amplitude evenly over its orbits'
+    sites: it weighs it by ``1/sqrt 2`` on ``x != 0`` and by
+    ``1/sqrt |I|`` on a y-orbit ``I``."""
+    nx, m = sector.dims
+    x_sizes = np.full(nx, 2.0)
+    x_sizes[-1] = 1.0  # x and -x; x = 0 alone
+    y_entrance = np.bincount(sector.labels, weights=entrance, minlength=m) \
+        / np.sqrt(sector.sizes)
+    v = vectors.reshape(nx, m, -1)
+    w = (y_entrance @ v) / np.sqrt(x_sizes)[:, None]
+    weight = (x_sizes @ (w * w)) / np.sum(vectors * vectors, axis=0)
+    rows = nx - 1 - _fit_window(nx - 1)  # the window's x > 0, ascending
+    win_total = np.sum(v[rows] ** 2 / x_sizes[rows, None, None], axis=(0, 1))
+    w_win = w[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contamination = np.where(
+            win_total > 0.0, np.maximum(
+                0.0, win_total - np.sum(w_win * w_win, axis=0)) / win_total,
+            math.inf)
+    return w, weight, contamination
+
+
 def _scan(energies: np.ndarray, vectors: np.ndarray, residuals: np.ndarray,
-          entrance: np.ndarray, e_free: float, j_eff: float, lx: int
+          sector: _Sector, entrance: np.ndarray, e_free: float, j_eff: float
           ) -> tuple[list[_Extraction], str | None, bool]:
     """Fit the entrance-dominated scattering states among a strip's
     eigenpairs, in ascending energy.  Returns the accepted states,
     the last rejection, and whether the scan stopped on a returned state
     (past the fit range, or at ``_MAX_ACCEPTED`` states), which makes it
     complete (see the module docstring)."""
+    lx = sector.dims[0] - 1
     window = _fit_window(lx)
-    win_idx = lx + window  # positive-x side of the symmetric grid
+    rows = lx - window
+    w, weights, contaminations = _readout(sector, vectors, entrance)
     accepted: list[_Extraction] = []
     best_reject = None
-    for rho, psi, eigen_residual in zip(energies, vectors.T, residuals):
+    for rho, w_x, weight, contamination, eigen_residual in zip(
+            energies, w.T, weights, contaminations, residuals):
         if len(accepted) >= _MAX_ACCEPTED:
             return accepted, best_reject, True
         cos_k = (e_free - float(rho)) / (2.0 * j_eff)
@@ -487,24 +542,18 @@ def _scan(energies: np.ndarray, vectors: np.ndarray, residuals: np.ndarray,
         k = math.acos(cos_k)
         if k > _K_MAX_FIT:
             return accepted, best_reject, True  # the rest sit higher still
-        w = psi.reshape(-1, entrance.size) @ entrance
-        weight = float(w @ w) / float(psi @ psi)
         if weight < _ENTRANCE_WEIGHT_MIN:
             continue
         if eigen_residual > _EIGEN_RESIDUAL_MAX:
             best_reject = (f"eigenpair residual {eigen_residual:.3g} "
                            f"at k={k:.4g}")
             continue
-        w_win = w[win_idx]
+        w_win = w_x[rows]
         design = np.column_stack([np.cos(k * window), np.sin(k * window)])
         coeff, *_ = np.linalg.lstsq(design, w_win, rcond=None)
         norm = float(np.linalg.norm(w_win))
         resid = float(np.linalg.norm(design @ coeff - w_win)) / norm \
             if norm > 0.0 else math.inf
-        full = psi.reshape(2 * lx + 1, -1)
-        win_total = float(np.sum(full[win_idx] ** 2))
-        contamination = max(0.0, win_total - float(w_win @ w_win)) / win_total \
-            if win_total > 0.0 else math.inf
         if contamination > _CONTAMINATION_MAX:
             best_reject = (f"closed-channel weight {contamination:.3g} in "
                            f"the fit window at k={k:.4g}")
@@ -517,35 +566,35 @@ def _scan(energies: np.ndarray, vectors: np.ndarray, residuals: np.ndarray,
         diverged = abs(tan_delta) < _DIVERGENCE_TAN
         a = math.inf if diverged else 1.0 / (math.sin(k) * tan_delta)
         accepted.append(_Extraction(
-            a=a, k=k, tan_delta=tan_delta, entrance_weight=weight,
-            fit_residual=resid, contamination=contamination,
+            a=a, k=k, tan_delta=tan_delta, entrance_weight=float(weight),
+            fit_residual=resid, contamination=float(contamination),
             eigen_residual=float(eigen_residual), diverged=diverged))
     return accepted, best_reject, len(accepted) >= _MAX_ACCEPTED
 
 
 def _extract_states(sector: _Sector, entrance: np.ndarray, e_free: float,
-                    j_eff: float, lx: int
-                    ) -> tuple[list[_Extraction], int]:
+                    j_eff: float) -> tuple[list[_Extraction], int, float]:
     """Collect entrance-dominated scattering states of the strip's
     symmetry `sector`, with their fitted asymptotic cosines, lowest
-    momenta first, and the number of eigenpairs finally requested.
-    `entrance` is the transverse entrance state on one x-slice of the
-    full space."""
-    k_target = math.pi / (lx + 1)
-    sigma = e_free - 2.0 * j_eff * math.cos(k_target)
-    eigenpairs = _sector_eigenpairs(sector, sigma)
-    cap = sector.orbits.shape[1] - 2
-    count = min(_pairs_requested(lx), cap)
+    momenta first, the number of eigenpairs finally requested and the
+    Lanczos shift.  `entrance` is the transverse entrance state on one
+    x-slice of the full space."""
+    nx, m = sector.dims
+    k_target = math.pi / nx
+    sigma, eigenpairs = _sector_eigenpairs(
+        sector, e_free - 2.0 * j_eff * math.cos(k_target))
+    cap = nx * m - 2
+    count = min(_pairs_requested(nx - 1), cap)
     while True:
         accepted, best_reject, complete = _scan(
-            *eigenpairs(count), entrance, e_free, j_eff, lx)
+            *eigenpairs(count), sector, entrance, e_free, j_eff)
         if complete or count == cap:
             break
         count = min(2 * count, cap)  # ran off the end: ask for more
 
     if accepted:
         accepted.sort(key=lambda e: e.k)
-        return accepted, count
+        return accepted, count, sigma
     if best_reject is not None:
         raise ContaminatedChannel(
             f"no clean scattering eigenstate found; last rejection: "
@@ -587,8 +636,8 @@ def _zero_momentum_limit(s: np.ndarray, a: np.ndarray) -> tuple[float, float]:
     return a_hi, spread
 
 
-def _extrapolate(states: list[_Extraction], unknowns: int, eigenpairs: int
-                 ) -> OracleResult:
+def _extrapolate(states: list[_Extraction], unknowns: int, eigenpairs: int,
+                 sigma: float) -> OracleResult:
     """The ``k -> 0`` limit of the strip's accepted states."""
     live = [e for e in states if not e.diverged]
     if live:
@@ -605,7 +654,7 @@ def _extrapolate(states: list[_Extraction], unknowns: int, eigenpairs: int
         eigen_residual=max(e.eigen_residual for e in used),
         unknowns=unknowns, spread=spread,
         states=tuple((e.k, e.tan_delta) for e in states),
-        eigenpairs=eigenpairs)
+        eigenpairs=eigenpairs, sigma=sigma)
 
 
 def _scattering_length(problem: StripProblem,
@@ -630,10 +679,11 @@ def _scattering_length(problem: StripProblem,
     else:
         entrance, e_free = np.outer(psi0, psi0).reshape(-1), 2.0 * e0
     sector = _sector(problem, y_grid, v, total_momentum)
-    states, count = _extract_states(sector, entrance, e_free=e_free,
-                                    j_eff=j_eff, lx=problem.lx)
-    return _extrapolate(states, unknowns=sector.orbits.shape[1],
-                        eigenpairs=count)
+    states, count, sigma = _extract_states(sector, entrance, e_free=e_free,
+                                           j_eff=j_eff)
+    nx, m = sector.dims
+    return _extrapolate(states, unknowns=nx * m, eigenpairs=count,
+                        sigma=sigma)
 
 
 def strip_scattering_length(problem: StripProblem) -> OracleResult:

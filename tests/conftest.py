@@ -255,3 +255,23 @@ def _plain_power_ring_sums(spectrum, L, points=400):
 @pytest.fixture(scope="session")
 def plain_power_ring_sums():
     return _plain_power_ring_sums
+
+
+def _sector_isometry(sector):
+    """The full-space isometry ``P`` of an oracle symmetry sector, built
+    from its orbit labels: column ``j m + I`` (x-major, as the sector)
+    is the normalized indicator of the sites ``(x, y)`` with
+    ``|x| = lx - j`` and ``y`` in transverse orbit ``I``, each orbit's
+    size counted from the labels themselves."""
+    nx, m = sector.dims
+    x = np.arange(2 * nx - 1)
+    column = (np.minimum(x, x[::-1])[:, None] * m + sector.labels).ravel()
+    size = np.bincount(column, minlength=nx * m)
+    return sp.csr_matrix((1.0 / np.sqrt(size[column]),
+                          (np.arange(column.size), column)),
+                         shape=(column.size, nx * m))
+
+
+@pytest.fixture(scope="session")
+def sector_isometry():
+    return _sector_isometry

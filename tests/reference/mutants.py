@@ -108,6 +108,14 @@ MUTANTS = {
     "phase-fold": ("src/q1dscatter/continuum.py",
                    "np.where(theta < -math.pi / 2, theta + math.pi, theta)",
                    "np.where(theta < -math.pi, theta + math.pi, theta)"),
+    "readout-x-orbit-norm": ("src/q1dscatter/oracle.py",
+                             "w = (y_entrance @ v) / np.sqrt(x_sizes)",
+                             "w = (y_entrance @ v) / x_sizes"),
+    "readout-y-orbit-norm": ("src/q1dscatter/oracle.py",
+                             "/ np.sqrt(sector.sizes)", "/ sector.sizes"),
+    "chain-bond-norm": ("src/q1dscatter/oracle.py",
+                        "chain[-1] = -2.0 * j_eff / math.sqrt(2.0)",
+                        "chain[-1] = -2.0 * j_eff / 2.0"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

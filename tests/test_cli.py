@@ -401,15 +401,23 @@ def test_oracle_diagnostics_in_manifest_only(tmp_path, capsys):
     meta, rows = read_csv(out)
     # the change of a(0) from the fit order below: [2/1] - [1/1] for the
     # four states accepted at lx = 100
-    states = q.pair_scattering_length(q.StripProblem(
-        trap=q.TwoSite(v=1.0), u=-5.0, lx=100)).states
+    res = q.pair_scattering_length(q.StripProblem(
+        trap=q.TwoSite(v=1.0), u=-5.0, lx=100))
+    states = res.states
     assert len(states) == 4
+    assert diag["states"] == [list(state) for state in states]
+    # the shift sits on the first x-odd free level, k = pi/(lx + 1)
+    e_free = 2.0 * q.solve_transverse(q.TwoSite(v=1.0)).energies[0]
+    assert diag["sigma"] == res.sigma == pytest.approx(
+        e_free - 2.0 * q.pair_hopping(0.0) * math.cos(math.pi / 101),
+        rel=1e-15)
     s = np.array([k ** 2 for k, _ in states])
     a = np.array([1.0 / (math.sin(k) * tan_delta) for k, tan_delta in states])
     x = s / s.max()
     assert diag["spread"] == abs(oracle._rational_intercept(x, a, (2, 1))
                                  - oracle._rational_intercept(x, a, (1, 1)))
-    hidden = {"eigen_residual", "unknowns", "spread", "eigenpairs"}
+    hidden = {"eigen_residual", "unknowns", "spread", "eigenpairs", "sigma",
+              "states"}
     assert not hidden & set(rows[0])
     assert not hidden & {key.replace("-", "_") for key in meta}
     replay = tmp_path / "replay.csv"
@@ -430,6 +438,37 @@ def test_oracle_short_strip_exit_code(tmp_path, capsys):
          "--output", str(tmp_path / "o.csv")], capsys, 2, "ConfigError")
     assert record["message"].startswith("strip too short")
     assert record["message"].endswith("lx = 52")
+
+
+_ORACLE_ARGS = ["oracle", "--validate", "--mode", "single", "--trap",
+                "harmonic", "--omega", "0.1", "--lx", "100"]
+_SINGLE_ARGS = ["single", "--trap", "harmonic", "--omega", "0.1",
+                "--points", "1"]
+
+
+@pytest.mark.parametrize("args, key", [
+    (_ORACLE_ARGS + ["--u", "nan"], "u"),
+    (_ORACLE_ARGS + ["--u=-inf"], "u"),
+    (_SINGLE_ARGS + ["--u-from", "nan", "--u-to", "nan"], "u_from"),
+    (_SINGLE_ARGS + ["--u-from", "-1", "--u-to", "inf"], "u_to"),
+], ids=["oracle-nan", "oracle-inf", "single-nan", "single-inf"])
+def test_non_finite_float_is_config_error(args, key, tmp_path, capsys):
+    """A NaN or infinite float option is refused up front, naming its
+    key, before any solve and without writing a CSV."""
+    out = tmp_path / "x.csv"
+    record = expect_error(args + ["--output", str(out)], capsys, 2,
+                          "ConfigError")
+    assert record["message"].startswith(f"{key} must be a finite float, ")
+    assert not out.exists()
+
+
+def test_non_finite_float_in_config_file_is_config_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("u = nan\n")
+    record = expect_error(_ORACLE_ARGS + ["--config", str(config),
+                                          "--output", str(tmp_path / "x.csv")],
+                          capsys, 2, "ConfigError")
+    assert record["message"] == "u must be a finite float, got nan"
 
 
 def test_oracle_delta_well_takes_its_half_width(tmp_path, capsys):

@@ -22,6 +22,12 @@ def test_zero_coupling_flagged_divergent():
     assert resp.diverged
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_non_finite_coupling_refused(u):
+    with pytest.raises(q.ConfigError, match="coupling u must be finite"):
+        q.StripProblem(trap=q.Harmonic(omega=0.1), u=u, lx=100)
+
+
 def test_two_site_single_particle_agreement(two_site_spectrum):
     theory = q.effective_u1d(two_site_spectrum, -2.0).a
     for lx, tol in ((100, 1e-6), (200, 1e-6), (400, 1e-8)):
@@ -134,7 +140,7 @@ def test_hamiltonians_match_lil_assembly(trap):
 
 
 def _full_space_eigenpairs(problem, momentum, reflect, e_free, j_eff,
-                           calls):
+                           calls, isometry):
     """The full-space solve the sector solve replaced, for comparison:
     ``H`` from `strip_hamiltonian` (``momentum=None``) or
     `pair_hamiltonian`, shift-invert Lanczos on all of it for 18
@@ -142,12 +148,16 @@ def _full_space_eigenpairs(problem, momentum, reflect, e_free, j_eff,
     candidate in the fitted momentum range two inverse-iteration steps
     at its Rayleigh quotient, each with its own LU factorization; the
     first candidate past that range ends the list unrefined, so the
-    oracle's scan stops on it.  Every strip is recorded in `calls`."""
+    oracle's scan stops on it.  A candidate outside the sector (such as
+    a mirror-odd state) is skipped, and the vectors are returned in the
+    sector, projected with ``P^T`` (`isometry`).  Every strip is
+    recorded in `calls`."""
     def solve(sector, sigma):
         calls.append(sigma)
-        strip = replace(problem, lx=sector.t_x.shape[0] - 1)
+        strip = replace(problem, lx=sector.dims[0] - 1)
         h = (q.strip_hamiltonian(strip) if momentum is None
              else q.pair_hamiltonian(strip, momentum))[0]
+        p = isometry(sector)
         vals, vecs = eigsh(h, k=18, sigma=sigma, v0=np.ones(h.shape[0]))
         h_csc = h.tocsc()
         eye = sp.identity(h.shape[0], format="csc")
@@ -164,6 +174,8 @@ def _full_space_eigenpairs(problem, momentum, reflect, e_free, j_eff,
                 break
             if float(psi @ reflect(psi)) < 0.5:
                 continue
+            if float(np.linalg.norm(p.T @ psi)) < 0.5:
+                continue
             rho = float(vals[idx])
             for _ in range(2):
                 step = splu((h_csc - rho * eye).tocsc()).solve(psi)
@@ -175,9 +187,9 @@ def _full_space_eigenpairs(problem, momentum, reflect, e_free, j_eff,
             energies.append(rho)
             vectors.append(psi)
             residuals.append(float(np.linalg.norm(h_csc @ psi - rho * psi)))
-        pairs = (np.array(energies), np.column_stack(vectors),
+        pairs = (np.array(energies), p.T @ np.column_stack(vectors),
                  np.array(residuals))
-        return lambda count: pairs
+        return sigma, lambda count: pairs
     return solve
 
 
@@ -194,7 +206,8 @@ _SECTOR_CASES = {
 
 
 @pytest.mark.parametrize("name", list(_SECTOR_CASES))
-def test_sector_solve_matches_full_space(name, monkeypatch):
+def test_sector_solve_matches_full_space(name, monkeypatch,
+                                         sector_isometry):
     trap, u, momentum, m = _SECTOR_CASES[name]
     problem = q.StripProblem(trap=trap, u=u, lx=100)
     y_grid, _, spectrum = oracle._transverse(problem)
@@ -227,7 +240,7 @@ def test_sector_solve_matches_full_space(name, monkeypatch):
     sector = run()
     calls = []
     monkeypatch.setattr(oracle, "_sector_eigenpairs", _full_space_eigenpairs(
-        problem, momentum, reflect, e_free, j_eff, calls))
+        problem, momentum, reflect, e_free, j_eff, calls, sector_isometry))
     full = run()
     assert len(calls) == 1  # the reference, not the sector solve, ran
 
@@ -301,29 +314,6 @@ def test_rational_fit_follows_a_pole_inside_the_window():
         oracle._zero_momentum_limit(s[:2], a[:2])
 
 
-def _unmirrored_sector(problem, y_grid, v, total_momentum):
-    """`oracle._sector` without the transverse mirror: x-even and, for a
-    pair, y1 <-> y2 symmetric only."""
-    ny, nx = len(y_grid), 2 * problem.lx + 1
-    if total_momentum is None:
-        j_eff, h_y = q.J, oracle._slice_hamiltonian(v)
-        sites = np.searchsorted(y_grid, [0])
-        y_orbits = oracle._orbits(ny)
-    else:
-        j_eff = q.pair_hopping(total_momentum)
-        h_y = oracle._pair_slice_hamiltonian(v)
-        sites = np.arange(ny) * (ny + 1)
-        y_orbits = oracle._orbits(
-            ny * ny, np.arange(ny * ny).reshape(ny, ny).T.reshape(-1))
-    x_orbits = oracle._orbits(nx, np.arange(nx)[::-1])
-    return oracle._Sector(
-        oracle._sector_problem(oracle._hop_matrix(nx, j_eff), x_orbits),
-        oracle._sector_problem(h_y, y_orbits),
-        oracle._sector_problem(
-            oracle._impurity(y_orbits.shape[0], sites, problem.u), y_orbits),
-        sp.kron(x_orbits, y_orbits, format="csr"))
-
-
 # one ulp off a mirror image: no mirror reduction, and `symmetric` is False
 _NEAR_MIRROR_TABLE = q.Tabulated.from_mapping(
     {-2: 1.2, -1: 0.3, 0: 0.0, 1: np.nextafter(0.3, 1.0), 2: 1.2}, None)
@@ -350,7 +340,9 @@ def test_mirror_reduction_matches_unreduced_sector(trap, u, momentum,
             else q.pair_scattering_length(problem, momentum)
 
     reduced = run()
-    monkeypatch.setattr(oracle, "_sector", _unmirrored_sector)
+    # the sector without the transverse mirror: x-even and, for a pair,
+    # y1 <-> y2 symmetric only
+    monkeypatch.setattr(oracle, "mirror_symmetric", lambda y_grid, v: False)
     full = run()
     ny = len(oracle._transverse(problem)[0])
     m = ny if momentum is None else ny * (ny + 1) // 2
@@ -530,13 +522,13 @@ def test_eigenpair_residual_gate_rejects_a_planted_bad_pair(monkeypatch):
     solve = oracle._sector_eigenpairs
 
     def planted(sector, sigma):
-        eigenpairs = solve(sector, sigma)
+        sigma, eigenpairs = solve(sector, sigma)
 
         def worse(count):
             rho, vectors, residuals = eigenpairs(count)
             return rho, vectors, residuals + 1e-8
 
-        return worse
+        return sigma, worse
 
     monkeypatch.setattr(oracle, "_sector_eigenpairs", planted)
     problem = q.StripProblem(trap=q.Harmonic(omega=0.1), u=-2.0, lx=100)

@@ -394,35 +394,57 @@ def test_brent_lanes_are_brentq_bit_for_bit(lanes, xtol):
 _ORACLE_TRAPS = st.one_of(mirrored_tables(3, 7), tabulated_traps(3, 7))
 
 
+def _orbit_sum(h, p):
+    """``P^T H P`` entry for entry as the oracle rounds its sector
+    factors, for an `h` that commutes with the symmetry group of the
+    isometry `p`: ``|I| S_IJ / sqrt(|I| |J|)`` with ``S_IJ`` summed over
+    the sites of orbit ``J`` in the row of the first site of ``I``."""
+    orbits = (p != 0).astype(float)
+    by_orbit = orbits.tocsc()  # rows sorted within each column
+    size = np.diff(by_orbit.indptr)
+    h_s = (h[by_orbit.indices[by_orbit.indptr[:-1]]] @ orbits).tocoo()
+    h_s.data *= size[h_s.row]
+    h_s.data /= np.sqrt(size[h_s.row] * size[h_s.col])
+    return h_s.toarray()
+
+
+def _oracle_strips(trap, lx, u, momentum):
+    """The single-particle and the pair strip of `trap`: each one's
+    full-space ``H``, sector, entrance state on one x-slice and array
+    shape ``(2 lx + 1, ny)`` or ``(2 lx + 1, ny, ny)``."""
+    problem = q.StripProblem(trap=trap, u=u, lx=lx)
+    y_grid, v, spectrum = oracle._transverse(problem)
+    psi0 = spectrum.wavefunctions[0]
+    nx, ny = 2 * lx + 1, len(y_grid)
+    return ((q.strip_hamiltonian(problem)[0],
+             oracle._sector(problem, y_grid, v, None), psi0, (nx, ny)),
+            (q.pair_hamiltonian(problem, momentum)[0],
+             oracle._sector(problem, y_grid, v, momentum),
+             np.outer(psi0, psi0).reshape(-1), (nx, ny, ny)))
+
+
 @given(trap=_ORACLE_TRAPS, lx=st.integers(16, 20),
        u=st.floats(-5.0, 5.0), momentum=st.floats(0.0, 2.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_oracle_sectors_are_invariant_isometries(trap, lx, u, momentum,
-                                                 seed):
+                                                 seed, sector_isometry):
     """P^T P = I, H P = P H_s, and every sector vector P phi is exactly
     even in x, (for a pair) symmetric in y1 <-> y2 and, on a trap that is
     an exact mirror image, even under y -> -y.  The sector holds
     (lx + 1) m unknowns for m transverse orbits."""
-    problem = q.StripProblem(trap=trap, u=u, lx=lx)
     ny = len(q.solve_transverse(trap).grid)
-    nx = 2 * lx + 1
     mirror = np.array_equal(trap.grid, -trap.grid[::-1]) \
         and np.array_equal(trap.potential, trap.potential[::-1])
     half = (ny + 1) // 2
     rng = np.random.default_rng(seed)
-    y_grid, v, _ = oracle._transverse(problem)
-    for h, orbits, shape, m in (
-            (q.strip_hamiltonian(problem)[0],
-             oracle._sector(problem, y_grid, v, None).orbits,
-             (nx, ny), half if mirror else ny),
-            (q.pair_hamiltonian(problem, momentum)[0],
-             oracle._sector(problem, y_grid, v, momentum).orbits,
-             (nx, ny, ny),
+    for (h, sector, _, shape), m in zip(
+            _oracle_strips(trap, lx, u, momentum),
+            (half if mirror else ny,
              half * half if mirror else ny * (ny + 1) // 2)):
-        h_s = oracle._sector_problem(h, orbits)
-        p = oracle._isometry(orbits)
+        p = sector_isometry(sector)
         n = p.shape[1]
         assert n == (lx + 1) * m
+        h_s = oracle._sector_product(sector, np.identity(n))
         assert np.max(np.abs((p.T @ p - np.identity(n)))) <= 1e-15
         assert abs(h @ p - p @ h_s).max() <= 1e-14
         psi = (p @ rng.standard_normal(n)).reshape(shape)
@@ -435,42 +457,72 @@ def test_oracle_sectors_are_invariant_isometries(trap, lx, u, momentum,
 
 
 @given(trap=_ORACLE_TRAPS, lx=st.integers(16, 20),
-       u=st.floats(-5.0, 5.0), momentum=st.floats(0.0, 2.0))
+       u=st.floats(-5.0, 5.0), momentum=st.floats(0.0, 2.0),
+       sigma=st.floats(-5.0, 5.0))
 @example(trap=q.Tabulated.from_mapping({-1: 1.9233, 0: 0.0, 1: 1.9233}),
-         lx=16, u=-5.0, momentum=0.0)
-def test_oracle_sector_factors(trap, lx, u, momentum):
+         lx=16, u=-5.0, momentum=0.0, sigma=-1.5)
+def test_oracle_sector_factors(trap, lx, u, momentum, sigma,
+                               sector_isometry):
     """H_s applied factor by factor (x-chain, slice and contact) is
     P^T H P of the full-space H entry for entry, also where an orbit of
     four or eight states sums equal diagonal entries; the directly
-    assembled H_rot is the sum of its three Kronecker products entry for
-    entry; and the slice eigenbasis R carries H_s into it:
-    H_s (I (x) R) = (I (x) R) H_rot."""
-    problem = q.StripProblem(trap=trap, u=u, lx=lx)
-    y_grid, v, _ = oracle._transverse(problem)
-    for h, sector in (
-            (q.strip_hamiltonian(problem)[0],
-             oracle._sector(problem, y_grid, v, None)),
-            (q.pair_hamiltonian(problem, momentum)[0],
-             oracle._sector(problem, y_grid, v, momentum))):
-        nx, m = sector.t_x.shape[0], sector.h_y.shape[0]
+    assembled H_rot - sigma is the sum of its three Kronecker products
+    less sigma I entry for entry; and the slice eigenbasis R carries H_s
+    into H_rot: H_s (I (x) R) = (I (x) R) H_rot."""
+    for h, sector, _, _ in _oracle_strips(trap, lx, u, momentum):
+        nx, m = sector.dims
         h_s = oracle._sector_product(sector, np.identity(nx * m))
-        reference = oracle._sector_problem(h, sector.orbits).toarray()
+        reference = _orbit_sum(h, sector_isometry(sector))
         diff = np.max(np.abs(h_s - reference))
         assert diff == 0.0, f"max |H_s - P^T H P| = {diff:.3g}"
-        h_rot, rotation = oracle._rotated(sector)
-        energies, basis = np.linalg.eigh(sector.h_y.toarray())
-        assert np.array_equal(rotation, basis)
+        energies, basis = np.linalg.eigh(sector.h_y)
+        t_x = sp.diags([sector.chain, sector.chain], [-1, 1])
         at_impurity = sp.csr_matrix(([1.0], ([nx - 1], [nx - 1])),
                                     shape=(nx, nx))
-        kron_sum = (sp.kron(sector.t_x, sp.identity(m))
+        kron_sum = (sp.kron(t_x, sp.identity(m))
                     + sp.kron(sp.identity(nx), sp.diags(energies))
                     + sp.kron(at_impurity, sp.csr_matrix(
-                        basis.T @ (sector.contact @ basis))))
-        assert h_rot.shape == kron_sum.shape
-        assert (h_rot != kron_sum).nnz == 0
+                        basis.T @ (np.diag(sector.contact) @ basis))))
+        for shift in (0.0, sigma):
+            h_rot, rotation = oracle._rotated(sector, shift)
+            assert np.array_equal(rotation, basis)
+            want = kron_sum - shift * sp.identity(nx * m)
+            assert h_rot.shape == want.shape
+            assert (h_rot != want).nnz == 0
+        h_rot = oracle._rotated(sector, 0.0)[0]
         lift = np.kron(np.identity(nx), rotation)
         assert np.linalg.norm(h_s @ lift - lift @ h_rot.toarray()) \
             <= 1e-13 * np.linalg.norm(h_s)
+
+
+@given(trap=_ORACLE_TRAPS, lx=st.integers(16, 20),
+       u=st.floats(-5.0, 5.0), momentum=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_oracle_sector_readout_is_the_full_space_readout(
+        trap, lx, u, momentum, seed, sector_isometry):
+    """The entrance amplitude w(x), the entrance weight and the fit
+    window's closed-channel share read in the sector equal those read
+    from the full-space states P phi, for random unit sector vectors
+    phi: to 1e-14, with every sector amplitude spread over the sites of
+    its x- and y-orbits."""
+    rng = np.random.default_rng(seed)
+    window = lx + oracle._fit_window(lx)  # x > 0 of the fit window
+    for _, sector, entrance, _ in _oracle_strips(trap, lx, u, momentum):
+        p = sector_isometry(sector)
+        phi = rng.standard_normal((p.shape[1], 3))
+        phi /= np.linalg.norm(phi, axis=0)
+        w, weight, contamination = oracle._readout(sector, phi, entrance)
+        for j, psi in enumerate((p @ phi).T):
+            full = psi.reshape(2 * lx + 1, -1)
+            w_full = full @ entrance
+            x_orbit = np.minimum(np.arange(2 * lx + 1),
+                                 np.arange(2 * lx, -1, -1))
+            assert np.max(np.abs(w[x_orbit, j] - w_full)) <= 1e-14
+            assert abs(weight[j] - (w_full @ w_full) / (psi @ psi)) <= 1e-14
+            win_total = float(np.sum(full[window] ** 2))
+            w_win = w_full[window]
+            assert abs(contamination[j] - max(
+                0.0, win_total - w_win @ w_win) / win_total) <= 1e-14
 
 
 @st.composite
