@@ -18,70 +18,59 @@ confinement-induced resonances for:
   (:mod:`~q1dscatter.oracle`).
 
 Energies are in units of the hopping ``J``; lengths in lattice sites.
+
+A module loads when one of its public names is first read, so a run
+that never touches the oracle never imports ``scipy.sparse``.
 """
 
-from .continuum import (ContinuumState, ContinuumSum, continuum_sum,
-                        continuum_sums,
-                        density_of_states, scattering_state,
-                        u_cir_with_continuum)
-from .errors import (AtResonance, BranchCollision, ConfigError,
-                     ContaminatedChannel, Diverging, EdgeLeak,
-                     NoConvergence, NoRootInBranch, OpenChannel,
-                     PoleInWindow, Q1DError, QuadratureFail,
-                     SignConventionViolation, SingularSystem, UnknownFigure,
-                     UnorderedSpectrum)
-from .oracle import (OracleResult, StripProblem, pair_hamiltonian,
-                     pair_scattering_length, strip_hamiltonian,
-                     strip_scattering_length)
-from .ring import (BranchSweep, RingCrossing, RingSolution,
-                   asymptotic_momentum, ring_branch_roots, ring_channel_sum,
-                   ring_cir_crossings, ring_momentum, ring_sweep_roots)
-from .single_particle import (CirValue, ScatteringResult, effective_u1d,
-                              entrance_energy, u1d_values, u_cir,
-                              u_cir_complete)
-from .spa import SpaFit, spa_curve, spa_fit
-from .traps import (AlphaValue, DeltaWell, Harmonic, Tabulated,
-                    TransverseSpectrum, TrapSpec, TwoSite, alpha_closed,
-                    closed_channels, potential_on_grid, solve_transverse, J)
-from .two_body import (BornResult, OverlapKernel, Resonance,
-                       ResonanceReport, TwoBodyResult, born_series,
-                       build_kernel, converged_resonances, locate_resonances,
-                       pair_hopping, solve_finite_k, solve_scattering_length,
-                       u1d_curve)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "J", "__version__",
-    # traps
-    "Harmonic", "DeltaWell", "TwoSite", "Tabulated", "TrapSpec",
-    "TransverseSpectrum", "AlphaValue", "solve_transverse", "alpha_closed",
-    "closed_channels", "potential_on_grid",
-    # single particle
-    "CirValue", "ScatteringResult", "entrance_energy", "u_cir",
-    "u_cir_complete", "effective_u1d", "u1d_values",
-    # continuum
-    "ContinuumState", "ContinuumSum", "scattering_state",
-    "density_of_states", "continuum_sum", "continuum_sums",
-    "u_cir_with_continuum",
-    # ring
-    "RingSolution", "RingCrossing", "BranchSweep",
-    "ring_momentum", "ring_branch_roots", "ring_sweep_roots",
-    "ring_channel_sum", "ring_cir_crossings", "asymptotic_momentum",
-    # two body
-    "OverlapKernel", "TwoBodyResult", "BornResult",
-    "Resonance", "ResonanceReport", "pair_hopping", "build_kernel",
-    "solve_scattering_length", "u1d_curve", "born_series", "solve_finite_k",
-    "locate_resonances", "converged_resonances",
-    # spa
-    "SpaFit", "spa_fit", "spa_curve",
-    # oracle
-    "StripProblem", "OracleResult", "strip_hamiltonian", "pair_hamiltonian",
-    "strip_scattering_length", "pair_scattering_length",
-    # errors
-    "Q1DError", "ConfigError", "UnknownFigure", "PoleInWindow",
-    "UnorderedSpectrum", "EdgeLeak",
-    "QuadratureFail", "NoRootInBranch", "BranchCollision",
-    "NoConvergence", "Diverging", "ContaminatedChannel",
-    "OpenChannel", "AtResonance", "SingularSystem", "SignConventionViolation",
-]
+#: The public names, by the module that defines them.
+_EXPORTS = {
+    "traps": ("J", "Harmonic", "DeltaWell", "TwoSite", "Tabulated",
+              "TrapSpec", "TransverseSpectrum", "AlphaValue",
+              "solve_transverse", "alpha_closed", "closed_channels",
+              "potential_on_grid"),
+    "single_particle": ("CirValue", "ScatteringResult", "entrance_energy",
+                        "u_cir", "u_cir_complete", "effective_u1d",
+                        "u1d_values"),
+    "continuum": ("ContinuumState", "ContinuumSum", "scattering_state",
+                  "density_of_states", "continuum_sum", "continuum_sums",
+                  "u_cir_with_continuum"),
+    "ring": ("RingSolution", "RingCrossing", "BranchSweep", "ring_momentum",
+             "ring_branch_roots", "ring_sweep_roots", "ring_channel_sum",
+             "ring_cir_crossings", "asymptotic_momentum"),
+    "two_body": ("OverlapKernel", "TwoBodyResult", "BornResult", "Resonance",
+                 "ResonanceReport", "pair_hopping", "build_kernel",
+                 "solve_scattering_length", "u1d_curve", "born_series",
+                 "solve_finite_k", "locate_resonances",
+                 "converged_resonances"),
+    "spa": ("SpaFit", "spa_fit", "spa_curve"),
+    "oracle": ("StripProblem", "OracleResult", "strip_hamiltonian",
+               "pair_hamiltonian", "strip_scattering_length",
+               "pair_scattering_length"),
+    "errors": ("Q1DError", "ConfigError", "UnknownFigure", "PoleInWindow",
+               "UnorderedSpectrum", "EdgeLeak", "QuadratureFail",
+               "NoRootInBranch", "BranchCollision", "NoConvergence",
+               "Diverging", "ContaminatedChannel", "OpenChannel",
+               "AtResonance", "SingularSystem", "SignConventionViolation"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    """A public name, read from its module on each access, or a module."""
+    if name in _MODULE_OF:
+        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _EXPORTS or name == "cli":
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,6 +12,9 @@ thread counts are excluded from the hash, so they never change the
 data bytes).  Failures print a machine-readable JSON error record to
 stderr and exit with the class-specific code (2 config, 3 solver
 non-convergence, 4 physical-regime violation).
+
+At import only ``errors`` and ``traps`` load; each runner imports the
+physics modules it calls, so only ``oracle`` loads ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -27,23 +30,15 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
-from typing import get_args, get_origin
+from typing import Iterator, get_args, get_origin
 
 import numpy
 import scipy
 
 from . import __version__
 from .errors import ConfigError, Q1DError, UnknownFigure
-from .continuum import continuum_sums, u_cir_with_continuum
-from .oracle import StripProblem, pair_scattering_length, \
-    strip_scattering_length
-from .ring import ring_cir_crossings, ring_sweep_roots
-from .single_particle import J, phase_shift, scattering_length, u1d_values, \
-    u_cir, u_cir_complete
-from .spa import spa_fit
-from .traps import DeltaWell, Harmonic, Tabulated, TwoSite, solve_transverse
-from .two_body import build_kernel, converged_resonances, locate_resonances, \
-    u1d_curve
+from .traps import (J, DeltaWell, Harmonic, Tabulated, TwoSite,
+                    solve_transverse)
 
 SUBCOMMANDS = {
     "transverse": "transverse trap spectrum",
@@ -424,6 +419,8 @@ def run_transverse(config: RunConfig, out: Path):
 
 
 def run_single(config: RunConfig, out: Path):
+    from .single_particle import (phase_shift, scattering_length, u1d_values,
+                                  u_cir, u_cir_complete)
     k = float(config.get("k"))
     trap = build_trap(config)
     n_states = config.options.get("n_states")
@@ -432,6 +429,8 @@ def run_single(config: RunConfig, out: Path):
         rungs = u_cir_complete(trap, k=k)
     else:  # the bound sector, plus S(k) for a continuum well
         spectrum = solve_transverse(trap, n_states=n_states)
+        if continuum:
+            from .continuum import u_cir_with_continuum
         rungs = [(spectrum, u_cir_with_continuum(trap, k=k, spectrum=spectrum)
                   if continuum else u_cir(spectrum, k=k))]
     spectrum, cir = rungs[-1]
@@ -452,6 +451,7 @@ def run_single(config: RunConfig, out: Path):
 
 
 def run_continuum(config: RunConfig, out: Path):
+    from .continuum import continuum_sums
     grid = _sweep_grid(config, "v0")
     k = float(config.get("k"))
     # one bound state: no bound sum, and 1/U_CIR is S(k) itself
@@ -464,6 +464,7 @@ def run_continuum(config: RunConfig, out: Path):
 
 
 def run_ring(config: RunConfig, out: Path):
+    from .ring import ring_cir_crossings, ring_sweep_roots
     spectrum = _solve_spectrum(config)
     lengths = config.options.get("length")
     if not lengths:
@@ -517,6 +518,8 @@ def _resonance_window(config: RunConfig, clamp: bool) -> tuple[float, float]:
 def _resonance_report(config: RunConfig, window: tuple[float, float]):
     """The resonance report of `config`, from a kernel of its own (with
     ``--converge``, a ladder of its own)."""
+    from .two_body import build_kernel, converged_resonances, \
+        locate_resonances
     momentum = float(config.get("total_momentum"))
     if config.get("converge"):
         n_start = config.options.get("n_start")
@@ -556,17 +559,20 @@ def _ladder_diagnostics(report) -> dict[str, object]:
     return {"ladder": list(report.rungs)} if report.rungs else {}
 
 
-def _twobody_row(u: float, i00: float, j_k: float, k: float) -> tuple:
-    """One sweep row from the linear amplitude ``I00`` at ``E(k)``: the
-    scattering length at ``k = 0``, else the closed finite-k form of
-    :func:`~q1dscatter.two_body.solve_finite_k`."""
-    u1d = u * i00
-    if k == 0.0:
-        a, delta = scattering_length(u1d, j_k), None
-    else:
-        a, delta = None, phase_shift(u1d, k, j_k)
-        i00 *= math.cos(delta)
-    return (u, u1d, a, i00, delta, math.atan(u1d / J))
+def _twobody_rows(kernel, grid: list[float], k: float) -> Iterator[tuple]:
+    """The sweep rows from the linear amplitudes ``I00`` of `kernel`, at
+    ``E(k)``: the scattering length at ``k = 0``, else the closed
+    finite-k form of :func:`~q1dscatter.two_body.solve_finite_k`."""
+    from .single_particle import phase_shift, scattering_length
+    j_k = kernel.j_k
+    for u, i00 in zip(grid, kernel.entrance_amplitude(grid).tolist()):
+        u1d = u * i00
+        if k == 0.0:
+            a, delta = scattering_length(u1d, j_k), None
+        else:
+            a, delta = None, phase_shift(u1d, k, j_k)
+            i00 *= math.cos(delta)
+        yield u, u1d, a, i00, delta, math.atan(u1d / J)
 
 
 def run_twobody(config: RunConfig, out: Path):
@@ -578,6 +584,7 @@ def run_twobody(config: RunConfig, out: Path):
     outputs: list[Path] = []
     diagnostics: dict[str, object] = {}
     if has_sweep:
+        from .two_body import build_kernel
         spectrum = _solve_spectrum(config)
         kernel = build_kernel(
             spectrum, total_momentum=float(config.get("total_momentum")))
@@ -587,8 +594,7 @@ def run_twobody(config: RunConfig, out: Path):
         sweep_kernel = kernel if k == 0.0 else kernel.at_relative_momentum(k)
         proximity = sweep_kernel.pole_proximity(grid)
         # partial fractions over the grid, as Python floats
-        rows = [_twobody_row(u, i00, kernel.j_k, k) for u, i00 in zip(
-            grid, sweep_kernel.entrance_amplitude(grid).tolist())]
+        rows = list(_twobody_rows(sweep_kernel, grid, k))
         write_csv(out, config,
                   ["u", "u1d", "a", "i00", "delta_k", "atan_u1d"], rows,
                   {"total-momentum": kernel.total_momentum,
@@ -618,6 +624,8 @@ def run_twobody(config: RunConfig, out: Path):
 
 
 def run_spa_fit(config: RunConfig, out: Path):
+    from .spa import spa_fit
+    from .two_body import build_kernel, u1d_curve
     spectrum = _solve_spectrum(config)
     kernel = build_kernel(spectrum,
                           total_momentum=float(config.get("total_momentum")))
@@ -656,13 +664,14 @@ def run_oracle(config: RunConfig, out: Path):
                           "pass --validate to run it")
     if config.options.get("u") is None:
         raise ConfigError("oracle needs --u")
-    problem = StripProblem(trap=build_trap(config), u=float(config.get("u")),
-                           lx=config.get("lx"))
+    from . import oracle
+    problem = oracle.StripProblem(
+        trap=build_trap(config), u=float(config.get("u")), lx=config.get("lx"))
     mode = config.get("mode")
     if mode == "single":
-        res = strip_scattering_length(problem)
+        res = oracle.strip_scattering_length(problem)
     else:
-        res = pair_scattering_length(
+        res = oracle.pair_scattering_length(
             problem, total_momentum=float(config.get("total_momentum")))
     row = (mode, problem.u, problem.lx, res.a, res.diverged, res.k_min,
            res.entrance_weight, res.fit_residual, res.contamination)

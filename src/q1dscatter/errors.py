@@ -6,7 +6,15 @@ Each error class carries the CLI exit code its family maps to:
 * 3 -- a solver did not converge or a requested accuracy is unattainable,
 * 4 -- physical-regime violation (the quasi-1D description itself breaks,
   or the requested point sits on a pole).
+
+:func:`require_finite` refuses NaN and infinite arguments with a
+:class:`ConfigError`, so that a library call fails as the CLI does
+instead of returning NaN.
 """
+
+import math
+
+import numpy as np
 
 EXIT_CONFIG = 2
 EXIT_NOCONVERGENCE = 3
@@ -25,6 +33,21 @@ class ConfigError(Q1DError):
     """Invalid or inconsistent run configuration."""
 
     exit_code = EXIT_CONFIG
+
+
+def require_finite(name: str, value) -> None:
+    """Raise :class:`ConfigError` naming the argument `name` if `value`,
+    a number or an array of numbers, holds a NaN or an infinity."""
+    if isinstance(value, (int, float)):  # per trap or coupling: no numpy
+        if math.isfinite(value):
+            return
+        bad = value
+    else:
+        finite = np.isfinite(value)
+        if finite.all():
+            return
+        bad = np.extract(~finite, value)[0]
+    raise ConfigError(f"{name} must be finite, got {bad}")
 
 
 class UnknownFigure(ConfigError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtResonance, ConfigError, NoConvergence
+from .errors import AtResonance, ConfigError, NoConvergence, require_finite
 from .traps import (J, TransverseSpectrum, TrapSpec, _complete_spectrum,
                     _grids, closed_channels)
 
@@ -174,6 +174,13 @@ def u1d_values(spectrum: TransverseSpectrum, us, cir: CirValue
         For the first coupling of `us` with ``|1 - U/U_CIR| < 1e-12``.
     """
     us = np.asarray(us, dtype=float)
+    require_finite("us", us)
+    return _u1d_values(spectrum, us, cir)
+
+
+def _u1d_values(spectrum: TransverseSpectrum, us: np.ndarray, cir: CirValue
+                ) -> np.ndarray:
+    """:func:`u1d_values` of the finite couplings `us`."""
     pole_factor = 1.0 - us * cir.inverse
     near = np.flatnonzero(np.abs(pole_factor) < 1e-12)
     if near.size:
@@ -210,8 +217,9 @@ def effective_u1d(spectrum: TransverseSpectrum, u: float, k: float = 0.0
         If ``|1 - U/U_CIR(k)| < 1e-12``: the pole is reported as such,
         never as an infinite float.
     """
+    require_finite("u", u)
     cir = u_cir(spectrum, k=k)
-    u1d = float(u1d_values(spectrum, [u], cir)[0])
+    u1d = float(_u1d_values(spectrum, np.array([float(u)]), cir)[0])
     psi0 = float(spectrum.origin_amplitudes[0])
 
     a = None

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, PoleInWindow
+from .errors import ConfigError, PoleInWindow, require_finite
 
 _POLE_PROXIMITY = 1e-6
 
@@ -86,6 +86,7 @@ def spa_fit(curve: Sequence[tuple[float, float]], r_entrance: float,
     pts = [(float(u), float(y)) for u, y in curve]
     if len(pts) < 3:
         raise ConfigError(f"SPA fit needs at least 3 points, got {len(pts)}")
+    require_finite("curve", pts)
     us = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     if np.any(us == 0.0):

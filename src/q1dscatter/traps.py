@@ -47,7 +47,8 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .errors import ConfigError, EdgeLeak, OpenChannel, UnorderedSpectrum
+from .errors import (ConfigError, EdgeLeak, OpenChannel, UnorderedSpectrum,
+                     require_finite)
 
 J = 1.0
 
@@ -64,7 +65,8 @@ _MAX_AUTO_Y, _MAX_BOX_Y = 2_560, 40_960
 
 def _check_half_width(y_max: float | None) -> None:
     """The grid ``-y_max..y_max`` must hold the site ``y = 0``."""
-    if y_max is not None and not (y_max >= 1 and y_max == int(y_max)):
+    if y_max is not None and not (1 <= y_max < math.inf
+                                  and y_max == int(y_max)):
         raise ConfigError(f"y_max must be a positive integer, got {y_max}")
 
 
@@ -85,6 +87,7 @@ class Harmonic:
     y_max: int | None = None
 
     def __post_init__(self):
+        require_finite("omega", self.omega)
         if not self.omega > 0.0:
             raise ConfigError(f"harmonic trap needs omega > 0, got {self.omega}")
         _check_half_width(self.y_max)
@@ -135,6 +138,7 @@ class DeltaWell(_SiteTable):
     values = ((0, 0.0),)
 
     def __post_init__(self):
+        require_finite("v0", self.v0)
         if not self.v0 > 0.0:
             raise ConfigError(
                 f"delta well needs v0 > 0 (v0 = 0 is free space, where the "
@@ -160,6 +164,9 @@ class TwoSite(_SiteTable):
     ``[[0, -J], [-J, 2 v]]``."""
 
     v: float
+
+    def __post_init__(self):
+        require_finite("v", self.v)
 
     @property
     def values(self) -> tuple[tuple[int, float], ...]:
@@ -197,6 +204,9 @@ class Tabulated(_SiteTable):
         ys = [y for y, _ in self.values]
         if ys != list(range(ys[0], ys[-1] + 1)):
             raise ConfigError("tabulated sites must form a contiguous integer range")
+        require_finite("values", [v for _, v in self.values])
+        if self.asymptote is not None:
+            require_finite("asymptote", self.asymptote)
 
 
 TrapSpec = Union[Harmonic, DeltaWell, TwoSite, Tabulated]

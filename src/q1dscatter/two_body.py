@@ -104,7 +104,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConfigError, Diverging, SignConventionViolation,
-                     SingularSystem)
+                     SingularSystem, require_finite)
 from .single_particle import phase_shift, scattering_length, u_cir_complete
 from .traps import (J, TransverseSpectrum, TrapSpec, _leading_states,
                     closed_channels)
@@ -539,9 +539,12 @@ def solve_scattering_length(kernel: OverlapKernel, u: float) -> TwoBodyResult:
 
     Raises
     ------
+    ConfigError
+        If `u` is NaN or infinite.
     SingularSystem
         If `u` sits numerically on a resonance pole.
     """
+    require_finite("u", u)
     kernel.pole_proximity(u)
     mu, _, v, proj = kernel._spectral
     g = -(v @ (mu * proj / (1.0 + u * mu)))
@@ -563,6 +566,7 @@ def u1d_curve(kernel: OverlapKernel, u_values) -> np.ndarray:
     per coupling), as :func:`solve_scattering_length` does.
     """
     u_arr = np.asarray(u_values, dtype=float)
+    require_finite("u_values", u_arr)
     return u_arr * kernel.entrance_amplitude(u_arr)
 
 
@@ -587,6 +591,7 @@ def born_series(kernel: OverlapKernel, u: float, order: int) -> BornResult:
     """
     if order < 1:
         raise ConfigError(f"Born order must be >= 1, got {order}")
+    require_finite("u", u)
     mu, _, _, proj = kernel._spectral
     weight = proj * proj
     reached = weight > np.finfo(float).eps * kernel.r_entrance

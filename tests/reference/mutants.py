@@ -116,6 +116,43 @@ MUTANTS = {
     "chain-bond-norm": ("src/q1dscatter/oracle.py",
                         "chain[-1] = -2.0 * j_eff / math.sqrt(2.0)",
                         "chain[-1] = -2.0 * j_eff / 2.0"),
+    # closed_channels moves to a module that imports it: every name
+    # still resolves, to the same object, but not from its definer
+    "export-wrong-module": ("src/q1dscatter/__init__.py",
+                            '"closed_channels",\n              '
+                            '"potential_on_grid"),\n    '
+                            '"single_particle": (',
+                            '\n              "potential_on_grid"),\n    '
+                            '"single_particle": ("closed_channels", '),
+    "fold-weight": ("src/q1dscatter/two_body.py",
+                    "weight = np.full(psi.shape[1] - origin, math.sqrt(2.0))",
+                    "weight = np.full(psi.shape[1] - origin, 2.0)"),
+    "fold-origin-weight": ("src/q1dscatter/two_body.py",
+                           "    weight[0] = 1.0",
+                           "    weight[0] = math.sqrt(2.0)"),
+    "pair-distinct-weight": ("src/q1dscatter/two_body.py",
+                             "np.where(n1 != n2, math.sqrt(2.0), 1.0)",
+                             "np.where(n1 != n2, 2.0, 1.0)"),
+    "rayleigh-step-sign": ("src/q1dscatter/traps.py",
+                           "return energies + (np.einsum",
+                           "return energies - (np.einsum"),
+    "rayleigh-step-dropped": ("src/q1dscatter/traps.py",
+                              "return energies + (np.einsum",
+                              "return energies + 0.0 * (np.einsum"),
+    "rayleigh-compensation": ("src/q1dscatter/traps.py",
+                              "comp = comp + (s_err + p_err)",
+                              "comp = comp + s_err"),
+    "gauge-tie-last-site": ("src/q1dscatter/traps.py",
+                            "np.argmax(np.abs(vectors), axis=1)]",
+                            "-1 - np.argmax(np.abs(vectors[:, ::-1]), "
+                            "axis=1)]"),
+    "interlacing-end": ("src/q1dscatter/traps.py",
+                        "min(n_sec * len(e) + s for",
+                        "min(n_sec * len(e) for"),
+    "cancellation-order": ("src/q1dscatter/two_body.py",
+                           'for i in np.argsort(gap[near_z, near_p], '
+                           'kind="stable"):',
+                           "for i in range(len(near_z)):"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

@@ -1033,6 +1033,49 @@ print(json.dumps([after_import, code, [m for m in lazy if m in sys.modules]]))
         assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
 
 
+def test_cold_start_imports_only_the_modules_a_subcommand_runs(tmp_path):
+    """``import q1dscatter.cli`` loads only ``errors`` and ``traps``;
+    each subcommand then loads its own physics modules, and only the
+    oracle loads ``scipy.sparse`` (ARPACK and SuperLU)."""
+    out = str(tmp_path)
+    runs = [
+        ["transverse", "--trap", "harmonic", "--omega", "0.1",
+         "--n-states", "21", "--output", f"{out}/t.csv"],
+        ["twobody", "--trap", "two-site", "--v", "1.0", "--u-from", "-2",
+         "--u-to", "-1", "--points", "5", "--output", f"{out}/p.csv"],
+        ["figure", "fig2", "--output-dir", out],
+        ["oracle", "--validate", "--trap", "two-site", "--v", "1.0",
+         "--u", "-2.0", "--lx", "100", "--output", f"{out}/o.csv"],
+    ]
+    script = f"""
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules
+                        if m.startswith("q1dscatter") or m == "scipy.sparse")
+from q1dscatter import cli
+steps = [loaded()]
+for argv in {runs!r}:
+    assert cli.main(argv) == 0, argv
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    base = ["q1dscatter", "q1dscatter.cli", "q1dscatter.errors",
+            "q1dscatter.traps"]
+    pair = sorted(base + ["q1dscatter.single_particle",
+                          "q1dscatter.two_body"])
+    assert steps == [
+        base,  # import
+        base,  # transverse
+        pair,  # twobody
+        sorted(pair + ["q1dscatter.continuum"]),  # figure fig2
+        sorted(pair + ["q1dscatter.continuum", "q1dscatter.oracle",
+                       "scipy.sparse"]),  # oracle
+    ]
+
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 

@@ -5,12 +5,17 @@ some module other than ``errors.py``, every name the README's library
 tour lists is exported, no function result is memoized across calls but
 the CLI's parser, every name the benchmark's tracer wraps exists, the
 two-body pair rows are formed in one place, only ``traps.py`` reads the
-auto-grid caps, and no module imports ``scipy.optimize`` or
-``scipy.integrate``."""
+auto-grid caps, no module imports ``scipy.optimize`` or
+``scipy.integrate``, and every public name is read from the module that
+defines it, which loads only when asked for."""
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,3 +251,76 @@ def test_no_module_imports_optimize_or_integrate():
                       "import scipy.integrate as si\nfrom scipy import "
                       "optimize\nfrom scipy.linalg import eigh")
     assert _scipy_imports(probe) == set(_DEFERRED)
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level by ``def``, ``class`` or
+    assignment (not by import)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                names |= {n.id for n in ast.walk(target)
+                          if isinstance(n, ast.Name)}
+    return names
+
+
+def test_package_exports_resolve_from_their_defining_module(monkeypatch):
+    """Every ``__all__`` name resolves, ``from q1dscatter import *``
+    binds each, ``dir`` lists them, and each is read from the one module
+    whose source defines it, on every access: a name patched there (as
+    tests and the benchmark's tracer patch them) is what the package
+    returns.  An unknown name is an ``AttributeError``."""
+    definers = {path.stem: _defined_names(ast.parse(path.read_text()))
+                for path in MODULES}
+    star: dict[str, object] = {}
+    exec("from q1dscatter import *", star)
+    assert set(star) - {"__builtins__"} == set(q1dscatter.__all__)
+    assert set(q1dscatter.__all__) <= set(dir(q1dscatter))
+    for name in q1dscatter.__all__:
+        if name == "__version__":
+            continue
+        owner, = [module for module, names in definers.items()
+                  if name in names]
+        module = importlib.import_module(f"q1dscatter.{owner}")
+        assert star[name] is getattr(module, name), name
+        sentinel = object()
+        monkeypatch.setattr(module, name, sentinel)
+        assert getattr(q1dscatter, name) is sentinel, (name, owner)
+        monkeypatch.undo()
+        assert getattr(q1dscatter, name) is star[name]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        q1dscatter.no_such_name  # noqa: B018
+
+
+def test_package_import_loads_no_submodule():
+    """A fresh ``import q1dscatter`` loads none of its modules; a
+    submodule attribute such as ``q1dscatter.two_body`` and a public
+    name each load theirs on first access."""
+    script = """
+import json, sys
+import q1dscatter as q
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("q1dscatter"))
+steps = [loaded()]
+names = [q.two_body.__name__, q.single_particle.__name__]
+steps.append(loaded())
+steps.append(q.StripProblem.__module__)
+print(json.dumps([steps, names]))
+"""
+    root = str(Path(q1dscatter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    steps, names = json.loads(proc.stdout.splitlines()[-1])
+    assert steps == [["q1dscatter"],
+                     ["q1dscatter", "q1dscatter.errors",
+                      "q1dscatter.single_particle", "q1dscatter.traps",
+                      "q1dscatter.two_body"],
+                     "q1dscatter.oracle"]
+    assert names == ["q1dscatter.two_body", "q1dscatter.single_particle"]

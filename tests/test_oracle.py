@@ -465,6 +465,60 @@ def test_short_first_request_doubles_on_one_factorization(name, first,
     assert abs(doubled.a - plain.a) <= 1e-10 * abs(plain.a)
 
 
+def _rotated_by_coo(sector, sigma):
+    """``H_rot - sigma`` as ``oracle._rotated`` assembled it before it
+    filled the CSC arrays in column order: every entry as a COO
+    triplet, exact zeros dropped, and scipy's COO -> CSC conversion
+    sorting them."""
+    energies, rotation = np.linalg.eigh(sector.h_y)
+    block = rotation.T @ (sector.contact[:, None] * rotation)
+    nx, m = sector.dims
+    diagonal = np.tile(energies, nx)
+    diagonal[-m:] += np.diag(block)
+    b_row, b_col = np.nonzero(block)
+    off = b_row != b_col
+    at_impurity = (nx - 1) * m
+    upper = np.arange((nx - 1) * m)
+    bonds = np.repeat(sector.chain, m)
+    rows = np.concatenate([upper, upper + m, np.arange(nx * m),
+                           at_impurity + b_row[off]])
+    cols = np.concatenate([upper + m, upper, np.arange(nx * m),
+                           at_impurity + b_col[off]])
+    data = np.concatenate([bonds, bonds, diagonal - sigma,
+                           block[b_row[off], b_col[off]]])
+    kept = data != 0.0
+    return sp.csc_matrix((data[kept], (rows[kept], cols[kept])),
+                         shape=(nx * m, nx * m))
+
+
+@pytest.mark.parametrize("name", list(_BENCHMARK_PROBLEMS))
+def test_rotated_csc_arrays_match_the_coo_assembly(name):
+    """The CSC arrays SuperLU factors (data, row indices and column
+    pointers, values and dtypes) are bit for bit those of the COO
+    assembly, at zero shift, at the oracle's shift and at the lowest
+    slice energy, where every x-orbit but x = 0 has an exact zero on its
+    diagonal that both drop."""
+    trap, u, momentum = _BENCHMARK_PROBLEMS[name]
+    problem = q.StripProblem(trap=trap, u=u, lx=200)
+    y_grid, v, spectrum = oracle._transverse(problem)
+    sector = oracle._sector(problem, y_grid, v, momentum)
+    nx = sector.dims[0]
+    j_eff = q.J if momentum is None else q.pair_hopping(momentum)
+    e_free = spectrum.energies[0] * (1 if momentum is None else 2)
+    lowest = np.linalg.eigh(sector.h_y)[0][0]
+    nnz = []
+    for sigma in (0.0, e_free - 2.0 * j_eff * math.cos(math.pi / 201),
+                  lowest):
+        got, _ = oracle._rotated(sector, sigma)
+        want = _rotated_by_coo(sector, sigma)
+        assert got.format == "csc" and got.shape == want.shape
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), attr
+        nnz.append(got.nnz)
+    assert nnz[0] - nnz[2] >= nx - 1
+
+
 @pytest.mark.parametrize("name", list(_BENCHMARK_PROBLEMS))
 def test_one_transverse_solve_and_one_factorization(name, monkeypatch):
     """Each problem solves its transverse spectrum once and factors its

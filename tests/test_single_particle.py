@@ -242,3 +242,15 @@ def test_u1d_values_reports_the_resonant_coupling(harm_mod_spectrum):
         q.effective_u1d(harm_mod_spectrum, cir.u_cir)
     assert str(swept.value) == str(alone.value)
     assert f"U = {cir.u_cir:.12g} sits" in str(swept.value)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_non_finite_coupling_refused(two_site_spectrum, u):
+    # effective_u1d and u1d_values refuse a non-finite coupling by name
+    # instead of returning U1D = a = NaN
+    with pytest.raises(q.ConfigError, match=f"^u must be finite, got {u}$"):
+        q.effective_u1d(two_site_spectrum, u)
+    cir = q.u_cir(two_site_spectrum)
+    with pytest.raises(q.ConfigError,
+                       match=f"^us must be finite, got {u}$"):
+        q.u1d_values(two_site_spectrum, [-1.0, u], cir)

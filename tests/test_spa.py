@@ -77,3 +77,13 @@ def test_moderate_trap_fit_frozen(harm_mod_kernel):
     assert fit.estimate_c2 == pytest.approx(-8.34572385946275, rel=1e-9)
     assert fit.midpoint == pytest.approx(-8.30776542227059, rel=1e-9)
     assert fit.relative_residual < 1e-6
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_curve_refused(bad):
+    # a NaN or infinite sample is refused, not fitted into NaN coefficients
+    curve = [(float(u), 3.5 - 120.0 / float(u)) for u in WINDOW]
+    curve[7] = (curve[7][0], bad)
+    with pytest.raises(q.ConfigError,
+                       match=f"^curve must be finite, got {bad}$"):
+        q.spa_fit(curve, r_entrance=0.75)

@@ -420,3 +420,50 @@ def test_alpha_closed_satisfies_lattice_dispersion(harm_mod_spectrum):
         assert lhs == pytest.approx(energy, abs=1e-12)
         assert 0.0 < val.alpha < 1.0
         assert val.denominator < 0.0
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: q.TwoSite(v=NAN), "v must be finite, got nan"),
+    (lambda: q.Harmonic(omega=INF), "omega must be finite, got inf"),
+    (lambda: q.Harmonic(omega=NAN), "omega must be finite, got nan"),
+    (lambda: q.Harmonic(omega=0.1, y_max=INF),
+     "y_max must be a positive integer, got inf"),
+    (lambda: q.DeltaWell(v0=INF), "v0 must be finite, got inf"),
+    (lambda: q.Tabulated.from_mapping({0: NAN}),
+     "values must be finite, got nan"),
+    (lambda: q.Tabulated.from_mapping({-1: 1.0, 0: 0.0, 1: -INF}),
+     "values must be finite, got -inf"),
+    (lambda: q.Tabulated.from_mapping({0: 0.0}, asymptote=INF),
+     "asymptote must be finite, got inf"),
+], ids=["two-site-v-nan", "harmonic-omega-inf", "harmonic-omega-nan",
+        "harmonic-y-max-inf", "delta-well-v0-inf", "table-value-nan",
+        "table-value-minus-inf", "table-asymptote-inf"])
+def test_non_finite_trap_parameters_refused(build, message):
+    # a NaN or infinite parameter is refused where the trap is built,
+    # naming the parameter, instead of giving a spectrum of NaN
+    with pytest.raises(q.ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("trap", [
+    q.Harmonic(omega=0.1), q.TwoSite(v=1.0),
+    q.Tabulated.from_mapping({y: 0.1 * y * y for y in range(-4, 5)})],
+    ids=["harmonic", "two-site", "table"])
+def test_gauge_makes_the_first_largest_component_positive(trap):
+    """Each state's largest-magnitude component is positive, the first
+    one on a tie: the two peaks of an odd state of a mirror trap are
+    exact negatives of each other, and the one on y < 0 is positive."""
+    spectrum = q.solve_transverse(trap)
+    psi = spectrum.wavefunctions
+    first_peak = np.argmax(np.abs(psi), axis=1)
+    assert np.all(psi[np.arange(len(psi)), first_peak] > 0.0)
+    odd = [n for n, parity in enumerate(spectrum.parities) if parity == "odd"]
+    assert bool(odd) == spectrum.symmetric
+    for n in odd:
+        peak = first_peak[n]
+        assert spectrum.grid[peak] < 0
+        assert psi[n, -1 - peak] == -psi[n, peak]

@@ -763,3 +763,30 @@ def test_subnormal_coupling_gives_infinite_a_quietly(u, two_site_kernel,
             else -math.copysign(math.inf, r.u1d)
         assert r.a == expected
     assert any(r.u1d != 0.0 for r in results)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_non_finite_coupling_refused(two_site_kernel, u):
+    # every coupling entry point refuses a non-finite coupling by name,
+    # instead of returning a result of NaN with a RuntimeWarning
+    calls = {"u": [lambda: q.solve_scattering_length(two_site_kernel, u),
+                   lambda: q.solve_finite_k(two_site_kernel, u, 0.1),
+                   lambda: q.born_series(two_site_kernel, u, 3)],
+             "u_values": [lambda: q.u1d_curve(two_site_kernel, [-1.0, u])]}
+    for name, funcs in calls.items():
+        for call in funcs:
+            with pytest.raises(q.ConfigError,
+                               match=f"^{name} must be finite, got {u}$"):
+                call()
+
+
+def test_a_pole_cancels_its_nearest_zero():
+    """Of two zeros of Q H Q within the cancellation distance of one
+    pole (1e-8 at U = -10), the pole cancels the nearer, whatever their
+    order, and the farther is reported; a zero out of reach stays."""
+    pole = np.array([-10.0])
+    zeros = np.array([-10.0 - 8e-9, -10.0 + 2e-9, -3.0])
+    kept = q.two_body._uncancelled(zeros, pole)
+    assert kept.tolist() == [zeros[0], zeros[2]]
+    kept = q.two_body._uncancelled(zeros[[1, 0, 2]], pole)
+    assert kept.tolist() == [zeros[0], zeros[2]]
