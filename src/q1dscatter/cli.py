@@ -585,16 +585,15 @@ def run_twobody(config: RunConfig, out: Path):
     diagnostics: dict[str, object] = {}
     if has_sweep:
         from .two_body import build_kernel
-        spectrum = _solve_spectrum(config)
-        kernel = build_kernel(
-            spectrum, total_momentum=float(config.get("total_momentum")))
-        grid = _sweep_grid(config, "u")
         k = float(config.get("k"))
-        # a finite-k sweep evaluates the kernel at E(k) once: one H
-        sweep_kernel = kernel if k == 0.0 else kernel.at_relative_momentum(k)
-        proximity = sweep_kernel.pole_proximity(grid)
+        # one kernel at E(k): one H for the whole sweep
+        kernel = build_kernel(
+            _solve_spectrum(config),
+            total_momentum=float(config.get("total_momentum")), k=k)
+        grid = _sweep_grid(config, "u")
+        proximity = kernel.pole_proximity(grid)
         # partial fractions over the grid, as Python floats
-        rows = list(_twobody_rows(sweep_kernel, grid, k))
+        rows = list(_twobody_rows(kernel, grid, k))
         write_csv(out, config,
                   ["u", "u1d", "a", "i00", "delta_k", "atan_u1d"], rows,
                   {"total-momentum": kernel.total_momentum,

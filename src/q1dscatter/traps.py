@@ -14,21 +14,21 @@ denominator every scattering module divides by.
 Every grid is diagonalized one symmetry sector at a time and refined.
 A reflection-symmetric grid (bit for bit: :func:`mirror_symmetric`) has
 an even sector on sites ``0..Y`` (the ``y = 0 <-> 1`` bond scaled by
-``sqrt(2)``) and an odd sector on sites ``1..Y``, so parity labels are
-exact, odd states vanish at the origin exactly, and neither depends on
-how the eigensolver mixes the near-degenerate doublets high in the
-trap.  The odd-sector matrix is the even one with its ``y = 0`` row and
-column removed, so Cauchy interlacing fixes the level order
-``e0 < o0 < e1 < o1 < ...``; the sectors are merged by interleaving.
-Any other grid is one sector.  One Rayleigh-quotient step per
+``sqrt(2)``) and an odd sector on sites ``1..Y``, so odd states vanish
+at the origin exactly, which does not depend on how the eigensolver
+mixes the near-degenerate doublets high in the trap.  The odd-sector
+matrix is the even one with its ``y = 0`` row and column removed, so
+Cauchy interlacing fixes the level order ``e0 < o0 < e1 < o1 < ...``;
+the sectors are merged by interleaving, so state ``n`` has the parity of
+``n``.  Any other grid is one sector.  One Rayleigh-quotient step per
 eigenpair, with the residual accumulated error-free, makes every energy
 correctly rounded, so the merged list is nondecreasing even where a
 doublet's splitting is below one ulp.
 
 A truncated grid (harmonic traps, continuum wells) lets in only the
 leading run of states, in energy order, whose amplitude on the end
-sites is below ``DEFAULT_EDGE_TOL``; too few is an :class:`EdgeLeak`
-once an auto-sized grid stops growing.  A continuum well is any trap
+sites is below ``DEFAULT_EDGE_TOL``; too few on the last grid a trap
+may use is an :class:`EdgeLeak`.  A continuum well is any trap
 with an ``asymptote`` (a table with one, or the delta well, which is
 the one-site table ``{0: 0}`` at asymptote ``v0``): it is solved in a
 box and lets in only its bound states below the band bottom
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -256,26 +257,30 @@ class TransverseSpectrum:
         Nondecreasing eigenvalues in units of J.
     wavefunctions : ndarray, shape (n, n_sites)
         Orthonormal real eigenvectors, one per row.
-    parities : tuple of str
-        'even' / 'odd' for symmetric traps, 'none' otherwise.  Exact:
-        each state comes from the even or the odd sector solve, and the
-        two alternate in energy order, starting with 'even'.
     grid : ndarray of int
         Transverse site coordinates.
     symmetric : bool
         Whether grid and V(y) are their own mirror images, bit for bit
         (:func:`mirror_symmetric`).
+
+    Derived: ``parities``, fixed by the index (module docstring).
     """
 
     energies: np.ndarray
     wavefunctions: np.ndarray
-    parities: tuple[str, ...]
     grid: np.ndarray
     symmetric: bool
 
     @property
     def n_states(self) -> int:
         return len(self.energies)
+
+    @cached_property
+    def parities(self) -> tuple[str, ...]:
+        """Per state: 'even' / 'odd' on a symmetric trap, the parity of
+        the index (interlacing, module docstring), else 'none'."""
+        labels = ("even", "odd") if self.symmetric else ("none", "none")
+        return tuple(labels[n % 2] for n in range(self.n_states))
 
     @property
     def complete(self) -> bool:
@@ -461,11 +466,9 @@ def _refined(eigenpairs: tuple, grid: np.ndarray, vectors: np.ndarray
         raise UnorderedSpectrum(
             f"transverse energy {n + 1} ({energies[n + 1]!r}) lies below "
             f"energy {n} ({energies[n]!r})")
-    labels = ("even", "odd") if symmetric else ("none",)
-    return TransverseSpectrum(
-        energies=energies, wavefunctions=_fix_gauge(vectors),
-        parities=tuple(labels[n % n_sec] for n in range(n_keep)),
-        grid=grid, symmetric=symmetric)
+    return TransverseSpectrum(energies=energies,
+                              wavefunctions=_fix_gauge(vectors), grid=grid,
+                              symmetric=symmetric)
 
 
 def _complete_spectrum(grid: np.ndarray, v: np.ndarray) -> TransverseSpectrum:
@@ -483,8 +486,7 @@ def _leading_states(spectrum: TransverseSpectrum, n_states: int
     if n_states >= spectrum.n_states:
         return spectrum
     return replace(spectrum, energies=spectrum.energies[:n_states],
-                   wavefunctions=spectrum.wavefunctions[:n_states],
-                   parities=spectrum.parities[:n_states])
+                   wavefunctions=spectrum.wavefunctions[:n_states])
 
 
 def _grids(spec: TrapSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -516,61 +518,14 @@ def _grids(spec: TrapSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         y_max *= 2
 
 
-def _grid_problems(spec: TrapSpec, n_states: int | None
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray, int | None,
-                                       float | None, float]]:
-    """The grid problems ``(grid, V, n_states, edge_tol, ceiling)`` of
-    `spec`, one per grid of :func:`_grids`: ``n_states`` states are
-    wanted (all of them for ``None``) among the eigenpairs below
-    ``ceiling``, and on a truncated grid only the leading run whose edge
-    amplitude is below ``edge_tol`` counts; ``edge_tol=None`` declares
-    the grid the trap's whole space, every eigenpair of it exact.
-
-    A continuum well keeps the states below the band and asks each box
-    for every bound state it may hold (`n_states` if set), or stops if
-    that is fewer.  Running out of auto-sized grids raises; after its
-    one grid a trap leaves the caller to report why it fell short.
-    """
-    n_grids = 0
-    if getattr(spec, "asymptote", None) is None:
-        edge_tol = None if isinstance(spec, _SiteTable) else DEFAULT_EDGE_TOL
-        for n_grids, (grid, v) in enumerate(_grids(spec), 1):
-            yield grid, v, n_states, edge_tol, math.inf
-        if n_grids > 1:
-            raise ConfigError(
-                f"auto grid sizing exceeded half-width {_MAX_AUTO_Y} "
-                f"for {n_states} states")
-        return
-    ceiling = spec.asymptote - 2.0 * J - 1e-12  # just below the band
-    n_max = n_wanted = n_states if n_states is not None else 1
-    y_max = _MAX_BOX_Y
-    for n_grids, (grid, v) in enumerate(_grids(spec), 1):
-        y_max = int(grid[-1])
-        # cutting the end bonds and lowering the end sites by J bounds
-        # H from below by a box whose count below the band caps the
-        # bound states (the cut-off half-chains start at it)
-        n_max = len(eigvalsh_tridiagonal(
-            v - J * (np.abs(grid) == y_max), -J * np.ones(len(v) - 1),
-            select="v", select_range=(-np.inf, ceiling)))
-        n_wanted = n_max if n_states is None else n_states
-        if n_max < max(n_wanted, 1):
-            break
-        yield grid, v, n_wanted, DEFAULT_EDGE_TOL, ceiling
-    else:
-        if n_grids == 1:
-            return  # the one box; the caller reports its edge leak
-    raise EdgeLeak(
-        f"{max(n_wanted, 1)} bound states requested below the transverse "
-        f"band bottom; the well holds at most {n_max}, and fewer decay "
-        f"at the edges up to half-width {y_max}")
-
-
 def solve_transverse(spec: TrapSpec, n_states: int | None = None
                      ) -> TransverseSpectrum:
     """Diagonalize the transverse trap Hamiltonian.
 
-    Each grid the call tries (an auto-sized one grows until the states
-    fit) is diagonalized once.  On one grid the spectrum of ``n`` states
+    One loop tries the trap's grids (an auto-sized one grows until the
+    states fit), a continuum well's box capping its bound states first,
+    and diagonalizes each once; each failure is raised where it is
+    found.  On one grid the spectrum of ``n`` states
     is bit for bit the lowest ``n`` of any larger one, so a caller that
     needs several sizes solves the complete basis once and cuts it.
 
@@ -609,20 +564,42 @@ def solve_transverse(spec: TrapSpec, n_states: int | None = None
     """
     if isinstance(spec, Harmonic) and n_states is None:
         n_states = _DEFAULT_N_STATES
-    for grid, v, n_wanted, edge_tol, ceiling in _grid_problems(spec,
-                                                               n_states):
+    asymptote = getattr(spec, "asymptote", None)
+    # a continuum well keeps the states below the band; a hard-walled
+    # table's grid is its whole space, every state exact, no edge check
+    ceiling = math.inf if asymptote is None else asymptote - 2.0 * J - 1e-12
+    edge_tol = (None if isinstance(spec, _SiteTable) and asymptote is None
+                else DEFAULT_EDGE_TOL)
+    for grid, v in _grids(spec):
+        n_wanted = n_states
+        if asymptote is not None:
+            # cutting the end bonds and lowering the end sites by J bounds
+            # H from below by a box whose count below the band caps the
+            # bound states (the cut-off half-chains start at it)
+            n_max = len(eigvalsh_tridiagonal(
+                v - J * (np.abs(grid) == grid[-1]), -J * np.ones(len(v) - 1),
+                select="v", select_range=(-np.inf, ceiling)))
+            n_wanted = n_max if n_states is None else n_states
+            if n_max < max(n_wanted, 1):
+                break
         eigenpairs = _grid_eigenpairs(grid, v, ceiling)
         n_keep, vectors = _leading_run(eigenpairs, len(grid), n_wanted,
                                        edge_tol)
-        n_wanted = n_keep if n_wanted is None else n_wanted
-        if n_keep >= max(n_wanted, 1):
+        if n_keep >= max(n_keep if n_wanted is None else n_wanted, 1):
             return _refined(eigenpairs, grid, vectors)
         if edge_tol is None:
             raise ConfigError(f"trap holds only {n_keep} states")
-        leak = EdgeLeak(
-            f"only {n_keep} states decay at the grid edge; {n_wanted} "
-            f"requested (half-width {int(grid[-1])} too small)")
-    raise leak  # a single fixed grid; auto grids raise on running out
+        if getattr(spec, "y_max", None) is not None:  # its one grid
+            raise EdgeLeak(
+                f"only {n_keep} states decay at the grid edge; {n_wanted} "
+                f"requested (half-width {int(grid[-1])} too small)")
+    if asymptote is None:
+        raise ConfigError(f"auto grid sizing exceeded half-width "
+                          f"{_MAX_AUTO_Y} for {n_states} states")
+    raise EdgeLeak(
+        f"{max(n_wanted, 1)} bound states requested below the transverse "
+        f"band bottom; the well holds at most {n_max}, and fewer decay "
+        f"at the edges up to half-width {int(grid[-1])}")
 
 
 # --------------------------------------------------------------------------

@@ -90,7 +90,8 @@ root ``t = t0 / sqrt(1 + t0^2)`` gives
     U1D = U I00(E_k),   tan(delta_k) = -U1D / s,   x = cos(delta_k) I00(E_k),
 
 with ``|sin(delta_k)| = |t| < 1`` always.  A finite-``k`` sweep is thus
-the same partial-fraction pass as a zero-momentum one.
+the same partial-fraction pass as a zero-momentum one, on the kernel
+that the one constructor, :func:`build_kernel`, assembles at ``(K, k)``.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def pair_hopping(total_momentum: float = 0.0) -> float:
 # ndarray fields: compared by identity, hashed by id
 @dataclass(frozen=True, eq=False)
 class OverlapKernel:
-    """The two-body problem at one ``(K, E)`` point, held on the
-    collision diagonal.
+    """The two-body problem at one ``(K, k)`` point, at the pair
+    scattering energy ``energy = E_k``, held on the collision diagonal.
 
     Stored: ``pairs[b] = (n1, n2)`` of each kept channel (``n1 <= n2``;
     row-major, or row-major per added shell of states in a kernel the
@@ -260,29 +261,16 @@ class OverlapKernel:
                 f"induced resonance pole (|1 + U mu| = {prox[bad[0]]:.3g})")
         return float(prox.min())
 
-    def at_energy(self, energy: float) -> "OverlapKernel":
-        """Same channel set, re-evaluated at a different scattering
-        energy (new denominators, and ``H`` summed afresh from the pair
-        rows)."""
-        if energy == self.energy:
-            return self
-        denominators = _closed_channels(self.pairs, self.channel_energies,
-                                        energy, self.j_k)
-        return replace(self, denominators=denominators,
-                       green=_add_green(np.zeros_like(self.green),
-                                        self.spectrum, self.pairs,
-                                        denominators),
-                       energy=energy)
-
     def at_relative_momentum(self, k: float) -> "OverlapKernel":
-        """:meth:`at_energy` at the pair scattering energy
-        ``-2 J_K cos k + 2 E_0`` of relative quasi-momentum `k` in
-        ``(0, pi)``; a kernel already there is returned as is, with its
-        ``H`` and spectral form."""
+        """The kernel of the same spectrum and ``K`` at relative
+        quasi-momentum `k` in ``(0, pi)`` (:func:`build_kernel`); a
+        kernel already at its energy is returned as is, with its ``H``
+        and spectral form."""
         if not 0.0 < k < math.pi:
             raise ConfigError(f"quasi-momentum must lie in (0, pi), got {k}")
-        e0 = float(self.spectrum.energies[0])
-        return self.at_energy(-2.0 * self.j_k * math.cos(k) + 2.0 * e0)
+        if _pair_energy(self.spectrum, self.j_k, k) == self.energy:
+            return self
+        return build_kernel(self.spectrum, self.total_momentum, k)
 
 
 # ndarray fields: compared by identity, hashed by id
@@ -390,9 +378,9 @@ def _closed_channels(pairs: np.ndarray, channel_energies: np.ndarray,
     return denominators
 
 
-def _zero_momentum_energy(spectrum: TransverseSpectrum, j_k: float) -> float:
-    """The lowest pair scattering energy ``-2 J_K + 2 E_0``."""
-    return -2.0 * j_k + 2.0 * float(spectrum.energies[0])
+def _pair_energy(spectrum: TransverseSpectrum, j_k: float, k: float) -> float:
+    """The pair scattering energy ``E_k = -2 J_K cos k + 2 E_0``."""
+    return -2.0 * j_k * math.cos(k) + 2.0 * float(spectrum.energies[0])
 
 
 def _pair_channels(spectrum: TransverseSpectrum, n_lo: int, n_cut: int
@@ -401,16 +389,13 @@ def _pair_channels(spectrum: TransverseSpectrum, n_lo: int, n_cut: int
     ``n2`` lies in ``[n_lo, n_cut)``, row-major; ``n_lo >= 1`` leaves
     out the entrance ``(0, 0)``, and odd pairs of a symmetric trap are
     left out too.  Returns the pairs and their energies."""
-    n1 = np.arange(n_cut)
-    first = np.maximum(n1, n_lo)  # row n1 holds n2 = first .. n_cut - 1
-    counts = n_cut - first
-    n1 = np.repeat(n1, counts)
-    n2 = np.arange(len(n1)) - np.repeat(np.cumsum(counts) - counts - first,
-                                        counts)
+    # the triangle n1 <= n2 cut to the columns n2 = n_lo .. n_cut - 1,
+    # never masked whole: the new shells of a ladder rung are a few % of it
+    n1, n2 = np.triu_indices(n_cut, -n_lo, n_cut - n_lo)
+    n2 += n_lo
     if spectrum.symmetric:
         # odd pairs are exactly decoupled from the entrance
-        odd = np.array([p == "odd" for p in spectrum.parities[:n_cut]])
-        keep = odd[n1] == odd[n2]
+        keep = n1 % 2 == n2 % 2
         n1, n2 = n1[keep], n2[keep]
     pairs = np.column_stack((n1, n2))
     channel_energies = (spectrum.energies[pairs[:, 0]]
@@ -470,11 +455,11 @@ def _add_green(green: np.ndarray, spectrum: TransverseSpectrum,
     return green
 
 
-def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0
-                 ) -> OverlapKernel:
+def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0,
+                 k: float = 0.0) -> OverlapKernel:
     """Assemble the two-body kernel on the collision diagonal, at the
-    lowest pair scattering energy ``-2 J_K + 2 E_0`` (zero relative
-    momentum; :meth:`OverlapKernel.at_energy` moves it).
+    pair scattering energy ``E_k = -2 J_K cos k + 2 E_0``; the one
+    constructor of a kernel at any ``(K, k)``.
 
     Parameters
     ----------
@@ -483,16 +468,24 @@ def build_kernel(spectrum: TransverseSpectrum, total_momentum: float = 0.0
         channels, so the basis size is ``spectrum.n_states``.
     total_momentum : float
         Conserved total quasi-momentum ``K``, ``|K| < pi``.
+    k : float
+        Relative quasi-momentum in ``[0, pi)``; 0 (the default) is the
+        scattering threshold ``-2 J_K + 2 E_0``.
 
     Raises
     ------
+    ConfigError
+        If `k` or `total_momentum` is out of its range.
     OpenChannel
         If any retained pair channel is open at that energy.
     SignConventionViolation
         If a closed-channel denominator fails to be negative.
     """
+    if not 0.0 <= k < math.pi:
+        raise ConfigError(
+            f"relative quasi-momentum must lie in [0, pi), got {k}")
     j_k = pair_hopping(total_momentum)
-    energy = _zero_momentum_energy(spectrum, j_k)
+    energy = _pair_energy(spectrum, j_k, k)
 
     pairs, channel_energies = _pair_channels(spectrum, 1, spectrum.n_states)
     denominators = _closed_channels(pairs, channel_energies, energy, j_k)
@@ -626,8 +619,9 @@ def solve_finite_k(kernel: OverlapKernel, u: float, k: float) -> TwoBodyResult:
 
     with ``I00(E_k)`` and ``I_lin`` the linear solution of
     ``kernel.at_relative_momentum(k)``.  A sweep over couplings at one
-    `k` should pass that kernel, so that every point reuses one ``H``
-    and its eigendecomposition.
+    `k` should pass ``build_kernel(spectrum, K, k)``, which that call
+    returns as is, so that every point reuses one ``H`` and its
+    eigendecomposition.
 
     Raises
     ------

@@ -4,20 +4,24 @@ Each entry of ``MUTANTS`` changes one line of the package (a numerical
 constant, a sign or an operation) by a text replacement that must match
 exactly once.  For each, in turn, the script copies the repository
 (without ``.git`` and caches) to a temporary directory, applies the
-replacement there, runs the Tier-1 suite on the copy with ``-x`` and
-records whether it failed (the mutant is killed) or passed (it
-survived).  An unmutated copy runs first as the control: it must pass,
-or every kill would be meaningless.  The working tree is never modified.
+replacement there and runs tests on the copy: first the row's known
+killer from ``KILLERS`` (the test it failed first on when it ran the
+whole suite), alone, and only if that passes (or the row has none)
+the whole Tier-1 suite with ``-x``.  It records whether a test failed (the mutant
+is killed) or the suite passed (it survived).  An unmutated copy runs
+the whole suite first as the control: it must pass, or every kill would
+be meaningless.  The working tree is never modified.
 
-Run it from the repository root; a killed mutant stops at its first
-failing test, a survivor and the control take the whole suite (about a
-minute each on two cores):
+Run it from the repository root; a row killed by its known test takes
+a few seconds, and a survivor or a row that falls back to the suite
+takes up to a minute on two cores, as the control does:
 
     python tests/reference/mutants.py            # every mutant
     python tests/reference/mutants.py edge-tol   # the named ones
 
-It prints one row per mutant: killed or survived, the first failing
-test, and the seconds taken.  It is not collected by pytest.
+It prints one row per mutant (killed or survived, the first failing
+test, whether the known killer or the whole suite ran, and the seconds
+taken) and the audit's total wall time.  It is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -72,17 +76,18 @@ MUTANTS = {
                                 "return -math.hypot(self.v0, 2.0 * J) "
                                 "- self.v0"),
     "box-ceiling": ("src/q1dscatter/traps.py",
-                    "ceiling = spec.asymptote - 2.0 * J - 1e-12",
-                    "ceiling = spec.asymptote - 2.0 * J + 1e-2"),
+                    "else asymptote - 2.0 * J - 1e-12",
+                    "else asymptote - 2.0 * J + 1e-2"),
     "box-first-half-width": ("src/q1dscatter/traps.py",
                              "max(range_max + 20, 40), _MAX_BOX_Y",
                              "max(range_max + 20, 20), _MAX_BOX_Y"),
     "box-margin": ("src/q1dscatter/traps.py",
                    "max(range_max + 20, 40), _MAX_BOX_Y",
                    "max(range_max + 10, 40), _MAX_BOX_Y"),
+    # a set y_max's one grid no longer reports its own edge leak
     "box-fixed-half-width": ("src/q1dscatter/traps.py",
-                             "if n_grids == 1:\n            return",
-                             "if False:\n            return"),
+                             'if getattr(spec, "y_max", None) is not None:',
+                             "if False:"),
     "auto-first-half-width": ("src/q1dscatter/traps.py",
                               "y_max, cap = 40, _MAX_AUTO_Y",
                               "y_max, cap = 80, _MAX_AUTO_Y"),
@@ -153,16 +158,97 @@ MUTANTS = {
                            'for i in np.argsort(gap[near_z, near_p], '
                            'kind="stable"):',
                            "for i in range(len(near_z)):"),
+    "parity-label-shift": ("src/q1dscatter/traps.py",
+                           "labels[n % 2] for n in",
+                           "labels[(n + 1) % 2] for n in"),
+    "pair-parity-keep": ("src/q1dscatter/two_body.py",
+                         "keep = n1 % 2 == n2 % 2", "keep = n1 % 2 <= n2 % 2"),
+    "pair-energy-cos": ("src/q1dscatter/two_body.py",
+                        "-2.0 * j_k * math.cos(k)",
+                        "-2.0 * j_k * math.cos(2 * k)"),
+    # at_relative_momentum rebuilds a kernel already at its energy
+    "relative-momentum-reuse": ("src/q1dscatter/two_body.py",
+                                "== self.energy:\n            return self",
+                                "== math.nan:\n            return self"),
+}
+
+#: test (under tests/) -> the rows it failed first on when they ran the
+#: whole suite; each runs alone on its rows' copies before the suite
+KILLERS = {
+    "test_acceptance.py::test_near_continuum_resonances_converged": (
+        "visibility-floor-down", "ladder-step", "fold-weight",
+        "fold-origin-weight", "rayleigh-step-sign", "rayleigh-step-dropped",
+        "rayleigh-compensation", "pair-parity-keep"),
+    "test_acceptance.py::test_continuum_well_channel_sum": (
+        "delta-bound-energy-sign",),
+    "test_acceptance.py::test_exact_diagonalization_single_particle": (
+        "readout-x-orbit-norm", "readout-y-orbit-norm", "chain-bond-norm"),
+    "test_acceptance.py::test_two_site_resonance_count_and_crossing": (
+        "pair-distinct-weight",),
+    ("test_acceptance.py::"
+     "test_pair_hopping_sign_selected_by_exact_diagonalization"): (
+        "interlacing-end",),
+    "test_cli.py::test_ladder_rungs_in_manifest_only": ("ladder-rel-tol",),
+    "test_cli.py::test_oracle_delta_well_takes_its_half_width": (
+        "box-ceiling",),
+    "test_cli.py::test_single_grid_rungs_in_manifest": (
+        "auto-first-half-width", "grid-doubling"),
+    "test_cli.py::test_finite_k_manifest_describes_the_solved_kernel": (
+        "pair-energy-cos",),
+    "test_continuum.py::test_quadrature_methods_agree": ("quad-tol-share",),
+    "test_continuum.py::test_kronrod_rule_is_exact_to_degree_31": (
+        "quad-kronrod-weight",),
+    "test_continuum.py::test_a_peak_past_the_panel_cap_raises": (
+        "quad-panel-cap", "quad-error-scaling"),
+    "test_continuum.py::test_tabulated_asymptote_reproduces_delta_well": (
+        "phase-fold",),
+    ("test_hygiene.py::"
+     "test_package_exports_resolve_from_their_defining_module"): (
+        "export-wrong-module",),
+    ("test_oracle.py::"
+     "test_eigenpair_residual_gate_rejects_a_planted_bad_pair"): (
+        "eigen-residual-max", "eigen-residual-max-1e-7"),
+    "test_properties.py::test_ring_sums_skip_only_negligible_powers": (
+        "ring-far-cutoff",),
+    "test_properties.py::test_a_batch_integrates_each_well_as_alone": (
+        "quad-gemv-row-sum",),
+    "test_properties.py::test_leading_states_of_one_solve_are_a_fresh_solve": (
+        "box-fixed-half-width",),
+    "test_ring.py::test_asymptotic_momentum_is_brentq_bit_for_bit": (
+        "asymptotic-lane-xtol",),
+    "test_single_particle.py::test_complete_basis_grids_agree_to_1e_12": (
+        "grid-rel-tol",),
+    "test_single_particle.py::test_auto_grid_stops_at_half_width_2560": (
+        "auto-grid-cap",),
+    "test_traps.py::test_delta_well_bound_energy": ("edge-tol",),
+    "test_traps.py::test_grid_ladders": ("box-first-half-width",
+                                         "box-margin"),
+    "test_traps.py::test_gauge_makes_the_first_largest_component_positive": (
+        "gauge-tie-last-site",),
+    "test_traps.py::test_harmonic_parity_labels": ("parity-label-shift",),
+    "test_two_body.py::test_moderate_trap_frozen_report": (
+        "zero-pole-cancellation",),
+    ("test_two_body.py::"
+     "test_visibility_floor_separates_the_small_omega_poles"): (
+        "visibility-floor-up",),
+    "test_two_body.py::test_a_pole_cancels_its_nearest_zero": (
+        "cancellation-order",),
+    "test_two_body.py::test_kernel_at_k_is_the_dense_green_function_at_e_k": (
+        "relative-momentum-reuse",),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  ".hypothesis", ".perfbench_work")
-_TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-          "no:cacheprovider", "--continue-on-collection-errors"]
+_PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+           "no:cacheprovider"]
+_TIER1 = _PYTEST + ["--continue-on-collection-errors"]
 
 
-def run(mutant: tuple[str, str, str] | None) -> tuple[bool, str, float]:
-    """Tier-1 on a mutated copy: ``(passed, first failure, seconds)``."""
+def run(mutant: tuple[str, str, str] | None, killer: str | None = None
+        ) -> tuple[bool, str, float, str]:
+    """Tests on a mutated copy: ``(passed, first failure, seconds, what
+    ran)``, the known `killer` alone first and the whole Tier-1 suite
+    only if it passes (or there is none)."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_IGNORE)
@@ -175,28 +261,41 @@ def run(mutant: tuple[str, str, str] | None) -> tuple[bool, str, float]:
             (copy / path).write_text(source.replace(text, replacement))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         start = time.perf_counter()
-        done = subprocess.run(_TIER1, cwd=copy, env=env, text=True,
-                              capture_output=True)
+        ran = "known"
+        done = None
+        if killer is not None:
+            done = subprocess.run(_PYTEST + ["tests/" + killer], cwd=copy,
+                                  env=env, text=True, capture_output=True)
+            if done.returncode not in (0, 1):  # 1: a test failed
+                raise SystemExit(f"{killer} did not run:\n{done.stdout}")
+        if done is None or done.returncode == 0:
+            ran = "suite"
+            done = subprocess.run(_TIER1, cwd=copy, env=env, text=True,
+                                  capture_output=True)
         seconds = time.perf_counter() - start
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
-    return done.returncode == 0, failed.group(1) if failed else "", seconds
+    return (done.returncode == 0, failed.group(1) if failed else "",
+            seconds, ran)
 
 
 def main(names: list[str]) -> int:
-    unknown = set(names) - set(MUTANTS)
+    killer = {name: test for test, rows in KILLERS.items() for name in rows}
+    unknown = (set(names) | set(killer)) - set(MUTANTS)
     if unknown:
         raise SystemExit(f"unknown mutants: {sorted(unknown)}")
-    passed, failure, seconds = run(None)
+    start = time.perf_counter()
+    passed, failure, seconds, _ = run(None)
     print(f"{'control':26} {'passed' if passed else 'FAILED':9} "
           f"{failure} ({seconds:.0f} s)", flush=True)
     if not passed:
         return 1
     survivors = 0
     for name in names or MUTANTS:
-        passed, failure, seconds = run(MUTANTS[name])
+        passed, failure, seconds, ran = run(MUTANTS[name], killer.get(name))
         survivors += passed
         print(f"{name:26} {'SURVIVED' if passed else 'killed':9} "
-              f"{failure} ({seconds:.0f} s)", flush=True)
+              f"{failure} ({ran}, {seconds:.0f} s)", flush=True)
+    print(f"audit wall time {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
 

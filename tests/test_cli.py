@@ -609,6 +609,28 @@ def test_environment_in_manifest_only(tmp_path, capsys):
     assert second["environment"] == env
 
 
+def test_finite_k_manifest_describes_the_solved_kernel(tmp_path, capsys,
+                                                      harm_mod_spectrum):
+    """A finite-k sweep builds its one kernel at E(k), and the manifest
+    reports that kernel's internals: at omega = 0.1, 21 states and
+    k = 0.05 the smallest |D| is 3.29119, where the threshold kernel's
+    is 3.29905."""
+    out = tmp_path / "tb.csv"
+    code, _, _ = run_cli(["twobody", "--trap", "harmonic", "--omega", "0.1",
+                          "--n-states", "21", "--k", "0.05", "--u-from",
+                          "-5", "--u-to", "-1", "--points", "5",
+                          "--output", str(out)], capsys)
+    assert code == 0
+    diag = json.loads(
+        (tmp_path / "tb.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["min_abs_denominator"] == pytest.approx(3.29119242, abs=1e-8)
+    kernel = q.build_kernel(harm_mod_spectrum, 0.0, 0.05)
+    for key in ("collision_sites", "numerical_rank", "min_abs_denominator"):
+        assert diag[key] == getattr(kernel, key)
+    assert q.build_kernel(harm_mod_spectrum).min_abs_denominator == \
+        pytest.approx(3.29905461, abs=1e-8)
+
+
 def test_kernel_diagnostics_in_manifest_only(tmp_path, capsys,
                                             two_site_kernel):
     out = tmp_path / "tb.csv"

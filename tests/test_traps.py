@@ -270,15 +270,23 @@ def test_grid_ladders():
     assert half_widths(wide) == [50 << i for i in range(10)]
 
 
-def test_auto_harmonic_grid_stops_at_half_width_2560():
+def test_auto_harmonic_grid_stops_at_half_width_2560(monkeypatch):
     """An auto-sized harmonic grid solves for every eigenvector, so it
     doubles from half-width 40 to 2,560 (5,121 sites) and no further;
     a continuum well's box, which keeps only the states below the band,
-    goes on to 40,960."""
+    goes on to 40,960.  Each grid's eigensolve is a stub that records
+    the half-width and finds no eigenpair, so no grid is diagonalized."""
     half_widths = []
+
+    def no_eigenpairs(grid, v, ceiling):
+        half_widths.append(int(grid[-1]))
+        # one sector, with its embedding, holding no eigenpair
+        return False, ((v, None, None, np.transpose),), \
+            [(np.empty(0), np.empty((len(grid), 0)))]
+
+    monkeypatch.setattr(traps, "_grid_eigenpairs", no_eigenpairs)
     with pytest.raises(q.ConfigError, match="exceeded half-width 2560"):
-        for grid, *_ in traps._grid_problems(q.Harmonic(omega=1e-12), 10):
-            half_widths.append(int(grid[-1]))
+        q.solve_transverse(q.Harmonic(omega=1e-12), 10)
     assert half_widths == [40 << i for i in range(7)]
 
 

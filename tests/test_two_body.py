@@ -182,6 +182,37 @@ def test_finite_momentum_phase_linkage(two_site_kernel):
         assert abs(a_eff - zero.a) / abs(zero.a) < tol
 
 
+def test_kernel_at_k_is_the_dense_green_function_at_e_k(harm_mod_spectrum,
+                                                        collision_rows):
+    """``build_kernel(spectrum, K, k)`` holds ``H = S^T |D|^{-1} S`` at
+    ``E_k = -2 J_K cos k + 2 E_0``, formed densely here with
+    ``D_b = E_k + 2 J_K alpha_b - E_b`` and ``alpha_b`` the small root of
+    ``alpha^2 - g alpha + 1``, ``g = (E_b - E_k) / J_K``.  Moving a
+    threshold kernel to ``k`` gives the same ``H`` bit for bit, a kernel
+    already at ``E_k`` is returned as is, and ``k`` outside ``[0, pi)``
+    is refused."""
+    asymmetric = q.solve_transverse(ASYMMETRIC_TABLE)
+    for spectrum, total_momentum, k in ((harm_mod_spectrum, 0.0, 0.05),
+                                        (harm_mod_spectrum, 1.0, 0.3),
+                                        (asymmetric, 0.5, 0.3)):
+        ker = q.build_kernel(spectrum, total_momentum, k)
+        j_k = 2.0 * q.J * math.cos(0.5 * total_momentum)
+        e_k = -2.0 * j_k * math.cos(k) + 2.0 * float(spectrum.energies[0])
+        assert ker.energy == e_k
+        g = (ker.channel_energies - e_k) / j_k
+        alpha = 0.5 * (g - np.sqrt(g * g - 4.0))
+        rows = collision_rows(ker) / np.sqrt(
+            ker.channel_energies - e_k - 2.0 * j_k * alpha)[:, None]
+        assert np.allclose(ker.green, rows.T @ rows, rtol=0.0,
+                           atol=1e-12 * np.abs(ker.green).max())
+        moved = q.build_kernel(spectrum, total_momentum)
+        assert np.array_equal(moved.at_relative_momentum(k).green, ker.green)
+        assert ker.at_relative_momentum(k) is ker
+    for bad in (math.pi, -0.1, math.nan):
+        with pytest.raises(q.ConfigError, match="relative quasi-momentum"):
+            q.build_kernel(harm_mod_spectrum, 0.0, bad)
+
+
 # -------------------------------------------------------------- resonances
 
 
@@ -567,6 +598,82 @@ def test_pair_continuum_limit_slope(waveguide_match):
         / (4.0 * math.pi * q.J)
     assert c0 == pytest.approx(0.0704680721, abs=1e-10)
     gaps = [i + math.log(w) / (16.0 * math.pi * q.J) - c0
+            for i, w in zip(inverse, omegas)]
+    assert 0.0 < gaps[2] < gaps[1] < gaps[0]
+    model = [[1.0, math.sqrt(w) * math.log(1.0 / w), math.sqrt(w)]
+             for w in omegas]
+    assert abs(np.linalg.solve(model, gaps)[0]) <= 2e-7
+
+
+def _log_lattice_cutoff(total_momentum, split):
+    """``ln Lambda_K`` of the anisotropic lattice (README, "The continuum
+    limit"), with ``J_x = 2 J cos(K/2)``, ``J_y = 2 J`` and
+    ``F(t) = exp(-2 (J_x + J_y) t) I0(2 J_x t) I0(2 J_y t)``:
+    ``4 pi sqrt(J_x J_y) [int_0^1 F + int_1^inf (F - 1/(4 pi sqrt(J_x J_y)
+    t))] - gamma``, by mpmath Gauss-Legendre quadrature with the
+    integrals split at `split` instead of 1 and the tail taken in
+    ``s = 1/t``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(25):
+        jx, jy = 2 * q.J * mpmath.cos(mpmath.mpf(total_momentum) / 2), 2 * q.J
+        scale = 4 * mpmath.pi * mpmath.sqrt(jx * jy)
+
+        def f(t):
+            return (mpmath.exp(-2 * (jx + jy) * t)
+                    * mpmath.besseli(0, 2 * jx * t)
+                    * mpmath.besseli(0, 2 * jy * t))
+
+        head = mpmath.quad(f, [0, split], method="gauss-legendre")
+        tail = mpmath.quad(lambda s: (f(1 / s) - s / scale) / s ** 2,
+                           [0, mpmath.mpf(1) / split],
+                           method="gauss-legendre")
+        return float(scale * (head + tail) - mpmath.log(split)
+                     - mpmath.euler)
+
+
+def test_pair_continuum_limit_intercept_at_k1(waveguide_match):
+    """At ``K = 1`` the relative motion hops by ``J_x = 2 J cos(1/2)``
+    and ``J_y = 2 J``, and the broad pole approaches
+    ``1/|U| = -ln(omega)/(8 pi sqrt(J_x J_y)) + C(1)``, with
+    ``C(1) = (ln(4)/4 + ln(Lambda_1 / J_y)/2 + gamma/2 + A/2 - 2 ln 2)
+    / (2 pi sqrt(J_x J_y)) = 0.0723589683`` (README, "The continuum
+    limit").  ``ln Lambda_K`` is the Bessel integral of
+    :func:`_log_lattice_cutoff`: ``ln 64`` at ``K = 0``, where the
+    lattice is isotropic, and 4.09146094541 at ``K = 1``.  The local
+    slopes rise toward ``ln 10 / (8 pi sqrt(J_x J_y)) = 0.048899``
+    from below (measured 0.048629, then 0.048732), the gaps above the
+    closed form (measured 3.52e-4, 2.11e-4, 1.31e-4) are positive and
+    shrink, and the model ``c + sqrt(omega) (a ln(1/omega) + b)``
+    through them leaves ``c = -6.6e-8``."""
+    assert _log_lattice_cutoff(0.0, 1) == pytest.approx(math.log(64.0),
+                                                       abs=1e-12)
+    log_cutoff = _log_lattice_cutoff(1.0, 1)
+    assert log_cutoff == pytest.approx(_log_lattice_cutoff(1.0, 4),
+                                       abs=1e-12)
+    assert log_cutoff == pytest.approx(4.09146094541, abs=1e-11)
+    jx, jy = 2.0 * q.J * math.cos(0.5), 2.0 * q.J
+    scale = 2.0 * math.pi * math.sqrt(jx * jy)
+    c1 = (0.25 * math.log(4.0) + 0.5 * (log_cutoff - math.log(jy))
+          + waveguide_match) / scale
+    assert c1 == pytest.approx(0.0723589683, abs=1e-10)
+
+    omegas = (1e-4, 3e-5, 1e-5)
+    reports = [q.converged_resonances(q.Harmonic(omega=w), 41,
+                                      total_momentum=1.0) for w in omegas]
+    broad = [[r for r in rep.visible_resonances if r.kind == "broad"]
+             for rep in reports]
+    assert [len(b) for b in broad] == [1, 1, 1]
+    assert np.allclose([b[0].u for b in broad],
+                       (-3.7270614738, -3.4044267016, -3.1547090419),
+                       rtol=1e-9, atol=0)
+    inverse = [-1.0 / b[0].u for b in broad]
+    slopes = [(b - a) / math.log10(wa / wb) for a, b, wa, wb in
+              zip(inverse, inverse[1:], omegas, omegas[1:])]
+    closed_form = math.log(10.0) / (4.0 * scale)
+    assert slopes[0] < slopes[1] < closed_form
+    assert slopes[1] >= (1.0 - 5e-3) * closed_form
+
+    gaps = [i + math.log(w) / (4.0 * scale) - c1
             for i, w in zip(inverse, omegas)]
     assert 0.0 < gaps[2] < gaps[1] < gaps[0]
     model = [[1.0, math.sqrt(w) * math.log(1.0 / w), math.sqrt(w)]
