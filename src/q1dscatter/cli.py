@@ -515,9 +515,11 @@ def _resonance_window(config: RunConfig, clamp: bool) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _resonance_report(config: RunConfig, window: tuple[float, float]):
-    """The resonance report of `config`, from a kernel of its own (with
-    ``--converge``, a ladder of its own)."""
+def _resonance_report(config: RunConfig, window: tuple[float, float],
+                      kernel=None):
+    """The resonance report of `config`: with ``--converge`` from a
+    ladder of its own, else from `kernel` (a sweep's kernel at the
+    threshold ``k = 0``) or, without one, a kernel of its own."""
     from .two_body import build_kernel, converged_resonances, \
         locate_resonances
     momentum = float(config.get("total_momentum"))
@@ -527,9 +529,10 @@ def _resonance_report(config: RunConfig, window: tuple[float, float]):
             raise ConfigError("--converge needs --n-start")
         return converged_resonances(build_trap(config), n_start,
                                     total_momentum=momentum, u_window=window)
-    return locate_resonances(
-        build_kernel(_solve_spectrum(config), total_momentum=momentum),
-        window)
+    if kernel is None:
+        kernel = build_kernel(_solve_spectrum(config),
+                              total_momentum=momentum)
+    return locate_resonances(kernel, window)
 
 
 def _write_resonances(config: RunConfig, out: Path, report) -> None:
@@ -583,6 +586,7 @@ def run_twobody(config: RunConfig, out: Path):
                           "--points) or --resonances")
     outputs: list[Path] = []
     diagnostics: dict[str, object] = {}
+    threshold_kernel = None  # a sweep's kernel at k = 0 serves the report
     if has_sweep:
         from .two_body import build_kernel
         k = float(config.get("k"))
@@ -590,6 +594,8 @@ def run_twobody(config: RunConfig, out: Path):
         kernel = build_kernel(
             _solve_spectrum(config),
             total_momentum=float(config.get("total_momentum")), k=k)
+        if k == 0.0:
+            threshold_kernel = kernel
         grid = _sweep_grid(config, "u")
         proximity = kernel.pole_proximity(grid)
         # partial fractions over the grid, as Python floats
@@ -605,8 +611,8 @@ def run_twobody(config: RunConfig, out: Path):
                             "min_pole_proximity": proximity,
                             **_kernel_diagnostics(kernel)})
     if want_report:
-        report = _resonance_report(config,
-                                   _resonance_window(config, clamp=True))
+        report = _resonance_report(
+            config, _resonance_window(config, clamp=True), threshold_kernel)
         report_path = out.with_name(out.stem + "_resonances.csv") \
             if has_sweep else out
         _write_resonances(config, report_path, report)
@@ -679,7 +685,8 @@ def run_oracle(config: RunConfig, out: Path):
                "fit_residual", "contamination"], [row], {})
     return [out], {"a": res.a, "diverged": res.diverged,
                    "eigen_residual": res.eigen_residual,
-                   "unknowns": res.unknowns, "spread": res.spread,
+                   "unknowns": res.unknowns, "factored": res.factored,
+                   "cut_bound": res.cut_bound, "spread": res.spread,
                    "eigenpairs": res.eigenpairs, "sigma": res.sigma,
                    "states": res.states}
 

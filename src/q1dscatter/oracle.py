@@ -44,17 +44,32 @@ becomes
     H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R:
 
 ``m`` independent tridiagonal x-chains joined only by one dense
-``m x m`` contact block at ``x = 0``, with ``H_rot - sigma`` assembled
-in one sparse construction from index arrays.  Its shift-invert
-Lanczos eigenpairs (ARPACK mode 3; Lehoucq, Sorensen & Yang, *ARPACK
-Users' Guide*, SIAM 1998) reuse one LU factorization of it per strip.
-``H_rot`` is symmetric, so SuperLU orders it by minimum degree on
-``A + A^T`` (``MMD_AT_PLUS_A``); the chains then factor without fill
-and the factors hold about ``4 n + m^2`` entries for ``n`` unknowns,
-against 40-90 per unknown for ``H_s`` itself.  The dense
-block costs ``O(m^3)`` to factor, which is what keeps a pair on a wide
-grid out of reach (``omega = 0.1``, ``ny = 81``: ``m = 1681``).  The
-sector is also what makes the shift well-posed:
+``m x m`` contact block at ``x = 0``.  A chain ``c`` closed at the top
+of the fit range, ``E_top = e_free - 2 J_eff cos(k_max)``, carries any
+state the scan can accept as ``alpha_c**|x|`` away from the contact
+(:func:`~q1dscatter.traps.closed_channels`; ``alpha_c`` is largest at
+``E_top``), so the solve keeps only its ``L_c`` x-orbits nearest
+``x = 0``, with ``alpha_c**L_c <= 1e-17``, below an ulp of a unit
+vector's entries; a chain open at ``E_top``, the entrance among them,
+keeps all ``lx + 1``.  ``H_rot - sigma`` on the kept sites, a
+principal submatrix, is assembled in one sparse construction from
+index arrays, and its shift-invert Lanczos eigenpairs (ARPACK mode 3;
+Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998) reuse one
+LU factorization of it per strip.  The Ritz vectors are zero-padded
+back to the whole sector, where every check below runs, so a cut too
+short fails the residual gate instead of passing unseen.  ``H_rot`` is
+symmetric, so SuperLU orders it by minimum degree on ``A + A^T``
+(``MMD_AT_PLUS_A``); the chains then factor without fill and the
+factors hold about ``4 n + m^2`` entries for the ``n`` kept sites,
+against 40-90 per unknown for ``H_s`` itself.  Only the open chains
+grow with the strip, ``n = (lx + 1) n_open + sum_c min(L_c, lx + 1)``
+over the closed chains: at ``lx = 200``, 733 of the 8241 sector
+unknowns of one particle at ``omega = 0.1`` (one open chain, 40 closed
+ones cut at 8 to 38 orbits) and 1431 of the 9849 of a pair in the
+13-site table ``V = 0.1 y^2`` at ``K = pi/3``.  The dense block costs
+``O(m^3)`` to factor, which is what keeps a pair on a wide grid out
+of reach (``omega = 0.1``, ``ny = 81``: ``m = 1681``).  The sector is
+also what makes the shift well-posed:
 ``sigma = e_free - 2 J_eff cos(pi/(Lx+1))`` is exactly the energy of an
 x-odd free level, which has a node at the impurity and never shifts, so
 ``H - sigma`` is numerically singular in the full space (its Lanczos
@@ -85,7 +100,7 @@ is therefore complete whenever it stops on a returned state: one with
 ``k > k_max``, or the 9th accepted state.  When it runs off the end
 instead (closed-channel states crowd the window, as near a resonance),
 the same LU factorization serves a request for twice as many pairs, up
-to ``n - 2`` for ``n`` unknowns, and the scan starts again.
+to ``n - 2`` for the ``n`` kept sites, and the scan starts again.
 The accepted states of the one strip give ``a(0)`` from a rational
 least-squares fit ``a(s) = P_L(s)/(1 + s Q_{M-1}(s))`` in ``s = k^2``
 (the finite-momentum error of ``a(k)`` is even in ``k``), one ``lstsq``
@@ -109,14 +124,15 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import ConfigError, ContaminatedChannel, NoConvergence
 from .traps import (J, Harmonic, TransverseSpectrum, TrapSpec,
-                    alpha_closed, mirror_symmetric, potential_on_grid,
-                    solve_transverse)
+                    alpha_closed, closed_channels, mirror_symmetric,
+                    potential_on_grid, solve_transverse)
 from .two_body import pair_hopping
 
 _MAX_ACCEPTED = 9
 _K_MAX_FIT = 0.15  # fitted momenta k <= 0.15: up to 9 states at lx = 200
 _ENTRANCE_WEIGHT_MIN = 0.9
 _EIGEN_RESIDUAL_MAX = 1e-10
+_CHAIN_CUT = 1e-17  # closed chains end where alpha**L drops below an ulp
 _FIT_RESIDUAL_MAX = 1e-6
 _ORDERING = "MMD_AT_PLUS_A"  # H_s is symmetric; see the module docstring
 _CONTAMINATION_MAX = 1e-8
@@ -160,6 +176,10 @@ class OracleResult:
     ``|H_s phi - rho phi|`` among them and ``unknowns`` the sector size,
     ``(lx + 1) m`` for ``m`` transverse orbits (see the module
     docstring; ``m`` halves or better on a mirror-symmetric trap).
+    ``factored`` is the size of the matrix the solve factors, the sector
+    less the sites cut off its closed transverse chains, and
+    ``cut_bound`` the largest amplitude ``alpha**L`` at which a chain is
+    cut (0 when none is).
     ``spread`` is ``|a_hi - a_lo|`` between that order and the one below
     it (0 for a diverged reading) and ``states`` the ``(k, tan delta)``
     of every accepted state, ordered by ``k``.  ``eigenpairs`` is the
@@ -175,6 +195,8 @@ class OracleResult:
     contamination: float
     eigen_residual: float
     unknowns: int
+    factored: int
+    cut_bound: float
     spread: float
     states: tuple[tuple[float, float], ...]
     eigenpairs: int
@@ -275,7 +297,12 @@ class _Sector(NamedTuple):
     joins orbits ``j`` and ``j + 1``.  The dense ``h_y`` and the diagonal
     ``contact`` act on the ``m`` transverse orbits; ``labels`` gives the
     orbit of each slice state (index ``iy``, pair ``iy1 * ny + iy2``) and
-    ``sizes`` the number of states in each orbit.
+    ``sizes`` the number of states in each orbit.  ``energies`` and
+    ``rotation`` are the slice eigenbasis ``h_Y = R E R^T``, ``E``
+    ascending, whose columns are the chains of ``H_rot``; ``depths[c]``
+    is the number of x-orbits nearest ``x = 0`` the solve keeps on chain
+    ``c`` and ``cut_bound`` the largest ``alpha_c**depths[c]`` among the
+    chains cut short, 0 when none is (:func:`_chain_depths`).
     """
 
     chain: np.ndarray
@@ -283,11 +310,52 @@ class _Sector(NamedTuple):
     contact: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray
+    energies: np.ndarray
+    rotation: np.ndarray
+    depths: np.ndarray
+    cut_bound: float
 
     @property
     def dims(self) -> tuple[int, int]:
         """``(lx + 1, m)``: the x-orbits and the transverse orbits."""
         return self.chain.size + 1, self.sizes.size
+
+    @property
+    def kept(self) -> np.ndarray:
+        """The ``(lx + 1, m)`` mask of the sites the solve keeps: on chain
+        ``c`` its last ``depths[c]`` x-orbits."""
+        nx = self.chain.size + 1
+        return np.arange(nx)[:, None] >= nx - self.depths
+
+    @property
+    def factored(self) -> int:
+        """The size of the matrix the solve factors."""
+        return int(self.depths.sum())
+
+
+def _chain_depths(energies: np.ndarray, j_eff: float, nx: int
+                  ) -> tuple[np.ndarray, float]:
+    """The x-orbits the solve keeps on each chain of ``H_rot`` with slice
+    energies `energies` (ascending, the entrance channel first) on a
+    strip of `nx` x-orbits, and the largest ``alpha**L`` at which a chain
+    is cut short (0 when none is).
+
+    A chain closed at the top of the fit range,
+    ``E_top = E_0 - 2 J_eff cos(_K_MAX_FIT)``, carries any state the scan
+    can accept as ``alpha_c**|x|`` away from the contact, and decays
+    slowest at ``E_top``; it keeps the ``L_c`` x-orbits nearest ``x = 0``,
+    the fewest with ``alpha_c**L_c <= _CHAIN_CUT``, at most all ``nx``.
+    A chain open at ``E_top``, the entrance among them, keeps all
+    ``nx``."""
+    top = energies[0] - 2.0 * j_eff * math.cos(_K_MAX_FIT)
+    depths = np.full(energies.size, nx)
+    closed = np.flatnonzero((energies - top) / j_eff > 2.0)
+    alpha = closed_channels(energies[closed], top, j_eff)[0]
+    with np.errstate(divide="ignore"):  # a zero cut keeps every chain whole
+        reach = np.minimum(np.ceil(np.log(_CHAIN_CUT) / np.log(alpha)), nx)
+    depths[closed] = reach
+    cut = reach < nx
+    return depths, float(np.max(alpha[cut] ** reach[cut], initial=0.0))
 
 
 def _sector(problem: StripProblem, y_grid: np.ndarray, v: np.ndarray,
@@ -312,7 +380,8 @@ def _sector(problem: StripProblem, y_grid: np.ndarray, v: np.ndarray,
     summed into one entry give the same sum in any order.  The chain's
     bonds are ``-J_eff``, except the one into ``x = 0``,
     ``-2 J_eff/sqrt 2``, and the contact is ``|I| U/|I| = U`` on the
-    orbits of contact states."""
+    orbits of contact states.  The slice eigenbasis and the x-orbits
+    kept on each of its chains (:func:`_chain_depths`) complete it."""
     ny = len(y_grid)
     if total_momentum is None:
         j_eff, shape = J, (ny,)
@@ -343,55 +412,59 @@ def _sector(problem: StripProblem, y_grid: np.ndarray, v: np.ndarray,
     chain[-1] = -2.0 * j_eff / math.sqrt(2.0)
     contact = np.zeros(m)
     contact[labels[sites]] = problem.u
-    return _Sector(chain, h_y, contact, labels, sizes)
+    energies, rotation = np.linalg.eigh(h_y)
+    return _Sector(chain, h_y, contact, labels, sizes, energies, rotation,
+                   *_chain_depths(energies, j_eff, problem.lx + 1))
 
 
-def _rotated(sector: _Sector, sigma: float
-             ) -> tuple[sp.csc_matrix, np.ndarray]:
-    """``H_rot - sigma``, where
-    ``H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R``, and the
-    slice eigenbasis ``R`` (``h_Y = R E R^T``), so that
-    ``H_s (I (x) R) = (I (x) R) H_rot``; x-major, with ``x = 0`` the
-    last x-orbit.  Its CSC arrays are filled in column order, rows
-    ascending: a column ``c`` of x-orbit ``j`` holds the bond to
-    ``c - m``, then the diagonal and the bond to ``c + m``, or on
-    ``x = 0`` (``j = nx - 1``) the bond and then the column of the
-    block.  ``T_x`` has no diagonal, so only the diagonal of the
-    ``x = 0`` block sums two terms, ``E + R^T C R``, before the shift,
-    and every entry is rounded exactly as in the sum of the three
-    Kronecker products less ``sigma I``, whose zeros it drops as
-    well."""
-    energies, rotation = np.linalg.eigh(sector.h_y)
+def _rotated(sector: _Sector, sigma: float) -> sp.csc_matrix:
+    """``H_rot - sigma`` on the sector's kept sites, where
+    ``H_rot = T_x (x) I + I (x) E + |x=0><x=0| (x) R^T C R`` in the slice
+    eigenbasis ``R`` (``h_Y = R E R^T``), so that
+    ``H_s (I (x) R) = (I (x) R) H_rot``: the principal submatrix of the
+    kept sites, x-major, with ``x = 0`` the last x-orbit.  Its CSC
+    arrays are filled in column order, rows ascending: a column of
+    x-orbit ``j`` on chain ``c`` holds the bond to orbit ``j - 1`` (none
+    on the chain's first kept orbit), then the diagonal and the bond to
+    ``j + 1``, or on ``x = 0`` the bond and then the column of the block.
+    ``T_x`` has no diagonal, so only the diagonal of the ``x = 0`` block
+    sums two terms, ``E + R^T C R``, before the shift, and every entry is
+    rounded exactly as in the sum of the three Kronecker products less
+    ``sigma I``, whose zeros it drops as well."""
+    energies, rotation = sector.energies, sector.rotation
     block = rotation.T @ (sector.contact[:, None] * rotation)
     nx, m = sector.dims
-    n = nx * m
-    column = np.arange(n, dtype=np.int32)
-    bonds = np.repeat(sector.chain, m)  # x-orbit j to j + 1, slice by slice
-    # a column c with j < nx - 1: rows c - m, c and c + m
-    free = np.zeros((n - m, 3))
-    free[m:, 0] = bonds[:-m]
-    free[:, 1] = np.tile(energies, nx - 1) - sigma
-    free[:, 2] = bonds
-    free_rows = column[:-m, None] + np.array([-m, 0, m], dtype=np.int32)
-    # a column c on x = 0: row c - m, then the block's column
+    kept = sector.kept
+    index = np.cumsum(kept, dtype=np.int32).reshape(nx, m) - 1
+    first = nx - sector.depths  # the first kept x-orbit of each chain
+    # a kept site (j, c) with j < nx - 1: rows of orbits j - 1, j, j + 1
+    j, c = np.nonzero(kept[:-1])
+    free = np.empty((j.size, 3))
+    free[:, 0] = np.where(j > first[c], sector.chain[j - 1], 0.0)
+    free[:, 1] = energies[c] - sigma
+    free[:, 2] = sector.chain[j]
+    free_rows = np.stack((index[j - 1, c], index[j, c], index[j + 1, c]),
+                         axis=1)
+    # a column on x = 0: the bond from x-orbit nx - 2, then the block's
     impurity = np.empty((m, m + 1))
-    impurity[:, 0] = bonds[-m:]
+    impurity[:, 0] = np.where(kept[-2], sector.chain[-1], 0.0)
     impurity[:, 1:] = block.T
     impurity[:, 1:][np.diag_indices(m)] = (energies + np.diag(block)) - sigma
     impurity_rows = np.empty((m, m + 1), dtype=np.int32)
-    impurity_rows[:, 0] = column[-2 * m:-m]
-    impurity_rows[:, 1:] = column[-m:]
+    impurity_rows[:, 0] = index[-2]
+    impurity_rows[:, 1:] = index[-1]
     keep_free, keep_impurity = free != 0.0, impurity != 0.0
     per_slot = keep_free.view(np.int8)  # three adds beat .sum(axis=1)
     counts = np.concatenate((per_slot[:, 0] + per_slot[:, 1] + per_slot[:, 2],
                              np.count_nonzero(keep_impurity, axis=1)))
+    n = counts.size
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     return sp.csc_matrix((np.concatenate((free[keep_free],
                                           impurity[keep_impurity])),
                           np.concatenate((free_rows[keep_free],
                                           impurity_rows[keep_impurity])),
-                          indptr), shape=(n, n)), rotation
+                          indptr), shape=(n, n))
 
 
 def _sector_product(sector: _Sector, phi: np.ndarray) -> np.ndarray:
@@ -449,7 +522,8 @@ def _sector_eigenpairs(sector: _Sector, sigma: float
                            np.ndarray, np.ndarray, np.ndarray]]]:
     """Shift-invert Lanczos on the sector Hamiltonian ``H_s`` near
     `sigma`, solved as ``H_rot`` in the slice eigenbasis from one LU
-    factorization of ``H_rot - sigma`` (see the module docstring).
+    factorization of ``H_rot - sigma`` on the kept sites, its vectors
+    zero-padded back to the whole sector (see the module docstring).
 
     Returns the shift factored (`sigma`, or a step off it where
     ``H_rot - sigma`` is exactly singular) and ``eigenpairs(count)``:
@@ -463,13 +537,13 @@ def _sector_eigenpairs(sector: _Sector, sigma: float
     amplification.
     """
     nx, m = sector.dims
-    n = nx * m
-    shifted, rotation = _rotated(sector, sigma)
+    kept, n = sector.kept.reshape(-1), sector.factored
+    shifted = _rotated(sector, sigma)
     try:
         lu = splu(shifted, permc_spec=_ORDERING)
     except RuntimeError:  # exactly singular: step off the level
         sigma += 1e-9 * (1.0 + abs(sigma))
-        shifted, rotation = _rotated(sector, sigma)
+        shifted = _rotated(sector, sigma)
         lu = splu(shifted, permc_spec=_ORDERING)
     solve = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     # ARPACK's mode 3 applies only OPinv; H_rot gives eigsh its shape
@@ -477,9 +551,12 @@ def _sector_eigenpairs(sector: _Sector, sigma: float
                            dtype=float)
 
     def eigenpairs(count: int):
-        theta, phi = eigsh(h_rot, k=count, sigma=sigma, OPinv=solve,
+        theta, psi = eigsh(h_rot, k=count, sigma=sigma, OPinv=solve,
                            v0=np.ones(n))
-        phi = (rotation @ phi.reshape(nx, m, -1)).reshape(n, -1)
+        phi = np.zeros((kept.size, count))
+        phi[kept] = psi  # zero on the sites cut off each closed chain
+        phi = (sector.rotation @ phi.reshape(nx, m, -1)).reshape(kept.size,
+                                                                 -1)
         h_phi = _sector_product(sector, phi)
         rho = theta + (np.einsum("ij,ij->j", phi, h_phi - phi * theta)
                        / np.einsum("ij,ij->j", phi, phi))
@@ -595,11 +672,11 @@ def _extract_states(sector: _Sector, entrance: np.ndarray, e_free: float,
     momenta first, the number of eigenpairs finally requested and the
     Lanczos shift.  `entrance` is the transverse entrance state on one
     x-slice of the full space."""
-    nx, m = sector.dims
+    nx = sector.dims[0]
     k_target = math.pi / nx
     sigma, eigenpairs = _sector_eigenpairs(
         sector, e_free - 2.0 * j_eff * math.cos(k_target))
-    cap = nx * m - 2
+    cap = sector.factored - 2
     count = min(_pairs_requested(nx - 1), cap)
     while True:
         accepted, best_reject, complete = _scan(
@@ -652,8 +729,9 @@ def _zero_momentum_limit(s: np.ndarray, a: np.ndarray) -> tuple[float, float]:
     return a_hi, spread
 
 
-def _extrapolate(states: list[_Extraction], unknowns: int, eigenpairs: int,
-                 sigma: float) -> OracleResult:
+def _extrapolate(states: list[_Extraction], unknowns: int, factored: int,
+                 cut_bound: float, eigenpairs: int, sigma: float
+                 ) -> OracleResult:
     """The ``k -> 0`` limit of the strip's accepted states."""
     live = [e for e in states if not e.diverged]
     if live:
@@ -668,7 +746,8 @@ def _extrapolate(states: list[_Extraction], unknowns: int, eigenpairs: int,
         fit_residual=max(e.fit_residual for e in used),
         contamination=max(e.contamination for e in used),
         eigen_residual=max(e.eigen_residual for e in used),
-        unknowns=unknowns, spread=spread,
+        unknowns=unknowns, factored=factored, cut_bound=cut_bound,
+        spread=spread,
         states=tuple((e.k, e.tan_delta) for e in states),
         eigenpairs=eigenpairs, sigma=sigma)
 
@@ -698,7 +777,8 @@ def _scattering_length(problem: StripProblem,
     states, count, sigma = _extract_states(sector, entrance, e_free=e_free,
                                            j_eff=j_eff)
     nx, m = sector.dims
-    return _extrapolate(states, unknowns=nx * m, eigenpairs=count,
+    return _extrapolate(states, unknowns=nx * m, factored=sector.factored,
+                        cut_bound=sector.cut_bound, eigenpairs=count,
                         sigma=sigma)
 
 

@@ -121,6 +121,15 @@ MUTANTS = {
     "chain-bond-norm": ("src/q1dscatter/oracle.py",
                         "chain[-1] = -2.0 * j_eff / math.sqrt(2.0)",
                         "chain[-1] = -2.0 * j_eff / 2.0"),
+    "chain-cut": ("src/q1dscatter/oracle.py",
+                  "_CHAIN_CUT = 1e-17", "_CHAIN_CUT = 1e-6"),
+    # closed chains cut by their decay at the Lanczos shift, below the
+    # fit range's top, where they decay faster
+    "chain-cut-energy": ("src/q1dscatter/oracle.py",
+                         "top = energies[0] - 2.0 * j_eff * "
+                         "math.cos(_K_MAX_FIT)",
+                         "top = energies[0] - 2.0 * j_eff * "
+                         "math.cos(math.pi / nx)"),
     # closed_channels moves to a module that imports it: every name
     # still resolves, to the same object, but not from its definer
     "export-wrong-module": ("src/q1dscatter/__init__.py",
@@ -182,7 +191,8 @@ KILLERS = {
     "test_acceptance.py::test_continuum_well_channel_sum": (
         "delta-bound-energy-sign",),
     "test_acceptance.py::test_exact_diagonalization_single_particle": (
-        "readout-x-orbit-norm", "readout-y-orbit-norm", "chain-bond-norm"),
+        "readout-x-orbit-norm", "readout-y-orbit-norm", "chain-bond-norm",
+        "chain-cut"),
     "test_acceptance.py::test_two_site_resonance_count_and_crossing": (
         "pair-distinct-weight",),
     ("test_acceptance.py::"
@@ -208,6 +218,8 @@ KILLERS = {
     ("test_oracle.py::"
      "test_eigenpair_residual_gate_rejects_a_planted_bad_pair"): (
         "eigen-residual-max", "eigen-residual-max-1e-7"),
+    "test_oracle.py::test_sector_factor_fill[pair-table9]": (
+        "chain-cut-energy",),
     "test_properties.py::test_ring_sums_skip_only_negligible_powers": (
         "ring-far-cutoff",),
     "test_properties.py::test_a_batch_integrates_each_well_as_alone": (

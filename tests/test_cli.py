@@ -335,6 +335,39 @@ def test_twobody_report_equals_a_fresh_report(tmp_path, capsys):
         report(tmp_path / "fresh.csv")
 
 
+@pytest.mark.parametrize("k, kernels", [(0.0, [0.0]), (0.05, [0.05, 0.0])])
+def test_report_reuses_a_threshold_sweep_kernel(k, kernels, tmp_path,
+                                                capsys, monkeypatch):
+    """fig5's sweep at k = 0 and its resonance report share one spectrum
+    and one kernel; the report of a sweep at k > 0 solves a spectrum and
+    builds a threshold kernel of its own."""
+    from q1dscatter import two_body
+    build, solve = two_body.build_kernel, cli.solve_transverse
+    built, solved = [], []
+
+    def counted_build(spectrum, total_momentum=0.0, k=0.0):
+        built.append(k)
+        return build(spectrum, total_momentum, k)
+
+    def counted_solve(*args, **kwargs):
+        solved.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(two_body, "build_kernel", counted_build)
+    monkeypatch.setattr(cli, "solve_transverse", counted_solve)
+    if k == 0.0:
+        argv = ["figure", "fig5", "--output-dir", str(tmp_path)]
+    else:
+        argv = ["twobody", "--trap", "harmonic", "--omega", "0.1",
+                "--n-states", "21", "--k", repr(k), "--u-from", "-4",
+                "--u-to", "4", "--points", "5", "--resonances",
+                "--output", str(tmp_path / "tb.csv")]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert built == kernels
+    assert len(solved) == len(kernels)
+
+
 def test_twobody_finite_k_phase_is_positive_zero_at_zero_coupling(
         tmp_path, capsys):
     out = tmp_path / "tb.csv"
@@ -396,6 +429,9 @@ def test_oracle_diagnostics_in_manifest_only(tmp_path, capsys):
         (tmp_path / "o.csv.manifest.json").read_text())["diagnostics"]
     assert 0.0 < diag["eigen_residual"] <= 1e-10
     assert diag["unknowns"] == 101 * 3  # x >= 0 times y1 <= y2
+    # the entrance chain whole, the two closed chains cut near x = 0
+    assert 101 < diag["factored"] < diag["unknowns"]
+    assert 0.0 < diag["cut_bound"] <= 1e-17
     # min(x-even free levels with k <= 0.15, 9) + 2 at lx = 100
     assert diag["eigenpairs"] == 7
     meta, rows = read_csv(out)
@@ -416,8 +452,8 @@ def test_oracle_diagnostics_in_manifest_only(tmp_path, capsys):
     x = s / s.max()
     assert diag["spread"] == abs(oracle._rational_intercept(x, a, (2, 1))
                                  - oracle._rational_intercept(x, a, (1, 1)))
-    hidden = {"eigen_residual", "unknowns", "spread", "eigenpairs", "sigma",
-              "states"}
+    hidden = {"eigen_residual", "unknowns", "factored", "cut_bound",
+              "spread", "eigenpairs", "sigma", "states"}
     assert not hidden & set(rows[0])
     assert not hidden & {key.replace("-", "_") for key in meta}
     replay = tmp_path / "replay.csv"

@@ -359,6 +359,32 @@ def test_mirror_reduction_matches_unreduced_sector(trap, u, momentum,
         assert abs(gap) <= 1e-10, (k, gap)
 
 
+def _factored_size(problem, momentum):
+    """The x-orbits the cut keeps, counted chain by chain in the slice
+    eigenbasis: ``lx + 1`` on a chain open at the top of the fit range
+    ``E_top = e_free - 2 J_eff cos(0.15)``, and on a closed one the
+    ``L_c`` nearest ``x = 0`` with ``alpha_c**L_c <= 1e-17``, at most
+    ``lx + 1``.  Also returns the number of open chains."""
+    y_grid, v, spectrum = oracle._transverse(problem)
+    sector = oracle._sector(problem, y_grid, v, momentum)
+    j_eff = q.J if momentum is None else q.pair_hopping(momentum)
+    e_free = spectrum.energies[0] * (1 if momentum is None else 2)
+    top = e_free - 2.0 * j_eff * math.cos(0.15)
+    nx = problem.lx + 1
+    size = n_open = 0
+    for energy in np.linalg.eigvalsh(sector.h_y):
+        if (energy - top) / j_eff <= 2.0:
+            size += nx
+            n_open += 1
+            continue
+        alpha = q.alpha_closed(energy, top, j_eff=j_eff).alpha
+        depth = 1
+        while depth < nx and alpha ** depth > 1e-17:
+            depth += 1
+        size += depth
+    return size, n_open
+
+
 @pytest.mark.parametrize("trap, u, momentum, m", [
     (q.Harmonic(omega=0.1), -2.0, None, 41),
     (q.TwoSite(v=1.0), -5.0, 0.0, 3),
@@ -366,9 +392,10 @@ def test_mirror_reduction_matches_unreduced_sector(trap, u, momentum,
     (_TABLE13, -5.0, math.pi / 3, 49),
 ], ids=["single-harmonic", "pair-two-site", "pair-table9", "pair-table13"])
 def test_sector_factor_fill(trap, u, momentum, m, monkeypatch):
-    """The rotated sector factors with about 4 entries per unknown plus
-    the dense m x m contact block at x = 0; m counts the transverse
-    orbits (mirror-even on the symmetric traps)."""
+    """The solve factors only the sites the cut keeps of the 201 m
+    sector unknowns, with about 4 entries per factored unknown plus the
+    dense m x m contact block at x = 0; m counts the transverse orbits
+    (mirror-even on the symmetric traps)."""
     problem = q.StripProblem(trap=trap, u=u, lx=200)
     factorize = oracle.splu
     fills = []
@@ -380,10 +407,12 @@ def test_sector_factor_fill(trap, u, momentum, m, monkeypatch):
 
     monkeypatch.setattr(oracle, "splu", spy)
     if momentum is None:
-        q.strip_scattering_length(problem)
+        res = q.strip_scattering_length(problem)
     else:
-        q.pair_scattering_length(problem, momentum)
-    assert [n for n, _ in fills] == [201 * m]
+        res = q.pair_scattering_length(problem, momentum)
+    factored, _ = _factored_size(problem, momentum)
+    assert [n for n, _ in fills] == [factored] == [res.factored]
+    assert res.unknowns == 201 * m > factored
     for n, fill in fills:
         assert fill <= 5 * n + m * m, (n, fill)
 
@@ -466,10 +495,12 @@ def test_short_first_request_doubles_on_one_factorization(name, first,
 
 
 def _rotated_by_coo(sector, sigma):
-    """``H_rot - sigma`` as ``oracle._rotated`` assembled it before it
-    filled the CSC arrays in column order: every entry as a COO
-    triplet, exact zeros dropped, and scipy's COO -> CSC conversion
-    sorting them."""
+    """``H_rot - sigma`` on the sector's kept sites as ``oracle._rotated``
+    assembled it before it filled the CSC arrays in column order: every
+    entry of the whole sector as a COO triplet, exact zeros dropped,
+    the triplets whose row or column is cut dropped as well and the
+    rest renumbered over the kept sites, and scipy's COO -> CSC
+    conversion sorting them."""
     energies, rotation = np.linalg.eigh(sector.h_y)
     block = rotation.T @ (sector.contact[:, None] * rotation)
     nx, m = sector.dims
@@ -486,37 +517,90 @@ def _rotated_by_coo(sector, sigma):
                            at_impurity + b_col[off]])
     data = np.concatenate([bonds, bonds, diagonal - sigma,
                            block[b_row[off], b_col[off]]])
-    kept = data != 0.0
-    return sp.csc_matrix((data[kept], (rows[kept], cols[kept])),
-                         shape=(nx * m, nx * m))
+    kept_site = sector.kept.reshape(-1)
+    position = np.cumsum(kept_site) - 1
+    kept = (data != 0.0) & kept_site[rows] & kept_site[cols]
+    n = int(kept_site.sum())
+    return sp.csc_matrix((data[kept], (position[rows[kept]],
+                                       position[cols[kept]])),
+                         shape=(n, n))
 
 
 @pytest.mark.parametrize("name", list(_BENCHMARK_PROBLEMS))
 def test_rotated_csc_arrays_match_the_coo_assembly(name):
     """The CSC arrays SuperLU factors (data, row indices and column
     pointers, values and dtypes) are bit for bit those of the COO
-    assembly, at zero shift, at the oracle's shift and at the lowest
-    slice energy, where every x-orbit but x = 0 has an exact zero on its
-    diagonal that both drop."""
+    assembly, on the kept sites and on the whole sector, at zero shift,
+    at the oracle's shift and at the lowest slice energy, where every
+    x-orbit but x = 0 has an exact zero on its diagonal that both
+    drop."""
     trap, u, momentum = _BENCHMARK_PROBLEMS[name]
     problem = q.StripProblem(trap=trap, u=u, lx=200)
     y_grid, v, spectrum = oracle._transverse(problem)
-    sector = oracle._sector(problem, y_grid, v, momentum)
-    nx = sector.dims[0]
+    cut = oracle._sector(problem, y_grid, v, momentum)
+    nx, m = cut.dims
+    whole = cut._replace(depths=np.full(m, nx))
     j_eff = q.J if momentum is None else q.pair_hopping(momentum)
     e_free = spectrum.energies[0] * (1 if momentum is None else 2)
-    lowest = np.linalg.eigh(sector.h_y)[0][0]
-    nnz = []
-    for sigma in (0.0, e_free - 2.0 * j_eff * math.cos(math.pi / 201),
-                  lowest):
-        got, _ = oracle._rotated(sector, sigma)
-        want = _rotated_by_coo(sector, sigma)
-        assert got.format == "csc" and got.shape == want.shape
-        for attr in ("data", "indices", "indptr"):
-            a, b = getattr(got, attr), getattr(want, attr)
-            assert a.dtype == b.dtype and np.array_equal(a, b), attr
-        nnz.append(got.nnz)
-    assert nnz[0] - nnz[2] >= nx - 1
+    lowest = np.linalg.eigh(cut.h_y)[0][0]
+    for sector in (cut, whole):
+        nnz = []
+        for sigma in (0.0, e_free - 2.0 * j_eff * math.cos(math.pi / 201),
+                      lowest):
+            got = oracle._rotated(sector, sigma)
+            want = _rotated_by_coo(sector, sigma)
+            assert got.format == "csc" and got.shape == want.shape
+            assert got.shape[0] == sector.factored
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and np.array_equal(a, b), attr
+            nnz.append(got.nnz)
+        assert nnz[0] - nnz[2] >= nx - 1
+    assert cut.factored < whole.factored == nx * m
+
+
+@pytest.mark.parametrize("name", list(_BENCHMARK_PROBLEMS))
+def test_factored_size_grows_only_on_open_chains(name):
+    """Doubling the strip from lx = 200 to 400 adds 200 x-orbits to each
+    transverse chain open at the top of the fit range and none to a
+    closed one: on these traps every closed chain is cut within 201
+    orbits of x = 0, at an amplitude alpha**L <= 1e-17."""
+    trap, u, momentum = _BENCHMARK_PROBLEMS[name]
+    factored = []
+    for lx in (200, 400):
+        problem = q.StripProblem(trap=trap, u=u, lx=lx)
+        res = q.strip_scattering_length(problem) if momentum is None \
+            else q.pair_scattering_length(problem, momentum)
+        assert 0.0 < res.cut_bound <= 1e-17
+        factored.append(res.factored)
+    _, n_open = _factored_size(problem, momentum)
+    assert n_open >= 1  # the entrance chain
+    assert factored[1] - factored[0] == 200 * n_open
+
+
+@pytest.mark.parametrize("trap, u, momentum", [
+    *_BENCHMARK_PROBLEMS.values(), (_TABLE13, -7.5527, 0.0)],
+    ids=[*_BENCHMARK_PROBLEMS, "pair-table13-pole-side"])
+def test_cut_chains_accept_the_states_of_whole_chains(trap, u, momentum,
+                                                      monkeypatch):
+    """With the cut turned off (every transverse chain kept whole, the
+    solve factoring all 201 m sector unknowns) the oracle accepts the
+    same states as with it, at the same k, and reads the same a."""
+    problem = q.StripProblem(trap=trap, u=u, lx=200)
+
+    def run():
+        return q.strip_scattering_length(problem) if momentum is None \
+            else q.pair_scattering_length(problem, momentum)
+
+    cut = run()
+    monkeypatch.setattr(oracle, "_CHAIN_CUT", 0.0)
+    whole = run()
+    assert whole.factored == whole.unknowns == cut.unknowns > cut.factored
+    assert whole.cut_bound == 0.0 < cut.cut_bound <= 1e-17
+    assert len(cut.states) == len(whole.states) > 0
+    for (k, _), (k_ref, _) in zip(cut.states, whole.states):
+        assert abs(k - k_ref) <= 1e-11 * k_ref
+    assert abs(cut.a - whole.a) <= 1e-10 * abs(whole.a)
 
 
 @pytest.mark.parametrize("name", list(_BENCHMARK_PROBLEMS))

@@ -461,16 +461,23 @@ def test_oracle_sectors_are_invariant_isometries(trap, lx, u, momentum,
        sigma=st.floats(-5.0, 5.0))
 @example(trap=q.Tabulated.from_mapping({-1: 1.9233, 0: 0.0, 1: 1.9233}),
          lx=16, u=-5.0, momentum=0.0, sigma=-1.5)
+# walls steep enough that the cut shortens the top chains to 15 orbits
+@example(trap=q.Tabulated.from_mapping(
+    {-2: 12.0, -1: 6.0, 0: 0.0, 1: 6.0, 2: 12.0}),
+         lx=16, u=-5.0, momentum=0.0, sigma=0.5)
 def test_oracle_sector_factors(trap, lx, u, momentum, sigma,
                                sector_isometry):
     """H_s applied factor by factor (x-chain, slice and contact) is
     P^T H P of the full-space H entry for entry, also where an orbit of
     four or eight states sums equal diagonal entries; the directly
     assembled H_rot - sigma is the sum of its three Kronecker products
-    less sigma I entry for entry; and the slice eigenbasis R carries H_s
-    into H_rot: H_s (I (x) R) = (I (x) R) H_rot."""
-    for h, sector, _, _ in _oracle_strips(trap, lx, u, momentum):
-        nx, m = sector.dims
+    less sigma I entry for entry, and on the sites the cut of closed
+    chains keeps its principal submatrix; and the slice eigenbasis R
+    carries H_s into H_rot: H_s (I (x) R) = (I (x) R) H_rot."""
+    for h, cut, _, _ in _oracle_strips(trap, lx, u, momentum):
+        nx, m = cut.dims
+        sector = cut._replace(depths=np.full(m, nx))  # every chain whole
+        kept = np.flatnonzero(cut.kept)
         h_s = oracle._sector_product(sector, np.identity(nx * m))
         reference = _orbit_sum(h, sector_isometry(sector))
         diff = np.max(np.abs(h_s - reference))
@@ -483,14 +490,16 @@ def test_oracle_sector_factors(trap, lx, u, momentum, sigma,
                     + sp.kron(sp.identity(nx), sp.diags(energies))
                     + sp.kron(at_impurity, sp.csr_matrix(
                         basis.T @ (np.diag(sector.contact) @ basis))))
+        assert np.array_equal(sector.rotation, basis)
         for shift in (0.0, sigma):
-            h_rot, rotation = oracle._rotated(sector, shift)
-            assert np.array_equal(rotation, basis)
+            h_rot = oracle._rotated(sector, shift)
             want = kron_sum - shift * sp.identity(nx * m)
             assert h_rot.shape == want.shape
             assert (h_rot != want).nnz == 0
-        h_rot = oracle._rotated(sector, 0.0)[0]
-        lift = np.kron(np.identity(nx), rotation)
+            h_cut = oracle._rotated(cut, shift)
+            assert (h_cut != want.tocsr()[kept][:, kept]).nnz == 0
+        h_rot = oracle._rotated(sector, 0.0)
+        lift = np.kron(np.identity(nx), basis)
         assert np.linalg.norm(h_s @ lift - lift @ h_rot.toarray()) \
             <= 1e-13 * np.linalg.norm(h_s)
 
